@@ -10,6 +10,13 @@ by safeguarded bracketed root-finding, and setting the new value at s to
 beta(omega, eps, x, phi(x)).  Iterating this transform contracts (rate about
 q in the y-Lipschitz constant of beta) to the unique invariant curve.
 
+The root solve drives all nodes in lockstep, so each of its iterations is
+one batched advance evaluation -- one batched flow when the map is a wrapped
+Poincare map, whose cost hardly depends on the number of lanes.  The
+measured bracket endpoints a(0) and a(window) ride in the first evaluation
+of each sweep; sweep 1 instead starts from the grid that the monotonicity
+check has already evaluated, and later sweeps from the previous preimages.
+
 Curves are stored on a uniform grid.  The standard representation is an
 exactly periodic cubic spline; the doubled-window variant used by the
 emergent-periodicity test keeps a clamped (non-periodic) spline on [0, 2T)
@@ -244,6 +251,8 @@ def _advance_closure(spec, omega, eps, curve):
 
 
 def _check_monotone(advance, window, n_check):
+    """Raise unless advance is strictly increasing on a grid of the window;
+    returns the grid and its values, ``(xs, advance(xs))``."""
     xs = np.linspace(0.0, window, n_check + 1)
     vals = advance(xs)
     if np.any(np.diff(vals) <= 0.0):
@@ -251,43 +260,64 @@ def _check_monotone(advance, window, n_check):
             "x-advance map is not strictly increasing on the window; "
             "the graph transform is undefined at these parameters"
         )
+    return xs, vals
 
 
-def _solve_preimages(advance, targets, window, x0=None,
+def _solve_preimages(advance, targets, window, x0=None, grid=None,
                      f_tol=1e-14, bracket_tol=1e-14, max_iter=200):
     """Vectorized bracketed solve of advance(x) = targets (mod window).
 
-    All lanes are driven in lockstep so that one iteration costs a single
-    batched advance evaluation (one batched flow for integrator-backed maps).
-    Inside the bracket a unit-slope Newton step is tried first -- the advance
-    maps here are near-rigid, making it converge in a handful of iterations --
-    and every candidate falls back to bisection whenever it leaves the open
+    All lanes are driven in lockstep, so every iteration is one batched
+    advance evaluation (one batched flow for integrator-backed maps).  The
+    targets are shifted into [a(0), a(0) + window) and bracketed by
+    [0, window].  The endpoint values a(0) and a(window) are measured, never
+    inferred from periodicity, because the doubled-window curve is not
+    periodic; they ride in the first batched evaluation, next to the start
+    points.  A lane whose target lies above a(window) has its upper end
+    widened by window/8, at most four times, before `BracketingError`.
+
+    The start is ``x0`` (the previous sweep's preimages), else the bracket
+    midpoint.  Sweep 1 passes ``grid = (xs, advance(xs))`` on [0, window]
+    instead -- the monotonicity check's evaluations: the grid supplies a(0)
+    and a(window), and the start interpolates its inverse.  Inside the
+    bracket a unit-slope Newton step is tried first -- the advance maps here
+    are near-rigid, making it converge in a handful of iterations -- and
+    every candidate falls back to bisection whenever it leaves the open
     bracket, so convergence is guaranteed by the monotonicity precondition.
     """
+    if x0 is not None and grid is not None:
+        raise ValueError("give at most one of x0 and grid")
     targets = np.asarray(targets, dtype=float)
     n = targets.size
-    a0 = float(advance(np.zeros(1))[0])
-    t = targets + window * np.ceil((a0 - targets) / window)
-
     lo = np.zeros(n)
-    hi = np.full(n, window)
-    f_lo = np.full(n, a0) - t
-    f_hi = advance(hi) - t
+    hi = np.full(n, float(window))
+    if grid is None:
+        x = (0.5 * hi if x0 is None
+             else np.clip(np.asarray(x0, dtype=float), lo, hi))
+        a = advance(np.concatenate([[0.0, window], x]))
+        a0, a_hi, a_x = a[0], a[1], a[2:]
+        t = targets + window * np.ceil((a0 - targets) / window)
+    else:
+        xs, vals = grid
+        a0, a_hi = vals[0], vals[-1]
+        t = targets + window * np.ceil((a0 - targets) / window)
+        x = np.clip(np.interp(t, vals, xs), lo, hi)
+        a_x = advance(x)
+    f = a_x - t
+
     # a(window) should clear the largest shifted target; widen on fp slack
-    for _ in range(4):
+    # or a non-periodic advance
+    f_hi = a_hi - t
+    for k in range(1, 5):
         bad = f_hi < 0.0
         if not np.any(bad):
             break
-        hi[bad] += window / 8.0
-        f_hi[bad] = advance(hi[bad]) - t[bad]
-    else:
+        x_hi = window * (1.0 + k / 8.0)
+        hi[bad] = x_hi
+        f_hi[bad] = advance(np.array([x_hi]))[0] - t[bad]
+    if np.any(f_hi < 0.0):
         raise BracketingError("could not bracket the advance-map preimages")
 
-    if x0 is not None:
-        x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    else:
-        x = 0.5 * (lo + hi)
-    f = advance(x) - t
     done = np.abs(f) <= f_tol
     for k in range(int(max_iter)):
         if np.all(done | (hi - lo <= bracket_tol)):
@@ -312,15 +342,20 @@ def _solve_preimages(advance, targets, window, x0=None,
     return x
 
 
-def _sweep(spec, omega, eps, curve, window, x0=None, f_tol=1e-14):
-    """One graph-transform pass; returns (new node values, preimages)."""
+def _sweep(spec, omega, eps, curve, window, x0=None, grid=None, f_tol=1e-14):
+    """One graph-transform pass; returns (new node values, preimages).
+
+    ``x0`` and ``grid`` select the preimage solve's start (see
+    `_solve_preimages`).
+    """
     targets = curve.nodes
     if omega == 0.0:
         # identity advance: the transform degenerates to a per-x update
         pre = targets.copy()
     else:
         advance = _advance_closure(spec, omega, eps, curve)
-        pre = _solve_preimages(advance, targets, window, x0=x0, f_tol=f_tol)
+        pre = _solve_preimages(advance, targets, window, x0=x0, grid=grid,
+                               f_tol=f_tol)
     y_pre = curve.eval(pre)
     new_vals = np.asarray(spec.beta(omega, eps, pre[:, None], y_pre), dtype=float)
     if np.max(np.linalg.norm(new_vals, axis=-1)) > spec.r1:
@@ -340,10 +375,12 @@ def graph_transform(spec, omega, eps, phi):
     _require_scalar_periodic(spec)
     if phi.sup_norm() > spec.r1:
         raise DomainError("candidate curve exceeds the radius-r1 disc")
+    grid = None
     if omega != 0.0:
-        _check_monotone(_advance_closure(spec, omega, eps, phi),
-                        phi.period, 2 * phi.n_nodes)
-    new_vals, _ = _sweep(spec, float(omega), float(eps), phi, phi.period)
+        grid = _check_monotone(_advance_closure(spec, omega, eps, phi),
+                               phi.period, 2 * phi.n_nodes)
+    new_vals, _ = _sweep(spec, float(omega), float(eps), phi, phi.period,
+                         grid=grid)
     return phi.with_values(new_vals)
 
 
@@ -362,15 +399,16 @@ def _interp_error_estimate(values):
 def _iterate_to_fixed_point(spec, omega, eps, curve, window, tol, max_iter,
                             f_tol=1e-14):
     updates = []
-    pre = None
-    first = True
+    pre = grid = None
+    if omega != 0.0:
+        grid = _check_monotone(_advance_closure(spec, omega, eps, curve),
+                               window, 2 * (curve.values.shape[0]))
     for it in range(1, int(max_iter) + 1):
-        if first and omega != 0.0:
-            _check_monotone(_advance_closure(spec, omega, eps, curve),
-                            window, 2 * (curve.values.shape[0]))
-            first = False
+        # sweep 1 starts from the monotonicity grid, later ones from the
+        # previous preimages
         new_vals, pre = _sweep(spec, omega, eps, curve, window, x0=pre,
-                               f_tol=f_tol)
+                               grid=grid, f_tol=f_tol)
+        grid = None
         upd = float(np.max(np.abs(new_vals - curve.values)))
         curve = curve.with_values(new_vals)
         updates.append(upd)

@@ -165,8 +165,12 @@ class _WrappedPoincare:
 
     One return flow yields both the lag (alpha) and the new chart point
     (beta); results are memoized per (eps, tau, u) so the beta evaluation at
-    the preimages found by the curve solver reuses the alpha flows.
+    the preimages found by the curve solver reuses the alpha flows.  Keys are
+    deduplicated before flowing: each distinct missing key is flowed once,
+    and every repeat of it in the request reads the same memo entry.
     """
+
+    _MEMO_LIMIT = 500_000  # entries; the memo is emptied when it is full
 
     def __init__(self, handle):
         self.handle = handle
@@ -175,14 +179,18 @@ class _WrappedPoincare:
     def _lookup(self, eps, taus, us):
         keys = [(eps, float(t)) + tuple(float(c) for c in u)
                 for t, u in zip(taus, us)]
-        missing = [i for i, k in enumerate(keys) if k not in self._memo]
+        if len(self._memo) + len(keys) > self._MEMO_LIMIT:
+            # emptied before the scan, so every key read below is present
+            self._memo.clear()
+        missing = {}  # distinct missing key -> its first row
+        for i, k in enumerate(keys):
+            if k not in self._memo:
+                missing.setdefault(k, i)
         if missing:
-            times, new_us = p_eps_batch(self.handle, taus[missing],
-                                        us[missing], eps)
-            if len(self._memo) > 500_000:
-                self._memo.clear()
-            for j, i in enumerate(missing):
-                self._memo[keys[i]] = (float(times[j]), new_us[j])
+            rows = list(missing.values())
+            times, new_us = p_eps_batch(self.handle, taus[rows], us[rows], eps)
+            for j, k in enumerate(missing):
+                self._memo[k] = (float(times[j]), new_us[j])
         lags = np.array([self._memo[k][0] for k in keys]) - taus
         outs = np.stack([self._memo[k][1] for k in keys])
         return lags, outs

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import perimap as pm
-from perimap.exceptions import MonotonicityError
+from perimap.exceptions import BracketingError, MonotonicityError
+from perimap.invariant_graph import _check_monotone, _solve_preimages
 
 CFG = pm.CurveConfig(n_nodes=256, tol=1e-12)
 
@@ -115,6 +116,82 @@ class TestSolver:
             residuals[n] = rep.invariance_residual
         assert residuals[128] <= 2 * residuals[64]
         assert residuals[256] <= 2 * residuals[128]
+
+
+
+class _CountingAdvance:
+    """Wraps an advance map and records the points of every batched call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []
+
+    def __call__(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        self.calls.append(xs.copy())
+        return self.fn(xs)
+
+
+def _sine_advance(xs):
+    """Closed-form periodic, strictly increasing advance on window 1."""
+    return xs + 0.25 + 0.05 * np.sin(2 * np.pi * xs)
+
+
+class TestSolvePreimages:
+    TARGETS = np.linspace(0.0, 1.0, 64, endpoint=False)
+
+    def _check_oracle(self, pre):
+        r = _sine_advance(pre) - self.TARGETS
+        assert np.max(np.abs(r - np.round(r))) <= 1e-13
+        assert np.all((pre >= 0.0) & (pre <= 1.0))
+
+    def test_cold_start(self):
+        adv = _CountingAdvance(_sine_advance)
+        pre = _solve_preimages(adv, self.TARGETS, 1.0)
+        self._check_oracle(pre)
+        # the bracket endpoints ride in the first evaluation
+        first = adv.calls[0]
+        assert first.size == self.TARGETS.size + 2
+        assert first[0] == 0.0 and first[1] == 1.0
+        assert np.all(first[2:] == 0.5)
+
+    def test_warm_start(self):
+        adv = _CountingAdvance(_sine_advance)
+        x0 = np.clip(self.TARGETS - 0.24, 0.0, 1.0)
+        pre = _solve_preimages(adv, self.TARGETS, 1.0, x0=x0)
+        self._check_oracle(pre)
+        assert np.array_equal(adv.calls[0][2:], x0)
+
+    def test_grid_start(self):
+        grid = _check_monotone(_sine_advance, 1.0, 128)
+        adv = _CountingAdvance(_sine_advance)
+        pre = _solve_preimages(adv, self.TARGETS, 1.0, grid=grid)
+        self._check_oracle(pre)
+        # the grid supplies the bracket, and its inverse interpolant starts
+        # every lane next to its preimage
+        assert adv.calls[0].size == self.TARGETS.size
+        assert np.max(np.abs(adv.calls[0] - pre)) <= 1e-3
+
+    def test_x0_and_grid_exclusive(self):
+        grid = _check_monotone(_sine_advance, 1.0, 8)
+        with pytest.raises(ValueError):
+            _solve_preimages(_sine_advance, self.TARGETS, 1.0,
+                             x0=self.TARGETS, grid=grid)
+
+    def test_four_widenings_allowed(self):
+        # a(0) = 0, a(1) = 0.7: the target 0.999 needs hi = 1.5, i.e. the
+        # fourth widening by window / 8
+        adv = _CountingAdvance(lambda xs: 0.7 * xs)
+        pre = _solve_preimages(adv, np.array([0.999]), 1.0)
+        assert abs(0.7 * pre[0] - 0.999) <= 1e-13
+        # the start evaluation, then the four widenings
+        assert [float(c[0]) for c in adv.calls[1:5]] == [1.125, 1.25, 1.375,
+                                                         1.5]
+
+    def test_five_widenings_raise(self):
+        # slope 0.65 only brackets 0.999 at hi = 1.625, a fifth widening
+        with pytest.raises(BracketingError):
+            _solve_preimages(lambda xs: 0.65 * xs, np.array([0.999]), 1.0)
 
 
 class TestInvarianceResidual:

@@ -130,3 +130,86 @@ class TestWrappedSpec:
         text = out.read_text().splitlines()
         assert text[0] == "tau,u1,eps,tau_bar,u_bar1,return_lag"
         assert len(text) == 3
+
+
+class _LaneCounter:
+    """Stands in for `p_eps_batch` and records the rows of every call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.rows = []
+
+    def __call__(self, handle, taus, us, eps):
+        self.rows.append(np.column_stack([taus, us]))
+        return self.fn(handle, taus, us, eps)
+
+
+class TestWrappedMemo:
+    def test_duplicate_keys_flow_once(self, handle, monkeypatch):
+        counter = _LaneCounter(pm.poincare.p_eps_batch)
+        monkeypatch.setattr(pm.poincare, "p_eps_batch", counter)
+        spec = pm.extract_alpha_beta(handle)
+        xs = np.array([[0.1], [0.3], [0.1], [0.5], [0.3], [0.1]])
+        us = np.array([[0.05], [-0.1], [0.05], [0.0], [-0.1], [0.05]])
+        a = spec.alpha(1.0, 0.01, xs, us)
+        b = spec.beta(1.0, 0.01, xs, us)
+        assert [len(r) for r in counter.rows] == [3]
+        assert np.array_equal(counter.rows[0],
+                              np.column_stack([xs, us])[[0, 1, 3]])
+        for dup, orig in ((2, 0), (5, 0), (4, 1)):
+            assert np.array_equal(a[dup], a[orig])
+            assert np.array_equal(b[dup], b[orig])
+
+    def test_full_memo_emptied_before_lookup(self, handle, monkeypatch):
+        counter = _LaneCounter(pm.poincare.p_eps_batch)
+        monkeypatch.setattr(pm.poincare, "p_eps_batch", counter)
+        spec = pm.extract_alpha_beta(handle)
+        wrapper = spec.alpha.__self__
+        wrapper._MEMO_LIMIT = 3
+        xs = np.array([[0.1], [0.3]])
+        us = np.array([[0.05], [-0.1]])
+        a = spec.alpha(1.0, 0.01, xs, us)
+        # one remembered key and one new one overflow the memo
+        a2 = spec.alpha(1.0, 0.01, np.array([[0.3], [0.7]]),
+                        np.array([[-0.1], [0.0]]))
+        assert len(wrapper._memo) <= 3
+        assert [len(r) for r in counter.rows] == [2, 2]
+        assert_allclose(a2[0], a[1], atol=1e-10)
+
+
+class TestCurveSolveFlows:
+    def test_flow_count(self, handle, monkeypatch):
+        """Flows of a small wrapped-Poincare solve (n=64, eps=1e-2).
+
+        Before the bracket rode in the first flow of each sweep and sweep 1
+        started from the monotonicity grid, this solve made 64
+        ``p_eps_batch`` calls: every later sweep flowed a(0) on one lane and
+        a(window) on 64 identical lanes.  It now makes 30.
+        """
+        counter = _LaneCounter(pm.poincare.p_eps_batch)
+        monkeypatch.setattr(pm.poincare, "p_eps_batch", counter)
+        sweep = pm.invariant_graph._sweep
+        sweeps = []           # 1-based index of the sweep in progress
+        sweep_of_call = {}    # call index -> sweep index
+
+        def counted_sweep(*args, **kwargs):
+            sweeps.append(len(sweeps) + 1)
+            start = len(counter.rows)
+            out = sweep(*args, **kwargs)
+            for i in range(start, len(counter.rows)):
+                sweep_of_call[i] = sweeps[-1]
+            return out
+
+        monkeypatch.setattr(pm.invariant_graph, "_sweep", counted_sweep)
+        spec = pm.extract_alpha_beta(handle)
+        cfg = pm.CurveConfig(n_nodes=64, tol=1e-12, max_iter=60,
+                             preimage_tol=1e-11)
+        _, rep = pm.solve_invariant_curve(spec, 1.0, 0.01, cfg)
+        assert rep.converged and rep.iterations == len(sweeps) == 14
+
+        for i, k in sweep_of_call.items():
+            rows = counter.rows[i]
+            if k > 1:
+                assert len(rows) > 1
+                assert len(np.unique(rows, axis=0)) == len(rows)
+        assert len(counter.rows) <= min(30, 64 // 2)
