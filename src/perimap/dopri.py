@@ -6,9 +6,15 @@ the evaluation noise across a batch maximally correlated -- finite-difference
 stencils and per-node preimage solves are pushed through as one batch on
 purpose.  Every accepted step stores the quartic dense-output coefficients so
 events can be localized afterwards without re-integration.
+
+The seven stages of a step live in one flat (7, K*d) buffer, so each stage
+sum, the error estimate and the dense coefficients are one small matmul
+against the tableau (`A`, `E`, `P`); the step's fixed cost is then mostly the
+six right-hand-side calls.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,15 +23,15 @@ from .exceptions import IntegrationError
 
 # classic DOPRI5(4) tableau (FSAL: the 7th stage is the next step's first)
 C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
               22 / 525, -1 / 40])
@@ -52,8 +58,9 @@ ORDER_EXP = -1.0 / 5.0
 
 
 def _rms_norm(v):
-    # per-trajectory RMS over components, then max over the batch
-    return float(np.max(np.sqrt(np.mean(v * v, axis=-1))))
+    # max over the batch of the per-trajectory RMS over components; sqrt and
+    # the division are monotone, so they are taken once, after the max
+    return math.sqrt(float(np.max(np.sum(v * v, axis=-1))) / v.shape[-1])
 
 
 def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):
@@ -146,32 +153,37 @@ class Dopri54:
         """Advance one accepted step; returns (t_old, t_new, y_old, y_new, q)."""
         if self.finished:
             raise IntegrationError("stepping past t_end")
-        K = np.empty((7,) + self.y.shape)
+        shape = self.y.shape
+        K = np.empty((7,) + shape)
+        Kf = K.reshape(7, -1)  # flat stage buffer: stage sums are matmuls
+        y = self.y.reshape(-1)
         while True:
             h = min(self.h, self.max_step, self.t_end - self.t)
             if h <= 1e-14 * max(1.0, abs(self.t)):
                 raise IntegrationError(f"step size underflow at t = {self.t!r}")
             K[0] = self.f
             for i in range(1, 7):
-                yi = self.y + h * np.tensordot(A[i], K[:i], axes=(0, 0))
-                K[i] = self.rhs(self.t + C[i] * h, yi)
+                yi = y + h * (A[i, :i] @ Kf[:i])
+                K[i] = self.rhs(self.t + C[i] * h, yi.reshape(shape))
             self.nfev += 6
-            y_new = yi  # 7th stage state equals the 5th-order solution (FSAL)
-            err = h * np.tensordot(E, K, axes=(0, 0))
-            scale = self.atol + self.rtol * np.maximum(np.abs(self.y),
-                                                       np.abs(y_new))
-            norm = _rms_norm(err / scale)
+            # yi is now the 5th-order solution: the 7th stage state (FSAL)
+            err = h * (E @ Kf)
+            scale = np.maximum(np.abs(y), np.abs(yi))
+            scale *= self.rtol
+            scale += self.atol
+            err /= scale
+            norm = _rms_norm(err.reshape(shape))
             if norm <= 1.0:
                 factor = MAX_FACTOR if norm == 0.0 else min(
                     MAX_FACTOR, max(MIN_FACTOR, SAFETY * norm ** ORDER_EXP))
-                q = np.einsum("skd,sp->kdp", K, P)
+                q = (Kf.T @ P).reshape(shape + (4,))
                 t_old, y_old = self.t, self.y
                 self.t = self.t + h
-                self.y = y_new
+                self.y = yi.reshape(shape)
                 self.f = K[6]
                 self.h = h * factor
                 self.n_steps += 1
-                return t_old, self.t, y_old, y_new, q
+                return t_old, self.t, y_old, self.y, q
             self.h = h * min(1.0, max(MIN_FACTOR, SAFETY * norm ** ORDER_EXP))
             self.n_rejected += 1
 

@@ -19,12 +19,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dopri import DensePath, Dopri54
-from .exceptions import ConfigError, NoReturnError
+from .dopri import DensePath, Dopri54, integrate
+from .exceptions import ConfigError, IntegrationError, NoReturnError
 from .numdiff import central_jacobian
 from .sampling import latin_hypercube, scale_to
 
 Array = np.ndarray
+
+LOCALIZE_HALVINGS = 64   # bisection budget of one event localization
+MAX_SEGMENTS = 1000      # flow segments `simulate_hybrid` may run
+# theta**1..4 (rows) at the 7 interior points of a step (columns) where the
+# dense output is sampled for near-tangential approaches
+_THETA_POWERS = np.linspace(0.0, 1.0, 9)[1:-1] ** np.arange(1, 5)[:, None]
 
 
 @dataclass(frozen=True)
@@ -94,21 +100,31 @@ class FlowBatchResult:
 
 
 def _localize_crossings(path, h_fun, seg_idx, lanes, h_tol, t_tol):
-    """Vectorized bisection for H = 0 inside known sign-change segments."""
+    """Vectorized bisection for H = 0 inside known sign-change segments.
+
+    Returns the last evaluated midpoints, their states and the worst |H|
+    there; raises `IntegrationError` if that exceeds ``h_tol`` after
+    `LOCALIZE_HALVINGS` halvings.
+    """
     t_lo = path.t[seg_idx]
     t_hi = path.t[seg_idx + 1]
     f_lo = h_fun(path.eval_lanes(t_lo, lanes))
-    for _ in range(64):
+    for _ in range(LOCALIZE_HALVINGS):
         t_mid = 0.5 * (t_lo + t_hi)
-        f_mid = h_fun(path.eval_lanes(t_mid, lanes))
+        y_mid = path.eval_lanes(t_mid, lanes)
+        f_mid = h_fun(y_mid)
         go_left = f_lo * f_mid <= 0.0
         t_hi = np.where(go_left, t_mid, t_hi)
         t_lo = np.where(go_left, t_lo, t_mid)
         f_lo = np.where(go_left, f_lo, f_mid)
-        if np.all((t_hi - t_lo) <= t_tol) and np.all(np.abs(f_mid) <= h_tol):
+        h_max = float(np.max(np.abs(f_mid)))
+        if h_max <= h_tol and np.all((t_hi - t_lo) <= t_tol):
             break
-    t_star = 0.5 * (t_lo + t_hi)
-    return t_star, path.eval_lanes(t_star, lanes)
+    if h_max > h_tol:
+        raise IntegrationError(
+            f"event localization ended at |H| = {h_max:.3g} > h_tol = "
+            f"{h_tol:.3g} after {LOCALIZE_HALVINGS} halvings")
+    return t_mid, y_mid, h_max
 
 
 def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
@@ -121,6 +137,11 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
     one adaptive step sequence (which keeps evaluation errors correlated
     across finite-difference stencils).  Exactly one of ``duration``
     (fixed-time mode, common to all lanes) and ``event`` mode applies.
+
+    In event mode each hit lane ends at the last bisection point of its
+    crossing, where |H| <= ``h_tol``; ``stats["event_h_max"]`` is the worst
+    such |H| (0.0 when no lane hit).  A localization that still misses
+    ``h_tol`` after `LOCALIZE_HALVINGS` halvings raises `IntegrationError`.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
@@ -147,18 +168,11 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
                                    np.zeros(K, bool), np.zeros(K, bool),
                                    {"n_steps": 0, "n_rejected": 0, "nfev": 0},
                                    None, taus)
-        stepper = Dopri54(rhs, 0.0, vs, duration, rtol=rtol, atol=atol,
-                          max_step=max_step)
-        ts, ys, qs = [0.0], [stepper.y.copy()], []
-        while not stepper.finished:
-            _, t_new, _, y_new, q = stepper.step()
-            ts.append(t_new)
-            ys.append(y_new)
-            qs.append(q)
-        path = DensePath(np.array(ts), np.array(ys), np.array(qs))
+        path, stats = integrate(rhs, vs, duration, rtol=rtol, atol=atol,
+                                max_step=max_step)
         return FlowBatchResult(taus + duration, path.y[-1].copy(),
                                np.zeros(K, bool), np.zeros(K, bool),
-                               stepper.stats(), path if dense else None, taus)
+                               stats, path if dense else None, taus)
 
     # event mode: march until every lane has an accepted crossing
     cfg = event if isinstance(event, EventConfig) else EventConfig()
@@ -171,55 +185,56 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
                       max_step=max_step)
     ts, ys, qs = [0.0], [stepper.y.copy()], []
     h_prev = h_of(stepper.y)
-    armed = np.abs(h_prev) >= arm_level
-    min_h_armed = np.where(armed, np.abs(h_prev), np.inf)
+    abs_prev = np.abs(h_prev)
+    armed = abs_prev >= arm_level
+    min_h_armed = np.where(armed, abs_prev, np.inf)
     seg_of = np.full(K, -1, dtype=int)
-    while not stepper.finished and np.any(seg_of < 0):
-        t_old, t_new, _, y_new, q = stepper.step()
+    pending = np.ones(K, dtype=bool)
+    while not stepper.finished and pending.any():
+        t_old, t_new, y_old, y_new, q = stepper.step()
         ts.append(t_new)
         ys.append(y_new)
         qs.append(q)
         h_new = h_of(y_new)
-        crossing = (seg_of < 0) & armed & (h_prev * h_new < 0.0)
+        abs_new = np.abs(h_new)
+        crossing = pending & armed & (h_prev * h_new < 0.0)
         if cfg.direction != 0:
             crossing &= np.sign(h_new - h_prev) == cfg.direction
-        seg_of = np.where(crossing, len(qs) - 1, seg_of)
+        seg_of[crossing] = len(qs) - 1
+        pending &= ~crossing
+        watched = armed & pending
         # near-tangential approaches hide between endpoints: refine when close
-        near = armed & (seg_of < 0) & (np.minimum(np.abs(h_prev),
-                                                  np.abs(h_new)) < 1e-3)
-        if np.any(near):
-            theta = np.linspace(0.0, 1.0, 9)[1:-1]
-            sub = np.abs(h_of(np.stack(
-                [ys[-2] + (t_new - t_old) * np.einsum(
-                    "kdp,p->kd", q, t ** np.arange(1, 5)) for t in theta])))
-            min_h_armed = np.where(near, np.minimum(min_h_armed,
-                                                    sub.min(axis=0)),
-                                   min_h_armed)
-        min_h_armed = np.where(armed & (seg_of < 0),
-                               np.minimum(min_h_armed, np.abs(h_new)),
-                               min_h_armed)
-        armed = armed | (np.abs(h_new) >= arm_level)
-        h_prev = h_new
+        near = watched & (np.minimum(abs_prev, abs_new) < 1e-3)
+        if near.any():
+            sub = y_old[:, None, :] + (t_new - t_old) * (
+                q @ _THETA_POWERS).swapaxes(1, 2)            # (K, 7, d)
+            np.minimum(min_h_armed, np.abs(h_of(sub)).min(axis=1),
+                       out=min_h_armed, where=near)
+        np.minimum(min_h_armed, abs_new, out=min_h_armed, where=watched)
+        armed |= abs_new >= arm_level
+        h_prev, abs_prev = h_new, abs_new
 
-    missing = seg_of < 0
-    grazing = missing & (min_h_armed <= cfg.grazing_tol)
-    if np.any(missing) and on_no_return == "raise":
+    grazing = pending & (min_h_armed <= cfg.grazing_tol)
+    if np.any(pending) and on_no_return == "raise":
         raise NoReturnError(
-            f"{int(np.sum(missing))} of {K} trajectories found no admissible "
+            f"{int(np.sum(pending))} of {K} trajectories found no admissible "
             f"crossing within max_time = {max_time}"
         )
     path = DensePath(np.array(ts), np.array(ys), np.array(qs))
     end_times = np.full(K, np.nan)
     end_states = path.y[-1].copy()
-    hit_lanes = np.nonzero(~missing)[0]
+    hit_lanes = np.nonzero(~pending)[0]
+    h_max = 0.0
     if hit_lanes.size:
-        s_star, y_star = _localize_crossings(
+        s_star, y_star, h_max = _localize_crossings(
             path, h_of, seg_of[hit_lanes], hit_lanes, cfg.h_tol, cfg.t_tol)
         end_times[hit_lanes] = taus[hit_lanes] + s_star
         end_states[hit_lanes] = y_star
-    end_times[missing] = taus[missing] + path.t[-1]
-    return FlowBatchResult(end_times, end_states, ~missing, grazing,
-                           stepper.stats(), path if dense else None, taus)
+    end_times[pending] = taus[pending] + path.t[-1]
+    stats = stepper.stats()
+    stats["event_h_max"] = h_max
+    return FlowBatchResult(end_times, end_states, ~pending, grazing,
+                           stats, path if dense else None, taus)
 
 
 def flow(sys, tau, v, eps, *, t_end=None, event=None, max_time=20.0,
@@ -255,7 +270,8 @@ def simulate_hybrid(sys, tau, v, eps, duration, *, event=None, rtol=1e-10,
     """Execute the hybrid dynamics for ``duration``: flow, jump at S, repeat.
 
     Returns a list of segments, each a pair (absolute times, states), with the
-    jump applied at every admissible crossing of S.
+    jump applied at every admissible crossing of S.  Raises `IntegrationError`
+    if `MAX_SEGMENTS` segments end before ``duration`` is covered.
     """
     if event is None or event is True:
         event = EventConfig()
@@ -264,7 +280,7 @@ def simulate_hybrid(sys, tau, v, eps, duration, *, event=None, rtol=1e-10,
     t_final = t + float(duration)
     segments = []
     jumps = []
-    for _ in range(1000):
+    for _ in range(MAX_SEGMENTS):
         remaining = t_final - t
         if remaining <= 0:
             break
@@ -278,6 +294,11 @@ def simulate_hybrid(sys, tau, v, eps, duration, *, event=None, rtol=1e-10,
             break
         jumps.append((t, state.copy()))
         state = np.asarray(sys.Delta(state[None, :]), dtype=float)[0]
+    else:
+        if t < t_final:
+            raise IntegrationError(
+                f"simulate_hybrid stopped at t = {t!r} after {MAX_SEGMENTS} "
+                f"segments, before t = {t_final!r}")
     return segments, jumps
 
 
@@ -332,16 +353,20 @@ def polar_hybrid(kappa=0.5, T_g=0.8, amp=(1.0, 0.0), r1=0.5):
 
     def X(x):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        rot = np.stack([-x[..., 1], x[..., 0]], axis=-1)
-        return (1.0 - r) * x + 2.0 * np.pi * rot
+        x1, x2 = x[..., 0], x[..., 1]
+        shrink = 1.0 - np.sqrt(x1 * x1 + x2 * x2)
+        out = np.empty_like(x)
+        out[..., 0] = shrink * x1 - 2.0 * np.pi * x2
+        out[..., 1] = shrink * x2 + 2.0 * np.pi * x1
+        return out
 
     def g(t, x, eps):
         t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        wave = np.cos(2.0 * np.pi * t / T_g)
-        return np.broadcast_to(wave[..., None] * amp, x.shape).copy() \
-            if wave.ndim else amp * wave
+        if not t.ndim:
+            return amp * np.cos(2.0 * np.pi * t / T_g)
+        out = np.cos(2.0 * np.pi * t / T_g)[..., None] * amp
+        shape = np.shape(x)
+        return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
     def Delta(x):
         x = np.asarray(x, dtype=float)

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from perimap.dopri import B, P, Dopri54, integrate
+from perimap.dopri import A, B, C, E, P, Dopri54, integrate
 from perimap.exceptions import IntegrationError
 
 
@@ -15,6 +15,20 @@ class TestTableau:
     def test_dense_matrix_consistent_with_weights(self):
         # theta = 1 must reproduce the 5th-order endpoint
         assert_allclose(P.sum(axis=1), B, atol=1e-15)
+
+    def test_stage_matrix_strictly_lower_triangular(self):
+        assert A.shape == (7, 7)
+        assert np.array_equal(A, np.tril(A, -1))
+
+    def test_stage_rows_sum_to_nodes(self):
+        assert_allclose(A.sum(axis=1), C, atol=1e-15)
+
+    def test_last_stage_row_is_weights(self):
+        # FSAL: the 7th stage is evaluated at the 5th-order solution
+        assert np.array_equal(A[6], B)
+
+    def test_error_weights_sum_to_zero(self):
+        assert abs(E.sum()) <= 1e-16
 
 
 class TestAccuracy:

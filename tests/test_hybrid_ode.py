@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import perimap as pm
-from perimap.exceptions import NoReturnError
+from perimap import hybrid_ode
+from perimap.exceptions import IntegrationError, NoReturnError
 
 
 def logistic_radius(r0, t):
@@ -55,6 +56,32 @@ class TestFlow:
         res2 = pm.flow(e3, res.end_time, x, 0.0, t_end=res.end_time + 1e-10)
         assert abs(res2.end_state[1] - (x[1] + 1e-10 * rate)) <= 1e-11
 
+    def test_localized_point_meets_h_tol(self):
+        sys_ = pm.polar_hybrid()
+        cfg = pm.EventConfig(direction=1)
+        res = pm.flow(sys_, 0.0, [1.05, 0.0], 0.0, event=cfg,
+                      rtol=1e-12, atol=1e-14)
+        h_end = abs(float(sys_.H(res.end_state[None, :])[0]))
+        assert res.event_hit
+        assert h_end <= cfg.h_tol
+        assert res.stats["event_h_max"] == h_end
+
+    def test_event_h_max_is_worst_lane(self, e3):
+        vs = np.array([[1.05, 0.0], [0.9, 0.0], [1.2, 0.0]])
+        res = pm.flow_batch(e3, [0.0, 0.1, 0.2], vs, 0.0, event=True,
+                            rtol=1e-12, atol=1e-14)
+        assert res.stats["event_h_max"] == np.max(np.abs(e3.H(res.end_states)))
+
+    def test_localization_miss_raises(self, e3):
+        # |dH/dt| ~ 6e6: no float time puts |H| below 1e-12
+        steep = pm.HybridSystem(
+            dim=2, X=e3.X, g=e3.g, Delta=e3.Delta,
+            H=lambda x: 1e6 * np.asarray(x, float)[..., 1],
+            D=e3.D, D_inverse=e3.D_inverse, T_g=0.8, r1=0.5)
+        with pytest.raises(IntegrationError):
+            pm.flow(steep, 0.0, [1.05, 0.0], 0.0, event=True,
+                    rtol=1e-12, atol=1e-14)
+
     def test_semigroup_at_eps0(self, e3):
         v0 = np.array([1.1, 0.2])
         mid = pm.flow(e3, 0.0, v0, 0.0, t_end=0.37).end_state
@@ -84,6 +111,45 @@ class TestFlow:
         vs = np.tile([1.0, 0.0], (3, 1))
         res = pm.flow_batch(e3, taus, vs, 0.0, event=True)
         assert_allclose(res.end_times, taus + 1.0, atol=1e-9)
+
+
+class TestPolarEvaluators:
+    amp = np.array([0.3, -0.7])
+
+    @staticmethod
+    def field(x):
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        rot = np.stack([-x[..., 1], x[..., 0]], axis=-1)
+        return (1.0 - r) * x + 2.0 * np.pi * rot
+
+    def forcing(self, t, shape):
+        wave = np.cos(2.0 * np.pi * np.asarray(t, float) / 0.8)
+        return np.broadcast_to(wave[..., None] * self.amp, shape)
+
+    @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 5, 2)])
+    def test_field_closed_form(self, e3, shape):
+        x = np.random.default_rng(7).uniform(-2.0, 2.0, shape)
+        out = e3.X(x)
+        assert out.shape == shape
+        assert_allclose(out, self.field(x), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 5, 2)])
+    def test_forcing_scalar_t(self, shape):
+        sys_ = pm.polar_hybrid(amp=tuple(self.amp))
+        x = np.random.default_rng(8).uniform(-2.0, 2.0, shape)
+        out = sys_.g(0.37, x, 0.01)
+        assert out.shape == (2,)
+        assert_allclose(out, self.forcing(0.37, (2,)), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(5, 2), (3, 5, 2)])
+    def test_forcing_batched_t(self, shape):
+        sys_ = pm.polar_hybrid(amp=tuple(self.amp))
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-2.0, 2.0, shape)
+        t = rng.uniform(-1.0, 2.0, 5)
+        out = sys_.g(t, x, 0.01)
+        assert out.shape == shape
+        assert_allclose(out, self.forcing(t, shape), rtol=0, atol=1e-15)
 
 
 class TestPredicates:
@@ -146,6 +212,12 @@ class TestSimulateHybrid:
             assert ts[0] >= t_prev - 1e-9
             t_prev = ts[-1]
         assert abs(t_prev - 2.2) <= 1e-9
+
+
+    def test_segment_budget_raises(self, e3, monkeypatch):
+        monkeypatch.setattr(hybrid_ode, "MAX_SEGMENTS", 3)
+        with pytest.raises(IntegrationError, match="3 segments"):
+            pm.simulate_hybrid(e3, 0.0, [1.2, 0.0], 0.0, 5 * e3.T_g)
 
 
 class TestJson:
