@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Time one accepted Dormand-Prince step on the polar-hybrid vector field.
 
-    PYTHONPATH=src python3 scripts/step_cost.py [--lanes 1 16 256 4096]
+    PYTHONPATH=src python3 scripts/step_cost.py
 
-For each batch size K the right-hand side is X(x) + eps g(t, x) of the
-built-in polar-hybrid system, evaluated as `flow_batch` does (eps = 0.01,
-lane start times spread over one forcing period), with K lanes started near
-the unit cycle.  A `Dopri54` at rtol 1e-12, atol 1e-14 then takes ``--steps``
-accepted steps, ``--repeats`` times from a fresh start; only the `step` calls
-are timed.  The script prints one JSON object mapping K to the minimum over
-the repeats of the mean time per accepted step, in microseconds.  BLAS and
-OpenMP are pinned to one thread.
+For each batch size K in `LANES` the right-hand side is X(x) + eps g(t, x)
+of the built-in polar-hybrid system, evaluated as `flow_batch` does
+(eps = 0.01, lane start times spread over one forcing period), with K lanes
+started near the unit cycle.  A `Dopri54` at rtol 1e-12, atol 1e-14 then
+takes `STEPS` accepted steps, `REPEATS` times from a fresh start; only the
+`step` calls are timed.  The script prints one JSON object mapping K to the
+minimum over the repeats of the mean time per accepted step, in
+microseconds.  BLAS and OpenMP are pinned to one thread.
 """
-import argparse
 import json
 import os
 import time
@@ -26,6 +25,9 @@ import perimap as pm  # noqa: E402
 from perimap.dopri import Dopri54  # noqa: E402
 
 EPS = 0.01
+LANES = (1, 16, 256, 4096)
+STEPS = 200
+REPEATS = 7
 
 
 def polar_rhs(n_lanes, sys):
@@ -37,30 +39,24 @@ def polar_rhs(n_lanes, sys):
     return rhs
 
 
-def step_us(n_lanes, steps, repeats):
+def step_us(n_lanes):
     sys = pm.polar_hybrid()
     rhs = polar_rhs(n_lanes, sys)
     angle = np.linspace(0.0, 2.0 * np.pi, n_lanes, endpoint=False)
     radius = np.linspace(0.9, 1.1, n_lanes)
     y0 = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
     best = np.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         stepper = Dopri54(rhs, 0.0, y0, 1e6, rtol=1e-12, atol=1e-14)
         t0 = time.perf_counter()
-        for _ in range(steps):
+        for _ in range(STEPS):
             stepper.step()
-        best = min(best, (time.perf_counter() - t0) / steps)
+        best = min(best, (time.perf_counter() - t0) / STEPS)
     return 1e6 * best
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--lanes", type=int, nargs="+", default=[1, 16, 256, 4096])
-    ap.add_argument("--steps", type=int, default=200)
-    ap.add_argument("--repeats", type=int, default=7)
-    args = ap.parse_args()
-    print(json.dumps({str(k): round(step_us(k, args.steps, args.repeats), 1)
-                      for k in args.lanes}))
+    print(json.dumps({str(k): round(step_us(k), 1) for k in LANES}))
 
 
 if __name__ == "__main__":

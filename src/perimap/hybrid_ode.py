@@ -103,8 +103,10 @@ def _localize_crossings(path, h_fun, seg_idx, lanes, h_tol, t_tol):
     """Vectorized bisection for H = 0 inside known sign-change segments.
 
     Returns the last evaluated midpoints, their states and the worst |H|
-    there; raises `IntegrationError` if that exceeds ``h_tol`` after
-    `LOCALIZE_HALVINGS` halvings.
+    there.  A lane whose midpoint still misses ``h_tol`` after
+    `LOCALIZE_HALVINGS` halvings ends at its lower bracket end instead when
+    |H| is smaller there; `IntegrationError` is raised if a lane misses
+    ``h_tol`` at both.
     """
     t_lo = path.t[seg_idx]
     t_hi = path.t[seg_idx + 1]
@@ -120,6 +122,13 @@ def _localize_crossings(path, h_fun, seg_idx, lanes, h_tol, t_tol):
         h_max = float(np.max(np.abs(f_mid)))
         if h_max <= h_tol and np.all((t_hi - t_lo) <= t_tol):
             break
+    miss = np.abs(f_mid) > h_tol
+    if miss.any():
+        # once the bracket is two adjacent floats t_mid rounds onto one end,
+        # which can miss h_tol while t_lo, evaluated as well, meets it
+        t_mid = np.where(miss & (np.abs(f_lo) < np.abs(f_mid)), t_lo, t_mid)
+        y_mid = path.eval_lanes(t_mid, lanes)
+        h_max = float(np.max(np.abs(h_fun(y_mid))))
     if h_max > h_tol:
         raise IntegrationError(
             f"event localization ended at |H| = {h_max:.3g} > h_tol = "
@@ -139,7 +148,8 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
     (fixed-time mode, common to all lanes) and ``event`` mode applies.
 
     In event mode each hit lane ends at the last bisection point of its
-    crossing, where |H| <= ``h_tol``; ``stats["event_h_max"]`` is the worst
+    crossing, or at its bracket's lower end when only that meets ``h_tol``,
+    so |H| <= ``h_tol`` there; ``stats["event_h_max"]`` is the worst
     such |H| (0.0 when no lane hit).  A localization that still misses
     ``h_tol`` after `LOCALIZE_HALVINGS` halvings raises `IntegrationError`.
     """

@@ -22,7 +22,6 @@ import numpy as np
 from .exceptions import ChartError, NoReturnError
 from .hybrid_ode import EventConfig, check_transversality, flow_batch
 from .map_core import MapSpec
-from .numdiff import central_jacobian
 from .sampling import ball_points, latin_hypercube, scale_to
 
 Array = np.ndarray
@@ -84,18 +83,8 @@ def time_to_return(handle, tau, x, eps):
 
 
 def _pull_back(handle, states):
-    """Chart coordinates of near-section states, projecting along grad H first."""
+    """Chart coordinates of localized return states (|H| <= h_tol there)."""
     sys = handle.sys
-    h = np.asarray(sys.H(states), dtype=float)
-    off = np.abs(h) > handle.event.h_tol
-    if np.any(off):
-        def h_batch(X):
-            return np.asarray(sys.H(X), dtype=float)[:, None]
-
-        states = states.copy()
-        for i in np.nonzero(off)[0]:
-            grad = central_jacobian(h_batch, states[i])[0]
-            states[i] = states[i] - h[i] * grad / float(grad @ grad)
     us = np.asarray(sys.D_inverse(states), dtype=float)
     back = np.asarray(sys.D(us), dtype=float)
     gap = np.linalg.norm(back - states, axis=-1)

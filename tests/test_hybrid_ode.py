@@ -82,6 +82,26 @@ class TestFlow:
             pm.flow(steep, 0.0, [1.05, 0.0], 0.0, event=True,
                     rtol=1e-12, atol=1e-14)
 
+    def test_localization_falls_back_to_lower_end(self):
+        # state = time on [a, 1]; H is -h_tol/2 at a and 1.5 h_tol at the
+        # next float b, and (a + b)/2 rounds to b, so every midpoint misses
+        class Line:
+            t = np.array([0.5 + 2.0**-53, 1.0])
+
+            def eval_lanes(self, times, lanes):
+                return np.asarray(times, float)[:, None]
+
+        a, h_tol = Line.t[0], 1e-12
+        slope = 2.0 * h_tol / np.spacing(a)
+
+        def h_fun(y):
+            return slope * (y[:, 0] - a) - 0.5 * h_tol
+
+        t_star, y_star, h_max = hybrid_ode._localize_crossings(
+            Line(), h_fun, np.array([0]), np.array([0]), h_tol, 1e-12)
+        assert t_star[0] == a and y_star[0, 0] == a
+        assert h_max == 0.5 * h_tol
+
     def test_semigroup_at_eps0(self, e3):
         v0 = np.array([1.1, 0.2])
         mid = pm.flow(e3, 0.0, v0, 0.0, t_end=0.37).end_state
