@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -109,16 +108,6 @@ def parse_config(obj, mode, seed_override=None):
     return cfg
 
 
-def _threads():
-    raw = os.environ.get("PERIMAP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"PERIMAP_THREADS must be an integer, got {raw!r}")
-    _require(n >= 1, "PERIMAP_THREADS must be >= 1")
-    return n
-
-
 def _json_dump(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -141,10 +130,14 @@ def _hybrid(cfg):
     return hybrid_ode.hybrid_from_json(cfg.system)
 
 
+def _is_hybrid(cfg):
+    return cfg.system.get("name") in hybrid_ode._BUILTIN_HYBRID
+
+
 def _wrapped_spec(cfg):
     # the wrapped Poincare map fixes the technical omega input to 1
     if cfg.omega != 1.0:
-        raise ConfigError("omega is fixed to 1 for the polar-hybrid system")
+        raise ConfigError("omega is fixed to 1 for hybrid systems")
     handle = poincare.prepare_handle(_hybrid(cfg))
     return handle, poincare.extract_alpha_beta(handle)
 
@@ -182,8 +175,7 @@ def _solve_for(cfg, spec, eps, hybrid=False):
 
 
 def _run_solve_curve(cfg, out):
-    name = cfg.system.get("name")
-    hybrid = name == "polar-hybrid"
+    hybrid = _is_hybrid(cfg)
     if hybrid:
         _, spec = _wrapped_spec(cfg)
     else:
@@ -207,24 +199,17 @@ def _run_hybrid_analyze(cfg, out):
 
 def _run_sweep_eps(cfg, out):
     _require(cfg.eps_list, "sweep-eps requires a nonempty eps_list")
-    name = cfg.system.get("name")
-    hybrid = name == "polar-hybrid"
+    hybrid = _is_hybrid(cfg)
     if hybrid:
         _, spec = _wrapped_spec(cfg)
     else:
         spec = _map_spec(cfg)
-    threads = _threads()
-    eps_sorted = sorted(cfg.eps_list)
 
     def one(eps):
         curve, report = _solve_for(cfg, spec, eps, hybrid=hybrid)
         return eps, curve.sup_norm(), report.converged
 
-    if threads > 1 and name != "polar-hybrid":
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, eps_sorted))
-    else:
-        results = [one(e) for e in eps_sorted]
+    results = [one(e) for e in sorted(cfg.eps_list)]
 
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write("eps,sup_norm,ratio\n")
@@ -239,8 +224,7 @@ def _run_sweep_eps(cfg, out):
 
 
 def _run_cylinder(cfg, out):
-    _require(cfg.system.get("name") == "polar-hybrid",
-             "cylinder-data requires the polar-hybrid system")
+    _require(_is_hybrid(cfg), "cylinder-data requires a hybrid system")
     handle, spec = _wrapped_spec(cfg)
     sys_ = handle.sys
     curve, report = _solve_for(cfg, spec, cfg.eps, hybrid=True)

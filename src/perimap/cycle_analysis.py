@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import CertificateError, ConvergenceError
 from .hybrid_ode import check_transversality
-from .poincare import p_eps_batch, time_to_return
+from .poincare import p_eps_batch
 from .sampling import ball_points, latin_hypercube, scale_to
 
 Array = np.ndarray
@@ -196,7 +196,8 @@ def certify_contraction(handle, u_range, eps_range, norm, n_samples=64, seed=0):
 
     Pairs are drawn in the ``u_range`` ball with tau over one forcing period
     and eps over ``eps_range``; this is the q fed to the curve solver's rate
-    bound.  Returns (q, q < 1).
+    bound.  Both points of every pair, each lane with its own tau and eps,
+    go through one batched flow.  Returns (q, q < 1).
     """
     rng = np.random.default_rng(seed)
     sys = handle.sys
@@ -208,13 +209,10 @@ def certify_contraction(handle, u_range, eps_range, norm, n_samples=64, seed=0):
     u2 = ball_points(u[:, 2 + k2:], u_range)
     degenerate = np.linalg.norm(u1 - u2, axis=1) < 1e-12
     u2[degenerate] += u_range * 0.1
-    q = 0.0
-    # group lanes by (tau, eps): the wrapped flow vectorizes over u at fixed eps
-    for tau, e, a, b in zip(taus, epses, u1, u2):
-        _, outs = p_eps_batch(handle, [tau, tau], np.vstack([a, b]), float(e))
-        num = norm.norm(outs[0] - outs[1])
-        den = norm.norm(a - b)
-        q = max(q, float(num / den))
+    n = len(taus)
+    _, outs = p_eps_batch(handle, np.concatenate([taus, taus]),
+                          np.vstack([u1, u2]), np.concatenate([epses, epses]))
+    q = float(np.max(norm.norm(outs[:n] - outs[n:]) / norm.norm(u1 - u2)))
     return q, bool(q < 1.0)
 
 
@@ -244,15 +242,16 @@ def analyze_cycle(handle, u_guess=None, tol=1e-12, fd_step=None,
     report.
     """
     u_star = find_fixed_point(handle, u_guess, tol=tol)
-    res = float(np.linalg.norm(_p_stencil(handle, u_star[None, :])[0] - u_star))
+    # the flow from u* gives both the residual and T* = T(0, D(u*))
+    times, outs = p_eps_batch(handle, np.zeros(1), u_star[None, :], 0.0)
+    res = float(np.linalg.norm(outs[0] - u_star))
+    T_star = float(times[0])
     J, eigs, richardson = jacobian_and_spectrum(handle, u_star, fd_step=fd_step)
     moduli = np.abs(np.array(eigs))
     rho = float(np.max(moduli))
     spectrum_ok = bool(np.all(moduli >= EIG_FLOOR)
                  and np.all(moduli <= 1.0 - EIG_CEIL_MARGIN))
     trans = check_transversality(handle.sys, u_star)
-    T_star = time_to_return(handle, 0.0, np.asarray(
-        handle.sys.D(u_star[None, :]), float)[0], 0.0)
     adapted = None
     q_cert = None
     q_ok = None

@@ -37,9 +37,10 @@ _THETA_POWERS = np.linspace(0.0, 1.0, 9)[1:-1] ** np.arange(1, 5)[:, None]
 class HybridSystem:
     """Forced hybrid system; all evaluators vectorized over a leading batch axis.
 
-    ``X(x)``: (..., d) -> (..., d); ``g(t, x, eps)`` with t scalar or (...,);
-    ``Delta``, ``H``, ``D``, ``D_inverse`` likewise batched.  ``D`` maps the
-    chart ball r1*D^{k2} into S.
+    ``X(x)``: (..., d) -> (..., d); ``g(t, x, eps)`` with t and eps each a
+    scalar or one value per lane (...,); ``Delta``, ``H``, ``D``,
+    ``D_inverse`` likewise batched.  ``D`` maps the chart ball r1*D^{k2}
+    into S.
     """
 
     dim: int
@@ -144,8 +145,11 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
     Lane i starts at absolute time ``taus[i]`` in state ``vs[i]``; internally
     everything runs in the local time s = t - tau, so the whole batch shares
     one adaptive step sequence (which keeps evaluation errors correlated
-    across finite-difference stencils).  Exactly one of ``duration``
-    (fixed-time mode, common to all lanes) and ``event`` mode applies.
+    across finite-difference stencils).  ``eps`` is a scalar or one value
+    per lane, shape (K,); lane i then follows X + eps[i] * g and ``g``
+    receives the (K,) array, as it receives the per-lane times.  Exactly one
+    of ``duration`` (fixed-time mode, common to all lanes) and ``event``
+    mode applies.
 
     In event mode each hit lane ends at the last bisection point of its
     crossing, or at its bracket's lower end when only that meets ``h_tol``,
@@ -158,12 +162,21 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
     K = vs.shape[0]
     if taus.size == 1 and K > 1:
         taus = np.full(K, taus[0])
-    eps = float(eps)
+    eps = np.asarray(eps, dtype=float)
+    if eps.ndim == 0:
+        eps = weight = float(eps)
+    elif eps.shape == (K,):
+        weight = eps[:, None]
+    else:
+        raise ValueError(f"eps must be a scalar or have shape ({K},), "
+                         f"got {eps.shape}")
+    forced = bool(np.any(eps != 0.0))
 
     def rhs(s, y):
         out = np.asarray(sys.X(y), dtype=float)
-        if eps != 0.0:
-            out = out + eps * np.asarray(sys.g(taus + s, y, eps), dtype=float)
+        if forced:
+            out = out + weight * np.asarray(sys.g(taus + s, y, eps),
+                                            dtype=float)
         return out
 
     if (duration is None) == (event is None):

@@ -98,7 +98,11 @@ def _pull_back(handle, states):
 
 
 def p_eps_batch(handle, taus, us, eps):
-    """Vectorized Poincare map: (taus, us) -> (new times, new us)."""
+    """Vectorized Poincare map: (taus, us) -> (new times, new us).
+
+    ``eps`` is a scalar or one value per row of ``us``; all rows return
+    through one batched flow either way (see `flow_batch`).
+    """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))
     xs = np.asarray(handle.sys.D(us), dtype=float)
@@ -126,7 +130,9 @@ def certify_returns(handle, eps_range=(0.0, 0.0), n_samples=32, seed=0):
     """Sample the chart for return existence; records the certified radius.
 
     Tries the full chart radius first, then a shrinking ladder; the largest
-    radius whose samples all return becomes ``effective_r1``.
+    radius whose samples all return becomes ``effective_r1``.  The samples
+    of one level, each with its own tau and eps, return through one batched
+    flow; `NoReturnError` or `ChartError` from it fails the level.
     """
     rng = np.random.default_rng(seed)
     sys = handle.sys
@@ -136,16 +142,12 @@ def certify_returns(handle, eps_range=(0.0, 0.0), n_samples=32, seed=0):
         taus = scale_to(u[:, 0], 0.0, sys.T_g)
         epses = scale_to(u[:, 1], *eps_range)
         us = ball_points(u[:, 2:], r)
-        ok = True
-        for tau, e, uu in zip(taus, epses, us):
-            try:
-                p_eps_batch(handle, [tau], uu[None, :], float(e))
-            except (NoReturnError, ChartError):
-                ok = False
-                break
-        if ok:
-            handle.effective_r1 = r
-            return r
+        try:
+            p_eps_batch(handle, taus, us, epses)
+        except (NoReturnError, ChartError):
+            continue
+        handle.effective_r1 = r
+        return r
     raise NoReturnError("no sampled chart radius returned reliably")
 
 

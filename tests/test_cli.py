@@ -140,6 +140,36 @@ class TestOtherModes:
         assert abs(rep["jacobian"][0][0] - 0.5 / np.e) <= 1e-6
         assert max(abs(v) for v in rep["u_star"]) <= 1e-10
 
+    def test_hybrid_found_by_registry(self, tmp_path, monkeypatch):
+        """A second hybrid registry name goes through the wrapped map."""
+        from perimap import hybrid_ode, poincare
+
+        monkeypatch.setitem(hybrid_ode._BUILTIN_HYBRID, "polar-hybrid-copy",
+                            hybrid_ode._BUILTIN_HYBRID["polar-hybrid"])
+        wrapped = []
+        extract = poincare.extract_alpha_beta
+
+        def counted(handle, *args, **kwargs):
+            wrapped.append(handle.sys.label)
+            return extract(handle, *args, **kwargs)
+
+        monkeypatch.setattr(poincare, "extract_alpha_beta", counted)
+        outs = []
+        for name in ("polar-hybrid", "polar-hybrid-copy"):
+            cfgp = write_config(tmp_path, f"{name}.json", {
+                "system": {"name": name, "params": {"kappa": 0.5}},
+                "eps": 0.01,
+                "solver": {"n_nodes": 16, "tol": 1e-9},
+                "sampling": {"n_samples": 16, "seed": 6}})
+            out = tmp_path / name
+            assert cli.main(["solve-curve", "--config", cfgp,
+                             "--out", str(out)]) == 0
+            outs.append(out)
+        assert wrapped == ["polar-hybrid", "polar-hybrid"]
+        for artifact in ("curve.csv", "solver_report.json"):
+            assert ((outs[0] / artifact).read_bytes()
+                    == (outs[1] / artifact).read_bytes())
+
     def test_cylinder_data(self, tmp_path):
         cfgp = write_config(tmp_path, "c.json", {
             "system": {"name": "polar-hybrid", "params": {"kappa": 0.5}},
@@ -155,12 +185,3 @@ class TestOtherModes:
         # states stay near the unit cycle
         radii = np.linalg.norm(rows[:, 2:], axis=1)
         assert np.all(np.abs(radii - 1.0) < 0.2)
-
-    def test_env_thread_cap_validated(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PERIMAP_THREADS", "zero")
-        cfgp = write_config(tmp_path, "c.json", {
-            "system": {"name": "linear-shear"},
-            "omega": 0.25, "eps_list": [1e-3],
-            "sampling": {"seed": 1}})
-        rc = cli.main(["sweep-eps", "--config", cfgp, "--out", str(tmp_path)])
-        assert rc == 2

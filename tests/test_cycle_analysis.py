@@ -145,7 +145,57 @@ class TestCertifyContraction:
         assert q < 1.0
 
 
+def _per_pair_q(handle, u_range, eps_range, norm, n_samples, seed):
+    """q of `certify_contraction` rebuilt with one flow per sample pair."""
+    from perimap.sampling import ball_points, latin_hypercube, scale_to
+
+    rng = np.random.default_rng(seed)
+    k2 = handle.sys.k2
+    u = latin_hypercube(rng, n_samples, 2 + 2 * k2)
+    taus = scale_to(u[:, 0], 0.0, handle.sys.T_g)
+    epses = scale_to(u[:, 1], *eps_range)
+    u1 = ball_points(u[:, 2:2 + k2], u_range)
+    u2 = ball_points(u[:, 2 + k2:], u_range)
+    degenerate = np.linalg.norm(u1 - u2, axis=1) < 1e-12
+    u2[degenerate] += u_range * 0.1
+    q = 0.0
+    for tau, e, a, b in zip(taus, epses, u1, u2):
+        _, outs = pm.p_eps_batch(handle, [tau, tau], np.vstack([a, b]),
+                                 float(e))
+        q = max(q, norm.norm(outs[0] - outs[1]) / norm.norm(a - b))
+    return q
+
+
+class TestContractionFlow:
+    ARGS = (0.25, (-0.01, 0.015))
+
+    def test_q_matches_per_pair_flows(self, handle):
+        an = pm.adapted_norm(np.array([[KAPPA_OVER_E]]))
+        q, ok = pm.certify_contraction(handle, *self.ARGS, an, n_samples=8,
+                                       seed=3)
+        assert ok
+        assert abs(q - _per_pair_q(handle, *self.ARGS, an, 8, 3)) <= 1e-9
+
+    def test_one_flow(self, handle, monkeypatch):
+        calls = []
+        flow_batch = pm.poincare.flow_batch
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return flow_batch(*args, **kwargs)
+
+        monkeypatch.setattr(pm.poincare, "flow_batch", counted)
+        an = pm.adapted_norm(np.array([[KAPPA_OVER_E]]))
+        pm.certify_contraction(handle, *self.ARGS, an, n_samples=8, seed=3)
+        assert calls == [16]
+
+
 class TestAnalyzePipeline:
+    def test_T_star_bitwise_time_to_return(self, handle):
+        rep = ca.analyze_cycle(handle)
+        x = np.asarray(handle.sys.D(rep.u_star[None, :]), float)[0]
+        assert rep.T_star == pm.time_to_return(handle, 0.0, x, 0.0)
+
     def test_full_report(self, handle):
         rep = ca.analyze_cycle(handle)
         assert np.max(np.abs(rep.u_star)) <= 1e-10

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -131,6 +133,53 @@ class TestFlow:
         vs = np.tile([1.0, 0.0], (3, 1))
         res = pm.flow_batch(e3, taus, vs, 0.0, event=True)
         assert_allclose(res.end_times, taus + 1.0, atol=1e-9)
+
+
+def _eps_forced(e3):
+    """`e3` with a forcing whose size depends on eps, given per lane or not."""
+    def g(t, x, eps):
+        c = np.cos(2.0 * np.pi * np.asarray(t) / e3.T_g) * (
+            1.0 + 10.0 * np.asarray(eps))
+        return np.zeros_like(x) + np.asarray(c)[..., None] * np.array([1.0, 0.5])
+
+    return dataclasses.replace(e3, g=g)
+
+
+class TestPerLaneEps:
+    TAUS = np.array([0.0, 0.3, 0.55, 0.1])
+    VS = np.array([[1.05, 0.0], [0.9, 0.1], [1.2, -0.2], [1.0, 0.0]])
+    EPS = np.array([0.0, 0.01, -0.02, 0.03])
+
+    @pytest.mark.parametrize("eps_in_g", [False, True])
+    @pytest.mark.parametrize("mode", ["duration", "event"])
+    def test_matches_lane_by_lane(self, e3, eps_in_g, mode):
+        sys_ = _eps_forced(e3) if eps_in_g else e3
+        kw = {"duration": 0.7} if mode == "duration" else {"event": True}
+        rtol = 1e-10
+        res = pm.flow_batch(sys_, self.TAUS, self.VS, self.EPS, rtol=rtol,
+                            **kw)
+        for i, e in enumerate(self.EPS):
+            one = pm.flow_batch(sys_, self.TAUS[i:i + 1], self.VS[i:i + 1],
+                                float(e), rtol=rtol, **kw)
+            assert_allclose(res.end_states[i], one.end_states[0], rtol=0,
+                            atol=10 * rtol)
+            assert abs(res.end_times[i] - one.end_times[0]) <= 10 * rtol
+        # the lanes really are forced differently
+        assert np.ptp(res.end_states[:, 0]) > 1e-3
+
+    @pytest.mark.parametrize("e", [0.0, 0.02])
+    @pytest.mark.parametrize("mode", ["duration", "event"])
+    def test_equal_lanes_bitwise_scalar(self, e3, e, mode):
+        kw = {"duration": 0.7} if mode == "duration" else {"event": True}
+        scalar = pm.flow_batch(e3, self.TAUS, self.VS, e, **kw)
+        lanes = pm.flow_batch(e3, self.TAUS, self.VS, np.full(4, e), **kw)
+        assert np.array_equal(lanes.end_states, scalar.end_states)
+        assert np.array_equal(lanes.end_times, scalar.end_times)
+        assert lanes.stats["n_steps"] == scalar.stats["n_steps"]
+
+    def test_wrong_eps_shape_rejected(self, e3):
+        with pytest.raises(ValueError, match="eps"):
+            pm.flow_batch(e3, self.TAUS, self.VS, np.zeros(3), duration=0.1)
 
 
 class TestPolarEvaluators:

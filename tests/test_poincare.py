@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -106,13 +108,42 @@ class TestWrappedSpec:
         assert np.max(gap) <= 1e-9
 
     def test_certified_radius_full_chart(self, handle):
-        from dataclasses import replace
-
         h = replace(handle)
         r = pm.poincare.certify_returns(h, eps_range=(-0.01, 0.01),
                                         n_samples=12, seed=4)
         assert r == handle.sys.r1
         assert h.effective_r1 == r
+
+    def test_one_flow_per_certified_level(self, handle, monkeypatch):
+        counter = _LaneCounter(pm.poincare.p_eps_batch)
+        monkeypatch.setattr(pm.poincare, "p_eps_batch", counter)
+        h = replace(handle)
+        r = pm.poincare.certify_returns(h, eps_range=(-0.01, 0.01),
+                                        n_samples=12, seed=4)
+        assert r == handle.sys.r1
+        assert [len(rows) for rows in counter.rows] == [12]
+
+    def test_failed_level_falls_back(self, handle, monkeypatch):
+        """A level fails when its one flow raises; the next level is tried."""
+        limit = 0.8 * handle.sys.r1
+        real = pm.poincare.p_eps_batch
+        epses = []
+
+        def p_eps_batch(handle_, taus, us, eps):
+            epses.append(np.asarray(eps))
+            if np.max(np.abs(us)) > limit:
+                raise pm.NoReturnError("sample outside the returning disc")
+            return real(handle_, taus, us, eps)
+
+        monkeypatch.setattr(pm.poincare, "p_eps_batch", p_eps_batch)
+        h = replace(handle)
+        r = pm.poincare.certify_returns(h, eps_range=(-0.01, 0.01),
+                                        n_samples=12, seed=4)
+        assert r == 0.75 * handle.sys.r1
+        assert h.effective_r1 == r
+        # one call per level, each carrying every sample's own eps
+        assert [e.shape for e in epses] == [(12,), (12,)]
+        assert np.ptp(epses[1]) > 0.01
 
     def test_dense_samples_on_request(self, e3):
         res = pm.flow(e3, 0.0, [1.0, 0.0], 0.0, t_end=0.5, dense=True)
