@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time one accepted Dormand-Prince step on the polar-hybrid vector field.
+"""Time one accepted DOP853 step on the polar-hybrid vector field, and count
+the steps of one polar-hybrid return.
 
     PYTHONPATH=src python3 scripts/step_cost.py
 
@@ -8,9 +9,13 @@ of the built-in polar-hybrid system, evaluated as `flow_batch` does
 (eps = 0.01, lane start times spread over one forcing period), with K lanes
 started near the unit cycle.  A `Dopri54` at rtol 1e-12, atol 1e-14 then
 takes `STEPS` accepted steps, `REPEATS` times from a fresh start; only the
-`step` calls are timed.  The script prints one JSON object mapping K to the
-minimum over the repeats of the mean time per accepted step, in
-microseconds.  BLAS and OpenMP are pinned to one thread.
+`step` calls are timed.  Then one unforced return from (1, 0) to the section
+x2 = 0 is flowed with `flow_batch` at each (rtol, atol) in `RETURN_TOLS`.
+
+The script prints one JSON object: "step_us" maps K to the minimum over the
+repeats of the mean time per accepted step, in microseconds, and "return"
+maps each rtol to the return's accepted steps and right-hand-side
+evaluations.  BLAS and OpenMP are pinned to one thread.
 """
 import json
 import os
@@ -28,6 +33,8 @@ EPS = 0.01
 LANES = (1, 16, 256, 4096)
 STEPS = 200
 REPEATS = 7
+# the Poincare handle's and the wrapped evaluators' integrator tolerances
+RETURN_TOLS = ((1e-10, 1e-12), (1e-12, 1e-14))
 
 
 def polar_rhs(n_lanes, sys):
@@ -55,8 +62,19 @@ def step_us(n_lanes):
     return 1e6 * best
 
 
+def return_counts(rtol, atol):
+    res = pm.flow_batch(pm.polar_hybrid(), [0.0], [[1.0, 0.0]], 0.0,
+                        event=pm.EventConfig(direction=1), rtol=rtol,
+                        atol=atol)
+    return {"steps": res.stats["n_steps"], "nfev": res.stats["nfev"]}
+
+
 def main():
-    print(json.dumps({str(k): round(step_us(k), 1) for k in LANES}))
+    print(json.dumps({
+        "step_us": {str(k): round(step_us(k), 1) for k in LANES},
+        "return": {f"{rtol:g}": return_counts(rtol, atol)
+                   for rtol, atol in RETURN_TOLS},
+    }))
 
 
 if __name__ == "__main__":

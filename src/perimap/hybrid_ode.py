@@ -6,11 +6,18 @@ S = {H = 0}, and a chart D of S.  `flow` / `flow_batch` integrate
 
     dx/dt = X(x) + eps * g(t, x, eps)
 
-with the Dormand-Prince 5(4) stepper and localize the first accepted crossing
-of S on the dense output.  Crossings are directional (sign of dH/dt must
-match the configured direction) and detection is suppressed until |H| has
-once exceeded an arming threshold, so a trajectory started on or near S by a
-jump does not retrigger at departure.
+with the Dormand-Prince 8(5,3) stepper (`dopri.Dopri54`) and localize the
+first accepted crossing of S on the dense output.  Crossings are directional
+(sign of dH/dt must match the configured direction) and detection is
+suppressed until |H| has once exceeded an arming threshold, so a trajectory
+started on or near S by a jump does not retrigger at departure.
+
+The eighth-order steps are long (about 20-40 per revolution of the built-in
+cycle), so a sign check at the step ends is not enough: H is also sampled
+at 7 interior points of every step, and near S the extremum of H along the
+step's interpolant is refined by golden-section search.  That extremum feeds
+the grazing flag, and when it lies across S the step holds two crossings;
+the admissible one is localized on its own bracket inside the step.
 """
 from __future__ import annotations
 
@@ -28,9 +35,15 @@ Array = np.ndarray
 
 LOCALIZE_HALVINGS = 64   # bisection budget of one event localization
 MAX_SEGMENTS = 1000      # flow segments `simulate_hybrid` may run
-# theta**1..4 (rows) at the 7 interior points of a step (columns) where the
-# dense output is sampled for near-tangential approaches
-_THETA_POWERS = np.linspace(0.0, 1.0, 9)[1:-1] ** np.arange(1, 5)[:, None]
+REFINE_LEVEL = 0.05      # sampled |H| below which a step's extremum is refined
+EXTREMUM_ITERS = 30      # golden-section steps of that refinement
+PASS_FRACTION = 0.01     # a crossing pair inside one step must pass S by
+                         # this fraction of grazing_tol; less is a touch
+# theta at the 9 sample points of a step (both ends included), and
+# theta**1..7 (rows) at the 7 interior ones (columns)
+_THETA_GRID = np.linspace(0.0, 1.0, 9)
+_THETA_POWERS = _THETA_GRID[1:-1] ** np.arange(1, 8)[:, None]
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -100,17 +113,16 @@ class FlowBatchResult:
     t0: Array = None
 
 
-def _localize_crossings(path, h_fun, seg_idx, lanes, h_tol, t_tol):
-    """Vectorized bisection for H = 0 inside known sign-change segments.
+def _localize_crossings(path, h_fun, t_lo, t_hi, lanes, h_tol, t_tol):
+    """Vectorized bisection for H = 0 inside per-lane sign-change brackets.
 
-    Returns the last evaluated midpoints, their states and the worst |H|
-    there.  A lane whose midpoint still misses ``h_tol`` after
-    `LOCALIZE_HALVINGS` halvings ends at its lower bracket end instead when
-    |H| is smaller there; `IntegrationError` is raised if a lane misses
+    Lane ``lanes[i]`` changes sign on [t_lo[i], t_hi[i]], which lies inside
+    one accepted step.  Returns the last evaluated midpoints, their states
+    and the worst |H| there.  A lane whose midpoint still misses ``h_tol``
+    after `LOCALIZE_HALVINGS` halvings ends at its lower bracket end instead
+    when |H| is smaller there; `IntegrationError` is raised if a lane misses
     ``h_tol`` at both.
     """
-    t_lo = path.t[seg_idx]
-    t_hi = path.t[seg_idx + 1]
     f_lo = h_fun(path.eval_lanes(t_lo, lanes))
     for _ in range(LOCALIZE_HALVINGS):
         t_mid = 0.5 * (t_lo + t_hi)
@@ -137,6 +149,83 @@ def _localize_crossings(path, h_fun, seg_idx, lanes, h_tol, t_tol):
     return t_mid, y_mid, h_max
 
 
+def _extremum(h_fun, y_old, q, h, lo, hi, sign):
+    """Golden-section minimum of sign * H along each lane's step interpolant.
+
+    Row i searches theta in [lo[i], hi[i]] on the polynomial
+    y_old[i] + h * sum_p q[i, :, p-1] theta**p.  Returns the best theta and
+    H there.
+    """
+    powers = np.arange(1, q.shape[-1] + 1)
+
+    def f(theta):
+        y = y_old + h * np.einsum("ndp,np->nd", q, theta[:, None] ** powers)
+        return sign * h_fun(y)
+
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(EXTREMUM_ITERS):
+        left = fc < fd          # the minimum lies in [lo, d]
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        new = np.where(left, hi - _INV_PHI * (hi - lo),
+                       lo + _INV_PHI * (hi - lo))
+        f_new = f(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    best = fc < fd
+    return np.where(best, c, d), sign * np.where(best, fc, fd)
+
+
+def _scan_step(h_fun, direction, pass_level, t_old, t_new, y_old, q, h_prev,
+               h_new, watched, min_h_armed, pending, t_lo, t_hi):
+    """Look inside one accepted step for grazes and for crossing pairs.
+
+    ``watched`` lanes are armed, still pending and have no admissible
+    crossing at the step ends.  H is sampled at the 9 points theta = i/8 of
+    every watched lane; on lanes whose ends share a sign and whose sampled
+    |H| drops below `REFINE_LEVEL`, the extremum of H near the smallest
+    sample is refined by `_extremum`.  Samples and extremum lower
+    ``min_h_armed`` (in place).  When H passes S by at least ``pass_level``
+    at a sample or at the extremum, the step holds two crossings: the lane
+    stops pending and [t_lo, t_hi] (in place) brackets the first crossing,
+    or the second one when only that has the configured direction.
+    """
+    h = t_new - t_old
+    sub = h_fun(y_old[:, None, :] + h * (q @ _THETA_POWERS).swapaxes(1, 2))
+    samples = np.concatenate([h_prev[:, None], sub, h_new[:, None]], axis=1)
+    abs_s = np.abs(samples)
+    np.minimum(min_h_armed, abs_s.min(axis=1), out=min_h_armed, where=watched)
+    same = watched & (h_prev * h_new > 0.0)
+    flip = (samples * h_prev[:, None] < 0.0) & (abs_s >= pass_level)
+    theta_x = np.where(flip.any(axis=1), _THETA_GRID[np.argmax(flip, axis=1)],
+                       np.nan)
+    refine = same & np.isnan(theta_x) & (abs_s.min(axis=1) < REFINE_LEVEL)
+    if refine.any():
+        lanes = np.nonzero(refine)[0]
+        j = np.argmin(abs_s[lanes], axis=1)
+        lo = _THETA_GRID[np.maximum(j - 1, 0)]
+        hi = _THETA_GRID[np.minimum(j + 1, 8)]
+        theta_e, h_e = _extremum(h_fun, y_old[lanes], q[lanes], h, lo, hi,
+                                 np.sign(h_prev[lanes]))
+        min_h_armed[lanes] = np.minimum(min_h_armed[lanes], np.abs(h_e))
+        passed = h_e * h_prev[lanes] < 0.0
+        passed &= np.abs(h_e) >= pass_level
+        theta_x[lanes[passed]] = theta_e[passed]
+    pair = same & ~np.isnan(theta_x)
+    if not pair.any():
+        return
+    lanes = np.nonzero(pair)[0]
+    t_x = t_old + theta_x[lanes] * h
+    # H(t_x) lies across S from both step ends, so the first crossing runs
+    # from the sign of h_prev to the other one
+    first_ok = (direction == 0) | (np.sign(-h_prev[lanes]) == direction)
+    t_lo[lanes] = np.where(first_ok, t_old, t_x)
+    t_hi[lanes] = np.where(first_ok, t_x, t_new)
+    pending[lanes] = False
+
+
 def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
                rtol=1e-10, atol=1e-12, max_step=np.inf, dense=False,
                on_no_return="raise"):
@@ -156,6 +245,15 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
     so |H| <= ``h_tol`` there; ``stats["event_h_max"]`` is the worst
     such |H| (0.0 when no lane hit).  A localization that still misses
     ``h_tol`` after `LOCALIZE_HALVINGS` halvings raises `IntegrationError`.
+    Two crossings inside one step are found when H passes S between them by
+    at least max(arm level, `PASS_FRACTION` * ``grazing_tol``); a shallower
+    pass counts as a touch.
+
+    Batch composition: a lane's result depends on the other lanes of its
+    batch only through the shared step sequence (the error norm is the max
+    over lanes).  Its stages, dense output, event scan and localization use
+    its own values only, so moving a lane to another batch changes its
+    result by integration error only, within a few ``rtol``.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
@@ -200,6 +298,8 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
     # event mode: march until every lane has an accepted crossing
     cfg = event if isinstance(event, EventConfig) else EventConfig()
     arm_level = cfg.arm_factor * cfg.h_tol
+    # a smaller pass is within the integration noise of a tangential touch
+    pass_level = max(arm_level, PASS_FRACTION * cfg.grazing_tol)
 
     def h_of(y):
         return np.asarray(sys.H(y), dtype=float)
@@ -208,10 +308,10 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
                       max_step=max_step)
     ts, ys, qs = [0.0], [stepper.y.copy()], []
     h_prev = h_of(stepper.y)
-    abs_prev = np.abs(h_prev)
-    armed = abs_prev >= arm_level
-    min_h_armed = np.where(armed, abs_prev, np.inf)
-    seg_of = np.full(K, -1, dtype=int)
+    armed = np.abs(h_prev) >= arm_level
+    min_h_armed = np.where(armed, np.abs(h_prev), np.inf)
+    t_lo = np.zeros(K)               # per-lane bracket of the crossing
+    t_hi = np.zeros(K)
     pending = np.ones(K, dtype=bool)
     while not stepper.finished and pending.any():
         t_old, t_new, y_old, y_new, q = stepper.step()
@@ -219,23 +319,19 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
         ys.append(y_new)
         qs.append(q)
         h_new = h_of(y_new)
-        abs_new = np.abs(h_new)
         crossing = pending & armed & (h_prev * h_new < 0.0)
         if cfg.direction != 0:
             crossing &= np.sign(h_new - h_prev) == cfg.direction
-        seg_of[crossing] = len(qs) - 1
+        t_lo[crossing] = t_old
+        t_hi[crossing] = t_new
         pending &= ~crossing
         watched = armed & pending
-        # near-tangential approaches hide between endpoints: refine when close
-        near = watched & (np.minimum(abs_prev, abs_new) < 1e-3)
-        if near.any():
-            sub = y_old[:, None, :] + (t_new - t_old) * (
-                q @ _THETA_POWERS).swapaxes(1, 2)            # (K, 7, d)
-            np.minimum(min_h_armed, np.abs(h_of(sub)).min(axis=1),
-                       out=min_h_armed, where=near)
-        np.minimum(min_h_armed, abs_new, out=min_h_armed, where=watched)
-        armed |= abs_new >= arm_level
-        h_prev, abs_prev = h_new, abs_new
+        if watched.any():
+            _scan_step(h_of, cfg.direction, pass_level, t_old, t_new, y_old,
+                       q, h_prev, h_new, watched, min_h_armed, pending, t_lo,
+                       t_hi)
+        armed |= np.abs(h_new) >= arm_level
+        h_prev = h_new
 
     grazing = pending & (min_h_armed <= cfg.grazing_tol)
     if np.any(pending) and on_no_return == "raise":
@@ -250,7 +346,8 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
     h_max = 0.0
     if hit_lanes.size:
         s_star, y_star, h_max = _localize_crossings(
-            path, h_of, seg_of[hit_lanes], hit_lanes, cfg.h_tol, cfg.t_tol)
+            path, h_of, t_lo[hit_lanes], t_hi[hit_lanes], hit_lanes,
+            cfg.h_tol, cfg.t_tol)
         end_times[hit_lanes] = taus[hit_lanes] + s_star
         end_states[hit_lanes] = y_star
     end_times[pending] = taus[pending] + path.t[-1]

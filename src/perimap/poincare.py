@@ -101,7 +101,10 @@ def p_eps_batch(handle, taus, us, eps):
     """Vectorized Poincare map: (taus, us) -> (new times, new us).
 
     ``eps`` is a scalar or one value per row of ``us``; all rows return
-    through one batched flow either way (see `flow_batch`).
+    through one batched flow either way (see `flow_batch`).  A row's result
+    depends on the other rows only through the step sequence they share,
+    so the same (tau, u, eps) flowed alone or among other rows agrees to
+    integration accuracy (within 10 * ``handle.rtol``), not bitwise.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))

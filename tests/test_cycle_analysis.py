@@ -190,6 +190,22 @@ class TestContractionFlow:
         assert calls == [16]
 
 
+class TestJacobianFlow:
+    def test_one_flow(self, handle, monkeypatch):
+        calls = []
+        flow_batch = pm.poincare.flow_batch
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return flow_batch(*args, **kwargs)
+
+        monkeypatch.setattr(pm.poincare, "flow_batch", counted)
+        J, _, richardson = ca.jacobian_and_spectrum(handle, np.zeros(1))
+        assert calls == [4]
+        assert abs(J[0, 0] - KAPPA_OVER_E) <= 1e-8
+        assert richardson <= 1e-6
+
+
 class TestAnalyzePipeline:
     def test_T_star_bitwise_time_to_return(self, handle):
         rep = ca.analyze_cycle(handle)

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from perimap.dopri import A, B, C, E, P, Dopri54, integrate
+from perimap.dopri import A, B, C, D, E3, E5, N_STAGES, Dopri54, integrate
 from perimap.exceptions import IntegrationError
 
 
@@ -12,23 +12,58 @@ def rotation(t, y):
 
 
 class TestTableau:
-    def test_dense_matrix_consistent_with_weights(self):
-        # theta = 1 must reproduce the 5th-order endpoint
-        assert_allclose(P.sum(axis=1), B, atol=1e-15)
+    def test_constants_match_scipy(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        assert N_STAGES == ref.N_STAGES
+        for mine, theirs in ((A, ref.A), (C, ref.C), (B, ref.B),
+                             (E3, ref.E3), (E5, ref.E5), (D, ref.D)):
+            assert mine.shape == theirs.shape
+            assert np.array_equal(mine, theirs)
 
     def test_stage_matrix_strictly_lower_triangular(self):
-        assert A.shape == (7, 7)
+        assert A.shape == (16, 16)
         assert np.array_equal(A, np.tril(A, -1))
 
     def test_stage_rows_sum_to_nodes(self):
         assert_allclose(A.sum(axis=1), C, atol=1e-15)
 
     def test_last_stage_row_is_weights(self):
-        # FSAL: the 7th stage is evaluated at the 5th-order solution
-        assert np.array_equal(A[6], B)
+        # stage 12 is evaluated at the 8th-order solution and reused as the
+        # next step's first stage
+        assert np.array_equal(A[12, :12], B)
 
     def test_error_weights_sum_to_zero(self):
-        assert abs(E.sum()) <= 1e-16
+        assert abs(E3.sum()) <= 1e-15
+        assert abs(E5.sum()) <= 1e-15
+
+
+class TestDenseOutput:
+    @pytest.fixture(scope="class")
+    def path(self):
+        y0 = np.array([[1.0, 0.0], [0.3, 0.9]])
+        path, stats = integrate(rotation, y0, 0.7)
+        assert stats["n_steps"] > 3
+        assert path.q.shape[-1] == 7      # seventh degree in theta
+        return path
+
+    @staticmethod
+    def _at(path, i, theta):
+        powers = theta ** np.arange(1, path.q.shape[-1] + 1)
+        return path.y[i] + path.h[i] * (path.q[i] @ powers)
+
+    def test_reproduces_step_ends(self, path):
+        for i in range(len(path.h)):
+            assert np.array_equal(self._at(path, i, 0.0), path.y[i])
+            assert_allclose(self._at(path, i, 1.0), path.y[i + 1],
+                            rtol=0, atol=5e-15)
+
+    def test_start_slope_is_h_f_old(self, path):
+        # d/dtheta of y + h sum_p q_p theta**p at theta = 0 is h q_1
+        for i in range(len(path.h)):
+            assert_allclose(path.h[i] * path.q[i, ..., 0],
+                            path.h[i] * rotation(path.t[i], path.y[i]),
+                            rtol=1e-14, atol=1e-15)
 
 
 class TestAccuracy:
@@ -36,7 +71,21 @@ class TestAccuracy:
         path, stats = integrate(lambda t, y: -y, np.array([[1.0]]), 2.0,
                                 rtol=1e-10, atol=1e-12)
         assert abs(path.y[-1, 0, 0] - np.exp(-2.0)) < 1e-10
-        assert stats["n_steps"] > 10
+        _, loose = integrate(lambda t, y: -y, np.array([[1.0]]), 2.0,
+                             rtol=1e-6, atol=1e-8)
+        assert 1 < loose["n_steps"] < stats["n_steps"]
+
+    def test_eighth_order_convergence(self):
+        # fixed steps h = 1, 1/2, 1/4 on y' = -y over [0, 4]: the global
+        # error must fall by about 2**8 per halving
+        errs = []
+        for h in (1.0, 0.5, 0.25):
+            path, _ = integrate(lambda t, y: -y, np.array([[1.0]]), 4.0,
+                                rtol=1.0, atol=1.0, max_step=h, first_step=h)
+            assert_allclose(np.diff(path.t), h, rtol=0, atol=1e-15)
+            errs.append(abs(path.y[-1, 0, 0] - np.exp(-4.0)))
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all((orders > 7.5) & (orders < 8.7)), orders
 
     def test_dense_output_between_steps(self):
         path, _ = integrate(lambda t, y: -y, np.array([[1.0]]), 2.0,
@@ -113,5 +162,7 @@ class TestStepping:
         while not stepper.finished:
             stepper.step()
         s = stepper.stats()
-        # FSAL: six fresh evaluations per attempted step plus the startup pair
-        assert s["n_steps"] >= 1 and s["nfev"] >= 6 * s["n_steps"]
+        # startup pair, 11 fresh stages per attempt, and per accepted step
+        # f(t + h, y_new) (reused as the next first stage) plus 3 dense stages
+        assert s["n_steps"] >= 1
+        assert s["nfev"] == 2 + 15 * s["n_steps"] + 11 * s["n_rejected"]

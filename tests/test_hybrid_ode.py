@@ -100,7 +100,7 @@ class TestFlow:
             return slope * (y[:, 0] - a) - 0.5 * h_tol
 
         t_star, y_star, h_max = hybrid_ode._localize_crossings(
-            Line(), h_fun, np.array([0]), np.array([0]), h_tol, 1e-12)
+            Line(), h_fun, Line.t[:1], Line.t[1:], np.array([0]), h_tol, 1e-12)
         assert t_star[0] == a and y_star[0, 0] == a
         assert h_max == 0.5 * h_tol
 
@@ -133,6 +133,52 @@ class TestFlow:
         vs = np.tile([1.0, 0.0], (3, 1))
         res = pm.flow_batch(e3, taus, vs, 0.0, event=True)
         assert_allclose(res.end_times, taus + 1.0, atol=1e-9)
+
+
+class TestTwoCrossingsInOneStep:
+    """Oracle: on the unit cycle x2 = sin(2 pi t), so H = x2 - (1 - 1e-6)
+    is positive only on (t1, 1/2 - t1), about 4.5e-4 long, with
+    t1 = (pi/2 - acos(1 - 1e-6)) / (2 pi)."""
+
+    LEVEL = 1.0 - 1e-6
+    T1 = (np.pi / 2 - np.arccos(1.0 - 1e-6)) / (2 * np.pi)
+
+    def _flow(self, e3, level, direction, **kw):
+        sys_ = dataclasses.replace(
+            e3, H=lambda x: np.asarray(x, float)[..., 1] - level)
+        return pm.flow(sys_, 0.0, [1.0, 0.0], 0.0,
+                       event=pm.EventConfig(direction=direction),
+                       rtol=1e-12, atol=1e-14, dense=True, **kw)
+
+    def test_first_crossing_found(self, e3):
+        res = self._flow(e3, self.LEVEL, 1)
+        assert res.event_hit
+        assert abs(res.end_time - self.T1) <= 1e-9
+        assert abs(res.end_state[1] - self.LEVEL) <= 1e-12
+        # both zeros inside one accepted step: no sign change at its ends
+        i = np.searchsorted(res.path.t, self.T1)
+        assert res.path.t[i - 1] < self.T1 < 0.5 - self.T1 < res.path.t[i]
+
+    def test_second_crossing_when_first_has_wrong_direction(self, e3):
+        res = self._flow(e3, self.LEVEL, -1)
+        assert res.event_hit
+        assert abs(res.end_time - (0.5 - self.T1)) <= 1e-9
+
+    def test_shallow_pass_is_a_touch(self, e3):
+        # H passes S by 1e-9 < PASS_FRACTION * grazing_tol: a touch
+        res = self._flow(e3, 1.0 - 1e-9, 1, max_time=0.9, on_no_return="flag")
+        assert not res.event_hit
+        assert res.grazing
+
+    def test_extremum_of_quadratic(self):
+        # y(theta) = theta - theta**2 peaks at 1/4 for theta = 1/2
+        q = np.zeros((1, 1, 7))
+        q[0, 0, :2] = [1.0, -1.0]
+        theta, h_e = hybrid_ode._extremum(
+            lambda y: y[:, 0] - 0.3, np.zeros((1, 1)), q, 1.0,
+            np.array([0.375]), np.array([0.625]), np.array([-1.0]))
+        assert abs(theta[0] - 0.5) <= 1e-5
+        assert abs(h_e[0] + 0.05) <= 1e-10
 
 
 def _eps_forced(e3):

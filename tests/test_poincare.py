@@ -52,6 +52,28 @@ class TestPEps:
             assert np.max(np.abs(u2 - u1)) <= 1e-8
 
 
+class TestBatchComposition:
+    """A row depends on its batch only through the shared step sequence."""
+
+    TAU, U, EPS = 0.3, 0.1, 0.01
+
+    def _mates(self, n, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(0.0, 0.8, n), rng.uniform(-0.4, 0.4, (n, 1)),
+                rng.uniform(-0.01, 0.015, n))
+
+    @pytest.mark.parametrize("size, at", [(3, 1), (256, 137)])
+    def test_row_agrees_alone_and_in_batch(self, handle, size, at):
+        t_alone, u_alone = pm.p_eps_batch(handle, [self.TAU], [[self.U]],
+                                          self.EPS)
+        taus, us, epses = self._mates(size, seed=size)
+        taus[at], us[at], epses[at] = self.TAU, self.U, self.EPS
+        times, outs = pm.p_eps_batch(handle, taus, us, epses)
+        tol = 10.0 * handle.rtol
+        assert abs(times[at] - t_alone[0]) <= tol
+        assert np.max(np.abs(outs[at] - u_alone[0])) <= tol
+
+
 class TestPReduced:
     def test_fixed_point_zero(self, handle):
         assert np.max(np.abs(pm.P_reduced(handle, [0.0]))) <= 1e-10
