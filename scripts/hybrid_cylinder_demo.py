@@ -10,10 +10,8 @@ import argparse
 import json
 import os
 
-import numpy as np
-
 import perimap as pm
-from perimap import cycle_analysis, hybrid_ode, invariant_graph
+from perimap import cycle_analysis
 
 
 def main():
@@ -43,22 +41,14 @@ def main():
           f"sup {curve.sup_norm():.3e}")
 
     os.makedirs(args.out, exist_ok=True)
-    pm.write_curve_csv(os.path.join(args.out, "curve.csv"), curve)
+    pm.write_csv(os.path.join(args.out, "curve.csv"), *pm.curve_table(curve))
     with open(os.path.join(args.out, "cycle_report.json"), "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
 
     # trajectories started on the invariant curve trace the forced cylinder
-    segments_all = []
-    taus = np.linspace(0.0, sys_.T_g, args.n_trajectories, endpoint=False)
-    for tau in taus:
-        u = curve.eval(np.array([tau]))[0]
-        start = np.asarray(sys_.Delta(np.asarray(sys_.D(u[None, :]), float)),
-                           float)[0]
-        segments, _ = pm.simulate_hybrid(sys_, float(tau), start, args.eps,
-                                         sys_.T_g, event=handle.event)
-        segments_all.extend(segments)
-    hybrid_ode.write_flow_csv(os.path.join(args.out, "cylinder.csv"),
-                              segments_all)
+    pm.write_csv(os.path.join(args.out, "cylinder.csv"),
+                 *pm.cylinder_table(handle, curve, args.eps,
+                                    args.n_trajectories))
     print(f"artifacts in {args.out}/")
 
 

@@ -33,7 +33,7 @@ def main():
     sup_err = float(np.max(np.abs(curve.eval(xs)[:, 0] - exact)))
 
     os.makedirs(args.out, exist_ok=True)
-    pm.write_curve_csv(os.path.join(args.out, "curve.csv"), curve)
+    pm.write_csv(os.path.join(args.out, "curve.csv"), *pm.curve_table(curve))
     with open(os.path.join(args.out, "report.json"), "w") as fh:
         json.dump(pm.invariant_graph.curve_to_json_dict(curve, report), fh,
                   indent=2, sort_keys=True)

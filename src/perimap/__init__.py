@@ -14,18 +14,18 @@ from .exceptions import (BracketingError, CertificateError, ChartError,
                          NoReturnError, PerimapError)
 from .hybrid_ode import (EventConfig, FlowResult, HybridSystem,
                          check_forcing_period, check_transversality, flow,
-                         flow_batch, hybrid_from_json, polar_hybrid,
-                         simulate_hybrid)
+                         flow_batch, polar_hybrid, simulate_hybrid)
 from .invariant_graph import (AttractionReport, CurveConfig, PeriodicGridFn,
                               SolverReport, attraction_test, continuity_in_eps,
-                              graph_transform, invariance_residual,
-                              periodicity_defect, rate_bound_from_q,
-                              solve_invariant_curve, uniqueness_test,
-                              write_curve_csv)
+                              curve_table, graph_transform,
+                              invariance_residual, periodicity_defect,
+                              rate_bound_from_q, solve_invariant_curve,
+                              uniqueness_test, write_csv)
 from .map_core import (AssumptionReport, MapSpec, SamplingBox, Trajectory,
                        check_assumptions, eval_map, iterate, linear_shear,
-                       make_system, nonlinear_toy, spec_from_json)
-from .poincare import (P_eps, P_reduced, PoincareHandle, extract_alpha_beta,
-                       p_eps_batch, prepare_handle, time_to_return)
+                       make_system, nonlinear_toy)
+from .poincare import (P_eps, P_reduced, PoincareHandle, cylinder_table,
+                       extract_alpha_beta, p_eps_batch, prepare_handle,
+                       time_to_return)
 
 __version__ = "0.1.0"

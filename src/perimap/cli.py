@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import cycle_analysis, embedding, hybrid_ode, invariant_graph, map_core, poincare
 from .exceptions import ConfigError, PerimapError
+from .invariant_graph import curve_table, write_csv
 
 MODES = ("check-map", "certify", "solve-curve", "hybrid-analyze", "sweep-eps",
          "cylinder-data")
@@ -114,36 +114,59 @@ def _json_dump(path, obj):
         fh.write("\n")
 
 
-def _curve_config(cfg, hybrid=False):
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def system_from_json(obj):
+    """Build the built-in map or hybrid system that a config's ``system`` names.
+
+    ``obj`` is ``{"name": ..., "params": {...}}``; every parameter value is a
+    number, and ``amp`` a list of numbers.  Map names are built through
+    `map_core.make_system`, hybrid names through the hybrid registry.
+    """
+    _require(isinstance(obj, dict) and isinstance(obj.get("name"), str),
+             "system must be an object with a string 'name'")
+    extra = set(obj) - {"name", "params"}
+    _require(not extra, f"unknown keys in system: {sorted(extra)}")
+    name, params = obj["name"], obj.get("params", {})
+    known = {**map_core._BUILTIN_MAPS, **hybrid_ode._BUILTIN_HYBRID}
+    _require(name in known, f"unknown system '{name}' (have {sorted(known)})")
+    _require(isinstance(params, dict), "system key 'params' must be an object")
+    builder, allowed = known[name]
+    unknown = set(params) - allowed
+    _require(not unknown, f"unknown parameters for '{name}': {sorted(unknown)}")
+    for key, val in params.items():
+        if key == "amp":
+            _require(isinstance(val, list) and all(map(_is_number, val)),
+                     "system parameter 'amp' must be a list of numbers")
+        else:
+            _require(_is_number(val),
+                     f"system parameter '{key}' must be a number")
+    if name in hybrid_ode._BUILTIN_HYBRID:
+        return builder(**params)
+    return map_core.make_system(name, **params)
+
+
+def _curve_problem(cfg, system):
+    """The map spec a curve solve iterates, its `CurveConfig`, and for a
+    hybrid system the Poincare handle behind the spec (else None)."""
+    handle, spec = None, system
+    hybrid = isinstance(system, hybrid_ode.HybridSystem)
+    if hybrid:
+        # the wrapped Poincare map fixes the technical omega input to 1
+        _require(cfg.omega == 1.0, "omega is fixed to 1 for hybrid systems")
+        handle = poincare.prepare_handle(system)
+        spec = poincare.extract_alpha_beta(handle)
     # integrator-backed evaluators have a noise floor near their tolerance;
     # pushing the preimage residual below it only burns return flows
-    return invariant_graph.CurveConfig(
+    curve_cfg = invariant_graph.CurveConfig(
         n_nodes=cfg.n_nodes, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed,
         preimage_tol=1e-11 if hybrid else 1e-14)
+    return handle, spec, curve_cfg
 
 
-def _map_spec(cfg):
-    return map_core.spec_from_json(cfg.system)
-
-
-def _hybrid(cfg):
-    return hybrid_ode.hybrid_from_json(cfg.system)
-
-
-def _is_hybrid(cfg):
-    return cfg.system.get("name") in hybrid_ode._BUILTIN_HYBRID
-
-
-def _wrapped_spec(cfg):
-    # the wrapped Poincare map fixes the technical omega input to 1
-    if cfg.omega != 1.0:
-        raise ConfigError("omega is fixed to 1 for hybrid systems")
-    handle = poincare.prepare_handle(_hybrid(cfg))
-    return handle, poincare.extract_alpha_beta(handle)
-
-
-def _run_check_map(cfg, out):
-    spec = _map_spec(cfg)
+def _run_check_map(cfg, spec, out):
     report = map_core.check_assumptions(spec, n_samples=cfg.n_samples,
                                         seed=cfg.seed)
     _json_dump(os.path.join(out, "assumptions.json"), report.to_json_dict())
@@ -155,8 +178,7 @@ def _run_check_map(cfg, out):
     return 0 if ok else 1
 
 
-def _run_certify(cfg, out):
-    spec = _map_spec(cfg)
+def _run_certify(cfg, spec, out):
     params = embedding.certificate(spec, delta=cfg.delta,
                                    n_samples=cfg.n_samples, seed=cfg.seed)
     _json_dump(os.path.join(out, "certificate.json"), params.to_json_dict())
@@ -168,27 +190,18 @@ def _run_certify(cfg, out):
     return 0 if ok else 1
 
 
-def _solve_for(cfg, spec, eps, hybrid=False):
+def _run_solve_curve(cfg, system, out):
+    _, spec, curve_cfg = _curve_problem(cfg, system)
     curve, report = invariant_graph.solve_invariant_curve(
-        spec, cfg.omega, eps, _curve_config(cfg, hybrid=hybrid))
-    return curve, report
-
-
-def _run_solve_curve(cfg, out):
-    hybrid = _is_hybrid(cfg)
-    if hybrid:
-        _, spec = _wrapped_spec(cfg)
-    else:
-        spec = _map_spec(cfg)
-    curve, report = _solve_for(cfg, spec, cfg.eps, hybrid=hybrid)
-    invariant_graph.write_curve_csv(os.path.join(out, "curve.csv"), curve)
+        spec, cfg.omega, cfg.eps, curve_cfg)
+    write_csv(os.path.join(out, "curve.csv"), *curve_table(curve))
     _json_dump(os.path.join(out, "solver_report.json"),
                invariant_graph.curve_to_json_dict(curve, report))
     return 0 if report.converged else 1
 
 
-def _run_hybrid_analyze(cfg, out):
-    handle = poincare.prepare_handle(_hybrid(cfg))
+def _run_hybrid_analyze(cfg, system, out):
+    handle = poincare.prepare_handle(system)
     report = cycle_analysis.analyze_cycle(handle)
     _json_dump(os.path.join(out, "cycle_report.json"), report.to_json_dict())
     ok = (report.fixed_point_residual <= cfg.tol * 10
@@ -197,56 +210,28 @@ def _run_hybrid_analyze(cfg, out):
     return 0 if ok else 1
 
 
-def _run_sweep_eps(cfg, out):
+def _run_sweep_eps(cfg, system, out):
     _require(cfg.eps_list, "sweep-eps requires a nonempty eps_list")
-    hybrid = _is_hybrid(cfg)
-    if hybrid:
-        _, spec = _wrapped_spec(cfg)
-    else:
-        spec = _map_spec(cfg)
-
-    def one(eps):
-        curve, report = _solve_for(cfg, spec, eps, hybrid=hybrid)
-        return eps, curve.sup_norm(), report.converged
-
-    results = [one(e) for e in sorted(cfg.eps_list)]
-
-    with open(os.path.join(out, "sweep.csv"), "w") as fh:
-        fh.write("eps,sup_norm,ratio\n")
-        for eps, sup, _ in results:
-            ratio = sup / abs(eps) if eps != 0 else float("nan")
-            fh.write(",".join("%.16e" % v for v in (eps, sup, ratio)) + "\n")
-    ok = all(conv for _, _, conv in results)
-    ratios = [sup / abs(eps) for eps, sup, _ in results if eps != 0]
-    if len(ratios) >= 2 and min(ratios) > 0:
-        ok = ok and (max(ratios) / min(ratios) <= 1.5)
+    _, spec, curve_cfg = _curve_problem(cfg, system)
+    rows = invariant_graph.continuity_in_eps(spec, cfg.omega, cfg.eps_list,
+                                             curve_cfg)
+    write_csv(os.path.join(out, "sweep.csv"), ("eps", "sup_norm", "ratio"),
+              [(r.eps, r.sup_norm, math.nan if r.ratio is None else r.ratio)
+               for r in rows])
+    ok = all(r.converged for r in rows)
+    lo, hi = invariant_graph.ratio_band(rows)
+    if lo > 0:
+        ok = ok and (hi / lo <= 1.5)
     return 0 if ok else 1
 
 
-def _run_cylinder(cfg, out):
-    _require(_is_hybrid(cfg), "cylinder-data requires a hybrid system")
-    handle, spec = _wrapped_spec(cfg)
-    sys_ = handle.sys
-    curve, report = _solve_for(cfg, spec, cfg.eps, hybrid=True)
-    invariant_graph.write_curve_csv(os.path.join(out, "curve.csv"), curve)
-    taus = np.linspace(0.0, sys_.T_g, cfg.n_trajectories, endpoint=False)
-    all_segments = []
-    for ti, tau in enumerate(taus):
-        u = curve.eval(np.array([tau]))[0]
-        start = np.asarray(sys_.Delta(np.asarray(sys_.D(u[None, :]), float)),
-                           float)[0]
-        segments, _ = hybrid_ode.simulate_hybrid(
-            sys_, float(tau), start, cfg.eps, sys_.T_g,
-            event=handle.event, rtol=handle.rtol, atol=handle.atol)
-        for ts, states in segments:
-            tag = np.full((len(ts), 1), float(ti))
-            all_segments.append((np.column_stack([tag, ts[:, None], states])))
-    rows = np.vstack(all_segments)
-    with open(os.path.join(out, "cylinder.csv"), "w") as fh:
-        fh.write("trajectory,t," + ",".join(
-            f"x{j+1}" for j in range(rows.shape[1] - 2)) + "\n")
-        for row in rows:
-            fh.write(",".join("%.16e" % v for v in row) + "\n")
+def _run_cylinder(cfg, system, out):
+    handle, spec, curve_cfg = _curve_problem(cfg, system)
+    curve, report = invariant_graph.solve_invariant_curve(
+        spec, cfg.omega, cfg.eps, curve_cfg)
+    write_csv(os.path.join(out, "curve.csv"), *curve_table(curve))
+    write_csv(os.path.join(out, "cylinder.csv"), *poincare.cylinder_table(
+        handle, curve, cfg.eps, cfg.n_trajectories))
     return 0 if report.converged else 1
 
 
@@ -260,9 +245,19 @@ _RUNNERS = {
 }
 
 
+# the system kind each mode needs; the others take either kind
+_KIND = {"check-map": "map", "certify": "map",
+         "hybrid-analyze": "hybrid", "cylinder-data": "hybrid"}
+
+
 def run(config: ExperimentConfig, out_dir="."):
     os.makedirs(out_dir, exist_ok=True)
-    return _RUNNERS[config.mode](config, out_dir)
+    system = system_from_json(config.system)
+    kind = "hybrid" if isinstance(system, hybrid_ode.HybridSystem) else "map"
+    need = _KIND.get(config.mode, kind)
+    _require(need == kind, f"{config.mode} requires a {need} system, and "
+             f"'{config.system['name']}' is a {kind} system")
+    return _RUNNERS[config.mode](config, system, out_dir)
 
 
 def main(argv=None):

@@ -515,38 +515,3 @@ _BUILTIN_HYBRID = {
     "polar-hybrid": (polar_hybrid, {"kappa", "T_g", "amp", "r1"}),
 }
 
-
-def hybrid_from_json(obj):
-    """Build a `HybridSystem` from a JSON object naming a built-in system."""
-    import json as _json
-
-    if isinstance(obj, str):
-        obj = _json.loads(obj)
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise ConfigError("system description must be an object with a 'name'")
-    extra = set(obj) - {"name", "params"}
-    if extra:
-        raise ConfigError(f"unknown keys in system description: {sorted(extra)}")
-    name = obj["name"]
-    if name not in _BUILTIN_HYBRID:
-        raise ConfigError(f"unknown hybrid system '{name}'")
-    builder, allowed = _BUILTIN_HYBRID[name]
-    params = dict(obj.get("params", {}))
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigError(f"unknown parameters for '{name}': {sorted(unknown)}")
-    if "amp" in params:
-        params["amp"] = tuple(params["amp"])
-    return builder(**params)
-
-
-def write_flow_csv(path, segments):
-    """Dense hybrid-flow samples as CSV rows (segment, t, x1..xd)."""
-    with open(path, "w") as fh:
-        first = segments[0][1]
-        header = "segment,t," + ",".join(f"x{j + 1}" for j in range(first.shape[1]))
-        fh.write(header + "\n")
-        for si, (ts, states) in enumerate(segments):
-            for t, row in zip(ts, states):
-                fh.write(f"{si}," + ",".join("%.16e" % v for v in
-                                             np.concatenate([[t], row])) + "\n")

@@ -568,6 +568,7 @@ class EpsContinuityRow:
     eps: float
     sup_norm: float
     ratio: Optional[float]  # sup_norm / |eps|, None at eps = 0
+    converged: bool
 
 
 def continuity_in_eps(spec, omega, eps_list, config=None):
@@ -575,11 +576,12 @@ def continuity_in_eps(spec, omega, eps_list, config=None):
     config = config or CurveConfig()
     rows = []
     for eps in sorted(eps_list):
-        curve, _ = solve_invariant_curve(spec, omega, eps, config)
+        curve, report = solve_invariant_curve(spec, omega, eps, config)
         sup = curve.sup_norm()
         rows.append(EpsContinuityRow(
             eps=float(eps), sup_norm=sup,
-            ratio=None if eps == 0 else sup / abs(eps)))
+            ratio=None if eps == 0 else sup / abs(eps),
+            converged=report.converged))
     return rows
 
 
@@ -595,14 +597,16 @@ def ratio_band(rows):
 # serialization
 # ----------------------------------------------------------------------------
 
-def write_curve_csv(path, curve):
-    k2 = curve.k2
-    header = "x," + ",".join(f"phi{j + 1}" for j in range(k2))
-    rows = np.column_stack([curve.nodes, curve.values])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join("%.16e" % v for v in row) + "\n")
+def write_csv(path, header, rows):
+    """A header line of column names, then every value of ``rows`` as %.16e."""
+    np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.16e",
+               delimiter=",", header=",".join(header), comments="")
+
+
+def curve_table(curve):
+    """CSV header and rows (x, phi1..phik2) of a curve's node values."""
+    header = ["x"] + [f"phi{j + 1}" for j in range(curve.k2)]
+    return header, np.column_stack([curve.nodes, curve.values])
 
 
 def curve_to_json_dict(curve, report=None):

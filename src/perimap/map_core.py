@@ -12,7 +12,6 @@ shared freely across threads.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -384,14 +383,3 @@ def make_system(name, **params):
         raise ConfigError(f"unknown parameters for '{name}': {sorted(unknown)}")
     return builder(**params)
 
-
-def spec_from_json(obj):
-    """Build a `MapSpec` from a JSON object/string naming a built-in system."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise ConfigError("system description must be an object with a 'name'")
-    extra = set(obj) - {"name", "params"}
-    if extra:
-        raise ConfigError(f"unknown keys in system description: {sorted(extra)}")
-    return make_system(obj["name"], **obj.get("params", {}))

@@ -12,6 +12,9 @@ and beta evaluators of a `MapSpec` with x := tau, k1 = 1 and period T_g; the
 technical omega input is fixed to 1 and ignored.  Both evaluators share one
 flow per evaluation point through a small memo, so a root solve that has just
 evaluated alpha gets the matching beta for free.
+
+`cylinder_table` samples forced trajectories started on a solved invariant
+curve: the invariant cylinder written by the CLI and the demo script.
 """
 from __future__ import annotations
 
@@ -20,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import ChartError, NoReturnError
-from .hybrid_ode import EventConfig, check_transversality, flow_batch
+from .hybrid_ode import (EventConfig, check_transversality, flow_batch,
+                         simulate_hybrid)
 from .map_core import MapSpec
 from .sampling import ball_points, latin_hypercube, scale_to
 
@@ -123,10 +127,6 @@ def P_eps(handle, tau, u, eps):
 def P_reduced(handle, u):
     """u-component of the unforced Poincare map; tau-independent at eps = 0."""
     return P_eps(handle, 0.0, u, 0.0)[1]
-
-
-def p_reduced_batch(handle, us):
-    return p_eps_batch(handle, np.zeros(len(np.atleast_2d(us))), us, 0.0)[1]
 
 
 def certify_returns(handle, eps_range=(0.0, 0.0), n_samples=32, seed=0):
@@ -233,12 +233,24 @@ def extract_alpha_beta(handle, eps_range=None, certify_samples=0, seed=0,
     )
 
 
-def write_p_eps_csv(path, rows):
-    """Diagnostic sweep rows: (tau, u..., eps, tau_bar, u_bar..., return_lag)."""
-    with open(path, "w") as fh:
-        k2 = (len(rows[0]) - 3) // 2
-        cols = (["tau"] + [f"u{j+1}" for j in range(k2)] + ["eps", "tau_bar"]
-                + [f"u_bar{j+1}" for j in range(k2)] + ["return_lag"])
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join("%.16e" % v for v in row) + "\n")
+def cylinder_table(handle, curve, eps, n_trajectories):
+    """Dense forced-flow samples of trajectories started on an invariant curve.
+
+    Trajectory i starts at tau_i = i T_g / n_trajectories from the post-jump
+    state Delta(D(curve(tau_i))) and runs for one forcing period, jumps
+    included, at the handle's tolerances.  Returns the CSV header and the
+    rows (trajectory, t, x1..xd), one row per dense sample.
+    """
+    sys = handle.sys
+    taus = np.linspace(0.0, sys.T_g, n_trajectories, endpoint=False)
+    rows = []
+    for i, tau in enumerate(taus):
+        x = np.asarray(sys.D(curve.eval(np.array([tau]))), float)
+        start = np.asarray(sys.Delta(x), float)[0]
+        segments, _ = simulate_hybrid(sys, float(tau), start, eps, sys.T_g,
+                                      event=handle.event, rtol=handle.rtol,
+                                      atol=handle.atol)
+        rows += [np.column_stack([np.full(len(ts), float(i)), ts, states])
+                 for ts, states in segments]
+    header = ["trajectory", "t"] + [f"x{j + 1}" for j in range(sys.dim)]
+    return header, np.vstack(rows)

@@ -54,6 +54,34 @@ class TestConfigValidation:
                        "--seed", "7"])
         assert rc == 0
 
+    @pytest.mark.parametrize("system, key", [
+        ("linear-shear", "system"),
+        ({"name": "linear-shear", "params": "oops"}, "params"),
+        ({"name": "linear-shear", "params": {"q": "0.5"}}, "'q'"),
+        ({"name": "polar-hybrid", "params": {"kappa": None}}, "'kappa'"),
+        ({"name": "polar-hybrid", "params": {"amp": 3}}, "'amp'"),
+    ], ids=["string", "params-string", "q-string", "kappa-null", "amp-scalar"])
+    def test_malformed_system_rejected(self, tmp_path, capsys, system, key):
+        cfgp = write_config(tmp_path, "c.json",
+                            {"system": system, "sampling": {"seed": 1}})
+        rc = cli.main(["solve-curve", "--config", cfgp,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, name", [
+        ("check-map", "polar-hybrid"),
+        ("certify", "polar-hybrid"),
+        ("hybrid-analyze", "linear-shear"),
+        ("cylinder-data", "linear-shear"),
+    ])
+    def test_system_kind_mismatch_rejected(self, tmp_path, capsys, mode, name):
+        cfgp = write_config(tmp_path, "c.json",
+                            {"system": {"name": name}, "sampling": {"seed": 1}})
+        rc = cli.main([mode, "--config", cfgp, "--out", str(tmp_path)])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+
     def test_mode_mismatch_rejected(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, "c.json", SOLVE_E1)
         rc = cli.main(["check-map", "--config", cfgp, "--out", str(tmp_path)])

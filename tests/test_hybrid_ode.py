@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import perimap as pm
-from perimap import hybrid_ode
+from perimap import cli, hybrid_ode
 from perimap.exceptions import IntegrationError, NoReturnError
 
 
@@ -337,10 +337,10 @@ class TestSimulateHybrid:
 
 class TestJson:
     def test_builtin_roundtrip(self):
-        sys_ = pm.hybrid_from_json({"name": "polar-hybrid",
-                                    "params": {"kappa": 0.25, "T_g": 1.0}})
+        sys_ = cli.system_from_json({"name": "polar-hybrid",
+                                     "params": {"kappa": 0.25, "T_g": 1.0}})
         assert sys_.T_g == 1.0
 
     def test_unknown_param(self):
         with pytest.raises(pm.ConfigError):
-            pm.hybrid_from_json({"name": "polar-hybrid", "params": {"x": 1}})
+            cli.system_from_json({"name": "polar-hybrid", "params": {"x": 1}})

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import perimap as pm
+from perimap import cli
 from perimap.exceptions import ConfigError, DomainError
 
 
@@ -174,7 +175,7 @@ class TestHigherDimensional:
 
 class TestBuiltins:
     def test_json_roundtrip(self):
-        spec = pm.spec_from_json(
+        spec = cli.system_from_json(
             {"name": "linear-shear", "params": {"q": 0.25, "period": 2.0}})
         assert spec.period == 2.0
         x, y = pm.eval_map(spec, 1.0, 0.0, [0.0], [0.4])
@@ -190,4 +191,4 @@ class TestBuiltins:
 
     def test_unknown_json_key_rejected(self):
         with pytest.raises(ConfigError):
-            pm.spec_from_json({"name": "linear-shear", "stuff": 1})
+            cli.system_from_json({"name": "linear-shear", "stuff": 1})

@@ -179,7 +179,8 @@ class TestWrappedSpec:
             tbar, ubar = pm.P_eps(handle, tau, [u], 0.001)
             rows.append((tau, u, 0.001, tbar, ubar[0], tbar - tau))
         out = tmp_path / "p_eps.csv"
-        pm.poincare.write_p_eps_csv(out, rows)
+        pm.write_csv(out, ["tau", "u1", "eps", "tau_bar", "u_bar1",
+                           "return_lag"], rows)
         text = out.read_text().splitlines()
         assert text[0] == "tau,u1,eps,tau_bar,u_bar1,return_lag"
         assert len(text) == 3
