@@ -34,7 +34,7 @@ def main():
     print(f"transversality grad H . X = {report.transversality:.4f}")
 
     wrapped = pm.extract_alpha_beta(handle)
-    cfg = pm.CurveConfig(n_nodes=args.n_nodes, tol=1e-11, preimage_tol=1e-11)
+    cfg = pm.CurveConfig(n_nodes=args.n_nodes, tol=1e-11)
     curve, solve_report = pm.solve_invariant_curve(wrapped, 1.0, args.eps, cfg)
     print(f"curve solved in {solve_report.iterations} sweeps, "
           f"residual {solve_report.invariance_residual:.2e}, "

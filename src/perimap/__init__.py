@@ -8,10 +8,10 @@ from .embedding import (BumpSpec, EmbeddingParams, beta_y0, bump_psi,
                         certificate, conjugacy_residual, estimate_lambda0,
                         eval_F_lambda, eval_G_lambda, invert_G, spectral_gap,
                         tilde_alpha, tilde_beta)
-from .exceptions import (BracketingError, CertificateError, ChartError,
-                         ConfigError, ConvergenceError, DomainError,
-                         EvaluationError, IntegrationError, MonotonicityError,
-                         NoReturnError, PerimapError)
+from .exceptions import (CertificateError, ChartError, ConfigError,
+                         ConvergenceError, DomainError, EvaluationError,
+                         IntegrationError, MonotonicityError, NoReturnError,
+                         PerimapError)
 from .hybrid_ode import (EventConfig, FlowResult, HybridSystem,
                          check_forcing_period, check_transversality, flow,
                          flow_batch, polar_hybrid, simulate_hybrid)

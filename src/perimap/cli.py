@@ -61,6 +61,18 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(section, key, default, where="config"):
+    """``section[key]``, else ``default``, required to be a finite number."""
+    val = section.get(key, default)
+    _require(_is_number(val) and math.isfinite(val),
+             f"{where} key '{key}' must be a finite number")
+    return float(val)
+
+
 def parse_config(obj, mode, seed_override=None):
     _require(isinstance(obj, dict), "config must be a JSON object")
     unknown = set(obj) - _TOP_KEYS
@@ -79,20 +91,30 @@ def parse_config(obj, mode, seed_override=None):
     unknown = set(sampling) - _SAMPLING_KEYS
     _require(not unknown, f"unknown sampling keys: {sorted(unknown)}")
 
+    eps_list = obj.get("eps_list", [])
+    _require(isinstance(eps_list, list) and all(map(_is_number, eps_list)),
+             "config key 'eps_list' must be a list of numbers")
+    tolerances = obj.get("tolerances", {})
+    _require(isinstance(tolerances, dict)
+             and all(map(_is_number, tolerances.values())),
+             "config key 'tolerances' must be an object of numbers")
+    _require(seed_override is not None or "seed" in sampling,
+             "sampling key 'seed' is mandatory (or pass --seed)")
     cfg = ExperimentConfig(
         mode=mode,
         system=obj["system"],
-        omega=float(obj.get("omega", 1.0)),
-        eps=float(obj.get("eps", 0.0)),
-        eps_list=[float(e) for e in obj.get("eps_list", [])],
-        n_nodes=int(solver.get("n_nodes", 256)),
-        tol=float(solver.get("tol", 1e-12)),
-        max_iter=int(solver.get("max_iter", 100)),
-        n_samples=int(sampling.get("n_samples", 128)),
-        seed=seed_override if seed_override is not None else sampling.get("seed"),
-        delta=None if obj.get("delta") is None else float(obj["delta"]),
-        tolerances=obj.get("tolerances", {}),
-        n_trajectories=int(obj.get("n_trajectories", 8)),
+        omega=_number(obj, "omega", 1.0),
+        eps=_number(obj, "eps", 0.0),
+        eps_list=[float(e) for e in eps_list],
+        n_nodes=int(_number(solver, "n_nodes", 256, "solver")),
+        tol=_number(solver, "tol", 1e-12, "solver"),
+        max_iter=int(_number(solver, "max_iter", 100, "solver")),
+        n_samples=int(_number(sampling, "n_samples", 128, "sampling")),
+        seed=(seed_override if seed_override is not None
+              else int(_number(sampling, "seed", None, "sampling"))),
+        delta=None if obj.get("delta") is None else _number(obj, "delta", None),
+        tolerances=tolerances,
+        n_trajectories=int(_number(obj, "n_trajectories", 8)),
     )
     _require(cfg.tol > 0, "solver key 'tol' must be strictly positive")
     _require(cfg.n_nodes >= 8, "solver key 'n_nodes' must be at least 8")
@@ -101,10 +123,7 @@ def parse_config(obj, mode, seed_override=None):
     if cfg.delta is not None:
         _require(cfg.delta > 0, "key 'delta' must be strictly positive")
     for key, val in cfg.tolerances.items():
-        _require(float(val) > 0, f"tolerance '{key}' must be strictly positive")
-    _require(cfg.seed is not None,
-             "sampling key 'seed' is mandatory (or pass --seed)")
-    cfg.seed = int(cfg.seed)
+        _require(val > 0, f"tolerance '{key}' must be strictly positive")
     return cfg
 
 
@@ -112,10 +131,6 @@ def _json_dump(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def system_from_json(obj):
@@ -152,17 +167,13 @@ def _curve_problem(cfg, system):
     """The map spec a curve solve iterates, its `CurveConfig`, and for a
     hybrid system the Poincare handle behind the spec (else None)."""
     handle, spec = None, system
-    hybrid = isinstance(system, hybrid_ode.HybridSystem)
-    if hybrid:
+    if isinstance(system, hybrid_ode.HybridSystem):
         # the wrapped Poincare map fixes the technical omega input to 1
         _require(cfg.omega == 1.0, "omega is fixed to 1 for hybrid systems")
         handle = poincare.prepare_handle(system)
         spec = poincare.extract_alpha_beta(handle)
-    # integrator-backed evaluators have a noise floor near their tolerance;
-    # pushing the preimage residual below it only burns return flows
     curve_cfg = invariant_graph.CurveConfig(
-        n_nodes=cfg.n_nodes, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed,
-        preimage_tol=1e-11 if hybrid else 1e-14)
+        n_nodes=cfg.n_nodes, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed)
     return handle, spec, curve_cfg
 
 

@@ -11,8 +11,8 @@ exponent -1/8.
 The stepper advances a whole batch y of shape (K, d) with a shared adaptive
 step (the error norm is the max of the per-trajectory norms), which keeps
 the evaluation noise across a batch maximally correlated -- finite-difference
-stencils and per-node preimage solves are pushed through as one batch on
-purpose.  Every accepted step also evaluates the three extra stages of the
+stencils and the nodes of a graph-transform sweep are pushed through as one
+batch on purpose.  Every accepted step also evaluates the three extra stages of the
 seventh-degree continuous extension and stores its coefficients in powers of
 theta, so events can be localized afterwards without re-integration.
 

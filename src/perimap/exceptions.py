@@ -17,10 +17,6 @@ class MonotonicityError(PerimapError):
     """The x-advance map is not strictly increasing at these parameters."""
 
 
-class BracketingError(PerimapError):
-    """A root could not be bracketed."""
-
-
 class ConvergenceError(PerimapError):
     """An iteration failed to converge within its budget."""
 

@@ -1,27 +1,26 @@
 """Graph-transform solver for T-periodic attracting invariant curves (k1 = 1).
 
-A candidate curve phi is pushed forward through the map: the image of its
-graph is re-expressed as a graph over the same grid by solving, for every
-target node s, the scalar advance equation
+A candidate curve phi, held by its values at uniform nodes, is pushed
+forward through the map: alpha and beta are evaluated once per sweep at the
+nodes (x_i, phi(x_i)), which go to the images x_i + omega * alpha_i with new
+values beta_i.  If the images keep the nodes' cyclic order (else
+`MonotonicityError`), they are reduced mod the window and rotated into
+increasing order, and the window-periodic cubic spline through them is
+sampled back at the nodes.  For a wrapped Poincare map a sweep is one
+batched flow, whose cost hardly depends on the number of lanes: beta reads
+the returns that alpha flowed from the memo.
 
-    x + omega * alpha(omega, eps, x, phi(x)) = s   (mod window)
-
-by safeguarded bracketed root-finding, and setting the new value at s to
-beta(omega, eps, x, phi(x)).  Iterating this transform contracts (rate about
-q in the y-Lipschitz constant of beta) to the unique invariant curve.
-
-The root solve drives all nodes in lockstep, so each of its iterations is
-one batched advance evaluation -- one batched flow when the map is a wrapped
-Poincare map, whose cost hardly depends on the number of lanes.  The
-measured bracket endpoints a(0) and a(window) ride in the first evaluation
-of each sweep; sweep 1 instead starts from the grid that the monotonicity
-check has already evaluated, and later sweeps from the previous preimages.
+The invariant curve is the fixed point of this transform, which contracts
+at a rate of about q, the y-Lipschitz constant of beta.  The node values are
+iterated with type-II Anderson acceleration of depth `ANDERSON_DEPTH`
+(Walker & Ni, SIAM J. Numer. Anal. 49, 2011), which falls back on the plain
+image outside the r1 disc.
 
 Curves are stored on a uniform grid.  The standard representation is an
 exactly periodic cubic spline; the doubled-window variant used by the
 emergent-periodicity test keeps a clamped (non-periodic) spline on [0, 2T)
-while only the advance equation wraps, so any periodicity of the solution has
-to emerge from the dynamics rather than from the representation.
+while only the push's interpolant wraps mod 2T, so any periodicity of the
+solution has to emerge from the dynamics rather than from the representation.
 """
 from __future__ import annotations
 
@@ -32,10 +31,11 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .exceptions import (BracketingError, ConvergenceError, DomainError,
-                         MonotonicityError)
+from .exceptions import ConvergenceError, DomainError, MonotonicityError
 
 Array = np.ndarray
+
+ANDERSON_DEPTH = 3  # residual differences in each Anderson least-squares fit
 
 
 def _reduce_mod(x, period):
@@ -217,10 +217,9 @@ class AttractionReport:
 class CurveConfig:
     """Knobs of the fixed-point iteration; defaults sized for the test systems.
 
-    ``preimage_tol`` is the advance-equation residual at which a node's
-    preimage solve stops (besides the 1e-14 bracket); evaluators backed by an
-    adaptive integrator have a noise floor near their integration tolerance,
-    below which tighter values only burn iterations.
+    ``preimage_tol`` has no effect: the forward push solves no preimage
+    equation.  It is still accepted so that existing configurations keep
+    working.
     """
 
     n_nodes: int = 256
@@ -241,126 +240,47 @@ def rate_bound_from_q(q):
 # the transform
 # ----------------------------------------------------------------------------
 
-def _advance_closure(spec, omega, eps, curve):
-    def advance(xs):
-        y = curve.eval(xs)
-        a = np.asarray(spec.alpha(omega, eps, xs[:, None], y), dtype=float)
-        return xs + omega * a[:, 0]
-
-    return advance
-
-
-def _check_monotone(advance, window, n_check):
-    """Raise unless advance is strictly increasing on a grid of the window;
-    returns the grid and its values, ``(xs, advance(xs))``."""
+def _check_monotone(spec, omega, eps, curve, window, n_check):
+    """Raise unless the x-advance along ``curve`` is strictly increasing on
+    a grid of ``n_check`` + 1 points of the window."""
     xs = np.linspace(0.0, window, n_check + 1)
-    vals = advance(xs)
-    if np.any(np.diff(vals) <= 0.0):
+    a = np.asarray(spec.alpha(omega, eps, xs[:, None], curve.eval(xs)),
+                   dtype=float)
+    if np.any(np.diff(xs + omega * a[:, 0]) <= 0.0):
         raise MonotonicityError(
             "x-advance map is not strictly increasing on the window; "
             "the graph transform is undefined at these parameters"
         )
-    return xs, vals
 
 
-def _solve_preimages(advance, targets, window, x0=None, grid=None,
-                     f_tol=1e-14, bracket_tol=1e-14, max_iter=200):
-    """Vectorized bracketed solve of advance(x) = targets (mod window).
+def _sweep(spec, omega, eps, xs, values, window):
+    """One forward push: the graph values ``values`` at the nodes ``xs`` of
+    the window, mapped and re-gridded at the same nodes.
 
-    All lanes are driven in lockstep, so every iteration is one batched
-    advance evaluation (one batched flow for integrator-backed maps).  The
-    targets are shifted into [a(0), a(0) + window) and bracketed by
-    [0, window].  The endpoint values a(0) and a(window) are measured, never
-    inferred from periodicity, because the doubled-window curve is not
-    periodic; they ride in the first batched evaluation, next to the start
-    points.  A lane whose target lies above a(window) has its upper end
-    widened by window/8, at most four times, before `BracketingError`.
-
-    The start is ``x0`` (the previous sweep's preimages), else the bracket
-    midpoint.  Sweep 1 passes ``grid = (xs, advance(xs))`` on [0, window]
-    instead -- the monotonicity check's evaluations: the grid supplies a(0)
-    and a(window), and the start interpolates its inverse.  Inside the
-    bracket a unit-slope Newton step is tried first -- the advance maps here
-    are near-rigid, making it converge in a handful of iterations -- and
-    every candidate falls back to bisection whenever it leaves the open
-    bracket, so convergence is guaranteed by the monotonicity precondition.
+    alpha and beta are evaluated once, at the nodes in [0, window); a node
+    at the window's right end repeats node 0 and is only re-gridded.  The
+    images are reduced mod the window and rotated into increasing order,
+    and the window-periodic cubic spline through them is sampled at ``xs``.
     """
-    if x0 is not None and grid is not None:
-        raise ValueError("give at most one of x0 and grid")
-    targets = np.asarray(targets, dtype=float)
-    n = targets.size
-    lo = np.zeros(n)
-    hi = np.full(n, float(window))
-    if grid is None:
-        x = (0.5 * hi if x0 is None
-             else np.clip(np.asarray(x0, dtype=float), lo, hi))
-        a = advance(np.concatenate([[0.0, window], x]))
-        a0, a_hi, a_x = a[0], a[1], a[2:]
-        t = targets + window * np.ceil((a0 - targets) / window)
-    else:
-        xs, vals = grid
-        a0, a_hi = vals[0], vals[-1]
-        t = targets + window * np.ceil((a0 - targets) / window)
-        x = np.clip(np.interp(t, vals, xs), lo, hi)
-        a_x = advance(x)
-    f = a_x - t
-
-    # a(window) should clear the largest shifted target; widen on fp slack
-    # or a non-periodic advance
-    f_hi = a_hi - t
-    for k in range(1, 5):
-        bad = f_hi < 0.0
-        if not np.any(bad):
-            break
-        x_hi = window * (1.0 + k / 8.0)
-        hi[bad] = x_hi
-        f_hi[bad] = advance(np.array([x_hi]))[0] - t[bad]
-    if np.any(f_hi < 0.0):
-        raise BracketingError("could not bracket the advance-map preimages")
-
-    done = np.abs(f) <= f_tol
-    for k in range(int(max_iter)):
-        if np.all(done | (hi - lo <= bracket_tol)):
-            break
-        neg = f < 0.0
-        lo = np.where(~done & neg, x, lo)
-        hi = np.where(~done & ~neg, x, hi)
-        cand = x - f  # unit-slope Newton; exact for rigid advance maps
-        mid = 0.5 * (lo + hi)
-        take_mid = (cand <= lo) | (cand >= hi) | (k % 4 == 3)
-        cand = np.where(take_mid, mid, cand)
-        active = ~done & (hi - lo > bracket_tol)
-        if not np.any(active):
-            break
-        x_new = np.where(active, cand, x)
-        f_new = f.copy()
-        f_new[active] = advance(x_new[active]) - t[active]
-        x, f = x_new, f_new
-        done = done | (np.abs(f) <= f_tol)
-    else:
-        raise ConvergenceError("preimage solve exhausted its iteration budget")
-    return x
-
-
-def _sweep(spec, omega, eps, curve, window, x0=None, grid=None, f_tol=1e-14):
-    """One graph-transform pass; returns (new node values, preimages).
-
-    ``x0`` and ``grid`` select the preimage solve's start (see
-    `_solve_preimages`).
-    """
-    targets = curve.nodes
-    if omega == 0.0:
-        # identity advance: the transform degenerates to a per-x update
-        pre = targets.copy()
-    else:
-        advance = _advance_closure(spec, omega, eps, curve)
-        pre = _solve_preimages(advance, targets, window, x0=x0, grid=grid,
-                               f_tol=f_tol)
-    y_pre = curve.eval(pre)
-    new_vals = np.asarray(spec.beta(omega, eps, pre[:, None], y_pre), dtype=float)
-    if np.max(np.linalg.norm(new_vals, axis=-1)) > spec.r1:
+    inside = xs < window
+    x, y = xs[inside, None], values[inside]
+    a = np.asarray(spec.alpha(omega, eps, x, y), dtype=float)[:, 0]
+    b = np.asarray(spec.beta(omega, eps, x, y), dtype=float)
+    if np.max(np.linalg.norm(b, axis=-1)) > spec.r1:
         raise DomainError("graph transform left the radius-r1 disc")
-    return new_vals, pre
+    img = x[:, 0] + omega * a
+    if not np.all(np.diff(np.append(img, img[0] + window)) > 0.0):
+        raise MonotonicityError(
+            "the pushed nodes do not keep their cyclic order; "
+            "the graph transform is undefined at these parameters"
+        )
+    img -= window * np.floor(img[0] / window)
+    k = np.searchsorted(img, window)  # images from k on wrap past the window
+    t = np.concatenate([img[k:] - window, img[:k]])
+    b = np.roll(b, -k, axis=0)
+    spline = CubicSpline(np.append(t, t[0] + window), np.vstack([b, b[:1]]),
+                         bc_type="periodic", axis=0)
+    return spline(xs)
 
 
 def _require_scalar_periodic(spec):
@@ -371,17 +291,14 @@ def _require_scalar_periodic(spec):
 
 
 def graph_transform(spec, omega, eps, phi):
-    """Image of the graph of ``phi`` under the map, re-gridded over the nodes."""
+    """Image of the graph of ``phi`` under the map, re-gridded over the nodes
+    by one forward push; `MonotonicityError` if the pushed nodes lose their
+    cyclic order."""
     _require_scalar_periodic(spec)
     if phi.sup_norm() > spec.r1:
         raise DomainError("candidate curve exceeds the radius-r1 disc")
-    grid = None
-    if omega != 0.0:
-        grid = _check_monotone(_advance_closure(spec, omega, eps, phi),
-                               phi.period, 2 * phi.n_nodes)
-    new_vals, _ = _sweep(spec, float(omega), float(eps), phi, phi.period,
-                         grid=grid)
-    return phi.with_values(new_vals)
+    return phi.with_values(_sweep(spec, float(omega), float(eps), phi.nodes,
+                                  phi.values, phi.period))
 
 
 # ----------------------------------------------------------------------------
@@ -396,25 +313,49 @@ def _interp_error_estimate(values):
     return (5.0 / 384.0) * float(np.max(np.abs(d4)))
 
 
-def _iterate_to_fixed_point(spec, omega, eps, curve, window, tol, max_iter,
-                            f_tol=1e-14):
-    updates = []
-    pre = grid = None
+def _iterate_to_fixed_point(spec, omega, eps, curve, window, tol, max_iter):
+    """Anderson-accelerated push iteration from ``curve``.
+
+    Sweep k pushes v_k to its plain image G(v_k); the next input is the
+    type-II Anderson combination of the last ``ANDERSON_DEPTH`` + 1 images,
+    whose weights minimize the matching combination of residuals G(v) - v.
+    The plain image is taken instead when the combination leaves the r1 disc,
+    and the history is cleared when the residual grows.  Stops once
+    max|G(v) - v| <= ``tol``; returns (G(v) as a curve, the updates
+    max|G(v_k) - v_k|, the secant rates, whether ``tol`` was met).  The
+    secant rate ||G(v_k) - G(v_{k-1})|| / ||v_k - v_{k-1}|| (sup norms) is the
+    contraction of the plain transform measured on the iterates.
+    """
     if omega != 0.0:
-        grid = _check_monotone(_advance_closure(spec, omega, eps, curve),
-                               window, 2 * (curve.values.shape[0]))
-    for it in range(1, int(max_iter) + 1):
-        # sweep 1 starts from the monotonicity grid, later ones from the
-        # previous preimages
-        new_vals, pre = _sweep(spec, omega, eps, curve, window, x0=pre,
-                               grid=grid, f_tol=f_tol)
-        grid = None
-        upd = float(np.max(np.abs(new_vals - curve.values)))
-        curve = curve.with_values(new_vals)
-        updates.append(upd)
-        if upd <= tol:
-            return curve, updates, True
-    return curve, updates, False
+        _check_monotone(spec, omega, eps, curve, window,
+                        2 * curve.values.shape[0])
+    xs, v = curve.nodes, curve.values
+    updates, rates, d_res, d_img = [], [], [], []
+    for _ in range(int(max_iter)):
+        g = _sweep(spec, omega, eps, xs, v, window)
+        res = g - v
+        updates.append(float(np.max(np.abs(res))))
+        if updates[-1] <= tol:
+            return curve.with_values(g), updates, rates, True
+        if len(updates) > 1:
+            step = float(np.max(np.abs(v - v_prev)))
+            if step > 1e-300:
+                rates.append(float(np.max(np.abs(g - g_prev))) / step)
+            if updates[-1] > updates[-2]:
+                d_res.clear()
+                d_img.clear()
+            else:
+                d_res = (d_res + [(res - res_prev).ravel()])[-ANDERSON_DEPTH:]
+                d_img = (d_img + [(g - g_prev).ravel()])[-ANDERSON_DEPTH:]
+        v_prev, g_prev, res_prev = v, g, res
+        v = g
+        if d_res:
+            gamma = np.linalg.lstsq(np.column_stack(d_res), res.ravel(),
+                                    rcond=None)[0]
+            mixed = g - (np.column_stack(d_img) @ gamma).reshape(g.shape)
+            if np.max(np.linalg.norm(mixed, axis=-1)) <= spec.r1:
+                v = mixed
+    return curve.with_values(g), updates, rates, False
 
 
 def solve_invariant_curve(spec, omega, eps, config=None):
@@ -435,17 +376,14 @@ def solve_invariant_curve(spec, omega, eps, config=None):
     if curve.sup_norm() > spec.r1:
         raise DomainError("seed curve exceeds the radius-r1 disc")
 
-    curve, updates, hit_tol = _iterate_to_fixed_point(
-        spec, omega, eps, curve, spec.period, config.tol, config.max_iter,
-        f_tol=config.preimage_tol)
+    curve, updates, rates, hit_tol = _iterate_to_fixed_point(
+        spec, omega, eps, curve, spec.period, config.tol, config.max_iter)
     if not hit_tol:
         raise ConvergenceError(
             f"no convergence after {config.max_iter} sweeps "
             f"(last update {updates[-1]:.3g})"
         )
 
-    rates = [updates[i + 1] / updates[i]
-             for i in range(len(updates) - 1) if updates[i] > 1e-300]
     residual = invariance_residual(spec, omega, eps, curve,
                                    config.residual_samples, config.seed)
     gate = 10.0 * (config.tol + _interp_error_estimate(curve.values))
@@ -539,9 +477,8 @@ def periodicity_defect(spec, omega, eps, config=None):
     T = spec.period
     window = 2.0 * T
     curve = WindowGridFn.zeros(window, 2 * config.n_nodes, spec.k2)
-    curve, updates, hit_tol = _iterate_to_fixed_point(
-        spec, omega, eps, curve, window, config.tol, config.max_iter,
-        f_tol=config.preimage_tol)
+    curve, updates, _, hit_tol = _iterate_to_fixed_point(
+        spec, omega, eps, curve, window, config.tol, config.max_iter)
     if not hit_tol:
         raise ConvergenceError(
             f"doubled-window solve did not converge (last update {updates[-1]:.3g})"

@@ -10,8 +10,8 @@ is autonomous and defines the reduced map P(u).
 `extract_alpha_beta` packages the pair (return lag, returned u) as the alpha
 and beta evaluators of a `MapSpec` with x := tau, k1 = 1 and period T_g; the
 technical omega input is fixed to 1 and ignored.  Both evaluators share one
-flow per evaluation point through a small memo, so a root solve that has just
-evaluated alpha gets the matching beta for free.
+flow per evaluation point through a small memo, so a curve-solver sweep that
+has just evaluated alpha gets the matching beta for free.
 
 `cylinder_table` samples forced trajectories started on a solved invariant
 curve: the invariant cylinder written by the CLI and the demo script.
@@ -159,7 +159,7 @@ class _WrappedPoincare:
 
     One return flow yields both the lag (alpha) and the new chart point
     (beta); results are memoized per (eps, tau, u) so the beta evaluation at
-    the preimages found by the curve solver reuses the alpha flows.  Keys are
+    the nodes of a curve-solver sweep reuses the alpha flows.  Keys are
     deduplicated before flowing: each distinct missing key is flowed once,
     and every repeat of it in the request reads the same memo entry.
     """

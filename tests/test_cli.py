@@ -69,6 +69,22 @@ class TestConfigValidation:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"omega": "x"}, "omega"),
+        ({"solver": {"n_nodes": "a"}}, "n_nodes"),
+        ({"tolerances": "x"}, "tolerances"),
+        ({"eps_list": 3}, "eps_list"),
+    ], ids=["omega-string", "n_nodes-string", "tolerances-string",
+            "eps_list-scalar"])
+    def test_malformed_value_rejected(self, tmp_path, capsys, extra, key):
+        cfgp = write_config(tmp_path, "c.json", {
+            "system": {"name": "linear-shear"}, "sampling": {"seed": 1},
+            **extra})
+        rc = cli.main(["sweep-eps", "--config", cfgp, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
     @pytest.mark.parametrize("mode, name", [
         ("check-map", "polar-hybrid"),
         ("certify", "polar-hybrid"),

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 import perimap as pm
-from perimap.exceptions import BracketingError, MonotonicityError
-from perimap.invariant_graph import _check_monotone, _solve_preimages
+from perimap.exceptions import MonotonicityError
+from perimap.invariant_graph import _sweep
 
 CFG = pm.CurveConfig(n_nodes=256, tol=1e-12)
 
@@ -105,8 +106,8 @@ class TestSolver:
 
     def test_rates_near_q(self, e1):
         _, rep = pm.solve_invariant_curve(e1, 0.25, 0.01, CFG)
-        tail = rep.measured_rates[3:-1]
-        assert np.allclose(tail, 0.5, atol=1e-3)
+        assert len(rep.measured_rates) > 0
+        assert np.allclose(rep.measured_rates, 0.5, atol=1e-3)
 
     def test_monotone_refinement(self, e2):
         residuals = {}
@@ -117,19 +118,32 @@ class TestSolver:
         assert residuals[128] <= 2 * residuals[64]
         assert residuals[256] <= 2 * residuals[128]
 
+    def test_accelerated_sweep_counts(self, e1, e2):
+        # the plain iteration at rate 0.5 needs 35 sweeps to tol 1e-12
+        _, shear = pm.solve_invariant_curve(e1, 0.25, 0.01, CFG)
+        _, toy = pm.solve_invariant_curve(e2, 0.25, 0.01, CFG)
+        assert shear.iterations <= 5 and toy.iterations <= 12
 
+    def test_accelerated_values_stay_in_disc(self):
+        # the fixed point y = 1/2 sits on the r1 circle and the concave beta
+        # makes the Anderson steps overshoot it: each such step must fall
+        # back on the plain image, so the map is never evaluated outside
+        seen = []
 
-class _CountingAdvance:
-    """Wraps an advance map and records the points of every batched call."""
+        def alpha(w, e, x, y):
+            seen.append(float(np.max(np.abs(y))))
+            return np.ones_like(x)
 
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = []
+        def beta(w, e, x, y):
+            return 0.5 + 0.5 * (y - 0.5) - 0.2 * (y - 0.5) ** 2
 
-    def __call__(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        self.calls.append(xs.copy())
-        return self.fn(xs)
+        spec = pm.MapSpec(k1=1, k2=1, r1=0.5 + 1e-9, alpha=alpha, beta=beta,
+                          periodic_coord=1, period=1.0)
+        curve, rep = pm.solve_invariant_curve(
+            spec, 0.25, 0.0, pm.CurveConfig(n_nodes=16, tol=1e-12))
+        assert rep.converged
+        assert max(seen) <= spec.r1
+        assert_allclose(curve.values, 0.5, atol=1e-11)
 
 
 def _sine_advance(xs):
@@ -137,61 +151,41 @@ def _sine_advance(xs):
     return xs + 0.25 + 0.05 * np.sin(2 * np.pi * xs)
 
 
-class TestSolvePreimages:
-    TARGETS = np.linspace(0.0, 1.0, 64, endpoint=False)
+class TestPush:
+    EPS = 0.01
+    SPEC = pm.MapSpec(k1=1, k2=1, r1=1.0,
+                      alpha=lambda w, e, x, y: _sine_advance(x) - x,
+                      beta=lambda w, e, x, y: 0.5 * y + e * np.cos(2 * np.pi * x),
+                      periodic_coord=1, period=1.0)
 
-    def _check_oracle(self, pre):
-        r = _sine_advance(pre) - self.TARGETS
-        assert np.max(np.abs(r - np.round(r))) <= 1e-13
-        assert np.all((pre >= 0.0) & (pre <= 1.0))
+    def _error(self, n):
+        """Node error of one push of the zero curve against brentq preimages."""
+        phi = pm.PeriodicGridFn.zeros(1.0, n)
+        out = pm.graph_transform(self.SPEC, 1.0, self.EPS, phi)
+        # shift each node into [a(0), a(0) + 1) = [0.25, 1.25)
+        targets = np.where(phi.nodes < 0.25, phi.nodes + 1.0, phi.nodes)
+        pre = np.array([brentq(lambda x: _sine_advance(x) - t, 0.0, 1.0,
+                               xtol=1e-15, rtol=1e-15) for t in targets])
+        exact = self.EPS * np.cos(2 * np.pi * pre)
+        return float(np.max(np.abs(out.values[:, 0] - exact)))
 
-    def test_cold_start(self):
-        adv = _CountingAdvance(_sine_advance)
-        pre = _solve_preimages(adv, self.TARGETS, 1.0)
-        self._check_oracle(pre)
-        # the bracket endpoints ride in the first evaluation
-        first = adv.calls[0]
-        assert first.size == self.TARGETS.size + 2
-        assert first[0] == 0.0 and first[1] == 1.0
-        assert np.all(first[2:] == 0.5)
+    def test_closed_form_against_preimages(self):
+        errors = [self._error(n) for n in (64, 128, 256)]
+        assert errors[-1] <= 5e-11
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders >= 3.5), orders
 
-    def test_warm_start(self):
-        adv = _CountingAdvance(_sine_advance)
-        x0 = np.clip(self.TARGETS - 0.24, 0.0, 1.0)
-        pre = _solve_preimages(adv, self.TARGETS, 1.0, x0=x0)
-        self._check_oracle(pre)
-        assert np.array_equal(adv.calls[0][2:], x0)
-
-    def test_grid_start(self):
-        grid = _check_monotone(_sine_advance, 1.0, 128)
-        adv = _CountingAdvance(_sine_advance)
-        pre = _solve_preimages(adv, self.TARGETS, 1.0, grid=grid)
-        self._check_oracle(pre)
-        # the grid supplies the bracket, and its inverse interpolant starts
-        # every lane next to its preimage
-        assert adv.calls[0].size == self.TARGETS.size
-        assert np.max(np.abs(adv.calls[0] - pre)) <= 1e-3
-
-    def test_x0_and_grid_exclusive(self):
-        grid = _check_monotone(_sine_advance, 1.0, 8)
-        with pytest.raises(ValueError):
-            _solve_preimages(_sine_advance, self.TARGETS, 1.0,
-                             x0=self.TARGETS, grid=grid)
-
-    def test_four_widenings_allowed(self):
-        # a(0) = 0, a(1) = 0.7: the target 0.999 needs hi = 1.5, i.e. the
-        # fourth widening by window / 8
-        adv = _CountingAdvance(lambda xs: 0.7 * xs)
-        pre = _solve_preimages(adv, np.array([0.999]), 1.0)
-        assert abs(0.7 * pre[0] - 0.999) <= 1e-13
-        # the start evaluation, then the four widenings
-        assert [float(c[0]) for c in adv.calls[1:5]] == [1.125, 1.25, 1.375,
-                                                         1.5]
-
-    def test_five_widenings_raise(self):
-        # slope 0.65 only brackets 0.999 at hi = 1.625, a fifth widening
-        with pytest.raises(BracketingError):
-            _solve_preimages(lambda xs: 0.65 * xs, np.array([0.999]), 1.0)
+    @pytest.mark.parametrize("alpha", [
+        lambda w, e, x, y: -2.0 * x,  # x -> -x reverses the nodes
+        lambda w, e, x, y: x,         # x -> 2x wraps the window twice
+    ], ids=["reversed", "wrapped-twice"])
+    def test_order_breaking_push_raises(self, alpha):
+        spec = pm.MapSpec(k1=1, k2=1, r1=1.0, alpha=alpha,
+                          beta=lambda w, e, x, y: 0.5 * y,
+                          periodic_coord=1, period=1.0)
+        xs = np.linspace(0.0, 1.0, 64, endpoint=False)
+        with pytest.raises(MonotonicityError):
+            _sweep(spec, 1.0, 0.0, xs, np.zeros((64, 1)), 1.0)
 
 
 class TestInvarianceResidual:
