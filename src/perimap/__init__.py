@@ -13,7 +13,7 @@ from .exceptions import (CertificateError, ChartError, ConfigError,
                          IntegrationError, MonotonicityError, NoReturnError,
                          PerimapError)
 from .hybrid_ode import (EventConfig, FlowResult, HybridSystem,
-                         check_forcing_period, check_transversality, flow,
+                         check_forcing_period, check_transversality,
                          flow_batch, polar_hybrid, simulate_hybrid)
 from .invariant_graph import (AttractionReport, CurveConfig, PeriodicGridFn,
                               SolverReport, attraction_test, continuity_in_eps,

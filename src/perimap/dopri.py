@@ -364,17 +364,25 @@ class Dopri54:
 
 
 def integrate(rhs, y0, t_end, t0=0.0, rtol=1e-10, atol=1e-12,
-              max_step=np.inf, first_step=None):
-    """Integrate a batch to ``t_end`` and return (DensePath, stats)."""
+              max_step=np.inf, first_step=None, stop=None):
+    """Integrate a batch to ``t_end`` and return (DensePath, stats).
+
+    This is the one loop that drives `Dopri54.step`.  ``stop``, if given, is
+    called as ``stop(t_old, t_new, y_old, y_new, q)`` after every accepted
+    step; the loop ends after the first step for which it returns true, so
+    the path then ends before ``t_end``.
+    """
     stepper = Dopri54(rhs, t0, y0, t_end, rtol=rtol, atol=atol,
                       max_step=max_step, first_step=first_step)
     ts = [stepper.t]
     ys = [stepper.y.copy()]
     qs = []
     while not stepper.finished:
-        _, t_new, _, y_new, q = stepper.step()
+        t_old, t_new, y_old, y_new, q = stepper.step()
         ts.append(t_new)
         ys.append(y_new)
         qs.append(q)
+        if stop is not None and stop(t_old, t_new, y_old, y_new, q):
+            break
     path = DensePath(t=np.array(ts), y=np.array(ys), q=np.array(qs))
     return path, stepper.stats()

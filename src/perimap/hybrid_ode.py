@@ -2,11 +2,11 @@
 
 A `HybridSystem` bundles the reduced vector field X, the forcing g (T_g
 periodic in time), the jump map Delta applied on the switching surface
-S = {H = 0}, and a chart D of S.  `flow` / `flow_batch` integrate
+S = {H = 0}, and a chart D of S.  `flow_batch` integrates a batch of lanes of
 
     dx/dt = X(x) + eps * g(t, x, eps)
 
-with the Dormand-Prince 8(5,3) stepper (`dopri.Dopri54`) and localize the
+through `dopri.integrate` (Dormand-Prince 8(5,3)) and localizes each lane's
 first accepted crossing of S on the dense output.  Crossings are directional
 (sign of dH/dt must match the configured direction) and detection is
 suppressed until |H| has once exceeded an arming threshold, so a trajectory
@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dopri import DensePath, Dopri54, integrate
+from .dopri import DensePath, integrate
 from .exceptions import ConfigError, IntegrationError, NoReturnError
 from .numdiff import central_jacobian
 from .sampling import latin_hypercube, scale_to
@@ -85,32 +85,14 @@ class EventConfig:
 
 @dataclass
 class FlowResult:
-    end_time: float
-    end_state: Array
-    event_hit: bool
-    grazing: bool
-    stats: dict
-    path: Optional[DensePath] = field(default=None, repr=False)
-    t0: float = 0.0
+    """Per-lane ends of a `flow_batch` call; ``path`` (local time) if dense."""
 
-    def dense(self, n=200):
-        """(ts, states) resampled uniformly over the integrated span."""
-        if self.path is None:
-            raise ValueError("flow was run without dense output")
-        ts = np.linspace(self.path.t[0], min(self.end_time - self.t0,
-                                             self.path.t[-1]), n)
-        return self.t0 + ts, self.path.eval_grid(ts)[:, 0, :]
-
-
-@dataclass
-class FlowBatchResult:
     end_times: Array
     end_states: Array
     event_hit: Array
     grazing: Array
     stats: dict
     path: Optional[DensePath] = field(default=None, repr=False)
-    t0: Array = None
 
 
 def _localize_crossings(path, h_fun, t_lo, t_hi, lanes, h_tol, t_tol):
@@ -227,8 +209,7 @@ def _scan_step(h_fun, direction, pass_level, t_old, t_new, y_old, q, h_prev,
 
 
 def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
-               rtol=1e-10, atol=1e-12, max_step=np.inf, dense=False,
-               on_no_return="raise"):
+               rtol=1e-10, atol=1e-12, dense=False, on_no_return="raise"):
     """Integrate a batch of initial conditions, each in its own shifted time.
 
     Lane i starts at absolute time ``taus[i]`` in state ``vs[i]``; internally
@@ -238,7 +219,13 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
     per lane, shape (K,); lane i then follows X + eps[i] * g and ``g``
     receives the (K,) array, as it receives the per-lane times.  Exactly one
     of ``duration`` (fixed-time mode, common to all lanes) and ``event``
-    mode applies.
+    (an `EventConfig`, or True for the defaults) applies.  With ``dense``
+    the result carries the `DensePath` in local time.
+
+    Event mode runs `dopri.integrate` up to ``max_time`` with a per-step scan
+    as its ``stop`` hook, which ends the integration once every lane has an
+    admissible crossing.  Lanes without one raise `NoReturnError`, or with
+    ``on_no_return="flag"`` end at ``max_time`` with ``event_hit`` false.
 
     In event mode each hit lane ends at the last bisection point of its
     crossing, or at its bracket's lower end when only that meets ``h_tol``,
@@ -285,15 +272,13 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
         if duration < 0:
             raise ValueError("the stop time must lie at or after tau")
         if duration == 0.0:
-            return FlowBatchResult(taus.copy(), vs.copy(),
-                                   np.zeros(K, bool), np.zeros(K, bool),
-                                   {"n_steps": 0, "n_rejected": 0, "nfev": 0},
-                                   None, taus)
-        path, stats = integrate(rhs, vs, duration, rtol=rtol, atol=atol,
-                                max_step=max_step)
-        return FlowBatchResult(taus + duration, path.y[-1].copy(),
-                               np.zeros(K, bool), np.zeros(K, bool),
-                               stats, path if dense else None, taus)
+            return FlowResult(taus.copy(), vs.copy(), np.zeros(K, bool),
+                              np.zeros(K, bool),
+                              {"n_steps": 0, "n_rejected": 0, "nfev": 0})
+        path, stats = integrate(rhs, vs, duration, rtol=rtol, atol=atol)
+        return FlowResult(taus + duration, path.y[-1].copy(),
+                          np.zeros(K, bool), np.zeros(K, bool), stats,
+                          path if dense else None)
 
     # event mode: march until every lane has an accepted crossing
     cfg = event if isinstance(event, EventConfig) else EventConfig()
@@ -304,20 +289,15 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
     def h_of(y):
         return np.asarray(sys.H(y), dtype=float)
 
-    stepper = Dopri54(rhs, 0.0, vs, max_time, rtol=rtol, atol=atol,
-                      max_step=max_step)
-    ts, ys, qs = [0.0], [stepper.y.copy()], []
-    h_prev = h_of(stepper.y)
+    h_prev = h_of(vs)
     armed = np.abs(h_prev) >= arm_level
     min_h_armed = np.where(armed, np.abs(h_prev), np.inf)
     t_lo = np.zeros(K)               # per-lane bracket of the crossing
     t_hi = np.zeros(K)
     pending = np.ones(K, dtype=bool)
-    while not stepper.finished and pending.any():
-        t_old, t_new, y_old, y_new, q = stepper.step()
-        ts.append(t_new)
-        ys.append(y_new)
-        qs.append(q)
+
+    def scan(t_old, t_new, y_old, y_new, q):
+        nonlocal armed, h_prev, pending
         h_new = h_of(y_new)
         crossing = pending & armed & (h_prev * h_new < 0.0)
         if cfg.direction != 0:
@@ -332,14 +312,16 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
                        t_hi)
         armed |= np.abs(h_new) >= arm_level
         h_prev = h_new
+        return not pending.any()
 
+    path, stats = integrate(rhs, vs, max_time, rtol=rtol, atol=atol,
+                            stop=scan)
     grazing = pending & (min_h_armed <= cfg.grazing_tol)
     if np.any(pending) and on_no_return == "raise":
         raise NoReturnError(
             f"{int(np.sum(pending))} of {K} trajectories found no admissible "
             f"crossing within max_time = {max_time}"
         )
-    path = DensePath(np.array(ts), np.array(ys), np.array(qs))
     end_times = np.full(K, np.nan)
     end_states = path.y[-1].copy()
     hit_lanes = np.nonzero(~pending)[0]
@@ -351,38 +333,9 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
         end_times[hit_lanes] = taus[hit_lanes] + s_star
         end_states[hit_lanes] = y_star
     end_times[pending] = taus[pending] + path.t[-1]
-    stats = stepper.stats()
     stats["event_h_max"] = h_max
-    return FlowBatchResult(end_times, end_states, ~pending, grazing,
-                           stats, path if dense else None, taus)
-
-
-def flow(sys, tau, v, eps, *, t_end=None, event=None, max_time=20.0,
-         rtol=1e-10, atol=1e-12, max_step=np.inf, dense=False,
-         on_no_return="raise"):
-    """Single-trajectory flow; see `flow_batch`.
-
-    ``t_end`` is the absolute stop time in fixed-time mode; ``event`` (an
-    `EventConfig` or True) selects first-crossing mode, bounded by
-    ``max_time`` after which `NoReturnError` is raised (the time-to-return is
-    undefined along the probed horizon).
-    """
-    if event is True:
-        event = EventConfig()
-    duration = None if t_end is None else float(t_end) - float(tau)
-    res = flow_batch(sys, [tau], np.asarray(v, float)[None, :], eps,
-                     duration=duration, event=event, max_time=max_time,
-                     rtol=rtol, atol=atol, max_step=max_step, dense=dense,
-                     on_no_return=on_no_return)
-    return FlowResult(
-        end_time=float(res.end_times[0]),
-        end_state=res.end_states[0],
-        event_hit=bool(res.event_hit[0]),
-        grazing=bool(res.grazing[0]),
-        stats=res.stats,
-        path=res.path,
-        t0=float(tau),
-    )
+    return FlowResult(end_times, end_states, ~pending, grazing, stats,
+                      path if dense else None)
 
 
 def simulate_hybrid(sys, tau, v, eps, duration, *, event=None, rtol=1e-10,
@@ -404,13 +357,15 @@ def simulate_hybrid(sys, tau, v, eps, duration, *, event=None, rtol=1e-10,
         remaining = t_final - t
         if remaining <= 0:
             break
-        res = flow(sys, t, state, eps, event=event, max_time=remaining,
-                   rtol=rtol, atol=atol, dense=True, on_no_return="flag")
-        ts, states = res.dense(samples_per_segment)
-        segments.append((ts, states))
-        t = res.end_time
-        state = res.end_state
-        if not res.event_hit:
+        res = flow_batch(sys, [t], state[None, :], eps, event=event,
+                         max_time=remaining, rtol=rtol, atol=atol, dense=True,
+                         on_no_return="flag")
+        ts = np.linspace(0.0, min(res.end_times[0] - t, res.path.t[-1]),
+                         samples_per_segment)
+        segments.append((t + ts, res.path.eval_grid(ts)[:, 0, :]))
+        t = float(res.end_times[0])
+        state = res.end_states[0]
+        if not res.event_hit[0]:
             break
         jumps.append((t, state.copy()))
         state = np.asarray(sys.Delta(state[None, :]), dtype=float)[0]

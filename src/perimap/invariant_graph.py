@@ -326,10 +326,11 @@ def _iterate_to_fixed_point(spec, omega, eps, curve, window, tol, max_iter):
     secant rate ||G(v_k) - G(v_{k-1})|| / ||v_k - v_{k-1}|| (sup norms) is the
     contraction of the plain transform measured on the iterates.
     """
-    if omega != 0.0:
-        _check_monotone(spec, omega, eps, curve, window,
-                        2 * curve.values.shape[0])
     xs, v = curve.nodes, curve.values
+    if omega != 0.0:
+        # twice the node intervals of the window: every node is a check point
+        _check_monotone(spec, omega, eps, curve, window,
+                        2 * np.count_nonzero(xs < window))
     updates, rates, d_res, d_img = [], [], [], []
     for _ in range(int(max_iter)):
         g = _sweep(spec, omega, eps, xs, v, window)

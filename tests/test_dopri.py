@@ -149,6 +149,24 @@ class TestStepping:
                             max_step=0.01)
         assert np.max(np.diff(path.t)) <= 0.01 + 1e-12
 
+    def test_stop_hook_ends_after_step_k(self):
+        y0 = np.array([[1.0, 0.0], [0.5, 0.2]])
+        full, _ = integrate(rotation, y0, 3.0)
+        k = 5
+        assert len(full.t) > k + 2
+        seen = []
+
+        def stop(t_old, t_new, y_old, y_new, q):
+            seen.append(t_new)
+            return len(seen) == k
+
+        path, stats = integrate(rotation, y0, 3.0, stop=stop)
+        assert len(path.t) == k + 1
+        assert stats["n_steps"] == k
+        assert np.array_equal(path.t, full.t[:k + 1])
+        assert np.array_equal(path.y, full.y[:k + 1])
+        assert np.array_equal(path.q, full.q[:k])
+
     def test_step_underflow_raises(self):
         def stiff_blowup(t, y):
             return y / (1.0 - t)  # singular at t = 1

@@ -25,46 +25,49 @@ def frozen(e3):
 
 class TestFlow:
     def test_half_turn_on_cycle(self, e3):
-        res = pm.flow(e3, 0.0, [1.0, 0.0], 0.0, t_end=0.5)
-        assert np.linalg.norm(res.end_state - [-1.0, 0.0]) <= 1e-9
-        assert not res.event_hit
+        res = pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0, duration=0.5)
+        assert np.linalg.norm(res.end_states[0] - [-1.0, 0.0]) <= 1e-9
+        assert not res.event_hit[0]
 
     def test_event_return_after_full_turn(self, e3):
-        res = pm.flow(e3, 0.3, [1.0, 0.0], 0.0, event=True)
-        assert res.event_hit
-        assert abs(res.end_time - 1.3) <= 1e-9
-        assert np.linalg.norm(res.end_state - [1.0, 0.0]) <= 1e-9
+        res = pm.flow_batch(e3, [0.3], [[1.0, 0.0]], 0.0, event=True)
+        assert res.event_hit[0]
+        assert abs(res.end_times[0] - 1.3) <= 1e-9
+        assert np.linalg.norm(res.end_states[0] - [1.0, 0.0]) <= 1e-9
 
     def test_off_cycle_radius_logistic(self, e3):
-        res = pm.flow(e3, 0.0, [1.3, 0.0], 0.0, t_end=1.0,
-                      rtol=1e-12, atol=1e-14)
-        assert abs(np.linalg.norm(res.end_state) - logistic_radius(1.3, 1.0)) <= 1e-10
+        res = pm.flow_batch(e3, [0.0], [[1.3, 0.0]], 0.0, duration=1.0,
+                            rtol=1e-12, atol=1e-14)
+        assert abs(np.linalg.norm(res.end_states[0]) - logistic_radius(1.3, 1.0)) <= 1e-10
 
     def test_frozen_flow(self, frozen):
-        res = pm.flow(frozen, 0.0, [0.3, 0.7], 0.123, t_end=5.0)
-        assert np.array_equal(res.end_state, [0.3, 0.7])
+        res = pm.flow_batch(frozen, [0.0], [[0.3, 0.7]], 0.123, duration=5.0)
+        assert np.array_equal(res.end_states[0], [0.3, 0.7])
 
     def test_no_return_raises(self, frozen):
         with pytest.raises(NoReturnError):
-            pm.flow(frozen, 0.0, [0.3, 0.7], 0.0, event=True, max_time=2.0)
+            pm.flow_batch(frozen, [0.0], [[0.3, 0.7]], 0.0, event=True,
+                          max_time=2.0)
 
     def test_event_localization_tight(self, e3):
-        res = pm.flow(e3, 0.0, [1.0, 0.0], 0.0, event=True,
-                      rtol=1e-12, atol=1e-14)
-        x = res.end_state
+        res = pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0, event=True,
+                            rtol=1e-12, atol=1e-14)
+        x = res.end_states[0]
         assert abs(float(e3.H(x[None, :])[0])) <= 1e-12
         # re-integration consistency against the linearized prediction
         rate = float(e3.X(x[None, :])[0, 1])
-        res2 = pm.flow(e3, res.end_time, x, 0.0, t_end=res.end_time + 1e-10)
-        assert abs(res2.end_state[1] - (x[1] + 1e-10 * rate)) <= 1e-11
+        t_end = res.end_times[0]
+        res2 = pm.flow_batch(e3, [t_end], x[None, :], 0.0,
+                             duration=(t_end + 1e-10) - t_end)
+        assert abs(res2.end_states[0, 1] - (x[1] + 1e-10 * rate)) <= 1e-11
 
     def test_localized_point_meets_h_tol(self):
         sys_ = pm.polar_hybrid()
         cfg = pm.EventConfig(direction=1)
-        res = pm.flow(sys_, 0.0, [1.05, 0.0], 0.0, event=cfg,
-                      rtol=1e-12, atol=1e-14)
-        h_end = abs(float(sys_.H(res.end_state[None, :])[0]))
-        assert res.event_hit
+        res = pm.flow_batch(sys_, [0.0], [[1.05, 0.0]], 0.0, event=cfg,
+                            rtol=1e-12, atol=1e-14)
+        h_end = abs(float(sys_.H(res.end_states[:1])[0]))
+        assert res.event_hit[0]
         assert h_end <= cfg.h_tol
         assert res.stats["event_h_max"] == h_end
 
@@ -81,8 +84,8 @@ class TestFlow:
             H=lambda x: 1e6 * np.asarray(x, float)[..., 1],
             D=e3.D, D_inverse=e3.D_inverse, T_g=0.8, r1=0.5)
         with pytest.raises(IntegrationError):
-            pm.flow(steep, 0.0, [1.05, 0.0], 0.0, event=True,
-                    rtol=1e-12, atol=1e-14)
+            pm.flow_batch(steep, [0.0], [[1.05, 0.0]], 0.0, event=True,
+                          rtol=1e-12, atol=1e-14)
 
     def test_localization_falls_back_to_lower_end(self):
         # state = time on [a, 1]; H is -h_tol/2 at a and 1.5 h_tol at the
@@ -106,16 +109,21 @@ class TestFlow:
 
     def test_semigroup_at_eps0(self, e3):
         v0 = np.array([1.1, 0.2])
-        mid = pm.flow(e3, 0.0, v0, 0.0, t_end=0.37).end_state
-        two = pm.flow(e3, 0.37, mid, 0.0, t_end=0.9).end_state
-        one = pm.flow(e3, 0.0, v0, 0.0, t_end=0.9).end_state
+        mid = pm.flow_batch(e3, [0.0], v0[None, :], 0.0,
+                            duration=0.37).end_states[0]
+        two = pm.flow_batch(e3, [0.37], mid[None, :], 0.0,
+                            duration=0.9 - 0.37).end_states[0]
+        one = pm.flow_batch(e3, [0.0], v0[None, :], 0.0,
+                            duration=0.9).end_states[0]
         assert np.linalg.norm(two - one) <= 1e-9
 
     def test_forced_flow_periodic_in_tau(self, e3):
         v0 = np.array([1.1, 0.2])
         eps = 0.05
-        a = pm.flow(e3, 0.3, v0, eps, t_end=0.85).end_state
-        b = pm.flow(e3, 0.3 + 0.8, v0, eps, t_end=0.85 + 0.8).end_state
+        a = pm.flow_batch(e3, [0.3], v0[None, :], eps,
+                          duration=0.85 - 0.3).end_states[0]
+        b = pm.flow_batch(e3, [0.3 + 0.8], v0[None, :], eps,
+                          duration=(0.85 + 0.8) - (0.3 + 0.8)).end_states[0]
         assert np.linalg.norm(a - b) <= 1e-9
 
     def test_grazing_flagged(self, e3):
@@ -123,10 +131,10 @@ class TestFlow:
             dim=2, X=e3.X, g=e3.g, Delta=e3.Delta,
             H=lambda x: np.asarray(x, float)[..., 1] - 1.0,
             D=e3.D, D_inverse=e3.D_inverse, T_g=0.8, r1=0.5)
-        res = pm.flow(graze, 0.0, [1.0, 0.0], 0.0, event=True, max_time=2.0,
-                      on_no_return="flag")
-        assert not res.event_hit
-        assert res.grazing
+        res = pm.flow_batch(graze, [0.0], [[1.0, 0.0]], 0.0, event=True,
+                            max_time=2.0, on_no_return="flag")
+        assert not res.event_hit[0]
+        assert res.grazing[0]
 
     def test_batch_shifted_times(self, e3):
         taus = np.array([0.0, 0.1, 0.55])
@@ -146,29 +154,29 @@ class TestTwoCrossingsInOneStep:
     def _flow(self, e3, level, direction, **kw):
         sys_ = dataclasses.replace(
             e3, H=lambda x: np.asarray(x, float)[..., 1] - level)
-        return pm.flow(sys_, 0.0, [1.0, 0.0], 0.0,
-                       event=pm.EventConfig(direction=direction),
-                       rtol=1e-12, atol=1e-14, dense=True, **kw)
+        return pm.flow_batch(sys_, [0.0], [[1.0, 0.0]], 0.0,
+                             event=pm.EventConfig(direction=direction),
+                             rtol=1e-12, atol=1e-14, dense=True, **kw)
 
     def test_first_crossing_found(self, e3):
         res = self._flow(e3, self.LEVEL, 1)
-        assert res.event_hit
-        assert abs(res.end_time - self.T1) <= 1e-9
-        assert abs(res.end_state[1] - self.LEVEL) <= 1e-12
+        assert res.event_hit[0]
+        assert abs(res.end_times[0] - self.T1) <= 1e-9
+        assert abs(res.end_states[0, 1] - self.LEVEL) <= 1e-12
         # both zeros inside one accepted step: no sign change at its ends
         i = np.searchsorted(res.path.t, self.T1)
         assert res.path.t[i - 1] < self.T1 < 0.5 - self.T1 < res.path.t[i]
 
     def test_second_crossing_when_first_has_wrong_direction(self, e3):
         res = self._flow(e3, self.LEVEL, -1)
-        assert res.event_hit
-        assert abs(res.end_time - (0.5 - self.T1)) <= 1e-9
+        assert res.event_hit[0]
+        assert abs(res.end_times[0] - (0.5 - self.T1)) <= 1e-9
 
     def test_shallow_pass_is_a_touch(self, e3):
         # H passes S by 1e-9 < PASS_FRACTION * grazing_tol: a touch
         res = self._flow(e3, 1.0 - 1e-9, 1, max_time=0.9, on_no_return="flag")
-        assert not res.event_hit
-        assert res.grazing
+        assert not res.event_hit[0]
+        assert res.grazing[0]
 
     def test_extremum_of_quadratic(self):
         # y(theta) = theta - theta**2 peaks at 1/4 for theta = 1/2

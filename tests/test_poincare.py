@@ -168,9 +168,10 @@ class TestWrappedSpec:
         assert np.ptp(epses[1]) > 0.01
 
     def test_dense_samples_on_request(self, e3):
-        res = pm.flow(e3, 0.0, [1.0, 0.0], 0.0, t_end=0.5, dense=True)
-        ts, states = res.dense(64)
-        assert ts.shape == (64,) and states.shape == (64, 2)
+        res = pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0, duration=0.5,
+                            dense=True)
+        states = res.path.eval_grid(np.linspace(0.0, 0.5, 64))[:, 0]
+        assert states.shape == (64, 2)
         assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-8
 
     def test_csv_log(self, handle, tmp_path):

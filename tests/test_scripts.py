@@ -1,4 +1,5 @@
 """Smoke runs of the demo scripts: they finish and write their artifacts."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -48,3 +49,16 @@ def test_hybrid_cylinder_demo_matches_cli(tmp_path):
                      "--out", str(out)]) == 0
     for artifact in ("curve.csv", "cylinder.csv"):
         assert (demo / artifact).read_bytes() == (out / artifact).read_bytes()
+
+
+def test_step_cost_return_counts(monkeypatch):
+    # the script pins BLAS threads at import; keep that out of later tests
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location(
+        "step_cost", ROOT / "scripts" / "step_cost.py")
+    step_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(step_cost)
+    # the counts README.md quotes for one polar-hybrid return
+    assert step_cost.return_counts(1e-10, 1e-12) == {"steps": 22, "nfev": 332}
+    assert step_cost.return_counts(1e-12, 1e-14) == {"steps": 37, "nfev": 557}
