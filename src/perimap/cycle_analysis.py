@@ -23,6 +23,12 @@ Array = np.ndarray
 
 EIG_FLOOR = 1e-8      # numerical stand-in for invertibility of P'(0)
 EIG_CEIL_MARGIN = 1e-6  # "strictly below 1" margin for sampled eigenvalues
+NEWTON_TOL = 1e-12    # |P(u) - u| that ends the fixed-point Newton iteration
+NEWTON_MAX_ITER = 25
+FD_STEP = 1e-6        # central-difference step of P', relative to max(1, |u|)
+ADAPTED_M_MAX = 64    # largest power tried by `adapted_norm`
+SPHERE_SAMPLES = 4096  # unit vectors (seed 0) that sample the induced norm
+RADIUS_FRACTIONS = (1.0, 0.75, 0.5, 0.25, 0.1)  # chart radii tried, shrinking
 
 
 @dataclass
@@ -104,19 +110,19 @@ def _p_stencil(handle, rows):
     return p_eps_batch(handle, np.zeros(len(rows)), rows, 0.0)[1]
 
 
-def find_fixed_point(handle, u_guess=None, tol=1e-12, max_iter=25):
+def find_fixed_point(handle, u_guess=None):
     """Newton iteration for P(u) = u with a finite-difference Jacobian."""
     k2 = handle.sys.k2
     u = np.zeros(k2) if u_guess is None else np.asarray(u_guess, float).copy()
-    h = 1e-6
+    h = FD_STEP
     best = np.inf
-    for _ in range(int(max_iter)):
+    for _ in range(NEWTON_MAX_ITER):
         stencil = np.vstack([u, u + np.diag(np.full(k2, h)),
                              u - np.diag(np.full(k2, h))])
         vals = _p_stencil(handle, stencil)
         res = vals[0] - u
         rnorm = float(np.linalg.norm(res))
-        if rnorm <= tol:
+        if rnorm <= NEWTON_TOL:
             return u
         if rnorm > 10.0 * max(best, 1.0):
             raise ConvergenceError(f"Newton diverged (residual {rnorm:.3g})")
@@ -127,10 +133,10 @@ def find_fixed_point(handle, u_guess=None, tol=1e-12, max_iter=25):
         if sv[-1] <= 1e-12 * max(1.0, float(sv[0])):
             raise ConvergenceError("singular Newton step (P'(u) has eigenvalue 1)")
         u = u - np.linalg.solve(M, res)
-    raise ConvergenceError(f"no fixed point after {max_iter} Newton steps")
+    raise ConvergenceError(f"no fixed point after {NEWTON_MAX_ITER} Newton steps")
 
 
-def jacobian_and_spectrum(handle, u_star, fd_step=None):
+def jacobian_and_spectrum(handle, u_star):
     """Central-difference Jacobian of P at u*, with a Richardson half-step check.
 
     The step-h and step-h/2 stencils go through one batched flow, so the
@@ -140,7 +146,7 @@ def jacobian_and_spectrum(handle, u_star, fd_step=None):
     """
     u_star = np.asarray(u_star, dtype=float)
     k2 = u_star.size
-    h = fd_step if fd_step is not None else 1e-6 * max(1.0, float(np.linalg.norm(u_star)))
+    h = FD_STEP * max(1.0, float(np.linalg.norm(u_star)))
     steps = (h, h / 2.0)
     stencil = np.vstack([u_star + sign * np.diag(np.full(k2, step))
                          for step in steps for sign in (1.0, -1.0)])
@@ -153,10 +159,10 @@ def jacobian_and_spectrum(handle, u_star, fd_step=None):
     return J, list(eigs), richardson
 
 
-def adapted_norm(B, m_max=64, sphere_samples=4096, seed=0):
+def adapted_norm(B):
     """Norm in which a spectrally stable matrix is certifiably contracting.
 
-    Finds the smallest m <= m_max with ||B^m|| < 1, sets
+    Finds the smallest m <= `ADAPTED_M_MAX` with ||B^m|| < 1, sets
     rho_hat = (spectral_radius + 1)/2 and weights the power norms; if the
     telescoping bound is not below 1 the power m is increased.  Raises
     `CertificateError` when the spectral radius is not below 1 or no m works.
@@ -168,7 +174,7 @@ def adapted_norm(B, m_max=64, sphere_samples=4096, seed=0):
     rho_hat = (rho + 1.0) / 2.0
     powers = [np.eye(B.shape[0])]
     bound = None
-    for m in range(1, m_max + 1):
+    for m in range(1, ADAPTED_M_MAX + 1):
         powers.append(powers[-1] @ B)
         norm_m = float(np.linalg.norm(powers[m], 2))
         if norm_m < 1.0:
@@ -177,10 +183,10 @@ def adapted_norm(B, m_max=64, sphere_samples=4096, seed=0):
                 bound = cand
                 break
     if bound is None:
-        raise CertificateError(f"no power m <= {m_max} certifies contraction")
+        raise CertificateError(f"no power m <= {ADAPTED_M_MAX} certifies contraction")
     stack = np.array(powers[:m])
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((sphere_samples, B.shape[0]))
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((SPHERE_SAMPLES, B.shape[0]))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     an = AdaptedNorm(powers=stack, rho_hat=rho_hat, induced_bound=bound,
                      induced_sampled=0.0)
@@ -214,16 +220,15 @@ def certify_contraction(handle, u_range, eps_range, norm, n_samples=64, seed=0):
     return q, bool(q < 1.0)
 
 
-def largest_contracting_radius(handle, eps_range, norm, n_samples=32, seed=0,
-                               fractions=(1.0, 0.75, 0.5, 0.25, 0.1)):
+def largest_contracting_radius(handle, eps_range, norm, n_samples=32, seed=0):
     """Largest sampled chart sub-radius on which the section map contracts.
 
-    Walks a shrinking ladder of fractions of the chart radius and returns
-    (radius, q) for the first level with sampled q < 1; raises
+    Walks the shrinking ladder `RADIUS_FRACTIONS` of the chart radius and
+    returns (radius, q) for the first level with sampled q < 1; raises
     `CertificateError` when even the smallest level fails.
     """
     r1 = handle.sys.r1
-    for frac in fractions:
+    for frac in RADIUS_FRACTIONS:
         q, ok = certify_contraction(handle, frac * r1, eps_range, norm,
                                     n_samples=n_samples, seed=seed)
         if ok:
@@ -231,20 +236,19 @@ def largest_contracting_radius(handle, eps_range, norm, n_samples=32, seed=0,
     raise CertificateError("no sampled sub-radius of the chart contracts")
 
 
-def analyze_cycle(handle, u_guess=None, tol=1e-12, fd_step=None,
-                  contraction=None):
+def analyze_cycle(handle, u_guess=None, contraction=None):
     """Full pipeline: fixed point -> spectrum -> transversality -> certificate.
 
     ``contraction``, when given, is a dict of `certify_contraction` arguments
     (u_range, eps_range, n_samples, seed); the sampled q then lands in the
     report.
     """
-    u_star = find_fixed_point(handle, u_guess, tol=tol)
+    u_star = find_fixed_point(handle, u_guess)
     # the flow from u* gives both the residual and T* = T(0, D(u*))
     times, outs = p_eps_batch(handle, np.zeros(1), u_star[None, :], 0.0)
     res = float(np.linalg.norm(outs[0] - u_star))
     T_star = float(times[0])
-    J, eigs, richardson = jacobian_and_spectrum(handle, u_star, fd_step=fd_step)
+    J, eigs, richardson = jacobian_and_spectrum(handle, u_star)
     moduli = np.abs(np.array(eigs))
     rho = float(np.max(moduli))
     spectrum_ok = bool(np.all(moduli >= EIG_FLOOR)

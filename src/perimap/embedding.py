@@ -81,7 +81,8 @@ class BumpSpec:
 
 def _smooth_up(t, a, b):
     s = np.clip((np.asarray(t, float) - a) / (b - a), 0.0, 1.0)
-    return 3.0 * s**2 - 2.0 * s**3
+    # rounding takes 3 s^2 - 2 s^3 to 1 + 2^-52 for s just below 1
+    return np.clip(3.0 * s**2 - 2.0 * s**3, 0.0, 1.0)
 
 
 def _window(t, lo_out, lo_in, hi_in, hi_out):
@@ -189,9 +190,10 @@ def eval_F_lambda(spec, params, omega, eps, x, y):
     return np.concatenate([top, bottom])
 
 
-def eval_G_lambda(spec, params, omega, eps, x, y, bump=None):
-    """Bumped globalization of F_lam; defined on all of R^{k1+k2+2}."""
-    bump = bump or BumpSpec(spec.r1)
+def eval_G_lambda(spec, params, omega, eps, x, y):
+    """Bumped globalization of F_lam by the bump ``BumpSpec(spec.r1)``;
+    defined on all of R^{k1+k2+2}."""
+    bump = BumpSpec(spec.r1)
     x = np.asarray(x, float).reshape(spec.k1)
     y = np.asarray(y, float).reshape(spec.k2)
     lam = params.lam
@@ -233,14 +235,14 @@ def conjugacy_residual(spec, lam, omega, eps, x, y):
 # inversion of G_lam and the smallness certificates
 # ----------------------------------------------------------------------------
 
-def invert_G(spec, params, target, tol=1e-12, max_iter=100, bump=None):
+def invert_G(spec, params, target, tol=1e-12, max_iter=100):
     """Solve G_lam(z) = target by the fixed point z -> L^{-1}(target - g(z)).
 
-    L is the block-diagonal linear part; g is the bumped nonlinearity.  Raises
-    `ConvergenceError` when the iteration fails, which signals that lam is too
-    large for the contraction regime.
+    L is the block-diagonal linear part; g is the nonlinearity bumped as in
+    `eval_G_lambda`.  Raises `ConvergenceError` when the iteration fails,
+    which signals that lam is too large for the contraction regime.
     """
-    bump = bump or BumpSpec(spec.r1)
+    bump = BumpSpec(spec.r1)
     target = np.asarray(target, float).reshape(spec.k1 + spec.k2 + 2)
     n_top = spec.k1 + 2
     L = np.zeros((spec.k1 + spec.k2 + 2,) * 2)
@@ -284,19 +286,19 @@ def invert_G(spec, params, target, tol=1e-12, max_iter=100, bump=None):
     )
 
 
-def _tilde_sup(spec, lam, omega_range, eps_range, x_range, n_samples, seed):
-    """Sampled sup of ||tilde|| + ||D tilde|| for both remainders at scale lam."""
+def _tilde_sup(spec, lam, eps_range, x_range, n_samples, seed):
+    """Sampled sup of ||tilde|| + ||D tilde|| for both remainders at scale lam,
+    with omega in [-1/lam, 2/lam]."""
     rng = np.random.default_rng(seed)
     n_groups = max(4, min(8, n_samples // 4))
     m = max(2, int(np.ceil(n_samples / n_groups)))
     oe = latin_hypercube(rng, n_groups, 2)
-    omegas = scale_to(oe[:, 0], *omega_range)
+    omegas = scale_to(oe[:, 0], -1.0 / lam, 2.0 / lam)
     epses = scale_to(oe[:, 1], *eps_range)
     sup_a = sup_b = 0.0
     d = 2 + spec.k1 + spec.k2
-    # derivatives are taken along the sampled family: a degenerate range
-    # (e.g. the frozen eps-slice {0}) contributes no derivative direction
-    skip_omega = omega_range[0] == omega_range[1]
+    # derivatives are taken along the sampled family: a degenerate eps range
+    # (the frozen eps-slice {0}) contributes no derivative direction
     skip_eps = eps_range[0] == eps_range[1]
 
     for g in range(n_groups):
@@ -310,8 +312,6 @@ def _tilde_sup(spec, lam, omega_range, eps_range, x_range, n_samples, seed):
         Jb = np.zeros((m, spec.k2, d))
         for j in range(d):
             if j == 0:
-                if skip_omega:
-                    continue
                 h = float(first_step(w))
                 ap, bp = _tilde_batch(spec, lam, w + h, e, X, Y)
                 am, bm = _tilde_batch(spec, lam, w - h, e, X, Y)
@@ -358,13 +358,11 @@ def _default_x_range(spec):
     return (-2.0, 2.0)
 
 
-def estimate_lambda0(spec, delta, omega_range=None, eps_range=None,
-                     n_samples=64, seed=0):
+def estimate_lambda0(spec, delta, eps_range=None, n_samples=64, seed=0):
     """Largest ladder scale at which both rescaled remainders stay below delta.
 
-    The sup is sampled over omega in [-1/lam, 2/lam] (unless overridden),
-    eps in ``eps_range`` (default (-r1, r1)), x over one period or a default
-    box, and ||y|| <= r1, with derivatives by central differences.  Returns
+    The sup is sampled over omega in [-1/lam, 2/lam], eps in ``eps_range``
+    (default (-r1, r1)), x over one period or a default box, and ||y|| <= r1, with derivatives by central differences.  Returns
     ``None`` when no probed scale passes; the failure is logged with the
     offending bound.
     """
@@ -374,9 +372,8 @@ def estimate_lambda0(spec, delta, omega_range=None, eps_range=None,
     x_range = _default_x_range(spec)
     last = None
     for lam in LADDER:
-        wr = omega_range if omega_range is not None else (-1.0 / lam, 2.0 / lam)
-        sup_a, sup_b = _tilde_sup(spec, lam, wr, eps_range, x_range,
-                                  n_samples, seed)
+        sup_a, sup_b = _tilde_sup(spec, lam, eps_range, x_range, n_samples,
+                                  seed)
         if sup_a <= delta and sup_b <= delta:
             return lam
         last = (lam, sup_a, sup_b)
@@ -395,16 +392,16 @@ def spectral_gap(params):
     return mu, bool(ok)
 
 
-def certificate(spec, delta=None, q=None, eps_range=None, n_samples=64, seed=0):
+def certificate(spec, delta=None, n_samples=64, seed=0):
     """Issue an `EmbeddingParams` certificate (lambda0, eps0, r0, mu, q).
 
+    q is the sampled q of `check_assumptions`, at least ||beta_y(0)||.
     lambda0 is the largest ladder scale passing both the remainder-smallness
-    bound and ||A_lam^{-1}|| <= mu^{-1}.  Raises `CertificateError` when the
-    sampled q is not below 1 or no scale passes.
+    bound (eps sampled in (-r1, r1)) and ||A_lam^{-1}|| <= mu^{-1}.  Raises
+    `CertificateError` when q is not below 1 or no scale passes.
     """
-    if q is None:
-        q = check_assumptions(spec, n_samples=max(n_samples, 32),
-                              seed=seed).q_estimate
+    q = check_assumptions(spec, n_samples=max(n_samples, 32),
+                          seed=seed).q_estimate
     if not q < 1.0:
         raise CertificateError(f"sampled contraction q = {q:.6g} is not < 1")
     B = beta_y0(spec)
@@ -417,14 +414,13 @@ def certificate(spec, delta=None, q=None, eps_range=None, n_samples=64, seed=0):
     mu = (norm_B + 1.0) / 2.0
     if delta is None:
         delta = (1.0 - q) / 3.0
-    eps_range = eps_range if eps_range is not None else (-spec.r1, spec.r1)
     x_range = _default_x_range(spec)
     for lam in LADDER:
         sv = np.linalg.svd(build_A_lambda(spec, lam), compute_uv=False)
         if 1.0 / float(sv[-1]) > 1.0 / mu:
             continue
-        sup_a, sup_b = _tilde_sup(spec, lam, (-1.0 / lam, 2.0 / lam), eps_range,
-                                  x_range, n_samples, seed)
+        sup_a, sup_b = _tilde_sup(spec, lam, (-spec.r1, spec.r1), x_range,
+                                  n_samples, seed)
         if sup_a <= delta and sup_b <= delta:
             lam0 = lam
             break

@@ -35,10 +35,16 @@ Array = np.ndarray
 
 LOCALIZE_HALVINGS = 64   # bisection budget of one event localization
 MAX_SEGMENTS = 1000      # flow segments `simulate_hybrid` may run
+SEGMENT_SAMPLES = 64     # dense samples of each segment it returns
 REFINE_LEVEL = 0.05      # sampled |H| below which a step's extremum is refined
 EXTREMUM_ITERS = 30      # golden-section steps of that refinement
-PASS_FRACTION = 0.01     # a crossing pair inside one step must pass S by
-                         # this fraction of grazing_tol; less is a touch
+H_TOL = 1e-12            # |H| at a localized crossing
+T_TOL = 1e-12            # time-bracket width of a localization
+ARM_LEVEL = 10.0 * H_TOL  # |H| that arms a lane's crossing detection
+GRAZING_TOL = 1e-6       # |H| proximity that flags a non-crossing touch
+# a crossing pair inside one step must pass S by this much; a smaller pass is
+# within the integration noise of a tangential touch
+PASS_LEVEL = max(ARM_LEVEL, 0.01 * GRAZING_TOL)
 # theta at the 9 sample points of a step (both ends included), and
 # theta**1..7 (rows) at the 7 interior ones (columns)
 _THETA_GRID = np.linspace(0.0, 1.0, 9)
@@ -74,13 +80,9 @@ class HybridSystem:
 
 @dataclass(frozen=True)
 class EventConfig:
-    """Directional surface-crossing detection parameters."""
+    """Directional surface-crossing detection (thresholds: `H_TOL` etc.)."""
 
     direction: int = 1          # required sign of dH/dt at the crossing; 0 = any
-    h_tol: float = 1e-12        # |H| at the localized point
-    t_tol: float = 1e-12        # time-bracket width of the localization
-    arm_factor: float = 10.0    # detection armed once |H| >= arm_factor * h_tol
-    grazing_tol: float = 1e-6   # |H| proximity that flags a non-crossing touch
 
 
 @dataclass
@@ -160,8 +162,8 @@ def _extremum(h_fun, y_old, q, h, lo, hi, sign):
     return np.where(best, c, d), sign * np.where(best, fc, fd)
 
 
-def _scan_step(h_fun, direction, pass_level, t_old, t_new, y_old, q, h_prev,
-               h_new, watched, min_h_armed, pending, t_lo, t_hi):
+def _scan_step(h_fun, direction, t_old, t_new, y_old, q, h_prev, h_new,
+               watched, min_h_armed, pending, t_lo, t_hi):
     """Look inside one accepted step for grazes and for crossing pairs.
 
     ``watched`` lanes are armed, still pending and have no admissible
@@ -169,7 +171,7 @@ def _scan_step(h_fun, direction, pass_level, t_old, t_new, y_old, q, h_prev,
     every watched lane; on lanes whose ends share a sign and whose sampled
     |H| drops below `REFINE_LEVEL`, the extremum of H near the smallest
     sample is refined by `_extremum`.  Samples and extremum lower
-    ``min_h_armed`` (in place).  When H passes S by at least ``pass_level``
+    ``min_h_armed`` (in place).  When H passes S by at least `PASS_LEVEL`
     at a sample or at the extremum, the step holds two crossings: the lane
     stops pending and [t_lo, t_hi] (in place) brackets the first crossing,
     or the second one when only that has the configured direction.
@@ -180,7 +182,7 @@ def _scan_step(h_fun, direction, pass_level, t_old, t_new, y_old, q, h_prev,
     abs_s = np.abs(samples)
     np.minimum(min_h_armed, abs_s.min(axis=1), out=min_h_armed, where=watched)
     same = watched & (h_prev * h_new > 0.0)
-    flip = (samples * h_prev[:, None] < 0.0) & (abs_s >= pass_level)
+    flip = (samples * h_prev[:, None] < 0.0) & (abs_s >= PASS_LEVEL)
     theta_x = np.where(flip.any(axis=1), _THETA_GRID[np.argmax(flip, axis=1)],
                        np.nan)
     refine = same & np.isnan(theta_x) & (abs_s.min(axis=1) < REFINE_LEVEL)
@@ -193,7 +195,7 @@ def _scan_step(h_fun, direction, pass_level, t_old, t_new, y_old, q, h_prev,
                                  np.sign(h_prev[lanes]))
         min_h_armed[lanes] = np.minimum(min_h_armed[lanes], np.abs(h_e))
         passed = h_e * h_prev[lanes] < 0.0
-        passed &= np.abs(h_e) >= pass_level
+        passed &= np.abs(h_e) >= PASS_LEVEL
         theta_x[lanes[passed]] = theta_e[passed]
     pair = same & ~np.isnan(theta_x)
     if not pair.any():
@@ -219,8 +221,8 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
     per lane, shape (K,); lane i then follows X + eps[i] * g and ``g``
     receives the (K,) array, as it receives the per-lane times.  Exactly one
     of ``duration`` (fixed-time mode, common to all lanes) and ``event``
-    (an `EventConfig`, or True for the defaults) applies.  With ``dense``
-    the result carries the `DensePath` in local time.
+    (an `EventConfig`) applies; any other ``event`` raises `TypeError`.
+    With ``dense`` the result carries the `DensePath` in local time.
 
     Event mode runs `dopri.integrate` up to ``max_time`` with a per-step scan
     as its ``stop`` hook, which ends the integration once every lane has an
@@ -228,13 +230,14 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
     ``on_no_return="flag"`` end at ``max_time`` with ``event_hit`` false.
 
     In event mode each hit lane ends at the last bisection point of its
-    crossing, or at its bracket's lower end when only that meets ``h_tol``,
-    so |H| <= ``h_tol`` there; ``stats["event_h_max"]`` is the worst
+    crossing, or at its bracket's lower end when only that meets `H_TOL`,
+    so |H| <= `H_TOL` there; ``stats["event_h_max"]`` is the worst
     such |H| (0.0 when no lane hit).  A localization that still misses
-    ``h_tol`` after `LOCALIZE_HALVINGS` halvings raises `IntegrationError`.
-    Two crossings inside one step are found when H passes S between them by
-    at least max(arm level, `PASS_FRACTION` * ``grazing_tol``); a shallower
-    pass counts as a touch.
+    `H_TOL` after `LOCALIZE_HALVINGS` halvings raises `IntegrationError`.
+    Detection on a lane is armed once its |H| reaches `ARM_LEVEL`.  Two
+    crossings inside one step are found when H passes S between them by at
+    least `PASS_LEVEL`; a shallower pass counts as a touch, and a lane that
+    never crosses but comes within `GRAZING_TOL` of S is flagged grazing.
 
     Batch composition: a lane's result depends on the other lanes of its
     batch only through the shared step sequence (the error norm is the max
@@ -266,6 +269,8 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
 
     if (duration is None) == (event is None):
         raise ValueError("specify exactly one of duration or event")
+    if event is not None and not isinstance(event, EventConfig):
+        raise TypeError(f"event must be an EventConfig, got {event!r}")
 
     if duration is not None:
         duration = float(duration)
@@ -281,16 +286,11 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
                           path if dense else None)
 
     # event mode: march until every lane has an accepted crossing
-    cfg = event if isinstance(event, EventConfig) else EventConfig()
-    arm_level = cfg.arm_factor * cfg.h_tol
-    # a smaller pass is within the integration noise of a tangential touch
-    pass_level = max(arm_level, PASS_FRACTION * cfg.grazing_tol)
-
     def h_of(y):
         return np.asarray(sys.H(y), dtype=float)
 
     h_prev = h_of(vs)
-    armed = np.abs(h_prev) >= arm_level
+    armed = np.abs(h_prev) >= ARM_LEVEL
     min_h_armed = np.where(armed, np.abs(h_prev), np.inf)
     t_lo = np.zeros(K)               # per-lane bracket of the crossing
     t_hi = np.zeros(K)
@@ -300,23 +300,22 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
         nonlocal armed, h_prev, pending
         h_new = h_of(y_new)
         crossing = pending & armed & (h_prev * h_new < 0.0)
-        if cfg.direction != 0:
-            crossing &= np.sign(h_new - h_prev) == cfg.direction
+        if event.direction != 0:
+            crossing &= np.sign(h_new - h_prev) == event.direction
         t_lo[crossing] = t_old
         t_hi[crossing] = t_new
         pending &= ~crossing
         watched = armed & pending
         if watched.any():
-            _scan_step(h_of, cfg.direction, pass_level, t_old, t_new, y_old,
-                       q, h_prev, h_new, watched, min_h_armed, pending, t_lo,
-                       t_hi)
-        armed |= np.abs(h_new) >= arm_level
+            _scan_step(h_of, event.direction, t_old, t_new, y_old, q, h_prev,
+                       h_new, watched, min_h_armed, pending, t_lo, t_hi)
+        armed |= np.abs(h_new) >= ARM_LEVEL
         h_prev = h_new
         return not pending.any()
 
     path, stats = integrate(rhs, vs, max_time, rtol=rtol, atol=atol,
                             stop=scan)
-    grazing = pending & (min_h_armed <= cfg.grazing_tol)
+    grazing = pending & (min_h_armed <= GRAZING_TOL)
     if np.any(pending) and on_no_return == "raise":
         raise NoReturnError(
             f"{int(np.sum(pending))} of {K} trajectories found no admissible "
@@ -328,8 +327,8 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
     h_max = 0.0
     if hit_lanes.size:
         s_star, y_star, h_max = _localize_crossings(
-            path, h_of, t_lo[hit_lanes], t_hi[hit_lanes], hit_lanes,
-            cfg.h_tol, cfg.t_tol)
+            path, h_of, t_lo[hit_lanes], t_hi[hit_lanes], hit_lanes, H_TOL,
+            T_TOL)
         end_times[hit_lanes] = taus[hit_lanes] + s_star
         end_states[hit_lanes] = y_star
     end_times[pending] = taus[pending] + path.t[-1]
@@ -339,14 +338,15 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
 
 
 def simulate_hybrid(sys, tau, v, eps, duration, *, event=None, rtol=1e-10,
-                    atol=1e-12, samples_per_segment=64):
+                    atol=1e-12):
     """Execute the hybrid dynamics for ``duration``: flow, jump at S, repeat.
 
-    Returns a list of segments, each a pair (absolute times, states), with the
-    jump applied at every admissible crossing of S.  Raises `IntegrationError`
-    if `MAX_SEGMENTS` segments end before ``duration`` is covered.
+    Returns a list of segments, each a pair (absolute times, states) of
+    `SEGMENT_SAMPLES` points, with the jump applied at every admissible
+    crossing of S.  Raises `IntegrationError` if `MAX_SEGMENTS` segments end
+    before ``duration`` is covered.
     """
-    if event is None or event is True:
+    if event is None:
         event = EventConfig()
     t = float(tau)
     state = np.asarray(v, dtype=float)
@@ -361,7 +361,7 @@ def simulate_hybrid(sys, tau, v, eps, duration, *, event=None, rtol=1e-10,
                          max_time=remaining, rtol=rtol, atol=atol, dense=True,
                          on_no_return="flag")
         ts = np.linspace(0.0, min(res.end_times[0] - t, res.path.t[-1]),
-                         samples_per_segment)
+                         SEGMENT_SAMPLES)
         segments.append((t + ts, res.path.eval_grid(ts)[:, 0, :]))
         t = float(res.end_times[0])
         state = res.end_states[0]
@@ -394,15 +394,14 @@ def check_transversality(sys, u_anchor=None):
     return float(grad @ field_val)
 
 
-def check_forcing_period(sys, n_samples=64, seed=0, t_range=None,
-                         x_range=(-2.0, 2.0), eps_range=(-0.1, 0.1)):
-    """Sampled sup of ||g(t + T_g, x, eps) - g(t, x, eps)||."""
+def check_forcing_period(sys, n_samples=64, seed=0):
+    """Sampled sup of ||g(t + T_g, x, eps) - g(t, x, eps)|| over t in
+    [-T_g, 2 T_g], eps in [-0.1, 0.1] and x in the box [-2, 2]^dim."""
     rng = np.random.default_rng(seed)
-    t_range = t_range if t_range is not None else (-sys.T_g, 2.0 * sys.T_g)
     u = latin_hypercube(rng, n_samples, 2 + sys.dim)
-    ts = scale_to(u[:, 0], *t_range)
-    epses = scale_to(u[:, 1], *eps_range)
-    X = scale_to(u[:, 2:], *x_range)
+    ts = scale_to(u[:, 0], -sys.T_g, 2.0 * sys.T_g)
+    epses = scale_to(u[:, 1], -0.1, 0.1)
+    X = scale_to(u[:, 2:], -2.0, 2.0)
     worst = 0.0
     for t, e in zip(ts, epses):
         g0 = np.asarray(sys.g(float(t), X, float(e)), dtype=float)

@@ -36,6 +36,8 @@ from .exceptions import ConvergenceError, DomainError, MonotonicityError
 Array = np.ndarray
 
 ANDERSON_DEPTH = 3  # residual differences in each Anderson least-squares fit
+RESIDUAL_SAMPLES = 512  # sampled x of a solve's invariance residual
+DISTANCE_FLOOR = 1e-9  # least distance to the curve `attraction_test` rates
 
 
 def _reduce_mod(x, period):
@@ -226,7 +228,6 @@ class CurveConfig:
     tol: float = 1e-12
     max_iter: int = 100
     seed_curve: Optional[PeriodicGridFn] = None
-    residual_samples: int = 512
     seed: int = 0
     q: Optional[float] = None  # feeds the reported rate bound q + 2(1-q)/3
     preimage_tol: float = 1e-14
@@ -385,8 +386,7 @@ def solve_invariant_curve(spec, omega, eps, config=None):
             f"(last update {updates[-1]:.3g})"
         )
 
-    residual = invariance_residual(spec, omega, eps, curve,
-                                   config.residual_samples, config.seed)
+    residual = invariance_residual(spec, omega, eps, curve, seed=config.seed)
     gate = 10.0 * (config.tol + _interp_error_estimate(curve.values))
     report = SolverReport(
         iterations=len(updates),
@@ -402,7 +402,8 @@ def solve_invariant_curve(spec, omega, eps, config=None):
     return curve, report
 
 
-def invariance_residual(spec, omega, eps, phi, n_samples=512, seed=0):
+def invariance_residual(spec, omega, eps, phi, n_samples=RESIDUAL_SAMPLES,
+                        seed=0):
     """sup over sampled x of || beta(x, phi(x)) - phi(x + omega*alpha(...)) ||.
 
     ``phi`` may be any object with ``eval`` and ``period`` (duck-typed), so
@@ -419,23 +420,19 @@ def invariance_residual(spec, omega, eps, phi, n_samples=512, seed=0):
 
 
 def attraction_test(spec, omega, eps, phi, n_trajectories=20, n_steps=50,
-                    seed=0, y_radius=None, q=None, distance_floor=1e-9,
-                    x_range=None):
+                    seed=0, y_radius=None, q=None):
     """Track d_j = ||y_j - phi(x_j)|| along sampled trajectories.
 
-    Initial conditions are drawn from x in ``x_range`` (default one period
-    plus margin) and y in the ``y_radius`` ball.  Per-step rates take the max
-    of d_{j+1}/d_j over trajectories whose distance is still above
-    ``distance_floor``; once distances reach the curve's representation-error
+    Initial conditions are drawn from x in [-1, T + 1], with T the period
+    of ``phi``, and y in the ``y_radius`` ball.  Per-step rates take the max of
+    d_{j+1}/d_j over trajectories whose distance is still at least
+    `DISTANCE_FLOOR`; once distances reach the curve's representation-error
     level the quotients measure interpolation noise, not contraction, so the
     floor must sit above that level.
     """
     rng = np.random.default_rng(seed)
     y_radius = y_radius if y_radius is not None else 0.5 * spec.r1
-    period = phi.period
-    if x_range is None:
-        x_range = (-1.0, period + 1.0)
-    xs = rng.uniform(*x_range, n_trajectories)[:, None]
+    xs = rng.uniform(-1.0, phi.period + 1.0, n_trajectories)[:, None]
     raw = rng.uniform(-1.0, 1.0, (n_trajectories, spec.k2))
     nrm = np.linalg.norm(raw, axis=1, keepdims=True)
     ys = np.where(nrm > 1.0, raw / nrm, raw) * y_radius
@@ -454,7 +451,8 @@ def attraction_test(spec, omega, eps, phi, n_trajectories=20, n_steps=50,
 
     rates = np.full(n_steps, np.nan)
     for j in range(n_steps):
-        ok = np.isfinite(dist[j]) & np.isfinite(dist[j + 1]) & (dist[j] >= distance_floor)
+        ok = (np.isfinite(dist[j]) & np.isfinite(dist[j + 1])
+              & (dist[j] >= DISTANCE_FLOOR))
         if np.any(ok):
             rates[j] = np.max(dist[j + 1][ok] / dist[j][ok])
     return AttractionReport(

@@ -175,56 +175,36 @@ def _coordinate_diff_sups(fun, omega, eps, X, Y):
 
     ``fun(omega, eps, X, Y)`` is one of the spec evaluators; omega/eps are
     scalars here, so differencing in those coordinates shifts the scalar while
-    the (x, y) batch is shared.  Returns (sup_f, sup_d1, sup_d2).
+    the (x, y) batch is shared.  A column of X or Y shifts as a whole, with
+    steps sized by its largest entry.  Returns (sup_f, sup_d1, sup_d2).
     """
-    f0 = np.asarray(fun(omega, eps, X, Y), dtype=float)
+    args = (omega, eps, X, Y)
+    f0 = np.asarray(fun(*args), dtype=float)
     sup_f = float(np.max(np.abs(f0))) if f0.size else 0.0
     sup_d1 = 0.0
     sup_d2 = 0.0
 
-    def scan(plus, minus, h1, plus2, minus2, h2):
-        nonlocal sup_d1, sup_d2
-        plus, minus = np.asarray(plus, float), np.asarray(minus, float)
-        plus2, minus2 = np.asarray(plus2, float), np.asarray(minus2, float)
-        sup_d1 = max(sup_d1, float(np.max(np.abs(plus - minus) / (2.0 * h1))))
-        sup_d2 = max(
-            sup_d2, float(np.max(np.abs(plus2 - 2.0 * f0 + minus2) / h2**2))
-        )
-
-    # omega and eps coordinates
-    for which, val in (("omega", omega), ("eps", eps)):
-        h1 = float(first_step(val))
-        h2 = float(second_step(val))
-        if which == "omega":
-            scan(fun(val + h1, eps, X, Y), fun(val - h1, eps, X, Y), h1,
-                 fun(val + h2, eps, X, Y), fun(val - h2, eps, X, Y), h2)
+    def shifted(a, j, step):
+        moved = list(args)
+        if j is None:
+            moved[a] = args[a] + step
         else:
-            scan(fun(omega, val + h1, X, Y), fun(omega, val - h1, X, Y), h1,
-                 fun(omega, val + h2, X, Y), fun(omega, val - h2, X, Y), h2)
-    # x and y coordinates (uniform shift per column; steps use the column scale)
-    for arr, other, is_x in ((X, Y, True), (Y, X, False)):
-        for j in range(arr.shape[1]):
-            col_scale = max(1.0, float(np.max(np.abs(arr[:, j]))))
-            for h, target in ((first_step(col_scale), 1), (second_step(col_scale), 2)):
-                shifted_p = arr.copy()
-                shifted_m = arr.copy()
-                shifted_p[:, j] += h
-                shifted_m[:, j] -= h
-                if is_x:
-                    fp = fun(omega, eps, shifted_p, Y)
-                    fm = fun(omega, eps, shifted_m, Y)
-                else:
-                    fp = fun(omega, eps, X, shifted_p)
-                    fm = fun(omega, eps, X, shifted_m)
-                fp = np.asarray(fp, dtype=float)
-                fm = np.asarray(fm, dtype=float)
-                if target == 1:
-                    sup_d1 = max(sup_d1, float(np.max(np.abs(fp - fm) / (2.0 * h))))
-                else:
-                    sup_d2 = max(
-                        sup_d2,
-                        float(np.max(np.abs(fp - 2.0 * f0 + fm) / h**2)),
-                    )
+            moved[a] = args[a].copy()
+            moved[a][:, j] += step
+        return np.asarray(fun(*moved), dtype=float)
+
+    # (argument, column): omega, eps, then every column of X and of Y
+    coords = [(0, None), (1, None)] + [(a, j) for a in (2, 3)
+                                       for j in range(args[a].shape[1])]
+    for a, j in coords:
+        scale = args[a] if j is None else max(
+            1.0, float(np.max(np.abs(args[a][:, j]))))
+        h1, h2 = float(first_step(scale)), float(second_step(scale))
+        plus1, minus1, plus2, minus2 = (shifted(a, j, step)
+                                        for step in (h1, -h1, h2, -h2))
+        sup_d1 = max(sup_d1, float(np.max(np.abs(plus1 - minus1) / (2.0 * h1))))
+        sup_d2 = max(
+            sup_d2, float(np.max(np.abs(plus2 - 2.0 * f0 + minus2) / h2**2)))
     return sup_f, sup_d1, sup_d2
 
 

@@ -16,20 +16,18 @@ def second_step(x):
     return STEP_SECOND * np.maximum(1.0, np.abs(x))
 
 
-def central_jacobian(fun, x0, step=None):
+def central_jacobian(fun, x0):
     """Jacobian of ``fun`` at ``x0`` from a single batched central-difference stencil.
 
-    ``fun`` maps an (n, d) batch of row vectors to (n, m).  The whole +/- h
-    stencil goes through one call so that, for evaluators backed by adaptive
-    integrators, the step-size sequence is shared and evaluation errors cancel
-    in the differences.
+    ``fun`` maps an (n, d) batch of row vectors to (n, m), and the step of
+    coordinate i is ``first_step(x0[i])``.  The whole +/- h stencil goes
+    through one call so that, for evaluators backed by adaptive integrators,
+    the step-size sequence is shared and evaluation errors cancel in the
+    differences.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     d = x0.size
-    if step is None:
-        h = first_step(x0)
-    else:
-        h = np.broadcast_to(np.asarray(step, dtype=float), (d,)).copy()
+    h = first_step(x0)
     stencil = np.concatenate([x0 + np.diag(h), x0 - np.diag(h)], axis=0)
     vals = np.asarray(fun(stencil), dtype=float)
     plus, minus = vals[:d], vals[d:]

@@ -28,7 +28,13 @@ from .hybrid_ode import (EventConfig, check_transversality, flow_batch,
 from .map_core import MapSpec
 from .sampling import ball_points, latin_hypercube, scale_to
 
-Array = np.ndarray
+POINCARE_RTOL = 1e-12    # tolerances of a handle's returns (see prepare_handle)
+POINCARE_ATOL = 1e-14
+CURVE_RTOL = 1e-10       # and of the wrapped map (see extract_alpha_beta)
+CURVE_ATOL = 1e-12
+PROBE_TIME = 50.0        # horizon of the anchor-return probe
+MAX_TIME_LAGS = 10.0     # return horizon, in anchor return lags
+CHART_TOL = 1e-8         # largest distance of a return point from the chart
 
 
 @dataclass
@@ -40,32 +46,30 @@ class PoincareHandle:
     max_time: float
     rtol: float
     atol: float
-    anchor_u: Array
-    anchor_return_lag: float
     effective_r1: float
-    chart_tol: float = 1e-8
 
 
-def prepare_handle(sys, *, event=None, max_time=None, rtol=1e-12, atol=1e-14):
+def prepare_handle(sys):
     """Probe the anchor return and fix the event direction from the cycle.
 
-    The defaults run the integrator tighter than the generic flow defaults;
-    Poincare-level constants (fixed points, Jacobians) need the extra digits.
+    The crossing direction is the sign of the transversality at the anchor
+    D(0).  The anchor's return, probed up to `PROBE_TIME`, sets the return
+    horizon ``max_time`` to `MAX_TIME_LAGS` return lags.  Returns run at
+    `POINCARE_RTOL` and `POINCARE_ATOL`, tighter than the generic flow
+    defaults: Poincare-level constants (fixed points, Jacobians) need the
+    extra digits.
     """
-    if event is None:
-        direction = int(np.sign(check_transversality(sys)))
-        if direction == 0:
-            raise ChartError("the field is tangent to S at the anchor")
-        event = EventConfig(direction=direction)
+    direction = int(np.sign(check_transversality(sys)))
+    if direction == 0:
+        raise ChartError("the field is tangent to S at the anchor")
+    event = EventConfig(direction=direction)
     u0 = np.zeros(sys.k2)
     v0 = np.asarray(sys.Delta(np.asarray(sys.D(u0[None, :]), float)), float)
-    probe = flow_batch(sys, [0.0], v0, 0.0, event=event,
-                       max_time=max_time or 50.0, rtol=rtol, atol=atol)
+    probe = flow_batch(sys, [0.0], v0, 0.0, event=event, max_time=PROBE_TIME,
+                       rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
     lag = float(probe.end_times[0])
-    if max_time is None:
-        max_time = 10.0 * lag
-    return PoincareHandle(sys=sys, event=event, max_time=max_time, rtol=rtol,
-                          atol=atol, anchor_u=u0, anchor_return_lag=lag,
+    return PoincareHandle(sys=sys, event=event, max_time=MAX_TIME_LAGS * lag,
+                          rtol=POINCARE_RTOL, atol=POINCARE_ATOL,
                           effective_r1=sys.r1)
 
 
@@ -87,16 +91,16 @@ def time_to_return(handle, tau, x, eps):
 
 
 def _pull_back(handle, states):
-    """Chart coordinates of localized return states (|H| <= h_tol there)."""
+    """Chart coordinates of localized return states (|H| <= H_TOL there)."""
     sys = handle.sys
     us = np.asarray(sys.D_inverse(states), dtype=float)
     back = np.asarray(sys.D(us), dtype=float)
     gap = np.linalg.norm(back - states, axis=-1)
     worst = float(np.max(gap)) if gap.size else 0.0
-    if worst > handle.chart_tol:
+    if worst > CHART_TOL:
         raise ChartError(
             f"return point lies {worst:.3g} off the chart image "
-            f"(tolerance {handle.chart_tol:g})"
+            f"(tolerance {CHART_TOL:g})"
         )
     return us
 
@@ -202,24 +206,21 @@ class _WrappedPoincare:
         return outs
 
 
-def extract_alpha_beta(handle, eps_range=None, certify_samples=0, seed=0,
-                       rtol=1e-10, atol=1e-12):
+def extract_alpha_beta(handle):
     """Wrap the Poincare map into the perturbed-map form with x := tau.
 
     alpha(omega, eps, tau, u) is the return lag T_eps(tau, D(u)) - tau and
     beta is the u-component of the return; omega is fixed to 1 by the wrapper
-    and ignored by the evaluators.  With ``certify_samples`` > 0 the chart is
-    first sampled for return existence over ``eps_range``.
+    and ignored by the evaluators.  The chart radius is the handle's
+    ``effective_r1``.
 
-    ``rtol``/``atol`` set the integrator tolerance of the wrapped evaluators;
-    the default is the generic flow tolerance, looser than the handle's
-    Poincare-grade setting, because curve solving calls the map thousands of
-    times and only needs accuracy at the invariance-residual scale.
+    The wrapped evaluators integrate at `CURVE_RTOL` and `CURVE_ATOL`, the
+    generic flow tolerance, looser than the handle's Poincare-grade setting,
+    because curve solving calls the map thousands of times and only needs
+    accuracy at the invariance-residual scale.
     """
-    if certify_samples and eps_range is not None:
-        certify_returns(handle, eps_range, n_samples=certify_samples, seed=seed)
-    eval_handle = replace(handle, rtol=rtol, atol=atol)
-    wrapper = _WrappedPoincare(eval_handle)
+    wrapper = _WrappedPoincare(replace(handle, rtol=CURVE_RTOL,
+                                       atol=CURVE_ATOL))
     sys = handle.sys
     return MapSpec(
         k1=1,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -62,6 +62,7 @@ class TestBump:
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-3, 4), st.floats(-2, 2), st.floats(-2, 2))
+    @example(w=-7.83834915567464e-16, e=0.0, y=0.0)  # smoothstep rounds above 1
     def test_range(self, w, e, y):
         v = pm.bump_psi(pm.BumpSpec(1.0), w, e, [y])
         assert 0.0 <= v <= 1.0
@@ -178,8 +179,7 @@ class TestLambda0:
         assert lam0 is not None and lam0 > 0
         sup_at = {}
         for lam in (lam0, lam0 / 2):
-            sa, sb = emb._tilde_sup(e2, lam, (-1 / lam, 2 / lam),
-                                    (-1.0, 1.0), (0.0, 1.0), 32, 1)
+            sa, sb = emb._tilde_sup(e2, lam, (-1.0, 1.0), (0.0, 1.0), 32, 1)
             sup_at[lam] = max(sa, sb)
         assert sup_at[lam0 / 2] <= sup_at[lam0]
         assert sup_at[lam0] <= 0.1

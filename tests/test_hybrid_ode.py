@@ -30,7 +30,8 @@ class TestFlow:
         assert not res.event_hit[0]
 
     def test_event_return_after_full_turn(self, e3):
-        res = pm.flow_batch(e3, [0.3], [[1.0, 0.0]], 0.0, event=True)
+        res = pm.flow_batch(e3, [0.3], [[1.0, 0.0]], 0.0,
+                            event=pm.EventConfig())
         assert res.event_hit[0]
         assert abs(res.end_times[0] - 1.3) <= 1e-9
         assert np.linalg.norm(res.end_states[0] - [1.0, 0.0]) <= 1e-9
@@ -46,12 +47,12 @@ class TestFlow:
 
     def test_no_return_raises(self, frozen):
         with pytest.raises(NoReturnError):
-            pm.flow_batch(frozen, [0.0], [[0.3, 0.7]], 0.0, event=True,
-                          max_time=2.0)
+            pm.flow_batch(frozen, [0.0], [[0.3, 0.7]], 0.0,
+                          event=pm.EventConfig(), max_time=2.0)
 
     def test_event_localization_tight(self, e3):
-        res = pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0, event=True,
-                            rtol=1e-12, atol=1e-14)
+        res = pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0,
+                            event=pm.EventConfig(), rtol=1e-12, atol=1e-14)
         x = res.end_states[0]
         assert abs(float(e3.H(x[None, :])[0])) <= 1e-12
         # re-integration consistency against the linearized prediction
@@ -68,13 +69,13 @@ class TestFlow:
                             rtol=1e-12, atol=1e-14)
         h_end = abs(float(sys_.H(res.end_states[:1])[0]))
         assert res.event_hit[0]
-        assert h_end <= cfg.h_tol
+        assert h_end <= hybrid_ode.H_TOL
         assert res.stats["event_h_max"] == h_end
 
     def test_event_h_max_is_worst_lane(self, e3):
         vs = np.array([[1.05, 0.0], [0.9, 0.0], [1.2, 0.0]])
-        res = pm.flow_batch(e3, [0.0, 0.1, 0.2], vs, 0.0, event=True,
-                            rtol=1e-12, atol=1e-14)
+        res = pm.flow_batch(e3, [0.0, 0.1, 0.2], vs, 0.0,
+                            event=pm.EventConfig(), rtol=1e-12, atol=1e-14)
         assert res.stats["event_h_max"] == np.max(np.abs(e3.H(res.end_states)))
 
     def test_localization_miss_raises(self, e3):
@@ -84,8 +85,8 @@ class TestFlow:
             H=lambda x: 1e6 * np.asarray(x, float)[..., 1],
             D=e3.D, D_inverse=e3.D_inverse, T_g=0.8, r1=0.5)
         with pytest.raises(IntegrationError):
-            pm.flow_batch(steep, [0.0], [[1.05, 0.0]], 0.0, event=True,
-                          rtol=1e-12, atol=1e-14)
+            pm.flow_batch(steep, [0.0], [[1.05, 0.0]], 0.0,
+                          event=pm.EventConfig(), rtol=1e-12, atol=1e-14)
 
     def test_localization_falls_back_to_lower_end(self):
         # state = time on [a, 1]; H is -h_tol/2 at a and 1.5 h_tol at the
@@ -131,16 +132,22 @@ class TestFlow:
             dim=2, X=e3.X, g=e3.g, Delta=e3.Delta,
             H=lambda x: np.asarray(x, float)[..., 1] - 1.0,
             D=e3.D, D_inverse=e3.D_inverse, T_g=0.8, r1=0.5)
-        res = pm.flow_batch(graze, [0.0], [[1.0, 0.0]], 0.0, event=True,
-                            max_time=2.0, on_no_return="flag")
+        res = pm.flow_batch(graze, [0.0], [[1.0, 0.0]], 0.0,
+                            event=pm.EventConfig(), max_time=2.0,
+                            on_no_return="flag")
         assert not res.event_hit[0]
         assert res.grazing[0]
 
     def test_batch_shifted_times(self, e3):
         taus = np.array([0.0, 0.1, 0.55])
         vs = np.tile([1.0, 0.0], (3, 1))
-        res = pm.flow_batch(e3, taus, vs, 0.0, event=True)
+        res = pm.flow_batch(e3, taus, vs, 0.0, event=pm.EventConfig())
         assert_allclose(res.end_times, taus + 1.0, atol=1e-9)
+
+    def test_event_must_be_event_config(self, e3):
+        # False is not None, so it once selected event mode with the defaults
+        with pytest.raises(TypeError):
+            pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0, event=False)
 
 
 class TestTwoCrossingsInOneStep:
@@ -173,7 +180,7 @@ class TestTwoCrossingsInOneStep:
         assert abs(res.end_times[0] - (0.5 - self.T1)) <= 1e-9
 
     def test_shallow_pass_is_a_touch(self, e3):
-        # H passes S by 1e-9 < PASS_FRACTION * grazing_tol: a touch
+        # H passes S by 1e-9 < PASS_LEVEL = 1e-8: a touch
         res = self._flow(e3, 1.0 - 1e-9, 1, max_time=0.9, on_no_return="flag")
         assert not res.event_hit[0]
         assert res.grazing[0]
@@ -208,7 +215,7 @@ class TestPerLaneEps:
     @pytest.mark.parametrize("mode", ["duration", "event"])
     def test_matches_lane_by_lane(self, e3, eps_in_g, mode):
         sys_ = _eps_forced(e3) if eps_in_g else e3
-        kw = {"duration": 0.7} if mode == "duration" else {"event": True}
+        kw = {"duration": 0.7} if mode == "duration" else {"event": pm.EventConfig()}
         rtol = 1e-10
         res = pm.flow_batch(sys_, self.TAUS, self.VS, self.EPS, rtol=rtol,
                             **kw)
@@ -224,7 +231,7 @@ class TestPerLaneEps:
     @pytest.mark.parametrize("e", [0.0, 0.02])
     @pytest.mark.parametrize("mode", ["duration", "event"])
     def test_equal_lanes_bitwise_scalar(self, e3, e, mode):
-        kw = {"duration": 0.7} if mode == "duration" else {"event": True}
+        kw = {"duration": 0.7} if mode == "duration" else {"event": pm.EventConfig()}
         scalar = pm.flow_batch(e3, self.TAUS, self.VS, e, **kw)
         lanes = pm.flow_batch(e3, self.TAUS, self.VS, np.full(4, e), **kw)
         assert np.array_equal(lanes.end_states, scalar.end_states)
