@@ -73,6 +73,13 @@ def _number(section, key, default, where="config"):
     return float(val)
 
 
+def _count(section, key, default, where):
+    """``section[key]``, else ``default``, required to be an integral number."""
+    val = _number(section, key, default, where)
+    _require(val.is_integer(), f"{where} key '{key}' must be an integer")
+    return int(val)
+
+
 def parse_config(obj, mode, seed_override=None):
     _require(isinstance(obj, dict), "config must be a JSON object")
     unknown = set(obj) - _TOP_KEYS
@@ -106,20 +113,22 @@ def parse_config(obj, mode, seed_override=None):
         omega=_number(obj, "omega", 1.0),
         eps=_number(obj, "eps", 0.0),
         eps_list=[float(e) for e in eps_list],
-        n_nodes=int(_number(solver, "n_nodes", 256, "solver")),
+        n_nodes=_count(solver, "n_nodes", 256, "solver"),
         tol=_number(solver, "tol", 1e-12, "solver"),
-        max_iter=int(_number(solver, "max_iter", 100, "solver")),
-        n_samples=int(_number(sampling, "n_samples", 128, "sampling")),
+        max_iter=_count(solver, "max_iter", 100, "solver"),
+        n_samples=_count(sampling, "n_samples", 128, "sampling"),
         seed=(seed_override if seed_override is not None
-              else int(_number(sampling, "seed", None, "sampling"))),
+              else _count(sampling, "seed", None, "sampling")),
         delta=None if obj.get("delta") is None else _number(obj, "delta", None),
         tolerances=tolerances,
-        n_trajectories=int(_number(obj, "n_trajectories", 8)),
+        n_trajectories=_count(obj, "n_trajectories", 8, "config"),
     )
     _require(cfg.tol > 0, "solver key 'tol' must be strictly positive")
     _require(cfg.n_nodes >= 8, "solver key 'n_nodes' must be at least 8")
     _require(cfg.max_iter > 0, "solver key 'max_iter' must be positive")
     _require(cfg.n_samples >= 2, "sampling key 'n_samples' must be at least 2")
+    _require(cfg.n_trajectories >= 1,
+             "config key 'n_trajectories' must be at least 1")
     if cfg.delta is not None:
         _require(cfg.delta > 0, "key 'delta' must be strictly positive")
     for key, val in cfg.tolerances.items():

@@ -105,13 +105,17 @@ class CycleReport:
 
 
 def _p_stencil(handle, rows):
-    """Reduced map on a stacked stencil through one batched flow."""
+    """Return times and reduced map on a stacked stencil, one batched flow."""
     rows = np.atleast_2d(rows)
-    return p_eps_batch(handle, np.zeros(len(rows)), rows, 0.0)[1]
+    return p_eps_batch(handle, np.zeros(len(rows)), rows, 0.0)
 
 
 def find_fixed_point(handle, u_guess=None):
-    """Newton iteration for P(u) = u with a finite-difference Jacobian."""
+    """Newton iteration for P(u) = u with a finite-difference Jacobian.
+
+    Returns (u*, T* = T(0, D(u*)), ||P(u*) - u*|| <= `NEWTON_TOL`), the last
+    two from lane 0 of the stencil flow whose residual passed the tolerance.
+    """
     k2 = handle.sys.k2
     u = np.zeros(k2) if u_guess is None else np.asarray(u_guess, float).copy()
     h = FD_STEP
@@ -119,11 +123,11 @@ def find_fixed_point(handle, u_guess=None):
     for _ in range(NEWTON_MAX_ITER):
         stencil = np.vstack([u, u + np.diag(np.full(k2, h)),
                              u - np.diag(np.full(k2, h))])
-        vals = _p_stencil(handle, stencil)
+        times, vals = _p_stencil(handle, stencil)
         res = vals[0] - u
         rnorm = float(np.linalg.norm(res))
         if rnorm <= NEWTON_TOL:
-            return u
+            return u, float(times[0]), rnorm
         if rnorm > 10.0 * max(best, 1.0):
             raise ConvergenceError(f"Newton diverged (residual {rnorm:.3g})")
         best = min(best, rnorm)
@@ -151,7 +155,7 @@ def jacobian_and_spectrum(handle, u_star):
     stencil = np.vstack([u_star + sign * np.diag(np.full(k2, step))
                          for step in steps for sign in (1.0, -1.0)])
     # vals[i, 0] and vals[i, 1]: the +/- columns of stencil i, shape (k2, k2)
-    vals = _p_stencil(handle, stencil).reshape(2, 2, k2, k2)
+    vals = _p_stencil(handle, stencil)[1].reshape(2, 2, k2, k2)
     J, J_half = ((v[0] - v[1]).T / (2.0 * step) for v, step in zip(vals, steps))
     scale = max(1.0, float(np.max(np.abs(J))))
     richardson = float(np.max(np.abs(J - J_half))) / scale
@@ -243,11 +247,7 @@ def analyze_cycle(handle, u_guess=None, contraction=None):
     (u_range, eps_range, n_samples, seed); the sampled q then lands in the
     report.
     """
-    u_star = find_fixed_point(handle, u_guess)
-    # the flow from u* gives both the residual and T* = T(0, D(u*))
-    times, outs = p_eps_batch(handle, np.zeros(1), u_star[None, :], 0.0)
-    res = float(np.linalg.norm(outs[0] - u_star))
-    T_star = float(times[0])
+    u_star, T_star, res = find_fixed_point(handle, u_guess)
     J, eigs, richardson = jacobian_and_spectrum(handle, u_star)
     moduli = np.abs(np.array(eigs))
     rho = float(np.max(moduli))

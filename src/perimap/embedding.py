@@ -190,23 +190,32 @@ def eval_F_lambda(spec, params, omega, eps, x, y):
     return np.concatenate([top, bottom])
 
 
-def eval_G_lambda(spec, params, omega, eps, x, y):
-    """Bumped globalization of F_lam by the bump ``BumpSpec(spec.r1)``;
-    defined on all of R^{k1+k2+2}."""
-    bump = BumpSpec(spec.r1)
-    x = np.asarray(x, float).reshape(spec.k1)
-    y = np.asarray(y, float).reshape(spec.k2)
-    lam = params.lam
-    psi = bump_psi(bump, lam * omega, eps, y)
-    top = params.A_lambda @ np.concatenate(([omega, eps], x))
-    bottom = params.B @ y
+def _bumped_tilde(spec, lam, z):
+    """psi * (alpha-tilde, beta-tilde) at z = (omega, eps, x, y), the
+    remainder of G_lam bumped by ``BumpSpec(spec.r1)``; zero off its
+    support."""
+    n_top = spec.k1 + 2
+    omega, eps, x, y = z[0], z[1], z[2:n_top], z[n_top:]
+    psi = bump_psi(BumpSpec(spec.r1), lam * omega, eps, y)
+    out = np.zeros_like(z)
     if psi > 0.0:
         # inside the support the rescaled arguments stay in the map's domain
         ta, tb = _tilde_batch(spec, lam, float(omega), float(eps),
                               x[None, :], y[None, :])
-        top = top + psi * ta[0]
-        bottom = bottom + psi * tb[0]
-    return np.concatenate([top, bottom])
+        out[:n_top] = psi * ta[0]
+        out[n_top:] = psi * tb[0]
+    return out
+
+
+def eval_G_lambda(spec, params, omega, eps, x, y):
+    """Bumped globalization of F_lam by the bump ``BumpSpec(spec.r1)``;
+    defined on all of R^{k1+k2+2}."""
+    x = np.asarray(x, float).reshape(spec.k1)
+    y = np.asarray(y, float).reshape(spec.k2)
+    top = params.A_lambda @ np.concatenate(([omega, eps], x))
+    bottom = params.B @ y
+    z = np.concatenate(([omega, eps], x, y))
+    return np.concatenate([top, bottom]) + _bumped_tilde(spec, params.lam, z)
 
 
 def h_lambda(lam, omega, eps, x, y):
@@ -238,11 +247,10 @@ def conjugacy_residual(spec, lam, omega, eps, x, y):
 def invert_G(spec, params, target, tol=1e-12, max_iter=100):
     """Solve G_lam(z) = target by the fixed point z -> L^{-1}(target - g(z)).
 
-    L is the block-diagonal linear part; g is the nonlinearity bumped as in
+    L is the block-diagonal linear part; g is the bumped remainder of
     `eval_G_lambda`.  Raises `ConvergenceError` when the iteration fails,
     which signals that lam is too large for the contraction regime.
     """
-    bump = BumpSpec(spec.r1)
     target = np.asarray(target, float).reshape(spec.k1 + spec.k2 + 2)
     n_top = spec.k1 + 2
     L = np.zeros((spec.k1 + spec.k2 + 2,) * 2)
@@ -252,23 +260,11 @@ def invert_G(spec, params, target, tol=1e-12, max_iter=100):
     if sv[-1] <= 1e-14 * max(1.0, sv[0]):
         raise ConvergenceError("linear part of G_lambda is numerically singular")
 
-    def g(z):
-        omega, eps = z[0], z[1]
-        x, y = z[2:n_top], z[n_top:]
-        psi = bump_psi(bump, params.lam * omega, eps, y)
-        out = np.zeros_like(z)
-        if psi > 0.0:
-            ta, tb = _tilde_batch(spec, params.lam, float(omega), float(eps),
-                                  x[None, :], y[None, :])
-            out[:n_top] = psi * ta[0]
-            out[n_top:] = psi * tb[0]
-        return out
-
     z = np.linalg.solve(L, target)
     best = np.inf
     stall = 0
     for _ in range(int(max_iter)):
-        Gz = L @ z + g(z)
+        Gz = L @ z + _bumped_tilde(spec, params.lam, z)
         res = float(np.linalg.norm(Gz - target))
         if res <= tol:
             return z
@@ -279,7 +275,7 @@ def invert_G(spec, params, target, tol=1e-12, max_iter=100):
             stall += 1
             if stall >= 8:
                 break
-        z = np.linalg.solve(L, target - g(z))
+        z = np.linalg.solve(L, target - _bumped_tilde(spec, params.lam, z))
     raise ConvergenceError(
         f"invert_G did not reach tol={tol:g} (last residual {res:.3g}); "
         "lambda is likely above the contraction threshold"

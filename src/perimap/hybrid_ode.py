@@ -6,10 +6,10 @@ S = {H = 0}, and a chart D of S.  `flow_batch` integrates a batch of lanes of
 
     dx/dt = X(x) + eps * g(t, x, eps)
 
-through `dopri.integrate` (Dormand-Prince 8(5,3)) and localizes each lane's
-first accepted crossing of S on the dense output.  Crossings are directional
-(sign of dH/dt must match the configured direction) and detection is
-suppressed until |H| has once exceeded an arming threshold, so a trajectory
+(`forced_rhs`) through `dopri.integrate` (Dormand-Prince 8(5,3)) and localizes
+each lane's first accepted crossing of S on the dense output.  Crossings are
+directional (sign of dH/dt must match the configured direction) and detection
+is suppressed until |H| has once exceeded an arming threshold, so a trajectory
 started on or near S by a jump does not retrigger at departure.
 
 The eighth-order steps are long (about 20-40 per revolution of the built-in
@@ -22,7 +22,7 @@ the admissible one is localized on its own bracket inside the step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -87,14 +87,14 @@ class EventConfig:
 
 @dataclass
 class FlowResult:
-    """Per-lane ends of a `flow_batch` call; ``path`` (local time) if dense."""
+    """Per-lane ends of a `flow_batch` call and its ``path`` in local time."""
 
     end_times: Array
     end_states: Array
     event_hit: Array
     grazing: Array
     stats: dict
-    path: Optional[DensePath] = field(default=None, repr=False)
+    path: DensePath = field(repr=False)
 
 
 def _localize_crossings(path, h_fun, t_lo, t_hi, lanes, h_tol, t_tol):
@@ -210,46 +210,16 @@ def _scan_step(h_fun, direction, t_old, t_new, y_old, q, h_prev, h_new,
     pending[lanes] = False
 
 
-def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
-               rtol=1e-10, atol=1e-12, dense=False, on_no_return="raise"):
-    """Integrate a batch of initial conditions, each in its own shifted time.
+def forced_rhs(sys, taus, eps):
+    """Right-hand side (s, y) -> X(y) + eps * g(taus + s, y, eps) in local time.
 
-    Lane i starts at absolute time ``taus[i]`` in state ``vs[i]``; internally
-    everything runs in the local time s = t - tau, so the whole batch shares
-    one adaptive step sequence (which keeps evaluation errors correlated
-    across finite-difference stencils).  ``eps`` is a scalar or one value
-    per lane, shape (K,); lane i then follows X + eps[i] * g and ``g``
-    receives the (K,) array, as it receives the per-lane times.  Exactly one
-    of ``duration`` (fixed-time mode, common to all lanes) and ``event``
-    (an `EventConfig`) applies; any other ``event`` raises `TypeError`.
-    With ``dense`` the result carries the `DensePath` in local time.
-
-    Event mode runs `dopri.integrate` up to ``max_time`` with a per-step scan
-    as its ``stop`` hook, which ends the integration once every lane has an
-    admissible crossing.  Lanes without one raise `NoReturnError`, or with
-    ``on_no_return="flag"`` end at ``max_time`` with ``event_hit`` false.
-
-    In event mode each hit lane ends at the last bisection point of its
-    crossing, or at its bracket's lower end when only that meets `H_TOL`,
-    so |H| <= `H_TOL` there; ``stats["event_h_max"]`` is the worst
-    such |H| (0.0 when no lane hit).  A localization that still misses
-    `H_TOL` after `LOCALIZE_HALVINGS` halvings raises `IntegrationError`.
-    Detection on a lane is armed once its |H| reaches `ARM_LEVEL`.  Two
-    crossings inside one step are found when H passes S between them by at
-    least `PASS_LEVEL`; a shallower pass counts as a touch, and a lane that
-    never crosses but comes within `GRAZING_TOL` of S is flagged grazing.
-
-    Batch composition: a lane's result depends on the other lanes of its
-    batch only through the shared step sequence (the error norm is the max
-    over lanes).  Its stages, dense output, event scan and localization use
-    its own values only, so moving a lane to another batch changes its
-    result by integration error only, within a few ``rtol``.
+    Lane i of the batch y started at absolute time ``taus[i]``.  ``eps`` is
+    a scalar or one value per lane, shape (K,) with K = len(taus); lane i
+    then follows X + eps[i] * g and ``g`` receives the (K,) array, as it
+    receives the per-lane times.  Any other shape raises `ValueError`.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    vs = np.atleast_2d(np.asarray(vs, dtype=float))
-    K = vs.shape[0]
-    if taus.size == 1 and K > 1:
-        taus = np.full(K, taus[0])
+    K = taus.size
     eps = np.asarray(eps, dtype=float)
     if eps.ndim == 0:
         eps = weight = float(eps)
@@ -267,25 +237,53 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
                                             dtype=float)
         return out
 
-    if (duration is None) == (event is None):
-        raise ValueError("specify exactly one of duration or event")
-    if event is not None and not isinstance(event, EventConfig):
+    return rhs
+
+
+def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
+               atol=1e-12, on_no_return="raise"):
+    """Flow a batch of lanes, each in its own shifted time, to S.
+
+    Lane i starts at absolute time ``taus[i]`` (one tau may serve all lanes;
+    else a count other than K raises `ValueError`) in state ``vs[i]``, with
+    ``eps`` a scalar or one value per lane.  Everything runs in the local
+    time s = t - tau of `forced_rhs`, so the whole batch shares one adaptive
+    step sequence (which keeps evaluation errors correlated across
+    finite-difference stencils); the result's ``path`` is in local time.
+    ``event`` must be an `EventConfig`, else `TypeError`.
+
+    `dopri.integrate` runs up to ``max_time`` with a per-step scan as its
+    ``stop`` hook, which ends the integration once every lane has an
+    admissible crossing.  Lanes without one raise `NoReturnError`, or with
+    ``on_no_return="flag"`` end at ``max_time`` with ``event_hit`` false.
+
+    Each hit lane ends at the last bisection point of its crossing, or at
+    its bracket's lower end when only that meets `H_TOL`, so |H| <= `H_TOL`
+    there; ``stats["event_h_max"]`` is the worst such |H| (0.0 when no lane
+    hit).  A localization that still misses `H_TOL` after
+    `LOCALIZE_HALVINGS` halvings raises `IntegrationError`.  Detection on a
+    lane is armed once its |H| reaches `ARM_LEVEL`.  Two crossings inside
+    one step are found when H passes S between them by at least
+    `PASS_LEVEL`; a shallower pass counts as a touch, and a lane that never
+    crosses but comes within `GRAZING_TOL` of S is flagged grazing.
+
+    Batch composition: a lane's result depends on the other lanes of its
+    batch only through the shared step sequence (the error norm is the max
+    over lanes).  Its stages, dense output, event scan and localization use
+    its own values only, so moving a lane to another batch changes its
+    result by integration error only, within a few ``rtol``.
+    """
+    if not isinstance(event, EventConfig):
         raise TypeError(f"event must be an EventConfig, got {event!r}")
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    vs = np.atleast_2d(np.asarray(vs, dtype=float))
+    K = vs.shape[0]
+    if taus.size == 1:
+        taus = np.full(K, taus[0])
+    elif taus.shape != (K,):
+        raise ValueError(f"taus must have 1 or {K} entries, got {taus.size}")
+    rhs = forced_rhs(sys, taus, eps)
 
-    if duration is not None:
-        duration = float(duration)
-        if duration < 0:
-            raise ValueError("the stop time must lie at or after tau")
-        if duration == 0.0:
-            return FlowResult(taus.copy(), vs.copy(), np.zeros(K, bool),
-                              np.zeros(K, bool),
-                              {"n_steps": 0, "n_rejected": 0, "nfev": 0})
-        path, stats = integrate(rhs, vs, duration, rtol=rtol, atol=atol)
-        return FlowResult(taus + duration, path.y[-1].copy(),
-                          np.zeros(K, bool), np.zeros(K, bool), stats,
-                          path if dense else None)
-
-    # event mode: march until every lane has an accepted crossing
     def h_of(y):
         return np.asarray(sys.H(y), dtype=float)
 
@@ -333,12 +331,11 @@ def flow_batch(sys, taus, vs, eps, *, duration=None, event=None, max_time=20.0,
         end_states[hit_lanes] = y_star
     end_times[pending] = taus[pending] + path.t[-1]
     stats["event_h_max"] = h_max
-    return FlowResult(end_times, end_states, ~pending, grazing, stats,
-                      path if dense else None)
+    return FlowResult(end_times, end_states, ~pending, grazing, stats, path)
 
 
-def simulate_hybrid(sys, tau, v, eps, duration, *, event=None, rtol=1e-10,
-                    atol=1e-12):
+def simulate_hybrid(sys, tau, v, eps, duration, *, event=EventConfig(),
+                    rtol=1e-10, atol=1e-12):
     """Execute the hybrid dynamics for ``duration``: flow, jump at S, repeat.
 
     Returns a list of segments, each a pair (absolute times, states) of
@@ -346,8 +343,6 @@ def simulate_hybrid(sys, tau, v, eps, duration, *, event=None, rtol=1e-10,
     crossing of S.  Raises `IntegrationError` if `MAX_SEGMENTS` segments end
     before ``duration`` is covered.
     """
-    if event is None:
-        event = EventConfig()
     t = float(tau)
     state = np.asarray(v, dtype=float)
     t_final = t + float(duration)
@@ -358,7 +353,7 @@ def simulate_hybrid(sys, tau, v, eps, duration, *, event=None, rtol=1e-10,
         if remaining <= 0:
             break
         res = flow_batch(sys, [t], state[None, :], eps, event=event,
-                         max_time=remaining, rtol=rtol, atol=atol, dense=True,
+                         max_time=remaining, rtol=rtol, atol=atol,
                          on_no_return="flag")
         ts = np.linspace(0.0, min(res.end_times[0] - t, res.path.t[-1]),
                          SEGMENT_SAMPLES)

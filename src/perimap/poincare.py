@@ -10,8 +10,8 @@ is autonomous and defines the reduced map P(u).
 `extract_alpha_beta` packages the pair (return lag, returned u) as the alpha
 and beta evaluators of a `MapSpec` with x := tau, k1 = 1 and period T_g; the
 technical omega input is fixed to 1 and ignored.  Both evaluators share one
-flow per evaluation point through a small memo, so a curve-solver sweep that
-has just evaluated alpha gets the matching beta for free.
+flow per evaluation point through a memo of the last request, so a
+curve-solver sweep that has just evaluated alpha gets the matching beta free.
 
 `cylinder_table` samples forced trajectories started on a solved invariant
 curve: the invariant cylinder written by the CLI and the demo script.
@@ -37,7 +37,7 @@ MAX_TIME_LAGS = 10.0     # return horizon, in anchor return lags
 CHART_TOL = 1e-8         # largest distance of a return point from the chart
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoincareHandle:
     """A hybrid system plus the event/integrator configuration of its returns."""
 
@@ -46,7 +46,6 @@ class PoincareHandle:
     max_time: float
     rtol: float
     atol: float
-    effective_r1: float
 
 
 def prepare_handle(sys):
@@ -69,8 +68,7 @@ def prepare_handle(sys):
                        rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
     lag = float(probe.end_times[0])
     return PoincareHandle(sys=sys, event=event, max_time=MAX_TIME_LAGS * lag,
-                          rtol=POINCARE_RTOL, atol=POINCARE_ATOL,
-                          effective_r1=sys.r1)
+                          rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
 
 
 def _return_batch(handle, taus, xs, eps):
@@ -134,12 +132,12 @@ def P_reduced(handle, u):
 
 
 def certify_returns(handle, eps_range=(0.0, 0.0), n_samples=32, seed=0):
-    """Sample the chart for return existence; records the certified radius.
+    """Largest sampled chart radius on which every sample returns.
 
-    Tries the full chart radius first, then a shrinking ladder; the largest
-    radius whose samples all return becomes ``effective_r1``.  The samples
-    of one level, each with its own tau and eps, return through one batched
-    flow; `NoReturnError` or `ChartError` from it fails the level.
+    Tries the full chart radius first, then a shrinking ladder, and returns
+    the first radius whose samples all return.  The samples of one level,
+    each with its own tau and eps, return through one batched flow;
+    `NoReturnError` or `ChartError` from it fails the level.
     """
     rng = np.random.default_rng(seed)
     sys = handle.sys
@@ -153,22 +151,20 @@ def certify_returns(handle, eps_range=(0.0, 0.0), n_samples=32, seed=0):
             p_eps_batch(handle, taus, us, epses)
         except (NoReturnError, ChartError):
             continue
-        handle.effective_r1 = r
         return r
     raise NoReturnError("no sampled chart radius returned reliably")
 
 
 class _WrappedPoincare:
-    """alpha/beta evaluators backed by the Poincare map, with a shared memo.
+    """alpha/beta evaluators backed by the Poincare map, with a one-request memo.
 
     One return flow yields both the lag (alpha) and the new chart point
-    (beta); results are memoized per (eps, tau, u) so the beta evaluation at
-    the nodes of a curve-solver sweep reuses the alpha flows.  Keys are
-    deduplicated before flowing: each distinct missing key is flowed once,
-    and every repeat of it in the request reads the same memo entry.
+    (beta); results are memoized per (eps, tau, u) for one request: the memo
+    keeps the keys of the last request only, which the beta evaluation at a
+    sweep's nodes (and the first sweep after the monotonicity check) reuses.
+    Keys are deduplicated before flowing: each distinct missing key is
+    flowed once, and every repeat of it reads the same memo entry.
     """
-
-    _MEMO_LIMIT = 500_000  # entries; the memo is emptied when it is full
 
     def __init__(self, handle):
         self.handle = handle
@@ -177,20 +173,19 @@ class _WrappedPoincare:
     def _lookup(self, eps, taus, us):
         keys = [(eps, float(t)) + tuple(float(c) for c in u)
                 for t, u in zip(taus, us)]
-        if len(self._memo) + len(keys) > self._MEMO_LIMIT:
-            # emptied before the scan, so every key read below is present
-            self._memo.clear()
+        memo = {k: self._memo[k] for k in keys if k in self._memo}
         missing = {}  # distinct missing key -> its first row
         for i, k in enumerate(keys):
-            if k not in self._memo:
+            if k not in memo:
                 missing.setdefault(k, i)
         if missing:
             rows = list(missing.values())
             times, new_us = p_eps_batch(self.handle, taus[rows], us[rows], eps)
             for j, k in enumerate(missing):
-                self._memo[k] = (float(times[j]), new_us[j])
-        lags = np.array([self._memo[k][0] for k in keys]) - taus
-        outs = np.stack([self._memo[k][1] for k in keys])
+                memo[k] = (float(times[j]), new_us[j])
+        self._memo = memo
+        lags = np.array([memo[k][0] for k in keys]) - taus
+        outs = np.stack([memo[k][1] for k in keys])
         return lags, outs
 
     def alpha(self, omega, eps, x, y):
@@ -211,8 +206,9 @@ def extract_alpha_beta(handle):
 
     alpha(omega, eps, tau, u) is the return lag T_eps(tau, D(u)) - tau and
     beta is the u-component of the return; omega is fixed to 1 by the wrapper
-    and ignored by the evaluators.  The chart radius is the handle's
-    ``effective_r1``.
+    and ignored by the evaluators.  The chart radius is the system's ``r1``;
+    for the radius that `certify_returns` found, use
+    ``dataclasses.replace(spec, r1=radius)``.
 
     The wrapped evaluators integrate at `CURVE_RTOL` and `CURVE_ATOL`, the
     generic flow tolerance, looser than the handle's Poincare-grade setting,
@@ -225,7 +221,7 @@ def extract_alpha_beta(handle):
     return MapSpec(
         k1=1,
         k2=sys.k2,
-        r1=handle.effective_r1,
+        r1=sys.r1,
         alpha=wrapper.alpha,
         beta=wrapper.beta,
         periodic_coord=1,

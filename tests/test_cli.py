@@ -85,6 +85,35 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "config error" in err and key in err
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"n_trajectories": 0}, "n_trajectories"),
+        ({"n_trajectories": -2}, "n_trajectories"),
+        ({"n_trajectories": 2.5}, "n_trajectories"),
+        ({"solver": {"n_nodes": 256.7}}, "n_nodes"),
+        ({"solver": {"max_iter": 10.5}}, "max_iter"),
+        ({"sampling": {"seed": 1, "n_samples": 16.2}}, "n_samples"),
+        ({"sampling": {"seed": 1.5}}, "seed"),
+    ], ids=["trajectories-0", "trajectories-negative",
+            "trajectories-fraction", "n_nodes-fraction", "max_iter-fraction",
+            "n_samples-fraction", "seed-fraction"])
+    def test_bad_count_rejected(self, tmp_path, capsys, extra, key):
+        # 0 or -2 trajectories once solved the whole curve and then failed
+        # with a traceback; 256.7 nodes silently became 256
+        cfgp = write_config(tmp_path, "c.json", {
+            "system": {"name": "polar-hybrid"}, "eps": 0.01,
+            "sampling": {"seed": 1}, **extra})
+        rc = cli.main(["cylinder-data", "--config", cfgp,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
+    def test_integral_float_count_accepted(self):
+        cfg = cli.parse_config({"system": {"name": "linear-shear"},
+                                "solver": {"n_nodes": 64.0},
+                                "sampling": {"seed": 3.0}}, "solve-curve")
+        assert cfg.n_nodes == 64 and cfg.seed == 3
+
     @pytest.mark.parametrize("mode, name", [
         ("check-map", "polar-hybrid"),
         ("certify", "polar-hybrid"),

@@ -11,12 +11,12 @@ KAPPA_OVER_E = 0.5 / np.e
 
 class TestFixedPoint:
     def test_converges_to_cycle(self, handle):
-        u = pm.find_fixed_point(handle, [0.1])
+        u, _, _ = pm.find_fixed_point(handle, [0.1])
         assert np.max(np.abs(u)) <= 1e-10
 
     def test_fixed_guess_returns_immediately(self, handle):
-        u0 = pm.find_fixed_point(handle, [0.1])
-        u1 = pm.find_fixed_point(handle, u0)
+        u0, _, _ = pm.find_fixed_point(handle, [0.1])
+        u1, _, _ = pm.find_fixed_point(handle, u0)
         assert np.array_equal(u0, u1)
 
     def test_missing_return_surfaces_from_newton(self, handle):
@@ -31,7 +31,7 @@ class TestFixedPoint:
 
 class TestJacobian:
     def test_matches_logistic_derivative(self, handle):
-        u = pm.find_fixed_point(handle, [0.0])
+        u, _, _ = pm.find_fixed_point(handle, [0.0])
         J, eigs, rich = pm.jacobian_and_spectrum(handle, u)
         assert abs(J[0, 0] - KAPPA_OVER_E) <= 1e-6
         assert rich <= 1e-5
@@ -47,7 +47,7 @@ class TestJacobian:
     def test_kappa_e_boundary_not_certifiable(self):
         sys_ = pm.polar_hybrid(kappa=float(np.e))
         h = pm.prepare_handle(sys_)
-        u = pm.find_fixed_point(h, [0.0])
+        u, _, _ = pm.find_fixed_point(h, [0.0])
         J, eigs, _ = pm.jacobian_and_spectrum(h, u)
         assert abs(J[0, 0] - 1.0) <= 1e-5
         moduli = np.abs(np.array(eigs))
@@ -207,10 +207,28 @@ class TestJacobianFlow:
 
 
 class TestAnalyzePipeline:
-    def test_T_star_bitwise_time_to_return(self, handle):
+    def test_T_star_bitwise_time_to_return(self, handle, monkeypatch):
+        stencils = []
+        p_stencil = ca._p_stencil
+
+        def recorded(handle_, rows):
+            out = p_stencil(handle_, rows)
+            stencils.append((np.atleast_2d(rows), *out))
+            return out
+
+        monkeypatch.setattr(ca, "_p_stencil", recorded)
         rep = ca.analyze_cycle(handle)
+        # T* and the residual are lane 0 of the last Newton stencil flow,
+        # the one before the Jacobian's
+        rows, times, outs = stencils[-2]
+        assert np.array_equal(rows[0], rep.u_star)
+        assert rep.T_star == times[0]
+        assert rep.fixed_point_residual == np.linalg.norm(outs[0] - rows[0])
+        assert rep.fixed_point_residual <= ca.NEWTON_TOL
+        # alone, the same return agrees to the batch-composition bound
         x = np.asarray(handle.sys.D(rep.u_star[None, :]), float)[0]
-        assert rep.T_star == pm.time_to_return(handle, 0.0, x, 0.0)
+        assert (abs(rep.T_star - pm.time_to_return(handle, 0.0, x, 0.0))
+                <= 10 * handle.rtol)
 
     def test_full_report(self, handle):
         rep = ca.analyze_cycle(handle)

@@ -6,12 +6,20 @@ from numpy.testing import assert_allclose
 
 import perimap as pm
 from perimap import cli, hybrid_ode
+from perimap.dopri import integrate
 from perimap.exceptions import IntegrationError, NoReturnError
 
 
 def logistic_radius(r0, t):
     """Closed-form solution of r' = r(1 - r)."""
     return r0 * np.exp(t) / (1.0 + r0 * (np.exp(t) - 1.0))
+
+
+def fixed_time(sys_, taus, vs, eps, duration, **tol):
+    """End states of the forced flow after ``duration`` from each lane's tau."""
+    path, _ = integrate(hybrid_ode.forced_rhs(sys_, taus, eps), vs, duration,
+                        **tol)
+    return path.y[-1]
 
 
 @pytest.fixture()
@@ -25,9 +33,8 @@ def frozen(e3):
 
 class TestFlow:
     def test_half_turn_on_cycle(self, e3):
-        res = pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0, duration=0.5)
-        assert np.linalg.norm(res.end_states[0] - [-1.0, 0.0]) <= 1e-9
-        assert not res.event_hit[0]
+        end = fixed_time(e3, [0.0], [[1.0, 0.0]], 0.0, 0.5)
+        assert np.linalg.norm(end[0] - [-1.0, 0.0]) <= 1e-9
 
     def test_event_return_after_full_turn(self, e3):
         res = pm.flow_batch(e3, [0.3], [[1.0, 0.0]], 0.0,
@@ -37,13 +44,13 @@ class TestFlow:
         assert np.linalg.norm(res.end_states[0] - [1.0, 0.0]) <= 1e-9
 
     def test_off_cycle_radius_logistic(self, e3):
-        res = pm.flow_batch(e3, [0.0], [[1.3, 0.0]], 0.0, duration=1.0,
-                            rtol=1e-12, atol=1e-14)
-        assert abs(np.linalg.norm(res.end_states[0]) - logistic_radius(1.3, 1.0)) <= 1e-10
+        end = fixed_time(e3, [0.0], [[1.3, 0.0]], 0.0, 1.0, rtol=1e-12,
+                         atol=1e-14)
+        assert abs(np.linalg.norm(end[0]) - logistic_radius(1.3, 1.0)) <= 1e-10
 
     def test_frozen_flow(self, frozen):
-        res = pm.flow_batch(frozen, [0.0], [[0.3, 0.7]], 0.123, duration=5.0)
-        assert np.array_equal(res.end_states[0], [0.3, 0.7])
+        end = fixed_time(frozen, [0.0], [[0.3, 0.7]], 0.123, 5.0)
+        assert np.array_equal(end[0], [0.3, 0.7])
 
     def test_no_return_raises(self, frozen):
         with pytest.raises(NoReturnError):
@@ -58,9 +65,9 @@ class TestFlow:
         # re-integration consistency against the linearized prediction
         rate = float(e3.X(x[None, :])[0, 1])
         t_end = res.end_times[0]
-        res2 = pm.flow_batch(e3, [t_end], x[None, :], 0.0,
-                             duration=(t_end + 1e-10) - t_end)
-        assert abs(res2.end_states[0, 1] - (x[1] + 1e-10 * rate)) <= 1e-11
+        end2 = fixed_time(e3, [t_end], x[None, :], 0.0,
+                          (t_end + 1e-10) - t_end)
+        assert abs(end2[0, 1] - (x[1] + 1e-10 * rate)) <= 1e-11
 
     def test_localized_point_meets_h_tol(self):
         sys_ = pm.polar_hybrid()
@@ -110,21 +117,17 @@ class TestFlow:
 
     def test_semigroup_at_eps0(self, e3):
         v0 = np.array([1.1, 0.2])
-        mid = pm.flow_batch(e3, [0.0], v0[None, :], 0.0,
-                            duration=0.37).end_states[0]
-        two = pm.flow_batch(e3, [0.37], mid[None, :], 0.0,
-                            duration=0.9 - 0.37).end_states[0]
-        one = pm.flow_batch(e3, [0.0], v0[None, :], 0.0,
-                            duration=0.9).end_states[0]
+        mid = fixed_time(e3, [0.0], v0[None, :], 0.0, 0.37)[0]
+        two = fixed_time(e3, [0.37], mid[None, :], 0.0, 0.9 - 0.37)[0]
+        one = fixed_time(e3, [0.0], v0[None, :], 0.0, 0.9)[0]
         assert np.linalg.norm(two - one) <= 1e-9
 
     def test_forced_flow_periodic_in_tau(self, e3):
         v0 = np.array([1.1, 0.2])
         eps = 0.05
-        a = pm.flow_batch(e3, [0.3], v0[None, :], eps,
-                          duration=0.85 - 0.3).end_states[0]
-        b = pm.flow_batch(e3, [0.3 + 0.8], v0[None, :], eps,
-                          duration=(0.85 + 0.8) - (0.3 + 0.8)).end_states[0]
+        a = fixed_time(e3, [0.3], v0[None, :], eps, 0.85 - 0.3)[0]
+        b = fixed_time(e3, [0.3 + 0.8], v0[None, :], eps,
+                       (0.85 + 0.8) - (0.3 + 0.8))[0]
         assert np.linalg.norm(a - b) <= 1e-9
 
     def test_grazing_flagged(self, e3):
@@ -149,6 +152,19 @@ class TestFlow:
         with pytest.raises(TypeError):
             pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0, event=False)
 
+    @pytest.mark.parametrize("n_taus", [2, 4])
+    def test_tau_count_checked_before_integrating(self, e3, monkeypatch,
+                                                  n_taus):
+        # 2 taus for 3 lanes once integrated in full and then failed with
+        # IndexError; 4 taus did the same
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before checking taus")
+
+        monkeypatch.setattr(hybrid_ode, "integrate", no_integration)
+        with pytest.raises(ValueError, match="taus"):
+            pm.flow_batch(e3, np.zeros(n_taus), np.tile([1.0, 0.0], (3, 1)),
+                          0.0, event=pm.EventConfig())
+
 
 class TestTwoCrossingsInOneStep:
     """Oracle: on the unit cycle x2 = sin(2 pi t), so H = x2 - (1 - 1e-6)
@@ -163,7 +179,7 @@ class TestTwoCrossingsInOneStep:
             e3, H=lambda x: np.asarray(x, float)[..., 1] - level)
         return pm.flow_batch(sys_, [0.0], [[1.0, 0.0]], 0.0,
                              event=pm.EventConfig(direction=direction),
-                             rtol=1e-12, atol=1e-14, dense=True, **kw)
+                             rtol=1e-12, atol=1e-14, **kw)
 
     def test_first_crossing_found(self, e3):
         res = self._flow(e3, self.LEVEL, 1)
@@ -206,6 +222,17 @@ def _eps_forced(e3):
     return dataclasses.replace(e3, g=g)
 
 
+def _ends(sys_, taus, vs, eps, mode, **tol):
+    """(end states, end times, steps) of a flow to S, or over a fixed 0.7
+    through `dopri.integrate` in ``mode`` "duration"."""
+    if mode == "duration":
+        path, stats = integrate(hybrid_ode.forced_rhs(sys_, taus, eps), vs,
+                                0.7, **tol)
+        return path.y[-1], np.asarray(taus) + 0.7, stats["n_steps"]
+    res = pm.flow_batch(sys_, taus, vs, eps, event=pm.EventConfig(), **tol)
+    return res.end_states, res.end_times, res.stats["n_steps"]
+
+
 class TestPerLaneEps:
     TAUS = np.array([0.0, 0.3, 0.55, 0.1])
     VS = np.array([[1.05, 0.0], [0.9, 0.1], [1.2, -0.2], [1.0, 0.0]])
@@ -215,32 +242,33 @@ class TestPerLaneEps:
     @pytest.mark.parametrize("mode", ["duration", "event"])
     def test_matches_lane_by_lane(self, e3, eps_in_g, mode):
         sys_ = _eps_forced(e3) if eps_in_g else e3
-        kw = {"duration": 0.7} if mode == "duration" else {"event": pm.EventConfig()}
         rtol = 1e-10
-        res = pm.flow_batch(sys_, self.TAUS, self.VS, self.EPS, rtol=rtol,
-                            **kw)
+        states, times, _ = _ends(sys_, self.TAUS, self.VS, self.EPS, mode,
+                                 rtol=rtol)
         for i, e in enumerate(self.EPS):
-            one = pm.flow_batch(sys_, self.TAUS[i:i + 1], self.VS[i:i + 1],
-                                float(e), rtol=rtol, **kw)
-            assert_allclose(res.end_states[i], one.end_states[0], rtol=0,
-                            atol=10 * rtol)
-            assert abs(res.end_times[i] - one.end_times[0]) <= 10 * rtol
+            one_states, one_times, _ = _ends(
+                sys_, self.TAUS[i:i + 1], self.VS[i:i + 1], float(e), mode,
+                rtol=rtol)
+            assert_allclose(states[i], one_states[0], rtol=0, atol=10 * rtol)
+            assert abs(times[i] - one_times[0]) <= 10 * rtol
         # the lanes really are forced differently
-        assert np.ptp(res.end_states[:, 0]) > 1e-3
+        assert np.ptp(states[:, 0]) > 1e-3
 
     @pytest.mark.parametrize("e", [0.0, 0.02])
     @pytest.mark.parametrize("mode", ["duration", "event"])
     def test_equal_lanes_bitwise_scalar(self, e3, e, mode):
-        kw = {"duration": 0.7} if mode == "duration" else {"event": pm.EventConfig()}
-        scalar = pm.flow_batch(e3, self.TAUS, self.VS, e, **kw)
-        lanes = pm.flow_batch(e3, self.TAUS, self.VS, np.full(4, e), **kw)
-        assert np.array_equal(lanes.end_states, scalar.end_states)
-        assert np.array_equal(lanes.end_times, scalar.end_times)
-        assert lanes.stats["n_steps"] == scalar.stats["n_steps"]
+        scalar = _ends(e3, self.TAUS, self.VS, e, mode)
+        lanes = _ends(e3, self.TAUS, self.VS, np.full(4, e), mode)
+        assert np.array_equal(lanes[0], scalar[0])
+        assert np.array_equal(lanes[1], scalar[1])
+        assert lanes[2] == scalar[2]
 
     def test_wrong_eps_shape_rejected(self, e3):
         with pytest.raises(ValueError, match="eps"):
-            pm.flow_batch(e3, self.TAUS, self.VS, np.zeros(3), duration=0.1)
+            hybrid_ode.forced_rhs(e3, self.TAUS, np.zeros(3))
+        with pytest.raises(ValueError, match="eps"):
+            pm.flow_batch(e3, self.TAUS, self.VS, np.zeros(3),
+                          event=pm.EventConfig())
 
 
 class TestPolarEvaluators:

@@ -1,10 +1,11 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 import perimap as pm
+from perimap import hybrid_ode
+from perimap.dopri import integrate
 
 
 def logistic_P(u, kappa=0.5):
@@ -130,17 +131,16 @@ class TestWrappedSpec:
         assert np.max(gap) <= 1e-9
 
     def test_certified_radius_full_chart(self, handle):
-        h = replace(handle)
-        r = pm.poincare.certify_returns(h, eps_range=(-0.01, 0.01),
+        r = pm.poincare.certify_returns(handle, eps_range=(-0.01, 0.01),
                                         n_samples=12, seed=4)
         assert r == handle.sys.r1
-        assert h.effective_r1 == r
+        with pytest.raises(FrozenInstanceError):
+            handle.max_time = 1.0
 
     def test_one_flow_per_certified_level(self, handle, monkeypatch):
         counter = _LaneCounter(pm.poincare.p_eps_batch)
         monkeypatch.setattr(pm.poincare, "p_eps_batch", counter)
-        h = replace(handle)
-        r = pm.poincare.certify_returns(h, eps_range=(-0.01, 0.01),
+        r = pm.poincare.certify_returns(handle, eps_range=(-0.01, 0.01),
                                         n_samples=12, seed=4)
         assert r == handle.sys.r1
         assert [len(rows) for rows in counter.rows] == [12]
@@ -158,19 +158,19 @@ class TestWrappedSpec:
             return real(handle_, taus, us, eps)
 
         monkeypatch.setattr(pm.poincare, "p_eps_batch", p_eps_batch)
-        h = replace(handle)
-        r = pm.poincare.certify_returns(h, eps_range=(-0.01, 0.01),
+        r = pm.poincare.certify_returns(handle, eps_range=(-0.01, 0.01),
                                         n_samples=12, seed=4)
         assert r == 0.75 * handle.sys.r1
-        assert h.effective_r1 == r
+        # the radius is returned, not recorded: the wrapped chart is r1's
+        assert pm.extract_alpha_beta(handle).r1 == handle.sys.r1
         # one call per level, each carrying every sample's own eps
         assert [e.shape for e in epses] == [(12,), (12,)]
         assert np.ptp(epses[1]) > 0.01
 
     def test_dense_samples_on_request(self, e3):
-        res = pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0, duration=0.5,
-                            dense=True)
-        states = res.path.eval_grid(np.linspace(0.0, 0.5, 64))[:, 0]
+        path, _ = integrate(hybrid_ode.forced_rhs(e3, [0.0], 0.0),
+                            [[1.0, 0.0]], 0.5)
+        states = path.eval_grid(np.linspace(0.0, 0.5, 64))[:, 0]
         assert states.shape == (64, 2)
         assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-8
 
@@ -215,21 +215,21 @@ class TestWrappedMemo:
             assert np.array_equal(a[dup], a[orig])
             assert np.array_equal(b[dup], b[orig])
 
-    def test_full_memo_emptied_before_lookup(self, handle, monkeypatch):
+    def test_memo_holds_the_last_request(self, handle, monkeypatch):
         counter = _LaneCounter(pm.poincare.p_eps_batch)
         monkeypatch.setattr(pm.poincare, "p_eps_batch", counter)
         spec = pm.extract_alpha_beta(handle)
         wrapper = spec.alpha.__self__
-        wrapper._MEMO_LIMIT = 3
         xs = np.array([[0.1], [0.3]])
         us = np.array([[0.05], [-0.1]])
         a = spec.alpha(1.0, 0.01, xs, us)
-        # one remembered key and one new one overflow the memo
+        # one key of the previous request, which is not flowed again, and a
+        # new one; the first request's other key is then forgotten
         a2 = spec.alpha(1.0, 0.01, np.array([[0.3], [0.7]]),
                         np.array([[-0.1], [0.0]]))
-        assert len(wrapper._memo) <= 3
-        assert [len(r) for r in counter.rows] == [2, 2]
-        assert_allclose(a2[0], a[1], atol=1e-10)
+        assert [len(r) for r in counter.rows] == [2, 1]
+        assert set(wrapper._memo) == {(0.01, 0.3, -0.1), (0.01, 0.7, 0.0)}
+        assert np.array_equal(a2[0], a[1])
 
 
 class TestCurveSolveFlows:
