@@ -37,6 +37,7 @@ _TOP_KEYS = {"system", "mode", "omega", "eps", "eps_list", "solver",
              "sampling", "delta", "tolerances", "n_trajectories"}
 _SOLVER_KEYS = {"n_nodes", "tol", "max_iter"}
 _SAMPLING_KEYS = {"n_samples", "seed"}
+_TOLERANCE_KEYS = {"a2", "periodicity"}
 
 
 @dataclass
@@ -105,6 +106,8 @@ def parse_config(obj, mode, seed_override=None):
     _require(isinstance(tolerances, dict)
              and all(map(_is_number, tolerances.values())),
              "config key 'tolerances' must be an object of numbers")
+    unknown = set(tolerances) - _TOLERANCE_KEYS
+    _require(not unknown, f"unknown tolerances keys: {sorted(unknown)}")
     _require(seed_override is not None or "seed" in sampling,
              "sampling key 'seed' is mandatory (or pass --seed)")
     cfg = ExperimentConfig(

@@ -10,20 +10,22 @@ numerically, together with the smallness scale lam0 and the derived constants
 
     eps0 = r1 * lam0**2 / 2,      r0 = lam0 * r1,
 
-collected in an `EmbeddingParams` certificate.
+collected in an `EmbeddingParams` certificate.  Each `certificate` rung is
+`embedding_params` tested by `spectral_gap` and the remainder bound of
+`estimate_lambda0`.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
+from . import map_core
 from .exceptions import CertificateError, ConvergenceError, DomainError
-from .map_core import check_assumptions
-from .numdiff import central_jacobian, first_step
+from .numdiff import first_step
 from .sampling import ball_points, latin_hypercube, scale_to
 
 log = logging.getLogger(__name__)
@@ -114,33 +116,22 @@ def _alpha_origin(spec):
 
 
 @lru_cache(maxsize=None)
-def _beta_y0_cached(spec):
-    def f(Y):
-        return spec.beta(0.0, 0.0, np.zeros((len(Y), spec.k1)), Y)
-
-    B = central_jacobian(f, np.zeros(spec.k2))
+def beta_y0(spec):
+    """`map_core.beta_y0`, computed once per spec and read-only."""
+    B = map_core.beta_y0(spec)
     B.setflags(write=False)
     return B
 
 
-def beta_y0(spec):
-    """Central finite-difference Jacobian of y -> beta(0,0,0,y) at the origin."""
-    return _beta_y0_cached(spec)
-
-
-def build_A_lambda(spec, lam):
-    """(k1+2) x (k1+2) linear part acting on (omega, eps, x)."""
-    k1 = spec.k1
-    A = np.eye(k1 + 2)
-    A[2:, 0] = lam * _alpha_origin(spec)
-    return A
-
-
 def embedding_params(spec, lam, q):
+    """Constants of the model map at scale lam: B = beta_y(0), mu =
+    (||B|| + 1)/2 and the (k1+2) x (k1+2) linear part A_lam acting on
+    (omega, eps, x)."""
     B = beta_y0(spec)
+    A = np.eye(spec.k1 + 2)
+    A[2:, 0] = lam * _alpha_origin(spec)
     mu = (float(np.linalg.norm(B, 2)) + 1.0) / 2.0
-    return EmbeddingParams(lam=float(lam), B=B, A_lambda=build_A_lambda(spec, lam),
-                           mu=mu, q=float(q))
+    return EmbeddingParams(lam=float(lam), B=B, A_lambda=A, mu=mu, q=float(q))
 
 
 # ----------------------------------------------------------------------------
@@ -348,31 +339,34 @@ def _tilde_sup(spec, lam, eps_range, x_range, n_samples, seed):
     return sup_a, sup_b
 
 
-def _default_x_range(spec):
-    if spec.periodic_coord is not None:
-        return (0.0, spec.period)
-    return (-2.0, 2.0)
+def _remainders_pass(spec, lam, delta, eps_range, n_samples, seed):
+    """Whether both sampled remainder sups at scale lam are <= delta, and
+    the sups (alpha, beta); x ranges over one period, else (-2, 2)."""
+    x_range = ((0.0, spec.period) if spec.periodic_coord is not None
+               else (-2.0, 2.0))
+    sups = _tilde_sup(spec, lam, eps_range, x_range, n_samples, seed)
+    return all(s <= delta for s in sups), sups
 
 
 def estimate_lambda0(spec, delta, eps_range=None, n_samples=64, seed=0):
     """Largest ladder scale at which both rescaled remainders stay below delta.
 
     The sup is sampled over omega in [-1/lam, 2/lam], eps in ``eps_range``
-    (default (-r1, r1)), x over one period or a default box, and ||y|| <= r1, with derivatives by central differences.  Returns
-    ``None`` when no probed scale passes; the failure is logged with the
-    offending bound.
+    (default (-r1, r1)), x over one period or a default box, and
+    ||y|| <= r1, with derivatives by central differences.  This is the
+    remainder test of each `certificate` rung.  Returns ``None`` when no
+    probed scale passes; the failure is logged with the offending bound.
     """
     if not (delta > 0):
         return None
     eps_range = eps_range if eps_range is not None else (-spec.r1, spec.r1)
-    x_range = _default_x_range(spec)
     last = None
     for lam in LADDER:
-        sup_a, sup_b = _tilde_sup(spec, lam, eps_range, x_range, n_samples,
-                                  seed)
-        if sup_a <= delta and sup_b <= delta:
+        ok, sups = _remainders_pass(spec, lam, delta, eps_range, n_samples,
+                                    seed)
+        if ok:
             return lam
-        last = (lam, sup_a, sup_b)
+        last = (lam, *sups)
     log.info("no lambda0 found: at lam=%g the bounds were alpha %.3g, beta %.3g "
              "(delta=%g)", last[0], last[1], last[2], delta)
     return None
@@ -391,41 +385,32 @@ def spectral_gap(params):
 def certificate(spec, delta=None, n_samples=64, seed=0):
     """Issue an `EmbeddingParams` certificate (lambda0, eps0, r0, mu, q).
 
-    q is the sampled q of `check_assumptions`, at least ||beta_y(0)||.
-    lambda0 is the largest ladder scale passing both the remainder-smallness
-    bound (eps sampled in (-r1, r1)) and ||A_lam^{-1}|| <= mu^{-1}.  Raises
-    `CertificateError` when q is not below 1 or no scale passes.
+    q is `map_core.pairwise_q` over max(``n_samples``, 32) points of the r1
+    ball, raised to ||beta_y(0)|| if it falls below.  lambda0 is the first
+    ladder scale whose `embedding_params` pass `spectral_gap` and keep both
+    remainders below ``delta`` (default (1 - q)/3, eps in (-r1, r1)).
+    Raises `CertificateError` when q or ||beta_y(0)|| is not below 1, or
+    when no scale passes.
     """
-    q = check_assumptions(spec, n_samples=max(n_samples, 32),
-                          seed=seed).q_estimate
+    q = map_core.pairwise_q(spec, np.random.default_rng(seed),
+                            max(n_samples, 32), spec.r1)
     if not q < 1.0:
         raise CertificateError(f"sampled contraction q = {q:.6g} is not < 1")
-    B = beta_y0(spec)
-    norm_B = float(np.linalg.norm(B, 2))
+    norm_B = float(np.linalg.norm(beta_y0(spec), 2))
     if not norm_B <= q:
         # sampled pairs may slightly undershoot the derivative norm
         q = norm_B
         if not q < 1.0:
             raise CertificateError(f"||beta_y(0)|| = {norm_B:.6g} is not < 1")
-    mu = (norm_B + 1.0) / 2.0
     if delta is None:
         delta = (1.0 - q) / 3.0
-    x_range = _default_x_range(spec)
     for lam in LADDER:
-        sv = np.linalg.svd(build_A_lambda(spec, lam), compute_uv=False)
-        if 1.0 / float(sv[-1]) > 1.0 / mu:
-            continue
-        sup_a, sup_b = _tilde_sup(spec, lam, (-spec.r1, spec.r1), x_range,
-                                  n_samples, seed)
-        if sup_a <= delta and sup_b <= delta:
-            lam0 = lam
-            break
-    else:
-        raise CertificateError(
-            f"no ladder scale satisfies the delta={delta:g} remainder bound "
-            "together with the spectral gap"
-        )
-    eps0 = spec.r1 * lam0**2 / 2.0
-    r0 = lam0 * spec.r1
-    return EmbeddingParams(lam=lam0, B=B, A_lambda=build_A_lambda(spec, lam0),
-                           mu=mu, q=float(q), lambda0=lam0, eps0=eps0, r0=r0)
+        params = embedding_params(spec, lam, q)
+        if spectral_gap(params)[1] and _remainders_pass(
+                spec, lam, delta, (-spec.r1, spec.r1), n_samples, seed)[0]:
+            return replace(params, lambda0=lam,
+                           eps0=spec.r1 * lam**2 / 2.0, r0=lam * spec.r1)
+    raise CertificateError(
+        f"no ladder scale satisfies the delta={delta:g} remainder bound "
+        "together with the spectral gap"
+    )

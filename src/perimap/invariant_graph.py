@@ -156,10 +156,6 @@ class WindowGridFn:
     def nodes(self):
         return np.linspace(0.0, self.length, self.values.shape[0])
 
-    @property
-    def k2(self):
-        return self.values.shape[1]
-
     def eval(self, x):
         x = np.clip(np.asarray(x, dtype=float), 0.0, self.length)
         return self._spline(x)

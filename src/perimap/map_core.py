@@ -68,10 +68,6 @@ class Trajectory:
     eps: float
     escaped: bool
 
-    @property
-    def points(self):
-        return list(zip(self.xs, self.ys))
-
     def __len__(self):
         return self.xs.shape[0]
 
@@ -208,11 +204,33 @@ def _coordinate_diff_sups(fun, omega, eps, X, Y):
     return sup_f, sup_d1, sup_d2
 
 
+def pairwise_q(spec, rng, n_samples, y_radius):
+    """Lipschitz constant of y -> beta(0,0,0,y) over all pairs of
+    max(8, ``n_samples``) points of the ``y_radius`` ball, the first draw of
+    ``rng``."""
+    n_q = max(8, n_samples)
+    ys = ball_points(latin_hypercube(rng, n_q, spec.k2), y_radius)
+    b = np.asarray(spec.beta(0.0, 0.0, np.zeros((n_q, spec.k1)), ys), dtype=float)
+    dy = np.linalg.norm(ys[:, None, :] - ys[None, :, :], axis=-1)
+    db = np.linalg.norm(b[:, None, :] - b[None, :, :], axis=-1)
+    mask = dy > 0
+    return float(np.max(db[mask] / dy[mask])) if np.any(mask) else 0.0
+
+
+def beta_y0(spec):
+    """beta_y(0): central finite-difference Jacobian of y -> beta(0,0,0,y)
+    at the origin."""
+    def beta_at_y(Y):
+        return spec.beta(0.0, 0.0, np.zeros((len(Y), spec.k1)), Y)
+
+    return central_jacobian(beta_at_y, np.zeros(spec.k2))
+
+
 def check_assumptions(spec, box=None, n_samples=128, seed=0):
     """Sampled predicates for the standing assumptions; deterministic in ``seed``.
 
-    * Lipschitz constant of y -> beta(0,0,0,y) from all sampled pairs.
-    * beta_y(0) by a central finite-difference Jacobian.
+    * q_estimate: `pairwise_q`, the first draw of ``default_rng(seed)``.
+    * beta_y(0) by `beta_y0`, with an invertibility flag.
     * a2_defect: sup deviation of alpha/beta at eps=0 from their values at
       (omega, x) = 0, plus ||beta(0)||.
     * periodicity_defect: sup of |f(x + T e_k) - f(x)| when a periodic
@@ -231,23 +249,9 @@ def check_assumptions(spec, box=None, n_samples=128, seed=0):
     zeros_x = np.zeros((1, spec.k1))
     zeros_y = np.zeros((1, spec.k2))
 
-    # pairwise Lipschitz estimate for y -> beta(0,0,0,y)
-    n_q = max(8, n_samples)
-    ys = ball_points(latin_hypercube(rng, n_q, spec.k2), y_radius)
-    b = np.asarray(spec.beta(0.0, 0.0, np.zeros((n_q, spec.k1)), ys), dtype=float)
-    diff_y = ys[:, None, :] - ys[None, :, :]
-    diff_b = b[:, None, :] - b[None, :, :]
-    dy = np.linalg.norm(diff_y, axis=-1)
-    db = np.linalg.norm(diff_b, axis=-1)
-    mask = dy > 0
-    q_estimate = float(np.max(db[mask] / dy[mask])) if np.any(mask) else 0.0
-
-    # beta_y(0) and invertibility flag
-    def beta_at_y(Y):
-        return spec.beta(0.0, 0.0, np.zeros((len(Y), spec.k1)), Y)
-
-    beta_y0 = central_jacobian(beta_at_y, np.zeros(spec.k2))
-    sv = np.linalg.svd(beta_y0, compute_uv=False)
+    q_estimate = pairwise_q(spec, rng, n_samples, y_radius)
+    B = beta_y0(spec)
+    sv = np.linalg.svd(B, compute_uv=False)
     invertible = bool(sv[-1] > 1e-12 * max(1.0, float(sv[0])))
 
     # stratified (omega, eps) groups with (x, y) sub-batches
@@ -303,7 +307,7 @@ def check_assumptions(spec, box=None, n_samples=128, seed=0):
     }
     return AssumptionReport(
         q_estimate=q_estimate,
-        beta_y0=beta_y0,
+        beta_y0=B,
         beta_y0_invertible=invertible,
         a2_defect=a2,
         periodicity_defect=per,

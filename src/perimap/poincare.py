@@ -236,8 +236,12 @@ def cylinder_table(handle, curve, eps, n_trajectories):
     Trajectory i starts at tau_i = i T_g / n_trajectories from the post-jump
     state Delta(D(curve(tau_i))) and runs for one forcing period, jumps
     included, at the handle's tolerances.  Returns the CSV header and the
-    rows (trajectory, t, x1..xd), one row per dense sample.
+    rows (trajectory, t, x1..xd), one row per dense sample.  Raises
+    `ValueError` before any flow unless ``n_trajectories`` >= 1.
     """
+    if not n_trajectories >= 1:
+        raise ValueError(
+            f"n_trajectories must be at least 1, got {n_trajectories}")
     sys = handle.sys
     taus = np.linspace(0.0, sys.T_g, n_trajectories, endpoint=False)
     rows = []

@@ -40,6 +40,16 @@ class TestConfigValidation:
         assert rc == 2
         assert "frobnicate" in capsys.readouterr().err
 
+    def test_unknown_tolerance_rejected(self, tmp_path, capsys):
+        # check-map reads only a2 and periodicity; a misspelt key was ignored
+        cfgp = write_config(tmp_path, "c.json", {
+            "system": {"name": "linear-shear"}, "sampling": {"seed": 1},
+            "tolerances": {"a3": 1e-30, "periodicty": 1e-30}})
+        rc = cli.main(["check-map", "--config", cfgp, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "a3" in err and "periodicty" in err
+
     def test_seed_mandatory(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, "c.json",
                             {"system": {"name": "linear-shear"}})

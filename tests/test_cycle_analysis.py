@@ -240,3 +240,11 @@ class TestAnalyzePipeline:
         assert rep.adapted is not None
         d = rep.to_json_dict()
         assert d["spectrum_ok"] is True
+
+    def test_contraction_in_the_adapted_norm(self, handle):
+        args = {"u_range": 0.25, "eps_range": (0.0, 0.01), "n_samples": 8,
+                "seed": 3}
+        rep = ca.analyze_cycle(handle, contraction=args)
+        q, ok = pm.certify_contraction(handle, norm=rep.adapted, **args)
+        assert rep.q_certified == q and rep.q_ok == ok
+        assert rep.q_ok

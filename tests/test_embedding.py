@@ -214,6 +214,20 @@ class TestCertificate:
         assert cert.r0 == cert.lambda0 * e1.r1
         assert cert.q < 1.0 and np.linalg.norm(cert.B, 2) <= cert.q
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_q_raised_to_beta_y0_norm(self, seed):
+        # the sampled pairs see the cubic term and undershoot ||beta_y(0)||
+        spec = pm.MapSpec(
+            k1=1, k2=1, r1=1.0, alpha=lambda w, e, x, y: np.ones_like(x),
+            beta=lambda w, e, x, y: (0.5 * y - 0.2 * y**3
+                                     + e * np.sin(2 * np.pi * x)),
+            periodic_coord=1, period=1.0)
+        norm_B = np.linalg.norm(pm.beta_y0(spec), 2)
+        sampled = pm.check_assumptions(spec, n_samples=32, seed=seed)
+        assert sampled.q_estimate < norm_B
+        cert = pm.certificate(spec, n_samples=32, seed=seed)
+        assert cert.q == norm_B
+
     def test_expanding_map_refused(self):
         spec = pm.linear_shear(q=1.5)
         with pytest.raises(CertificateError):

@@ -212,6 +212,32 @@ class TestTwoCrossingsInOneStep:
         assert abs(h_e[0] + 0.05) <= 1e-10
 
 
+class TestThreeCrossingsInOneStep:
+    """Oracle: on the unit cycle theta = THETA0 + 2 pi t, so H = sin(40 theta)
+    first falls through 0 at theta = pi/40 and first rises through 0 at
+    2 pi/40.  Both lie in the second accepted step, which holds three zeros
+    of H."""
+
+    THETA0 = 0.013
+
+    @pytest.mark.xfail(strict=True, reason="flow_batch takes a step whose "
+                       "ends differ in sign for one crossing, and returns a "
+                       "later one when the step holds three")
+    @pytest.mark.parametrize("direction, m", [(1, 2), (-1, 1)])
+    def test_first_admissible_crossing(self, direction, m):
+        def H(x):
+            x = np.asarray(x, float)
+            return np.sin(40 * np.arctan2(x[..., 1], x[..., 0]))
+
+        sys_ = dataclasses.replace(pm.polar_hybrid(), H=H)
+        res = pm.flow_batch(sys_, [0.0], [[np.cos(self.THETA0),
+                                           np.sin(self.THETA0)]], 0.0,
+                            event=pm.EventConfig(direction=direction))
+        t_star = (m * np.pi / 40 - self.THETA0) / (2 * np.pi)
+        assert res.event_hit[0]
+        assert abs(res.end_times[0] - t_star) <= 1e-9
+
+
 def _eps_forced(e3):
     """`e3` with a forcing whose size depends on eps, given per lane or not."""
     def g(t, x, eps):

@@ -269,3 +269,16 @@ class TestCurveSolveFlows:
                 assert len(np.unique(rows, axis=0)) == len(rows)
         assert sorted(sweep_of_call.values()) == list(range(2, 8))
         assert len(counter.rows) <= rep.iterations + 1
+
+
+class TestCylinderTable:
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_no_trajectories_rejected_before_flowing(self, handle, monkeypatch,
+                                                      n):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("simulate_hybrid called")
+
+        monkeypatch.setattr(pm.poincare, "simulate_hybrid", no_flow)
+        curve = pm.PeriodicGridFn.zeros(handle.sys.T_g, 16)
+        with pytest.raises(ValueError, match="n_trajectories"):
+            pm.cylinder_table(handle, curve, 0.01, n)
