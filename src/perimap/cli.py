@@ -30,9 +30,6 @@ from . import cycle_analysis, embedding, hybrid_ode, invariant_graph, map_core, 
 from .exceptions import ConfigError, PerimapError
 from .invariant_graph import curve_table, write_csv
 
-MODES = ("check-map", "certify", "solve-curve", "hybrid-analyze", "sweep-eps",
-         "cylinder-data")
-
 _TOP_KEYS = {"system", "mode", "omega", "eps", "eps_list", "solver",
              "sampling", "delta", "tolerances", "n_trajectories"}
 _SOLVER_KEYS = {"n_nodes", "tol", "max_iter"}
@@ -258,29 +255,25 @@ def _run_cylinder(cfg, system, out):
     return 0 if report.converged else 1
 
 
-_RUNNERS = {
-    "check-map": _run_check_map,
-    "certify": _run_certify,
-    "solve-curve": _run_solve_curve,
-    "hybrid-analyze": _run_hybrid_analyze,
-    "sweep-eps": _run_sweep_eps,
-    "cylinder-data": _run_cylinder,
+# each mode's runner and the system kind it needs (None: either kind)
+MODES = {
+    "check-map": (_run_check_map, "map"),
+    "certify": (_run_certify, "map"),
+    "solve-curve": (_run_solve_curve, None),
+    "hybrid-analyze": (_run_hybrid_analyze, "hybrid"),
+    "sweep-eps": (_run_sweep_eps, None),
+    "cylinder-data": (_run_cylinder, "hybrid"),
 }
-
-
-# the system kind each mode needs; the others take either kind
-_KIND = {"check-map": "map", "certify": "map",
-         "hybrid-analyze": "hybrid", "cylinder-data": "hybrid"}
 
 
 def run(config: ExperimentConfig, out_dir="."):
     os.makedirs(out_dir, exist_ok=True)
     system = system_from_json(config.system)
     kind = "hybrid" if isinstance(system, hybrid_ode.HybridSystem) else "map"
-    need = _KIND.get(config.mode, kind)
-    _require(need == kind, f"{config.mode} requires a {need} system, and "
-             f"'{config.system['name']}' is a {kind} system")
-    return _RUNNERS[config.mode](config, system, out_dir)
+    runner, need = MODES[config.mode]
+    _require(need in (None, kind), f"{config.mode} requires a {need} system, "
+             f"and '{config.system['name']}' is a {kind} system")
+    return runner(config, system, out_dir)
 
 
 def main(argv=None):

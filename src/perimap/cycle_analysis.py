@@ -17,7 +17,7 @@ import numpy as np
 from .exceptions import CertificateError, ConvergenceError
 from .hybrid_ode import check_transversality
 from .poincare import p_eps_batch
-from .sampling import ball_points, latin_hypercube, scale_to
+from .sampling import ball_points, latin_hypercube, require_count, scale_to
 
 Array = np.ndarray
 
@@ -207,6 +207,7 @@ def certify_contraction(handle, u_range, eps_range, norm, n_samples=64, seed=0):
     bound.  Both points of every pair, each lane with its own tau and eps,
     go through one batched flow.  Returns (q, q < 1).
     """
+    require_count("n_samples", n_samples)
     rng = np.random.default_rng(seed)
     sys = handle.sys
     k2 = sys.k2

@@ -12,9 +12,10 @@ The stepper advances a whole batch y of shape (K, d) with a shared adaptive
 step (the error norm is the max of the per-trajectory norms), which keeps
 the evaluation noise across a batch maximally correlated -- finite-difference
 stencils and the nodes of a graph-transform sweep are pushed through as one
-batch on purpose.  Every accepted step also evaluates the three extra stages of the
-seventh-degree continuous extension and stores its coefficients in powers of
-theta, so events can be localized afterwards without re-integration.
+batch on purpose.  Every accepted step also evaluates the three extra stages
+of the seventh-degree continuous extension and stores its coefficients in
+powers of theta; `dense_value` evaluates that polynomial on a step, so
+events can be localized afterwards without re-integration.
 
 The sixteen stages of a step live in one flat (16, K*d) buffer, so each
 stage sum, the error estimate and the dense coefficients are one small
@@ -230,14 +231,25 @@ def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):
     return min(100 * h0, h1, max_step)
 
 
+def dense_value(y_old, q, h, theta):
+    """One step's interpolant y_old + h * sum_p q[..., p-1] * theta**p.
+
+    ``y_old`` has shape (..., d) and ``q`` (..., d, p); the step length
+    ``h`` and the fraction ``theta`` of it broadcast against the leading
+    axes.  Returns (..., d).
+    """
+    powers = theta[..., None] ** np.arange(1, q.shape[-1] + 1)
+    incr = np.einsum("...dp,...p->...d", q, powers)
+    return y_old + np.expand_dims(h, -1) * incr
+
+
 @dataclass
 class DensePath:
     """Accepted-step grid with per-step polynomial interpolants.
 
     ``t`` has shape (m+1,), ``y`` (m+1, K, d), ``q`` (m, K, d, p) with
-    p = 7 for DOP853.  On step i the solution is
-    y[i] + h[i] * sum_p q[i,:,:,p-1] * theta**p with
-    theta = (t - t[i]) / h[i].
+    p = 7 for DOP853; on step i the solution is
+    ``dense_value(y[i], q[i], h[i], (t - t[i]) / h[i])``.
     """
 
     t: np.ndarray
@@ -248,30 +260,14 @@ class DensePath:
     def h(self):
         return np.diff(self.t)
 
-    def _powers(self, theta):
-        return theta[:, None] ** np.arange(1, self.q.shape[-1] + 1)[None, :]
-
-    def eval_lanes(self, times, lanes=None):
-        """Evaluate lane i at its own time times[i]; returns (n, d)."""
-        times = np.asarray(times, dtype=float)
-        n = times.size
-        lanes = np.arange(n) if lanes is None else np.asarray(lanes)
-        seg = np.clip(np.searchsorted(self.t, times, side="right") - 1,
-                      0, len(self.t) - 2)
-        h = self.h[seg]
-        theta = (times - self.t[seg]) / h
-        qi = self.q[seg, lanes]
-        incr = np.einsum("ndp,np->nd", qi, self._powers(theta))
-        return self.y[seg, lanes] + (h)[:, None] * incr
-
     def eval_grid(self, times):
         """Evaluate all lanes on a common time grid; returns (G, K, d)."""
         times = np.asarray(times, dtype=float)
         seg = np.clip(np.searchsorted(self.t, times, side="right") - 1,
                       0, len(self.t) - 2)
-        theta = (times - self.t[seg]) / self.h[seg]
-        incr = np.einsum("gkdp,gp->gkd", self.q[seg], self._powers(theta))
-        return self.y[seg] + self.h[seg][:, None, None] * incr
+        h = self.h[seg, None]
+        theta = (times[:, None] - self.t[seg, None]) / h
+        return dense_value(self.y[seg], self.q[seg], h, theta)
 
 
 class Dopri54:
@@ -363,16 +359,16 @@ class Dopri54:
                 "nfev": self.nfev}
 
 
-def integrate(rhs, y0, t_end, t0=0.0, rtol=1e-10, atol=1e-12,
-              max_step=np.inf, first_step=None, stop=None):
-    """Integrate a batch to ``t_end`` and return (DensePath, stats).
+def integrate(rhs, y0, t_end, rtol=1e-10, atol=1e-12, max_step=np.inf,
+              first_step=None, stop=None):
+    """Integrate a batch from t = 0 to ``t_end``; returns (DensePath, stats).
 
     This is the one loop that drives `Dopri54.step`.  ``stop``, if given, is
     called as ``stop(t_old, t_new, y_old, y_new, q)`` after every accepted
     step; the loop ends after the first step for which it returns true, so
     the path then ends before ``t_end``.
     """
-    stepper = Dopri54(rhs, t0, y0, t_end, rtol=rtol, atol=atol,
+    stepper = Dopri54(rhs, 0.0, y0, t_end, rtol=rtol, atol=atol,
                       max_step=max_step, first_step=first_step)
     ts = [stepper.t]
     ys = [stepper.y.copy()]

@@ -7,7 +7,8 @@ S = {H = 0}, and a chart D of S.  `flow_batch` integrates a batch of lanes of
     dx/dt = X(x) + eps * g(t, x, eps)
 
 (`forced_rhs`) through `dopri.integrate` (Dormand-Prince 8(5,3)) and localizes
-each lane's first accepted crossing of S on the dense output.  Crossings are
+each lane's first accepted crossing of S by bisection on `dopri.dense_value`
+of the one accepted step that holds it, found once per flow.  Crossings are
 directional (sign of dH/dt must match the configured direction) and detection
 is suppressed until |H| has once exceeded an arming threshold, so a trajectory
 started on or near S by a jump does not retrigger at departure.
@@ -26,10 +27,10 @@ from typing import Callable
 
 import numpy as np
 
-from .dopri import DensePath, integrate
+from .dopri import P, DensePath, dense_value, integrate
 from .exceptions import ConfigError, IntegrationError, NoReturnError
 from .numdiff import central_jacobian
-from .sampling import latin_hypercube, scale_to
+from .sampling import latin_hypercube, require_count, scale_to
 
 Array = np.ndarray
 
@@ -45,10 +46,10 @@ GRAZING_TOL = 1e-6       # |H| proximity that flags a non-crossing touch
 # a crossing pair inside one step must pass S by this much; a smaller pass is
 # within the integration noise of a tangential touch
 PASS_LEVEL = max(ARM_LEVEL, 0.01 * GRAZING_TOL)
-# theta at the 9 sample points of a step (both ends included), and
-# theta**1..7 (rows) at the 7 interior ones (columns)
+# theta at the 9 sample points of a step (both ends included), and the
+# dense-output powers theta**1..p (rows) at the 7 interior ones (columns)
 _THETA_GRID = np.linspace(0.0, 1.0, 9)
-_THETA_POWERS = _THETA_GRID[1:-1] ** np.arange(1, 8)[:, None]
+_THETA_POWERS = _THETA_GRID[1:-1] ** np.arange(1, P.shape[1] + 1)[:, None]
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -97,39 +98,40 @@ class FlowResult:
     path: DensePath = field(repr=False)
 
 
-def _localize_crossings(path, h_fun, t_lo, t_hi, lanes, h_tol, t_tol):
+def _localize_crossings(h_fun, y_old, q, t_old, h, t_lo, t_hi):
     """Vectorized bisection for H = 0 inside per-lane sign-change brackets.
 
-    Lane ``lanes[i]`` changes sign on [t_lo[i], t_hi[i]], which lies inside
-    one accepted step.  Returns the last evaluated midpoints, their states
-    and the worst |H| there.  A lane whose midpoint still misses ``h_tol``
-    after `LOCALIZE_HALVINGS` halvings ends at its lower bracket end instead
-    when |H| is smaller there; `IntegrationError` is raised if a lane misses
-    ``h_tol`` at both.
+    Lane i changes sign on [t_lo[i], t_hi[i]], which lies inside its
+    accepted step: start ``t_old[i]``, length ``h[i]``, state ``y_old[i]``
+    and dense coefficients ``q[i]`` (see `dense_value`).  Returns the last
+    evaluated midpoints, their states and the worst |H| there.  A lane
+    whose midpoint still misses `H_TOL` after `LOCALIZE_HALVINGS` halvings
+    ends at its lower bracket end instead when |H| is smaller there;
+    `IntegrationError` is raised if a lane misses `H_TOL` at both.
     """
-    f_lo = h_fun(path.eval_lanes(t_lo, lanes))
+    f_lo = h_fun(dense_value(y_old, q, h, (t_lo - t_old) / h))
     for _ in range(LOCALIZE_HALVINGS):
         t_mid = 0.5 * (t_lo + t_hi)
-        y_mid = path.eval_lanes(t_mid, lanes)
+        y_mid = dense_value(y_old, q, h, (t_mid - t_old) / h)
         f_mid = h_fun(y_mid)
         go_left = f_lo * f_mid <= 0.0
         t_hi = np.where(go_left, t_mid, t_hi)
         t_lo = np.where(go_left, t_lo, t_mid)
         f_lo = np.where(go_left, f_lo, f_mid)
         h_max = float(np.max(np.abs(f_mid)))
-        if h_max <= h_tol and np.all((t_hi - t_lo) <= t_tol):
+        if h_max <= H_TOL and np.all((t_hi - t_lo) <= T_TOL):
             break
-    miss = np.abs(f_mid) > h_tol
+    miss = np.abs(f_mid) > H_TOL
     if miss.any():
         # once the bracket is two adjacent floats t_mid rounds onto one end,
-        # which can miss h_tol while t_lo, evaluated as well, meets it
+        # which can miss H_TOL while t_lo, evaluated as well, meets it
         t_mid = np.where(miss & (np.abs(f_lo) < np.abs(f_mid)), t_lo, t_mid)
-        y_mid = path.eval_lanes(t_mid, lanes)
+        y_mid = dense_value(y_old, q, h, (t_mid - t_old) / h)
         h_max = float(np.max(np.abs(h_fun(y_mid))))
-    if h_max > h_tol:
+    if h_max > H_TOL:
         raise IntegrationError(
-            f"event localization ended at |H| = {h_max:.3g} > h_tol = "
-            f"{h_tol:.3g} after {LOCALIZE_HALVINGS} halvings")
+            f"event localization ended at |H| = {h_max:.3g} > H_TOL = "
+            f"{H_TOL:.3g} after {LOCALIZE_HALVINGS} halvings")
     return t_mid, y_mid, h_max
 
 
@@ -137,14 +139,11 @@ def _extremum(h_fun, y_old, q, h, lo, hi, sign):
     """Golden-section minimum of sign * H along each lane's step interpolant.
 
     Row i searches theta in [lo[i], hi[i]] on the polynomial
-    y_old[i] + h * sum_p q[i, :, p-1] theta**p.  Returns the best theta and
+    ``dense_value(y_old[i], q[i], h, theta)``.  Returns the best theta and
     H there.
     """
-    powers = np.arange(1, q.shape[-1] + 1)
-
     def f(theta):
-        y = y_old + h * np.einsum("ndp,np->nd", q, theta[:, None] ** powers)
-        return sign * h_fun(y)
+        return sign * h_fun(dense_value(y_old, q, h, theta))
 
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
@@ -244,13 +243,14 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
                atol=1e-12, on_no_return="raise"):
     """Flow a batch of lanes, each in its own shifted time, to S.
 
-    Lane i starts at absolute time ``taus[i]`` (one tau may serve all lanes;
-    else a count other than K raises `ValueError`) in state ``vs[i]``, with
-    ``eps`` a scalar or one value per lane.  Everything runs in the local
-    time s = t - tau of `forced_rhs`, so the whole batch shares one adaptive
-    step sequence (which keeps evaluation errors correlated across
-    finite-difference stencils); the result's ``path`` is in local time.
-    ``event`` must be an `EventConfig`, else `TypeError`.
+    Lane i of the K >= 1 lanes (else `ValueError`) starts at absolute time
+    ``taus[i]`` in state ``vs[i]``; one tau may serve all lanes, else a
+    count other than K raises `ValueError`.  ``eps`` is a scalar or one
+    value per lane.  Everything runs in the local time s = t - tau of
+    `forced_rhs`, so the whole batch shares one adaptive step sequence
+    (which keeps evaluation errors correlated across finite-difference
+    stencils); the result's ``path`` is in local time.  ``event`` must be
+    an `EventConfig`, else `TypeError`.
 
     `dopri.integrate` runs up to ``max_time`` with a per-step scan as its
     ``stop`` hook, which ends the integration once every lane has an
@@ -278,6 +278,7 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     K = vs.shape[0]
+    require_count("the number of lanes in vs", K)
     if taus.size == 1:
         taus = np.full(K, taus[0])
     elif taus.shape != (K,):
@@ -324,9 +325,10 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     hit_lanes = np.nonzero(~pending)[0]
     h_max = 0.0
     if hit_lanes.size:
+        step = np.searchsorted(path.t, t_lo[hit_lanes], side="right") - 1
         s_star, y_star, h_max = _localize_crossings(
-            path, h_of, t_lo[hit_lanes], t_hi[hit_lanes], hit_lanes, H_TOL,
-            T_TOL)
+            h_of, path.y[step, hit_lanes], path.q[step, hit_lanes],
+            path.t[step], path.h[step], t_lo[hit_lanes], t_hi[hit_lanes])
         end_times[hit_lanes] = taus[hit_lanes] + s_star
         end_states[hit_lanes] = y_star
     end_times[pending] = taus[pending] + path.t[-1]
@@ -392,6 +394,7 @@ def check_transversality(sys, u_anchor=None):
 def check_forcing_period(sys, n_samples=64, seed=0):
     """Sampled sup of ||g(t + T_g, x, eps) - g(t, x, eps)|| over t in
     [-T_g, 2 T_g], eps in [-0.1, 0.1] and x in the box [-2, 2]^dim."""
+    require_count("n_samples", n_samples)
     rng = np.random.default_rng(seed)
     u = latin_hypercube(rng, n_samples, 2 + sys.dim)
     ts = scale_to(u[:, 0], -sys.T_g, 2.0 * sys.T_g)

@@ -32,6 +32,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .exceptions import ConvergenceError, DomainError, MonotonicityError
+from .sampling import require_count
 
 Array = np.ndarray
 
@@ -173,7 +174,6 @@ class SolverReport:
     invariance_residual: float
     periodicity_defect: Optional[float]
     measured_rates: list
-    rate_bound: Optional[float]
     converged: bool
     n_nodes: int
     tol: float
@@ -185,7 +185,6 @@ class SolverReport:
             "invariance_residual": self.invariance_residual,
             "periodicity_defect": self.periodicity_defect,
             "measured_rates": list(self.measured_rates),
-            "rate_bound": self.rate_bound,
             "converged": bool(self.converged),
             "n_nodes": self.n_nodes,
             "tol": self.tol,
@@ -225,7 +224,6 @@ class CurveConfig:
     max_iter: int = 100
     seed_curve: Optional[PeriodicGridFn] = None
     seed: int = 0
-    q: Optional[float] = None  # feeds the reported rate bound q + 2(1-q)/3
     preimage_tol: float = 1e-14
 
 
@@ -390,7 +388,6 @@ def solve_invariant_curve(spec, omega, eps, config=None):
         invariance_residual=residual,
         periodicity_defect=None,
         measured_rates=rates,
-        rate_bound=None if config.q is None else rate_bound_from_q(config.q),
         converged=bool(updates[-1] <= config.tol and residual <= gate),
         n_nodes=config.n_nodes,
         tol=config.tol,
@@ -405,6 +402,7 @@ def invariance_residual(spec, omega, eps, phi, n_samples=RESIDUAL_SAMPLES,
     ``phi`` may be any object with ``eval`` and ``period`` (duck-typed), so
     closed-form oracles can be checked directly.
     """
+    require_count("n_samples", n_samples)
     rng = np.random.default_rng(seed)
     period = phi.period
     xs = rng.uniform(0.0, period, int(n_samples))
@@ -426,6 +424,7 @@ def attraction_test(spec, omega, eps, phi, n_trajectories=20, n_steps=50,
     level the quotients measure interpolation noise, not contraction, so the
     floor must sit above that level.
     """
+    require_count("n_trajectories", n_trajectories)
     rng = np.random.default_rng(seed)
     y_radius = y_radius if y_radius is not None else 0.5 * spec.r1
     xs = rng.uniform(-1.0, phi.period + 1.0, n_trajectories)[:, None]

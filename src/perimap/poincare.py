@@ -26,7 +26,7 @@ from .exceptions import ChartError, NoReturnError
 from .hybrid_ode import (EventConfig, check_transversality, flow_batch,
                          simulate_hybrid)
 from .map_core import MapSpec
-from .sampling import ball_points, latin_hypercube, scale_to
+from .sampling import ball_points, latin_hypercube, require_count, scale_to
 
 POINCARE_RTOL = 1e-12    # tolerances of a handle's returns (see prepare_handle)
 POINCARE_ATOL = 1e-14
@@ -93,8 +93,7 @@ def _pull_back(handle, states):
     sys = handle.sys
     us = np.asarray(sys.D_inverse(states), dtype=float)
     back = np.asarray(sys.D(us), dtype=float)
-    gap = np.linalg.norm(back - states, axis=-1)
-    worst = float(np.max(gap)) if gap.size else 0.0
+    worst = float(np.max(np.linalg.norm(back - states, axis=-1)))
     if worst > CHART_TOL:
         raise ChartError(
             f"return point lies {worst:.3g} off the chart image "
@@ -106,14 +105,16 @@ def _pull_back(handle, states):
 def p_eps_batch(handle, taus, us, eps):
     """Vectorized Poincare map: (taus, us) -> (new times, new us).
 
-    ``eps`` is a scalar or one value per row of ``us``; all rows return
-    through one batched flow either way (see `flow_batch`).  A row's result
+    ``us`` needs at least one row (else `ValueError`), and ``eps`` is a
+    scalar or one value per row; all rows return through one batched flow
+    either way (see `flow_batch`).  A row's result
     depends on the other rows only through the step sequence they share,
     so the same (tau, u, eps) flowed alone or among other rows agrees to
     integration accuracy (within 10 * ``handle.rtol``), not bitwise.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))
+    require_count("the number of rows of us", us.shape[0])
     xs = np.asarray(handle.sys.D(us), dtype=float)
     times, states = _return_batch(handle, taus, xs, eps)
     return times, _pull_back(handle, states)
@@ -139,6 +140,7 @@ def certify_returns(handle, eps_range=(0.0, 0.0), n_samples=32, seed=0):
     each with its own tau and eps, return through one batched flow;
     `NoReturnError` or `ChartError` from it fails the level.
     """
+    require_count("n_samples", n_samples)
     rng = np.random.default_rng(seed)
     sys = handle.sys
     for fraction in (1.0, 0.75, 0.5, 0.25):
@@ -239,9 +241,7 @@ def cylinder_table(handle, curve, eps, n_trajectories):
     rows (trajectory, t, x1..xd), one row per dense sample.  Raises
     `ValueError` before any flow unless ``n_trajectories`` >= 1.
     """
-    if not n_trajectories >= 1:
-        raise ValueError(
-            f"n_trajectories must be at least 1, got {n_trajectories}")
+    require_count("n_trajectories", n_trajectories)
     sys = handle.sys
     taus = np.linspace(0.0, sys.T_g, n_trajectories, endpoint=False)
     rows = []

@@ -1,5 +1,12 @@
-"""Deterministic stratified sampling used by the sup-norm and Lipschitz estimates."""
+"""Deterministic stratified sampling used by the sup-norm and Lipschitz
+estimates, and the check that a count of samples or lanes is at least 1."""
 import numpy as np
+
+
+def require_count(name, n):
+    """Raise `ValueError` naming ``name`` unless the count ``n`` is >= 1."""
+    if not n >= 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
 
 
 def latin_hypercube(rng, n, d):

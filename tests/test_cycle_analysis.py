@@ -248,3 +248,23 @@ class TestAnalyzePipeline:
         q, ok = pm.certify_contraction(handle, norm=rep.adapted, **args)
         assert rep.q_certified == q and rep.q_ok == ok
         assert rep.q_ok
+
+
+class TestNewtonFailures:
+    @pytest.mark.parametrize("f, u0, phrase", [
+        # Newton on cbrt doubles |u| every step, so the residual grows
+        (np.cbrt, 1.0, "Newton diverged"),
+        # P(u) = u + 2**-30, exact at the stencil points around 0: the
+        # difference quotient is exactly 1, so the Newton matrix is zero
+        (lambda u: np.full_like(u, 2.0**-30), 0.0, "singular Newton step"),
+        # P(u) = u + exp(u): the residual falls by e per step, too slowly
+        (np.exp, 0.0, "no fixed point after"),
+    ], ids=["diverged", "singular", "max-iter"])
+    def test_typed_failure(self, handle, monkeypatch, f, u0, phrase):
+        def fake(handle_, rows):
+            rows = np.atleast_2d(rows)
+            return np.zeros(len(rows)), rows + f(rows)
+
+        monkeypatch.setattr(ca, "_p_stencil", fake)
+        with pytest.raises(pm.ConvergenceError, match=phrase):
+            pm.find_fixed_point(handle, [u0])

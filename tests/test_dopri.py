@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from perimap.dopri import A, B, C, D, E3, E5, N_STAGES, Dopri54, integrate
+from perimap.dopri import (A, B, C, D, E3, E5, N_STAGES, Dopri54, dense_value,
+                           integrate)
 from perimap.exceptions import IntegrationError
 
 
@@ -129,14 +130,15 @@ class TestAccuracy:
         p3, _ = integrate(rotation, batch, 1.0, rtol=1e-11, atol=1e-13)
         assert np.max(np.abs(p1.y[-1, 0] - p3.y[-1, 0])) < 1e-10
 
-    def test_eval_lanes_matches_grid(self):
+    def test_dense_value_matches_grid(self):
+        # lane i evaluated alone on its own step, bitwise as in eval_grid
         path, _ = integrate(rotation, np.array([[1.0, 0.0], [0.5, 0.0]]), 1.0)
-        t = np.array([0.33, 0.77])
-        lanes = path.eval_lanes(t)
-        grid0 = path.eval_grid(t[:1])[0, 0]
-        grid1 = path.eval_grid(t[1:])[0, 1]
-        assert_allclose(lanes[0], grid0, rtol=0, atol=0)
-        assert_allclose(lanes[1], grid1, rtol=0, atol=0)
+        for lane, t in ((0, 0.33), (1, 0.77)):
+            i = np.searchsorted(path.t, t, side="right") - 1
+            h = path.t[i + 1] - path.t[i]
+            own = dense_value(path.y[i, lane], path.q[i, lane], h,
+                              (t - path.t[i]) / h)
+            assert np.array_equal(own, path.eval_grid([t])[0, lane])
 
 
 class TestStepping:

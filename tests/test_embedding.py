@@ -237,3 +237,23 @@ class TestCertificate:
         cert = pm.certificate(e1, n_samples=32, seed=1)
         d = cert.to_json_dict()
         assert d["eps0"] == cert.eps0 and d["lambda0"] == cert.lambda0
+
+
+class TestCertificateFailures:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_derivative_above_one_at_zero(self, seed):
+        # ||beta_y(0)|| = 0.5 + 0.6 while sampled pairs, which see tanh
+        # saturated, give q near 0.5
+        def beta(omega, eps, x, y):
+            return (0.5 * y + 6e-4 * np.tanh(y / 1e-3)
+                    + eps * np.sin(2.0 * np.pi * x))
+
+        spec = pm.MapSpec(k1=1, k2=1, r1=1.0,
+                          alpha=lambda omega, eps, x, y: np.ones_like(x),
+                          beta=beta, periodic_coord=1, period=1.0)
+        with pytest.raises(CertificateError, match=r"\|\|beta_y\(0\)\|\|"):
+            pm.certificate(spec, seed=seed)
+
+    def test_no_ladder_scale(self, e1):
+        with pytest.raises(CertificateError, match="no ladder scale"):
+            pm.certificate(e1, delta=1e-9, n_samples=32, seed=1)

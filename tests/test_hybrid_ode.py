@@ -96,22 +96,21 @@ class TestFlow:
                           event=pm.EventConfig(), rtol=1e-12, atol=1e-14)
 
     def test_localization_falls_back_to_lower_end(self):
-        # state = time on [a, 1]; H is -h_tol/2 at a and 1.5 h_tol at the
-        # next float b, and (a + b)/2 rounds to b, so every midpoint misses
-        class Line:
-            t = np.array([0.5 + 2.0**-53, 1.0])
-
-            def eval_lanes(self, times, lanes):
-                return np.asarray(times, float)[:, None]
-
-        a, h_tol = Line.t[0], 1e-12
+        # state = time on the step [a, 1]; H is -h_tol/2 at a and 1.5 h_tol
+        # at the next float b, and (a + b)/2 rounds to b, so every midpoint
+        # misses
+        t = np.array([0.5 + 2.0**-53, 1.0])
+        q = np.zeros((1, 1, 7))
+        q[0, 0, 0] = 1.0          # y = a + h * theta = time
+        a, h_tol = t[0], 1e-12
+        assert hybrid_ode.H_TOL == h_tol
         slope = 2.0 * h_tol / np.spacing(a)
 
         def h_fun(y):
             return slope * (y[:, 0] - a) - 0.5 * h_tol
 
         t_star, y_star, h_max = hybrid_ode._localize_crossings(
-            Line(), h_fun, Line.t[:1], Line.t[1:], np.array([0]), h_tol, 1e-12)
+            h_fun, t[None, :1], q, t[:1], np.diff(t), t[:1], t[1:])
         assert t_star[0] == a and y_star[0, 0] == a
         assert h_max == 0.5 * h_tol
 

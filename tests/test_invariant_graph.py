@@ -272,3 +272,22 @@ class TestUniquenessAndContinuity:
         assert rows[0].eps == 0.0 and rows[0].sup_norm <= 1e-15
         lo, hi = pm.invariant_graph.ratio_band(rows)
         assert hi / lo <= 1.0 + 1e-9
+
+
+class TestTypedFailures:
+    def test_folding_advance_fails_the_monotonicity_check(self):
+        spec = pm.nonlinear_toy(advance_coupling=3.0)
+        with pytest.raises(MonotonicityError, match="not strictly increasing"):
+            pm.solve_invariant_curve(spec, 0.37, 0.2,
+                                     pm.CurveConfig(n_nodes=64))
+
+    def test_sweep_leaving_the_disc(self):
+        with pytest.raises(pm.DomainError, match="left the radius-r1 disc"):
+            pm.solve_invariant_curve(pm.linear_shear(), 0.25, 1.2,
+                                     pm.CurveConfig(n_nodes=64))
+
+    def test_doubled_window_without_convergence(self, e1):
+        cfg = pm.CurveConfig(n_nodes=64, max_iter=1)
+        with pytest.raises(pm.ConvergenceError,
+                           match="doubled-window solve did not converge"):
+            pm.periodicity_defect(e1, 0.25, 0.01, cfg)

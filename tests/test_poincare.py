@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -282,3 +282,24 @@ class TestCylinderTable:
         curve = pm.PeriodicGridFn.zeros(handle.sys.T_g, 16)
         with pytest.raises(ValueError, match="n_trajectories"):
             pm.cylinder_table(handle, curve, 0.01, n)
+
+
+class TestTypedFailures:
+    def test_field_tangent_to_section(self, e3):
+        along = replace(
+            e3, X=lambda x: np.broadcast_to([1.0, 0.0], np.shape(x)).copy())
+        with pytest.raises(pm.ChartError, match="tangent to S"):
+            pm.prepare_handle(along)
+
+    def test_return_off_the_chart(self, e3):
+        shifted = replace(
+            e3, D_inverse=lambda x: e3.D_inverse(x) + 0.1)
+        handle = pm.prepare_handle(shifted)
+        with pytest.raises(pm.ChartError, match="off the chart image"):
+            pm.P_eps(handle, 0.0, [0.0], 0.0)
+
+    def test_no_radius_returns(self, handle):
+        short = replace(handle, max_time=0.5)
+        with pytest.raises(pm.NoReturnError,
+                           match="no sampled chart radius returned"):
+            pm.poincare.certify_returns(short, n_samples=8)
