@@ -7,7 +7,6 @@ the cylinder data: dense samples of forced trajectories started on the curve,
 jumps included.
 """
 import argparse
-import json
 import os
 
 import perimap as pm
@@ -42,8 +41,8 @@ def main():
 
     os.makedirs(args.out, exist_ok=True)
     pm.write_csv(os.path.join(args.out, "curve.csv"), *pm.curve_table(curve))
-    with open(os.path.join(args.out, "cycle_report.json"), "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+    pm.write_json(os.path.join(args.out, "cycle_report.json"),
+                  report.to_json_dict())
 
     # trajectories started on the invariant curve trace the forced cylinder
     pm.write_csv(os.path.join(args.out, "cylinder.csv"),

@@ -6,7 +6,6 @@ invariant curve phi(x) = Im(c e^{2 pi i x}) with c = eps / (e^{2 pi i omega} - q
 which makes it the standard desk check for the graph-transform solver.
 """
 import argparse
-import json
 import os
 
 import numpy as np
@@ -34,9 +33,8 @@ def main():
 
     os.makedirs(args.out, exist_ok=True)
     pm.write_csv(os.path.join(args.out, "curve.csv"), *pm.curve_table(curve))
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
-        json.dump(pm.invariant_graph.curve_to_json_dict(curve, report), fh,
-                  indent=2, sort_keys=True)
+    pm.write_json(os.path.join(args.out, "report.json"),
+                  pm.invariant_graph.curve_to_json_dict(curve, report))
 
     print(f"converged in {report.iterations} sweeps "
           f"(final update {report.final_update:.2e})")

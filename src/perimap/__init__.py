@@ -20,7 +20,7 @@ from .invariant_graph import (AttractionReport, CurveConfig, PeriodicGridFn,
                               curve_table, graph_transform,
                               invariance_residual, periodicity_defect,
                               rate_bound_from_q, solve_invariant_curve,
-                              uniqueness_test, write_csv)
+                              uniqueness_test, write_csv, write_json)
 from .map_core import (AssumptionReport, MapSpec, SamplingBox, Trajectory,
                        check_assumptions, eval_map, iterate, linear_shear,
                        make_system, nonlinear_toy)

@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import cycle_analysis, embedding, hybrid_ode, invariant_graph, map_core, poincare
 from .exceptions import ConfigError, PerimapError
-from .invariant_graph import curve_table, write_csv
+from .invariant_graph import curve_table, write_csv, write_json
 
 _TOP_KEYS = {"system", "mode", "omega", "eps", "eps_list", "solver",
              "sampling", "delta", "tolerances", "n_trajectories"}
@@ -136,12 +136,6 @@ def parse_config(obj, mode, seed_override=None):
     return cfg
 
 
-def _json_dump(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def system_from_json(obj):
     """Build the built-in map or hybrid system that a config's ``system`` names.
 
@@ -189,7 +183,7 @@ def _curve_problem(cfg, system):
 def _run_check_map(cfg, spec, out):
     report = map_core.check_assumptions(spec, n_samples=cfg.n_samples,
                                         seed=cfg.seed)
-    _json_dump(os.path.join(out, "assumptions.json"), report.to_json_dict())
+    write_json(os.path.join(out, "assumptions.json"), report.to_json_dict())
     tol = cfg.tolerances
     ok = (report.beta_y0_invertible
           and report.q_estimate < 1.0
@@ -201,7 +195,7 @@ def _run_check_map(cfg, spec, out):
 def _run_certify(cfg, spec, out):
     params = embedding.certificate(spec, delta=cfg.delta,
                                    n_samples=cfg.n_samples, seed=cfg.seed)
-    _json_dump(os.path.join(out, "certificate.json"), params.to_json_dict())
+    write_json(os.path.join(out, "certificate.json"), params.to_json_dict())
     _, gap_ok = embedding.spectral_gap(params)
     ok = (params.lambda0 is not None
           and params.eps0 == spec.r1 * params.lambda0**2 / 2.0
@@ -215,7 +209,7 @@ def _run_solve_curve(cfg, system, out):
     curve, report = invariant_graph.solve_invariant_curve(
         spec, cfg.omega, cfg.eps, curve_cfg)
     write_csv(os.path.join(out, "curve.csv"), *curve_table(curve))
-    _json_dump(os.path.join(out, "solver_report.json"),
+    write_json(os.path.join(out, "solver_report.json"),
                invariant_graph.curve_to_json_dict(curve, report))
     return 0 if report.converged else 1
 
@@ -223,7 +217,7 @@ def _run_solve_curve(cfg, system, out):
 def _run_hybrid_analyze(cfg, system, out):
     handle = poincare.prepare_handle(system)
     report = cycle_analysis.analyze_cycle(handle)
-    _json_dump(os.path.join(out, "cycle_report.json"), report.to_json_dict())
+    write_json(os.path.join(out, "cycle_report.json"), report.to_json_dict())
     ok = (report.fixed_point_residual <= cfg.tol * 10
           and report.spectrum_ok
           and abs(report.transversality) > 1e-8)

@@ -26,7 +26,7 @@ import numpy as np
 from . import map_core
 from .exceptions import CertificateError, ConvergenceError, DomainError
 from .numdiff import first_step
-from .sampling import ball_points, latin_hypercube, scale_to
+from .sampling import stratified_groups
 
 log = logging.getLogger(__name__)
 
@@ -144,7 +144,8 @@ def _check_lam(lam):
 
 
 def _tilde_batch(spec, lam, omega, eps, X, Y):
-    """alpha-tilde (n, k1+2) and beta-tilde (n, k2) at scalar (omega, eps)."""
+    """(alpha-tilde, beta-tilde) as one (n, k1+2+k2) array at scalar
+    (omega, eps)."""
     _check_lam(lam)
     if np.max(np.linalg.norm(lam * Y, axis=-1)) > spec.r1 * (1 + 1e-12):
         raise DomainError("||lam * y|| exceeds r1")
@@ -152,33 +153,34 @@ def _tilde_batch(spec, lam, omega, eps, X, Y):
     a = np.asarray(spec.alpha(lam * omega, lam**2 * eps, X, lam * Y), dtype=float)
     b = np.asarray(spec.beta(lam * omega, lam**2 * eps, X, lam * Y), dtype=float)
     B = beta_y0(spec)
-    ta = np.zeros((len(X), spec.k1 + 2))
-    ta[:, 2:] = lam * omega * (a - a0)
-    tb = b / lam - Y @ B.T
-    return ta, tb
+    n_top = spec.k1 + 2
+    out = np.zeros((len(X), n_top + spec.k2))
+    out[:, 2:n_top] = lam * omega * (a - a0)
+    out[:, n_top:] = b / lam - Y @ B.T
+    return out
 
 
 def tilde_alpha(spec, lam, omega, eps, x, y):
     x = np.asarray(x, float).reshape(1, spec.k1)
     y = np.asarray(y, float).reshape(1, spec.k2)
-    return _tilde_batch(spec, lam, float(omega), float(eps), x, y)[0][0]
+    t = _tilde_batch(spec, lam, float(omega), float(eps), x, y)
+    return t[0, :spec.k1 + 2]
 
 
 def tilde_beta(spec, lam, omega, eps, x, y):
     x = np.asarray(x, float).reshape(1, spec.k1)
     y = np.asarray(y, float).reshape(1, spec.k2)
-    return _tilde_batch(spec, lam, float(omega), float(eps), x, y)[1][0]
+    t = _tilde_batch(spec, lam, float(omega), float(eps), x, y)
+    return t[0, spec.k1 + 2:]
 
 
 def eval_F_lambda(spec, params, omega, eps, x, y):
     """F_lam(omega, eps, x, y) in R^{k1+k2+2}; first two rows are (omega, eps)."""
     x = np.asarray(x, float).reshape(spec.k1)
     y = np.asarray(y, float).reshape(spec.k2)
-    ta, tb = _tilde_batch(spec, params.lam, float(omega), float(eps),
-                          x[None, :], y[None, :])
-    top = params.A_lambda @ np.concatenate(([omega, eps], x)) + ta[0]
-    bottom = params.B @ y + tb[0]
-    return np.concatenate([top, bottom])
+    top = params.A_lambda @ np.concatenate(([omega, eps], x))
+    return np.concatenate([top, params.B @ y]) + _tilde_batch(
+        spec, params.lam, float(omega), float(eps), x[None, :], y[None, :])[0]
 
 
 def _bumped_tilde(spec, lam, z):
@@ -188,14 +190,11 @@ def _bumped_tilde(spec, lam, z):
     n_top = spec.k1 + 2
     omega, eps, x, y = z[0], z[1], z[2:n_top], z[n_top:]
     psi = bump_psi(BumpSpec(spec.r1), lam * omega, eps, y)
-    out = np.zeros_like(z)
-    if psi > 0.0:
-        # inside the support the rescaled arguments stay in the map's domain
-        ta, tb = _tilde_batch(spec, lam, float(omega), float(eps),
-                              x[None, :], y[None, :])
-        out[:n_top] = psi * ta[0]
-        out[n_top:] = psi * tb[0]
-    return out
+    if not psi > 0.0:
+        return np.zeros_like(z)
+    # inside the support the rescaled arguments stay in the map's domain
+    return psi * _tilde_batch(spec, lam, float(omega), float(eps),
+                              x[None, :], y[None, :])[0]
 
 
 def eval_G_lambda(spec, params, omega, eps, x, y):
@@ -275,65 +274,51 @@ def invert_G(spec, params, target, tol=1e-12, max_iter=100):
 
 def _tilde_sup(spec, lam, eps_range, x_range, n_samples, seed):
     """Sampled sup of ||tilde|| + ||D tilde|| for both remainders at scale lam,
-    with omega in [-1/lam, 2/lam]."""
-    rng = np.random.default_rng(seed)
-    n_groups = max(4, min(8, n_samples // 4))
-    m = max(2, int(np.ceil(n_samples / n_groups)))
-    oe = latin_hypercube(rng, n_groups, 2)
-    omegas = scale_to(oe[:, 0], -1.0 / lam, 2.0 / lam)
-    epses = scale_to(oe[:, 1], *eps_range)
-    sup_a = sup_b = 0.0
-    d = 2 + spec.k1 + spec.k2
+    with omega in [-1/lam, 2/lam].  One Jacobian holds the centered
+    differences in every coordinate, alpha-tilde rows above beta-tilde rows."""
+    n_top = spec.k1 + 2
+    y_max = spec.r1 / lam
+    # (argument, column): omega, eps, then every column of X and of Y
+    coords = [(0, None), (1, None)] + [(2, c) for c in range(spec.k1)] + [
+        (3, c) for c in range(spec.k2)]
     # derivatives are taken along the sampled family: a degenerate eps range
     # (the frozen eps-slice {0}) contributes no derivative direction
     skip_eps = eps_range[0] == eps_range[1]
-
-    for g in range(n_groups):
-        u = latin_hypercube(rng, m, spec.k1 + spec.k2)
-        X = scale_to(u[:, : spec.k1], *x_range)
-        Y = ball_points(u[:, spec.k1:], spec.r1)
-        w, e = float(omegas[g]), float(epses[g])
-
-        ta0, tb0 = _tilde_batch(spec, lam, w, e, X, Y)
-        Ja = np.zeros((m, spec.k1 + 2, d))
-        Jb = np.zeros((m, spec.k2, d))
-        for j in range(d):
-            if j == 0:
-                h = float(first_step(w))
-                ap, bp = _tilde_batch(spec, lam, w + h, e, X, Y)
-                am, bm = _tilde_batch(spec, lam, w - h, e, X, Y)
-            elif j == 1:
-                if skip_eps:
-                    continue
-                h = float(first_step(e))
-                ap, bp = _tilde_batch(spec, lam, w, e + h, X, Y)
-                am, bm = _tilde_batch(spec, lam, w, e - h, X, Y)
-            elif j < 2 + spec.k1:
-                c = j - 2
-                h = float(first_step(max(1.0, np.max(np.abs(X[:, c])))))
-                Xp, Xm = X.copy(), X.copy()
-                Xp[:, c] += h
-                Xm[:, c] -= h
-                ap, bp = _tilde_batch(spec, lam, w, e, Xp, Y)
-                am, bm = _tilde_batch(spec, lam, w, e, Xm, Y)
-            else:
-                c = j - 2 - spec.k1
-                h = float(first_step(1.0))
-                Yp, Ym = Y.copy(), Y.copy()
-                # keep the probe inside the domain ||lam*y|| <= r1
-                Yp[:, c] = np.minimum(Yp[:, c] + h, spec.r1 / lam)
-                Ym[:, c] = np.maximum(Ym[:, c] - h, -spec.r1 / lam)
-                hcols = (Yp[:, c] - Ym[:, c]) / 2.0
-                ap, bp = _tilde_batch(spec, lam, w, e, X, Yp)
-                am, bm = _tilde_batch(spec, lam, w, e, X, Ym)
-                Ja[:, :, j] = (ap - am) / (2.0 * hcols[:, None])
-                Jb[:, :, j] = (bp - bm) / (2.0 * hcols[:, None])
+    sup_a = sup_b = 0.0
+    for args in stratified_groups(np.random.default_rng(seed), n_samples, 4,
+                                  (-1.0 / lam, 2.0 / lam), eps_range, x_range,
+                                  spec.r1, spec.k1, spec.k2):
+        t0 = _tilde_batch(spec, lam, *args)
+        # a y-probe of column c stays in ||lam*y|| <= r1 while |y_c| <= edge
+        sq = args[3]**2
+        edge = np.sqrt(np.maximum(
+            y_max * y_max - (sq.sum(axis=1, keepdims=True) - sq), 0.0))
+        J = np.zeros(t0.shape + (len(coords),))
+        for j, (a, c) in enumerate(coords):
+            if a == 1 and skip_eps:
                 continue
-            Ja[:, :, j] = (ap - am) / (2.0 * h)
-            Jb[:, :, j] = (bp - bm) / (2.0 * h)
+            plus, minus = list(args), list(args)
+            if c is None:
+                h = float(first_step(args[a]))
+                plus[a], minus[a] = args[a] + h, args[a] - h
+                span = 2.0 * h
+            else:
+                col = args[a][:, c]
+                h = float(first_step(np.max(np.abs(col)) if a == 2 else 1.0))
+                up, down, span = col + h, col - h, 2.0 * h
+                if a == 3:
+                    up = np.minimum(up, edge[:, c])
+                    down = np.maximum(down, -edge[:, c])
+                    span = (up - down)[:, None]
+                plus[a], minus[a] = args[a].copy(), args[a].copy()
+                plus[a][:, c], minus[a][:, c] = up, down
+            J[:, :, j] = (_tilde_batch(spec, lam, *plus)
+                          - _tilde_batch(spec, lam, *minus)) / span
 
-        na = np.linalg.norm(ta0, axis=1) + np.linalg.svd(Ja, compute_uv=False)[:, 0]
-        nb = np.linalg.norm(tb0, axis=1) + np.linalg.svd(Jb, compute_uv=False)[:, 0]
+        na = np.linalg.norm(t0[:, :n_top], axis=1) + np.linalg.svd(
+            J[:, :n_top], compute_uv=False)[:, 0]
+        nb = np.linalg.norm(t0[:, n_top:], axis=1) + np.linalg.svd(
+            J[:, n_top:], compute_uv=False)[:, 0]
         sup_a = max(sup_a, float(np.max(na)))
         sup_b = max(sup_b, float(np.max(nb)))
     return sup_a, sup_b

@@ -24,6 +24,7 @@ solution has to emerge from the dynamics rather than from the representation.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -532,6 +533,13 @@ def write_csv(path, header, rows):
     """A header line of column names, then every value of ``rows`` as %.16e."""
     np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.16e",
                delimiter=",", header=",".join(header), comments="")
+
+
+def write_json(path, obj):
+    """``obj`` as JSON with sorted keys and a 2-space indent, then a newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def curve_table(curve):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DomainError, EvaluationError
 from .numdiff import central_jacobian, first_step, second_step
-from .sampling import ball_points, latin_hypercube, scale_to
+from .sampling import ball_points, latin_hypercube, stratified_groups
 
 Array = np.ndarray
 
@@ -254,13 +254,6 @@ def check_assumptions(spec, box=None, n_samples=128, seed=0):
     sv = np.linalg.svd(B, compute_uv=False)
     invertible = bool(sv[-1] > 1e-12 * max(1.0, float(sv[0])))
 
-    # stratified (omega, eps) groups with (x, y) sub-batches
-    n_groups = max(2, min(8, n_samples // 4))
-    m = max(2, int(np.ceil(n_samples / n_groups)))
-    oe = latin_hypercube(rng, n_groups, 2)
-    omegas = scale_to(oe[:, 0], *box.omega)
-    epses = scale_to(oe[:, 1], *eps_range)
-
     a2 = float(np.linalg.norm(np.asarray(
         spec.beta(0.0, 0.0, zeros_x, zeros_y), dtype=float)))
     per = 0.0
@@ -270,12 +263,10 @@ def check_assumptions(spec, box=None, n_samples=128, seed=0):
         shift = np.zeros(spec.k1)
         shift[spec.periodic_coord - 1] = spec.period
 
-    for g in range(n_groups):
-        u = latin_hypercube(rng, m, spec.k1 + spec.k2)
-        X = scale_to(u[:, : spec.k1], *box.x)
-        Y = ball_points(u[:, spec.k1:], y_radius)
-        w, e = float(omegas[g]), float(epses[g])
-
+    # stratified (omega, eps) groups with (x, y) sub-batches
+    for w, e, X, Y in stratified_groups(rng, n_samples, 2, box.omega,
+                                        eps_range, box.x, y_radius,
+                                        spec.k1, spec.k2):
         # at eps=0 the outputs must not see omega or x
         a_w = np.asarray(spec.alpha(w, 0.0, X, Y), dtype=float)
         b_w = np.asarray(spec.beta(w, 0.0, X, Y), dtype=float)

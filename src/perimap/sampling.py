@@ -30,3 +30,18 @@ def ball_points(u, radius):
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(nrm > radius, radius / nrm, 1.0)
     return y * scale
+
+
+def stratified_groups(rng, n_samples, min_groups, omega, eps, x, y_radius,
+                      k1, k2):
+    """Yield max(``min_groups``, min(8, n_samples // 4)) groups (omega, eps,
+    X, Y): a Latin hypercube over the ``omega`` x ``eps`` box, then per group
+    one of about n_samples / n_groups rows, X in the ``x`` range and Y in the
+    ``y_radius`` ball."""
+    n_groups = max(min_groups, min(8, n_samples // 4))
+    m = max(2, int(np.ceil(n_samples / n_groups)))
+    oe = latin_hypercube(rng, n_groups, 2)
+    for w, e in zip(scale_to(oe[:, 0], *omega), scale_to(oe[:, 1], *eps)):
+        u = latin_hypercube(rng, m, k1 + k2)
+        yield (float(w), float(e), scale_to(u[:, :k1], *x),
+               ball_points(u[:, k1:], y_radius))

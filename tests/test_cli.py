@@ -137,6 +137,34 @@ class TestConfigValidation:
         assert rc == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"delta": -1}, "delta"),
+        ({"tolerances": {"a2": 0}}, "a2"),
+    ], ids=["delta-negative", "tolerance-zero"])
+    def test_nonpositive_bound_rejected(self, tmp_path, capsys, extra, key):
+        cfgp = write_config(tmp_path, "c.json", {
+            "system": {"name": "linear-shear"}, "sampling": {"seed": 1},
+            **extra})
+        rc = cli.main(["check-map", "--config", cfgp, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "strictly positive" in err and key in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        rc = cli.main(["check-map", "--config", str(tmp_path / "none.json"),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_hybrid_amp_of_three_components(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, "c.json", {
+            "system": {"name": "polar-hybrid", "params": {"amp": [1, 0, 0]}},
+            "sampling": {"seed": 1}})
+        rc = cli.main(["hybrid-analyze", "--config", cfgp,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "amp must have two components" in capsys.readouterr().err
+
     def test_mode_mismatch_rejected(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, "c.json", SOLVE_E1)
         rc = cli.main(["check-map", "--config", cfgp, "--out", str(tmp_path)])

@@ -114,6 +114,19 @@ class TestAdaptedNorm:
         assert abs(det - prod) <= 1e-8
 
 
+class TestContractionFailures:
+    def test_no_power_certifies_a_large_shear(self):
+        # spectral radius 0.99, but ||B^m|| stays above 1 for every m <= 64
+        with pytest.raises(CertificateError, match="no power m <= 64"):
+            pm.adapted_norm(np.array([[0.99, 1000.0], [0.0, 0.99]]))
+
+    def test_no_contracting_radius_for_an_expanding_jump(self):
+        h = pm.prepare_handle(pm.polar_hybrid(kappa=3.0, r1=0.1))
+        an = pm.adapted_norm(np.array([[0.5]]))
+        with pytest.raises(CertificateError, match="no sampled sub-radius"):
+            ca.largest_contracting_radius(h, (0.0, 0.0), an, n_samples=8)
+
+
 class TestCertifyContraction:
     def test_near_derivative_at_small_radius(self, handle):
         an = pm.adapted_norm(np.array([[KAPPA_OVER_E]]))

@@ -177,6 +177,13 @@ class TestStepping:
             integrate(stiff_blowup, np.array([[1.0]]), 2.0,
                       rtol=1e-10, atol=1e-12)
 
+    def test_step_after_finish_raises(self):
+        stepper = Dopri54(lambda t, y: -y, 0.0, np.array([[1.0]]), 0.1)
+        while not stepper.finished:
+            stepper.step()
+        with pytest.raises(IntegrationError, match="stepping past t_end"):
+            stepper.step()
+
     def test_stats_counted(self):
         stepper = Dopri54(lambda t, y: -y, 0.0, np.array([[1.0]]), 1.0)
         while not stepper.finished:

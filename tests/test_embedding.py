@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import perimap as pm
 from perimap import embedding as emb
-from perimap.exceptions import CertificateError, ConvergenceError
+from perimap.exceptions import CertificateError, ConvergenceError, DomainError
 
 
 class TestBetaY0:
@@ -257,3 +259,59 @@ class TestCertificateFailures:
     def test_no_ladder_scale(self, e1):
         with pytest.raises(CertificateError, match="no ladder scale"):
             pm.certificate(e1, delta=1e-9, n_samples=32, seed=1)
+
+
+class TestTypedFailures:
+    def test_nonpositive_lambda(self, e1):
+        with pytest.raises(DomainError, match="lambda must be positive"):
+            pm.tilde_beta(e1, 0.0, 1.0, 0.0, [0.3], [0.2])
+
+    def test_y_outside_the_rescaled_disc(self, e1):
+        with pytest.raises(DomainError, match=r"\|\|lam \* y\|\| exceeds r1"):
+            pm.tilde_beta(e1, 1.0, 1.0, 0.0, [0.3], [1.5])
+
+    def test_singular_linear_part(self):
+        # beta_y(0) = 0 makes the y-block of G_lambda's linear part vanish
+        spec = pm.MapSpec(
+            k1=1, k2=1, r1=1.0, alpha=lambda w, e, x, y: np.ones_like(x),
+            beta=lambda w, e, x, y: e * np.sin(2 * np.pi * x) + 0.0 * y,
+            periodic_coord=1, period=1.0)
+        params = emb.embedding_params(spec, 0.5, 0.5)
+        with pytest.raises(ConvergenceError, match="numerically singular"):
+            pm.invert_G(spec, params, np.zeros(4))
+
+    def test_no_lambda0_is_logged(self, e1, caplog):
+        with caplog.at_level(logging.INFO, logger="perimap.embedding"):
+            assert pm.estimate_lambda0(e1, 1e-9) is None
+        assert "no lambda0 found" in caplog.text
+        assert "delta=1e-09" in caplog.text
+
+
+def _two_dim_y_map():
+    """k2 = 2 map whose spectral gap holds at lambda = 1 (small alpha(0))."""
+    def beta(omega, eps, x, y):
+        return np.column_stack([0.5 * y[:, 0] + eps * np.sin(2 * np.pi * x[:, 0]),
+                                0.4 * y[:, 1]])
+
+    return pm.MapSpec(k1=1, k2=2, r1=1.0,
+                      alpha=lambda omega, eps, x, y: np.full_like(x, 0.1),
+                      beta=beta, periodic_coord=1, period=1.0)
+
+
+class TestProbesStayInTheDomain:
+    """A y-probe of the remainder differences keeps ||lam * y|| <= r1 even for
+    samples on the sphere ||y|| = r1 at lam = 1."""
+
+    @pytest.mark.parametrize("seed, lam0", [(0, 2.0**-5), (1, 2.0**-5),
+                                            (2, 2.0**-6)])
+    def test_certificate_of_a_two_dim_y_map(self, seed, lam0):
+        cert = pm.certificate(_two_dim_y_map(), seed=seed)
+        assert cert.lambda0 == lam0 and cert.lambda0 in emb.LADDER
+
+    def test_lambda0_of_a_two_dim_y_map(self):
+        assert pm.estimate_lambda0(_two_dim_y_map(), 0.1) == 2.0**-6
+
+    def test_unit_scale_sup(self):
+        sa, sb = emb._tilde_sup(_two_dim_y_map(), 1.0, (-1.0, 1.0),
+                                (0.0, 1.0), 64, 0)
+        assert np.isfinite(sa) and np.isfinite(sb)

@@ -7,7 +7,8 @@ from scipy.optimize import brentq
 
 import perimap as pm
 from perimap.exceptions import MonotonicityError
-from perimap.invariant_graph import _sweep
+from perimap.invariant_graph import (WindowGridFn, _iterate_to_fixed_point,
+                                     _sweep)
 
 CFG = pm.CurveConfig(n_nodes=256, tol=1e-12)
 
@@ -291,3 +292,59 @@ class TestTypedFailures:
         with pytest.raises(pm.ConvergenceError,
                            match="doubled-window solve did not converge"):
             pm.periodicity_defect(e1, 0.25, 0.01, cfg)
+
+    def test_single_node_curve(self):
+        with pytest.raises(ValueError, match="n_nodes >= 2"):
+            pm.PeriodicGridFn(1.0, [[0.5]])
+
+    def test_window_of_five_nodes(self):
+        with pytest.raises(ValueError, match="at least 6 window nodes"):
+            WindowGridFn(2.0, np.zeros((5, 1)))
+
+    def test_curve_outside_the_disc(self, e1):
+        curve = pm.PeriodicGridFn(1.0, np.full((16, 1), 1.5))
+        with pytest.raises(pm.DomainError, match="candidate curve exceeds"):
+            pm.graph_transform(e1, 0.25, 0.0, curve)
+        with pytest.raises(pm.DomainError, match="seed curve exceeds"):
+            pm.solve_invariant_curve(e1, 0.25, 0.0, pm.CurveConfig(
+                n_nodes=16, seed_curve=curve))
+
+
+def _restarting_map():
+    """alpha depends on y and beta is quadratic, so the sweep update grows
+    twice on the way to the fixed point."""
+    two_pi = 2.0 * np.pi
+
+    def alpha(omega, eps, x, y):
+        return 1.0 + 0.01 * np.sin(two_pi * x) + 0.1 * y
+
+    def beta(omega, eps, x, y):
+        return 0.89 * y + 0.49 * y**2 + eps * np.sin(two_pi * x)
+
+    return pm.MapSpec(k1=1, k2=1, r1=1.0, alpha=alpha, beta=beta,
+                      periodic_coord=1, period=1.0)
+
+
+class TestRarePaths:
+    def test_anderson_history_restarts(self):
+        spec = _restarting_map()
+        seed = pm.PeriodicGridFn.zeros(1.0, 64, 1)
+        _, updates, _, hit_tol = _iterate_to_fixed_point(
+            spec, 0.25, 0.026, seed, 1.0, 1e-12, 100)
+        assert hit_tol and len(updates) == 36
+        grew = [k for k in range(1, len(updates)) if updates[k] > updates[k - 1]]
+        assert grew == [6, 25]  # sweeps 7 and 26 clear the history
+        _, report = pm.solve_invariant_curve(
+            spec, 0.25, 0.026, pm.CurveConfig(n_nodes=64, tol=1e-12))
+        assert report.converged and report.invariance_residual < 1e-8
+
+    def test_sup_norm_of_a_vector_curve(self):
+        xs = np.arange(64) / 64
+        curve = pm.PeriodicGridFn(
+            1.0, np.column_stack([np.cos(2 * np.pi * xs), np.sin(2 * np.pi * xs)]))
+        assert curve.sup_norm() == pytest.approx(1.0, abs=1e-12)
+
+    def test_ratio_band_without_nonzero_eps(self, e1):
+        rows = pm.continuity_in_eps(e1, 0.25, [0.0], CFG)
+        lo, hi = pm.invariant_graph.ratio_band(rows)
+        assert np.isnan(lo) and np.isnan(hi)

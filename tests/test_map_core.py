@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import perimap as pm
 from perimap import cli
-from perimap.exceptions import ConfigError, DomainError
+from perimap.exceptions import ConfigError, DomainError, EvaluationError
 
 
 class TestEvalMap:
@@ -192,3 +192,46 @@ class TestBuiltins:
     def test_unknown_json_key_rejected(self):
         with pytest.raises(ConfigError):
             cli.system_from_json({"name": "linear-shear", "stuff": 1})
+
+
+def _const_spec(alpha_value, beta_value):
+    """A k1 = k2 = 1 map whose evaluators return the given constants."""
+    return pm.MapSpec(
+        k1=1, k2=1, r1=1.0,
+        alpha=lambda w, e, x, y: np.tile(alpha_value, (len(x), 1)),
+        beta=lambda w, e, x, y: np.full_like(y, beta_value))
+
+
+class TestTypedFailures:
+    @pytest.mark.parametrize("fields, message", [
+        ({"k1": 0}, "k1 and k2 must be positive"),
+        ({"r1": 0.0}, "r1 must be positive"),
+        ({"periodic_coord": 2, "period": 1.0}, "periodic_coord must lie"),
+        ({"periodic_coord": 1}, "period must be positive"),
+    ], ids=["k1-zero", "r1-zero", "coord-above-k1", "no-period"])
+    def test_malformed_spec(self, fields, message):
+        kw = {"k1": 1, "k2": 1, "r1": 1.0, **fields}
+        with pytest.raises(ValueError, match=message):
+            pm.MapSpec(alpha=None, beta=None, **kw)
+
+    def test_x_of_two_components(self, e1):
+        with pytest.raises(EvaluationError, match="x must have 1 components"):
+            pm.eval_map(e1, 0.1, 0.0, [0.1, 0.2], [0.1])
+
+    def test_alpha_of_wrong_shape(self):
+        spec = _const_spec(np.ones(2), 0.0)
+        with pytest.raises(EvaluationError, match=r"alpha \(1, 2\)"):
+            pm.eval_map(spec, 0.1, 0.0, [0.1], [0.1])
+
+    def test_nan_beta(self):
+        spec = _const_spec(np.ones(1), np.nan)
+        with pytest.raises(EvaluationError, match="non-finite"):
+            pm.eval_map(spec, 0.1, 0.0, [0.1], [0.1])
+
+    def test_start_outside_the_disc(self, e1):
+        with pytest.raises(DomainError, match=r"\|\|y0\|\| = 1.5"):
+            pm.iterate(e1, 0.1, 0.0, [0.1], [1.5], 3)
+
+    def test_single_sample_rejected(self, e1):
+        with pytest.raises(ValueError, match="n_samples must be at least 2"):
+            pm.check_assumptions(e1, n_samples=1)

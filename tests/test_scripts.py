@@ -1,4 +1,5 @@
-"""Smoke runs of the demo scripts: they finish and write their artifacts."""
+"""Runs of the demo scripts: they finish, and their artifacts match the CLI's byte
+for byte."""
 import importlib.util
 import json
 import os
@@ -23,10 +24,28 @@ def header(path):
     return path.read_text().splitlines()[0]
 
 
+def run_cli(tmp_path, mode, config):
+    """Run one CLI mode on ``config``; return its artifact directory."""
+    cfgp = tmp_path / f"{mode}.json"
+    cfgp.write_text(json.dumps(config))
+    out = tmp_path / mode
+    assert cli.main([mode, "--config", str(cfgp), "--out", str(out)]) == 0
+    return out
+
+
 def test_shear_curve_demo(tmp_path):
-    run_script("shear_curve_demo.py", "--n-nodes", "32", "--out", str(tmp_path))
-    assert header(tmp_path / "curve.csv") == "x,phi1"
-    assert (tmp_path / "report.json").is_file()
+    demo = tmp_path / "demo"
+    run_script("shear_curve_demo.py", "--n-nodes", "32", "--out", str(demo))
+    assert header(demo / "curve.csv") == "x,phi1"
+
+    # solve-curve on the demo's system and solver settings
+    out = run_cli(tmp_path, "solve-curve", {
+        "system": {"name": "linear-shear", "params": {"q": 0.5}},
+        "omega": 0.25, "eps": 0.01,
+        "solver": {"n_nodes": 32, "tol": 1e-12}, "sampling": {"seed": 0}})
+    assert ((demo / "report.json").read_bytes()
+            == (out / "solver_report.json").read_bytes())
+    assert (demo / "curve.csv").read_bytes() == (out / "curve.csv").read_bytes()
 
 
 def test_hybrid_cylinder_demo_matches_cli(tmp_path):
@@ -35,20 +54,19 @@ def test_hybrid_cylinder_demo_matches_cli(tmp_path):
                "--n-trajectories", "2", "--out", str(demo))
     assert header(demo / "curve.csv") == "x,phi1"
     assert header(demo / "cylinder.csv") == "trajectory,t,x1,x2"
-    assert (demo / "cycle_report.json").is_file()
 
-    # cylinder-data on the demo's system and solver settings
-    cfgp = tmp_path / "c.json"
-    cfgp.write_text(json.dumps({
-        "system": {"name": "polar-hybrid",
-                   "params": {"kappa": 0.5, "T_g": 0.8}},
-        "eps": 0.01, "solver": {"n_nodes": 16, "tol": 1e-11},
-        "sampling": {"seed": 0}, "n_trajectories": 2}))
-    out = tmp_path / "cli"
-    assert cli.main(["cylinder-data", "--config", str(cfgp),
-                     "--out", str(out)]) == 0
+    # cylinder-data and hybrid-analyze on the demo's system and settings
+    system = {"name": "polar-hybrid", "params": {"kappa": 0.5, "T_g": 0.8}}
+    out = run_cli(tmp_path, "cylinder-data", {
+        "system": system, "eps": 0.01,
+        "solver": {"n_nodes": 16, "tol": 1e-11},
+        "sampling": {"seed": 0}, "n_trajectories": 2})
     for artifact in ("curve.csv", "cylinder.csv"):
         assert (demo / artifact).read_bytes() == (out / artifact).read_bytes()
+    out = run_cli(tmp_path, "hybrid-analyze",
+                  {"system": system, "sampling": {"seed": 0}})
+    assert ((demo / "cycle_report.json").read_bytes()
+            == (out / "cycle_report.json").read_bytes())
 
 
 def test_step_cost_return_counts(monkeypatch):
