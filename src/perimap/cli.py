@@ -60,14 +60,15 @@ def _require(cond, msg):
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """Whether ``v`` is a finite int or float (JSON NaN and Infinity are not)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
 def _number(section, key, default, where="config"):
     """``section[key]``, else ``default``, required to be a finite number."""
     val = section.get(key, default)
-    _require(_is_number(val) and math.isfinite(val),
-             f"{where} key '{key}' must be a finite number")
+    _require(_is_number(val), f"{where} key '{key}' must be a finite number")
     return float(val)
 
 
@@ -98,11 +99,11 @@ def parse_config(obj, mode, seed_override=None):
 
     eps_list = obj.get("eps_list", [])
     _require(isinstance(eps_list, list) and all(map(_is_number, eps_list)),
-             "config key 'eps_list' must be a list of numbers")
+             "config key 'eps_list' must be a list of finite numbers")
     tolerances = obj.get("tolerances", {})
     _require(isinstance(tolerances, dict)
              and all(map(_is_number, tolerances.values())),
-             "config key 'tolerances' must be an object of numbers")
+             "config key 'tolerances' must be an object of finite numbers")
     unknown = set(tolerances) - _TOLERANCE_KEYS
     _require(not unknown, f"unknown tolerances keys: {sorted(unknown)}")
     _require(seed_override is not None or "seed" in sampling,
@@ -140,8 +141,8 @@ def system_from_json(obj):
     """Build the built-in map or hybrid system that a config's ``system`` names.
 
     ``obj`` is ``{"name": ..., "params": {...}}``; every parameter value is a
-    number, and ``amp`` a list of numbers.  Map names are built through
-    `map_core.make_system`, hybrid names through the hybrid registry.
+    finite number, and ``amp`` a list of finite numbers.  Map names are built
+    through `map_core.make_system`, hybrid names through the hybrid registry.
     """
     _require(isinstance(obj, dict) and isinstance(obj.get("name"), str),
              "system must be an object with a string 'name'")
@@ -157,10 +158,10 @@ def system_from_json(obj):
     for key, val in params.items():
         if key == "amp":
             _require(isinstance(val, list) and all(map(_is_number, val)),
-                     "system parameter 'amp' must be a list of numbers")
+                     "system parameter 'amp' must be a list of finite numbers")
         else:
             _require(_is_number(val),
-                     f"system parameter '{key}' must be a number")
+                     f"system parameter '{key}' must be a finite number")
     if name in hybrid_ode._BUILTIN_HYBRID:
         return builder(**params)
     return map_core.make_system(name, **params)

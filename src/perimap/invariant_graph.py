@@ -16,11 +16,10 @@ iterated with type-II Anderson acceleration of depth `ANDERSON_DEPTH`
 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), which falls back on the plain
 image outside the r1 disc.
 
-Curves are stored on a uniform grid.  The standard representation is an
-exactly periodic cubic spline; the doubled-window variant used by the
-emergent-periodicity test keeps a clamped (non-periodic) spline on [0, 2T)
-while only the push's interpolant wraps mod 2T, so any periodicity of the
-solution has to emerge from the dynamics rather than from the representation.
+Curves are stored on a uniform grid as exactly periodic cubic splines.  The
+emergent-periodicity test solves for a curve of period 2T on twice the nodes:
+only 2T-periodicity is imposed, so T-periodicity has to emerge from the
+dynamics rather than from the representation.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .exceptions import ConvergenceError, DomainError, MonotonicityError
-from .sampling import require_count
+from .sampling import ball_points, require_count
 
 Array = np.ndarray
 
@@ -119,51 +118,9 @@ class PeriodicGridFn:
         return float(np.max(np.linalg.norm(self.eval(xs), axis=-1)))
 
 
-def _edge_slope(values, h, left):
-    """4th-order one-sided slope estimate from the first/last five nodes."""
-    c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-    if left:
-        return (c @ values[:5]) / h
-    return -(c @ values[-1:-6:-1]) / h
-
-
-@dataclass(eq=False)
-class WindowGridFn:
-    """Non-periodic (clamped-spline) curve on [0, length]; nodes inclusive.
-
-    Used by the doubled-window periodicity test: only the advance equation
-    wraps mod ``length``; the representation carries no periodic constraint.
-    """
-
-    length: float
-    values: Array  # (n_nodes + 1, k2), nodes at i * length / n_nodes
-    _spline: CubicSpline = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        n = self.values.shape[0] - 1
-        if n < 5:
-            raise ValueError("need at least 6 window nodes")
-        xs = np.linspace(0.0, self.length, n + 1)
-        h = self.length / n
-        bc = ((1, _edge_slope(self.values, h, True)),
-              (1, _edge_slope(self.values, h, False)))
-        self._spline = CubicSpline(xs, self.values, bc_type=bc, axis=0)
-
-    @classmethod
-    def zeros(cls, length, n_nodes, k2=1):
-        return cls(length, np.zeros((n_nodes + 1, k2)))
-
-    @property
-    def nodes(self):
-        return np.linspace(0.0, self.length, self.values.shape[0])
-
-    def eval(self, x):
-        x = np.clip(np.asarray(x, dtype=float), 0.0, self.length)
-        return self._spline(x)
-
-    def with_values(self, values):
-        return WindowGridFn(self.length, values)
+# an alias kept only because perfbench/tracing.py reads
+# `WindowGridFn.__post_init__` when it is imported
+WindowGridFn = PeriodicGridFn
 
 
 @dataclass
@@ -236,10 +193,11 @@ def rate_bound_from_q(q):
 # the transform
 # ----------------------------------------------------------------------------
 
-def _check_monotone(spec, omega, eps, curve, window, n_check):
+def _check_monotone(spec, omega, eps, curve):
     """Raise unless the x-advance along ``curve`` is strictly increasing on
-    a grid of ``n_check`` + 1 points of the window."""
-    xs = np.linspace(0.0, window, n_check + 1)
+    a grid of twice its node intervals over one period: every node is a
+    check point."""
+    xs = np.linspace(0.0, curve.period, 2 * curve.n_nodes + 1)
     a = np.asarray(spec.alpha(omega, eps, xs[:, None], curve.eval(xs)),
                    dtype=float)
     if np.any(np.diff(xs + omega * a[:, 0]) <= 0.0):
@@ -251,17 +209,15 @@ def _check_monotone(spec, omega, eps, curve, window, n_check):
 
 def _sweep(spec, omega, eps, xs, values, window):
     """One forward push: the graph values ``values`` at the nodes ``xs`` of
-    the window, mapped and re-gridded at the same nodes.
+    [0, window), mapped and re-gridded at the same nodes.
 
-    alpha and beta are evaluated once, at the nodes in [0, window); a node
-    at the window's right end repeats node 0 and is only re-gridded.  The
-    images are reduced mod the window and rotated into increasing order,
-    and the window-periodic cubic spline through them is sampled at ``xs``.
+    alpha and beta are evaluated once, at the nodes.  The images are reduced
+    mod the window and rotated into increasing order, and the
+    window-periodic cubic spline through them is sampled at ``xs``.
     """
-    inside = xs < window
-    x, y = xs[inside, None], values[inside]
-    a = np.asarray(spec.alpha(omega, eps, x, y), dtype=float)[:, 0]
-    b = np.asarray(spec.beta(omega, eps, x, y), dtype=float)
+    x = xs[:, None]
+    a = np.asarray(spec.alpha(omega, eps, x, values), dtype=float)[:, 0]
+    b = np.asarray(spec.beta(omega, eps, x, values), dtype=float)
     if np.max(np.linalg.norm(b, axis=-1)) > spec.r1:
         raise DomainError("graph transform left the radius-r1 disc")
     img = x[:, 0] + omega * a
@@ -309,8 +265,8 @@ def _interp_error_estimate(values):
     return (5.0 / 384.0) * float(np.max(np.abs(d4)))
 
 
-def _iterate_to_fixed_point(spec, omega, eps, curve, window, tol, max_iter):
-    """Anderson-accelerated push iteration from ``curve``.
+def _iterate_to_fixed_point(spec, omega, eps, curve, tol, max_iter):
+    """Anderson-accelerated push iteration from ``curve`` over its period.
 
     Sweep k pushes v_k to its plain image G(v_k); the next input is the
     type-II Anderson combination of the last ``ANDERSON_DEPTH`` + 1 images,
@@ -324,12 +280,10 @@ def _iterate_to_fixed_point(spec, omega, eps, curve, window, tol, max_iter):
     """
     xs, v = curve.nodes, curve.values
     if omega != 0.0:
-        # twice the node intervals of the window: every node is a check point
-        _check_monotone(spec, omega, eps, curve, window,
-                        2 * np.count_nonzero(xs < window))
+        _check_monotone(spec, omega, eps, curve)
     updates, rates, d_res, d_img = [], [], [], []
     for _ in range(int(max_iter)):
-        g = _sweep(spec, omega, eps, xs, v, window)
+        g = _sweep(spec, omega, eps, xs, v, curve.period)
         res = g - v
         updates.append(float(np.max(np.abs(res))))
         if updates[-1] <= tol:
@@ -374,7 +328,7 @@ def solve_invariant_curve(spec, omega, eps, config=None):
         raise DomainError("seed curve exceeds the radius-r1 disc")
 
     curve, updates, rates, hit_tol = _iterate_to_fixed_point(
-        spec, omega, eps, curve, spec.period, config.tol, config.max_iter)
+        spec, omega, eps, curve, config.tol, config.max_iter)
     if not hit_tol:
         raise ConvergenceError(
             f"no convergence after {config.max_iter} sweeps "
@@ -429,9 +383,7 @@ def attraction_test(spec, omega, eps, phi, n_trajectories=20, n_steps=50,
     rng = np.random.default_rng(seed)
     y_radius = y_radius if y_radius is not None else 0.5 * spec.r1
     xs = rng.uniform(-1.0, phi.period + 1.0, n_trajectories)[:, None]
-    raw = rng.uniform(-1.0, 1.0, (n_trajectories, spec.k2))
-    nrm = np.linalg.norm(raw, axis=1, keepdims=True)
-    ys = np.where(nrm > 1.0, raw / nrm, raw) * y_radius
+    ys = ball_points(rng.random((n_trajectories, spec.k2)), y_radius)
 
     alive = np.ones(n_trajectories, dtype=bool)
     dist = np.full((n_steps + 1, n_trajectories), np.nan)
@@ -462,18 +414,17 @@ def attraction_test(spec, omega, eps, phi, n_trajectories=20, n_steps=50,
 def periodicity_defect(spec, omega, eps, config=None):
     """Emergent-periodicity test: re-solve on the doubled window [0, 2T).
 
-    The representation is a clamped spline with no periodic wrap; only the
-    advance equation is taken mod 2T.  Returns sup over x in [0, T) of
+    The curve is a 2T-periodic grid function of 2 * ``n_nodes`` nodes, so
+    only 2T-periodicity is imposed.  Returns sup over x in [0, T) of
     ||phi(x + T) - phi(x)|| for the converged doubled curve.
     """
     config = config or CurveConfig()
     _require_scalar_periodic(spec)
     omega, eps = float(omega), float(eps)
     T = spec.period
-    window = 2.0 * T
-    curve = WindowGridFn.zeros(window, 2 * config.n_nodes, spec.k2)
+    curve = PeriodicGridFn.zeros(2.0 * T, 2 * config.n_nodes, spec.k2)
     curve, updates, _, hit_tol = _iterate_to_fixed_point(
-        spec, omega, eps, curve, window, config.tol, config.max_iter)
+        spec, omega, eps, curve, config.tol, config.max_iter)
     if not hit_tol:
         raise ConvergenceError(
             f"doubled-window solve did not converge (last update {updates[-1]:.3g})"

@@ -70,7 +70,9 @@ class TestConfigValidation:
         ({"name": "linear-shear", "params": {"q": "0.5"}}, "'q'"),
         ({"name": "polar-hybrid", "params": {"kappa": None}}, "'kappa'"),
         ({"name": "polar-hybrid", "params": {"amp": 3}}, "'amp'"),
-    ], ids=["string", "params-string", "q-string", "kappa-null", "amp-scalar"])
+        ({"name": "linear-shear", "params": {"q": float("nan")}}, "'q'"),
+    ], ids=["string", "params-string", "q-string", "kappa-null", "amp-scalar",
+            "q-nan"])
     def test_malformed_system_rejected(self, tmp_path, capsys, system, key):
         cfgp = write_config(tmp_path, "c.json",
                             {"system": system, "sampling": {"seed": 1}})
@@ -84,8 +86,10 @@ class TestConfigValidation:
         ({"solver": {"n_nodes": "a"}}, "n_nodes"),
         ({"tolerances": "x"}, "tolerances"),
         ({"eps_list": 3}, "eps_list"),
+        ({"eps_list": [0.01, float("nan")]}, "eps_list"),
+        ({"eps_list": [0.01, float("inf")]}, "eps_list"),
     ], ids=["omega-string", "n_nodes-string", "tolerances-string",
-            "eps_list-scalar"])
+            "eps_list-scalar", "eps_list-nan", "eps_list-infinity"])
     def test_malformed_value_rejected(self, tmp_path, capsys, extra, key):
         cfgp = write_config(tmp_path, "c.json", {
             "system": {"name": "linear-shear"}, "sampling": {"seed": 1},
@@ -149,6 +153,24 @@ class TestConfigValidation:
         assert rc == 2
         err = capsys.readouterr().err
         assert "strictly positive" in err and key in err
+
+    @pytest.mark.parametrize("mode, extra, key", [
+        ("check-map", {"tolerances": {"a2": float("inf")}}, "tolerances"),
+        ("hybrid-analyze",
+         {"system": {"name": "polar-hybrid",
+                     "params": {"amp": [float("nan"), 0]}}}, "'amp'"),
+    ], ids=["a2-infinity", "amp-nan"])
+    def test_nonfinite_number_rejected(self, tmp_path, capsys, mode, extra,
+                                       key):
+        # json writes NaN and Infinity, and json.load reads them back; both
+        # configs ran to exit 0, the first with its a2 gate switched off
+        cfgp = write_config(tmp_path, "c.json", {
+            "system": {"name": "linear-shear"}, "sampling": {"seed": 1},
+            **extra})
+        rc = cli.main([mode, "--config", cfgp, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "finite" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = cli.main(["check-map", "--config", str(tmp_path / "none.json"),

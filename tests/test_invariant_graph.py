@@ -7,8 +7,7 @@ from scipy.optimize import brentq
 
 import perimap as pm
 from perimap.exceptions import MonotonicityError
-from perimap.invariant_graph import (WindowGridFn, _iterate_to_fixed_point,
-                                     _sweep)
+from perimap.invariant_graph import _iterate_to_fixed_point, _sweep
 
 CFG = pm.CurveConfig(n_nodes=256, tol=1e-12)
 
@@ -251,6 +250,28 @@ class TestPeriodicityDefect:
                          beta=beta, periodic_coord=1, period=1.0)
         assert pm.periodicity_defect(bad, 0.25, 0.01, CFG) > 1e-3
 
+    @pytest.mark.parametrize("system", ["e1", "e2"])
+    def test_emerges_from_a_seed_that_flips_sign(self, system, request):
+        # 0.2 sin(pi x) changes sign under x -> x + 1, so the iteration starts
+        # far from T-periodic and only the 2T-periodic grid is imposed
+        spec = request.getfixturevalue(system)
+        seed = pm.PeriodicGridFn(2.0, 0.2 * np.sin(np.pi * np.arange(512)
+                                                   / 256)[:, None])
+        xs = np.linspace(0.0, 1.0, 1024, endpoint=False)
+        assert np.max(np.abs(seed.eval(xs + 1.0) - seed.eval(xs))) > 0.39
+        curve, _, _, hit_tol = _iterate_to_fixed_point(
+            spec, 0.25, 0.01, seed, 1e-12, 100)
+        assert hit_tol
+        assert np.max(np.abs(curve.eval(xs + 1.0) - curve.eval(xs))) <= 1e-9
+
+    def test_defect_at_rounding_level(self, e1, wrapped):
+        # the doubled curve has no edges, so the defect is rounding only;
+        # an edge error of the representation would show here
+        assert pm.periodicity_defect(e1, 0.25, 0.01, CFG) <= 1e-14
+        cfg = pm.CurveConfig(n_nodes=128, tol=1e-11, max_iter=60,
+                             preimage_tol=1e-11)
+        assert pm.periodicity_defect(wrapped, 1.0, 0.01, cfg) <= 1e-13
+
 
 class TestUniquenessAndContinuity:
     def test_identical_seeds(self, e1):
@@ -297,10 +318,6 @@ class TestTypedFailures:
         with pytest.raises(ValueError, match="n_nodes >= 2"):
             pm.PeriodicGridFn(1.0, [[0.5]])
 
-    def test_window_of_five_nodes(self):
-        with pytest.raises(ValueError, match="at least 6 window nodes"):
-            WindowGridFn(2.0, np.zeros((5, 1)))
-
     def test_curve_outside_the_disc(self, e1):
         curve = pm.PeriodicGridFn(1.0, np.full((16, 1), 1.5))
         with pytest.raises(pm.DomainError, match="candidate curve exceeds"):
@@ -330,7 +347,7 @@ class TestRarePaths:
         spec = _restarting_map()
         seed = pm.PeriodicGridFn.zeros(1.0, 64, 1)
         _, updates, _, hit_tol = _iterate_to_fixed_point(
-            spec, 0.25, 0.026, seed, 1.0, 1e-12, 100)
+            spec, 0.25, 0.026, seed, 1e-12, 100)
         assert hit_tol and len(updates) == 36
         grew = [k for k in range(1, len(updates)) if updates[k] > updates[k - 1]]
         assert grew == [6, 25]  # sweeps 7 and 26 clear the history

@@ -8,6 +8,7 @@ import importlib.util
 import pathlib
 
 import perimap as pm
+from perimap import invariant_graph
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -49,3 +50,28 @@ def test_traced_solve_and_cycle_analysis(handle):
     changed = [(owner, name) for (owner, name), value in before.items()
                if vars(owner).get(name) is not value]
     assert not changed
+
+
+def test_traced_doubled_window_counts_each_spline_once(monkeypatch):
+    # the tracer wraps `PeriodicGridFn.__post_init__` once under that name
+    # and once under its alias `WindowGridFn`; a build must count once
+    built = []
+    init = invariant_graph.PeriodicGridFn.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(invariant_graph.PeriodicGridFn, "__init__",
+                        counted_init)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        defect = pm.periodicity_defect(pm.linear_shear(), 0.25, 0.01,
+                                       pm.CurveConfig(n_nodes=16, tol=1e-12))
+    finally:
+        tracer.uninstall()
+    assert defect <= 1e-12
+    assert len(built) >= 2
+    assert tracer.metrics()["invariant_graph.spline_builds"] == len(built)
