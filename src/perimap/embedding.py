@@ -254,8 +254,8 @@ def invert_G(spec, params, target, tol=1e-12, max_iter=100):
     best = np.inf
     stall = 0
     for _ in range(int(max_iter)):
-        Gz = L @ z + _bumped_tilde(spec, params.lam, z)
-        res = float(np.linalg.norm(Gz - target))
+        tilde = _bumped_tilde(spec, params.lam, z)
+        res = float(np.linalg.norm(L @ z + tilde - target))
         if res <= tol:
             return z
         if res < best * 0.999:
@@ -265,7 +265,7 @@ def invert_G(spec, params, target, tol=1e-12, max_iter=100):
             stall += 1
             if stall >= 8:
                 break
-        z = np.linalg.solve(L, target - _bumped_tilde(spec, params.lam, z))
+        z = np.linalg.solve(L, target - tilde)
     raise ConvergenceError(
         f"invert_G did not reach tol={tol:g} (last residual {res:.3g}); "
         "lambda is likely above the contraction threshold"

@@ -255,7 +255,8 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     `dopri.integrate` runs up to ``max_time`` with a per-step scan as its
     ``stop`` hook, which ends the integration once every lane has an
     admissible crossing.  Lanes without one raise `NoReturnError`, or with
-    ``on_no_return="flag"`` end at ``max_time`` with ``event_hit`` false.
+    ``on_no_return="flag"`` end at ``max_time`` with ``event_hit`` false;
+    any other ``on_no_return`` raises `ValueError` before the flow.
 
     Each hit lane ends at the last bisection point of its crossing, or at
     its bracket's lower end when only that meets `H_TOL`, so |H| <= `H_TOL`
@@ -275,6 +276,9 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     """
     if not isinstance(event, EventConfig):
         raise TypeError(f"event must be an EventConfig, got {event!r}")
+    if on_no_return not in ("raise", "flag"):
+        raise ValueError("on_no_return must be 'raise' or 'flag', got "
+                         f"{on_no_return!r}")
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     K = vs.shape[0]

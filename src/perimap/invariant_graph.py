@@ -130,7 +130,6 @@ class SolverReport:
     iterations: int
     final_update: float
     invariance_residual: float
-    periodicity_defect: Optional[float]
     measured_rates: list
     converged: bool
     n_nodes: int
@@ -141,7 +140,6 @@ class SolverReport:
             "iterations": self.iterations,
             "final_update": self.final_update,
             "invariance_residual": self.invariance_residual,
-            "periodicity_defect": self.periodicity_defect,
             "measured_rates": list(self.measured_rates),
             "converged": bool(self.converged),
             "n_nodes": self.n_nodes,
@@ -193,27 +191,15 @@ def rate_bound_from_q(q):
 # the transform
 # ----------------------------------------------------------------------------
 
-def _check_monotone(spec, omega, eps, curve):
-    """Raise unless the x-advance along ``curve`` is strictly increasing on
-    a grid of twice its node intervals over one period: every node is a
-    check point."""
-    xs = np.linspace(0.0, curve.period, 2 * curve.n_nodes + 1)
-    a = np.asarray(spec.alpha(omega, eps, xs[:, None], curve.eval(xs)),
-                   dtype=float)
-    if np.any(np.diff(xs + omega * a[:, 0]) <= 0.0):
-        raise MonotonicityError(
-            "x-advance map is not strictly increasing on the window; "
-            "the graph transform is undefined at these parameters"
-        )
-
-
 def _sweep(spec, omega, eps, xs, values, window):
     """One forward push: the graph values ``values`` at the nodes ``xs`` of
     [0, window), mapped and re-gridded at the same nodes.
 
-    alpha and beta are evaluated once, at the nodes.  The images are reduced
-    mod the window and rotated into increasing order, and the
-    window-periodic cubic spline through them is sampled at ``xs``.
+    alpha and beta are evaluated once, at the nodes.  Unless the images
+    keep the nodes' cyclic order (`MonotonicityError`, the solver's only
+    order check), they are reduced mod the window and rotated into
+    increasing order, and the window-periodic cubic spline through them is
+    sampled at ``xs``.
     """
     x = xs[:, None]
     a = np.asarray(spec.alpha(omega, eps, x, values), dtype=float)[:, 0]
@@ -223,7 +209,8 @@ def _sweep(spec, omega, eps, xs, values, window):
     img = x[:, 0] + omega * a
     if not np.all(np.diff(np.append(img, img[0] + window)) > 0.0):
         raise MonotonicityError(
-            "the pushed nodes do not keep their cyclic order; "
+            "x-advance map is not strictly increasing at the nodes: the "
+            "pushed nodes do not keep their cyclic order; "
             "the graph transform is undefined at these parameters"
         )
     img -= window * np.floor(img[0] / window)
@@ -279,8 +266,6 @@ def _iterate_to_fixed_point(spec, omega, eps, curve, tol, max_iter):
     contraction of the plain transform measured on the iterates.
     """
     xs, v = curve.nodes, curve.values
-    if omega != 0.0:
-        _check_monotone(spec, omega, eps, curve)
     updates, rates, d_res, d_img = [], [], [], []
     for _ in range(int(max_iter)):
         g = _sweep(spec, omega, eps, xs, v, curve.period)
@@ -313,17 +298,26 @@ def solve_invariant_curve(spec, omega, eps, config=None):
     """Iterate the graph transform from the seed curve until the node update
     falls below ``tol``; returns the curve and a `SolverReport`.
 
-    ``converged`` additionally requires the off-node invariance residual to be
-    explainable by the spline discretization: residual <= 10 * (tol + est),
-    where est is the standard interpolation-error scale computed from fourth
-    differences of the node values.  This keeps the stall guard of the
-    stopping rule without demanding sub-discretization residuals.
+    A ``seed_curve`` whose period, node count or k2 differs from
+    ``spec.period``, ``n_nodes`` or ``spec.k2`` raises `ValueError` before
+    any evaluation; missing ``tol`` in ``max_iter`` sweeps raises
+    `ConvergenceError`.  ``converged`` then requires the off-node invariance
+    residual to be explainable by the spline discretization: residual <=
+    10 * (tol + est), where est is the standard interpolation-error scale
+    computed from fourth differences of the node values.  This keeps the
+    stall guard of the stopping rule without demanding sub-discretization
+    residuals.
     """
     config = config or CurveConfig()
     _require_scalar_periodic(spec)
     omega, eps = float(omega), float(eps)
     curve = config.seed_curve or PeriodicGridFn.zeros(
         spec.period, config.n_nodes, spec.k2)
+    for name, got, want in (("period", curve.period, spec.period),
+                            ("node count", curve.n_nodes, config.n_nodes),
+                            ("k2", curve.k2, spec.k2)):
+        if got != want:
+            raise ValueError(f"seed curve {name} {got} differs from {want}")
     if curve.sup_norm() > spec.r1:
         raise DomainError("seed curve exceeds the radius-r1 disc")
 
@@ -341,9 +335,8 @@ def solve_invariant_curve(spec, omega, eps, config=None):
         iterations=len(updates),
         final_update=updates[-1],
         invariance_residual=residual,
-        periodicity_defect=None,
         measured_rates=rates,
-        converged=bool(updates[-1] <= config.tol and residual <= gate),
+        converged=bool(residual <= gate),
         n_nodes=config.n_nodes,
         tol=config.tol,
     )

@@ -9,9 +9,10 @@ is autonomous and defines the reduced map P(u).
 
 `extract_alpha_beta` packages the pair (return lag, returned u) as the alpha
 and beta evaluators of a `MapSpec` with x := tau, k1 = 1 and period T_g; the
-technical omega input is fixed to 1 and ignored.  Both evaluators share one
-flow per evaluation point through a memo of the last request, so a
-curve-solver sweep that has just evaluated alpha gets the matching beta free.
+technical omega input is fixed to 1 and ignored.  Both evaluators read a
+memo of one request, the last: alpha and beta asked at the same points
+share one flow, so a curve-solver sweep that has just evaluated alpha gets
+the matching beta free.
 
 `cylinder_table` samples forced trajectories started on a solved invariant
 curve: the invariant cylinder written by the CLI and the demo script.
@@ -161,34 +162,26 @@ class _WrappedPoincare:
     """alpha/beta evaluators backed by the Poincare map, with a one-request memo.
 
     One return flow yields both the lag (alpha) and the new chart point
-    (beta); results are memoized per (eps, tau, u) for one request: the memo
-    keeps the keys of the last request only, which the beta evaluation at a
-    sweep's nodes (and the first sweep after the monotonicity check) reuses.
-    Keys are deduplicated before flowing: each distinct missing key is
-    flowed once, and every repeat of it reads the same memo entry.
+    (beta).  The memo holds the last request, its eps and copies of its
+    taus and us, with the lags and chart points it returned.  A request
+    equal to it, such as the beta evaluation that follows alpha at a
+    sweep's nodes, is answered without a flow; any other request flows all
+    of its rows through one `p_eps_batch` and becomes the memo.  Answers
+    are fresh arrays, so a caller cannot alter the memo.
     """
 
     def __init__(self, handle):
         self.handle = handle
-        self._memo = {}
+        self._last = None  # (eps, taus, us, lags, outs) of the last request
 
     def _lookup(self, eps, taus, us):
-        keys = [(eps, float(t)) + tuple(float(c) for c in u)
-                for t, u in zip(taus, us)]
-        memo = {k: self._memo[k] for k in keys if k in self._memo}
-        missing = {}  # distinct missing key -> its first row
-        for i, k in enumerate(keys):
-            if k not in memo:
-                missing.setdefault(k, i)
-        if missing:
-            rows = list(missing.values())
-            times, new_us = p_eps_batch(self.handle, taus[rows], us[rows], eps)
-            for j, k in enumerate(missing):
-                memo[k] = (float(times[j]), new_us[j])
-        self._memo = memo
-        lags = np.array([memo[k][0] for k in keys]) - taus
-        outs = np.stack([memo[k][1] for k in keys])
-        return lags, outs
+        last = self._last
+        if (last is None or last[0] != eps or not np.array_equal(last[1], taus)
+                or not np.array_equal(last[2], us)):
+            times, outs = p_eps_batch(self.handle, taus, us, eps)
+            last = self._last = (eps, taus.copy(), us.copy(), times - taus,
+                                 outs)
+        return last[3].copy(), last[4].copy()
 
     def alpha(self, omega, eps, x, y):
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -158,6 +158,25 @@ class TestInvertG:
             z = pm.invert_G(e1, params, target, tol=1e-12)
             assert np.linalg.norm(z - z0) <= 1e-10
 
+    def test_one_remainder_evaluation_per_iteration(self, e1, monkeypatch):
+        params = emb.embedding_params(e1, 0.05, 0.5)
+        z0 = np.array([6.0, 0.38, 1.6, 0.62])
+        target = pm.eval_G_lambda(e1, params, z0[0], z0[1], z0[2:3], z0[3:4])
+        seen = []
+        tilde = emb._bumped_tilde
+
+        def counted(spec, lam, z):
+            seen.append(z.tobytes())
+            return tilde(spec, lam, z)
+
+        monkeypatch.setattr(emb, "_bumped_tilde", counted)
+        z = pm.invert_G(e1, params, target, tol=1e-12)
+        assert np.linalg.norm(z - z0) <= 1e-10
+        # each iterate's remainder is evaluated once, for both the residual
+        # and the update
+        assert len(seen) > 2
+        assert len(set(seen)) == len(seen)
+
     def test_nonconvergence_above_threshold(self):
         # strong x-coupling at lam = 1 breaks the contraction regime
         spec = pm.linear_shear(q=0.5, coupling=60.0)

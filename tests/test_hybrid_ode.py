@@ -151,6 +151,14 @@ class TestFlow:
         with pytest.raises(TypeError):
             pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0, event=False)
 
+    @pytest.mark.parametrize("mode", ["Raise", True, None])
+    def test_unknown_no_return_mode_rejected(self, e3, mode):
+        # any value other than "raise" once flagged lanes that never return
+        with pytest.raises(ValueError, match="on_no_return"):
+            pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0,
+                          event=pm.EventConfig(), max_time=0.1,
+                          on_no_return=mode)
+
     @pytest.mark.parametrize("n_taus", [2, 4])
     def test_tau_count_checked_before_integrating(self, e3, monkeypatch,
                                                   n_taus):

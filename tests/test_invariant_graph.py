@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -318,6 +320,20 @@ class TestTypedFailures:
         with pytest.raises(ValueError, match="n_nodes >= 2"):
             pm.PeriodicGridFn(1.0, [[0.5]])
 
+    @pytest.mark.parametrize("seed, what", [
+        (pm.PeriodicGridFn.zeros(2.0, 64), "period 2.0 differs from 1.0"),
+        (pm.PeriodicGridFn.zeros(1.0, 32), "node count 32 differs from 64"),
+        (pm.PeriodicGridFn.zeros(1.0, 64, 2), "k2 2 differs from 1"),
+    ], ids=["period", "n_nodes", "k2"])
+    def test_mismatched_seed_curve(self, e1, seed, what):
+        def no_eval(*args):
+            raise AssertionError("map evaluated")
+
+        spec = replace(e1, alpha=no_eval, beta=no_eval)
+        with pytest.raises(ValueError, match=what):
+            pm.solve_invariant_curve(spec, 0.25, 0.01, pm.CurveConfig(
+                n_nodes=64, seed_curve=seed))
+
     def test_curve_outside_the_disc(self, e1):
         curve = pm.PeriodicGridFn(1.0, np.full((16, 1), 1.5))
         with pytest.raises(pm.DomainError, match="candidate curve exceeds"):
@@ -354,6 +370,20 @@ class TestRarePaths:
         _, report = pm.solve_invariant_curve(
             spec, 0.25, 0.026, pm.CurveConfig(n_nodes=64, tol=1e-12))
         assert report.converged and report.invariance_residual < 1e-8
+
+    def test_fold_hidden_between_the_nodes(self):
+        """The advance folds between the nodes, where it equals x + omega, so
+        every sweep keeps the nodes' order; the off-node residual shows the
+        fold and the solve reports no convergence."""
+        spec = pm.MapSpec(
+            k1=1, k2=1, r1=1.0,
+            alpha=lambda w, e, x, y: 1.0 + 0.2 * np.sin(2 * np.pi * 32 * x),
+            beta=lambda w, e, x, y: 0.5 * y + e * np.sin(2 * np.pi * x),
+            periodic_coord=1, period=1.0)
+        _, report = pm.solve_invariant_curve(spec, 0.37, 0.01,
+                                             pm.CurveConfig(n_nodes=64))
+        assert not report.converged
+        assert report.invariance_residual > 1e-4
 
     def test_sup_norm_of_a_vector_curve(self):
         xs = np.arange(64) / 64

@@ -200,47 +200,50 @@ class _LaneCounter:
 
 
 class TestWrappedMemo:
-    def test_duplicate_keys_flow_once(self, handle, monkeypatch):
-        counter = _LaneCounter(pm.poincare.p_eps_batch)
-        monkeypatch.setattr(pm.poincare, "p_eps_batch", counter)
-        spec = pm.extract_alpha_beta(handle)
-        xs = np.array([[0.1], [0.3], [0.1], [0.5], [0.3], [0.1]])
-        us = np.array([[0.05], [-0.1], [0.05], [0.0], [-0.1], [0.05]])
-        a = spec.alpha(1.0, 0.01, xs, us)
-        b = spec.beta(1.0, 0.01, xs, us)
-        assert [len(r) for r in counter.rows] == [3]
-        assert np.array_equal(counter.rows[0],
-                              np.column_stack([xs, us])[[0, 1, 3]])
-        for dup, orig in ((2, 0), (5, 0), (4, 1)):
-            assert np.array_equal(a[dup], a[orig])
-            assert np.array_equal(b[dup], b[orig])
-
     def test_memo_holds_the_last_request(self, handle, monkeypatch):
         counter = _LaneCounter(pm.poincare.p_eps_batch)
         monkeypatch.setattr(pm.poincare, "p_eps_batch", counter)
         spec = pm.extract_alpha_beta(handle)
-        wrapper = spec.alpha.__self__
         xs = np.array([[0.1], [0.3]])
         us = np.array([[0.05], [-0.1]])
         a = spec.alpha(1.0, 0.01, xs, us)
-        # one key of the previous request, which is not flowed again, and a
-        # new one; the first request's other key is then forgotten
-        a2 = spec.alpha(1.0, 0.01, np.array([[0.3], [0.7]]),
-                        np.array([[-0.1], [0.0]]))
-        assert [len(r) for r in counter.rows] == [2, 1]
-        assert set(wrapper._memo) == {(0.01, 0.3, -0.1), (0.01, 0.7, 0.0)}
-        assert np.array_equal(a2[0], a[1])
+        # the equal beta request, then a repeat of alpha: no further flow
+        b = spec.beta(1.0, 0.01, xs.copy(), us.copy())
+        again = spec.alpha(1.0, 0.01, xs, us)
+        assert [len(r) for r in counter.rows] == [2]
+        assert np.array_equal(again, a)
+        times, outs = counter.fn(spec.alpha.__self__.handle, xs[:, 0], us,
+                                 0.01)
+        assert np.array_equal(b, outs)
+        assert np.array_equal(a[:, 0], times - xs[:, 0])
+        # answers are copies: altering them leaves the next hit intact
+        again[:] = 7.0
+        b[:] = 7.0
+        assert np.array_equal(spec.alpha(1.0, 0.01, xs, us), a)
+        assert np.array_equal(spec.beta(1.0, 0.01, xs, us), outs)
+        assert len(counter.rows) == 1
+        # a request sharing one row with the last flows all of its rows
+        spec.alpha(1.0, 0.01, np.array([[0.3], [0.7]]),
+                   np.array([[-0.1], [0.0]]))
+        assert np.array_equal(counter.rows[-1], [[0.3, -0.1], [0.7, 0.0]])
+        # so does the same points at another eps, and after the caller
+        # altered its request arrays in place
+        spec.beta(1.0, 0.02, np.array([[0.3], [0.7]]),
+                  np.array([[-0.1], [0.0]]))
+        spec.alpha(1.0, 0.01, xs, us)
+        us[0] = 0.0
+        spec.beta(1.0, 0.01, xs, us)
+        assert [len(r) for r in counter.rows] == [2, 2, 2, 2, 2]
+        assert np.array_equal(counter.rows[-1], [[0.1, 0.0], [0.3, -0.1]])
 
 
 class TestCurveSolveFlows:
     def test_flow_count(self, handle, monkeypatch):
         """Flows of a small wrapped-Poincare solve (n=64, eps=1e-2).
 
-        Each sweep pushes the nodes through one flow, and beta reads it
-        from the memo.  Sweep 1 flows nothing: its nodes and seed values
-        are points of the monotonicity check's grid.  With the invariance
-        residual's flow that is one ``p_eps_batch`` call per sweep plus the
-        check.
+        Each sweep, the first included, pushes the nodes through one flow,
+        and beta reads it from the memo.  With the invariance residual's
+        flow that is one ``p_eps_batch`` call per sweep plus one.
         """
         counter = _LaneCounter(pm.poincare.p_eps_batch)
         monkeypatch.setattr(pm.poincare, "p_eps_batch", counter)
@@ -262,12 +265,11 @@ class TestCurveSolveFlows:
         _, rep = pm.solve_invariant_curve(spec, 1.0, 0.01, cfg)
         assert rep.converged and rep.iterations == len(sweeps) == 7
 
-        for i, k in sweep_of_call.items():
+        for i in sweep_of_call:
             rows = counter.rows[i]
-            if k > 1:
-                assert len(rows) > 1
-                assert len(np.unique(rows, axis=0)) == len(rows)
-        assert sorted(sweep_of_call.values()) == list(range(2, 8))
+            assert len(rows) == 64
+            assert len(np.unique(rows, axis=0)) == len(rows)
+        assert sorted(sweep_of_call.values()) == list(range(1, 8))
         assert len(counter.rows) <= rep.iterations + 1
 
 
