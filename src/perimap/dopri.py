@@ -316,7 +316,8 @@ class Dopri54:
         Kf = K.reshape(N_STAGES_EXTENDED, -1)  # stage sums are matmuls
         y = self.y.reshape(-1)
         while True:
-            h = min(self.h, self.max_step, self.t_end - self.t)
+            remaining = self.t_end - self.t
+            h = min(self.h, self.max_step, remaining)
             if h <= 1e-14 * max(1.0, abs(self.t)):
                 raise IntegrationError(f"step size underflow at t = {self.t!r}")
             K[0] = self.f
@@ -345,7 +346,9 @@ class Dopri54:
                 q[:, -1] += slope - q.sum(axis=1)
                 q = q.reshape(shape + (P.shape[1],))
                 t_old, y_old = self.t, self.y
-                self.t = self.t + h
+                # t + (t_end - t) can round below t_end; a step clipped to
+                # the remaining span ends exactly there
+                self.t = self.t_end if h == remaining else self.t + h
                 self.y = y_new
                 self.f = K[N_STAGES]
                 self.h = h * factor

@@ -6,19 +6,23 @@ S = {H = 0}, and a chart D of S.  `flow_batch` integrates a batch of lanes of
 
     dx/dt = X(x) + eps * g(t, x, eps)
 
-(`forced_rhs`) through `dopri.integrate` (Dormand-Prince 8(5,3)) and localizes
-each lane's first accepted crossing of S by bisection on `dopri.dense_value`
-of the one accepted step that holds it, found once per flow.  Crossings are
-directional (sign of dH/dt must match the configured direction) and detection
-is suppressed until |H| has once exceeded an arming threshold, so a trajectory
-started on or near S by a jump does not retrigger at departure.
+(`forced_rhs`) through `dopri.integrate` (Dormand-Prince 8(5,3)) and finds
+each lane's first admissible crossing of S.  Crossings are directional (sign
+of dH/dt must match the configured direction) and detection is suppressed
+until |H| has once exceeded an arming threshold, so a trajectory started on
+or near S by a jump does not retrigger at departure.
 
 The eighth-order steps are long (about 20-40 per revolution of the built-in
-cycle), so a sign check at the step ends is not enough: H is also sampled
-at 7 interior points of every step, and near S the extremum of H along the
-step's interpolant is refined by golden-section search.  That extremum feeds
-the grazing flag, and when it lies across S the step holds two crossings;
-the admissible one is localized on its own bracket inside the step.
+cycle), so a sign check at the step ends is not enough: H is sampled at the
+9 points theta = i/8 of every accepted step, and the first admissible sign
+change among them is bracketed between two samples.  On a step whose samples
+keep one sign but come near S, the extremum of H along the step's
+interpolant is refined by safeguarded successive parabolic interpolation.
+That extremum feeds the grazing flag, and when it lies across S the step
+holds two crossings; the admissible one is bracketed between the extremum
+and a sample.  After the flow each bracket is closed on `dopri.dense_value`
+of its step by Illinois (Anderson-Bjorck) regula falsi, started from the H
+values the scan already holds.
 """
 from __future__ import annotations
 
@@ -34,11 +38,12 @@ from .sampling import latin_hypercube, require_count, scale_to
 
 Array = np.ndarray
 
-LOCALIZE_HALVINGS = 64   # bisection budget of one event localization
+LOCALIZE_HALVINGS = 64   # iteration cap of one event localization
 MAX_SEGMENTS = 1000      # flow segments `simulate_hybrid` may run
 SEGMENT_SAMPLES = 64     # dense samples of each segment it returns
 REFINE_LEVEL = 0.05      # sampled |H| below which a step's extremum is refined
-EXTREMUM_ITERS = 30      # golden-section steps of that refinement
+EXTREMUM_ITERS = 30      # iteration cap of that refinement
+EXTREMUM_TOL = 1e-6      # theta step at which that refinement has converged
 H_TOL = 1e-12            # |H| at a localized crossing
 T_TOL = 1e-12            # time-bracket width of a localization
 ARM_LEVEL = 10.0 * H_TOL  # |H| that arms a lane's crossing detection
@@ -50,7 +55,8 @@ PASS_LEVEL = max(ARM_LEVEL, 0.01 * GRAZING_TOL)
 # dense-output powers theta**1..p (rows) at the 7 interior ones (columns)
 _THETA_GRID = np.linspace(0.0, 1.0, 9)
 _THETA_POWERS = _THETA_GRID[1:-1] ** np.arange(1, P.shape[1] + 1)[:, None]
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+_SAMPLE_INDEX = np.arange(_THETA_GRID.size)
+_GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -98,114 +104,188 @@ class FlowResult:
     path: DensePath = field(repr=False)
 
 
-def _localize_crossings(h_fun, y_old, q, t_old, h, t_lo, t_hi):
-    """Vectorized bisection for H = 0 inside per-lane sign-change brackets.
+def _localize_crossings(h_fun, y_old, q, t_old, h, t_lo, t_hi, f_lo, f_hi):
+    """Vectorized Illinois regula falsi for H = 0 in per-lane brackets.
 
-    Lane i changes sign on [t_lo[i], t_hi[i]], which lies inside its
-    accepted step: start ``t_old[i]``, length ``h[i]``, state ``y_old[i]``
-    and dense coefficients ``q[i]`` (see `dense_value`).  Returns the last
-    evaluated midpoints, their states and the worst |H| there.  A lane
-    whose midpoint still misses `H_TOL` after `LOCALIZE_HALVINGS` halvings
-    ends at its lower bracket end instead when |H| is smaller there;
-    `IntegrationError` is raised if a lane misses `H_TOL` at both.
+    Lane i changes sign on [t_lo[i], t_hi[i]], where H is f_lo[i] and
+    f_hi[i]; the bracket lies inside its accepted step: start ``t_old[i]``,
+    length ``h[i]``, state ``y_old[i]`` and dense coefficients ``q[i]``
+    (see `dense_value`).  Each iteration evaluates H once, at the regula
+    falsi point of every lane still open; an end that the new point does
+    not replace keeps its place with its H weighted down (Anderson-Bjorck,
+    or halved as in the Illinois method).  The point stays `T_TOL`/2 inside
+    the bracket (Brent's minimum step), so the bracket also closes from the
+    far side of the root; a bracket too narrow for that, or a failed
+    secant, is bisected.  A lane closes once its bracket is at most `T_TOL`
+    wide and |H| <= `H_TOL` at an end, within `LOCALIZE_HALVINGS`
+    iterations.  Returns the bracket end with the smaller |H|, its state
+    and the worst |H| there; `IntegrationError` is raised if a lane misses
+    `H_TOL` at both ends.
     """
-    f_lo = h_fun(dense_value(y_old, q, h, (t_lo - t_old) / h))
+    t_a, f_a, w_a = t_lo.copy(), f_lo.copy(), f_lo.copy()
+    t_b, f_b = t_hi.copy(), f_hi.copy()     # b is the newest point
     for _ in range(LOCALIZE_HALVINGS):
-        t_mid = 0.5 * (t_lo + t_hi)
-        y_mid = dense_value(y_old, q, h, (t_mid - t_old) / h)
-        f_mid = h_fun(y_mid)
-        go_left = f_lo * f_mid <= 0.0
-        t_hi = np.where(go_left, t_mid, t_hi)
-        t_lo = np.where(go_left, t_lo, t_mid)
-        f_lo = np.where(go_left, f_lo, f_mid)
-        h_max = float(np.max(np.abs(f_mid)))
-        if h_max <= H_TOL and np.all((t_hi - t_lo) <= T_TOL):
+        open_ = ((np.abs(t_b - t_a) > T_TOL)
+                 | (np.minimum(np.abs(f_a), np.abs(f_b)) > H_TOL))
+        if not open_.any():
             break
-    miss = np.abs(f_mid) > H_TOL
-    if miss.any():
-        # once the bracket is two adjacent floats t_mid rounds onto one end,
-        # which can miss H_TOL while t_lo, evaluated as well, meets it
-        t_mid = np.where(miss & (np.abs(f_lo) < np.abs(f_mid)), t_lo, t_mid)
-        y_mid = dense_value(y_old, q, h, (t_mid - t_old) / h)
-        h_max = float(np.max(np.abs(h_fun(y_mid))))
+        i = np.nonzero(open_)[0]
+        a, b, fb = t_a[i], t_b[i], f_b[i]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = b - fb * (b - a) / (fb - w_a[i])
+        c = np.clip(c, lo + 0.5 * T_TOL, hi - 0.5 * T_TOL)
+        c = np.where(np.isfinite(c) & (hi - lo > T_TOL), c, 0.5 * (lo + hi))
+        fc = h_fun(dense_value(y_old[i], q[i], h[i], (c - t_old[i]) / h[i]))
+        # c on the side of b: a stays an end, with its weight scaled down
+        same = fc * fb > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = 1.0 - fc / fb
+        w_a[i] = np.where(same, w_a[i] * np.where(m > 0.0, m, 0.5), fb)
+        f_a[i] = np.where(same, f_a[i], fb)
+        t_a[i] = np.where(same, a, b)
+        t_b[i], f_b[i] = c, fc
+    t_star = np.where(np.abs(f_a) <= np.abs(f_b), t_a, t_b)
+    y_star = dense_value(y_old, q, h, (t_star - t_old) / h)
+    h_max = float(np.max(np.abs(h_fun(y_star))))
     if h_max > H_TOL:
         raise IntegrationError(
             f"event localization ended at |H| = {h_max:.3g} > H_TOL = "
-            f"{H_TOL:.3g} after {LOCALIZE_HALVINGS} halvings")
-    return t_mid, y_mid, h_max
+            f"{H_TOL:.3g} after {LOCALIZE_HALVINGS} iterations")
+    return t_star, y_star, h_max
 
 
-def _extremum(h_fun, y_old, q, h, lo, hi, sign):
-    """Golden-section minimum of sign * H along each lane's step interpolant.
+def _extremum(h_fun, y_old, q, h, sign, theta, f):
+    """Safeguarded parabolic minimum of sign * H along each lane's step.
 
-    Row i searches theta in [lo[i], hi[i]] on the polynomial
-    ``dense_value(y_old[i], q[i], h, theta)``.  Returns the best theta and
-    H there.
+    Row i starts from three points ``theta[i]`` (ascending) of the
+    polynomial ``dense_value(y_old[i], q[i], h, theta)``, with
+    ``f[i] = sign[i] * H`` there, and searches [theta[i, 0], theta[i, 2]].
+    Each iteration moves to the minimum of the parabola through the three
+    best points evaluated so far: its vertex inside the bracket, or the
+    best point itself when that lies on the bracket's edge the parabola
+    points past.  Any other parabola gives a golden-section step into the
+    larger side of the best point.  A lane has converged once its step is at
+    most `EXTREMUM_TOL`; at most `EXTREMUM_ITERS` evaluations are made.
+    Returns the best theta and H there.
     """
-    def f(theta):
-        return sign * h_fun(dense_value(y_old, q, h, theta))
-
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
+    lo, hi = theta[:, 0], theta[:, 2]
+    order = np.argsort(f, axis=1, kind="stable")
+    x, w, v = np.take_along_axis(theta, order, axis=1).T
+    fx, fw, fv = np.take_along_axis(f, order, axis=1).T
+    done = np.zeros(len(lo), dtype=bool)
     for _ in range(EXTREMUM_ITERS):
-        left = fc < fd          # the minimum lies in [lo, d]
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        new = np.where(left, hi - _INV_PHI * (hi - lo),
-                       lo + _INV_PHI * (hi - lo))
-        f_new = f(new)
-        c, d = np.where(left, new, d), np.where(left, c, new)
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-    best = fc < fd
-    return np.where(best, c, d), sign * np.where(best, fc, fd)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d1 = (fw - fx) / (w - x)
+            curv = (d1 - (fv - fx) / (v - x)) / (w - v)
+            u = np.clip(0.5 * (x + w) - 0.5 * d1 / curv, lo, hi)
+        edge = (x == lo) | (x == hi)
+        u = np.where(curv > 0.0, u, np.where(edge, x, np.nan))
+        inside = (u > lo) & (u < hi)
+        golden = np.where(hi - x > x - lo, x + _GOLDEN * (hi - x),
+                          x - _GOLDEN * (x - lo))
+        u = np.where(inside | (u == x), u, golden)
+        done |= np.abs(u - x) <= EXTREMUM_TOL
+        if done.all():
+            break
+        u = np.where(done, x, u)
+        fu = sign * h_fun(dense_value(y_old, q, h, u))
+        better = fu < fx
+        lo = np.where(better, np.where(u > x, x, lo), np.where(u < x, u, lo))
+        hi = np.where(better, np.where(u > x, hi, x), np.where(u > x, u, hi))
+        pts = np.stack([x, w, v, u], axis=1)
+        vals = np.stack([fx, fw, fv, fu], axis=1)
+        order = np.argsort(vals, axis=1, kind="stable")[:, :3]
+        x, w, v = np.take_along_axis(pts, order, axis=1).T
+        fx, fw, fv = np.take_along_axis(vals, order, axis=1).T
+    return x, sign * fx
 
 
 def _scan_step(h_fun, direction, t_old, t_new, y_old, q, h_prev, h_new,
-               watched, min_h_armed, pending, t_lo, t_hi):
-    """Look inside one accepted step for grazes and for crossing pairs.
+               watched, min_h_armed, pending, bracket):
+    """Bracket the first admissible crossing inside one accepted step.
 
-    ``watched`` lanes are armed, still pending and have no admissible
-    crossing at the step ends.  H is sampled at the 9 points theta = i/8 of
-    every watched lane; on lanes whose ends share a sign and whose sampled
-    |H| drops below `REFINE_LEVEL`, the extremum of H near the smallest
-    sample is refined by `_extremum`.  Samples and extremum lower
-    ``min_h_armed`` (in place).  When H passes S by at least `PASS_LEVEL`
-    at a sample or at the extremum, the step holds two crossings: the lane
-    stops pending and [t_lo, t_hi] (in place) brackets the first crossing,
-    or the second one when only that has the configured direction.
+    ``watched`` lanes are armed and still pending.  H is sampled at the 9
+    points theta = i/8 of every lane (the ends are ``h_prev`` and
+    ``h_new``), and the samples lower ``min_h_armed`` (in place).  An
+    interior sample within `PASS_LEVEL` of S counts as a touch: the sample
+    before it is held over it.  The first sign change of the held samples
+    whose new sign is the configured direction is the lane's crossing: the
+    lane stops pending (in place) and its column of ``bracket`` (rows t_lo,
+    t_hi, H(t_lo), H(t_hi); in place) gets the two samples around it.  A
+    zero at a step end counts as the far side of the change into it.
+
+    On lanes whose held samples keep the sign of both ends and whose
+    sampled |H| drops below `REFINE_LEVEL`, the extremum of H around the
+    smallest sample is refined by `_extremum`, which lowers ``min_h_armed``
+    too.  When it lies across S by at least `PASS_LEVEL` the step holds two
+    crossings, one on each side of it; the admissible one is bracketed
+    between the extremum and the nearest held sample.
     """
     h = t_new - t_old
-    sub = h_fun(y_old[:, None, :] + h * (q @ _THETA_POWERS).swapaxes(1, 2))
-    samples = np.concatenate([h_prev[:, None], sub, h_new[:, None]], axis=1)
-    abs_s = np.abs(samples)
-    np.minimum(min_h_armed, abs_s.min(axis=1), out=min_h_armed, where=watched)
-    same = watched & (h_prev * h_new > 0.0)
-    flip = (samples * h_prev[:, None] < 0.0) & (abs_s >= PASS_LEVEL)
-    theta_x = np.where(flip.any(axis=1), _THETA_GRID[np.argmax(flip, axis=1)],
-                       np.nan)
-    refine = same & np.isnan(theta_x) & (abs_s.min(axis=1) < REFINE_LEVEL)
-    if refine.any():
-        lanes = np.nonzero(refine)[0]
-        j = np.argmin(abs_s[lanes], axis=1)
-        lo = _THETA_GRID[np.maximum(j - 1, 0)]
-        hi = _THETA_GRID[np.minimum(j + 1, 8)]
-        theta_e, h_e = _extremum(h_fun, y_old[lanes], q[lanes], h, lo, hi,
-                                 np.sign(h_prev[lanes]))
-        min_h_armed[lanes] = np.minimum(min_h_armed[lanes], np.abs(h_e))
-        passed = h_e * h_prev[lanes] < 0.0
-        passed &= np.abs(h_e) >= PASS_LEVEL
-        theta_x[lanes[passed]] = theta_e[passed]
-    pair = same & ~np.isnan(theta_x)
-    if not pair.any():
+    # sample i of every lane in row i: reductions over the 9 samples then
+    # run across lanes
+    incr = (q.reshape(-1, q.shape[-1]) @ _THETA_POWERS).T
+    samples = np.empty((_THETA_GRID.size,) + h_prev.shape)
+    samples[0], samples[-1] = h_prev, h_new
+    samples[1:-1] = h_fun(y_old + h * incr.reshape((-1,) + y_old.shape))
+    min_s = np.abs(samples).min(axis=0)
+    np.minimum(min_h_armed, min_s, out=min_h_armed, where=watched)
+    # only lanes with samples on both sides of S, or on it, can cross here
+    touch = watched & (samples.min(axis=0) <= 0.0)
+    touch &= samples.max(axis=0) >= 0.0
+    refine = watched & ~touch & (min_s < REFINE_LEVEL)
+    if touch.any():
+        lanes = np.nonzero(touch)[0]
+        s = samples[:, lanes].T
+        kept = np.abs(s) >= PASS_LEVEL
+        kept[:, [0, -1]] = True
+        held_at = np.maximum.accumulate(np.where(kept, _SAMPLE_INDEX, 0),
+                                        axis=1)
+        held = np.take_along_axis(s, held_at, axis=1)
+        lead, trail = held[:, :-1], held[:, 1:]
+        change = (lead * trail <= 0.0) & (lead != 0.0)
+        ok = change & (lead * direction < 0.0) if direction else change
+        hit = ok.any(axis=1)
+        j = np.argmax(ok[hit], axis=1)
+        i_lo = held_at[hit, j]
+        bracket[:, lanes[hit]] = (t_old + _THETA_GRID[i_lo] * h,
+                                  t_old + _THETA_GRID[j + 1] * h,
+                                  s[hit, i_lo], s[hit, j + 1])
+        pending[lanes[hit]] = False
+        # no change once touches are held over, and both ends on one side:
+        # refined like the lanes that keep one sign
+        refine[lanes] = ~change.any(axis=1) & (s[:, 0] * s[:, -1] > 0.0)
+        refine[lanes] &= min_s[lanes] < REFINE_LEVEL
+    if not refine.any():
         return
-    lanes = np.nonzero(pair)[0]
-    t_x = t_old + theta_x[lanes] * h
-    # H(t_x) lies across S from both step ends, so the first crossing runs
-    # from the sign of h_prev to the other one
-    first_ok = (direction == 0) | (np.sign(-h_prev[lanes]) == direction)
-    t_lo[lanes] = np.where(first_ok, t_old, t_x)
-    t_hi[lanes] = np.where(first_ok, t_x, t_new)
+    lanes = np.nonzero(refine)[0]
+    s = samples[:, lanes].T
+    sign = np.sign(s[:, 0])
+    cols = np.clip(np.argmin(np.abs(s), axis=1), 1, 7)[:, None] + [-1, 0, 1]
+    theta_e, h_e = _extremum(
+        h_fun, y_old[lanes], q[lanes], h, sign, _THETA_GRID[cols],
+        sign[:, None] * np.take_along_axis(s, cols, axis=1))
+    min_h_armed[lanes] = np.minimum(min_h_armed[lanes], np.abs(h_e))
+    passed = (h_e * sign < 0.0) & (np.abs(h_e) >= PASS_LEVEL)
+    if not passed.any():
+        return
+    lanes, s, sign = lanes[passed], s[passed], sign[passed]
+    theta_e, h_e = theta_e[passed], h_e[passed]
+    # the nearest samples on the side of h_prev around the extremum
+    side = s * sign[:, None] > 0.0
+    before = _THETA_GRID < theta_e[:, None]
+    i_lo = np.max(np.where(side & before, _SAMPLE_INDEX, 0), axis=1)
+    i_hi = np.min(np.where(side & ~before, _SAMPLE_INDEX, 8), axis=1)
+    # the first crossing runs from the sign of h_prev to the other one
+    first = (direction == 0) | (-sign == direction)
+    t_e = t_old + theta_e * h
+    rows = np.arange(lanes.size)
+    bracket[:, lanes] = (
+        np.where(first, t_old + _THETA_GRID[i_lo] * h, t_e),
+        np.where(first, t_e, t_old + _THETA_GRID[i_hi] * h),
+        np.where(first, s[rows, i_lo], h_e),
+        np.where(first, h_e, s[rows, i_hi]))
     pending[lanes] = False
 
 
@@ -258,13 +338,16 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     ``on_no_return="flag"`` end at ``max_time`` with ``event_hit`` false;
     any other ``on_no_return`` raises `ValueError` before the flow.
 
-    Each hit lane ends at the last bisection point of its crossing, or at
-    its bracket's lower end when only that meets `H_TOL`, so |H| <= `H_TOL`
-    there; ``stats["event_h_max"]`` is the worst such |H| (0.0 when no lane
-    hit).  A localization that still misses `H_TOL` after
-    `LOCALIZE_HALVINGS` halvings raises `IntegrationError`.  Detection on a
-    lane is armed once its |H| reaches `ARM_LEVEL`.  Two crossings inside
-    one step are found when H passes S between them by at least
+    Each hit lane's crossing is bracketed by the per-step scan and closed
+    by regula falsi on the step's interpolant; the lane ends at the end of
+    its final bracket (at most `T_TOL` wide) with the smaller |H|, so |H|
+    <= `H_TOL` there; ``stats["event_h_max"]`` is the worst such |H| (0.0
+    when no lane hit).  A localization that still misses `H_TOL` after
+    `LOCALIZE_HALVINGS` iterations raises `IntegrationError`.
+    ``stats["event_h_evals"]`` counts the flow's batched calls of H: step
+    ends, scan samples, extremum refinements and localization.  Detection
+    on a lane is armed once its |H| reaches `ARM_LEVEL`.  Two crossings
+    inside one step are found when H passes S between them by at least
     `PASS_LEVEL`; a shallower pass counts as a touch, and a lane that never
     crosses but comes within `GRAZING_TOL` of S is flagged grazing.
 
@@ -289,29 +372,27 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
         raise ValueError(f"taus must have 1 or {K} entries, got {taus.size}")
     rhs = forced_rhs(sys, taus, eps)
 
+    n_h = 0
+
     def h_of(y):
+        nonlocal n_h
+        n_h += 1
         return np.asarray(sys.H(y), dtype=float)
 
     h_prev = h_of(vs)
     armed = np.abs(h_prev) >= ARM_LEVEL
     min_h_armed = np.where(armed, np.abs(h_prev), np.inf)
-    t_lo = np.zeros(K)               # per-lane bracket of the crossing
-    t_hi = np.zeros(K)
+    # per-lane bracket of the crossing: t_lo, t_hi, H(t_lo), H(t_hi)
+    bracket = np.zeros((4, K))
     pending = np.ones(K, dtype=bool)
 
     def scan(t_old, t_new, y_old, y_new, q):
-        nonlocal armed, h_prev, pending
+        nonlocal armed, h_prev
         h_new = h_of(y_new)
-        crossing = pending & armed & (h_prev * h_new < 0.0)
-        if event.direction != 0:
-            crossing &= np.sign(h_new - h_prev) == event.direction
-        t_lo[crossing] = t_old
-        t_hi[crossing] = t_new
-        pending &= ~crossing
         watched = armed & pending
         if watched.any():
             _scan_step(h_of, event.direction, t_old, t_new, y_old, q, h_prev,
-                       h_new, watched, min_h_armed, pending, t_lo, t_hi)
+                       h_new, watched, min_h_armed, pending, bracket)
         armed |= np.abs(h_new) >= ARM_LEVEL
         h_prev = h_new
         return not pending.any()
@@ -329,14 +410,16 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     hit_lanes = np.nonzero(~pending)[0]
     h_max = 0.0
     if hit_lanes.size:
-        step = np.searchsorted(path.t, t_lo[hit_lanes], side="right") - 1
+        t_lo, t_hi, f_lo, f_hi = bracket[:, hit_lanes]
+        step = np.searchsorted(path.t, t_lo, side="right") - 1
         s_star, y_star, h_max = _localize_crossings(
             h_of, path.y[step, hit_lanes], path.q[step, hit_lanes],
-            path.t[step], path.h[step], t_lo[hit_lanes], t_hi[hit_lanes])
+            path.t[step], path.h[step], t_lo, t_hi, f_lo, f_hi)
         end_times[hit_lanes] = taus[hit_lanes] + s_star
         end_states[hit_lanes] = y_star
     end_times[pending] = taus[pending] + path.t[-1]
     stats["event_h_max"] = h_max
+    stats["event_h_evals"] = n_h
     return FlowResult(end_times, end_states, ~pending, grazing, stats, path)
 
 

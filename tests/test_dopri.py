@@ -146,6 +146,20 @@ class TestStepping:
         path, _ = integrate(lambda t, y: -y, np.array([[1.0]]), 0.731)
         assert path.t[-1] == 0.731
 
+    @pytest.mark.parametrize("y0, t_end", [([0.0, -0.911], 3.733),
+                                           ([0.0, 0.0], 0.001 * 472),
+                                           ([0.0, 0.0], 0.001 * 479)])
+    def test_clipped_last_step_ends_on_t_end(self, y0, t_end):
+        # t + (t_end - t) rounds one ulp below t_end here, which once left a
+        # 4e-16 step that raised "step size underflow"
+        def drift(t, y):
+            return np.broadcast_to([0.0, 1.0], y.shape)
+
+        path, _ = integrate(drift, np.array([y0]), t_end)
+        assert path.t[-1] == t_end
+        assert_allclose(path.y[-1, 0], [y0[0], y0[1] + t_end], rtol=0,
+                        atol=1e-13)
+
     def test_max_step_respected(self):
         path, _ = integrate(lambda t, y: -y, np.array([[1.0]]), 1.0,
                             max_step=0.01)

@@ -97,8 +97,8 @@ class TestFlow:
 
     def test_localization_falls_back_to_lower_end(self):
         # state = time on the step [a, 1]; H is -h_tol/2 at a and 1.5 h_tol
-        # at the next float b, and (a + b)/2 rounds to b, so every midpoint
-        # misses
+        # at the next float b, and (a + b)/2 rounds to b, so no float time
+        # but a meets H_TOL
         t = np.array([0.5 + 2.0**-53, 1.0])
         q = np.zeros((1, 1, 7))
         q[0, 0, 0] = 1.0          # y = a + h * theta = time
@@ -110,9 +110,35 @@ class TestFlow:
             return slope * (y[:, 0] - a) - 0.5 * h_tol
 
         t_star, y_star, h_max = hybrid_ode._localize_crossings(
-            h_fun, t[None, :1], q, t[:1], np.diff(t), t[:1], t[1:])
+            h_fun, t[None, :1], q, t[:1], np.diff(t), t[:1], t[1:],
+            h_fun(t[:1, None]), h_fun(t[1:, None]))
         assert t_star[0] == a and y_star[0, 0] == a
         assert h_max == 0.5 * h_tol
+
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    def test_root_within_half_t_tol_of_an_end(self, end):
+        # state = time on the step [0.3, 0.4]; H = 100 (t - r) with r a
+        # quarter T_TOL inside one end, so |H| = 2.5e-11 > H_TOL there
+        t = np.array([0.3, 0.4])
+        q = np.zeros((1, 1, 7))
+        q[0, 0, 0] = 1.0
+        r = t[0] + 0.25 * hybrid_ode.T_TOL if end == "lower" else (
+            t[1] - 0.25 * hybrid_ode.T_TOL)
+        calls = []
+
+        def h_fun(y):
+            calls.append(1)
+            return 100.0 * (y[:, 0] - r)
+
+        f_lo, f_hi = h_fun(t[:1, None]), h_fun(t[1:, None])
+        calls.clear()
+        t_star, y_star, h_max = hybrid_ode._localize_crossings(
+            h_fun, t[None, :1], q, t[:1], np.diff(t), t[:1], t[1:], f_lo,
+            f_hi)
+        assert h_max <= hybrid_ode.H_TOL
+        assert abs(t_star[0] - r) <= hybrid_ode.T_TOL
+        assert y_star[0, 0] == t_star[0]
+        assert len(calls) <= 10
 
     def test_semigroup_at_eps0(self, e3):
         v0 = np.array([1.1, 0.2])
@@ -209,40 +235,112 @@ class TestTwoCrossingsInOneStep:
         assert res.grazing[0]
 
     def test_extremum_of_quadratic(self):
-        # y(theta) = theta - theta**2 peaks at 1/4 for theta = 1/2
+        # y(theta) = theta - theta**2 peaks at 1/4 for theta = 1/2; the
+        # parabola through three points of a quadratic is the quadratic, so
+        # one step from an asymmetric start lands on the peak
         q = np.zeros((1, 1, 7))
         q[0, 0, :2] = [1.0, -1.0]
-        theta, h_e = hybrid_ode._extremum(
-            lambda y: y[:, 0] - 0.3, np.zeros((1, 1)), q, 1.0,
-            np.array([0.375]), np.array([0.625]), np.array([-1.0]))
-        assert abs(theta[0] - 0.5) <= 1e-5
+        theta = np.array([[0.25, 0.375, 0.75]])
+        sign = np.array([-1.0])
+
+        def h_fun(y):
+            return y[:, 0] - 0.3
+
+        f = sign * (theta - theta**2 - 0.3)
+        theta_e, h_e = hybrid_ode._extremum(h_fun, np.zeros((1, 1)), q, 1.0,
+                                            sign, theta, f)
+        assert abs(theta_e[0] - 0.5) <= 1e-9
         assert abs(h_e[0] + 0.05) <= 1e-10
 
 
 class TestThreeCrossingsInOneStep:
-    """Oracle: on the unit cycle theta = THETA0 + 2 pi t, so H = sin(40 theta)
-    first falls through 0 at theta = pi/40 and first rises through 0 at
-    2 pi/40.  Both lie in the second accepted step, which holds three zeros
-    of H."""
+    """Oracle: on the unit cycle the angle is THETA0 + 2 pi t, so
+    H = sin(k atan2(x2, x1)) is zero at the angles m pi/k, falling for odd
+    m and rising for even m.  For k = 40 both first admissible zeros lie in
+    the second accepted step, which holds three zeros of H."""
 
     THETA0 = 0.013
 
-    @pytest.mark.xfail(strict=True, reason="flow_batch takes a step whose "
-                       "ends differ in sign for one crossing, and returns a "
-                       "later one when the step holds three")
-    @pytest.mark.parametrize("direction, m", [(1, 2), (-1, 1)])
-    def test_first_admissible_crossing(self, direction, m):
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("k", [20, 33, 40, 50, 60, 80])
+    def test_first_admissible_crossing(self, k, direction):
         def H(x):
             x = np.asarray(x, float)
-            return np.sin(40 * np.arctan2(x[..., 1], x[..., 0]))
+            return np.sin(k * np.arctan2(x[..., 1], x[..., 0]))
 
         sys_ = dataclasses.replace(pm.polar_hybrid(), H=H)
         res = pm.flow_batch(sys_, [0.0], [[np.cos(self.THETA0),
                                            np.sin(self.THETA0)]], 0.0,
                             event=pm.EventConfig(direction=direction))
-        t_star = (m * np.pi / 40 - self.THETA0) / (2 * np.pi)
+        # the first zero after THETA0 with the sign of dH/dt asked for
+        m = int(np.floor(k * self.THETA0 / np.pi)) + 1
+        if (m % 2 == 0) != (direction > 0):
+            m += 1
+        t_star = (m * np.pi / k - self.THETA0) / (2 * np.pi)
         assert res.event_hit[0]
         assert abs(res.end_times[0] - t_star) <= 1e-9
+
+
+class TestEventCost:
+    """Batched H calls of the event layer, counted by a wrapper around H."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        """Wraps a system's H with a call counter; returns the wrapping
+        function, the running count, and the H calls made inside each
+        localization and each extremum refinement."""
+        calls = [0]
+        inside = {"_localize_crossings": [], "_extremum": []}
+        for name, seen in inside.items():
+            def counting(*args, _orig=getattr(hybrid_ode, name), _seen=seen):
+                before = calls[0]
+                out = _orig(*args)
+                _seen.append(calls[0] - before)
+                return out
+
+            monkeypatch.setattr(hybrid_ode, name, counting)
+
+        def wrap(sys_):
+            def H(x):
+                calls[0] += 1
+                return sys_.H(x)
+
+            return dataclasses.replace(sys_, H=H)
+
+        return wrap, calls, inside
+
+    def _flow(self, counted, sys_, taus, vs, eps, **kw):
+        wrap, calls, inside = counted
+        before = calls[0]
+        for seen in inside.values():
+            seen.clear()
+        res = pm.flow_batch(wrap(sys_), taus, vs, eps,
+                            event=pm.EventConfig(), **kw)
+        assert res.stats["event_h_evals"] == calls[0] - before
+        return inside["_localize_crossings"], inside["_extremum"]
+
+    def test_polar_hybrid_returns(self, counted, e3):
+        # a curve-solver batch and a Poincare-grade lane
+        u = np.linspace(-0.3, 0.3, 64)
+        taus = np.linspace(0.0, e3.T_g, 64, endpoint=False)
+        for taus_, vs, eps, kw in (
+                (taus, np.column_stack([1.0 + u, 0.0 * u]), 0.01, {}),
+                ([0.3], [[1.05, 0.0]], 0.0, dict(rtol=1e-12, atol=1e-14))):
+            localized, refined = self._flow(counted, e3, taus_, vs, eps, **kw)
+            assert len(localized) == 1 and localized[0] <= 10
+            assert max(refined, default=0) <= 6
+
+    def test_extremum_near_tangency(self, counted, e3):
+        # at the top of the cycle H = x2 - (1 - 1e-6) peaks at -1e-6 to 3e-6
+        # between samples: each lane refines an extremum inside a step
+        near_top = dataclasses.replace(
+            e3, H=lambda x: np.asarray(x, float)[..., 1] - (1.0 - 1e-6))
+        u = np.linspace(-2e-6, 2e-6, 16)
+        _, refined = self._flow(counted, near_top, np.zeros(16),
+                                np.column_stack([1.0 + u, 0.0 * u]), 0.0,
+                                max_time=0.9, on_no_return="flag")
+        assert max(refined) >= 1
+        assert max(refined) <= 6
 
 
 def _eps_forced(e3):

@@ -78,5 +78,7 @@ def test_step_cost_return_counts(monkeypatch):
     step_cost = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(step_cost)
     # the counts README.md quotes for one polar-hybrid return
-    assert step_cost.return_counts(1e-10, 1e-12) == {"steps": 22, "nfev": 332}
-    assert step_cost.return_counts(1e-12, 1e-14) == {"steps": 37, "nfev": 557}
+    assert step_cost.return_counts(1e-10, 1e-12) == {
+        "steps": 22, "nfev": 332, "event_h_evals": 49}
+    assert step_cost.return_counts(1e-12, 1e-14) == {
+        "steps": 37, "nfev": 557, "event_h_evals": 79}
