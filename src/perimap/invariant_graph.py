@@ -11,10 +11,19 @@ batched flow, whose cost hardly depends on the number of lanes: beta reads
 the returns that alpha flowed from the memo.
 
 The invariant curve is the fixed point of this transform, which contracts
-at a rate of about q, the y-Lipschitz constant of beta.  The node values are
-iterated with type-II Anderson acceleration of depth `ANDERSON_DEPTH`
-(Walker & Ni, SIAM J. Numer. Anal. 49, 2011), which falls back on the plain
-image outside the r1 disc.
+at a rate of about q, the y-Lipschitz constant of beta.  How the node values
+are iterated depends on what an evaluation costs:
+- a ``batched`` map (`MapSpec.batched`, such as the wrapped Poincare map) at
+  n * k2 <= `NEWTON_NODES` takes Newton steps on G(v) = v, the step of the
+  parameterization method (Haro, Canadell, Figueras, Luque & Mondelo, The
+  Parameterization Method for Invariant Manifolds, Springer 2016).  The
+  push evaluates the nodes and k2 difference rows per node in one call, so
+  each step is still one flow, and 2-3 steps replace 7-10 Anderson sweeps;
+- every other map, every closed-form map included, uses type-II Anderson
+  acceleration of depth `ANDERSON_DEPTH` (Walker & Ni, SIAM J. Numer.
+  Anal. 49, 2011), because a dense (I - DG) solve costs more there than the
+  sweeps it saves.
+Both fall back on the plain image when a step leaves the r1 disc.
 
 Curves are stored on a uniform grid as exactly periodic cubic splines.  The
 emergent-periodicity test solves for a curve of period 2T on twice the nodes:
@@ -30,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solveh_banded
 
 from .exceptions import ConvergenceError, DomainError, MonotonicityError
 from .sampling import ball_points, require_count
@@ -37,6 +47,8 @@ from .sampling import ball_points, require_count
 Array = np.ndarray
 
 ANDERSON_DEPTH = 3  # residual differences in each Anderson least-squares fit
+NEWTON_NODES = 256  # largest n * k2 of a batched map's Newton push
+NEWTON_STEP = 1e-7  # y-step of the push's forward differences
 RESIDUAL_SAMPLES = 512  # sampled x of a solve's invariance residual
 DISTANCE_FLOOR = 1e-9  # least distance to the curve `attraction_test` rates
 
@@ -191,22 +203,97 @@ def rate_bound_from_q(q):
 # the transform
 # ----------------------------------------------------------------------------
 
+def _cyclic_solve(diag, off, rhs):
+    """X with A X = ``rhs`` for the symmetric, diagonally dominant cyclic
+    tridiagonal A with A[i, i] = diag_i and A[i, i+1] = A[i+1, i] = off_i,
+    indices mod n.
+
+    A = B + u v^T, where B is tridiagonal and u v^T carries the two corners
+    (Numerical Recipes, 3rd ed., section 2.7.2): one banded Cholesky solve
+    of B for ``rhs`` and u, then a Sherman-Morrison correction.  For n = 2
+    the corners add to the off-diagonals, as in A.
+    """
+    gamma, corner = -diag[0], off[-1]
+    band = np.vstack([np.append(0.0, off[:-1]), diag])
+    band[1, 0] -= gamma
+    band[1, -1] -= corner * corner / gamma
+    u = np.zeros(len(diag))
+    u[0], u[-1] = gamma, corner
+    sol = solveh_banded(band, np.column_stack([rhs, u]), check_finite=False)
+    y, z = sol[:, :-1], sol[:, -1]
+    vy = y[0] + y[-1] * corner / gamma
+    vz = z[0] + z[-1] * corner / gamma
+    return y - z[:, None] * (vy / (1.0 + vz))[None, :]
+
+
+def _spline_matrix(t, window, xs):
+    """The window-periodic cubic spline through knots ``t`` as an operator:
+    the (len(xs), n) matrix S with S @ y = spline(xs) for the values y at
+    the n increasing knots ``t`` in [t[0], t[0] + window).
+
+    Moment form: the knot second derivatives are M = A^-1 D y with A and D
+    cyclic tridiagonal, so S costs one cyclic banded solve of n columns
+    (`_cyclic_solve`).
+    """
+    n = len(t)
+    h = np.diff(np.append(t, t[0] + window))
+    hm = np.roll(h, 1)
+    i = np.arange(n)
+    D = np.zeros((n, n))
+    np.add.at(D, (i, i), -1.0 / h - 1.0 / hm)
+    np.add.at(D, (i, (i - 1) % n), 1.0 / hm)
+    np.add.at(D, (i, (i + 1) % n), 1.0 / h)
+    moments = _cyclic_solve((hm + h) / 3.0, h / 6.0, D)
+    u = _reduce_mod(xs - t[0], window)
+    j = np.searchsorted(t - t[0], u, side="right") - 1
+    hj = h[j]
+    u = u - (t[j] - t[0])
+    w = hj - u
+    S = ((w**3 / hj - hj * w) / 6.0)[:, None] * moments[j]
+    S += ((u**3 / hj - hj * u) / 6.0)[:, None] * moments[(j + 1) % n]
+    rows = np.arange(len(xs))
+    np.add.at(S, (rows, j), w / hj)
+    np.add.at(S, (rows, (j + 1) % n), u / hj)
+    return S
+
+
 def _sweep(spec, omega, eps, xs, values, window):
     """One forward push: the graph values ``values`` at the nodes ``xs`` of
-    [0, window), mapped and re-gridded at the same nodes.
+    [0, window), mapped and re-gridded at the same nodes.  Returns the image
+    G(values) and, for a ``batched`` spec with n * k2 <= `NEWTON_NODES`,
+    its derivative DG as an (n k2, n k2) matrix; else None.
 
-    alpha and beta are evaluated once, at the nodes.  Unless the images
+    alpha and beta are evaluated once each, at the nodes.  Unless the images
     keep the nodes' cyclic order (`MonotonicityError`, the solver's only
     order check), they are reduced mod the window and rotated into
     increasing order, and the window-periodic cubic spline through them is
     sampled at ``xs``.
+
+    For DG the same two calls also take the rows (x_i, v_i + h s_ij e_j),
+    j < k2, with h = `NEWTON_STEP` and s_ij = -sign(v_ij), so no row moves
+    away from the disc centre; forward differences give alpha_y and beta_y.
+    A shift d_i of node i moves its image by omega alpha_y d_i and its value
+    by beta_y d_i, so the spline's value at the image moves by c_i d_i with
+    c_i = beta_y,i - omega s'(t_i) alpha_y,i, s' being the new spline's
+    slope at the image t_i.  DG = S_t diag(c) P: P rotates the nodes into
+    the images' order and S_t (`_spline_matrix`) is the cardinal spline
+    through the images, sampled at ``xs``.
     """
+    n, k2 = values.shape
+    newton = spec.batched and n * k2 <= NEWTON_NODES
     x = xs[:, None]
-    a = np.asarray(spec.alpha(omega, eps, x, values), dtype=float)[:, 0]
-    b = np.asarray(spec.beta(omega, eps, x, values), dtype=float)
+    y = values
+    if newton:
+        dirs = NEWTON_STEP * np.where(values > 0.0, -1.0, 1.0)
+        y = np.concatenate([values] + [values + dirs[:, [j]] * np.eye(k2)[j]
+                                       for j in range(k2)])
+        x = np.tile(x, (k2 + 1, 1))
+    a = np.asarray(spec.alpha(omega, eps, x, y), dtype=float)[:, 0]
+    b = np.asarray(spec.beta(omega, eps, x, y), dtype=float)
+    a, a_moved, b, b_moved = a[:n], a[n:], b[:n], b[n:]
     if np.max(np.linalg.norm(b, axis=-1)) > spec.r1:
         raise DomainError("graph transform left the radius-r1 disc")
-    img = x[:, 0] + omega * a
+    img = xs + omega * a
     if not np.all(np.diff(np.append(img, img[0] + window)) > 0.0):
         raise MonotonicityError(
             "x-advance map is not strictly increasing at the nodes: the "
@@ -216,10 +303,22 @@ def _sweep(spec, omega, eps, xs, values, window):
     img -= window * np.floor(img[0] / window)
     k = np.searchsorted(img, window)  # images from k on wrap past the window
     t = np.concatenate([img[k:] - window, img[:k]])
-    b = np.roll(b, -k, axis=0)
-    spline = CubicSpline(np.append(t, t[0] + window), np.vstack([b, b[:1]]),
+    b_rot = np.roll(b, -k, axis=0)
+    spline = CubicSpline(np.append(t, t[0] + window),
+                         np.vstack([b_rot, b_rot[:1]]),
                          bc_type="periodic", axis=0)
-    return spline(xs)
+    g = spline(xs)
+    if not newton:
+        return g, None
+    # [i, j]: the derivative in y_j at node i, alpha (n, k2), beta (n, k2, k2)
+    a_y = ((a_moved.reshape(k2, n) - a) / dirs.T).T
+    b_y = ((b_moved.reshape(k2, n, k2) - b)
+           / dirs.T[:, :, None]).transpose(1, 2, 0)
+    slope = np.roll(spline(t, 1), k, axis=0)
+    c = b_y - omega * slope[:, :, None] * a_y[:, None, :]
+    S = np.roll(_spline_matrix(t, window, xs), k, axis=1)
+    dg = S[:, None, :, None] * c.transpose(1, 0, 2)[None]
+    return g, dg.reshape(n * k2, n * k2)
 
 
 def _require_scalar_periodic(spec):
@@ -232,12 +331,13 @@ def _require_scalar_periodic(spec):
 def graph_transform(spec, omega, eps, phi):
     """Image of the graph of ``phi`` under the map, re-gridded over the nodes
     by one forward push; `MonotonicityError` if the pushed nodes lose their
-    cyclic order."""
+    cyclic order.  The push evaluates the nodes only, batched spec or not."""
     _require_scalar_periodic(spec)
     if phi.sup_norm() > spec.r1:
         raise DomainError("candidate curve exceeds the radius-r1 disc")
-    return phi.with_values(_sweep(spec, float(omega), float(eps), phi.nodes,
-                                  phi.values, phi.period))
+    g, _ = _sweep(replace(spec, batched=False), float(omega), float(eps),
+                  phi.nodes, phi.values, phi.period)
+    return phi.with_values(g)
 
 
 # ----------------------------------------------------------------------------
@@ -253,13 +353,16 @@ def _interp_error_estimate(values):
 
 
 def _iterate_to_fixed_point(spec, omega, eps, curve, tol, max_iter):
-    """Anderson-accelerated push iteration from ``curve`` over its period.
+    """Newton or Anderson-accelerated push iteration from ``curve`` over its
+    period.
 
-    Sweep k pushes v_k to its plain image G(v_k); the next input is the
-    type-II Anderson combination of the last ``ANDERSON_DEPTH`` + 1 images,
-    whose weights minimize the matching combination of residuals G(v) - v.
-    The plain image is taken instead when the combination leaves the r1 disc,
-    and the history is cleared when the residual grows.  Stops once
+    Sweep k pushes v_k to its plain image G(v_k).  When the push also returns
+    DG (a ``batched`` spec, see `_sweep`), the next input is the Newton
+    iterate v_k + (I - DG)^-1 (G(v_k) - v_k); otherwise it is the type-II
+    Anderson combination of the last ``ANDERSON_DEPTH`` + 1 images, whose
+    weights minimize the matching combination of residuals G(v) - v.  The
+    plain image is taken instead when the step leaves the r1 disc or the
+    residual has grown (which also clears the Anderson history).  Stops once
     max|G(v) - v| <= ``tol``; returns (G(v) as a curve, the updates
     max|G(v_k) - v_k|, the secant rates, whether ``tol`` was met).  The
     secant rate ||G(v_k) - G(v_{k-1})|| / ||v_k - v_{k-1}|| (sup norms) is the
@@ -268,35 +371,47 @@ def _iterate_to_fixed_point(spec, omega, eps, curve, tol, max_iter):
     xs, v = curve.nodes, curve.values
     updates, rates, d_res, d_img = [], [], [], []
     for _ in range(int(max_iter)):
-        g = _sweep(spec, omega, eps, xs, v, curve.period)
+        g, dg = _sweep(spec, omega, eps, xs, v, curve.period)
         res = g - v
         updates.append(float(np.max(np.abs(res))))
         if updates[-1] <= tol:
             return curve.with_values(g), updates, rates, True
+        grew = len(updates) > 1 and updates[-1] > updates[-2]
         if len(updates) > 1:
             step = float(np.max(np.abs(v - v_prev)))
             if step > 1e-300:
                 rates.append(float(np.max(np.abs(g - g_prev))) / step)
-            if updates[-1] > updates[-2]:
+            if grew:
                 d_res.clear()
                 d_img.clear()
             else:
                 d_res = (d_res + [(res - res_prev).ravel()])[-ANDERSON_DEPTH:]
                 d_img = (d_img + [(g - g_prev).ravel()])[-ANDERSON_DEPTH:]
-        v_prev, g_prev, res_prev = v, g, res
-        v = g
-        if d_res:
+        v_prev, g_prev, res_prev, mixed = v, g, res, None
+        if dg is not None and not grew:
+            mixed = v + np.linalg.solve(np.eye(len(dg)) - dg,
+                                        res.ravel()).reshape(g.shape)
+        elif d_res:
             gamma = np.linalg.lstsq(np.column_stack(d_res), res.ravel(),
                                     rcond=None)[0]
             mixed = g - (np.column_stack(d_img) @ gamma).reshape(g.shape)
-            if np.max(np.linalg.norm(mixed, axis=-1)) <= spec.r1:
-                v = mixed
+        v = g
+        if (mixed is not None
+                and np.max(np.linalg.norm(mixed, axis=-1)) <= spec.r1):
+            v = mixed
     return curve.with_values(g), updates, rates, False
 
 
 def solve_invariant_curve(spec, omega, eps, config=None):
     """Iterate the graph transform from the seed curve until the node update
     falls below ``tol``; returns the curve and a `SolverReport`.
+
+    A ``batched`` spec with n_nodes * k2 <= `NEWTON_NODES` is solved by
+    Newton steps, any other by Anderson-accelerated sweeps (see
+    `_iterate_to_fixed_point`); both stop on the same rule and return the
+    last plain image, so their curves agree to about ``tol``.  ``iterations``
+    counts pushes, one map call each, and ``measured_rates`` holds the secant
+    contraction rates of the plain transform on the iterates either way.
 
     A ``seed_curve`` whose period, node count or k2 differs from
     ``spec.period``, ``n_nodes`` or ``spec.k2`` raises `ValueError` before

@@ -31,6 +31,12 @@ class MapSpec:
     ``periodic_coord`` is the 1-based index k of the x-coordinate in which
     alpha and beta are declared ``period``-periodic; ``None`` means no
     periodicity is claimed (and the invariant-curve solver is unavailable).
+
+    ``batched`` declares that one call of alpha (then of beta at the same
+    points) on a few hundred points costs about as much as on one, as for a
+    wrapped Poincare map, where a call is one batched flow.  The curve solver
+    then spends extra points on the derivatives of a Newton step
+    (see `invariant_graph`); the evaluators' results do not depend on it.
     """
 
     k1: int
@@ -41,6 +47,7 @@ class MapSpec:
     periodic_coord: Optional[int] = None
     period: Optional[float] = None
     label: str = ""
+    batched: bool = False
 
     def __post_init__(self):
         if self.k1 < 1 or self.k2 < 1:

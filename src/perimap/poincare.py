@@ -12,7 +12,8 @@ and beta evaluators of a `MapSpec` with x := tau, k1 = 1 and period T_g; the
 technical omega input is fixed to 1 and ignored.  Both evaluators read a
 memo of one request, the last: alpha and beta asked at the same points
 share one flow, so a curve-solver sweep that has just evaluated alpha gets
-the matching beta free.
+the matching beta free.  The spec is ``batched``: the solver's Newton push
+adds its difference rows to the nodes' flow rather than flowing again.
 
 `cylinder_table` samples forced trajectories started on a solved invariant
 curve: the invariant cylinder written by the CLI and the demo script.
@@ -209,6 +210,10 @@ def extract_alpha_beta(handle):
     generic flow tolerance, looser than the handle's Poincare-grade setting,
     because curve solving calls the map thousands of times and only needs
     accuracy at the invariance-residual scale.
+
+    The spec is ``batched``: a call is one batched flow whose cost hardly
+    depends on its number of rows, so the curve solver takes Newton steps
+    whose derivative rows ride in the same flow as the nodes.
     """
     wrapper = _WrappedPoincare(replace(handle, rtol=CURVE_RTOL,
                                        atol=CURVE_ATOL))
@@ -222,6 +227,7 @@ def extract_alpha_beta(handle):
         periodic_coord=1,
         period=sys.T_g,
         label=f"poincare[{sys.label or 'hybrid'}]",
+        batched=True,
     )
 
 

@@ -148,6 +148,108 @@ class TestSolver:
         assert_allclose(curve.values, 0.5, atol=1e-11)
 
 
+def _coupled_map(batched):
+    """A closed-form k2 = 2 map: alpha depends on both y_j and beta mixes
+    them, so each block c_i of the Newton push is a full 2 x 2 matrix."""
+    two_pi = 2.0 * np.pi
+
+    def alpha(omega, eps, x, y):
+        return (1.0 + 0.05 * np.sin(two_pi * x) + 0.1 * y[:, :1]
+                - 0.05 * y[:, 1:])
+
+    def beta(omega, eps, x, y):
+        y1, y2 = y[:, 0], y[:, 1]
+        return np.column_stack([
+            0.5 * y1 + 0.2 * y2 + 0.1 * y1 * y2 + eps * np.sin(two_pi * x[:, 0]),
+            -0.1 * y1 + 0.4 * y2 + 0.2 * y1**2 + eps * np.cos(two_pi * x[:, 0])])
+
+    return pm.MapSpec(k1=1, k2=2, r1=1.0, alpha=alpha, beta=beta,
+                      periodic_coord=1, period=1.0, batched=batched)
+
+
+class TestNewtonPush:
+    """A ``batched`` spec with n * k2 <= NEWTON_NODES iterates Newton steps
+    on G(v) = v; any other spec keeps the Anderson iteration."""
+
+    def test_wrapped_map_matches_anderson(self, wrapped):
+        cfg = pm.CurveConfig(n_nodes=256, tol=1e-12, max_iter=60)
+        curve, rep = pm.solve_invariant_curve(wrapped, 1.0, 0.01, cfg)
+        plain, plain_rep = pm.solve_invariant_curve(
+            replace(wrapped, batched=False), 1.0, 0.01, cfg)
+        assert rep.converged and plain_rep.converged
+        assert rep.iterations < plain_rep.iterations
+        assert np.max(np.abs(curve.values - plain.values)) <= 1e-11
+        # the secant rate of the plain transform: beta_y = kappa / e
+        assert abs(rep.measured_rates[0] - 0.5 / np.e) <= 1e-3
+
+    def test_coupled_k2_map(self):
+        cfg = pm.CurveConfig(n_nodes=64, tol=1e-12)
+        curve, rep = pm.solve_invariant_curve(_coupled_map(True), 0.37, 0.05,
+                                              cfg)
+        plain, plain_rep = pm.solve_invariant_curve(_coupled_map(False), 0.37,
+                                                    0.05, cfg)
+        assert rep.converged and plain_rep.converged
+        assert rep.iterations <= 4 < plain_rep.iterations
+        assert np.max(np.abs(curve.values - plain.values)) <= 1e-11
+
+    def test_curve_on_the_circle_is_never_left(self):
+        # the fixed point y = 1/2 sits on the r1 circle and the concave beta
+        # makes every Newton step overshoot it: each such step falls back on
+        # the plain image, and the difference rows step toward the centre
+        seen = []
+
+        def alpha(w, e, x, y):
+            seen.append(float(np.max(np.abs(y))))
+            return np.ones_like(x)
+
+        def beta(w, e, x, y):
+            seen.append(float(np.max(np.abs(y))))
+            return 0.5 + 0.5 * (y - 0.5) - 0.2 * (y - 0.5) ** 2
+
+        spec = pm.MapSpec(k1=1, k2=1, r1=0.5 + 1e-9, alpha=alpha, beta=beta,
+                          periodic_coord=1, period=1.0, batched=True)
+        curve, rep = pm.solve_invariant_curve(
+            spec, 0.25, 0.0, pm.CurveConfig(n_nodes=16, tol=1e-12))
+        assert rep.converged
+        assert max(seen) <= spec.r1
+        assert_allclose(curve.values, 0.5, atol=1e-11)
+
+    @pytest.mark.parametrize("n, rows, newton", [(256, 512, True),
+                                                 (512, 512, False)])
+    def test_node_limit(self, e2, n, rows, newton):
+        sizes = []
+
+        def alpha(w, e, x, y):
+            sizes.append(len(x))
+            return e2.alpha(w, e, x, y)
+
+        spec = replace(e2, alpha=alpha, batched=True)
+        cfg = pm.CurveConfig(n_nodes=n, tol=1e-12)
+        curve, rep = pm.solve_invariant_curve(spec, 0.25, 0.01, cfg)
+        plain, plain_rep = pm.solve_invariant_curve(e2, 0.25, 0.01, cfg)
+        assert set(sizes[:rep.iterations]) == {rows}
+        if newton:
+            assert rep.iterations < plain_rep.iterations
+            assert np.max(np.abs(curve.values - plain.values)) <= 1e-11
+        else:
+            assert rep.iterations == plain_rep.iterations
+            assert np.array_equal(curve.values, plain.values)
+
+    def test_graph_transform_pushes_the_nodes_only(self, e2):
+        sizes = []
+
+        def alpha(w, e, x, y):
+            sizes.append(len(x))
+            return e2.alpha(w, e, x, y)
+
+        phi = pm.PeriodicGridFn(1.0, 0.01 * np.cos(np.arange(64) / 10)[:, None])
+        out = pm.graph_transform(replace(e2, alpha=alpha, batched=True), 0.25,
+                                 0.01, phi)
+        assert sizes == [64]
+        assert np.array_equal(out.values,
+                              pm.graph_transform(e2, 0.25, 0.01, phi).values)
+
+
 def _sine_advance(xs):
     """Closed-form periodic, strictly increasing advance on window 1."""
     return xs + 0.25 + 0.05 * np.sin(2 * np.pi * xs)

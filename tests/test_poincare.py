@@ -241,9 +241,11 @@ class TestCurveSolveFlows:
     def test_flow_count(self, handle, monkeypatch):
         """Flows of a small wrapped-Poincare solve (n=64, eps=1e-2).
 
-        Each sweep, the first included, pushes the nodes through one flow,
-        and beta reads it from the memo.  With the invariance residual's
-        flow that is one ``p_eps_batch`` call per sweep plus one.
+        The wrapped map is ``batched``, so each sweep is a Newton push: one
+        flow of the 64 nodes and their 64 difference rows, which beta reads
+        from the memo.  Newton needs 3 pushes where Anderson needs 7; with
+        the invariance residual's flow that is one ``p_eps_batch`` call per
+        sweep plus one.
         """
         counter = _LaneCounter(pm.poincare.p_eps_batch)
         monkeypatch.setattr(pm.poincare, "p_eps_batch", counter)
@@ -263,13 +265,13 @@ class TestCurveSolveFlows:
         spec = pm.extract_alpha_beta(handle)
         cfg = pm.CurveConfig(n_nodes=64, tol=1e-12, max_iter=60)
         _, rep = pm.solve_invariant_curve(spec, 1.0, 0.01, cfg)
-        assert rep.converged and rep.iterations == len(sweeps) == 7
+        assert rep.converged and rep.iterations == len(sweeps) == 3
 
         for i in sweep_of_call:
             rows = counter.rows[i]
-            assert len(rows) == 64
+            assert len(rows) == 128
             assert len(np.unique(rows, axis=0)) == len(rows)
-        assert sorted(sweep_of_call.values()) == list(range(1, 8))
+        assert sorted(sweep_of_call.values()) == list(range(1, 4))
         assert len(counter.rows) <= rep.iterations + 1
 
 
