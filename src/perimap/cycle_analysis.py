@@ -16,7 +16,8 @@ import numpy as np
 
 from .exceptions import CertificateError, ConvergenceError
 from .hybrid_ode import check_transversality
-from .poincare import p_eps_batch
+from .numdiff import central_jacobian
+from .poincare import RADIUS_FRACTIONS, p_eps_batch
 from .sampling import ball_points, latin_hypercube, require_count, scale_to
 
 Array = np.ndarray
@@ -25,10 +26,8 @@ EIG_FLOOR = 1e-8      # numerical stand-in for invertibility of P'(0)
 EIG_CEIL_MARGIN = 1e-6  # "strictly below 1" margin for sampled eigenvalues
 NEWTON_TOL = 1e-12    # |P(u) - u| that ends the fixed-point Newton iteration
 NEWTON_MAX_ITER = 25
-FD_STEP = 1e-6        # central-difference step of P', relative to max(1, |u|)
 ADAPTED_M_MAX = 64    # largest power tried by `adapted_norm`
 SPHERE_SAMPLES = 4096  # unit vectors (seed 0) that sample the induced norm
-RADIUS_FRACTIONS = (1.0, 0.75, 0.5, 0.25, 0.1)  # chart radii tried, shrinking
 
 
 @dataclass
@@ -110,28 +109,33 @@ def _p_stencil(handle, rows):
     return p_eps_batch(handle, np.zeros(len(rows)), rows, 0.0)
 
 
-def find_fixed_point(handle, u_guess=None):
-    """Newton iteration for P(u) = u with a finite-difference Jacobian.
+def _section_stencil(handle, u):
+    """T(u), P(u), P'(u) and the Richardson defect of (T, P)' from one
+    `central_jacobian` stencil flow at u."""
+    f, J, defect = central_jacobian(
+        lambda rows: np.column_stack(_p_stencil(handle, rows)), u)
+    return float(f[0]), f[1:], J[1:], defect
 
-    Returns (u*, T* = T(0, D(u*)), ||P(u*) - u*|| <= `NEWTON_TOL`), the last
-    two from lane 0 of the stencil flow whose residual passed the tolerance.
+
+def find_fixed_point(handle, u_guess=None):
+    """Newton iteration for P(u) = u on `central_jacobian` stencils.
+
+    Returns (u*, T* = T(0, D(u*)), ||P(u*) - u*|| <= `NEWTON_TOL`, P'(u*),
+    the Richardson defect of (T, P)'), all from the stencil flow at u* whose
+    residual passed the tolerance.
     """
     k2 = handle.sys.k2
     u = np.zeros(k2) if u_guess is None else np.asarray(u_guess, float).copy()
-    h = FD_STEP
     best = np.inf
     for _ in range(NEWTON_MAX_ITER):
-        stencil = np.vstack([u, u + np.diag(np.full(k2, h)),
-                             u - np.diag(np.full(k2, h))])
-        times, vals = _p_stencil(handle, stencil)
-        res = vals[0] - u
+        T, P, J, defect = _section_stencil(handle, u)
+        res = P - u
         rnorm = float(np.linalg.norm(res))
         if rnorm <= NEWTON_TOL:
-            return u, float(times[0]), rnorm
+            return u, T, rnorm, J, defect
         if rnorm > 10.0 * max(best, 1.0):
             raise ConvergenceError(f"Newton diverged (residual {rnorm:.3g})")
         best = min(best, rnorm)
-        J = (vals[1:1 + k2] - vals[1 + k2:]).T / (2.0 * h)
         M = J - np.eye(k2)
         sv = np.linalg.svd(M, compute_uv=False)
         if sv[-1] <= 1e-12 * max(1.0, float(sv[0])):
@@ -140,27 +144,11 @@ def find_fixed_point(handle, u_guess=None):
     raise ConvergenceError(f"no fixed point after {NEWTON_MAX_ITER} Newton steps")
 
 
-def jacobian_and_spectrum(handle, u_star):
-    """Central-difference Jacobian of P at u*, with a Richardson half-step check.
-
-    The step-h and step-h/2 stencils go through one batched flow, so the
-    integrator error is shared across all their columns.  Returns (jacobian,
-    eigenvalues, richardson_defect) where the defect is the relative h vs
-    h/2 disagreement.
-    """
-    u_star = np.asarray(u_star, dtype=float)
-    k2 = u_star.size
-    h = FD_STEP * max(1.0, float(np.linalg.norm(u_star)))
-    steps = (h, h / 2.0)
-    stencil = np.vstack([u_star + sign * np.diag(np.full(k2, step))
-                         for step in steps for sign in (1.0, -1.0)])
-    # vals[i, 0] and vals[i, 1]: the +/- columns of stencil i, shape (k2, k2)
-    vals = _p_stencil(handle, stencil)[1].reshape(2, 2, k2, k2)
-    J, J_half = ((v[0] - v[1]).T / (2.0 * step) for v, step in zip(vals, steps))
-    scale = max(1.0, float(np.max(np.abs(J))))
-    richardson = float(np.max(np.abs(J - J_half))) / scale
-    eigs = np.linalg.eigvals(J)
-    return J, list(eigs), richardson
+def jacobian_and_spectrum(handle, u):
+    """P'(u), its eigenvalues and the Richardson defect of (T, P)' from the
+    stencil flow that `find_fixed_point` takes at each iterate."""
+    _, _, J, defect = _section_stencil(handle, u)
+    return J, list(np.linalg.eigvals(J)), defect
 
 
 def adapted_norm(B):
@@ -248,8 +236,8 @@ def analyze_cycle(handle, u_guess=None, contraction=None):
     (u_range, eps_range, n_samples, seed); the sampled q then lands in the
     report.
     """
-    u_star, T_star, res = find_fixed_point(handle, u_guess)
-    J, eigs, richardson = jacobian_and_spectrum(handle, u_star)
+    u_star, T_star, res, J, richardson = find_fixed_point(handle, u_guess)
+    eigs = list(np.linalg.eigvals(J))
     moduli = np.abs(np.array(eigs))
     rho = float(np.max(moduli))
     spectrum_ok = bool(np.all(moduli >= EIG_FLOOR)

@@ -473,7 +473,7 @@ def check_transversality(sys, u_anchor=None):
     def h_batch(X):
         return np.asarray(sys.H(X), dtype=float)[:, None]
 
-    grad = central_jacobian(h_batch, x_star)[0]
+    grad = central_jacobian(h_batch, x_star)[1][0]
     field_val = np.asarray(sys.X(x_star[None, :]), dtype=float)[0]
     return float(grad @ field_val)
 

@@ -277,7 +277,10 @@ def _sweep(spec, omega, eps, xs, values, window):
     c_i = beta_y,i - omega s'(t_i) alpha_y,i, s' being the new spline's
     slope at the image t_i.  DG = S_t diag(c) P: P rotates the nodes into
     the images' order and S_t (`_spline_matrix`) is the cardinal spline
-    through the images, sampled at ``xs``.
+    through the images, sampled at ``xs``.  DG holds that spline space fixed:
+    it leaves out S_t's change as the knots move with v, which is nil when
+    alpha does not depend on y, third order in the node spacing on smooth
+    iterates and large on rough ones.
     """
     n, k2 = values.shape
     newton = spec.batched and n * k2 <= NEWTON_NODES

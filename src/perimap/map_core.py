@@ -230,7 +230,7 @@ def beta_y0(spec):
     def beta_at_y(Y):
         return spec.beta(0.0, 0.0, np.zeros((len(Y), spec.k1)), Y)
 
-    return central_jacobian(beta_at_y, np.zeros(spec.k2))
+    return central_jacobian(beta_at_y, np.zeros(spec.k2))[1]
 
 
 def check_assumptions(spec, box=None, n_samples=128, seed=0):

@@ -1,4 +1,4 @@
-"""Finite-difference helpers shared by the assumption checks and the embedding."""
+"""Finite-difference steps and the package's one central-difference stencil."""
 import numpy as np
 
 EPS = float(np.finfo(float).eps)
@@ -17,18 +17,21 @@ def second_step(x):
 
 
 def central_jacobian(fun, x0):
-    """Jacobian of ``fun`` at ``x0`` from a single batched central-difference stencil.
+    """f(x0), the central-difference Jacobian J and its Richardson defect,
+    from one batched call of ``fun`` ((n, d) rows to (n, m)).
 
-    ``fun`` maps an (n, d) batch of row vectors to (n, m), and the step of
-    coordinate i is ``first_step(x0[i])``.  The whole +/- h stencil goes
-    through one call so that, for evaluators backed by adaptive integrators,
-    the step-size sequence is shared and evaluation errors cancel in the
-    differences.
+    The call takes x0, x0 +/- h_i e_i and x0 +/- (h_i / 2) e_i with
+    h = ``first_step(x0)``: for evaluators backed by adaptive integrators the
+    step-size sequence is then shared and evaluation errors cancel in the
+    differences.  J comes from the step-h pairs; the defect is
+    max|J - J_half| / max(1, max|J|), J_half from the step-h/2 pairs.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
-    d = x0.size
     h = first_step(x0)
-    stencil = np.concatenate([x0 + np.diag(h), x0 - np.diag(h)], axis=0)
-    vals = np.asarray(fun(stencil), dtype=float)
-    plus, minus = vals[:d], vals[d:]
-    return (plus - minus).T / (2.0 * h)
+    steps = [sign * np.diag(s) for s in (h, h / 2.0) for sign in (1.0, -1.0)]
+    vals = np.asarray(fun(np.vstack([x0] + [x0 + s for s in steps])), float)
+    plus, minus, plus_half, minus_half = vals[1:].reshape(4, x0.size, -1)
+    J = (plus - minus).T / (2.0 * h)
+    J_half = (plus_half - minus_half).T / h
+    scale = max(1.0, float(np.max(np.abs(J))))
+    return vals[0], J, float(np.max(np.abs(J - J_half))) / scale

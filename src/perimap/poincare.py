@@ -37,6 +37,7 @@ CURVE_ATOL = 1e-12
 PROBE_TIME = 50.0        # horizon of the anchor-return probe
 MAX_TIME_LAGS = 10.0     # return horizon, in anchor return lags
 CHART_TOL = 1e-8         # largest distance of a return point from the chart
+RADIUS_FRACTIONS = (1.0, 0.75, 0.5, 0.25, 0.1)  # chart radii tried, shrinking
 
 
 @dataclass(frozen=True)
@@ -137,15 +138,15 @@ def P_reduced(handle, u):
 def certify_returns(handle, eps_range=(0.0, 0.0), n_samples=32, seed=0):
     """Largest sampled chart radius on which every sample returns.
 
-    Tries the full chart radius first, then a shrinking ladder, and returns
-    the first radius whose samples all return.  The samples of one level,
-    each with its own tau and eps, return through one batched flow;
+    Walks the shrinking ladder `RADIUS_FRACTIONS` of the chart radius and
+    returns the first radius whose samples all return.  The samples of one
+    level, each with its own tau and eps, return through one batched flow;
     `NoReturnError` or `ChartError` from it fails the level.
     """
     require_count("n_samples", n_samples)
     rng = np.random.default_rng(seed)
     sys = handle.sys
-    for fraction in (1.0, 0.75, 0.5, 0.25):
+    for fraction in RADIUS_FRACTIONS:
         r = fraction * sys.r1
         u = latin_hypercube(rng, n_samples, 2 + sys.k2)
         taus = scale_to(u[:, 0], 0.0, sys.T_g)

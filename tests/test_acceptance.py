@@ -131,7 +131,7 @@ def test_criterion_6_eps_scaling(e1, e2):
 def test_criterion_7_hybrid_pipeline(handle, wrapped):
     with criterion(7, "hybrid pipeline: fixed point, P'(0), return-time "
                       "shift, forced T_g-periodic curve with stable scaling"):
-        u_star, _, _ = pm.find_fixed_point(handle, [0.1])
+        u_star, *_ = pm.find_fixed_point(handle, [0.1])
         assert np.max(np.abs(u_star)) <= 1e-10
 
         J, _, _ = pm.jacobian_and_spectrum(handle, u_star)

@@ -11,12 +11,12 @@ KAPPA_OVER_E = 0.5 / np.e
 
 class TestFixedPoint:
     def test_converges_to_cycle(self, handle):
-        u, _, _ = pm.find_fixed_point(handle, [0.1])
+        u, *_ = pm.find_fixed_point(handle, [0.1])
         assert np.max(np.abs(u)) <= 1e-10
 
     def test_fixed_guess_returns_immediately(self, handle):
-        u0, _, _ = pm.find_fixed_point(handle, [0.1])
-        u1, _, _ = pm.find_fixed_point(handle, u0)
+        u0, *_ = pm.find_fixed_point(handle, [0.1])
+        u1, *_ = pm.find_fixed_point(handle, u0)
         assert np.array_equal(u0, u1)
 
     def test_missing_return_surfaces_from_newton(self, handle):
@@ -31,11 +31,17 @@ class TestFixedPoint:
 
 class TestJacobian:
     def test_matches_logistic_derivative(self, handle):
-        u, _, _ = pm.find_fixed_point(handle, [0.0])
+        u, *_ = pm.find_fixed_point(handle, [0.0])
         J, eigs, rich = pm.jacobian_and_spectrum(handle, u)
         assert abs(J[0, 0] - KAPPA_OVER_E) <= 1e-6
         assert rich <= 1e-5
         assert abs(abs(eigs[0]) - KAPPA_OVER_E) <= 1e-6
+
+    @pytest.mark.parametrize("u0", [0.0, 0.1, -0.1, 0.2, -0.2])
+    def test_derivative_from_the_last_newton_flow(self, handle, u0):
+        # the stencil flow at u* that ends Newton carries P'(u*)
+        _, _, _, J, _ = pm.find_fixed_point(handle, [u0])
+        assert abs(J[0, 0] - KAPPA_OVER_E) <= 1e-10
 
     def test_kappa_zero_not_certifiable(self):
         sys_ = pm.polar_hybrid(kappa=0.0)
@@ -47,7 +53,7 @@ class TestJacobian:
     def test_kappa_e_boundary_not_certifiable(self):
         sys_ = pm.polar_hybrid(kappa=float(np.e))
         h = pm.prepare_handle(sys_)
-        u, _, _ = pm.find_fixed_point(h, [0.0])
+        u, *_ = pm.find_fixed_point(h, [0.0])
         J, eigs, _ = pm.jacobian_and_spectrum(h, u)
         assert abs(J[0, 0] - 1.0) <= 1e-5
         moduli = np.abs(np.array(eigs))
@@ -214,7 +220,7 @@ class TestJacobianFlow:
 
         monkeypatch.setattr(pm.poincare, "flow_batch", counted)
         J, _, richardson = ca.jacobian_and_spectrum(handle, np.zeros(1))
-        assert calls == [4]
+        assert calls == [5]
         assert abs(J[0, 0] - KAPPA_OVER_E) <= 1e-8
         assert richardson <= 1e-6
 
@@ -232,8 +238,8 @@ class TestAnalyzePipeline:
         monkeypatch.setattr(ca, "_p_stencil", recorded)
         rep = ca.analyze_cycle(handle)
         # T* and the residual are lane 0 of the last Newton stencil flow,
-        # the one before the Jacobian's
-        rows, times, outs = stencils[-2]
+        # which is also the Jacobian's
+        rows, times, outs = stencils[-1]
         assert np.array_equal(rows[0], rep.u_star)
         assert rep.T_star == times[0]
         assert rep.fixed_point_residual == np.linalg.norm(outs[0] - rows[0])
@@ -242,6 +248,26 @@ class TestAnalyzePipeline:
         x = np.asarray(handle.sys.D(rep.u_star[None, :]), float)[0]
         assert (abs(rep.T_star - pm.time_to_return(handle, 0.0, x, 0.0))
                 <= 10 * handle.rtol)
+
+    def test_one_flow_per_newton_iteration(self, handle, monkeypatch):
+        lanes = []
+        flow_batch = pm.poincare.flow_batch
+
+        def counted(*args, **kwargs):
+            lanes.append(len(args[2]))
+            return flow_batch(*args, **kwargs)
+
+        monkeypatch.setattr(pm.poincare, "flow_batch", counted)
+        args = {"u_range": 0.25, "eps_range": (0.0, 0.01), "n_samples": 8,
+                "seed": 3}
+        rep = ca.analyze_cycle(handle, [0.1], contraction=args)
+        # 4 Newton stencils (u, u +/- h, u +/- h/2), then the 2 * 8 pair
+        # lanes of the contraction; no Jacobian flow of its own
+        assert lanes == [5, 5, 5, 5, 16]
+        J, eigs, richardson = ca.jacobian_and_spectrum(handle, rep.u_star)
+        assert np.array_equal(J, rep.jacobian)
+        assert eigs == rep.eigenvalues
+        assert richardson == rep.richardson_defect
 
     def test_full_report(self, handle):
         rep = ca.analyze_cycle(handle)

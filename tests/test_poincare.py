@@ -167,6 +167,25 @@ class TestWrappedSpec:
         assert [e.shape for e in epses] == [(12,), (12,)]
         assert np.ptp(epses[1]) > 0.01
 
+    def test_ladder_down_to_its_last_rung(self, handle, monkeypatch):
+        """`certify_returns` walks the ladder of `largest_contracting_radius`,
+        one flow per rung, down to 0.1 r1."""
+        limit = 0.15 * handle.sys.r1
+        real = pm.poincare.p_eps_batch
+        calls = []
+
+        def p_eps_batch(handle_, taus, us, eps):
+            calls.append(len(us))
+            if np.max(np.abs(us)) > limit:
+                raise pm.NoReturnError("sample outside the returning disc")
+            return real(handle_, taus, us, eps)
+
+        monkeypatch.setattr(pm.poincare, "p_eps_batch", p_eps_batch)
+        r = pm.poincare.certify_returns(handle, n_samples=8, seed=4)
+        assert r == 0.1 * handle.sys.r1
+        assert calls == [8] * 5
+        assert pm.cycle_analysis.RADIUS_FRACTIONS is pm.poincare.RADIUS_FRACTIONS
+
     def test_dense_samples_on_request(self, e3):
         path, _ = integrate(hybrid_ode.forced_rhs(e3, [0.0], 0.0),
                             [[1.0, 0.0]], 0.5)
