@@ -23,12 +23,12 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import cycle_analysis, embedding, hybrid_ode, invariant_graph, map_core, poincare
 from .exceptions import ConfigError, PerimapError
-from .invariant_graph import curve_table, write_csv, write_json
+from .invariant_graph import CurveConfig, curve_table, write_csv, write_json
 
 _TOP_KEYS = {"system", "mode", "omega", "eps", "eps_list", "solver",
              "sampling", "delta", "tolerances", "n_trajectories"}
@@ -41,17 +41,17 @@ _TOLERANCE_KEYS = {"a2", "periodicity"}
 class ExperimentConfig:
     mode: str
     system: dict
-    omega: float = 1.0
-    eps: float = 0.0
-    eps_list: list = field(default_factory=list)
-    n_nodes: int = 256
-    tol: float = 1e-12
-    max_iter: int = 100
-    n_samples: int = 128
-    seed: Optional[int] = None
-    delta: Optional[float] = None
-    tolerances: dict = field(default_factory=dict)
-    n_trajectories: int = 8
+    omega: float
+    eps: float
+    eps_list: list
+    n_nodes: int
+    tol: float
+    max_iter: int
+    n_samples: int
+    seed: int
+    delta: Optional[float]
+    tolerances: dict
+    n_trajectories: int
 
 
 def _require(cond, msg):
@@ -114,9 +114,9 @@ def parse_config(obj, mode, seed_override=None):
         omega=_number(obj, "omega", 1.0),
         eps=_number(obj, "eps", 0.0),
         eps_list=[float(e) for e in eps_list],
-        n_nodes=_count(solver, "n_nodes", 256, "solver"),
-        tol=_number(solver, "tol", 1e-12, "solver"),
-        max_iter=_count(solver, "max_iter", 100, "solver"),
+        n_nodes=_count(solver, "n_nodes", CurveConfig.n_nodes, "solver"),
+        tol=_number(solver, "tol", CurveConfig.tol, "solver"),
+        max_iter=_count(solver, "max_iter", CurveConfig.max_iter, "solver"),
         n_samples=_count(sampling, "n_samples", 128, "sampling"),
         seed=(seed_override if seed_override is not None
               else _count(sampling, "seed", None, "sampling")),

@@ -25,7 +25,8 @@ are iterated depends on what an evaluation costs:
   sweeps it saves.
 Both fall back on the plain image when a step leaves the r1 disc.
 
-Curves are stored on a uniform grid as exactly periodic cubic splines.  The
+Curves, pushes and the Newton operator share one periodic cubic spline in
+moment form (`_moments`, `_spline_eval`, `_knot_slopes`).  The
 emergent-periodicity test solves for a curve of period 2T on twice the nodes:
 only 2T-periodicity is imposed, so T-periodicity has to emerge from the
 dynamics rather than from the representation.
@@ -38,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solveh_banded
 
 from .exceptions import ConvergenceError, DomainError, MonotonicityError
@@ -53,16 +53,67 @@ RESIDUAL_SAMPLES = 512  # sampled x of a solve's invariance residual
 DISTANCE_FLOOR = 1e-9  # least distance to the curve `attraction_test` rates
 
 
-def _reduce_mod(x, period):
-    # fmod is exact, so eval(x + T) == eval(x) bit-for-bit whenever x + T is
-    # itself exact in floating point
-    r = np.fmod(x, period)
-    return np.where(r < 0, r + period, r)
+def _cyclic_solve(diag, off, rhs):
+    """X with A X = ``rhs`` for the symmetric, diagonally dominant cyclic
+    tridiagonal A with A[i, i] = diag_i and A[i, i+1] = A[i+1, i] = off_i,
+    indices mod n.
+
+    A = B + u v^T, where B is tridiagonal and u v^T carries the two corners
+    (Numerical Recipes, 3rd ed., section 2.7.2): one banded Cholesky solve
+    of B for ``rhs`` and u, then a Sherman-Morrison correction.  For n = 2
+    the corners add to the off-diagonals, as in A.
+    """
+    gamma, corner = -diag[0], off[-1]
+    band = np.vstack([np.append(0.0, off[:-1]), diag])
+    band[1, 0] -= gamma
+    band[1, -1] -= corner * corner / gamma
+    u = np.zeros(len(diag))
+    u[0], u[-1] = gamma, corner
+    sol = solveh_banded(band, np.column_stack([rhs, u]), check_finite=False)
+    y, z = sol[:, :-1], sol[:, -1]
+    vy = y[0] + y[-1] * corner / gamma
+    vz = z[0] + z[-1] * corner / gamma
+    return y - z[:, None] * (vy / (1.0 + vz))[None, :]
+
+
+def _moments(t, window, y):
+    """Knot second derivatives M (n, m) of the window-periodic cubic spline
+    through the values ``y`` (n, m) at the n increasing knots ``t`` in
+    [t[0], t[0] + window): the moment equations h_{i-1} M_{i-1} / 6 +
+    (h_{i-1} + h_i) M_i / 3 + h_i M_{i+1} / 6 = d_i - d_{i-1}, with
+    h_i = t_{i+1} - t_i and d_i = (y_{i+1} - y_i) / h_i (indices mod n), in
+    one cyclic banded solve (`_cyclic_solve`)."""
+    h = np.diff(np.append(t, t[0] + window))
+    d = (np.roll(y, -1, axis=0) - y) / h[:, None]
+    return _cyclic_solve((np.roll(h, 1) + h) / 3.0, h / 6.0,
+                         d - np.roll(d, 1, axis=0))
+
+
+def _spline_eval(t, window, y, moments, x):
+    """The spline of knots ``t``, values ``y`` and `_moments` ``moments`` at
+    the points ``x`` (k,), any reals: (k, m)."""
+    u = np.fmod(x - t[0], window)  # exact: an exact x + window evaluates as x
+    u = np.where(u < 0, u + window, u)
+    i = np.searchsorted(t - t[0], u, side="right") - 1
+    i1, h = (i + 1) % len(t), np.diff(np.append(t, t[0] + window))[i][:, None]
+    u = (u - (t[i] - t[0]))[:, None]
+    w = h - u
+    return (w * y[i] + u * y[i1] + w * (w * w - h * h) / 6.0 * moments[i]
+            + u * (u * u - h * h) / 6.0 * moments[i1]) / h
+
+
+def _knot_slopes(t, window, y, moments):
+    """The spline's slopes s'(t_i) = d_i - h_i (2 M_i + M_{i+1}) / 6 at its
+    knots (see `_moments`): (n, m)."""
+    h = np.diff(np.append(t, t[0] + window))[:, None]
+    return ((np.roll(y, -1, axis=0) - y) / h
+            - h * (2.0 * moments + np.roll(moments, -1, axis=0)) / 6.0)
 
 
 @dataclass(eq=False)
 class PeriodicGridFn:
-    """T-periodic vector-valued function on a uniform grid with spline interpolation.
+    """T-periodic vector-valued function on a uniform grid, held as the
+    T-periodic cubic spline through its nodes (`_moments`, `_spline_eval`).
 
     ``values`` has shape (n_nodes, k2) with node i at x = i*T/n_nodes.
     Evaluation reduces the argument mod T first, so the representation is
@@ -71,16 +122,13 @@ class PeriodicGridFn:
 
     period: float
     values: Array
-    _spline: CubicSpline = field(init=False, repr=False)
+    _m: Array = field(init=False, repr=False)  # the spline's `_moments`
 
     def __post_init__(self):
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if self.values.ndim != 2 or self.values.shape[0] < 2:
             raise ValueError("values must be (n_nodes >= 2, k2)")
-        n = self.values.shape[0]
-        xs = np.linspace(0.0, self.period, n + 1)
-        vals = np.vstack([self.values, self.values[:1]])
-        self._spline = CubicSpline(xs, vals, bc_type="periodic", axis=0)
+        self._m = _moments(self.nodes, self.period, self.values)
 
     @classmethod
     def zeros(cls, period, n_nodes, k2=1):
@@ -105,7 +153,9 @@ class PeriodicGridFn:
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
-        return self._spline(_reduce_mod(x, self.period))
+        y = _spline_eval(self.nodes, self.period, self.values, self._m,
+                         x.ravel())
+        return y.reshape(x.shape + (self.k2,))
 
     def with_values(self, values):
         return PeriodicGridFn(self.period, values)
@@ -113,19 +163,21 @@ class PeriodicGridFn:
     def sup_norm(self):
         """Sup of ||phi|| over one period.
 
-        Exact (up to the cubic pieces) for k2 = 1 via the extrema of the
-        spline; a dense-sampling estimate for k2 > 1.
+        Exact up to rounding for k2 = 1: the spline's slope on the piece at
+        node i is the quadratic s'(t_i) + M_i u + (M_{i+1} - M_i) u^2 / (2h),
+        u in [0, h], whose roots join the nodes as candidates.  A
+        dense-sampling estimate for k2 > 1.
         """
         if self.k2 == 1:
-            roots = self._spline.derivative().roots(extrapolate=False)
-            if isinstance(roots, np.ndarray) and roots.dtype == object:
-                parts = [np.atleast_1d(np.asarray(r, float)) for r in roots.ravel()]
-                roots = np.concatenate(parts) if parts else np.array([])
-            crit = np.asarray(roots, float).ravel()
-            crit = crit[np.isfinite(crit)]  # flat pieces report nan roots
-            xs = np.concatenate([self._spline.x, crit])
-            vals = np.atleast_2d(self._spline(xs))
-            return float(np.max(np.abs(vals)))
+            t, h, m = self.nodes, self.period / self.n_nodes, self._m[:, 0]
+            c = _knot_slopes(t, self.period, self.values, self._m)[:, 0]
+            a = (np.roll(m, -1) - m) / (2.0 * h)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = -0.5 * (m + np.copysign(np.sqrt(m * m - 4.0 * a * c), m))
+                u = np.concatenate([q / a, c / q])  # nan or inf if none
+            ok = (u >= 0.0) & (u <= h)
+            xs = np.concatenate([t, (np.tile(t, 2) + u)[ok]])
+            return float(np.max(np.abs(self.eval(xs))))
         xs = np.linspace(0.0, self.period, 16 * self.n_nodes, endpoint=False)
         return float(np.max(np.linalg.norm(self.eval(xs), axis=-1)))
 
@@ -203,60 +255,6 @@ def rate_bound_from_q(q):
 # the transform
 # ----------------------------------------------------------------------------
 
-def _cyclic_solve(diag, off, rhs):
-    """X with A X = ``rhs`` for the symmetric, diagonally dominant cyclic
-    tridiagonal A with A[i, i] = diag_i and A[i, i+1] = A[i+1, i] = off_i,
-    indices mod n.
-
-    A = B + u v^T, where B is tridiagonal and u v^T carries the two corners
-    (Numerical Recipes, 3rd ed., section 2.7.2): one banded Cholesky solve
-    of B for ``rhs`` and u, then a Sherman-Morrison correction.  For n = 2
-    the corners add to the off-diagonals, as in A.
-    """
-    gamma, corner = -diag[0], off[-1]
-    band = np.vstack([np.append(0.0, off[:-1]), diag])
-    band[1, 0] -= gamma
-    band[1, -1] -= corner * corner / gamma
-    u = np.zeros(len(diag))
-    u[0], u[-1] = gamma, corner
-    sol = solveh_banded(band, np.column_stack([rhs, u]), check_finite=False)
-    y, z = sol[:, :-1], sol[:, -1]
-    vy = y[0] + y[-1] * corner / gamma
-    vz = z[0] + z[-1] * corner / gamma
-    return y - z[:, None] * (vy / (1.0 + vz))[None, :]
-
-
-def _spline_matrix(t, window, xs):
-    """The window-periodic cubic spline through knots ``t`` as an operator:
-    the (len(xs), n) matrix S with S @ y = spline(xs) for the values y at
-    the n increasing knots ``t`` in [t[0], t[0] + window).
-
-    Moment form: the knot second derivatives are M = A^-1 D y with A and D
-    cyclic tridiagonal, so S costs one cyclic banded solve of n columns
-    (`_cyclic_solve`).
-    """
-    n = len(t)
-    h = np.diff(np.append(t, t[0] + window))
-    hm = np.roll(h, 1)
-    i = np.arange(n)
-    D = np.zeros((n, n))
-    np.add.at(D, (i, i), -1.0 / h - 1.0 / hm)
-    np.add.at(D, (i, (i - 1) % n), 1.0 / hm)
-    np.add.at(D, (i, (i + 1) % n), 1.0 / h)
-    moments = _cyclic_solve((hm + h) / 3.0, h / 6.0, D)
-    u = _reduce_mod(xs - t[0], window)
-    j = np.searchsorted(t - t[0], u, side="right") - 1
-    hj = h[j]
-    u = u - (t[j] - t[0])
-    w = hj - u
-    S = ((w**3 / hj - hj * w) / 6.0)[:, None] * moments[j]
-    S += ((u**3 / hj - hj * u) / 6.0)[:, None] * moments[(j + 1) % n]
-    rows = np.arange(len(xs))
-    np.add.at(S, (rows, j), w / hj)
-    np.add.at(S, (rows, (j + 1) % n), u / hj)
-    return S
-
-
 def _sweep(spec, omega, eps, xs, values, window):
     """One forward push: the graph values ``values`` at the nodes ``xs`` of
     [0, window), mapped and re-gridded at the same nodes.  Returns the image
@@ -266,8 +264,8 @@ def _sweep(spec, omega, eps, xs, values, window):
     alpha and beta are evaluated once each, at the nodes.  Unless the images
     keep the nodes' cyclic order (`MonotonicityError`, the solver's only
     order check), they are reduced mod the window and rotated into
-    increasing order, and the window-periodic cubic spline through them is
-    sampled at ``xs``.
+    increasing order, and the window-periodic cubic spline through them
+    (`_moments`) is sampled at ``xs`` (`_spline_eval`).
 
     For DG the same two calls also take the rows (x_i, v_i + h s_ij e_j),
     j < k2, with h = `NEWTON_STEP` and s_ij = -sign(v_ij), so no row moves
@@ -275,9 +273,10 @@ def _sweep(spec, omega, eps, xs, values, window):
     A shift d_i of node i moves its image by omega alpha_y d_i and its value
     by beta_y d_i, so the spline's value at the image moves by c_i d_i with
     c_i = beta_y,i - omega s'(t_i) alpha_y,i, s' being the new spline's
-    slope at the image t_i.  DG = S_t diag(c) P: P rotates the nodes into
-    the images' order and S_t (`_spline_matrix`) is the cardinal spline
-    through the images, sampled at ``xs``.  DG holds that spline space fixed:
+    slope at the image t_i (`_knot_slopes`).  DG = S_t diag(c) P: P rotates
+    the nodes into the images' order and S_t, the same spline code applied to
+    the identity, holds the cardinal splines through the images, sampled at
+    ``xs``.  DG holds that spline space fixed:
     it leaves out S_t's change as the knots move with v, which is nil when
     alpha does not depend on y, third order in the node spacing on smooth
     iterates and large on rough ones.
@@ -306,20 +305,20 @@ def _sweep(spec, omega, eps, xs, values, window):
     img -= window * np.floor(img[0] / window)
     k = np.searchsorted(img, window)  # images from k on wrap past the window
     t = np.concatenate([img[k:] - window, img[:k]])
-    b_rot = np.roll(b, -k, axis=0)
-    spline = CubicSpline(np.append(t, t[0] + window),
-                         np.vstack([b_rot, b_rot[:1]]),
-                         bc_type="periodic", axis=0)
-    g = spline(xs)
+    y = np.roll(b, -k, axis=0)
+    if newton:  # the spline of the identity is the operator S_t
+        y = np.hstack([y, np.eye(n)])
+    m = _moments(t, window, y)
+    g = _spline_eval(t, window, y, m, xs)
     if not newton:
         return g, None
+    g, S = g[:, :k2], np.roll(g[:, k2:], k, axis=1)
     # [i, j]: the derivative in y_j at node i, alpha (n, k2), beta (n, k2, k2)
     a_y = ((a_moved.reshape(k2, n) - a) / dirs.T).T
     b_y = ((b_moved.reshape(k2, n, k2) - b)
            / dirs.T[:, :, None]).transpose(1, 2, 0)
-    slope = np.roll(spline(t, 1), k, axis=0)
+    slope = np.roll(_knot_slopes(t, window, y[:, :k2], m[:, :k2]), k, axis=0)
     c = b_y - omega * slope[:, :, None] * a_y[:, None, :]
-    S = np.roll(_spline_matrix(t, window, xs), k, axis=1)
     dg = S[:, None, :, None] * c.transpose(1, 0, 2)[None]
     return g, dg.reshape(n * k2, n * k2)
 

@@ -10,8 +10,8 @@ from scipy.optimize import brentq
 
 import perimap as pm
 from perimap.exceptions import MonotonicityError
-from perimap.invariant_graph import (_iterate_to_fixed_point, _spline_matrix,
-                                     _sweep)
+from perimap.invariant_graph import (_iterate_to_fixed_point, _knot_slopes,
+                                     _moments, _spline_eval, _sweep)
 
 CFG = pm.CurveConfig(n_nodes=256, tol=1e-12)
 
@@ -51,6 +51,21 @@ class TestPeriodicGridFn:
         xs = np.arange(64) / 64.0
         f = pm.PeriodicGridFn(1.0, (0.3 * np.sin(2 * np.pi * xs))[:, None])
         assert abs(f.sup_norm() - 0.3) < 1e-6
+
+    @pytest.mark.parametrize("values", [
+        np.zeros(8),
+        np.full(8, -0.4),
+        np.array([0.3, -0.7]),
+        # symmetric about x = 1/16, between nodes 0 and 1, so the spline's
+        # maximum (0.9988) lies there, on the dense grid below, and above
+        # every node value (0.9239)
+        np.cos(2 * np.pi * (np.arange(8) / 8 - 1 / 16)),
+    ], ids=["zero", "constant", "two-nodes", "max-between-nodes"])
+    def test_sup_norm_matches_a_dense_sample(self, values):
+        # zero and constant curves have flat pieces: slopes without roots
+        f = pm.PeriodicGridFn(1.0, values[:, None])
+        dense = float(np.max(np.abs(f.eval(np.arange(2**17) / 2**17))))
+        assert abs(f.sup_norm() - dense) <= 1e-15 * dense
 
     def test_negative_arguments(self):
         f = pm.PeriodicGridFn(1.0, np.arange(8, dtype=float)[:, None])
@@ -267,8 +282,9 @@ def _central_dg(spec, omega, eps, xs, values, step=1e-6):
 
 
 class TestNewtonPushOperator:
-    """The pieces of the Newton push: the spline operator S_t of
-    `_spline_matrix` (through `_cyclic_solve`) and the derivative DG."""
+    """The pieces of the Newton push: the one periodic cubic spline
+    (`_moments`, `_spline_eval`, `_knot_slopes`), which is also the spline
+    operator S_t when applied to the identity, and the derivative DG."""
 
     @pytest.mark.parametrize("n", [2, 3, 16, 256])
     def test_spline_matrix_matches_periodic_cubic_spline(self, n):
@@ -282,8 +298,14 @@ class TestNewtonPushOperator:
         xs = rng.uniform(-2.0, 4.0, 200)  # both sides of the window
         spline = CubicSpline(np.append(t, t[0] + window), np.append(y, y[0]),
                              bc_type="periodic")
-        assert_allclose(_spline_matrix(t, window, xs) @ y, spline(xs),
-                        rtol=0.0, atol=1e-12)
+        eye = np.eye(n)
+        S = _spline_eval(t, window, eye, _moments(t, window, eye), xs)
+        assert_allclose(S @ y, spline(xs), rtol=0.0, atol=1e-12)
+        m = _moments(t, window, y[:, None])
+        assert_allclose(_spline_eval(t, window, y[:, None], m, xs)[:, 0],
+                        spline(xs), rtol=0.0, atol=1e-12)
+        assert_allclose(_knot_slopes(t, window, y[:, None], m)[:, 0],
+                        spline(t, 1), rtol=0.0, atol=1e-12)
 
     def test_dg_with_fixed_images(self):
         # alpha does not depend on y, so the images and the spline through
