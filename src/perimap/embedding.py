@@ -145,13 +145,12 @@ def _check_lam(lam):
 
 def _tilde_batch(spec, lam, omega, eps, X, Y):
     """(alpha-tilde, beta-tilde) as one (n, k1+2+k2) array at scalar
-    (omega, eps)."""
+    (omega, eps); a misshaped evaluation raises `EvaluationError`."""
     _check_lam(lam)
     if np.max(np.linalg.norm(lam * Y, axis=-1)) > spec.r1 * (1 + 1e-12):
         raise DomainError("||lam * y|| exceeds r1")
     a0 = _alpha_origin(spec)
-    a = np.asarray(spec.alpha(lam * omega, lam**2 * eps, X, lam * Y), dtype=float)
-    b = np.asarray(spec.beta(lam * omega, lam**2 * eps, X, lam * Y), dtype=float)
+    a, b = map_core.eval_batch(spec, lam * omega, lam**2 * eps, X, lam * Y)
     B = beta_y0(spec)
     n_top = spec.k1 + 2
     out = np.zeros((len(X), n_top + spec.k2))
@@ -315,6 +314,7 @@ def _tilde_sup(spec, lam, eps_range, x_range, n_samples, seed):
             J[:, :, j] = (_tilde_batch(spec, lam, *plus)
                           - _tilde_batch(spec, lam, *minus)) / span
 
+        map_core.require_finite(t0, J)  # once per group, not per stencil
         na = np.linalg.norm(t0[:, :n_top], axis=1) + np.linalg.svd(
             J[:, :n_top], compute_uv=False)[:, 0]
         nb = np.linalg.norm(t0[:, n_top:], axis=1) + np.linalg.svd(

@@ -4,8 +4,7 @@ A candidate curve phi, held by its values at uniform nodes, is pushed
 forward through the map: alpha and beta are evaluated once per sweep at the
 nodes (x_i, phi(x_i)), which go to the images x_i + omega * alpha_i with new
 values beta_i.  If the images keep the nodes' cyclic order (else
-`MonotonicityError`), they are reduced mod the window and rotated into
-increasing order, and the window-periodic cubic spline through them is
+`MonotonicityError`), the window-periodic cubic spline through them is
 sampled back at the nodes.  For a wrapped Poincare map a sweep is one
 batched flow, whose cost hardly depends on the number of lanes: beta reads
 the returns that alpha flowed from the memo.
@@ -26,7 +25,7 @@ are iterated depends on what an evaluation costs:
 Both fall back on the plain image when a step leaves the r1 disc.
 
 Curves, pushes and the Newton operator share one periodic cubic spline in
-moment form (`_moments`, `_spline_eval`, `_knot_slopes`).  The
+moment form, `_Spline`, built once per curve or push.  The
 emergent-periodicity test solves for a curve of period 2T on twice the nodes:
 only 2T-periodicity is imposed, so T-periodicity has to emerge from the
 dynamics rather than from the representation.
@@ -35,13 +34,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
 from .exceptions import ConvergenceError, DomainError, MonotonicityError
+from .map_core import eval_batch, require_finite
 from .sampling import ball_points, require_count
 
 Array = np.ndarray
@@ -76,59 +76,85 @@ def _cyclic_solve(diag, off, rhs):
     return y - z[:, None] * (vy / (1.0 + vz))[None, :]
 
 
-def _moments(t, window, y):
-    """Knot second derivatives M (n, m) of the window-periodic cubic spline
-    through the values ``y`` (n, m) at the n increasing knots ``t`` in
-    [t[0], t[0] + window): the moment equations h_{i-1} M_{i-1} / 6 +
-    (h_{i-1} + h_i) M_i / 3 + h_i M_{i+1} / 6 = d_i - d_{i-1}, with
-    h_i = t_{i+1} - t_i and d_i = (y_{i+1} - y_i) / h_i (indices mod n), in
-    one cyclic banded solve (`_cyclic_solve`)."""
-    h = np.diff(np.append(t, t[0] + window))
-    d = (np.roll(y, -1, axis=0) - y) / h[:, None]
-    return _cyclic_solve((np.roll(h, 1) + h) / 3.0, h / 6.0,
-                         d - np.roll(d, 1, axis=0))
+class _Spline:
+    """The window-periodic cubic spline through the values ``y`` (n, m) at
+    the n increasing knots ``t`` in [t[0], t[0] + window), in moment form.
+
+    The build solves h_{i-1} M_{i-1} / 6 + (h_{i-1} + h_i) M_i / 3 +
+    h_i M_{i+1} / 6 = d_i - d_{i-1}, with h_i = t_{i+1} - t_i and
+    d_i = (y_{i+1} - y_i) / h_i (indices mod n), for the knot second
+    derivatives M (`_cyclic_solve`).  It keeps the knots closed by
+    t[0] + window (not offsets from t[0], whose rounding would perturb h),
+    M and ``y``.
+    """
+
+    def __init__(self, t, window, y):
+        self.window, self.y = window, y
+        self.knots = np.append(t, t[0] + window)
+        h = np.diff(self.knots)
+        d = (np.roll(y, -1, axis=0) - y) / h[:, None]
+        self.m = _cyclic_solve((np.roll(h, 1) + h) / 3.0, h / 6.0,
+                               d - np.roll(d, 1, axis=0))
+
+    def __call__(self, x):
+        """The spline at the points ``x`` (k,), any reals: (k, m)."""
+        knots, y, m, t0 = self.knots, self.y, self.m, self.knots[0]
+        u = np.fmod(x - t0, self.window)  # exact: x + window reads as x
+        x = t0 + np.where(u < 0, u + self.window, u)
+        i = np.searchsorted(knots[:-1], x, side="right") - 1
+        h = (knots[i + 1] - knots[i])[:, None]
+        u = (x - knots[i])[:, None]
+        i1 = (i + 1) % len(y)
+        w = h - u
+        return (w * y[i] + u * y[i1] + w * (w * w - h * h) / 6.0 * m[i]
+                + u * (u * u - h * h) / 6.0 * m[i1]) / h
+
+    def slopes(self, k):
+        """Slopes s'(t_i) = d_i - h_i (2 M_i + M_{i+1}) / 6 of the first
+        ``k`` value columns at the knots: (n, k)."""
+        h = np.diff(self.knots)[:, None]
+        y, m = self.y[:, :k], self.m[:, :k]
+        return ((np.roll(y, -1, axis=0) - y) / h
+                - h * (2.0 * m + np.roll(m, -1, axis=0)) / 6.0)
+
+    def turning_points(self):
+        """The points inside a piece where the first column's slope, the
+        quadratic s'(t_i) + M_i u + (M_{i+1} - M_i) u^2 / (2 h_i) in
+        u in [0, h_i], vanishes."""
+        h, m = np.diff(self.knots), self.m[:, 0]
+        c = self.slopes(1)[:, 0]
+        a = (np.roll(m, -1) - m) / (2.0 * h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -0.5 * (m + np.copysign(np.sqrt(m * m - 4.0 * a * c), m))
+            u = np.stack([q / a, c / q])  # nan or inf if none
+        return (self.knots[:-1] + u)[(u >= 0.0) & (u <= h)]
 
 
-def _spline_eval(t, window, y, moments, x):
-    """The spline of knots ``t``, values ``y`` and `_moments` ``moments`` at
-    the points ``x`` (k,), any reals: (k, m)."""
-    u = np.fmod(x - t[0], window)  # exact: an exact x + window evaluates as x
-    u = np.where(u < 0, u + window, u)
-    i = np.searchsorted(t - t[0], u, side="right") - 1
-    i1, h = (i + 1) % len(t), np.diff(np.append(t, t[0] + window))[i][:, None]
-    u = (u - (t[i] - t[0]))[:, None]
-    w = h - u
-    return (w * y[i] + u * y[i1] + w * (w * w - h * h) / 6.0 * moments[i]
-            + u * (u * u - h * h) / 6.0 * moments[i1]) / h
-
-
-def _knot_slopes(t, window, y, moments):
-    """The spline's slopes s'(t_i) = d_i - h_i (2 M_i + M_{i+1}) / 6 at its
-    knots (see `_moments`): (n, m)."""
-    h = np.diff(np.append(t, t[0] + window))[:, None]
-    return ((np.roll(y, -1, axis=0) - y) / h
-            - h * (2.0 * moments + np.roll(moments, -1, axis=0)) / 6.0)
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PeriodicGridFn:
     """T-periodic vector-valued function on a uniform grid, held as the
-    T-periodic cubic spline through its nodes (`_moments`, `_spline_eval`).
+    T-periodic cubic spline through its nodes (`_Spline`), built once.
 
-    ``values`` has shape (n_nodes, k2) with node i at x = i*T/n_nodes.
+    ``values`` has shape (n_nodes, k2) with node i at x = i*T/n_nodes; it is
+    a read-only copy of the array passed in, so the spline cannot go stale.
     Evaluation reduces the argument mod T first, so the representation is
     exactly periodic by construction.
     """
 
     period: float
     values: Array
-    _m: Array = field(init=False, repr=False)  # the spline's `_moments`
+    _spline: _Spline = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if self.values.ndim != 2 or self.values.shape[0] < 2:
+        values = np.atleast_2d(np.array(self.values, dtype=float))
+        if values.ndim != 2 or values.shape[0] < 2:
             raise ValueError("values must be (n_nodes >= 2, k2)")
-        self._m = _moments(self.nodes, self.period, self.values)
+        values.setflags(write=False)
+        nodes = np.linspace(0.0, self.period, values.shape[0] + 1)[:-1]
+        spline = _Spline(nodes, self.period, values)
+        spline.knots.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_spline", spline)
 
     @classmethod
     def zeros(cls, period, n_nodes, k2=1):
@@ -136,7 +162,6 @@ class PeriodicGridFn:
 
     @classmethod
     def constant(cls, period, n_nodes, value):
-        value = np.atleast_1d(np.asarray(value, dtype=float))
         return cls(period, np.tile(value, (n_nodes, 1)))
 
     @property
@@ -149,13 +174,11 @@ class PeriodicGridFn:
 
     @property
     def nodes(self):
-        return np.linspace(0.0, self.period, self.n_nodes + 1)[:-1]
+        return self._spline.knots[:-1]
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
-        y = _spline_eval(self.nodes, self.period, self.values, self._m,
-                         x.ravel())
-        return y.reshape(x.shape + (self.k2,))
+        return self._spline(x.ravel()).reshape(x.shape + (self.k2,))
 
     def with_values(self, values):
         return PeriodicGridFn(self.period, values)
@@ -163,20 +186,11 @@ class PeriodicGridFn:
     def sup_norm(self):
         """Sup of ||phi|| over one period.
 
-        Exact up to rounding for k2 = 1: the spline's slope on the piece at
-        node i is the quadratic s'(t_i) + M_i u + (M_{i+1} - M_i) u^2 / (2h),
-        u in [0, h], whose roots join the nodes as candidates.  A
-        dense-sampling estimate for k2 > 1.
+        Exact up to rounding for k2 = 1: the spline's turning points join
+        the nodes as candidates.  A dense-sampling estimate for k2 > 1.
         """
         if self.k2 == 1:
-            t, h, m = self.nodes, self.period / self.n_nodes, self._m[:, 0]
-            c = _knot_slopes(t, self.period, self.values, self._m)[:, 0]
-            a = (np.roll(m, -1) - m) / (2.0 * h)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = -0.5 * (m + np.copysign(np.sqrt(m * m - 4.0 * a * c), m))
-                u = np.concatenate([q / a, c / q])  # nan or inf if none
-            ok = (u >= 0.0) & (u <= h)
-            xs = np.concatenate([t, (np.tile(t, 2) + u)[ok]])
+            xs = np.concatenate([self.nodes, self._spline.turning_points()])
             return float(np.max(np.abs(self.eval(xs))))
         xs = np.linspace(0.0, self.period, 16 * self.n_nodes, endpoint=False)
         return float(np.max(np.linalg.norm(self.eval(xs), axis=-1)))
@@ -200,15 +214,7 @@ class SolverReport:
     tol: float
 
     def to_json_dict(self):
-        return {
-            "iterations": self.iterations,
-            "final_update": self.final_update,
-            "invariance_residual": self.invariance_residual,
-            "measured_rates": list(self.measured_rates),
-            "converged": bool(self.converged),
-            "n_nodes": self.n_nodes,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -261,11 +267,11 @@ def _sweep(spec, omega, eps, xs, values, window):
     G(values) and, for a ``batched`` spec with n * k2 <= `NEWTON_NODES`,
     its derivative DG as an (n k2, n k2) matrix; else None.
 
-    alpha and beta are evaluated once each, at the nodes.  Unless the images
-    keep the nodes' cyclic order (`MonotonicityError`, the solver's only
-    order check), they are reduced mod the window and rotated into
-    increasing order, and the window-periodic cubic spline through them
-    (`_moments`) is sampled at ``xs`` (`_spline_eval`).
+    alpha and beta are evaluated once each, at the nodes; a misshaped or
+    non-finite result raises `EvaluationError`.  The images, shifted by whole
+    windows so that the first lies in [0, window), must keep the nodes'
+    cyclic order (`MonotonicityError`, the solver's only order check); the
+    window-periodic cubic spline through them (`_Spline`) is sampled at xs.
 
     For DG the same two calls also take the rows (x_i, v_i + h s_ij e_j),
     j < k2, with h = `NEWTON_STEP` and s_ij = -sign(v_ij), so no row moves
@@ -273,13 +279,12 @@ def _sweep(spec, omega, eps, xs, values, window):
     A shift d_i of node i moves its image by omega alpha_y d_i and its value
     by beta_y d_i, so the spline's value at the image moves by c_i d_i with
     c_i = beta_y,i - omega s'(t_i) alpha_y,i, s' being the new spline's
-    slope at the image t_i (`_knot_slopes`).  DG = S_t diag(c) P: P rotates
-    the nodes into the images' order and S_t, the same spline code applied to
-    the identity, holds the cardinal splines through the images, sampled at
-    ``xs``.  DG holds that spline space fixed:
-    it leaves out S_t's change as the knots move with v, which is nil when
-    alpha does not depend on y, third order in the node spacing on smooth
-    iterates and large on rough ones.
+    slope at the image t_i.  DG = S_t diag(c), where S_t, the same spline
+    applied to the identity, holds the cardinal splines through the images
+    sampled at ``xs``.  DG holds that spline space fixed: it leaves out S_t's
+    change as the knots move with v, which is nil when alpha does not depend
+    on y, third order in the node spacing on smooth iterates and large on
+    rough ones.
     """
     n, k2 = values.shape
     newton = spec.batched and n * k2 <= NEWTON_NODES
@@ -290,37 +295,31 @@ def _sweep(spec, omega, eps, xs, values, window):
         y = np.concatenate([values] + [values + dirs[:, [j]] * np.eye(k2)[j]
                                        for j in range(k2)])
         x = np.tile(x, (k2 + 1, 1))
-    a = np.asarray(spec.alpha(omega, eps, x, y), dtype=float)[:, 0]
-    b = np.asarray(spec.beta(omega, eps, x, y), dtype=float)
-    a, a_moved, b, b_moved = a[:n], a[n:], b[:n], b[n:]
+    a, b = eval_batch(spec, omega, eps, x, y)
+    require_finite(a, b)
+    a, a_moved, b, b_moved = a[:n, 0], a[n:, 0], b[:n], b[n:]
     if np.max(np.linalg.norm(b, axis=-1)) > spec.r1:
         raise DomainError("graph transform left the radius-r1 disc")
     img = xs + omega * a
+    img -= window * np.floor(img[0] / window)
     if not np.all(np.diff(np.append(img, img[0] + window)) > 0.0):
         raise MonotonicityError(
             "x-advance map is not strictly increasing at the nodes: the "
             "pushed nodes do not keep their cyclic order; "
             "the graph transform is undefined at these parameters"
         )
-    img -= window * np.floor(img[0] / window)
-    k = np.searchsorted(img, window)  # images from k on wrap past the window
-    t = np.concatenate([img[k:] - window, img[:k]])
-    y = np.roll(b, -k, axis=0)
-    if newton:  # the spline of the identity is the operator S_t
-        y = np.hstack([y, np.eye(n)])
-    m = _moments(t, window, y)
-    g = _spline_eval(t, window, y, m, xs)
+    # with the identity's columns the spline also gives the operator S_t
+    spline = _Spline(img, window, np.hstack([b, np.eye(n)]) if newton else b)
+    g = spline(xs)
     if not newton:
         return g, None
-    g, S = g[:, :k2], np.roll(g[:, k2:], k, axis=1)
     # [i, j]: the derivative in y_j at node i, alpha (n, k2), beta (n, k2, k2)
     a_y = ((a_moved.reshape(k2, n) - a) / dirs.T).T
     b_y = ((b_moved.reshape(k2, n, k2) - b)
            / dirs.T[:, :, None]).transpose(1, 2, 0)
-    slope = np.roll(_knot_slopes(t, window, y[:, :k2], m[:, :k2]), k, axis=0)
-    c = b_y - omega * slope[:, :, None] * a_y[:, None, :]
-    dg = S[:, None, :, None] * c.transpose(1, 0, 2)[None]
-    return g, dg.reshape(n * k2, n * k2)
+    c = b_y - omega * spline.slopes(k2)[:, :, None] * a_y[:, None, :]
+    dg = g[:, None, k2:, None] * c.transpose(1, 0, 2)[None]
+    return g[:, :k2], dg.reshape(n * k2, n * k2)
 
 
 def _require_scalar_periodic(spec):
@@ -465,15 +464,16 @@ def invariance_residual(spec, omega, eps, phi, n_samples=RESIDUAL_SAMPLES,
     """sup over sampled x of || beta(x, phi(x)) - phi(x + omega*alpha(...)) ||.
 
     ``phi`` may be any object with ``eval`` and ``period`` (duck-typed), so
-    closed-form oracles can be checked directly.
+    closed-form oracles can be checked directly.  A misshaped or non-finite
+    evaluation raises `EvaluationError`.
     """
     require_count("n_samples", n_samples)
     rng = np.random.default_rng(seed)
     period = phi.period
     xs = rng.uniform(0.0, period, int(n_samples))
     y = phi.eval(xs)
-    a = np.asarray(spec.alpha(omega, eps, xs[:, None], y), dtype=float)
-    b = np.asarray(spec.beta(omega, eps, xs[:, None], y), dtype=float)
+    a, b = eval_batch(spec, omega, eps, xs[:, None], y)
+    require_finite(a, b)
     img = phi.eval(xs + omega * a[:, 0])
     return float(np.max(np.linalg.norm(b - img, axis=-1)))
 
@@ -483,7 +483,8 @@ def attraction_test(spec, omega, eps, phi, n_trajectories=20, n_steps=50,
     """Track d_j = ||y_j - phi(x_j)|| along sampled trajectories.
 
     Initial conditions are drawn from x in [-1, T + 1], with T the period
-    of ``phi``, and y in the ``y_radius`` ball.  Per-step rates take the max of
+    of ``phi``, and y in the ``y_radius`` ball; only the trajectories still
+    inside the r1 disc are evaluated.  Per-step rates take the max of
     d_{j+1}/d_j over trajectories whose distance is still at least
     `DISTANCE_FLOOR`; once distances reach the curve's representation-error
     level the quotients measure interpolation noise, not contraction, so the
@@ -499,11 +500,13 @@ def attraction_test(spec, omega, eps, phi, n_trajectories=20, n_steps=50,
     dist = np.full((n_steps + 1, n_trajectories), np.nan)
     dist[0] = np.linalg.norm(ys - phi.eval(xs[:, 0]), axis=-1)
     for j in range(n_steps):
-        a = np.asarray(spec.alpha(omega, eps, xs, ys), dtype=float)
-        b = np.asarray(spec.beta(omega, eps, xs, ys), dtype=float)
-        xs = np.where(alive[:, None], xs + omega * a, xs)
-        ys = np.where(alive[:, None], b, ys)
-        alive = alive & (np.linalg.norm(ys, axis=-1) <= spec.r1)
+        if not np.any(alive):
+            break
+        a, b = eval_batch(spec, omega, eps, xs[alive], ys[alive])
+        require_finite(a, b)
+        xs[alive] += omega * a
+        ys[alive] = b
+        alive[alive] = np.linalg.norm(b, axis=-1) <= spec.r1
         d = np.linalg.norm(ys - phi.eval(xs[:, 0]), axis=-1)
         dist[j + 1] = np.where(alive, d, np.nan)
 

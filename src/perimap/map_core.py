@@ -129,16 +129,40 @@ def _as_point(v, k, name):
     return v
 
 
+def checked(values, shape, name):
+    """``values`` as a float array; `EvaluationError` unless its shape is
+    ``shape``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise EvaluationError(
+            f"evaluator shape mismatch: {name} {values.shape}, expected {shape}")
+    return values
+
+
+def eval_batch(spec, omega, eps, X, Y):
+    """alpha, then beta, at the rows (X, Y), checked for the shapes (n, k1)
+    and (n, k2).  Finiteness is the caller's to test, once per batch or
+    group (`require_finite`), not once per call of a stencil."""
+    n = len(X)
+    a = np.asarray(spec.alpha(omega, eps, X, Y), dtype=float)
+    b = np.asarray(spec.beta(omega, eps, X, Y), dtype=float)
+    if a.shape != (n, spec.k1) or b.shape != (n, spec.k2):
+        raise EvaluationError(
+            f"evaluator shape mismatch: alpha {a.shape}, beta {b.shape}, "
+            f"expected {(n, spec.k1)} and {(n, spec.k2)}")
+    return a, b
+
+
+def require_finite(*values):
+    """`EvaluationError` unless every entry of ``values`` is finite."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise EvaluationError("alpha/beta returned non-finite values")
+
+
 def _eval_raw(spec, omega, eps, x, y):
     """Single-point map evaluation without the domain check."""
-    a = np.asarray(spec.alpha(omega, eps, x[None, :], y[None, :]), dtype=float)
-    b = np.asarray(spec.beta(omega, eps, x[None, :], y[None, :]), dtype=float)
-    if a.shape != (1, spec.k1) or b.shape != (1, spec.k2):
-        raise EvaluationError(
-            f"evaluator shape mismatch: alpha {a.shape}, beta {b.shape}"
-        )
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise EvaluationError("alpha/beta returned non-finite values")
+    a, b = eval_batch(spec, omega, eps, x[None, :], y[None, :])
+    require_finite(a, b)
     return x + omega * a[0], b[0]
 
 
@@ -174,18 +198,18 @@ def iterate(spec, omega, eps, x0, y0, n):
 # ----------------------------------------------------------------------------
 
 def _coordinate_diff_sups(fun, omega, eps, X, Y):
-    """Sup of |f|, centered first and second differences over all arguments.
+    """Values and column sups of centered first and second differences over
+    all arguments.
 
-    ``fun(omega, eps, X, Y)`` is one of the spec evaluators; omega/eps are
-    scalars here, so differencing in those coordinates shifts the scalar while
-    the (x, y) batch is shared.  A column of X or Y shifts as a whole, with
-    steps sized by its largest entry.  Returns (sup_f, sup_d1, sup_d2).
+    ``fun(omega, eps, X, Y)`` returns (n, c) columns; omega/eps are scalars
+    here, so differencing in those coordinates shifts the scalar while the
+    (x, y) batch is shared.  A column of X or Y shifts as a whole, with steps
+    sized by its largest entry.  Returns (f, sup_d1, sup_d2): f at the
+    stencil's centre, (n, c), and the sups over rows and coordinates, (c,).
     """
     args = (omega, eps, X, Y)
-    f0 = np.asarray(fun(*args), dtype=float)
-    sup_f = float(np.max(np.abs(f0))) if f0.size else 0.0
-    sup_d1 = 0.0
-    sup_d2 = 0.0
+    f0 = fun(*args)
+    sup_d1 = sup_d2 = np.zeros(f0.shape[1])
 
     def shifted(a, j, step):
         moved = list(args)
@@ -194,7 +218,7 @@ def _coordinate_diff_sups(fun, omega, eps, X, Y):
         else:
             moved[a] = args[a].copy()
             moved[a][:, j] += step
-        return np.asarray(fun(*moved), dtype=float)
+        return fun(*moved)
 
     # (argument, column): omega, eps, then every column of X and of Y
     coords = [(0, None), (1, None)] + [(a, j) for a in (2, 3)
@@ -205,10 +229,11 @@ def _coordinate_diff_sups(fun, omega, eps, X, Y):
         h1, h2 = float(first_step(scale)), float(second_step(scale))
         plus1, minus1, plus2, minus2 = (shifted(a, j, step)
                                         for step in (h1, -h1, h2, -h2))
-        sup_d1 = max(sup_d1, float(np.max(np.abs(plus1 - minus1) / (2.0 * h1))))
-        sup_d2 = max(
-            sup_d2, float(np.max(np.abs(plus2 - 2.0 * f0 + minus2) / h2**2)))
-    return sup_f, sup_d1, sup_d2
+        sup_d1 = np.maximum(sup_d1, np.max(np.abs(plus1 - minus1) / (2.0 * h1),
+                                           axis=0))
+        sup_d2 = np.maximum(sup_d2, np.max(
+            np.abs(plus2 - 2.0 * f0 + minus2) / h2**2, axis=0))
+    return f0, sup_d1, sup_d2
 
 
 def pairwise_q(spec, rng, n_samples, y_radius):
@@ -217,7 +242,9 @@ def pairwise_q(spec, rng, n_samples, y_radius):
     ``rng``."""
     n_q = max(8, n_samples)
     ys = ball_points(latin_hypercube(rng, n_q, spec.k2), y_radius)
-    b = np.asarray(spec.beta(0.0, 0.0, np.zeros((n_q, spec.k1)), ys), dtype=float)
+    b = checked(spec.beta(0.0, 0.0, np.zeros((n_q, spec.k1)), ys),
+                (n_q, spec.k2), "beta")
+    require_finite(b)
     dy = np.linalg.norm(ys[:, None, :] - ys[None, :, :], axis=-1)
     db = np.linalg.norm(b[:, None, :] - b[None, :, :], axis=-1)
     mask = dy > 0
@@ -228,7 +255,10 @@ def beta_y0(spec):
     """beta_y(0): central finite-difference Jacobian of y -> beta(0,0,0,y)
     at the origin."""
     def beta_at_y(Y):
-        return spec.beta(0.0, 0.0, np.zeros((len(Y), spec.k1)), Y)
+        b = checked(spec.beta(0.0, 0.0, np.zeros((len(Y), spec.k1)), Y),
+                    (len(Y), spec.k2), "beta")
+        require_finite(b)
+        return b
 
     return central_jacobian(beta_at_y, np.zeros(spec.k2))[1]
 
@@ -245,6 +275,10 @@ def check_assumptions(spec, box=None, n_samples=128, seed=0):
     * bounds: sup-norms of alpha, beta and their sampled first/second
       differences over the box (noisy for integrator-backed evaluators; these
       fields are diagnostics, not certificates).
+
+    Each stencil point evaluates alpha and then beta, so a wrapped Poincare
+    map answers beta from its memo.  A misshaped or non-finite evaluation
+    raises `EvaluationError`.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -252,56 +286,50 @@ def check_assumptions(spec, box=None, n_samples=128, seed=0):
     eps_range = box.eps if box.eps is not None else (-spec.r1, spec.r1)
     y_radius = box.y_radius if box.y_radius is not None else spec.r1
     rng = np.random.default_rng(seed)
+    k1 = spec.k1
 
-    zeros_x = np.zeros((1, spec.k1))
-    zeros_y = np.zeros((1, spec.k2))
+    def both(w, e, X, Y):  # alpha's columns, then beta's
+        return np.hstack(eval_batch(spec, w, e, X, Y))
 
     q_estimate = pairwise_q(spec, rng, n_samples, y_radius)
     B = beta_y0(spec)
     sv = np.linalg.svd(B, compute_uv=False)
     invertible = bool(sv[-1] > 1e-12 * max(1.0, float(sv[0])))
 
-    a2 = float(np.linalg.norm(np.asarray(
-        spec.beta(0.0, 0.0, zeros_x, zeros_y), dtype=float)))
+    beta_0 = checked(spec.beta(0.0, 0.0, np.zeros((1, k1)),
+                               np.zeros((1, spec.k2))), (1, spec.k2), "beta")
+    require_finite(beta_0)
+    a2 = float(np.linalg.norm(beta_0))
     per = 0.0
-    sup_a = sup_b = d1_a = d1_b = d2_a = d2_b = 0.0
+    sup = d1 = d2 = np.zeros(k1 + spec.k2)
 
     if spec.periodic_coord is not None:
-        shift = np.zeros(spec.k1)
+        shift = np.zeros(k1)
         shift[spec.periodic_coord - 1] = spec.period
 
     # stratified (omega, eps) groups with (x, y) sub-batches
     for w, e, X, Y in stratified_groups(rng, n_samples, 2, box.omega,
                                         eps_range, box.x, y_radius,
-                                        spec.k1, spec.k2):
+                                        k1, spec.k2):
         # at eps=0 the outputs must not see omega or x
-        a_w = np.asarray(spec.alpha(w, 0.0, X, Y), dtype=float)
-        b_w = np.asarray(spec.beta(w, 0.0, X, Y), dtype=float)
-        a_0 = np.asarray(spec.alpha(0.0, 0.0, np.zeros_like(X), Y), dtype=float)
-        b_0 = np.asarray(spec.beta(0.0, 0.0, np.zeros_like(X), Y), dtype=float)
-        a2 = max(a2, float(np.max(np.abs(a_w - a_0))), float(np.max(np.abs(b_w - b_0))))
-
-        # declared periodicity in the k-th x coordinate
-        if spec.periodic_coord is not None:
-            a_s = np.asarray(spec.alpha(w, e, X + shift, Y), dtype=float)
-            b_s = np.asarray(spec.beta(w, e, X + shift, Y), dtype=float)
-            a_p = np.asarray(spec.alpha(w, e, X, Y), dtype=float)
-            b_p = np.asarray(spec.beta(w, e, X, Y), dtype=float)
-            per = max(per, float(np.max(np.abs(a_s - a_p))),
-                      float(np.max(np.abs(b_s - b_p))))
-
-        sa, da, dda = _coordinate_diff_sups(spec.alpha, w, e, X, Y)
-        sb, db_, ddb = _coordinate_diff_sups(spec.beta, w, e, X, Y)
-        sup_a, d1_a, d2_a = max(sup_a, sa), max(d1_a, da), max(d2_a, dda)
-        sup_b, d1_b, d2_b = max(sup_b, sb), max(d1_b, db_), max(d2_b, ddb)
+        a2_g = float(np.max(np.abs(both(w, 0.0, X, Y)
+                                   - both(0.0, 0.0, np.zeros_like(X), Y))))
+        f, d1_g, d2_g = _coordinate_diff_sups(both, w, e, X, Y)
+        # declared periodicity in the k-th x coordinate; f is at (w, e, X, Y)
+        per_g = (float(np.max(np.abs(both(w, e, X + shift, Y) - f)))
+                 if spec.periodic_coord is not None else 0.0)
+        require_finite(f, d1_g, d2_g, a2_g, per_g)
+        a2, per = max(a2, a2_g), max(per, per_g)
+        sup = np.maximum(sup, np.max(np.abs(f), axis=0))
+        d1, d2 = np.maximum(d1, d1_g), np.maximum(d2, d2_g)
 
     bounds = {
-        "sup_alpha": sup_a,
-        "sup_beta": sup_b,
-        "sup_dalpha": d1_a,
-        "sup_dbeta": d1_b,
-        "sup_d2alpha": d2_a,
-        "sup_d2beta": d2_b,
+        "sup_alpha": float(np.max(sup[:k1])),
+        "sup_beta": float(np.max(sup[k1:])),
+        "sup_dalpha": float(np.max(d1[:k1])),
+        "sup_dbeta": float(np.max(d1[k1:])),
+        "sup_d2alpha": float(np.max(d2[:k1])),
+        "sup_d2beta": float(np.max(d2[k1:])),
     }
     return AssumptionReport(
         q_estimate=q_estimate,

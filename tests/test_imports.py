@@ -1,6 +1,6 @@
 """What `import perimap` loads.
 
-The package's periodic cubic spline is its own (`invariant_graph._moments`),
+The package's periodic cubic spline is its own (`invariant_graph._Spline`),
 so importing it must not load `scipy.interpolate`: that module alone costs
 about 0.3 s of import time and 23 MB of resident memory.
 """

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -10,8 +10,7 @@ from scipy.optimize import brentq
 
 import perimap as pm
 from perimap.exceptions import MonotonicityError
-from perimap.invariant_graph import (_iterate_to_fixed_point, _knot_slopes,
-                                     _moments, _spline_eval, _sweep)
+from perimap.invariant_graph import _iterate_to_fixed_point, _Spline, _sweep
 
 CFG = pm.CurveConfig(n_nodes=256, tol=1e-12)
 
@@ -70,6 +69,21 @@ class TestPeriodicGridFn:
     def test_negative_arguments(self):
         f = pm.PeriodicGridFn(1.0, np.arange(8, dtype=float)[:, None])
         assert_allclose(f.eval(-0.25), f.eval(0.75), atol=1e-14)
+
+    def test_values_cannot_go_stale(self):
+        # the spline is built once, so the values it was built on are frozen
+        vals = np.sin(2 * np.pi * np.arange(16) / 16)[:, None]
+        f = pm.PeriodicGridFn(1.0, vals)
+        fresh = float(f.eval(1 / 32)[0])
+        with pytest.raises(FrozenInstanceError):
+            f.values = 0.5 * vals
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[1, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            f.nodes[1] = 0.0
+        vals[1, 0] = 0.0  # the caller's array is copied, not aliased
+        assert float(f.eval(1 / 32)[0]) == fresh == pytest.approx(0.19508,
+                                                                  abs=1e-5)
 
 
 class TestGraphTransform:
@@ -283,8 +297,8 @@ def _central_dg(spec, omega, eps, xs, values, step=1e-6):
 
 class TestNewtonPushOperator:
     """The pieces of the Newton push: the one periodic cubic spline
-    (`_moments`, `_spline_eval`, `_knot_slopes`), which is also the spline
-    operator S_t when applied to the identity, and the derivative DG."""
+    (`_Spline`), which is also the spline operator S_t when applied to the
+    identity, and the derivative DG."""
 
     @pytest.mark.parametrize("n", [2, 3, 16, 256])
     def test_spline_matrix_matches_periodic_cubic_spline(self, n):
@@ -298,14 +312,12 @@ class TestNewtonPushOperator:
         xs = rng.uniform(-2.0, 4.0, 200)  # both sides of the window
         spline = CubicSpline(np.append(t, t[0] + window), np.append(y, y[0]),
                              bc_type="periodic")
-        eye = np.eye(n)
-        S = _spline_eval(t, window, eye, _moments(t, window, eye), xs)
+        S = _Spline(t, window, np.eye(n))(xs)
         assert_allclose(S @ y, spline(xs), rtol=0.0, atol=1e-12)
-        m = _moments(t, window, y[:, None])
-        assert_allclose(_spline_eval(t, window, y[:, None], m, xs)[:, 0],
-                        spline(xs), rtol=0.0, atol=1e-12)
-        assert_allclose(_knot_slopes(t, window, y[:, None], m)[:, 0],
-                        spline(t, 1), rtol=0.0, atol=1e-12)
+        own = _Spline(t, window, y[:, None])
+        assert_allclose(own(xs)[:, 0], spline(xs), rtol=0.0, atol=1e-12)
+        assert_allclose(own.slopes(1)[:, 0], spline(t, 1), rtol=0.0,
+                        atol=1e-12)
 
     def test_dg_with_fixed_images(self):
         # alpha does not depend on y, so the images and the spline through
@@ -361,6 +373,36 @@ class TestPush:
         assert errors[-1] <= 5e-11
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(orders >= 3.5), orders
+
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["anderson", "newton"])
+    def test_images_past_the_window(self, batched):
+        # omega alpha runs from 2.25 to 2.35 windows: the images start past
+        # the window and end more than one window ahead, and the push
+        # re-grids them without reordering them
+        spec = pm.MapSpec(
+            k1=1, k2=1, r1=1.0,
+            alpha=lambda w, e, x, y: 2.3 + 0.05 * np.sin(2 * np.pi * x),
+            beta=lambda w, e, x, y: (0.5 * y + 0.2 * y**2
+                                     + e * np.cos(2 * np.pi * x)),
+            periodic_coord=1, period=1.0, batched=batched)
+        xs = np.arange(64) / 64
+        v = (0.05 * np.sin(2 * np.pi * xs) + 0.02 * np.cos(6 * np.pi * xs)
+             )[:, None]
+        g, dg = _sweep(spec, 1.0, self.EPS, xs, v, 1.0)
+        img = xs + spec.alpha(1.0, self.EPS, xs[:, None], v)[:, 0]
+        assert img[0] > 1.0 and img[-1] - img[0] < 1.0 < img[-1] - 2.0
+        t0 = img[0] - 2.0
+        y = spec.beta(1.0, self.EPS, xs[:, None], v)[:, 0]
+        reference = CubicSpline(np.append(img - 2.0, t0 + 1.0),
+                                np.append(y, y[0]), bc_type="periodic")
+        assert_allclose(g[:, 0], reference(t0 + np.mod(xs - t0, 1.0)),
+                        rtol=0.0, atol=1e-12)
+        if batched:
+            central = _central_dg(spec, 1.0, self.EPS, xs, v)
+            assert np.max(np.abs(dg - central)) <= 1e-6
+        else:
+            assert dg is None
 
     @pytest.mark.parametrize("alpha", [
         lambda w, e, x, y: -2.0 * x,  # x -> -x reverses the nodes

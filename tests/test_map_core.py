@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,3 +237,47 @@ class TestTypedFailures:
     def test_single_sample_rejected(self, e1):
         with pytest.raises(ValueError, match="n_samples must be at least 2"):
             pm.check_assumptions(e1, n_samples=1)
+
+
+def _nan_beyond(fun):
+    """``fun`` with its rows at x > 0.7 replaced by nan."""
+    return lambda w, e, x, y: np.where(x[:, :1] > 0.7, np.nan, fun(w, e, x, y))
+
+
+def _flattened(fun):
+    """``fun`` returning shape (n,) in place of (n, 1)."""
+    return lambda w, e, x, y: fun(w, e, x, y)[:, 0]
+
+
+_SHEAR = pm.linear_shear()
+_MALFORMED = {
+    "beta-nan-beyond-0.7": replace(_SHEAR, beta=_nan_beyond(_SHEAR.beta)),
+    "alpha-nan-beyond-0.7": replace(_SHEAR, alpha=_nan_beyond(_SHEAR.alpha)),
+    "alpha-of-shape-n": replace(_SHEAR, alpha=_flattened(_SHEAR.alpha)),
+    "beta-of-shape-n": replace(_SHEAR, beta=_flattened(_SHEAR.beta)),
+}
+_ZERO_CURVE = pm.PeriodicGridFn.zeros(1.0, 64)
+_ENTRY_POINTS = {
+    "solve": lambda spec: pm.solve_invariant_curve(
+        spec, 0.25, 0.01, pm.CurveConfig(n_nodes=64, tol=1e-10)),
+    "residual": lambda spec: pm.invariance_residual(
+        spec, 0.25, 0.01, _ZERO_CURVE, 64, 0),
+    "attraction": lambda spec: pm.attraction_test(
+        spec, 0.25, 0.01, _ZERO_CURVE, 8, 10, seed=0, y_radius=0.1),
+    "certificate": lambda spec: pm.certificate(spec, n_samples=16, seed=0),
+    "check-assumptions": lambda spec: pm.check_assumptions(
+        spec, n_samples=16, seed=0),
+}
+
+
+class TestMalformedEvaluators:
+    """Evaluator output that is nan on part of the domain, or of shape (n,)
+    in place of (n, 1), raises `EvaluationError` from every sampled path,
+    never a LAPACK error, a misleading `MonotonicityError`, a nan result or
+    a silently broadcast one."""
+
+    @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+    @pytest.mark.parametrize("spec", list(_MALFORMED))
+    def test_raises_evaluation_error(self, spec, entry):
+        with pytest.raises(EvaluationError):
+            _ENTRY_POINTS[entry](_MALFORMED[spec])
