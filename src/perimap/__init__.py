@@ -4,10 +4,10 @@ maps and of Poincare maps of periodically forced hybrid systems."""
 from .cycle_analysis import (AdaptedNorm, CycleReport, adapted_norm,
                              analyze_cycle, certify_contraction,
                              find_fixed_point, jacobian_and_spectrum)
-from .embedding import (BumpSpec, EmbeddingParams, beta_y0, bump_psi,
-                        certificate, conjugacy_residual, estimate_lambda0,
-                        eval_F_lambda, eval_G_lambda, invert_G, spectral_gap,
-                        tilde_alpha, tilde_beta)
+from .embedding import (BumpSpec, EmbeddingParams, bump_psi, certificate,
+                        conjugacy_residual, estimate_lambda0, eval_F_lambda,
+                        eval_G_lambda, invert_G, spectral_gap, tilde_alpha,
+                        tilde_beta)
 from .exceptions import (CertificateError, ChartError, ConfigError,
                          ConvergenceError, DomainError, EvaluationError,
                          IntegrationError, MonotonicityError, NoReturnError,
@@ -22,8 +22,8 @@ from .invariant_graph import (AttractionReport, CurveConfig, PeriodicGridFn,
                               rate_bound_from_q, solve_invariant_curve,
                               uniqueness_test, write_csv, write_json)
 from .map_core import (AssumptionReport, MapSpec, SamplingBox, Trajectory,
-                       check_assumptions, eval_map, iterate, linear_shear,
-                       make_system, nonlinear_toy)
+                       beta_y0, check_assumptions, eval_map, iterate,
+                       linear_shear, make_system, nonlinear_toy)
 from .poincare import (P_eps, P_reduced, PoincareHandle, cylinder_table,
                        extract_alpha_beta, p_eps_batch, prepare_handle,
                        time_to_return)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -104,32 +103,13 @@ def bump_psi(bump, omega, eps, y):
     return val if val.ndim else float(val)
 
 
-@lru_cache(maxsize=None)
-def _alpha_origin(spec):
-    """alpha at the origin of all arguments; by the eps = 0 independence this
-    is the alpha(0) entering the linear part A_lam."""
-    a0 = np.asarray(
-        spec.alpha(0.0, 0.0, np.zeros((1, spec.k1)), np.zeros((1, spec.k2))),
-        dtype=float,
-    )
-    return a0[0]
-
-
-@lru_cache(maxsize=None)
-def beta_y0(spec):
-    """`map_core.beta_y0`, computed once per spec and read-only."""
-    B = map_core.beta_y0(spec)
-    B.setflags(write=False)
-    return B
-
-
 def embedding_params(spec, lam, q):
     """Constants of the model map at scale lam: B = beta_y(0), mu =
     (||B|| + 1)/2 and the (k1+2) x (k1+2) linear part A_lam acting on
     (omega, eps, x)."""
-    B = beta_y0(spec)
+    a0, _, B = map_core.origin(spec)
     A = np.eye(spec.k1 + 2)
-    A[2:, 0] = lam * _alpha_origin(spec)
+    A[2:, 0] = lam * a0
     mu = (float(np.linalg.norm(B, 2)) + 1.0) / 2.0
     return EmbeddingParams(lam=float(lam), B=B, A_lambda=A, mu=mu, q=float(q))
 
@@ -149,9 +129,8 @@ def _tilde_batch(spec, lam, omega, eps, X, Y):
     _check_lam(lam)
     if np.max(np.linalg.norm(lam * Y, axis=-1)) > spec.r1 * (1 + 1e-12):
         raise DomainError("||lam * y|| exceeds r1")
-    a0 = _alpha_origin(spec)
+    a0, _, B = map_core.origin(spec)
     a, b = map_core.eval_batch(spec, lam * omega, lam**2 * eps, X, lam * Y)
-    B = beta_y0(spec)
     n_top = spec.k1 + 2
     out = np.zeros((len(X), n_top + spec.k2))
     out[:, 2:n_top] = lam * omega * (a - a0)
@@ -381,7 +360,7 @@ def certificate(spec, delta=None, n_samples=64, seed=0):
                             max(n_samples, 32), spec.r1)
     if not q < 1.0:
         raise CertificateError(f"sampled contraction q = {q:.6g} is not < 1")
-    norm_B = float(np.linalg.norm(beta_y0(spec), 2))
+    norm_B = float(np.linalg.norm(map_core.beta_y0(spec), 2))
     if not norm_B <= q:
         # sampled pairs may slightly undershoot the derivative norm
         q = norm_B

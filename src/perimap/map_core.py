@@ -7,12 +7,13 @@ The map class handled throughout the package sends (x, y) in R^k1 x r1*D^k2 to
 ``alpha`` and ``beta`` are user evaluators that must be vectorized over a
 leading batch axis: for inputs x of shape (n, k1) and y of shape (n, k2) they
 return (n, k1) and (n, k2).  ``omega`` and ``eps`` are always scalars.  All
-operations here are pure functions of their inputs, so a `MapSpec` can be
-shared freely across threads.
+operations here are pure functions of their inputs (`origin` keeps its
+read-only results), so a `MapSpec` can be shared freely across threads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,6 +23,8 @@ from .numdiff import central_jacobian, first_step, second_step
 from .sampling import ball_points, latin_hypercube, stratified_groups
 
 Array = np.ndarray
+
+ORIGIN_CACHE_SIZE = 8  # specs whose `origin` is kept; a certificate reads one
 
 
 @dataclass(frozen=True)
@@ -129,16 +132,6 @@ def _as_point(v, k, name):
     return v
 
 
-def checked(values, shape, name):
-    """``values`` as a float array; `EvaluationError` unless its shape is
-    ``shape``."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != shape:
-        raise EvaluationError(
-            f"evaluator shape mismatch: {name} {values.shape}, expected {shape}")
-    return values
-
-
 def eval_batch(spec, omega, eps, X, Y):
     """alpha, then beta, at the rows (X, Y), checked for the shapes (n, k1)
     and (n, k2).  Finiteness is the caller's to test, once per batch or
@@ -242,32 +235,42 @@ def pairwise_q(spec, rng, n_samples, y_radius):
     ``rng``."""
     n_q = max(8, n_samples)
     ys = ball_points(latin_hypercube(rng, n_q, spec.k2), y_radius)
-    b = checked(spec.beta(0.0, 0.0, np.zeros((n_q, spec.k1)), ys),
-                (n_q, spec.k2), "beta")
-    require_finite(b)
+    a, b = eval_batch(spec, 0.0, 0.0, np.zeros((n_q, spec.k1)), ys)
+    require_finite(a, b)
     dy = np.linalg.norm(ys[:, None, :] - ys[None, :, :], axis=-1)
     db = np.linalg.norm(b[:, None, :] - b[None, :, :], axis=-1)
     mask = dy > 0
     return float(np.max(db[mask] / dy[mask])) if np.any(mask) else 0.0
 
 
-def beta_y0(spec):
-    """beta_y(0): central finite-difference Jacobian of y -> beta(0,0,0,y)
-    at the origin."""
-    def beta_at_y(Y):
-        b = checked(spec.beta(0.0, 0.0, np.zeros((len(Y), spec.k1)), Y),
-                    (len(Y), spec.k2), "beta")
-        require_finite(b)
-        return b
+@lru_cache(maxsize=ORIGIN_CACHE_SIZE)
+def origin(spec):
+    """(alpha(0), beta(0), beta_y(0)), read-only, from one `central_jacobian`
+    stencil of y -> (alpha, beta)(0,0,0,y); by the eps = 0 independence
+    alpha(0) and B = beta_y(0) are the linear part of the model map."""
+    def both(Y):
+        a, b = eval_batch(spec, 0.0, 0.0, np.zeros((len(Y), spec.k1)), Y)
+        require_finite(a, b)
+        return np.hstack((a, b))
 
-    return central_jacobian(beta_at_y, np.zeros(spec.k2))[1]
+    f0, J, _ = central_jacobian(both, np.zeros(spec.k2))
+    constants = (f0[:spec.k1], f0[spec.k1:], J[spec.k1:])
+    for c in constants:
+        c.setflags(write=False)
+    return constants
+
+
+def beta_y0(spec):
+    """beta_y(0), read-only: the central-difference Jacobian of
+    y -> beta(0,0,0,y) at the origin (see `origin`)."""
+    return origin(spec)[2]
 
 
 def check_assumptions(spec, box=None, n_samples=128, seed=0):
     """Sampled predicates for the standing assumptions; deterministic in ``seed``.
 
     * q_estimate: `pairwise_q`, the first draw of ``default_rng(seed)``.
-    * beta_y(0) by `beta_y0`, with an invertibility flag.
+    * beta_y(0) from `origin`, with an invertibility flag.
     * a2_defect: sup deviation of alpha/beta at eps=0 from their values at
       (omega, x) = 0, plus ||beta(0)||.
     * periodicity_defect: sup of |f(x + T e_k) - f(x)| when a periodic
@@ -292,13 +295,10 @@ def check_assumptions(spec, box=None, n_samples=128, seed=0):
         return np.hstack(eval_batch(spec, w, e, X, Y))
 
     q_estimate = pairwise_q(spec, rng, n_samples, y_radius)
-    B = beta_y0(spec)
+    _, beta_0, B = origin(spec)
     sv = np.linalg.svd(B, compute_uv=False)
     invertible = bool(sv[-1] > 1e-12 * max(1.0, float(sv[0])))
 
-    beta_0 = checked(spec.beta(0.0, 0.0, np.zeros((1, k1)),
-                               np.zeros((1, spec.k2))), (1, spec.k2), "beta")
-    require_finite(beta_0)
     a2 = float(np.linalg.norm(beta_0))
     per = 0.0
     sup = d1 = d2 = np.zeros(k1 + spec.k2)

@@ -97,7 +97,7 @@ def _pull_back(handle, states):
     us = np.asarray(sys.D_inverse(states), dtype=float)
     back = np.asarray(sys.D(us), dtype=float)
     worst = float(np.max(np.linalg.norm(back - states, axis=-1)))
-    if worst > CHART_TOL:
+    if not worst <= CHART_TOL:  # a nan distance fails too
         raise ChartError(
             f"return point lies {worst:.3g} off the chart image "
             f"(tolerance {CHART_TOL:g})"

@@ -281,3 +281,52 @@ class TestMalformedEvaluators:
     def test_raises_evaluation_error(self, spec, entry):
         with pytest.raises(EvaluationError):
             _ENTRY_POINTS[entry](_MALFORMED[spec])
+
+
+def _nan_at_origin(fun):
+    """``fun`` with its rows at (x, y) = (0, 0) replaced by nan."""
+    def at(w, e, x, y):
+        origin = np.all(x == 0, axis=1) & np.all(y == 0, axis=1)
+        return np.where(origin[:, None], np.nan, fun(w, e, x, y))
+    return at
+
+
+_ALPHA_NAN_AT_ORIGIN = replace(_SHEAR, alpha=_nan_at_origin(_SHEAR.alpha))
+_ORIGIN_ENTRY_POINTS = {
+    "certificate": _ENTRY_POINTS["certificate"],
+    "embedding-params": lambda spec: pm.embedding.embedding_params(
+        spec, 0.5, 0.5),
+    "conjugacy-residual": lambda spec: pm.conjugacy_residual(
+        spec, 0.5, 0.1, 0.01, [0.2], [0.1]),
+    "tilde-alpha": lambda spec: pm.tilde_alpha(
+        spec, 0.5, 0.1, 0.01, [0.2], [0.1]),
+    "check-assumptions": _ENTRY_POINTS["check-assumptions"],
+}
+
+
+class TestOriginFaults:
+    """alpha that is nan only at the origin, where the constants alpha(0)
+    and beta_y(0) of the model map are read, raises `EvaluationError`."""
+
+    @pytest.mark.parametrize("entry", list(_ORIGIN_ENTRY_POINTS))
+    def test_raises_evaluation_error(self, entry):
+        with pytest.raises(EvaluationError, match="non-finite"):
+            _ORIGIN_ENTRY_POINTS[entry](_ALPHA_NAN_AT_ORIGIN)
+
+
+class TestOriginCache:
+    def test_bounded_over_fresh_specs(self):
+        bound = pm.map_core.ORIGIN_CACHE_SIZE
+        for q in np.linspace(0.1, 0.5, 40):
+            pm.map_core.origin(pm.linear_shear(q=q))
+            assert pm.map_core.origin.cache_info().currsize <= bound
+
+    def test_one_stencil_per_certificate(self):
+        misses = pm.map_core.origin.cache_info().misses
+        pm.certificate(pm.linear_shear(q=0.3), n_samples=16, seed=0)
+        assert pm.map_core.origin.cache_info().misses == misses + 1
+
+    def test_read_only(self, e1):
+        for constant in pm.map_core.origin(e1):
+            with pytest.raises(ValueError, match="read-only"):
+                constant[...] = 0.0

@@ -321,6 +321,16 @@ class TestTypedFailures:
         with pytest.raises(pm.ChartError, match="off the chart image"):
             pm.P_eps(handle, 0.0, [0.0], 0.0)
 
+    def test_nan_chart_point(self, e3):
+        # a nan distance from the chart image fails the chart check
+        nan_past = replace(e3, D_inverse=lambda x: np.where(
+            e3.D_inverse(x) > 0.01, np.nan, e3.D_inverse(x)))
+        handle = pm.prepare_handle(nan_past)
+        with pytest.raises(pm.ChartError, match="off the chart image"):
+            pm.p_eps_batch(handle, [0.0], [[0.1]], 0.0)
+        with pytest.raises(pm.ChartError, match="off the chart image"):
+            pm.find_fixed_point(handle, [0.1])
+
     def test_no_radius_returns(self, handle):
         short = replace(handle, max_time=0.5)
         with pytest.raises(pm.NoReturnError,
