@@ -4,7 +4,7 @@ maps and of Poincare maps of periodically forced hybrid systems."""
 from .cycle_analysis import (AdaptedNorm, CycleReport, adapted_norm,
                              analyze_cycle, certify_contraction,
                              find_fixed_point, jacobian_and_spectrum)
-from .embedding import (BumpSpec, EmbeddingParams, bump_psi, certificate,
+from .embedding import (EmbeddingParams, bump_psi, certificate,
                         conjugacy_residual, estimate_lambda0, eval_F_lambda,
                         eval_G_lambda, invert_G, spectral_gap, tilde_alpha,
                         tilde_beta)

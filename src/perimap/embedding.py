@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from . import map_core
 from .exceptions import CertificateError, ConvergenceError, DomainError
@@ -60,26 +61,6 @@ class EmbeddingParams:
         return d
 
 
-@dataclass(frozen=True)
-class BumpSpec:
-    """Windows of the product bump: plateau [0,1] x (-r1/2, r1/2) x (r1/2)D,
-    support [-1,2] x (-r1, r1) x r1*D, each factor a piecewise-cubic smoothstep."""
-
-    r1: float
-
-    @property
-    def omega_breaks(self):
-        return (-1.0, 0.0, 1.0, 2.0)
-
-    @property
-    def eps_breaks(self):
-        return (-self.r1, -self.r1 / 2.0, self.r1 / 2.0, self.r1)
-
-    @property
-    def y_breaks(self):
-        return (self.r1 / 2.0, self.r1)
-
-
 def _smooth_up(t, a, b):
     s = np.clip((np.asarray(t, float) - a) / (b - a), 0.0, 1.0)
     # rounding takes 3 s^2 - 2 s^3 to 1 + 2^-52 for s just below 1
@@ -90,16 +71,14 @@ def _window(t, lo_out, lo_in, hi_in, hi_out):
     return _smooth_up(t, lo_out, lo_in) * (1.0 - _smooth_up(t, hi_in, hi_out))
 
 
-def bump_psi(bump, omega, eps, y):
-    """Product bump Psi(omega, eps, y): exactly 1 on the plateau, 0 outside."""
-    ob = bump.omega_breaks
-    eb = bump.eps_breaks
-    yb = bump.y_breaks
-    y = np.asarray(y, float)
-    r = np.linalg.norm(np.atleast_1d(y), axis=-1)
-    val = (_window(omega, ob[0], ob[1], ob[2], ob[3])
-           * _window(eps, eb[0], eb[1], eb[2], eb[3])
-           * (1.0 - _smooth_up(r, yb[0], yb[1])))
+def bump_psi(r1, omega, eps, y):
+    """Product bump Psi(omega, eps, y): exactly 1 on the plateau [0,1] x
+    [-r1/2, r1/2] x (r1/2)D, 0 off the support [-1,2] x (-r1, r1) x r1*D;
+    each factor is a piecewise-cubic smoothstep."""
+    r = np.linalg.norm(np.atleast_1d(np.asarray(y, float)), axis=-1)
+    val = (_window(omega, -1.0, 0.0, 1.0, 2.0)
+           * _window(eps, -r1, -r1 / 2.0, r1 / 2.0, r1)
+           * (1.0 - _smooth_up(r, r1 / 2.0, r1)))
     return val if val.ndim else float(val)
 
 
@@ -138,74 +117,76 @@ def _tilde_batch(spec, lam, omega, eps, X, Y):
     return out
 
 
+def _point(spec, omega, eps, x, y):
+    """The model-map point z = (omega, eps, x, y) in R^{k1+2+k2}."""
+    return np.concatenate(([omega, eps], np.asarray(x, float).reshape(spec.k1),
+                           np.asarray(y, float).reshape(spec.k2)))
+
+
+def _tilde_row(spec, lam, z):
+    """(alpha-tilde, beta-tilde) at the one point z."""
+    n_top = spec.k1 + 2
+    return _tilde_batch(spec, lam, float(z[0]), float(z[1]),
+                        z[None, 2:n_top], z[None, n_top:])[0]
+
+
+def _linear(params, z):
+    """L z for the linear part L = diag(A_lam, B), applied blockwise."""
+    n_top = len(params.A_lambda)
+    return np.concatenate([params.A_lambda @ z[:n_top], params.B @ z[n_top:]])
+
+
 def tilde_alpha(spec, lam, omega, eps, x, y):
-    x = np.asarray(x, float).reshape(1, spec.k1)
-    y = np.asarray(y, float).reshape(1, spec.k2)
-    t = _tilde_batch(spec, lam, float(omega), float(eps), x, y)
-    return t[0, :spec.k1 + 2]
+    return _tilde_row(spec, lam, _point(spec, omega, eps, x, y))[:spec.k1 + 2]
 
 
 def tilde_beta(spec, lam, omega, eps, x, y):
-    x = np.asarray(x, float).reshape(1, spec.k1)
-    y = np.asarray(y, float).reshape(1, spec.k2)
-    t = _tilde_batch(spec, lam, float(omega), float(eps), x, y)
-    return t[0, spec.k1 + 2:]
+    return _tilde_row(spec, lam, _point(spec, omega, eps, x, y))[spec.k1 + 2:]
+
+
+def _F(spec, params, z):
+    """F_lam at the point z."""
+    return _linear(params, z) + _tilde_row(spec, params.lam, z)
 
 
 def eval_F_lambda(spec, params, omega, eps, x, y):
     """F_lam(omega, eps, x, y) in R^{k1+k2+2}; first two rows are (omega, eps)."""
-    x = np.asarray(x, float).reshape(spec.k1)
-    y = np.asarray(y, float).reshape(spec.k2)
-    top = params.A_lambda @ np.concatenate(([omega, eps], x))
-    return np.concatenate([top, params.B @ y]) + _tilde_batch(
-        spec, params.lam, float(omega), float(eps), x[None, :], y[None, :])[0]
+    return _F(spec, params, _point(spec, omega, eps, x, y))
 
 
 def _bumped_tilde(spec, lam, z):
-    """psi * (alpha-tilde, beta-tilde) at z = (omega, eps, x, y), the
-    remainder of G_lam bumped by ``BumpSpec(spec.r1)``; zero off its
-    support."""
-    n_top = spec.k1 + 2
-    omega, eps, x, y = z[0], z[1], z[2:n_top], z[n_top:]
-    psi = bump_psi(BumpSpec(spec.r1), lam * omega, eps, y)
+    """psi * (alpha-tilde, beta-tilde) at z, the remainder of G_lam bumped
+    by ``bump_psi(spec.r1, ...)``; zero off its support."""
+    psi = bump_psi(spec.r1, lam * z[0], z[1], z[spec.k1 + 2:])
     if not psi > 0.0:
         return np.zeros_like(z)
     # inside the support the rescaled arguments stay in the map's domain
-    return psi * _tilde_batch(spec, lam, float(omega), float(eps),
-                              x[None, :], y[None, :])[0]
+    return psi * _tilde_row(spec, lam, z)
 
 
 def eval_G_lambda(spec, params, omega, eps, x, y):
-    """Bumped globalization of F_lam by the bump ``BumpSpec(spec.r1)``;
-    defined on all of R^{k1+k2+2}."""
-    x = np.asarray(x, float).reshape(spec.k1)
-    y = np.asarray(y, float).reshape(spec.k2)
-    top = params.A_lambda @ np.concatenate(([omega, eps], x))
-    bottom = params.B @ y
-    z = np.concatenate(([omega, eps], x, y))
-    return np.concatenate([top, bottom]) + _bumped_tilde(spec, params.lam, z)
+    """Bumped globalization of F_lam by ``bump_psi(spec.r1, ...)``; defined
+    on all of R^{k1+k2+2} for 0 < lam <= 1, where the bump's support keeps
+    ||lam * y|| below r1 (a larger lam raises `DomainError` for some y)."""
+    z = _point(spec, omega, eps, x, y)
+    return _linear(params, z) + _bumped_tilde(spec, params.lam, z)
 
 
-def h_lambda(lam, omega, eps, x, y):
-    """The rescaling conjugacy (omega, eps, x, y) -> (omega/lam, eps/lam^2, x, y/lam)."""
+def h_lambda(spec, lam, z):
+    """The rescaling conjugacy z = (omega, eps, x, y) -> (omega/lam,
+    eps/lam^2, x, y/lam)."""
     _check_lam(lam)
-    return (omega / lam, eps / lam**2, np.asarray(x, float),
-            np.asarray(y, float) / lam)
+    n_top = spec.k1 + 2
+    return np.concatenate(([z[0] / lam, z[1] / lam**2], z[2:n_top],
+                           z[n_top:] / lam))
 
 
 def conjugacy_residual(spec, lam, omega, eps, x, y):
     """|| F_lam(h_lam(z)) - h_lam(F_1(z)) ||; an algebraic identity up to rounding."""
-    _check_lam(lam)
-    params1 = embedding_params(spec, 1.0, q=0.0)
-    params_lam = embedding_params(spec, lam, q=0.0)
-    f1 = eval_F_lambda(spec, params1, omega, eps, x, y)
-    w1, e1 = f1[0], f1[1]
-    xbar, ybar = f1[2:2 + spec.k1], f1[2 + spec.k1:]
-    hw, he, hx, hy = h_lambda(lam, omega, eps, x, y)
-    lhs = eval_F_lambda(spec, params_lam, hw, he, hx, hy)
-    rw, re, rx, ry = h_lambda(lam, w1, e1, xbar, ybar)
-    rhs = np.concatenate([[rw, re], rx, ry])
-    return float(np.linalg.norm(lhs - rhs))
+    z = _point(spec, omega, eps, x, y)
+    f1 = _F(spec, embedding_params(spec, 1.0, q=0.0), z)
+    lhs = _F(spec, embedding_params(spec, lam, q=0.0), h_lambda(spec, lam, z))
+    return float(np.linalg.norm(lhs - h_lambda(spec, lam, f1)))
 
 
 # ----------------------------------------------------------------------------
@@ -220,10 +201,7 @@ def invert_G(spec, params, target, tol=1e-12, max_iter=100):
     which signals that lam is too large for the contraction regime.
     """
     target = np.asarray(target, float).reshape(spec.k1 + spec.k2 + 2)
-    n_top = spec.k1 + 2
-    L = np.zeros((spec.k1 + spec.k2 + 2,) * 2)
-    L[:n_top, :n_top] = params.A_lambda
-    L[n_top:, n_top:] = params.B
+    L = scipy.linalg.block_diag(params.A_lambda, params.B)
     sv = np.linalg.svd(L, compute_uv=False)
     if sv[-1] <= 1e-14 * max(1.0, sv[0]):
         raise ConvergenceError("linear part of G_lambda is numerically singular")

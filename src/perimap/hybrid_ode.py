@@ -324,13 +324,13 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     """Flow a batch of lanes, each in its own shifted time, to S.
 
     Lane i of the K >= 1 lanes (else `ValueError`) starts at absolute time
-    ``taus[i]`` in state ``vs[i]``; one tau may serve all lanes, else a
-    count other than K raises `ValueError`.  ``eps`` is a scalar or one
-    value per lane.  Everything runs in the local time s = t - tau of
-    `forced_rhs`, so the whole batch shares one adaptive step sequence
-    (which keeps evaluation errors correlated across finite-difference
-    stencils); the result's ``path`` is in local time.  ``event`` must be
-    an `EventConfig`, else `TypeError`.
+    ``taus[i]`` in state ``vs[i]`` of width ``sys.dim`` (else `ValueError`);
+    one tau may serve all lanes, else a count other than K raises
+    `ValueError`.  ``eps`` is a scalar or one value per lane.  Everything
+    runs in the local time s = t - tau of `forced_rhs`, so the whole batch
+    shares one adaptive step sequence (which keeps evaluation errors
+    correlated across finite-difference stencils); the result's ``path`` is
+    in local time.  ``event`` must be an `EventConfig`, else `TypeError`.
 
     `dopri.integrate` runs up to ``max_time`` with a per-step scan as its
     ``stop`` hook, which ends the integration once every lane has an
@@ -366,6 +366,8 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     K = vs.shape[0]
     require_count("the number of lanes in vs", K)
+    if vs.shape[1] != sys.dim:
+        raise ValueError(f"the width of vs must be {sys.dim}, got {vs.shape[1]}")
     if taus.size == 1:
         taus = np.full(K, taus[0])
     elif taus.shape != (K,):

@@ -108,16 +108,19 @@ def _pull_back(handle, states):
 def p_eps_batch(handle, taus, us, eps):
     """Vectorized Poincare map: (taus, us) -> (new times, new us).
 
-    ``us`` needs at least one row (else `ValueError`), and ``eps`` is a
-    scalar or one value per row; all rows return through one batched flow
-    either way (see `flow_batch`).  A row's result
-    depends on the other rows only through the step sequence they share,
-    so the same (tau, u, eps) flowed alone or among other rows agrees to
-    integration accuracy (within 10 * ``handle.rtol``), not bitwise.
+    ``us`` needs at least one row, each of width ``sys.k2`` (else
+    `ValueError`), and ``eps`` is a scalar or one value per row; all rows
+    return through one batched flow either way (see `flow_batch`).  A row's
+    result depends on the other rows only through the step sequence they
+    share, so the same (tau, u, eps) flowed alone or among other rows agrees
+    to integration accuracy (within 10 * ``handle.rtol``), not bitwise.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))
     require_count("the number of rows of us", us.shape[0])
+    if us.shape[1] != handle.sys.k2:
+        raise ValueError(
+            f"the width of us must be {handle.sys.k2}, got {us.shape[1]}")
     xs = np.asarray(handle.sys.D(us), dtype=float)
     times, states = _return_batch(handle, taus, xs, eps)
     return times, _pull_back(handle, states)

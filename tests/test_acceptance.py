@@ -173,19 +173,18 @@ def test_criterion_8_embedding_identities(e2, e1):
                                                          [x], [y]))
         assert worst <= 1e-12, f"conjugacy residual {worst:.3g}"
 
-        bump = pm.BumpSpec(1.0)
-        h = 1e-8
+        h = 1e-8  # across the breakpoints of the bump with r1 = 1
 
         def mismatch(f, t):
             return abs((f(t) - f(t - h)) / h - (f(t + h) - f(t)) / h)
 
         c1 = 0.0
-        for t in bump.omega_breaks:
-            c1 = max(c1, mismatch(lambda w: pm.bump_psi(bump, w, 0.0, [0.0]), t))
-        for t in bump.eps_breaks:
-            c1 = max(c1, mismatch(lambda s: pm.bump_psi(bump, 0.5, s, [0.0]), t))
-        for t in bump.y_breaks:
-            c1 = max(c1, mismatch(lambda s: pm.bump_psi(bump, 0.5, 0.0, [s]), t))
+        for t in (-1.0, 0.0, 1.0, 2.0):
+            c1 = max(c1, mismatch(lambda w: pm.bump_psi(1.0, w, 0.0, [0.0]), t))
+        for t in (-1.0, -0.5, 0.5, 1.0):
+            c1 = max(c1, mismatch(lambda s: pm.bump_psi(1.0, 0.5, s, [0.0]), t))
+        for t in (0.5, 1.0):
+            c1 = max(c1, mismatch(lambda s: pm.bump_psi(1.0, 0.5, 0.0, [s]), t))
         assert c1 <= 1e-6, f"bump C1 defect {c1:.3g}"
 
         params = emb.embedding_params(e1, 0.05, 0.5)

@@ -1,4 +1,5 @@
-"""Sample and lane counts below 1 raise `ValueError` before any evaluation."""
+"""Sample and lane counts below 1, and state rows of the wrong width, raise
+`ValueError` before any evaluation."""
 import numpy as np
 import pytest
 
@@ -39,4 +40,17 @@ NORM = pm.adapted_norm(np.array([[0.5]]))
         "p_eps_batch", "flow_batch"])
 def test_count_below_one_rejected(name, call):
     with pytest.raises(ValueError, match=rf"\b{name}\b.*at least 1, got 0"):
+        call()
+
+
+@pytest.mark.parametrize("name, expected, call", [
+    ("us", 1, lambda: pm.p_eps_batch(BOOM_HANDLE, [0.0], np.zeros((1, 2)),
+                                     0.0)),
+    ("vs", 2, lambda: pm.flow_batch(BOOM_HYBRID, [0.0], np.zeros((1, 3)), 0.0,
+                                    event=pm.EventConfig(), max_time=2.0)),
+], ids=["p_eps_batch", "flow_batch"])
+def test_wrong_width_rejected(name, expected, call):
+    with pytest.raises(ValueError,
+                       match=rf"width of {name}\b.*must be {expected}, got "
+                             f"{expected + 1}"):
         call()

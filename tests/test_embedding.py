@@ -47,31 +47,28 @@ class TestTilde:
 
 class TestBump:
     def test_plateau_exact_one(self):
-        b = pm.BumpSpec(1.0)
-        assert pm.bump_psi(b, 0.5, 0.0, [0.0]) == 1.0
-        assert pm.bump_psi(b, 0.0, 0.49, [0.3]) == 1.0
+        assert pm.bump_psi(1.0, 0.5, 0.0, [0.0]) == 1.0
+        assert pm.bump_psi(1.0, 0.0, 0.49, [0.3]) == 1.0
 
     def test_outside_exact_zero(self):
-        b = pm.BumpSpec(1.0)
-        assert pm.bump_psi(b, 3.0, 0.0, [0.0]) == 0.0
-        assert pm.bump_psi(b, 0.5, 1.5, [0.0]) == 0.0
-        assert pm.bump_psi(b, 0.5, 0.0, [1.2]) == 0.0
+        assert pm.bump_psi(1.0, 3.0, 0.0, [0.0]) == 0.0
+        assert pm.bump_psi(1.0, 0.5, 1.5, [0.0]) == 0.0
+        assert pm.bump_psi(1.0, 0.5, 0.0, [1.2]) == 0.0
 
     def test_transition_value(self):
-        b = pm.BumpSpec(1.0)
-        v = pm.bump_psi(b, -0.5, 0.0, [0.0])
+        v = pm.bump_psi(1.0, -0.5, 0.0, [0.0])
         assert 0.0 < v < 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-3, 4), st.floats(-2, 2), st.floats(-2, 2))
     @example(w=-7.83834915567464e-16, e=0.0, y=0.0)  # smoothstep rounds above 1
     def test_range(self, w, e, y):
-        v = pm.bump_psi(pm.BumpSpec(1.0), w, e, [y])
+        v = pm.bump_psi(1.0, w, e, [y])
         assert 0.0 <= v <= 1.0
 
     def test_c1_at_breakpoints(self):
         # one-sided difference mismatch across every transition breakpoint
-        b = pm.BumpSpec(1.0)
+        # of the bump with r1 = 1
         h = 1e-8
 
         def mismatch(f, t):
@@ -80,12 +77,12 @@ class TestBump:
             return abs(left - right)
 
         worst = 0.0
-        for t in b.omega_breaks:
-            worst = max(worst, mismatch(lambda w: pm.bump_psi(b, w, 0.0, [0.0]), t))
-        for t in b.eps_breaks:
-            worst = max(worst, mismatch(lambda e: pm.bump_psi(b, 0.5, e, [0.0]), t))
-        for t in b.y_breaks:
-            worst = max(worst, mismatch(lambda y: pm.bump_psi(b, 0.5, 0.0, [y]), t))
+        for t in (-1.0, 0.0, 1.0, 2.0):
+            worst = max(worst, mismatch(lambda w: pm.bump_psi(1.0, w, 0.0, [0.0]), t))
+        for t in (-1.0, -0.5, 0.5, 1.0):
+            worst = max(worst, mismatch(lambda e: pm.bump_psi(1.0, 0.5, e, [0.0]), t))
+        for t in (0.5, 1.0):
+            worst = max(worst, mismatch(lambda y: pm.bump_psi(1.0, 0.5, 0.0, [y]), t))
         assert worst <= 1e-6
 
 
@@ -184,6 +181,64 @@ class TestInvertG:
         target = np.array([0.5, 0.4, 0.1, 0.1])
         with pytest.raises(ConvergenceError):
             pm.invert_G(spec, params, target, tol=1e-12, max_iter=60)
+
+
+def _nonlinear_two_dim_y_map():
+    """k2 = 2 map nonlinear in y, so the y-rescaling of h_lambda matters."""
+    def beta(omega, eps, x, y):
+        y1, y2 = y[:, 0], y[:, 1]
+        return np.column_stack([
+            0.5 * y1 + eps * np.sin(2 * np.pi * x[:, 0]) + 0.2 * eps * y2**2,
+            0.4 * y2 + 0.1 * y1 * y2])
+
+    return pm.MapSpec(k1=1, k2=2, r1=1.0,
+                      alpha=lambda omega, eps, x, y: 1.0 + 0.1 * eps * np.cos(
+                          2 * np.pi * x),
+                      beta=beta, periodic_coord=1, period=1.0)
+
+
+class TestModelMapTwoDimY:
+    """F, G, the conjugacy and invert_G with z split at k1 + 2 = 3 and a
+    two-column y."""
+
+    spec = _nonlinear_two_dim_y_map()
+
+    @staticmethod
+    def _y(rng, r):
+        y = rng.uniform(-1, 1, 2)
+        return y * rng.uniform(0, r) / np.linalg.norm(y)
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5, 0.125])
+    def test_conjugacy_residual(self, lam):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            w, e, x = rng.uniform(0, 1), rng.uniform(-0.1, 0.1), rng.uniform(-2, 2)
+            res = pm.conjugacy_residual(self.spec, lam, w, e, [x],
+                                        self._y(rng, 0.99))
+            assert res <= 1e-12
+
+    def test_g_equals_f_on_plateau(self):
+        params = emb.embedding_params(self.spec, 0.1, 0.5)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            # lam*omega in [0,1], |eps| < r1/2, ||y|| <= r1/2: bump equals 1
+            w, e, x = rng.uniform(0, 10), rng.uniform(-0.45, 0.45), rng.uniform(-2, 2)
+            y = self._y(rng, 0.45)
+            f = pm.eval_F_lambda(self.spec, params, w, e, [x], y)
+            g = pm.eval_G_lambda(self.spec, params, w, e, [x], y)
+            assert f.shape == (5,)
+            assert_allclose(f, g, rtol=0, atol=0)
+
+    def test_invert_g_roundtrip(self):
+        params = emb.embedding_params(self.spec, 0.05, 0.5)
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            z0 = np.concatenate([[rng.uniform(-1, 15), rng.uniform(-0.4, 0.4),
+                                  rng.uniform(-2, 2)], self._y(rng, 0.9)])
+            target = pm.eval_G_lambda(self.spec, params, z0[0], z0[1], z0[2:3],
+                                      z0[3:])
+            z = pm.invert_G(self.spec, params, target, tol=1e-12)
+            assert np.linalg.norm(z - z0) <= 1e-10
 
 
 class TestLambda0:

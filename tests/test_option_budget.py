@@ -9,7 +9,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "perimap"
 
-PINNED = {"defaulted_parameters": 71, "dataclass_fields": 113}
+PINNED = {"defaulted_parameters": 71, "dataclass_fields": 112}
 
 
 def _is_dataclass(cls):
