@@ -24,6 +24,14 @@ are iterated depends on what an evaluation costs:
   sweeps it saves.
 Both fall back on the plain image when a step leaves the r1 disc.
 
+A solve given no seed curve starts from the zero curve, except on
+n >= `COARSE_MIN_NODES` nodes (always the Anderson path, as n * k2 >
+`NEWTON_NODES`).  There it first solves on n // `COARSE_FACTOR` nodes and
+samples that curve at the n nodes, so on a curve that grid resolves, one
+or two fine pushes replace 7-17 (nested iteration, `_cold_start`).  The
+reported ``iterations`` and ``measured_rates`` span both levels, and
+``max_iter`` bounds each level.
+
 Curves, pushes and the Newton operator share one periodic cubic spline in
 moment form, `_Spline`, built once per curve or push.  The
 emergent-periodicity test solves for a curve of period 2T on twice the nodes:
@@ -48,6 +56,8 @@ Array = np.ndarray
 
 ANDERSON_DEPTH = 3  # residual differences in each Anderson least-squares fit
 NEWTON_NODES = 256  # largest n * k2 of a batched map's Newton push
+COARSE_MIN_NODES = 8192  # least n of a cold solve that starts on a coarse grid
+COARSE_FACTOR = 16  # n over the node count of that coarse grid
 NEWTON_STEP = 1e-7  # y-step of the push's forward differences
 RESIDUAL_SAMPLES = 512  # sampled x of a solve's invariance residual
 DISTANCE_FLOOR = 1e-9  # least distance to the curve `attraction_test` rates
@@ -353,9 +363,9 @@ def _interp_error_estimate(values):
     return (5.0 / 384.0) * float(np.max(np.abs(d4)))
 
 
-def _iterate_to_fixed_point(spec, omega, eps, curve, tol, max_iter):
-    """Newton or Anderson-accelerated push iteration from ``curve`` over its
-    period.
+def _iterate_to_fixed_point(spec, omega, eps, period, values, tol, max_iter):
+    """Newton or Anderson-accelerated push iteration from the node values
+    ``values`` (n, k2) at the n uniform nodes of [0, ``period``).
 
     Sweep k pushes v_k to its plain image G(v_k).  When the push also returns
     DG (a ``batched`` spec, see `_sweep`), the next input is the Newton
@@ -369,14 +379,14 @@ def _iterate_to_fixed_point(spec, omega, eps, curve, tol, max_iter):
     secant rate ||G(v_k) - G(v_{k-1})|| / ||v_k - v_{k-1}|| (sup norms) is the
     contraction of the plain transform measured on the iterates.
     """
-    xs, v = curve.nodes, curve.values
+    xs, v = np.linspace(0.0, period, len(values) + 1)[:-1], values
     updates, rates, d_res, d_img = [], [], [], []
     for _ in range(int(max_iter)):
-        g, dg = _sweep(spec, omega, eps, xs, v, curve.period)
+        g, dg = _sweep(spec, omega, eps, xs, v, period)
         res = g - v
         updates.append(float(np.max(np.abs(res))))
         if updates[-1] <= tol:
-            return curve.with_values(g), updates, rates, True
+            return PeriodicGridFn(period, g), updates, rates, True
         grew = len(updates) > 1 and updates[-1] > updates[-2]
         if len(updates) > 1:
             step = float(np.max(np.abs(v - v_prev)))
@@ -400,7 +410,42 @@ def _iterate_to_fixed_point(spec, omega, eps, curve, tol, max_iter):
         if (mixed is not None
                 and np.max(np.linalg.norm(mixed, axis=-1)) <= spec.r1):
             v = mixed
-    return curve.with_values(g), updates, rates, False
+    return PeriodicGridFn(period, g), updates, rates, False
+
+
+def _cold_start(spec, omega, eps, period, n_nodes, tol, max_iter):
+    """Node values (n_nodes, k2) from which to solve over ``period`` when no
+    seed curve is given, with the updates and secant rates of the pushes
+    spent on them.
+
+    Below `COARSE_MIN_NODES` nodes these are the zero curve's (whose build
+    rejects fewer than 2 nodes before any evaluation), and no push is
+    spent.  At or above it, the start is nested iteration, the first step
+    of full multigrid (Briggs, Henson & McCormick, A Multigrid Tutorial,
+    2nd ed., SIAM 2000): `_iterate_to_fixed_point` on n_nodes //
+    `COARSE_FACTOR` nodes over the same period, from that grid's own cold
+    start, sampled at the n_nodes nodes.  Where the coarse spline resolves
+    the curve, it fixes the fine nodes to about its error, so the fine level
+    needs a push or two where a cold one needs 7-17.  A coarse level is
+    only a seed: if it raises `DomainError` or `MonotonicityError`, misses
+    ``tol`` in ``max_iter`` pushes, or a sampled node leaves the r1 disc,
+    it is dropped with its pushes and the fine level starts from zeros, so
+    the solve is then the cold solve, report and all.
+    """
+    if n_nodes < COARSE_MIN_NODES:
+        return PeriodicGridFn.zeros(period, n_nodes, spec.k2).values, [], []
+    try:
+        values, updates, rates = _cold_start(
+            spec, omega, eps, period, n_nodes // COARSE_FACTOR, tol, max_iter)
+        coarse, more, more_rates, hit_tol = _iterate_to_fixed_point(
+            spec, omega, eps, period, values, tol, max_iter)
+    except (DomainError, MonotonicityError):
+        hit_tol = False
+    if hit_tol:
+        values = coarse.eval(np.linspace(0.0, period, n_nodes + 1)[:-1])
+        if np.max(np.linalg.norm(values, axis=-1)) <= spec.r1:
+            return values, updates + more, rates + more_rates
+    return np.zeros((n_nodes, spec.k2)), [], []
 
 
 def solve_invariant_curve(spec, omega, eps, config=None):
@@ -414,9 +459,18 @@ def solve_invariant_curve(spec, omega, eps, config=None):
     counts pushes, one map call each, and ``measured_rates`` holds the secant
     contraction rates of the plain transform on the iterates either way.
 
+    With no ``seed_curve`` the solve starts cold (`_cold_start`): from the
+    zero curve, or for n_nodes >= `COARSE_MIN_NODES` from a solve on
+    n_nodes // `COARSE_FACTOR` nodes.  ``iterations`` and ``measured_rates``
+    then list the coarse pushes and rates first, then the fine ones;
+    ``final_update`` is the fine level's, and ``max_iter`` bounds each
+    level.  The stopping rule and the returned plain image are the same, so
+    the curve lies within about ``tol`` of the one from the zero curve.
+
     A ``seed_curve`` whose period, node count or k2 differs from
     ``spec.period``, ``n_nodes`` or ``spec.k2`` raises `ValueError` before
-    any evaluation; missing ``tol`` in ``max_iter`` sweeps raises
+    any evaluation, and one whose sup norm exceeds r1 raises `DomainError`;
+    missing ``tol`` in ``max_iter`` fine sweeps raises
     `ConvergenceError`.  ``converged`` then requires the off-node invariance
     residual to be explainable by the spline discretization: residual <=
     10 * (tol + est), where est is the standard interpolation-error scale
@@ -427,18 +481,25 @@ def solve_invariant_curve(spec, omega, eps, config=None):
     config = config or CurveConfig()
     _require_scalar_periodic(spec)
     omega, eps = float(omega), float(eps)
-    curve = config.seed_curve or PeriodicGridFn.zeros(
-        spec.period, config.n_nodes, spec.k2)
-    for name, got, want in (("period", curve.period, spec.period),
-                            ("node count", curve.n_nodes, config.n_nodes),
-                            ("k2", curve.k2, spec.k2)):
-        if got != want:
-            raise ValueError(f"seed curve {name} {got} differs from {want}")
-    if curve.sup_norm() > spec.r1:
-        raise DomainError("seed curve exceeds the radius-r1 disc")
+    seed = config.seed_curve
+    if seed is None:
+        values, updates, rates = _cold_start(
+            spec, omega, eps, spec.period, config.n_nodes, config.tol,
+            config.max_iter)
+    else:
+        for name, got, want in (("period", seed.period, spec.period),
+                                ("node count", seed.n_nodes, config.n_nodes),
+                                ("k2", seed.k2, spec.k2)):
+            if got != want:
+                raise ValueError(
+                    f"seed curve {name} {got} differs from {want}")
+        if seed.sup_norm() > spec.r1:
+            raise DomainError("seed curve exceeds the radius-r1 disc")
+        values, updates, rates = seed.values, [], []
 
-    curve, updates, rates, hit_tol = _iterate_to_fixed_point(
-        spec, omega, eps, curve, config.tol, config.max_iter)
+    curve, fine, fine_rates, hit_tol = _iterate_to_fixed_point(
+        spec, omega, eps, spec.period, values, config.tol, config.max_iter)
+    updates, rates = updates + fine, rates + fine_rates
     if not hit_tol:
         raise ConvergenceError(
             f"no convergence after {config.max_iter} sweeps "
@@ -528,16 +589,22 @@ def periodicity_defect(spec, omega, eps, config=None):
     """Emergent-periodicity test: re-solve on the doubled window [0, 2T).
 
     The curve is a 2T-periodic grid function of 2 * ``n_nodes`` nodes, so
-    only 2T-periodicity is imposed.  Returns sup over x in [0, T) of
-    ||phi(x + T) - phi(x)|| for the converged doubled curve.
+    only 2T-periodicity is imposed.  It starts cold like
+    `solve_invariant_curve` (`_cold_start`): at 2 * n_nodes >=
+    `COARSE_MIN_NODES` from a solve on a coarse grid that is also over
+    [0, 2T), never from a T-periodic seed, which the push of a T-periodic
+    map would keep T-periodic.  ``max_iter`` bounds each level.  Returns sup
+    over x in [0, T) of ||phi(x + T) - phi(x)|| for the converged doubled
+    curve.
     """
     config = config or CurveConfig()
     _require_scalar_periodic(spec)
     omega, eps = float(omega), float(eps)
     T = spec.period
-    curve = PeriodicGridFn.zeros(2.0 * T, 2 * config.n_nodes, spec.k2)
+    values, _, _ = _cold_start(spec, omega, eps, 2.0 * T, 2 * config.n_nodes,
+                               config.tol, config.max_iter)
     curve, updates, _, hit_tol = _iterate_to_fixed_point(
-        spec, omega, eps, curve, config.tol, config.max_iter)
+        spec, omega, eps, 2.0 * T, values, config.tol, config.max_iter)
     if not hit_tol:
         raise ConvergenceError(
             f"doubled-window solve did not converge (last update {updates[-1]:.3g})"

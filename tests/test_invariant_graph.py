@@ -462,6 +462,18 @@ class TestAttraction:
         assert rep.max_rate(transient=5) <= rep.rate_bound
 
 
+def _aperiodic_map():
+    """beta is forced at period sqrt 2 as well as 1, so no invariant curve
+    of the map is T-periodic."""
+    def beta(w, e, x, y):
+        return 0.5 * y + e * (np.sin(2 * np.pi * x)
+                              + np.sin(2 * np.pi * x / np.sqrt(2.0)))
+
+    return pm.MapSpec(k1=1, k2=1, r1=1.0,
+                      alpha=lambda w, e, x, y: np.ones_like(x),
+                      beta=beta, periodic_coord=1, period=1.0)
+
+
 class TestPeriodicityDefect:
     def test_linear_shear_small(self, e1):
         assert pm.periodicity_defect(e1, 0.25, 0.01, CFG) <= 1e-6
@@ -470,14 +482,7 @@ class TestPeriodicityDefect:
         assert pm.periodicity_defect(e1, 0.25, 0.0, CFG) <= 1e-12
 
     def test_aperiodic_term_large(self):
-        def beta(w, e, x, y):
-            return 0.5 * y + e * (np.sin(2 * np.pi * x)
-                                  + np.sin(2 * np.pi * x / np.sqrt(2.0)))
-
-        bad = pm.MapSpec(k1=1, k2=1, r1=1.0,
-                         alpha=lambda w, e, x, y: np.ones_like(x),
-                         beta=beta, periodic_coord=1, period=1.0)
-        assert pm.periodicity_defect(bad, 0.25, 0.01, CFG) > 1e-3
+        assert pm.periodicity_defect(_aperiodic_map(), 0.25, 0.01, CFG) > 1e-3
 
     @pytest.mark.parametrize("system", ["e1", "e2"])
     def test_emerges_from_a_seed_that_flips_sign(self, system, request):
@@ -489,7 +494,7 @@ class TestPeriodicityDefect:
         xs = np.linspace(0.0, 1.0, 1024, endpoint=False)
         assert np.max(np.abs(seed.eval(xs + 1.0) - seed.eval(xs))) > 0.39
         curve, _, _, hit_tol = _iterate_to_fixed_point(
-            spec, 0.25, 0.01, seed, 1e-12, 100)
+            spec, 0.25, 0.01, seed.period, seed.values, 1e-12, 100)
         assert hit_tol
         assert np.max(np.abs(curve.eval(xs + 1.0) - curve.eval(xs))) <= 1e-9
 
@@ -624,7 +629,7 @@ class TestRarePaths:
         spec = _restarting_map()
         seed = pm.PeriodicGridFn.zeros(1.0, 64, 1)
         _, updates, _, hit_tol = _iterate_to_fixed_point(
-            spec, 0.25, 0.026, seed, 1e-12, 100)
+            spec, 0.25, 0.026, seed.period, seed.values, 1e-12, 100)
         assert hit_tol and len(updates) == 36
         grew = [k for k in range(1, len(updates)) if updates[k] > updates[k - 1]]
         assert grew == [6, 25]  # sweeps 7 and 26 clear the history
@@ -656,3 +661,159 @@ class TestRarePaths:
         rows = pm.continuity_in_eps(e1, 0.25, [0.0], CFG)
         lo, hi = pm.invariant_graph.ratio_band(rows)
         assert np.isnan(lo) and np.isnan(hi)
+
+
+def _counted(spec):
+    """``spec`` with an alpha that records the rows of each call."""
+    rows = []
+
+    def alpha(w, e, x, y):
+        rows.append(len(x))
+        return spec.alpha(w, e, x, y)
+
+    return replace(spec, alpha=alpha), rows
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Runs a call with no grid large enough for a coarse start."""
+    def call(fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(pm.invariant_graph, "COARSE_MIN_NODES", 2**62)
+            return fn(*args)
+    return call
+
+
+class TestCoarseStart:
+    """A cold solve on n >= COARSE_MIN_NODES nodes starts from a solve on
+    n // COARSE_FACTOR nodes; only the count of fine pushes may change."""
+
+    N = 8192
+
+    @pytest.mark.parametrize("eps", [1.3e-3, 1.4e-2])
+    @pytest.mark.parametrize("omega", [0.25, 0.37])
+    @pytest.mark.parametrize("system", ["e1", "e2"])
+    def test_matches_the_cold_solve(self, system, omega, eps, cold, request):
+        spec, rows = _counted(request.getfixturevalue(system))
+        cfg = pm.CurveConfig(n_nodes=self.N, tol=1e-12)
+        curve, rep = pm.solve_invariant_curve(spec, omega, eps, cfg)
+        fine = rows.count(self.N)
+        ref, ref_rep = cold(pm.solve_invariant_curve, spec, omega, eps, cfg)
+        assert 1 <= fine <= 3 < rep.iterations
+        assert rep.converged and ref_rep.converged
+        assert np.max(np.abs(curve.values - ref.values)) <= 1e-12
+
+    def test_few_fine_pushes(self, e2):
+        n = 16384
+        spec, rows = _counted(e2)
+        _, rep = pm.solve_invariant_curve(spec, 0.25, 1e-2,
+                                          pm.CurveConfig(n_nodes=n, tol=1e-12))
+        coarse = rows.count(n // pm.invariant_graph.COARSE_FACTOR)
+        fine = rows.count(n)
+        assert coarse >= 5 and 1 <= fine <= 2
+        assert rep.iterations == coarse + fine
+        # a level of k >= 2 pushes measures k - 2 rates, none on its first or
+        # last push
+        assert len(rep.measured_rates) == coarse - 2 + max(fine - 2, 0)
+        assert rep.converged and rep.final_update <= 1e-12
+
+    def test_unresolved_forcing(self, cold):
+        # mode 600 aliases on the 512-node coarse grid
+        spec = pm.MapSpec(
+            k1=1, k2=1, r1=1.0, alpha=lambda w, e, x, y: np.ones_like(x),
+            beta=lambda w, e, x, y: 0.5 * y + e * np.sin(1200 * np.pi * x),
+            periodic_coord=1, period=1.0)
+        cfg = pm.CurveConfig(n_nodes=self.N, tol=1e-12)
+        curve, _ = pm.solve_invariant_curve(spec, 0.37, 0.01, cfg)
+        ref, _ = cold(pm.solve_invariant_curve, spec, 0.37, 0.01, cfg)
+        assert np.max(np.abs(curve.values - ref.values)) <= 1e-12
+
+    @pytest.mark.parametrize("failure", ["order", "disc", "max_iter",
+                                         "sampled_off_disc"])
+    def test_a_failed_coarse_level_gives_the_cold_solve(self, e2, failure,
+                                                        cold, monkeypatch):
+        iterate = _iterate_to_fixed_point
+
+        def coarse_fails(spec, omega, eps, period, values, tol, max_iter):
+            if len(values) == self.N:
+                return iterate(spec, omega, eps, period, values, tol, max_iter)
+            if failure == "order":
+                raise MonotonicityError("coarse pushes lost their order")
+            if failure == "disc":
+                raise pm.DomainError("coarse push left the disc")
+            if failure == "max_iter":
+                max_iter = 2
+            curve, updates, rates, hit_tol = iterate(
+                spec, omega, eps, period, values, tol, max_iter)
+            if failure == "sampled_off_disc":
+                curve = curve.with_values(curve.values + 1.5 * spec.r1)
+            return curve, updates, rates, hit_tol
+
+        cfg = pm.CurveConfig(n_nodes=self.N, tol=1e-12)
+        ref, ref_rep = cold(pm.solve_invariant_curve, e2, 0.25, 0.01, cfg)
+        monkeypatch.setattr(pm.invariant_graph, "_iterate_to_fixed_point",
+                            coarse_fails)
+        curve, rep = pm.solve_invariant_curve(e2, 0.25, 0.01, cfg)
+        assert np.array_equal(curve.values, ref.values)
+        assert rep.to_json_dict() == ref_rep.to_json_dict()
+
+    @pytest.mark.parametrize("spec, omega, eps, max_iter, error", [
+        (pm.nonlinear_toy(advance_coupling=3.0), 0.37, 0.2, 100,
+         MonotonicityError),
+        (pm.linear_shear(), 0.25, 1.2, 100, pm.DomainError),
+        (pm.nonlinear_toy(), 0.25, 0.01, 3, pm.ConvergenceError),
+    ], ids=["order", "disc", "max_iter"])
+    def test_a_failing_solve_fails_alike(self, spec, omega, eps, max_iter,
+                                         error, cold):
+        cfg = pm.CurveConfig(n_nodes=self.N, max_iter=max_iter)
+        with pytest.raises(error):
+            cold(pm.solve_invariant_curve, spec, omega, eps, cfg)
+        with pytest.raises(error):
+            pm.solve_invariant_curve(spec, omega, eps, cfg)
+
+    @pytest.mark.parametrize("n, batched, push_rows", [(4096, False, 4096),
+                                                       (256, True, 512)])
+    def test_one_level_below_the_threshold(self, e2, n, batched, push_rows):
+        spec, rows = _counted(replace(e2, batched=batched))
+        _, rep = pm.solve_invariant_curve(spec, 0.25, 0.01,
+                                          pm.CurveConfig(n_nodes=n, tol=1e-12))
+        # every call is a push but the last, the 512-row residual
+        assert rows[:-1] == [push_rows] * rep.iterations
+        assert rows[-1] == pm.invariant_graph.RESIDUAL_SAMPLES
+
+    def test_cold_seeds_cost_no_fine_curve(self, e2, monkeypatch):
+        built = []
+        zeros = pm.PeriodicGridFn.zeros.__func__
+
+        def record_zeros(cls, period, n_nodes, k2=1):
+            built.append(n_nodes)
+            return zeros(cls, period, n_nodes, k2)
+
+        def no_norm(self):
+            raise AssertionError("a cold seed was normed")
+
+        monkeypatch.setattr(pm.PeriodicGridFn, "zeros",
+                            classmethod(record_zeros))
+        monkeypatch.setattr(pm.PeriodicGridFn, "sup_norm", no_norm)
+        for n in (64, 16384):
+            pm.solve_invariant_curve(e2, 0.25, 0.01, pm.CurveConfig(n_nodes=n))
+        assert built == [64, 16384 // pm.invariant_graph.COARSE_FACTOR]
+
+    def test_doubled_window(self, cold):
+        # 2n = 8192 nodes over 2T start from 512 nodes over 2T; a T-periodic
+        # seed would make the test vacuous on a T-periodic map
+        bad, pushes = _aperiodic_map(), []
+
+        def alpha(w, e, x, y):
+            pushes.append((len(x), float(np.max(x))))
+            return bad.alpha(w, e, x, y)
+
+        spec = replace(bad, alpha=alpha)
+        cfg = pm.CurveConfig(n_nodes=self.N // 2, tol=1e-12)
+        defect = pm.periodicity_defect(spec, 0.25, 0.01, cfg)
+        coarse = [x_max for rows, x_max in pushes
+                  if rows == self.N // pm.invariant_graph.COARSE_FACTOR]
+        assert coarse and min(coarse) > 1.99
+        assert defect > 1e-3
+        ref = cold(pm.periodicity_defect, spec, 0.25, 0.01, cfg)
+        assert abs(defect - ref) <= 1e-12
