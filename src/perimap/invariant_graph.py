@@ -26,11 +26,13 @@ Both fall back on the plain image when a step leaves the r1 disc.
 
 A solve given no seed curve starts from the zero curve, except on
 n >= `COARSE_MIN_NODES` nodes (always the Anderson path, as n * k2 >
-`NEWTON_NODES`).  There it first solves on n // `COARSE_FACTOR` nodes and
-samples that curve at the n nodes, so on a curve that grid resolves, one
-or two fine pushes replace 7-17 (nested iteration, `_cold_start`).  The
-reported ``iterations`` and ``measured_rates`` span both levels, and
-``max_iter`` bounds each level.
+`NEWTON_NODES`).  There it first solves on n // `COARSE_FACTOR` nodes and,
+if that grid resolves the curve to the tolerance scale, samples the coarse
+curve at the n nodes, so one or two fine pushes replace 7-17 (nested
+iteration, `_solve_cold`).  The reported ``iterations`` and
+``measured_rates`` then span both levels, and ``max_iter`` bounds each
+level; a coarse seed that is not trusted, or from which the fine level
+fails, leaves the cold solve's result.
 
 Curves, pushes and the Newton operator share one periodic cubic spline in
 moment form, `_Spline`, built once per curve or push.  The
@@ -413,39 +415,47 @@ def _iterate_to_fixed_point(spec, omega, eps, period, values, tol, max_iter):
     return PeriodicGridFn(period, g), updates, rates, False
 
 
-def _cold_start(spec, omega, eps, period, n_nodes, tol, max_iter):
-    """Node values (n_nodes, k2) from which to solve over ``period`` when no
-    seed curve is given, with the updates and secant rates of the pushes
-    spent on them.
+def _solve_cold(spec, omega, eps, period, n_nodes, tol, max_iter):
+    """`_iterate_to_fixed_point` over ``period`` on ``n_nodes`` nodes when no
+    seed curve is given; returns its (curve, updates, secant rates, whether
+    ``tol`` was met), the updates and rates covering every push the
+    returned curve rests on.
 
-    Below `COARSE_MIN_NODES` nodes these are the zero curve's (whose build
-    rejects fewer than 2 nodes before any evaluation), and no push is
-    spent.  At or above it, the start is nested iteration, the first step
-    of full multigrid (Briggs, Henson & McCormick, A Multigrid Tutorial,
-    2nd ed., SIAM 2000): `_iterate_to_fixed_point` on n_nodes //
-    `COARSE_FACTOR` nodes over the same period, from that grid's own cold
-    start, sampled at the n_nodes nodes.  Where the coarse spline resolves
-    the curve, it fixes the fine nodes to about its error, so the fine level
-    needs a push or two where a cold one needs 7-17.  A coarse level is
-    only a seed: if it raises `DomainError` or `MonotonicityError`, misses
-    ``tol`` in ``max_iter`` pushes, or a sampled node leaves the r1 disc,
-    it is dropped with its pushes and the fine level starts from zeros, so
-    the solve is then the cold solve, report and all.
+    Below `COARSE_MIN_NODES` nodes this iterates from the zero curve (whose
+    build rejects fewer than 2 nodes before any evaluation).  At or above
+    it, the start is nested iteration, the first step of full multigrid
+    (Briggs, Henson & McCormick, A Multigrid Tutorial, 2nd ed., SIAM 2000):
+    a cold solve on n_nodes // `COARSE_FACTOR` nodes over the same period,
+    sampled at the n_nodes nodes.  The samples fix the fine nodes to about
+    the coarse spline's error, so the coarse curve is trusted as a seed only
+    when the coarse grid resolves it: when the interpolation-error scale of
+    its node values (`_interp_error_estimate`, the ``converged`` gate's est)
+    is at most 10 ``tol``.  Then the fine level needs a push or two where a
+    cold one needs 7-17.  The coarse level is only a seed: if it raises
+    `DomainError` or `MonotonicityError`, misses ``tol`` in ``max_iter``
+    pushes, fails that check, or a sampled node leaves the r1 disc, or if
+    the fine iteration from the samples raises either error or misses
+    ``tol``, its pushes are dropped and the fine level iterates from zeros.
+    The result is then the cold solve's, report, outcome and all.
     """
     if n_nodes < COARSE_MIN_NODES:
-        return PeriodicGridFn.zeros(period, n_nodes, spec.k2).values, [], []
+        zeros = PeriodicGridFn.zeros(period, n_nodes, spec.k2).values
+        return _iterate_to_fixed_point(spec, omega, eps, period, zeros, tol,
+                                       max_iter)
     try:
-        values, updates, rates = _cold_start(
+        coarse, updates, rates, hit_tol = _solve_cold(
             spec, omega, eps, period, n_nodes // COARSE_FACTOR, tol, max_iter)
-        coarse, more, more_rates, hit_tol = _iterate_to_fixed_point(
-            spec, omega, eps, period, values, tol, max_iter)
+        if hit_tol and _interp_error_estimate(coarse.values) <= 10.0 * tol:
+            values = coarse.eval(np.linspace(0.0, period, n_nodes + 1)[:-1])
+            if np.max(np.linalg.norm(values, axis=-1)) <= spec.r1:
+                curve, more, more_rates, hit_tol = _iterate_to_fixed_point(
+                    spec, omega, eps, period, values, tol, max_iter)
+                if hit_tol:
+                    return curve, updates + more, rates + more_rates, True
     except (DomainError, MonotonicityError):
-        hit_tol = False
-    if hit_tol:
-        values = coarse.eval(np.linspace(0.0, period, n_nodes + 1)[:-1])
-        if np.max(np.linalg.norm(values, axis=-1)) <= spec.r1:
-            return values, updates + more, rates + more_rates
-    return np.zeros((n_nodes, spec.k2)), [], []
+        pass
+    return _iterate_to_fixed_point(spec, omega, eps, period,
+                                   np.zeros((n_nodes, spec.k2)), tol, max_iter)
 
 
 def solve_invariant_curve(spec, omega, eps, config=None):
@@ -459,18 +469,20 @@ def solve_invariant_curve(spec, omega, eps, config=None):
     counts pushes, one map call each, and ``measured_rates`` holds the secant
     contraction rates of the plain transform on the iterates either way.
 
-    With no ``seed_curve`` the solve starts cold (`_cold_start`): from the
+    With no ``seed_curve`` the solve starts cold (`_solve_cold`): from the
     zero curve, or for n_nodes >= `COARSE_MIN_NODES` from a solve on
-    n_nodes // `COARSE_FACTOR` nodes.  ``iterations`` and ``measured_rates``
-    then list the coarse pushes and rates first, then the fine ones;
-    ``final_update`` is the fine level's, and ``max_iter`` bounds each
-    level.  The stopping rule and the returned plain image are the same, so
-    the curve lies within about ``tol`` of the one from the zero curve.
+    n_nodes // `COARSE_FACTOR` nodes when that grid resolves the curve.
+    ``iterations`` and ``measured_rates`` then list the coarse pushes and
+    rates first, then the fine ones; ``final_update`` is the fine level's,
+    and ``max_iter`` bounds each level.  The stopping rule and the returned
+    plain image are the same, so the curve lies within about ``tol`` of the
+    one from the zero curve, and a solve that fails from the coarse seed is
+    redone from zeros, so it fails only as the cold solve does.
 
     A ``seed_curve`` whose period, node count or k2 differs from
     ``spec.period``, ``n_nodes`` or ``spec.k2`` raises `ValueError` before
     any evaluation, and one whose sup norm exceeds r1 raises `DomainError`;
-    missing ``tol`` in ``max_iter`` fine sweeps raises
+    missing ``tol`` in ``max_iter`` sweeps raises
     `ConvergenceError`.  ``converged`` then requires the off-node invariance
     residual to be explainable by the spline discretization: residual <=
     10 * (tol + est), where est is the standard interpolation-error scale
@@ -483,7 +495,7 @@ def solve_invariant_curve(spec, omega, eps, config=None):
     omega, eps = float(omega), float(eps)
     seed = config.seed_curve
     if seed is None:
-        values, updates, rates = _cold_start(
+        curve, updates, rates, hit_tol = _solve_cold(
             spec, omega, eps, spec.period, config.n_nodes, config.tol,
             config.max_iter)
     else:
@@ -495,11 +507,9 @@ def solve_invariant_curve(spec, omega, eps, config=None):
                     f"seed curve {name} {got} differs from {want}")
         if seed.sup_norm() > spec.r1:
             raise DomainError("seed curve exceeds the radius-r1 disc")
-        values, updates, rates = seed.values, [], []
-
-    curve, fine, fine_rates, hit_tol = _iterate_to_fixed_point(
-        spec, omega, eps, spec.period, values, config.tol, config.max_iter)
-    updates, rates = updates + fine, rates + fine_rates
+        curve, updates, rates, hit_tol = _iterate_to_fixed_point(
+            spec, omega, eps, spec.period, seed.values, config.tol,
+            config.max_iter)
     if not hit_tol:
         raise ConvergenceError(
             f"no convergence after {config.max_iter} sweeps "
@@ -590,10 +600,11 @@ def periodicity_defect(spec, omega, eps, config=None):
 
     The curve is a 2T-periodic grid function of 2 * ``n_nodes`` nodes, so
     only 2T-periodicity is imposed.  It starts cold like
-    `solve_invariant_curve` (`_cold_start`): at 2 * n_nodes >=
+    `solve_invariant_curve` (`_solve_cold`): at 2 * n_nodes >=
     `COARSE_MIN_NODES` from a solve on a coarse grid that is also over
     [0, 2T), never from a T-periodic seed, which the push of a T-periodic
-    map would keep T-periodic.  ``max_iter`` bounds each level.  Returns sup
+    map would keep T-periodic.  ``max_iter`` bounds each level, and the
+    iterations and rates span both.  Returns sup
     over x in [0, T) of ||phi(x + T) - phi(x)|| for the converged doubled
     curve.
     """
@@ -601,10 +612,9 @@ def periodicity_defect(spec, omega, eps, config=None):
     _require_scalar_periodic(spec)
     omega, eps = float(omega), float(eps)
     T = spec.period
-    values, _, _ = _cold_start(spec, omega, eps, 2.0 * T, 2 * config.n_nodes,
-                               config.tol, config.max_iter)
-    curve, updates, _, hit_tol = _iterate_to_fixed_point(
-        spec, omega, eps, 2.0 * T, values, config.tol, config.max_iter)
+    curve, updates, _, hit_tol = _solve_cold(
+        spec, omega, eps, 2.0 * T, 2 * config.n_nodes, config.tol,
+        config.max_iter)
     if not hit_tol:
         raise ConvergenceError(
             f"doubled-window solve did not converge (last update {updates[-1]:.3g})"

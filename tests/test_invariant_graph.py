@@ -474,6 +474,25 @@ def _aperiodic_map():
                       beta=beta, periodic_coord=1, period=1.0)
 
 
+def _half_frequency_map():
+    """beta is forced at period 2 = 2T, so the map's invariant curve is
+    smooth over the doubled window but not T-periodic."""
+    def beta(w, e, x, y):
+        return 0.5 * y + e * (np.sin(2 * np.pi * x) + np.sin(np.pi * x))
+
+    return pm.MapSpec(k1=1, k2=1, r1=1.0,
+                      alpha=lambda w, e, x, y: np.ones_like(x),
+                      beta=beta, periodic_coord=1, period=1.0)
+
+
+def _unresolved_map():
+    """beta is forced at mode 600, which a grid of 512 nodes aliases."""
+    return pm.MapSpec(
+        k1=1, k2=1, r1=1.0, alpha=lambda w, e, x, y: np.ones_like(x),
+        beta=lambda w, e, x, y: 0.5 * y + e * np.sin(1200 * np.pi * x),
+        periodic_coord=1, period=1.0)
+
+
 class TestPeriodicityDefect:
     def test_linear_shear_small(self, e1):
         assert pm.periodicity_defect(e1, 0.25, 0.01, CFG) <= 1e-6
@@ -718,15 +737,34 @@ class TestCoarseStart:
         assert rep.converged and rep.final_update <= 1e-12
 
     def test_unresolved_forcing(self, cold):
-        # mode 600 aliases on the 512-node coarse grid
-        spec = pm.MapSpec(
-            k1=1, k2=1, r1=1.0, alpha=lambda w, e, x, y: np.ones_like(x),
-            beta=lambda w, e, x, y: 0.5 * y + e * np.sin(1200 * np.pi * x),
-            periodic_coord=1, period=1.0)
+        # mode 600 aliases on the 512-node coarse grid, so the coarse curve
+        # is no seed and the fine level makes the cold solve's pushes
+        spec, rows = _counted(_unresolved_map())
         cfg = pm.CurveConfig(n_nodes=self.N, tol=1e-12)
         curve, _ = pm.solve_invariant_curve(spec, 0.37, 0.01, cfg)
+        fine = rows.count(self.N)
+        rows.clear()
         ref, _ = cold(pm.solve_invariant_curve, spec, 0.37, 0.01, cfg)
+        assert 1 <= fine <= rows.count(self.N)
         assert np.max(np.abs(curve.values - ref.values)) <= 1e-12
+
+    @pytest.mark.parametrize("trust", ["checked", "forced"])
+    def test_a_seed_the_fine_level_cannot_finish(self, trust, cold,
+                                                 monkeypatch):
+        # from the aliased coarse curve the fine level needs about 21
+        # pushes, from zeros 4; "forced" lets that seed past the resolution
+        # check, so the fine level misses tol and is redone from zeros
+        spec = _unresolved_map()
+        cfg = pm.CurveConfig(n_nodes=self.N, tol=1e-12, max_iter=10)
+        ref, ref_rep = cold(pm.solve_invariant_curve, spec, 0.37, 0.01, cfg)
+        if trust == "forced":
+            estimate = pm.invariant_graph._interp_error_estimate
+            monkeypatch.setattr(
+                pm.invariant_graph, "_interp_error_estimate",
+                lambda values: 0.0 if len(values) < self.N else estimate(values))
+        curve, rep = pm.solve_invariant_curve(spec, 0.37, 0.01, cfg)
+        assert np.array_equal(curve.values, ref.values)
+        assert rep.to_json_dict() == ref_rep.to_json_dict()
 
     @pytest.mark.parametrize("failure", ["order", "disc", "max_iter",
                                          "sampled_off_disc"])
@@ -799,10 +837,16 @@ class TestCoarseStart:
             pm.solve_invariant_curve(e2, 0.25, 0.01, pm.CurveConfig(n_nodes=n))
         assert built == [64, 16384 // pm.invariant_graph.COARSE_FACTOR]
 
-    def test_doubled_window(self, cold):
+    @pytest.mark.parametrize("trusted, eps", [(False, 0.01), (True, 1e-3)],
+                             ids=["aperiodic", "half_frequency"])
+    def test_doubled_window(self, trusted, eps, cold):
         # 2n = 8192 nodes over 2T start from 512 nodes over 2T; a T-periodic
-        # seed would make the test vacuous on a T-periodic map
-        bad, pushes = _aperiodic_map(), []
+        # seed would make the test vacuous on a T-periodic map.  The
+        # aperiodic map's doubled curve breaks at 2T, so its coarse curve is
+        # no seed; the half-frequency one's is smooth, and at this eps
+        # resolved well enough to seed the fine level
+        bad = _half_frequency_map() if trusted else _aperiodic_map()
+        pushes = []
 
         def alpha(w, e, x, y):
             pushes.append((len(x), float(np.max(x))))
@@ -810,10 +854,12 @@ class TestCoarseStart:
 
         spec = replace(bad, alpha=alpha)
         cfg = pm.CurveConfig(n_nodes=self.N // 2, tol=1e-12)
-        defect = pm.periodicity_defect(spec, 0.25, 0.01, cfg)
+        defect = pm.periodicity_defect(spec, 0.25, eps, cfg)
         coarse = [x_max for rows, x_max in pushes
                   if rows == self.N // pm.invariant_graph.COARSE_FACTOR]
+        fine = sum(rows == self.N for rows, _ in pushes)
         assert coarse and min(coarse) > 1.99
+        assert (fine <= 2) == trusted
         assert defect > 1e-3
-        ref = cold(pm.periodicity_defect, spec, 0.25, 0.01, cfg)
+        ref = cold(pm.periodicity_defect, spec, 0.25, eps, cfg)
         assert abs(defect - ref) <= 1e-12
