@@ -5,12 +5,13 @@ the steps of one polar-hybrid return.
     PYTHONPATH=src python3 scripts/step_cost.py
 
 For each batch size K in `LANES` the right-hand side is X(x) + eps g(t, x)
-of the built-in polar-hybrid system, evaluated as `flow_batch` does
-(eps = 0.01, lane start times spread over one forcing period), with K lanes
-started near the unit cycle.  A `Dopri54` at rtol 1e-12, atol 1e-14 then
-takes `STEPS` accepted steps, `REPEATS` times from a fresh start; only the
-`step` calls are timed.  Then one unforced return from (1, 0) to the section
-x2 = 0 is flowed with `flow_batch` at each (rtol, atol) in `RETURN_TOLS`.
+of the built-in polar-hybrid system, built by `hybrid_ode.forced_rhs` as in
+`flow_batch` (eps = 0.01, lane start times spread over one forcing period),
+with K lanes started near the unit cycle.  A `Dopri54` at rtol 1e-12,
+atol 1e-14 then takes `STEPS` accepted steps, `REPEATS` times from a fresh
+start; only the `step` calls are timed.  Then one unforced return from
+(1, 0) to the section x2 = 0 is flowed with `flow_batch` at each
+(rtol, atol) in `RETURN_TOLS`.
 
 The script prints one JSON object: "step_us" maps K to the minimum over the
 repeats of the mean time per accepted step, in microseconds, and "return"
@@ -28,6 +29,7 @@ import numpy as np  # noqa: E402
 
 import perimap as pm  # noqa: E402
 from perimap.dopri import Dopri54  # noqa: E402
+from perimap.hybrid_ode import forced_rhs  # noqa: E402
 
 EPS = 0.01
 LANES = (1, 16, 256, 4096)
@@ -37,18 +39,10 @@ REPEATS = 7
 RETURN_TOLS = ((1e-10, 1e-12), (1e-12, 1e-14))
 
 
-def polar_rhs(n_lanes, sys):
-    taus = np.linspace(0.0, sys.T_g, n_lanes, endpoint=False)
-
-    def rhs(s, y):
-        return sys.X(y) + EPS * sys.g(taus + s, y, EPS)
-
-    return rhs
-
-
 def step_us(n_lanes):
     sys = pm.polar_hybrid()
-    rhs = polar_rhs(n_lanes, sys)
+    rhs = forced_rhs(sys, np.linspace(0.0, sys.T_g, n_lanes, endpoint=False),
+                     EPS)
     angle = np.linspace(0.0, 2.0 * np.pi, n_lanes, endpoint=False)
     radius = np.linspace(0.9, 1.1, n_lanes)
     y0 = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])

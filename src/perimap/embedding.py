@@ -26,7 +26,7 @@ import scipy.linalg
 from . import map_core
 from .exceptions import CertificateError, ConvergenceError, DomainError
 from .numdiff import first_step
-from .sampling import stratified_groups
+from .sampling import require_count, stratified_groups
 
 log = logging.getLogger(__name__)
 
@@ -198,8 +198,10 @@ def invert_G(spec, params, target, tol=1e-12, max_iter=100):
 
     L is the block-diagonal linear part; g is the bumped remainder of
     `eval_G_lambda`.  Raises `ConvergenceError` when the iteration fails,
-    which signals that lam is too large for the contraction regime.
+    which signals that lam is too large for the contraction regime, and
+    ``max_iter`` below 1 raises `ValueError` before any evaluation.
     """
+    require_count("max_iter", max_iter)
     target = np.asarray(target, float).reshape(spec.k1 + spec.k2 + 2)
     L = scipy.linalg.block_diag(params.A_lambda, params.B)
     sv = np.linalg.svd(L, compute_uv=False)

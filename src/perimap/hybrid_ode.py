@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .dopri import P, DensePath, dense_value, integrate
-from .exceptions import ConfigError, IntegrationError, NoReturnError
+from .exceptions import ConfigError, IntegrationError
 from .numdiff import central_jacobian
 from .sampling import latin_hypercube, require_count, scale_to
 
@@ -320,7 +320,7 @@ def forced_rhs(sys, taus, eps):
 
 
 def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
-               atol=1e-12, on_no_return="raise"):
+               atol=1e-12):
     """Flow a batch of lanes, each in its own shifted time, to S.
 
     Lane i of the K >= 1 lanes (else `ValueError`) starts at absolute time
@@ -334,9 +334,9 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
 
     `dopri.integrate` runs up to ``max_time`` with a per-step scan as its
     ``stop`` hook, which ends the integration once every lane has an
-    admissible crossing.  Lanes without one raise `NoReturnError`, or with
-    ``on_no_return="flag"`` end at ``max_time`` with ``event_hit`` false;
-    any other ``on_no_return`` raises `ValueError` before the flow.
+    admissible crossing.  A lane without one ends at ``max_time``, its
+    ``event_hit`` false; whether that is a failure is the caller's call
+    (`poincare` raises `NoReturnError`).
 
     Each hit lane's crossing is bracketed by the per-step scan and closed
     by regula falsi on the step's interpolant; the lane ends at the end of
@@ -359,9 +359,6 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     """
     if not isinstance(event, EventConfig):
         raise TypeError(f"event must be an EventConfig, got {event!r}")
-    if on_no_return not in ("raise", "flag"):
-        raise ValueError("on_no_return must be 'raise' or 'flag', got "
-                         f"{on_no_return!r}")
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     K = vs.shape[0]
@@ -402,12 +399,7 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     path, stats = integrate(rhs, vs, max_time, rtol=rtol, atol=atol,
                             stop=scan)
     grazing = pending & (min_h_armed <= GRAZING_TOL)
-    if np.any(pending) and on_no_return == "raise":
-        raise NoReturnError(
-            f"{int(np.sum(pending))} of {K} trajectories found no admissible "
-            f"crossing within max_time = {max_time}"
-        )
-    end_times = np.full(K, np.nan)
+    end_times = taus + path.t[-1]
     end_states = path.y[-1].copy()
     hit_lanes = np.nonzero(~pending)[0]
     h_max = 0.0
@@ -419,7 +411,6 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
             path.t[step], path.h[step], t_lo, t_hi, f_lo, f_hi)
         end_times[hit_lanes] = taus[hit_lanes] + s_star
         end_states[hit_lanes] = y_star
-    end_times[pending] = taus[pending] + path.t[-1]
     stats["event_h_max"] = h_max
     stats["event_h_evals"] = n_h
     return FlowResult(end_times, end_states, ~pending, grazing, stats, path)
@@ -444,8 +435,7 @@ def simulate_hybrid(sys, tau, v, eps, duration, *, event=EventConfig(),
         if remaining <= 0:
             break
         res = flow_batch(sys, [t], state[None, :], eps, event=event,
-                         max_time=remaining, rtol=rtol, atol=atol,
-                         on_no_return="flag")
+                         max_time=remaining, rtol=rtol, atol=atol)
         ts = np.linspace(0.0, min(res.end_times[0] - t, res.path.t[-1]),
                          SEGMENT_SAMPLES)
         segments.append((t + ts, res.path.eval_grid(ts)[:, 0, :]))

@@ -51,7 +51,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .exceptions import ConvergenceError, DomainError, MonotonicityError
-from .map_core import eval_batch, require_finite
+from .map_core import eval_batch, orbits, require_finite
 from .sampling import ball_points, require_count
 
 Array = np.ndarray
@@ -63,6 +63,7 @@ COARSE_FACTOR = 16  # n over the node count of that coarse grid
 NEWTON_STEP = 1e-7  # y-step of the push's forward differences
 RESIDUAL_SAMPLES = 512  # sampled x of a solve's invariance residual
 DISTANCE_FLOOR = 1e-9  # least distance to the curve `attraction_test` rates
+RATE_TRANSIENT = 5  # leading rates that `AttractionReport.max_rate` skips
 
 
 def _cyclic_solve(diag, off, rhs):
@@ -235,15 +236,15 @@ class AttractionReport:
 
     distances: Array  # (n_steps + 1, n_traj)
     rates: Array      # per-step max over valid trajectories of d_{j+1}/d_j
-    rate_bound: Optional[float]
     escaped: int
 
     @property
     def final_max_distance(self):
         return float(np.max(self.distances[-1]))
 
-    def max_rate(self, transient=5):
-        valid = self.rates[transient:]
+    def max_rate(self):
+        """Largest finite rate after the first `RATE_TRANSIENT` steps."""
+        valid = self.rates[RATE_TRANSIENT:]
         valid = valid[np.isfinite(valid)]
         return float(np.max(valid)) if valid.size else float("nan")
 
@@ -380,7 +381,9 @@ def _iterate_to_fixed_point(spec, omega, eps, period, values, tol, max_iter):
     max|G(v_k) - v_k|, the secant rates, whether ``tol`` was met).  The
     secant rate ||G(v_k) - G(v_{k-1})|| / ||v_k - v_{k-1}|| (sup norms) is the
     contraction of the plain transform measured on the iterates.
+    ``max_iter`` below 1 raises `ValueError` before any push.
     """
+    require_count("max_iter", max_iter)
     xs, v = np.linspace(0.0, period, len(values) + 1)[:-1], values
     updates, rates, d_res, d_img = [], [], [], []
     for _ in range(int(max_iter)):
@@ -481,14 +484,14 @@ def solve_invariant_curve(spec, omega, eps, config=None):
 
     A ``seed_curve`` whose period, node count or k2 differs from
     ``spec.period``, ``n_nodes`` or ``spec.k2`` raises `ValueError` before
-    any evaluation, and one whose sup norm exceeds r1 raises `DomainError`;
-    missing ``tol`` in ``max_iter`` sweeps raises
-    `ConvergenceError`.  ``converged`` then requires the off-node invariance
-    residual to be explainable by the spline discretization: residual <=
-    10 * (tol + est), where est is the standard interpolation-error scale
-    computed from fourth differences of the node values.  This keeps the
-    stall guard of the stopping rule without demanding sub-discretization
-    residuals.
+    any evaluation, as does a ``max_iter`` below 1, and one whose sup norm
+    exceeds r1 raises `DomainError`; missing ``tol`` in ``max_iter`` sweeps
+    raises `ConvergenceError`.  ``converged`` then requires the off-node
+    invariance residual to be explainable by the spline discretization:
+    residual <= 10 * (tol + est), where est is the standard
+    interpolation-error scale computed from fourth differences of the node
+    values.  This keeps the stall guard of the stopping rule without
+    demanding sub-discretization residuals.
     """
     config = config or CurveConfig()
     _require_scalar_periodic(spec)
@@ -550,49 +553,37 @@ def invariance_residual(spec, omega, eps, phi, n_samples=RESIDUAL_SAMPLES,
 
 
 def attraction_test(spec, omega, eps, phi, n_trajectories=20, n_steps=50,
-                    seed=0, y_radius=None, q=None):
-    """Track d_j = ||y_j - phi(x_j)|| along sampled trajectories.
+                    seed=0, y_radius=None):
+    """Track d_j = ||y_j - phi(x_j)|| along sampled trajectories (`orbits`).
 
     Initial conditions are drawn from x in [-1, T + 1], with T the period
-    of ``phi``, and y in the ``y_radius`` ball; only the trajectories still
-    inside the r1 disc are evaluated.  Per-step rates take the max of
+    of ``phi``, and y in the ``y_radius`` ball (default r1 / 2); a radius
+    above r1 raises `DomainError` before any evaluation.  Only the
+    trajectories still inside the r1 disc are evaluated, and d is nan from
+    a trajectory's exit point on.  Per-step rates take the max of
     d_{j+1}/d_j over trajectories whose distance is still at least
     `DISTANCE_FLOOR`; once distances reach the curve's representation-error
     level the quotients measure interpolation noise, not contraction, so the
     floor must sit above that level.
     """
     require_count("n_trajectories", n_trajectories)
-    rng = np.random.default_rng(seed)
     y_radius = y_radius if y_radius is not None else 0.5 * spec.r1
-    xs = rng.uniform(-1.0, phi.period + 1.0, n_trajectories)[:, None]
-    ys = ball_points(rng.random((n_trajectories, spec.k2)), y_radius)
+    if y_radius > spec.r1:
+        raise DomainError(f"y_radius = {y_radius:.3g} exceeds r1 = {spec.r1}")
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1.0, phi.period + 1.0, n_trajectories)[:, None]
+    y0 = ball_points(rng.random((n_trajectories, spec.k2)), y_radius)
+    xs, ys, inside = orbits(spec, omega, eps, x0, y0, n_steps)
 
-    alive = np.ones(n_trajectories, dtype=bool)
-    dist = np.full((n_steps + 1, n_trajectories), np.nan)
-    dist[0] = np.linalg.norm(ys - phi.eval(xs[:, 0]), axis=-1)
-    for j in range(n_steps):
-        if not np.any(alive):
-            break
-        a, b = eval_batch(spec, omega, eps, xs[alive], ys[alive])
-        require_finite(a, b)
-        xs[alive] += omega * a
-        ys[alive] = b
-        alive[alive] = np.linalg.norm(b, axis=-1) <= spec.r1
-        d = np.linalg.norm(ys - phi.eval(xs[:, 0]), axis=-1)
-        dist[j + 1] = np.where(alive, d, np.nan)
-
-    rates = np.full(n_steps, np.nan)
-    for j in range(n_steps):
-        ok = (np.isfinite(dist[j]) & np.isfinite(dist[j + 1])
-              & (dist[j] >= DISTANCE_FLOOR))
-        if np.any(ok):
-            rates[j] = np.max(dist[j + 1][ok] / dist[j][ok])
-    return AttractionReport(
-        distances=dist,
-        rates=rates,
-        rate_bound=None if q is None else rate_bound_from_q(q),
-        escaped=int(np.sum(~alive)),
-    )
+    dist = np.full(xs.shape[:2], np.nan)
+    kept = np.linalg.norm(ys, axis=-1) <= spec.r1  # false at nan
+    dist[kept] = np.linalg.norm(ys[kept] - phi.eval(xs[kept][:, 0]), axis=-1)
+    ok = np.isfinite(dist[1:]) & (dist[:-1] >= DISTANCE_FLOOR)
+    quotients = np.divide(dist[1:], dist[:-1], where=ok,
+                          out=np.full(ok.shape, -np.inf))
+    rates = np.where(ok.any(axis=1), quotients.max(axis=1), np.nan)
+    return AttractionReport(distances=dist, rates=rates,
+                            escaped=int(np.sum(~inside)))
 
 
 def periodicity_defect(spec, omega, eps, config=None):
@@ -603,10 +594,10 @@ def periodicity_defect(spec, omega, eps, config=None):
     `solve_invariant_curve` (`_solve_cold`): at 2 * n_nodes >=
     `COARSE_MIN_NODES` from a solve on a coarse grid that is also over
     [0, 2T), never from a T-periodic seed, which the push of a T-periodic
-    map would keep T-periodic.  ``max_iter`` bounds each level, and the
-    iterations and rates span both.  Returns sup
-    over x in [0, T) of ||phi(x + T) - phi(x)|| for the converged doubled
-    curve.
+    map would keep T-periodic.  ``max_iter`` bounds each level (below 1,
+    `ValueError` before any evaluation), and the iterations and rates span
+    both.  Returns sup over x in [0, T) of ||phi(x + T) - phi(x)|| for the
+    converged doubled curve.
     """
     config = config or CurveConfig()
     _require_scalar_periodic(spec)

@@ -74,8 +74,6 @@ class Trajectory:
 
     xs: Array
     ys: Array
-    omega: float
-    eps: float
     escaped: bool
 
     def __len__(self):
@@ -125,13 +123,6 @@ class AssumptionReport:
 # evaluation and iteration
 # ----------------------------------------------------------------------------
 
-def _as_point(v, k, name):
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size != k:
-        raise EvaluationError(f"{name} must have {k} components, got {v.size}")
-    return v
-
-
 def eval_batch(spec, omega, eps, X, Y):
     """alpha, then beta, at the rows (X, Y), checked for the shapes (n, k1)
     and (n, k2).  Finiteness is the caller's to test, once per batch or
@@ -152,38 +143,56 @@ def require_finite(*values):
         raise EvaluationError("alpha/beta returned non-finite values")
 
 
-def _eval_raw(spec, omega, eps, x, y):
-    """Single-point map evaluation without the domain check."""
-    a, b = eval_batch(spec, omega, eps, x[None, :], y[None, :])
-    require_finite(a, b)
-    return x + omega * a[0], b[0]
+def orbits(spec, omega, eps, X, Y, n):
+    """Orbits (xs, ys) of the rows (X, Y) under ``n`` >= 0 steps, each
+    (n + 1, m, k), and ``inside`` (m,), true where a whole orbit stayed in
+    the r1 disc.  A step evaluates only the rows still inside (`eval_batch`,
+    `require_finite`); a row keeps its exit point and is nan after it."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
+    omega, eps = float(omega), float(eps)
+    xs = np.full((n + 1,) + np.shape(X), np.nan)
+    ys = np.full((n + 1,) + np.shape(Y), np.nan)
+    xs[0], ys[0] = X, Y
+    inside = np.linalg.norm(ys[0], axis=-1) <= spec.r1
+    for j in range(n):
+        if not inside.any():
+            break
+        a, b = eval_batch(spec, omega, eps, xs[j, inside], ys[j, inside])
+        require_finite(a, b)
+        xs[j + 1, inside] = xs[j, inside] + omega * a
+        ys[j + 1, inside] = b
+        inside[inside] = np.linalg.norm(b, axis=-1) <= spec.r1
+    return xs, ys, inside
+
+
+def _start(spec, x, y, suffix):
+    """The point (x, y), named x``suffix`` and y``suffix``, as rows (1, k1)
+    and (1, k2): `EvaluationError` for a size, `DomainError` if ||y|| > r1."""
+    x, y = (np.asarray(v, dtype=float).reshape(1, -1) for v in (x, y))
+    for v, k, name in ((x, spec.k1, "x"), (y, spec.k2, "y")):
+        if v.size != k:
+            raise EvaluationError(
+                f"{name}{suffix} must have {k} components, got {v.size}")
+    if np.linalg.norm(y) > spec.r1:
+        raise DomainError(f"||y{suffix}|| = {np.linalg.norm(y):.3g} exceeds "
+                          f"r1 = {spec.r1}")
+    return x, y
 
 
 def eval_map(spec, omega, eps, x, y):
-    """One application of the map.  Requires ||y|| <= r1."""
-    x = _as_point(x, spec.k1, "x")
-    y = _as_point(y, spec.k2, "y")
-    if np.linalg.norm(y) > spec.r1:
-        raise DomainError(f"||y|| = {np.linalg.norm(y):.3g} exceeds r1 = {spec.r1}")
-    return _eval_raw(spec, float(omega), float(eps), x, y)
+    """One application of the map (`orbits`).  Requires ||y|| <= r1."""
+    xs, ys, _ = orbits(spec, omega, eps, *_start(spec, x, y, ""), 1)
+    return xs[1, 0], ys[1, 0]
 
 
 def iterate(spec, omega, eps, x0, y0, n):
-    """Trajectory of length <= n+1; stops early (escaped) if y leaves the disc."""
-    x = _as_point(x0, spec.k1, "x0")
-    y = _as_point(y0, spec.k2, "y0")
-    if np.linalg.norm(y) > spec.r1:
-        raise DomainError(f"||y0|| = {np.linalg.norm(y):.3g} exceeds r1 = {spec.r1}")
-    xs, ys = [x], [y]
-    escaped = False
-    for _ in range(int(n)):
-        x, y = _eval_raw(spec, float(omega), float(eps), x, y)
-        xs.append(x)
-        ys.append(y)
-        if np.linalg.norm(y) > spec.r1:
-            escaped = True
-            break
-    return Trajectory(np.array(xs), np.array(ys), float(omega), float(eps), escaped)
+    """Trajectory of length <= n+1 (`orbits`); stops early (escaped) if y
+    leaves the disc."""
+    xs, ys, inside = orbits(spec, omega, eps, *_start(spec, x0, y0, "0"), n)
+    m = int(np.sum(np.isfinite(ys[:, 0, 0])))
+    return Trajectory(xs[:m, 0], ys[:m, 0], not inside[0])
 
 
 # ----------------------------------------------------------------------------

@@ -3,9 +3,10 @@ into the perturbed-map form consumed by the invariant-curve solver.
 
 The time-to-return at (tau, x) flows the forced system from the post-jump
 state Delta(x) starting at time tau and reports the absolute first admissible
-crossing time of S.  The Poincare map sends (tau, u) on the section chart to
-(new time, chart coordinates of the return point); at eps = 0 its u-component
-is autonomous and defines the reduced map P(u).
+crossing time of S; a return missing within the handle's horizon raises
+`NoReturnError`, here and nowhere else.  The Poincare map sends (tau, u) on
+the section chart to (new time, chart coordinates of the return point); at
+eps = 0 its u-component is autonomous and defines the reduced map P(u).
 
 `extract_alpha_beta` packages the pair (return lag, returned u) as the alpha
 and beta evaluators of a `MapSpec` with x := tau, k1 = 1 and period T_g; the
@@ -55,8 +56,9 @@ def prepare_handle(sys):
     """Probe the anchor return and fix the event direction from the cycle.
 
     The crossing direction is the sign of the transversality at the anchor
-    D(0).  The anchor's return, probed up to `PROBE_TIME`, sets the return
-    horizon ``max_time`` to `MAX_TIME_LAGS` return lags.  Returns run at
+    D(0).  The anchor's return, probed by `time_to_return` on a handle
+    whose horizon is `PROBE_TIME` (`NoReturnError` if it misses), sets the
+    return horizon ``max_time`` to `MAX_TIME_LAGS` return lags.  Returns run at
     `POINCARE_RTOL` and `POINCARE_ATOL`, tighter than the generic flow
     defaults: Poincare-level constants (fixed points, Jacobians) need the
     extra digits.
@@ -64,23 +66,26 @@ def prepare_handle(sys):
     direction = int(np.sign(check_transversality(sys)))
     if direction == 0:
         raise ChartError("the field is tangent to S at the anchor")
-    event = EventConfig(direction=direction)
-    u0 = np.zeros(sys.k2)
-    v0 = np.asarray(sys.Delta(np.asarray(sys.D(u0[None, :]), float)), float)
-    probe = flow_batch(sys, [0.0], v0, 0.0, event=event, max_time=PROBE_TIME,
-                       rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
-    lag = float(probe.end_times[0])
-    return PoincareHandle(sys=sys, event=event, max_time=MAX_TIME_LAGS * lag,
-                          rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
+    probe = PoincareHandle(sys=sys, event=EventConfig(direction=direction),
+                           max_time=PROBE_TIME, rtol=POINCARE_RTOL,
+                           atol=POINCARE_ATOL)
+    lag = time_to_return(probe, 0.0, sys.D(np.zeros((1, sys.k2)))[0], 0.0)
+    return replace(probe, max_time=MAX_TIME_LAGS * lag)
 
 
 def _return_batch(handle, taus, xs, eps):
-    """Flow from (tau, Delta(x)); absolute crossing times and return states."""
+    """Flow from (tau, Delta(x)); absolute crossing times and return states,
+    or `NoReturnError` if a lane misses S within ``handle.max_time``."""
     sys = handle.sys
     starts = np.asarray(sys.Delta(np.atleast_2d(xs)), dtype=float)
     res = flow_batch(sys, taus, starts, eps, event=handle.event,
                      max_time=handle.max_time, rtol=handle.rtol,
                      atol=handle.atol)
+    missed = int(np.sum(~res.event_hit))
+    if missed:
+        raise NoReturnError(
+            f"{missed} of {len(starts)} trajectories found no admissible "
+            f"crossing within max_time = {handle.max_time}")
     return res.end_times, res.end_states
 
 

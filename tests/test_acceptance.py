@@ -66,7 +66,7 @@ def test_criterion_3_attraction_rate(e1, e2):
         curve1, _ = pm.solve_invariant_curve(e1, 0.25, 0.0,
                                              pm.CurveConfig(n_nodes=256))
         rep1 = pm.attraction_test(e1, 0.25, 0.0, curve1, n_trajectories=20,
-                                  n_steps=50, seed=11, y_radius=r0_e1, q=0.5)
+                                  n_steps=50, seed=11, y_radius=r0_e1)
         rates = rep1.rates[np.isfinite(rep1.rates)]
         assert rates.size >= 10
         assert np.max(np.abs(rates - 0.5)) <= 1e-12
@@ -76,10 +76,10 @@ def test_criterion_3_attraction_rate(e1, e2):
         curve2, _ = pm.solve_invariant_curve(e2, 0.25, 0.01,
                                              pm.CurveConfig(n_nodes=256))
         rep2 = pm.attraction_test(e2, 0.25, 0.01, curve2, n_trajectories=20,
-                                  n_steps=50, seed=11, y_radius=r0_e2, q=0.5)
-        bound = 0.5 + 2.0 * (1.0 - 0.5) / 3.0
-        assert rep2.rate_bound == pytest.approx(bound)
-        assert rep2.max_rate(transient=5) <= bound
+                                  n_steps=50, seed=11, y_radius=r0_e2)
+        bound = pm.rate_bound_from_q(0.5)
+        assert bound == pytest.approx(0.5 + 2.0 * (1.0 - 0.5) / 3.0)
+        assert rep2.max_rate() <= bound
         assert rep2.escaped == 0
         assert rep2.final_max_distance <= 1e-6
 

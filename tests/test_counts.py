@@ -1,5 +1,5 @@
-"""Sample and lane counts below 1, and state rows of the wrong width, raise
-`ValueError` before any evaluation."""
+"""Sample, lane and iteration counts below 1, and state rows of the wrong
+width, raise `ValueError` before any evaluation."""
 import numpy as np
 import pytest
 
@@ -19,6 +19,9 @@ BOOM_HANDLE = poincare.PoincareHandle(sys=BOOM_HYBRID, event=pm.EventConfig(),
                                       max_time=10.0, rtol=1e-10, atol=1e-12)
 FLAT = pm.PeriodicGridFn.zeros(1.0, 8)
 NORM = pm.adapted_norm(np.array([[0.5]]))
+NO_ITER = pm.CurveConfig(n_nodes=8, max_iter=0)
+PARAMS = pm.EmbeddingParams(lam=1.0, B=np.array([[0.5]]), A_lambda=np.eye(3),
+                            mu=0.5, q=0.5)
 
 
 @pytest.mark.parametrize("name, call", [
@@ -35,9 +38,15 @@ NORM = pm.adapted_norm(np.array([[0.5]]))
     ("us", lambda: pm.p_eps_batch(BOOM_HANDLE, [], np.zeros((0, 1)), 0.0)),
     ("vs", lambda: pm.flow_batch(BOOM_HYBRID, [0.0], np.zeros((0, 2)), 0.0,
                                  event=pm.EventConfig())),
+    ("max_iter", lambda: pm.solve_invariant_curve(BOOM_MAP, 0.25, 0.01,
+                                                  NO_ITER)),
+    ("max_iter", lambda: pm.periodicity_defect(BOOM_MAP, 0.25, 0.01, NO_ITER)),
+    ("max_iter", lambda: pm.invert_G(BOOM_MAP, PARAMS, np.zeros(4),
+                                     max_iter=0)),
 ], ids=["check_forcing_period", "invariance_residual", "attraction_test",
         "certify_returns", "certify_contraction", "largest_contracting_radius",
-        "p_eps_batch", "flow_batch"])
+        "p_eps_batch", "flow_batch", "solve_invariant_curve",
+        "periodicity_defect", "invert_G"])
 def test_count_below_one_rejected(name, call):
     with pytest.raises(ValueError, match=rf"\b{name}\b.*at least 1, got 0"):
         call()

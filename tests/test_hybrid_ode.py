@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import perimap as pm
 from perimap import cli, hybrid_ode
 from perimap.dopri import integrate
-from perimap.exceptions import IntegrationError, NoReturnError
+from perimap.exceptions import IntegrationError
 
 
 def logistic_radius(r0, t):
@@ -52,10 +52,13 @@ class TestFlow:
         end = fixed_time(frozen, [0.0], [[0.3, 0.7]], 0.123, 5.0)
         assert np.array_equal(end[0], [0.3, 0.7])
 
-    def test_no_return_raises(self, frozen):
-        with pytest.raises(NoReturnError):
-            pm.flow_batch(frozen, [0.0], [[0.3, 0.7]], 0.0,
-                          event=pm.EventConfig(), max_time=2.0)
+    def test_no_return_is_reported(self, e3):
+        # a horizon shorter than the unit return lag: the lane ends at
+        # tau + max_time, unhit, and the flow does not raise
+        res = pm.flow_batch(e3, [0.3], [[1.0, 0.0]], 0.0,
+                            event=pm.EventConfig(), max_time=0.5)
+        assert not res.event_hit[0]
+        assert res.end_times[0] == 0.3 + 0.5
 
     def test_event_localization_tight(self, e3):
         res = pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0,
@@ -161,8 +164,7 @@ class TestFlow:
             H=lambda x: np.asarray(x, float)[..., 1] - 1.0,
             D=e3.D, D_inverse=e3.D_inverse, T_g=0.8, r1=0.5)
         res = pm.flow_batch(graze, [0.0], [[1.0, 0.0]], 0.0,
-                            event=pm.EventConfig(), max_time=2.0,
-                            on_no_return="flag")
+                            event=pm.EventConfig(), max_time=2.0)
         assert not res.event_hit[0]
         assert res.grazing[0]
 
@@ -176,14 +178,6 @@ class TestFlow:
         # False is not None, so it once selected event mode with the defaults
         with pytest.raises(TypeError):
             pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0, event=False)
-
-    @pytest.mark.parametrize("mode", ["Raise", True, None])
-    def test_unknown_no_return_mode_rejected(self, e3, mode):
-        # any value other than "raise" once flagged lanes that never return
-        with pytest.raises(ValueError, match="on_no_return"):
-            pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0,
-                          event=pm.EventConfig(), max_time=0.1,
-                          on_no_return=mode)
 
     @pytest.mark.parametrize("n_taus", [2, 4])
     def test_tau_count_checked_before_integrating(self, e3, monkeypatch,
@@ -230,7 +224,7 @@ class TestTwoCrossingsInOneStep:
 
     def test_shallow_pass_is_a_touch(self, e3):
         # H passes S by 1e-9 < PASS_LEVEL = 1e-8: a touch
-        res = self._flow(e3, 1.0 - 1e-9, 1, max_time=0.9, on_no_return="flag")
+        res = self._flow(e3, 1.0 - 1e-9, 1, max_time=0.9)
         assert not res.event_hit[0]
         assert res.grazing[0]
 
@@ -338,7 +332,7 @@ class TestEventCost:
         u = np.linspace(-2e-6, 2e-6, 16)
         _, refined = self._flow(counted, near_top, np.zeros(16),
                                 np.column_stack([1.0 + u, 0.0 * u]), 0.0,
-                                max_time=0.9, on_no_return="flag")
+                                max_time=0.9)
         assert max(refined) >= 1
         assert max(refined) <= 6
 

@@ -439,11 +439,26 @@ class TestAttraction:
     def test_exact_rate_linear_shear_eps0(self, e1):
         curve, _ = pm.solve_invariant_curve(e1, 0.25, 0.0, CFG)
         rep = pm.attraction_test(e1, 0.25, 0.0, curve, 20, 40, seed=3,
-                                 y_radius=0.03, q=0.5)
+                                 y_radius=0.03)
         rates = rep.rates[np.isfinite(rep.rates)]
         assert rates.size >= 10
         assert np.all(rates == 0.5)
         assert rep.escaped == 0
+
+    def test_start_radius_beyond_r1_rejected(self):
+        # the sampled starts would lie outside the map's domain
+        seen = []
+
+        def beta(w, e, x, y):
+            seen.append(float(np.max(np.abs(y))))
+            return shear.beta(w, e, x, y)
+
+        shear = pm.linear_shear(r1=0.1)
+        spec = replace(shear, beta=beta)
+        with pytest.raises(pm.DomainError, match="y_radius = 0.3 exceeds"):
+            pm.attraction_test(spec, 0.25, 0.0,
+                               pm.PeriodicGridFn.zeros(1.0, 8), y_radius=0.3)
+        assert seen == []
 
     def test_on_graph_stays(self, e2):
         cfg = pm.CurveConfig(n_nodes=256, tol=1e-12, seed=2)
@@ -457,9 +472,9 @@ class TestAttraction:
         cfg = pm.CurveConfig(n_nodes=256, tol=1e-12, seed=2)
         curve, _ = pm.solve_invariant_curve(e2, 0.25, 0.01, cfg)
         rep = pm.attraction_test(e2, 0.25, 0.01, curve, 20, 40, seed=3,
-                                 y_radius=0.03, q=0.5)
-        assert rep.rate_bound == pytest.approx(0.5 + 2 * 0.5 / 3)
-        assert rep.max_rate(transient=5) <= rep.rate_bound
+                                 y_radius=0.03)
+        assert pm.rate_bound_from_q(0.5) == pytest.approx(0.5 + 2 * 0.5 / 3)
+        assert rep.max_rate() <= pm.rate_bound_from_q(0.5)
 
 
 def _aperiodic_map():

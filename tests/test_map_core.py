@@ -65,6 +65,45 @@ class TestIterate:
             assert np.array_equal(y, tr.ys[j + 1])
 
 
+class TestOrbits:
+    # expanding in y: the rows leave the disc at steps 6 and 3, one never
+    # does, and one starts outside it
+    SPEC = pm.nonlinear_toy(q=1.5, r1=0.1)
+    X = np.array([[0.0], [0.3], [0.7], [0.1]])
+    Y = np.array([[0.0], [0.01], [-0.03], [0.2]])
+
+    def test_batch_equals_rows_bit_for_bit(self):
+        xs, ys, inside = pm.map_core.orbits(self.SPEC, 0.3, 0.002, self.X,
+                                            self.Y, 12)
+        lengths = []
+        for i in range(3):
+            tr = pm.iterate(self.SPEC, 0.3, 0.002, self.X[i], self.Y[i], 12)
+            m = len(tr)
+            lengths.append(m)
+            assert np.array_equal(xs[:m, i], tr.xs)
+            assert np.array_equal(ys[:m, i], tr.ys)
+            assert np.all(np.isnan(xs[m:, i])) and np.all(np.isnan(ys[m:, i]))
+            assert inside[i] == (not tr.escaped)
+        assert lengths == [13, 7, 4]
+        assert list(inside) == [True, False, False, False]
+
+    def test_rows_outside_are_never_evaluated(self):
+        seen = []
+
+        def alpha(w, e, x, y):
+            seen.append(np.abs(y).max())
+            return self.SPEC.alpha(w, e, x, y)
+
+        spec = replace(self.SPEC, alpha=alpha)
+        xs, ys, _ = pm.map_core.orbits(spec, 0.3, 0.002, self.X, self.Y, 12)
+        assert max(seen) <= spec.r1
+        assert np.all(np.isnan(ys[1:, 3]))
+
+    def test_negative_step_count_rejected(self, e1):
+        with pytest.raises(ValueError, match="n must be at least 0, got -1"):
+            pm.map_core.orbits(e1, 0.25, 0.0, [[0.0]], [[0.1]], -1)
+
+
 class TestCheckAssumptions:
     def test_linear_shear_report(self, e1):
         rep = pm.check_assumptions(e1, n_samples=64, seed=1)

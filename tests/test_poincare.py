@@ -336,3 +336,24 @@ class TestTypedFailures:
         with pytest.raises(pm.NoReturnError,
                            match="no sampled chart radius returned"):
             pm.poincare.certify_returns(short, n_samples=8)
+
+    @pytest.mark.parametrize("lanes, call", [
+        (1, lambda h: pm.time_to_return(h, 0.0, [1.0, 0.0], 0.0)),
+        (3, lambda h: pm.p_eps_batch(h, [0.0, 0.1, 0.2],
+                                     [[0.0], [0.1], [-0.1]], 0.0)),
+    ], ids=["time_to_return", "p_eps_batch"])
+    def test_missing_return_raises(self, handle, lanes, call):
+        # a horizon shorter than the unit return lag: no lane returns
+        short = replace(handle, max_time=0.5)
+        message = (rf"^{lanes} of {lanes} trajectories found no admissible "
+                   r"crossing within max_time = 0\.5$")
+        with pytest.raises(pm.NoReturnError, match=message):
+            call(short)
+
+    def test_anchor_without_return(self, e3):
+        # a section the flow never reaches: the anchor probe itself misses
+        away = replace(e3, H=lambda x: np.asarray(x, float)[..., 1] - 5.0,
+                       D=lambda u: np.column_stack([1.0 + u[:, 0],
+                                                    np.full(len(u), 5.0)]))
+        with pytest.raises(pm.NoReturnError, match="max_time = 50"):
+            pm.prepare_handle(away)
