@@ -1,41 +1,36 @@
 """Graph-transform solver for T-periodic attracting invariant curves (k1 = 1).
 
 A candidate curve phi, held by its values at uniform nodes, is pushed
-forward through the map: alpha and beta are evaluated once per sweep at the
+forward through the map: alpha and beta are evaluated once per push at the
 nodes (x_i, phi(x_i)), which go to the images x_i + omega * alpha_i with new
 values beta_i.  If the images keep the nodes' cyclic order (else
 `MonotonicityError`), the window-periodic cubic spline through them is
-sampled back at the nodes.  For a wrapped Poincare map a sweep is one
+sampled back at the nodes.  For a wrapped Poincare map a push is one
 batched flow, whose cost hardly depends on the number of lanes: beta reads
 the returns that alpha flowed from the memo.
 
 The invariant curve is the fixed point of this transform, which contracts
-at a rate of about q, the y-Lipschitz constant of beta.  How the node values
-are iterated depends on what an evaluation costs:
-- a ``batched`` map (`MapSpec.batched`, such as the wrapped Poincare map) at
-  n * k2 <= `NEWTON_NODES` takes Newton steps on G(v) = v, the step of the
-  parameterization method (Haro, Canadell, Figueras, Luque & Mondelo, The
-  Parameterization Method for Invariant Manifolds, Springer 2016).  The
-  push evaluates the nodes and k2 difference rows per node in one call, so
-  each step is still one flow, and 2-3 steps replace 7-10 Anderson sweeps;
-- every other map, every closed-form map included, uses type-II Anderson
-  acceleration of depth `ANDERSON_DEPTH` (Walker & Ni, SIAM J. Numer.
-  Anal. 49, 2011), because a dense (I - DG) solve costs more there than the
-  sweeps it saves.
-Both fall back on the plain image when a step leaves the r1 disc.
+at a rate of about q, the y-Lipschitz constant of beta: slowly for a weakly
+attracting curve, Levinson's setting.  Every map is iterated alike
+(`_iterate_to_fixed_point`): each push's residual G(v) - v is preconditioned
+by the inverse of I minus the push's linear part at (eps, phi) = (0, 0),
+which the eps = 0 autonomy makes v -> B v(. - omega alpha(0)), a circulant
+on the nodes (`_linear_part_inverse`, the step of the parameterization
+method), and type-II Anderson acceleration of depth `ANDERSON_DEPTH` mixes
+the preconditioned steps.  A step that leaves the r1 disc falls back on the
+plain image.
 
 A solve given no seed curve starts from the zero curve, except on
-n >= `COARSE_MIN_NODES` nodes (always the Anderson path, as n * k2 >
-`NEWTON_NODES`).  There it first solves on n // `COARSE_FACTOR` nodes and,
-if that grid resolves the curve to the tolerance scale, samples the coarse
-curve at the n nodes, so one or two fine pushes replace 7-17 (nested
-iteration, `_solve_cold`).  The reported ``iterations`` and
+n >= `COARSE_MIN_NODES` nodes.  There it first solves on n // `COARSE_FACTOR`
+nodes and, if that grid resolves the curve to the tolerance scale, samples
+the coarse curve at the n nodes, so one or two fine pushes replace about
+five (nested iteration, `_solve_cold`).  The reported ``iterations`` and
 ``measured_rates`` then span both levels, and ``max_iter`` bounds each
 level; a coarse seed that is not trusted, or from which the fine level
 fails, leaves the cold solve's result.
 
-Curves, pushes and the Newton operator share one periodic cubic spline in
-moment form, `_Spline`, built once per curve or push.  The
+Curves, pushes and the preconditioner's symbol share one periodic cubic
+spline in moment form, `_Spline`, built once per curve or push.  The
 emergent-periodicity test solves for a curve of period 2T on twice the nodes:
 only 2T-periodicity is imposed, so T-periodicity has to emerge from the
 dynamics rather than from the representation.
@@ -51,18 +46,16 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .exceptions import ConvergenceError, DomainError, MonotonicityError
-from .map_core import eval_batch, orbits, require_finite
+from .map_core import eval_batch, orbits, origin, require_finite
 from .sampling import ball_points, require_count
 
 Array = np.ndarray
 
 ANDERSON_DEPTH = 3  # residual differences in each Anderson least-squares fit
-NEWTON_NODES = 256  # largest n * k2 of a batched map's Newton push
 COARSE_MIN_NODES = 8192  # least n of a cold solve that starts on a coarse grid
 COARSE_FACTOR = 16  # n over the node count of that coarse grid
-NEWTON_STEP = 1e-7  # y-step of the push's forward differences
 RESIDUAL_SAMPLES = 512  # sampled x of a solve's invariance residual
-DISTANCE_FLOOR = 1e-9  # least distance to the curve `attraction_test` rates
+DISTANCE_FLOOR = 1e-9  # least floor of the distances `attraction_test` rates
 RATE_TRANSIENT = 5  # leading rates that `AttractionReport.max_rate` skips
 
 
@@ -122,11 +115,11 @@ class _Spline:
         return (w * y[i] + u * y[i1] + w * (w * w - h * h) / 6.0 * m[i]
                 + u * (u * u - h * h) / 6.0 * m[i1]) / h
 
-    def slopes(self, k):
-        """Slopes s'(t_i) = d_i - h_i (2 M_i + M_{i+1}) / 6 of the first
-        ``k`` value columns at the knots: (n, k)."""
+    def slopes(self):
+        """Slopes s'(t_i) = d_i - h_i (2 M_i + M_{i+1}) / 6 of the value
+        columns at the knots: (n, m)."""
         h = np.diff(self.knots)[:, None]
-        y, m = self.y[:, :k], self.m[:, :k]
+        y, m = self.y, self.m
         return ((np.roll(y, -1, axis=0) - y) / h
                 - h * (2.0 * m + np.roll(m, -1, axis=0)) / 6.0)
 
@@ -135,7 +128,7 @@ class _Spline:
         quadratic s'(t_i) + M_i u + (M_{i+1} - M_i) u^2 / (2 h_i) in
         u in [0, h_i], vanishes."""
         h, m = np.diff(self.knots), self.m[:, 0]
-        c = self.slopes(1)[:, 0]
+        c = self.slopes()[:, 0]
         a = (np.roll(m, -1) - m) / (2.0 * h)
         with np.errstate(divide="ignore", invalid="ignore"):
             q = -0.5 * (m + np.copysign(np.sqrt(m * m - 4.0 * a * c), m))
@@ -275,44 +268,21 @@ def rate_bound_from_q(q):
 # ----------------------------------------------------------------------------
 
 def _sweep(spec, omega, eps, xs, values, window):
-    """One forward push: the graph values ``values`` at the nodes ``xs`` of
-    [0, window), mapped and re-gridded at the same nodes.  Returns the image
-    G(values) and, for a ``batched`` spec with n * k2 <= `NEWTON_NODES`,
-    its derivative DG as an (n k2, n k2) matrix; else None.
+    """One forward push: the graph values ``values`` (n, k2) at the nodes
+    ``xs`` of [0, window), mapped and re-gridded at the same nodes.  Returns
+    the image G(values) and alpha at the nodes, (n,).
 
     alpha and beta are evaluated once each, at the nodes; a misshaped or
     non-finite result raises `EvaluationError`.  The images, shifted by whole
     windows so that the first lies in [0, window), must keep the nodes'
     cyclic order (`MonotonicityError`, the solver's only order check); the
     window-periodic cubic spline through them (`_Spline`) is sampled at xs.
-
-    For DG the same two calls also take the rows (x_i, v_i + h s_ij e_j),
-    j < k2, with h = `NEWTON_STEP` and s_ij = -sign(v_ij), so no row moves
-    away from the disc centre; forward differences give alpha_y and beta_y.
-    A shift d_i of node i moves its image by omega alpha_y d_i and its value
-    by beta_y d_i, so the spline's value at the image moves by c_i d_i with
-    c_i = beta_y,i - omega s'(t_i) alpha_y,i, s' being the new spline's
-    slope at the image t_i.  DG = S_t diag(c), where S_t, the same spline
-    applied to the identity, holds the cardinal splines through the images
-    sampled at ``xs``.  DG holds that spline space fixed: it leaves out S_t's
-    change as the knots move with v, which is nil when alpha does not depend
-    on y, third order in the node spacing on smooth iterates and large on
-    rough ones.
     """
-    n, k2 = values.shape
-    newton = spec.batched and n * k2 <= NEWTON_NODES
-    x = xs[:, None]
-    y = values
-    if newton:
-        dirs = NEWTON_STEP * np.where(values > 0.0, -1.0, 1.0)
-        y = np.concatenate([values] + [values + dirs[:, [j]] * np.eye(k2)[j]
-                                       for j in range(k2)])
-        x = np.tile(x, (k2 + 1, 1))
-    a, b = eval_batch(spec, omega, eps, x, y)
+    a, b = eval_batch(spec, omega, eps, xs[:, None], values)
     require_finite(a, b)
-    a, a_moved, b, b_moved = a[:n, 0], a[n:, 0], b[:n], b[n:]
     if np.max(np.linalg.norm(b, axis=-1)) > spec.r1:
         raise DomainError("graph transform left the radius-r1 disc")
+    a = a[:, 0]
     img = xs + omega * a
     img -= window * np.floor(img[0] / window)
     if not np.all(np.diff(np.append(img, img[0] + window)) > 0.0):
@@ -321,18 +291,42 @@ def _sweep(spec, omega, eps, xs, values, window):
             "pushed nodes do not keep their cyclic order; "
             "the graph transform is undefined at these parameters"
         )
-    # with the identity's columns the spline also gives the operator S_t
-    spline = _Spline(img, window, np.hstack([b, np.eye(n)]) if newton else b)
-    g = spline(xs)
-    if not newton:
-        return g, None
-    # [i, j]: the derivative in y_j at node i, alpha (n, k2), beta (n, k2, k2)
-    a_y = ((a_moved.reshape(k2, n) - a) / dirs.T).T
-    b_y = ((b_moved.reshape(k2, n, k2) - b)
-           / dirs.T[:, :, None]).transpose(1, 2, 0)
-    c = b_y - omega * spline.slopes(k2)[:, :, None] * a_y[:, None, :]
-    dg = g[:, None, k2:, None] * c.transpose(1, 0, 2)[None]
-    return g[:, :k2], dg.reshape(n * k2, n * k2)
+    return _Spline(img, window, b)(xs), a
+
+
+def _linear_part_inverse(spec, omega, xs, window, alpha):
+    """P^-1, as a function of node values r (n, k2) at the uniform nodes
+    ``xs`` of [0, window), for P = I - B (x) S_s: the identity less the
+    push's linear part at (eps, phi) = (0, 0).
+
+    The eps = 0 map is autonomous, so that part is the model map's
+    v -> B v(. - s), with s = omega alpha(0) and B = beta_y(0) from
+    `map_core.origin`.  On the nodes S_s, the spline through the values at
+    the shifted nodes sampled at the nodes, is circulant: its symbol is the
+    DFT of one column, `_Spline` through a unit vector.  Solving P x = r mode
+    by mode (a division for k2 = 1, one k2 x k2 solve for k2 > 1) is the
+    constant-coefficient step of the parameterization method (Haro,
+    Canadell, Figueras, Luque & Mondelo, Springer 2016).
+
+    The push shifts node x by omega alpha(x, phi(x)), not by s, so mode k's
+    phase is off by up to 2 pi |k| |omega| max|alpha - alpha(0)| / window.
+    P^-1 acts only on the modes where that is at most 1/2, the max read
+    from ``alpha``, the first push's values, and is the identity above them.
+    """
+    alpha0, _, B = origin(spec)
+    n, k2 = len(xs), spec.k2
+    column = _Spline(xs + omega * alpha0[0], window, np.eye(n, 1))(xs)
+    symbol = np.fft.rfft(column[:, 0])
+    spread = 4.0 * np.pi * abs(omega) * np.max(np.abs(alpha - alpha0[0]))
+    symbol[spread * np.arange(len(symbol)) > window] = 0.0  # P = I there
+    p = np.eye(k2) - symbol[:, None, None] * B
+
+    def solve(r):
+        r_hat = np.fft.rfft(r, axis=0)[:, :, None]
+        x_hat = r_hat / p if k2 == 1 else np.linalg.solve(p, r_hat)
+        return np.fft.irfft(x_hat[:, :, 0], n, axis=0)
+
+    return solve
 
 
 def _require_scalar_periodic(spec):
@@ -344,13 +338,13 @@ def _require_scalar_periodic(spec):
 
 def graph_transform(spec, omega, eps, phi):
     """Image of the graph of ``phi`` under the map, re-gridded over the nodes
-    by one forward push; `MonotonicityError` if the pushed nodes lose their
-    cyclic order.  The push evaluates the nodes only, batched spec or not."""
+    by one forward push (`_sweep`); `MonotonicityError` if the pushed nodes
+    lose their cyclic order."""
     _require_scalar_periodic(spec)
     if phi.sup_norm() > spec.r1:
         raise DomainError("candidate curve exceeds the radius-r1 disc")
-    g, _ = _sweep(replace(spec, batched=False), float(omega), float(eps),
-                  phi.nodes, phi.values, phi.period)
+    g, _ = _sweep(spec, float(omega), float(eps), phi.nodes, phi.values,
+                  phi.period)
     return phi.with_values(g)
 
 
@@ -367,16 +361,17 @@ def _interp_error_estimate(values):
 
 
 def _iterate_to_fixed_point(spec, omega, eps, period, values, tol, max_iter):
-    """Newton or Anderson-accelerated push iteration from the node values
-    ``values`` (n, k2) at the n uniform nodes of [0, ``period``).
+    """Preconditioned, Anderson-accelerated push iteration from the node
+    values ``values`` (n, k2) at the n uniform nodes of [0, ``period``).
 
-    Sweep k pushes v_k to its plain image G(v_k).  When the push also returns
-    DG (a ``batched`` spec, see `_sweep`), the next input is the Newton
-    iterate v_k + (I - DG)^-1 (G(v_k) - v_k); otherwise it is the type-II
-    Anderson combination of the last ``ANDERSON_DEPTH`` + 1 images, whose
-    weights minimize the matching combination of residuals G(v) - v.  The
-    plain image is taken instead when the step leaves the r1 disc or the
-    residual has grown (which also clears the Anderson history).  Stops once
+    Push k maps v_k to its plain image G(v_k).  The iteration solves
+    v = H(v) = v + P^-1 (G(v) - v), with P^-1 from `_linear_part_inverse`,
+    built after the first push; the next input is the type-II Anderson
+    combination (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) of the last
+    ``ANDERSON_DEPTH`` + 1 values of H, whose weights minimize the matching
+    combination of preconditioned residuals.  The plain image is taken
+    instead when that step leaves the r1 disc or the update max|G(v) - v|
+    has grown, which also clears the Anderson history.  Stops once
     max|G(v) - v| <= ``tol``; returns (G(v) as a curve, the updates
     max|G(v_k) - v_k|, the secant rates, whether ``tol`` was met).  The
     secant rate ||G(v_k) - G(v_{k-1})|| / ||v_k - v_{k-1}|| (sup norms) is the
@@ -385,13 +380,16 @@ def _iterate_to_fixed_point(spec, omega, eps, period, values, tol, max_iter):
     """
     require_count("max_iter", max_iter)
     xs, v = np.linspace(0.0, period, len(values) + 1)[:-1], values
-    updates, rates, d_res, d_img = [], [], [], []
+    updates, rates, d_res, d_out, precondition = [], [], [], [], None
     for _ in range(int(max_iter)):
-        g, dg = _sweep(spec, omega, eps, xs, v, period)
-        res = g - v
-        updates.append(float(np.max(np.abs(res))))
+        g, alpha = _sweep(spec, omega, eps, xs, v, period)
+        updates.append(float(np.max(np.abs(g - v))))
         if updates[-1] <= tol:
             return PeriodicGridFn(period, g), updates, rates, True
+        if precondition is None:
+            precondition = _linear_part_inverse(spec, omega, xs, period, alpha)
+        res = precondition(g - v)
+        out = v + res
         grew = len(updates) > 1 and updates[-1] > updates[-2]
         if len(updates) > 1:
             step = float(np.max(np.abs(v - v_prev)))
@@ -399,22 +397,17 @@ def _iterate_to_fixed_point(spec, omega, eps, period, values, tol, max_iter):
                 rates.append(float(np.max(np.abs(g - g_prev))) / step)
             if grew:
                 d_res.clear()
-                d_img.clear()
+                d_out.clear()
             else:
                 d_res = (d_res + [(res - res_prev).ravel()])[-ANDERSON_DEPTH:]
-                d_img = (d_img + [(g - g_prev).ravel()])[-ANDERSON_DEPTH:]
-        v_prev, g_prev, res_prev, mixed = v, g, res, None
-        if dg is not None and not grew:
-            mixed = v + np.linalg.solve(np.eye(len(dg)) - dg,
-                                        res.ravel()).reshape(g.shape)
-        elif d_res:
+                d_out = (d_out + [(out - out_prev).ravel()])[-ANDERSON_DEPTH:]
+        v_prev, g_prev, res_prev, out_prev = v, g, res, out
+        if d_res:
             gamma = np.linalg.lstsq(np.column_stack(d_res), res.ravel(),
                                     rcond=None)[0]
-            mixed = g - (np.column_stack(d_img) @ gamma).reshape(g.shape)
-        v = g
-        if (mixed is not None
-                and np.max(np.linalg.norm(mixed, axis=-1)) <= spec.r1):
-            v = mixed
+            out = out - (np.column_stack(d_out) @ gamma).reshape(g.shape)
+        v = (g if grew or np.max(np.linalg.norm(out, axis=-1)) > spec.r1
+             else out)
     return PeriodicGridFn(period, g), updates, rates, False
 
 
@@ -434,7 +427,7 @@ def _solve_cold(spec, omega, eps, period, n_nodes, tol, max_iter):
     when the coarse grid resolves it: when the interpolation-error scale of
     its node values (`_interp_error_estimate`, the ``converged`` gate's est)
     is at most 10 ``tol``.  Then the fine level needs a push or two where a
-    cold one needs 7-17.  The coarse level is only a seed: if it raises
+    cold one needs about five.  The coarse level is only a seed: if it raises
     `DomainError` or `MonotonicityError`, misses ``tol`` in ``max_iter``
     pushes, fails that check, or a sampled node leaves the r1 disc, or if
     the fine iteration from the samples raises either error or misses
@@ -465,12 +458,14 @@ def solve_invariant_curve(spec, omega, eps, config=None):
     """Iterate the graph transform from the seed curve until the node update
     falls below ``tol``; returns the curve and a `SolverReport`.
 
-    A ``batched`` spec with n_nodes * k2 <= `NEWTON_NODES` is solved by
-    Newton steps, any other by Anderson-accelerated sweeps (see
-    `_iterate_to_fixed_point`); both stop on the same rule and return the
-    last plain image, so their curves agree to about ``tol``.  ``iterations``
-    counts pushes, one map call each, and ``measured_rates`` holds the secant
-    contraction rates of the plain transform on the iterates either way.
+    Every spec is solved by the same preconditioned, Anderson-accelerated
+    pushes (`_iterate_to_fixed_point`), which stop on the update of the plain
+    transform and return its last image.  ``iterations`` counts pushes, one
+    map call each, and ``measured_rates`` holds the secant contraction rates
+    of the plain transform on the iterates.  Once a push misses ``tol``,
+    the solve also reads the model map's constants (`map_core.origin`,
+    cached per spec), so an alpha that is not finite at the origin raises
+    `EvaluationError`.
 
     With no ``seed_curve`` the solve starts cold (`_solve_cold`): from the
     zero curve, or for n_nodes >= `COARSE_MIN_NODES` from a solve on
@@ -561,10 +556,11 @@ def attraction_test(spec, omega, eps, phi, n_trajectories=20, n_steps=50,
     above r1 raises `DomainError` before any evaluation.  Only the
     trajectories still inside the r1 disc are evaluated, and d is nan from
     a trajectory's exit point on.  Per-step rates take the max of
-    d_{j+1}/d_j over trajectories whose distance is still at least
-    `DISTANCE_FLOOR`; once distances reach the curve's representation-error
-    level the quotients measure interpolation noise, not contraction, so the
-    floor must sit above that level.
+    d_{j+1}/d_j over trajectories whose distance is still at least the
+    floor max(`DISTANCE_FLOOR`, 10 r), r being the curve's
+    `invariance_residual` with the same ``seed``: once distances reach the
+    curve's representation error the quotients measure interpolation noise,
+    not contraction.
     """
     require_count("n_trajectories", n_trajectories)
     y_radius = y_radius if y_radius is not None else 0.5 * spec.r1
@@ -574,11 +570,13 @@ def attraction_test(spec, omega, eps, phi, n_trajectories=20, n_steps=50,
     x0 = rng.uniform(-1.0, phi.period + 1.0, n_trajectories)[:, None]
     y0 = ball_points(rng.random((n_trajectories, spec.k2)), y_radius)
     xs, ys, inside = orbits(spec, omega, eps, x0, y0, n_steps)
+    floor = max(DISTANCE_FLOOR,
+                10.0 * invariance_residual(spec, omega, eps, phi, seed=seed))
 
     dist = np.full(xs.shape[:2], np.nan)
     kept = np.linalg.norm(ys, axis=-1) <= spec.r1  # false at nan
     dist[kept] = np.linalg.norm(ys[kept] - phi.eval(xs[kept][:, 0]), axis=-1)
-    ok = np.isfinite(dist[1:]) & (dist[:-1] >= DISTANCE_FLOOR)
+    ok = np.isfinite(dist[1:]) & (dist[:-1] >= floor)
     quotients = np.divide(dist[1:], dist[:-1], where=ok,
                           out=np.full(ok.shape, -np.inf))
     rates = np.where(ok.any(axis=1), quotients.max(axis=1), np.nan)

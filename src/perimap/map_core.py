@@ -35,11 +35,9 @@ class MapSpec:
     alpha and beta are declared ``period``-periodic; ``None`` means no
     periodicity is claimed (and the invariant-curve solver is unavailable).
 
-    ``batched`` declares that one call of alpha (then of beta at the same
-    points) on a few hundred points costs about as much as on one, as for a
-    wrapped Poincare map, where a call is one batched flow.  The curve solver
-    then spends extra points on the derivatives of a Newton step
-    (see `invariant_graph`); the evaluators' results do not depend on it.
+    The curve solver treats every spec alike, closed-form or a wrapped
+    Poincare map whose call is one batched flow: each push is one call of
+    alpha, then of beta, at the nodes (see `invariant_graph`).
     """
 
     k1: int
@@ -50,7 +48,6 @@ class MapSpec:
     periodic_coord: Optional[int] = None
     period: Optional[float] = None
     label: str = ""
-    batched: bool = False
 
     def __post_init__(self):
         if self.k1 < 1 or self.k2 < 1:

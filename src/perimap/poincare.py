@@ -12,9 +12,9 @@ eps = 0 its u-component is autonomous and defines the reduced map P(u).
 and beta evaluators of a `MapSpec` with x := tau, k1 = 1 and period T_g; the
 technical omega input is fixed to 1 and ignored.  Both evaluators read a
 memo of one request, the last: alpha and beta asked at the same points
-share one flow, so a curve-solver sweep that has just evaluated alpha gets
-the matching beta free.  The spec is ``batched``: the solver's Newton push
-adds its difference rows to the nodes' flow rather than flowing again.
+share one flow.  A curve-solver push asks alpha, then beta, at the nodes,
+so it is one flow of n lanes; the solver's preconditioner reads the model
+map's constants from `map_core.origin`, one 5-lane flow per wrapped spec.
 
 `cylinder_table` samples forced trajectories started on a solved invariant
 curve: the invariant cylinder written by the CLI and the demo script.
@@ -220,9 +220,8 @@ def extract_alpha_beta(handle):
     because curve solving calls the map thousands of times and only needs
     accuracy at the invariance-residual scale.
 
-    The spec is ``batched``: a call is one batched flow whose cost hardly
-    depends on its number of rows, so the curve solver takes Newton steps
-    whose derivative rows ride in the same flow as the nodes.
+    A call is one batched flow, whose cost hardly depends on its number of
+    rows.
     """
     wrapper = _WrappedPoincare(replace(handle, rtol=CURVE_RTOL,
                                        atol=CURVE_ATOL))
@@ -236,7 +235,6 @@ def extract_alpha_beta(handle):
         periodic_coord=1,
         period=sys.T_g,
         label=f"poincare[{sys.label or 'hybrid'}]",
-        batched=True,
     )
 
 

@@ -219,8 +219,9 @@ class TestSolveCurve:
         assert outs[0] == outs[1]
 
     def test_nonconvergence_exits_nonzero(self, tmp_path, capsys):
+        # the shear converges in 2 pushes, so 1 misses tol
         cfg = dict(SOLVE_E1, solver={"n_nodes": 64, "tol": 1e-12,
-                                     "max_iter": 2})
+                                     "max_iter": 1})
         cfgp = write_config(tmp_path, "c.json", cfg)
         rc = cli.main(["solve-curve", "--config", cfgp,
                        "--out", str(tmp_path / "out")])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "perimap"
 
-PINNED = {"defaulted_parameters": 68, "dataclass_fields": 109}
+PINNED = {"defaulted_parameters": 68, "dataclass_fields": 108}
 
 
 def _is_dataclass(cls):

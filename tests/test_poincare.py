@@ -260,11 +260,10 @@ class TestCurveSolveFlows:
     def test_flow_count(self, handle, monkeypatch):
         """Flows of a small wrapped-Poincare solve (n=64, eps=1e-2).
 
-        The wrapped map is ``batched``, so each sweep is a Newton push: one
-        flow of the 64 nodes and their 64 difference rows, which beta reads
-        from the memo.  Newton needs 3 pushes where Anderson needs 7; with
-        the invariance residual's flow that is one ``p_eps_batch`` call per
-        sweep plus one.
+        Each push is one flow of the 64 nodes, which beta reads from the
+        memo.  The preconditioner's constants cost one flow of the 5-lane
+        `origin` stencil of this fresh spec, and the invariance residual one
+        more flow.
         """
         counter = _LaneCounter(pm.poincare.p_eps_batch)
         monkeypatch.setattr(pm.poincare, "p_eps_batch", counter)
@@ -284,14 +283,18 @@ class TestCurveSolveFlows:
         spec = pm.extract_alpha_beta(handle)
         cfg = pm.CurveConfig(n_nodes=64, tol=1e-12, max_iter=60)
         _, rep = pm.solve_invariant_curve(spec, 1.0, 0.01, cfg)
-        assert rep.converged and rep.iterations == len(sweeps) == 3
+        assert rep.converged and rep.iterations == len(sweeps) == 4
+        # the secant rate of the plain transform: beta_y = kappa / e
+        assert abs(rep.measured_rates[0] - 0.5 / np.e) <= 1e-3
 
         for i in sweep_of_call:
             rows = counter.rows[i]
-            assert len(rows) == 128
+            assert len(rows) == 64
             assert len(np.unique(rows, axis=0)) == len(rows)
-        assert sorted(sweep_of_call.values()) == list(range(1, 4))
-        assert len(counter.rows) <= rep.iterations + 1
+        assert sorted(sweep_of_call.values()) == list(range(1, len(sweeps) + 1))
+        others = [len(rows) for i, rows in enumerate(counter.rows)
+                  if i not in sweep_of_call]
+        assert others == [5, pm.invariant_graph.RESIDUAL_SAMPLES]
 
 
 class TestCylinderTable:
