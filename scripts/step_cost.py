@@ -15,8 +15,9 @@ start; only the `step` calls are timed.  Then one unforced return from
 
 The script prints one JSON object: "step_us" maps K to the minimum over the
 repeats of the mean time per accepted step, in microseconds, and "return"
-maps each rtol to the return's accepted steps, right-hand-side evaluations
-and batched evaluations of H by the event layer.  BLAS and OpenMP are pinned to one thread.
+maps each rtol to the return's accepted steps, the steps whose dense output
+was built (those the event scan read), right-hand-side evaluations and
+batched evaluations of H by the event layer.  BLAS and OpenMP are pinned to one thread.
 """
 import json
 import os
@@ -60,7 +61,8 @@ def return_counts(rtol, atol):
     res = pm.flow_batch(pm.polar_hybrid(), [0.0], [[1.0, 0.0]], 0.0,
                         event=pm.EventConfig(direction=1), rtol=rtol,
                         atol=atol)
-    return {"steps": res.stats["n_steps"], "nfev": res.stats["nfev"],
+    return {"steps": res.stats["n_steps"], "dense": res.stats["n_dense"],
+            "nfev": res.stats["nfev"],
             "event_h_evals": res.stats["event_h_evals"]}
 
 

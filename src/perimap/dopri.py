@@ -12,15 +12,27 @@ The stepper advances a whole batch y of shape (K, d) with a shared adaptive
 step (the error norm is the max of the per-trajectory norms), which keeps
 the evaluation noise across a batch maximally correlated -- finite-difference
 stencils and the nodes of a graph-transform sweep are pushed through as one
-batch on purpose.  Every accepted step also evaluates the three extra stages
-of the seventh-degree continuous extension and stores its coefficients in
-powers of theta; `dense_value` evaluates that polynomial on a step, so
-events can be localized afterwards without re-integration.
+batch on purpose.  An accepted step is returned as a `Step` whose dense
+output is deferred, as in Hairer's code, which evaluates the three extra
+stages of the seventh-degree continuous extension only when dense output is
+asked for.  `Step.q` builds them and the coefficients in powers of theta on
+first request, from the stage buffer the step keeps, with the same
+operations on the same inputs as at acceptance; `dense_value` evaluates
+that polynomial on a step, so events can be localized afterwards without
+re-integration.
 
 The sixteen stages of a step live in one flat (16, K*d) buffer, so each
 stage sum, the error estimate and the dense coefficients are one small
 matmul against the tableau (`A`, `E3`/`E5`, `P`); the step's fixed cost is
-then mostly the fifteen right-hand-side calls.
+then mostly its right-hand-side calls: twelve per accepted step, plus three
+for a step whose dense output is built.
+
+Counting: ``nfev`` is 2 (f(t0) and the initial-step probe) + 12 per
+accepted step + 11 per rejected attempt + 3 per step whose dense output has
+been built (``n_dense`` in `Dopri54.stats`).  `integrate` returns a snapshot
+of these counts when its loop ends, so dense stages built later, by
+`DensePath.eval_grid` or `DensePath.q`, call the right-hand side without
+entering those stats.
 """
 from __future__ import annotations
 
@@ -243,31 +255,84 @@ def dense_value(y_old, q, h, theta):
     return y_old + np.expand_dims(h, -1) * incr
 
 
+class Step:
+    """One accepted step of a `Dopri54`; its dense output is built on request.
+
+    ``t_old``, ``t_new``, ``y_old`` and ``y_new`` (each (K, d)) are the
+    step's ends and ``h`` the length its stages used (``t_new`` is
+    ``t_end`` exactly on a step clipped to it).  ``states`` (11, K, d) holds
+    the interior stage states y_old + h sum_j A[i, j] k_j of stages 1..11;
+    `integrate` drops them once its ``stop`` hook has run.
+    """
+
+    __slots__ = ("t_old", "t_new", "y_old", "y_new", "h", "states",
+                 "_stepper", "_K", "_q")
+
+    def __init__(self, stepper, t_old, t_new, y_old, y_new, h, K, states):
+        self.t_old, self.t_new = t_old, t_new
+        self.y_old, self.y_new = y_old, y_new
+        self.h = h
+        self.states = states
+        self._stepper = stepper
+        self._K = K
+        self._q = None
+
+    @property
+    def q(self):
+        """Dense coefficients (K, d, 7); the first request evaluates stages
+        13..15 (three right-hand-side calls, counted in the stepper's
+        ``nfev``) and frees the stage buffer."""
+        if self._q is None:
+            self._q = self._stepper._dense(self.t_old, self.y_old, self.h,
+                                           self._K)
+            self._K = None
+        return self._q
+
+
 @dataclass
 class DensePath:
     """Accepted-step grid with per-step polynomial interpolants.
 
-    ``t`` has shape (m+1,), ``y`` (m+1, K, d), ``q`` (m, K, d, p) with
-    p = 7 for DOP853; on step i the solution is
-    ``dense_value(y[i], q[i], h[i], (t - t[i]) / h[i])``.
+    ``t`` has shape (m+1,), ``y`` (m+1, K, d) and ``steps`` holds the m
+    `Step`s; on step i the solution is
+    ``dense_value(y[i], steps[i].q, h[i], (t - t[i]) / h[i])``.
     """
 
     t: np.ndarray
     y: np.ndarray
-    q: np.ndarray
+    steps: list
 
     @property
     def h(self):
         return np.diff(self.t)
 
+    @property
+    def q(self):
+        """All steps' dense coefficients, (m, K, d, p) with p = 7; builds
+        those not built yet."""
+        shape = (len(self.steps),) + self.y.shape[1:] + (P.shape[1],)
+        return np.array([step.q for step in self.steps]).reshape(shape)
+
     def eval_grid(self, times):
-        """Evaluate all lanes on a common time grid; returns (G, K, d)."""
+        """Evaluate all lanes at times in [t[0], t[-1]]; returns (G, K, d).
+
+        Only the steps holding one of ``times`` build their dense output.
+        A time outside the path (or nan) raises `ValueError`.
+        """
         times = np.asarray(times, dtype=float)
+        if not np.all((times >= self.t[0]) & (times <= self.t[-1])):
+            raise ValueError(
+                f"eval_grid times must lie in the path's span "
+                f"[{self.t[0]!r}, {self.t[-1]!r}]")
+        if not self.steps:
+            return np.repeat(self.y[:1], times.size, axis=0)
         seg = np.clip(np.searchsorted(self.t, times, side="right") - 1,
-                      0, len(self.t) - 2)
+                      0, len(self.steps) - 1)
+        touched, at = np.unique(seg, return_inverse=True)
+        q = np.array([self.steps[i].q for i in touched])[at]
         h = self.h[seg, None]
         theta = (times[:, None] - self.t[seg, None]) / h
-        return dense_value(self.y[seg], self.q[seg], h, theta)
+        return dense_value(self.y[seg], q, h, theta)
 
 
 class Dopri54:
@@ -290,6 +355,7 @@ class Dopri54:
         self.nfev = 1
         self.n_steps = 0
         self.n_rejected = 0
+        self.n_dense = 0
         if first_step is None:
             span = max(self.t_end - self.t, 1e-12)
             self.h = min(_initial_step(rhs, self.t, self.y, self.f,
@@ -303,17 +369,37 @@ class Dopri54:
     def finished(self):
         return self.t >= self.t_end
 
-    def _stage(self, K, Kf, i, y, h):
-        yi = y + h * (A[i, :i] @ Kf[:i])
-        K[i] = self.rhs(self.t + C[i] * h, yi.reshape(K.shape[1:]))
+    def _stage(self, K, Kf, i, t, y, h, yi):
+        # the stage state goes to yi, flat; stage i is f there
+        np.add(y, h * (A[i, :i] @ Kf[:i]), out=yi)
+        K[i] = self.rhs(t + C[i] * h, yi.reshape(K.shape[1:]))
+
+    def _dense(self, t, y_old, h, K):
+        """Stages 13..15 and the (K, d, 7) dense coefficients of the step
+        from (t, y_old) of length h whose stages 0..12 are in ``K``."""
+        Kf = K.reshape(N_STAGES_EXTENDED, -1)
+        y = y_old.reshape(-1)
+        yi = np.empty_like(y)
+        for i in range(N_STAGES + 1, N_STAGES_EXTENDED):
+            self._stage(K, Kf, i, t, y, h, yi)
+        self.nfev += N_STAGES_EXTENDED - N_STAGES - 1
+        self.n_dense += 1
+        q = Kf.T @ P
+        # pin theta = 1 to y_new: this adds zero in exact arithmetic but
+        # cancels the rounding of P's large, cancelling entries
+        q[:, -1] += B @ Kf[:N_STAGES] - q.sum(axis=1)
+        return q.reshape(y_old.shape + (P.shape[1],))
 
     def step(self):
-        """Advance one accepted step; returns (t_old, t_new, y_old, y_new, q)."""
+        """Advance one accepted step; returns it as a `Step` with its dense
+        output deferred."""
         if self.finished:
             raise IntegrationError("stepping past t_end")
         shape = self.y.shape
         K = np.empty((N_STAGES_EXTENDED,) + shape)
         Kf = K.reshape(N_STAGES_EXTENDED, -1)  # stage sums are matmuls
+        states = np.empty((N_STAGES - 1,) + shape)
+        Yf = states.reshape(N_STAGES - 1, -1)
         y = self.y.reshape(-1)
         while True:
             remaining = self.t_end - self.t
@@ -322,10 +408,9 @@ class Dopri54:
                 raise IntegrationError(f"step size underflow at t = {self.t!r}")
             K[0] = self.f
             for i in range(1, N_STAGES):
-                self._stage(K, Kf, i, y, h)
+                self._stage(K, Kf, i, self.t, y, h, Yf[i - 1])
             self.nfev += N_STAGES - 1
-            slope = B @ Kf[:N_STAGES]
-            y_new = y + h * slope
+            y_new = y + h * (B @ Kf[:N_STAGES])
             scale = np.maximum(np.abs(y), np.abs(y_new))
             scale *= self.rtol
             scale += self.atol
@@ -337,14 +422,7 @@ class Dopri54:
                 y_new = y_new.reshape(shape)
                 # f(t + h, y_new) is stage 12 and the next step's first stage
                 K[N_STAGES] = self.rhs(self.t + h, y_new)
-                for i in range(N_STAGES + 1, N_STAGES_EXTENDED):
-                    self._stage(K, Kf, i, y, h)
-                self.nfev += N_STAGES_EXTENDED - N_STAGES
-                q = Kf.T @ P
-                # pin theta = 1 to y_new: this adds zero in exact arithmetic
-                # but cancels the rounding of P's large, cancelling entries
-                q[:, -1] += slope - q.sum(axis=1)
-                q = q.reshape(shape + (P.shape[1],))
+                self.nfev += 1
                 t_old, y_old = self.t, self.y
                 # t + (t_end - t) can round below t_end; a step clipped to
                 # the remaining span ends exactly there
@@ -353,13 +431,13 @@ class Dopri54:
                 self.f = K[N_STAGES]
                 self.h = h * factor
                 self.n_steps += 1
-                return t_old, self.t, y_old, self.y, q
+                return Step(self, t_old, self.t, y_old, y_new, h, K, states)
             self.h = h * min(1.0, max(MIN_FACTOR, SAFETY * norm ** ORDER_EXP))
             self.n_rejected += 1
 
     def stats(self):
         return {"n_steps": self.n_steps, "n_rejected": self.n_rejected,
-                "nfev": self.nfev}
+                "nfev": self.nfev, "n_dense": self.n_dense}
 
 
 def integrate(rhs, y0, t_end, rtol=1e-10, atol=1e-12, max_step=np.inf,
@@ -367,21 +445,24 @@ def integrate(rhs, y0, t_end, rtol=1e-10, atol=1e-12, max_step=np.inf,
     """Integrate a batch from t = 0 to ``t_end``; returns (DensePath, stats).
 
     This is the one loop that drives `Dopri54.step`.  ``stop``, if given, is
-    called as ``stop(t_old, t_new, y_old, y_new, q)`` after every accepted
-    step; the loop ends after the first step for which it returns true, so
-    the path then ends before ``t_end``.
+    called with every accepted `Step`, while it still holds its stage
+    states; the loop ends after the first step for which it returns true,
+    so the path then ends before ``t_end``.  ``stats`` counts the work done
+    up to that point (see the module docstring).
     """
     stepper = Dopri54(rhs, 0.0, y0, t_end, rtol=rtol, atol=atol,
                       max_step=max_step, first_step=first_step)
     ts = [stepper.t]
     ys = [stepper.y.copy()]
-    qs = []
+    steps = []
     while not stepper.finished:
-        t_old, t_new, y_old, y_new, q = stepper.step()
-        ts.append(t_new)
-        ys.append(y_new)
-        qs.append(q)
-        if stop is not None and stop(t_old, t_new, y_old, y_new, q):
+        step = stepper.step()
+        ts.append(step.t_new)
+        ys.append(step.y_new)
+        steps.append(step)
+        done = stop is not None and stop(step)
+        step.states = None
+        if done:
             break
-    path = DensePath(t=np.array(ts), y=np.array(ys), q=np.array(qs))
+    path = DensePath(t=np.array(ts), y=np.array(ys), steps=steps)
     return path, stepper.stats()

@@ -13,10 +13,15 @@ until |H| has once exceeded an arming threshold, so a trajectory started on
 or near S by a jump does not retrigger at departure.
 
 The eighth-order steps are long (about 20-40 per revolution of the built-in
-cycle), so a sign check at the step ends is not enough: H is sampled at the
-9 points theta = i/8 of every accepted step, and the first admissible sign
-change among them is bracketed between two samples.  On a step whose samples
-keep one sign but come near S, the extremum of H along the step's
+cycle), so a sign check at the step ends is not enough.  Each accepted step
+first gets one batched H call on its eleven interior stage states, which the
+stepper already holds.  A step on which every watched lane keeps the sign
+of its start, at least `FAR_LEVEL` from S, at both ends and at every stage
+state cannot reach S: it is not scanned, and its dense output is never
+built (see `dopri`).  Any other step is scanned: H is sampled at the 9
+points theta = i/8 of the step's interpolant, and the first admissible sign
+change among them is bracketed between two samples.  On a step whose
+samples keep one sign but come near S, the extremum of H along the step's
 interpolant is refined by safeguarded successive parabolic interpolation.
 That extremum feeds the grazing flag, and when it lies across S the step
 holds two crossings; the admissible one is bracketed between the extremum
@@ -42,6 +47,9 @@ LOCALIZE_HALVINGS = 64   # iteration cap of one event localization
 MAX_SEGMENTS = 1000      # flow segments `simulate_hybrid` may run
 SEGMENT_SAMPLES = 64     # dense samples of each segment it returns
 REFINE_LEVEL = 0.05      # sampled |H| below which a step's extremum is refined
+# stage |H| from which a step is not scanned; twice REFINE_LEVEL leaves room
+# for the interpolant between the stage states
+FAR_LEVEL = 2.0 * REFINE_LEVEL
 EXTREMUM_ITERS = 30      # iteration cap of that refinement
 EXTREMUM_TOL = 1e-6      # theta step at which that refinement has converged
 H_TOL = 1e-12            # |H| at a localized crossing
@@ -201,6 +209,24 @@ def _extremum(h_fun, y_old, q, h, sign, theta, f):
     return x, sign * fx
 
 
+def _far_from_s(h_states, h_prev, h_new, watched, min_h_armed):
+    """True if no watched lane can reach S inside the step.
+
+    ``h_states`` (11, K) is H at the step's interior stage states, and
+    ``h_prev`` and ``h_new`` at its ends.  A lane is far if all of them have
+    the sign of ``h_prev`` and |H| >= `FAR_LEVEL`.  When every watched lane
+    is far, their least |H| lowers ``min_h_armed`` (in place).
+    """
+    sign = np.sign(h_prev)
+    reach = (h_states * sign).min(axis=0)
+    np.minimum(reach, h_prev * sign, out=reach)
+    np.minimum(reach, h_new * sign, out=reach)
+    if not (reach >= FAR_LEVEL).all(where=watched):
+        return False
+    np.minimum(min_h_armed, reach, out=min_h_armed, where=watched)
+    return True
+
+
 def _scan_step(h_fun, direction, t_old, t_new, y_old, q, h_prev, h_new,
                watched, min_h_armed, pending, bracket):
     """Bracket the first admissible crossing inside one accepted step.
@@ -336,7 +362,10 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     ``stop`` hook, which ends the integration once every lane has an
     admissible crossing.  A lane without one ends at ``max_time``, its
     ``event_hit`` false; whether that is a failure is the caller's call
-    (`poincare` raises `NoReturnError`).
+    (`poincare` raises `NoReturnError`).  The hook skips a step on which
+    every watched lane is `_far_from_s`; only scanned steps build their
+    dense output, so ``stats["nfev"]`` is 2 + 12 per step + 11 per rejected
+    attempt + 3 per scanned step (``stats["n_dense"]``).
 
     Each hit lane's crossing is bracketed by the per-step scan and closed
     by regula falsi on the step's interpolant; the lane ends at the end of
@@ -345,8 +374,9 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     when no lane hit).  A localization that still misses `H_TOL` after
     `LOCALIZE_HALVINGS` iterations raises `IntegrationError`.
     ``stats["event_h_evals"]`` counts the flow's batched calls of H: step
-    ends, scan samples, extremum refinements and localization.  Detection
-    on a lane is armed once its |H| reaches `ARM_LEVEL`.  Two crossings
+    ends, stage states, scan samples, extremum refinements and
+    localization.  Detection on a lane is armed once its |H| reaches
+    `ARM_LEVEL`.  Two crossings
     inside one step are found when H passes S between them by at least
     `PASS_LEVEL`; a shallower pass counts as a touch, and a lane that never
     crosses but comes within `GRAZING_TOL` of S is flagged grazing.
@@ -385,13 +415,15 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     bracket = np.zeros((4, K))
     pending = np.ones(K, dtype=bool)
 
-    def scan(t_old, t_new, y_old, y_new, q):
+    def scan(step):
         nonlocal armed, h_prev
-        h_new = h_of(y_new)
+        h_new = h_of(step.y_new)
         watched = armed & pending
-        if watched.any():
-            _scan_step(h_of, event.direction, t_old, t_new, y_old, q, h_prev,
-                       h_new, watched, min_h_armed, pending, bracket)
+        if watched.any() and not _far_from_s(h_of(step.states), h_prev,
+                                              h_new, watched, min_h_armed):
+            _scan_step(h_of, event.direction, step.t_old, step.t_new,
+                       step.y_old, step.q, h_prev, h_new, watched,
+                       min_h_armed, pending, bracket)
         armed |= np.abs(h_new) >= ARM_LEVEL
         h_prev = h_new
         return not pending.any()
@@ -405,10 +437,13 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     h_max = 0.0
     if hit_lanes.size:
         t_lo, t_hi, f_lo, f_hi = bracket[:, hit_lanes]
-        step = np.searchsorted(path.t, t_lo, side="right") - 1
+        seg = np.searchsorted(path.t, t_lo, side="right") - 1
+        # each hit step was scanned, so its dense output is built
+        q = np.array([path.steps[i].q[lane]
+                      for i, lane in zip(seg, hit_lanes)])
         s_star, y_star, h_max = _localize_crossings(
-            h_of, path.y[step, hit_lanes], path.q[step, hit_lanes],
-            path.t[step], path.h[step], t_lo, t_hi, f_lo, f_hi)
+            h_of, path.y[seg, hit_lanes], q, path.t[seg], path.h[seg], t_lo,
+            t_hi, f_lo, f_hi)
         end_times[hit_lanes] = taus[hit_lanes] + s_star
         end_states[hit_lanes] = y_star
     stats["event_h_max"] = h_max

@@ -141,6 +141,76 @@ class TestAccuracy:
             assert np.array_equal(own, path.eval_grid([t])[0, lane])
 
 
+class TestDeferredDenseOutput:
+    @staticmethod
+    def counted(rhs):
+        calls = [0]
+
+        def wrapped(t, y):
+            calls[0] += 1
+            return rhs(t, y)
+
+        return wrapped, calls
+
+    def test_eval_grid_builds_the_steps_it_touches(self):
+        rhs, calls = self.counted(lambda t, y: -y)
+        path, stats = integrate(rhs, np.array([[1.0]]), 2.0)
+        assert calls[0] == stats["nfev"] and stats["n_dense"] == 0
+        i = len(path.steps) // 2
+        mid = 0.5 * (path.t[i] + path.t[i + 1])
+        path.eval_grid([path.t[i], mid])   # one step: its start and middle
+        assert calls[0] == stats["nfev"] + 3
+        path.eval_grid([mid])
+        assert calls[0] == stats["nfev"] + 3
+        # the stats are the loop's: later dense stages do not enter them
+        assert stats["n_dense"] == 0
+
+    def test_deferred_equals_built_at_once(self):
+        # the stop hook builds every step's q as it is accepted; a path
+        # whose steps are built afterwards holds the same bits
+        def build(step):
+            step.q
+            return False
+
+        y0 = np.array([[1.0, 0.0], [0.5, 0.2]])
+        now, now_stats = integrate(rotation, y0, 1.3, stop=build)
+        later, later_stats = integrate(rotation, y0, 1.3)
+        assert now_stats["n_dense"] == now_stats["n_steps"]
+        assert later_stats["n_dense"] == 0
+        assert np.array_equal(now.q, later.q)
+        assert np.array_equal(now.t, later.t)
+
+    def test_stage_states_dropped_after_the_hook(self):
+        seen = []
+
+        def stop(step):
+            seen.append(step)
+            assert step.states.shape == (N_STAGES - 1, 1, 1)
+            return False
+
+        path, _ = integrate(lambda t, y: -y, np.array([[1.0]]), 1.0,
+                            stop=stop)
+        assert seen == path.steps
+        assert all(step.states is None for step in path.steps)
+
+    def test_eval_grid_outside_the_path_raises(self):
+        # y' = -y to t = 1 once gave 0.049773 at t = 3, not e**-3
+        path, _ = integrate(lambda t, y: -y, np.array([[1.0]]), 1.0)
+        for t in (3.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match="span"):
+                path.eval_grid([0.5, t])
+
+    def test_eval_grid_on_a_path_without_steps(self):
+        # t_end = 0 takes no step; this once raised IndexError
+        y0 = np.array([[1.0, 2.0]])
+        path, stats = integrate(rotation, y0, 0.0)
+        assert stats["n_steps"] == 0
+        assert path.q.shape == (0, 1, 2, 7)
+        assert np.array_equal(path.eval_grid([0.0, 0.0]), np.stack([y0, y0]))
+        with pytest.raises(ValueError, match="span"):
+            path.eval_grid([1e-3])
+
+
 class TestStepping:
     def test_lands_exactly_on_t_end(self):
         path, _ = integrate(lambda t, y: -y, np.array([[1.0]]), 0.731)
@@ -172,8 +242,8 @@ class TestStepping:
         assert len(full.t) > k + 2
         seen = []
 
-        def stop(t_old, t_new, y_old, y_new, q):
-            seen.append(t_new)
+        def stop(step):
+            seen.append(step.t_new)
             return len(seen) == k
 
         path, stats = integrate(rotation, y0, 3.0, stop=stop)
@@ -200,10 +270,18 @@ class TestStepping:
 
     def test_stats_counted(self):
         stepper = Dopri54(lambda t, y: -y, 0.0, np.array([[1.0]]), 1.0)
+        steps = []
         while not stepper.finished:
-            stepper.step()
+            steps.append(stepper.step())
+        assert stepper.stats()["n_dense"] == 0
+        steps[0].q
+        steps[-1].q
+        steps[-1].q   # built once
         s = stepper.stats()
-        # startup pair, 11 fresh stages per attempt, and per accepted step
-        # f(t + h, y_new) (reused as the next first stage) plus 3 dense stages
-        assert s["n_steps"] >= 1
-        assert s["nfev"] == 2 + 15 * s["n_steps"] + 11 * s["n_rejected"]
+        # startup pair, 11 fresh stages per attempt, per accepted step
+        # f(t + h, y_new) (reused as the next first stage), and 3 dense
+        # stages per step whose dense output was built
+        assert s["n_steps"] >= 2
+        assert s["n_dense"] == 2
+        assert s["nfev"] == (2 + 12 * s["n_steps"] + 11 * s["n_rejected"]
+                             + 3 * s["n_dense"])

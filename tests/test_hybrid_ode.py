@@ -22,6 +22,26 @@ def fixed_time(sys_, taus, vs, eps, duration, **tol):
     return path.y[-1]
 
 
+def assert_skip_changes_nothing(monkeypatch, flow):
+    """``flow()`` ends bitwise alike with the far-step skip and with every
+    step scanned (`FAR_LEVEL` = inf); returns both results."""
+    fast = flow()
+    with monkeypatch.context() as m:
+        m.setattr(hybrid_ode, "FAR_LEVEL", np.inf)
+        full = flow()
+    assert fast.stats["n_dense"] <= full.stats["n_dense"]
+    for name in ("end_times", "end_states", "event_hit", "grazing"):
+        assert np.array_equal(getattr(fast, name), getattr(full, name)), name
+    assert fast.stats["event_h_max"] == full.stats["event_h_max"]
+    return fast, full
+
+
+def _graze(e3):
+    """H = x2 - 1 touches S at the top of the unit cycle."""
+    return dataclasses.replace(
+        e3, H=lambda x: np.asarray(x, float)[..., 1] - 1.0)
+
+
 @pytest.fixture()
 def frozen(e3):
     return pm.HybridSystem(
@@ -158,13 +178,10 @@ class TestFlow:
                        (0.85 + 0.8) - (0.3 + 0.8))[0]
         assert np.linalg.norm(a - b) <= 1e-9
 
-    def test_grazing_flagged(self, e3):
-        graze = pm.HybridSystem(
-            dim=2, X=e3.X, g=e3.g, Delta=e3.Delta,
-            H=lambda x: np.asarray(x, float)[..., 1] - 1.0,
-            D=e3.D, D_inverse=e3.D_inverse, T_g=0.8, r1=0.5)
-        res = pm.flow_batch(graze, [0.0], [[1.0, 0.0]], 0.0,
-                            event=pm.EventConfig(), max_time=2.0)
+    def test_grazing_flagged(self, e3, monkeypatch):
+        res, _ = assert_skip_changes_nothing(monkeypatch, lambda: pm.flow_batch(
+            _graze(e3), [0.0], [[1.0, 0.0]], 0.0, event=pm.EventConfig(),
+            max_time=2.0))
         assert not res.event_hit[0]
         assert res.grazing[0]
 
@@ -228,6 +245,15 @@ class TestTwoCrossingsInOneStep:
         assert not res.event_hit[0]
         assert res.grazing[0]
 
+    @pytest.mark.parametrize("level, direction, kw", [
+        (LEVEL, 1, {}), (LEVEL, -1, {}), (1.0 - 1e-9, 1, {"max_time": 0.9})],
+        ids=["first", "second", "touch"])
+    def test_skip_changes_nothing(self, e3, monkeypatch, level, direction,
+                                  kw):
+        res, _ = assert_skip_changes_nothing(
+            monkeypatch, lambda: self._flow(e3, level, direction, **kw))
+        assert res.stats["n_dense"] < res.stats["n_steps"]
+
     def test_extremum_of_quadratic(self):
         # y(theta) = theta - theta**2 peaks at 1/4 for theta = 1/2; the
         # parabola through three points of a quadratic is the quadratic, so
@@ -255,17 +281,26 @@ class TestThreeCrossingsInOneStep:
 
     THETA0 = 0.013
 
-    @pytest.mark.parametrize("direction", [1, -1])
-    @pytest.mark.parametrize("k", [20, 33, 40, 50, 60, 80])
-    def test_first_admissible_crossing(self, k, direction):
+    def _flow(self, k, direction):
         def H(x):
             x = np.asarray(x, float)
             return np.sin(k * np.arctan2(x[..., 1], x[..., 0]))
 
         sys_ = dataclasses.replace(pm.polar_hybrid(), H=H)
-        res = pm.flow_batch(sys_, [0.0], [[np.cos(self.THETA0),
-                                           np.sin(self.THETA0)]], 0.0,
-                            event=pm.EventConfig(direction=direction))
+        return pm.flow_batch(sys_, [0.0], [[np.cos(self.THETA0),
+                                            np.sin(self.THETA0)]], 0.0,
+                             event=pm.EventConfig(direction=direction))
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("k", [20, 33, 40, 50, 60, 80])
+    def test_skip_changes_nothing(self, k, direction, monkeypatch):
+        assert_skip_changes_nothing(monkeypatch,
+                                    lambda: self._flow(k, direction))
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("k", [20, 33, 40, 50, 60, 80])
+    def test_first_admissible_crossing(self, k, direction):
+        res = self._flow(k, direction)
         # the first zero after THETA0 with the sign of dH/dt asked for
         m = int(np.floor(k * self.THETA0 / np.pi)) + 1
         if (m % 2 == 0) != (direction > 0):
@@ -388,12 +423,92 @@ class TestPerLaneEps:
         assert np.array_equal(lanes[1], scalar[1])
         assert lanes[2] == scalar[2]
 
+    @pytest.mark.parametrize("eps_in_g", [False, True])
+    def test_skip_changes_nothing(self, e3, monkeypatch, eps_in_g):
+        sys_ = _eps_forced(e3) if eps_in_g else e3
+        assert_skip_changes_nothing(monkeypatch, lambda: pm.flow_batch(
+            sys_, self.TAUS, self.VS, self.EPS, event=pm.EventConfig()))
+
     def test_wrong_eps_shape_rejected(self, e3):
         with pytest.raises(ValueError, match="eps"):
             hybrid_ode.forced_rhs(e3, self.TAUS, np.zeros(3))
         with pytest.raises(ValueError, match="eps"):
             pm.flow_batch(e3, self.TAUS, self.VS, np.zeros(3),
                           event=pm.EventConfig())
+
+
+class TestFarStepSkip:
+    """Steps on which no watched lane can reach S are neither scanned nor
+    given a dense output."""
+
+    U = np.linspace(-0.3, 0.3, 64)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-2, 5e-2])
+    def test_polar_returns_unchanged(self, e3, monkeypatch, eps):
+        taus = np.linspace(0.0, e3.T_g, 64, endpoint=False)
+        vs = np.column_stack([1.0 + self.U, 0.0 * self.U])
+        res, _ = assert_skip_changes_nothing(monkeypatch, lambda: pm.flow_batch(
+            e3, taus, vs, eps, event=pm.EventConfig(direction=1),
+            rtol=1e-12, atol=1e-14))
+        assert res.event_hit.all()
+        assert res.stats["n_dense"] < res.stats["n_steps"]
+
+    def test_nfev_counts_every_rhs_call(self, e3):
+        calls = [0]
+
+        def X(x):
+            calls[0] += 1
+            return e3.X(x)
+
+        res = pm.flow_batch(dataclasses.replace(e3, X=X), [0.3], [[1.05, 0.0]],
+                            0.01, event=pm.EventConfig(direction=1),
+                            rtol=1e-12, atol=1e-14)
+        st = res.stats
+        assert st["nfev"] == calls[0]
+        # some steps skipped, the one holding the crossing scanned
+        assert 1 <= st["n_dense"] < st["n_steps"]
+        assert st["nfev"] < 2 + 15 * st["n_steps"]
+        assert st["nfev"] == (2 + 12 * st["n_steps"] + 11 * st["n_rejected"]
+                              + 3 * st["n_dense"])
+
+    @staticmethod
+    def _far(h_states, h_prev, h_new, watched):
+        min_h = np.full(len(h_prev), np.inf)
+        far = hybrid_ode._far_from_s(np.asarray(h_states, float),
+                                     np.asarray(h_prev, float),
+                                     np.asarray(h_new, float),
+                                     np.asarray(watched), min_h)
+        return far, min_h
+
+    def test_stage_states_across_s_are_not_far(self):
+        # every value 0.5 from S, but the middle stage states lie across it:
+        # two crossings inside the step
+        h_states = np.full((11, 1), 0.5)
+        h_states[4:7] = -0.5
+        assert not self._far(h_states, [0.5], [0.5], [True])[0]
+        assert not self._far(-h_states, [-0.5], [0.5], [True])[0]
+
+    def test_values_near_s_are_not_far(self):
+        # one sign throughout, but one stage state between REFINE_LEVEL and
+        # FAR_LEVEL, so the scan could still refine an extremum there
+        level = 1.2 * hybrid_ode.REFINE_LEVEL
+        h_states = np.full((11, 2), -0.5)
+        h_states[3, 1] = -level
+        assert not self._far(h_states, [-0.5, -0.5], [-0.5, -0.5],
+                             [True, True])[0]
+        assert not self._far(-np.abs(h_states), [-0.5, -level],
+                             [-0.5, -0.5], [True, True])[0]
+        assert not self._far(-np.abs(h_states), [-0.5, -0.5],
+                             [-0.5, -level], [True, True])[0]
+
+    def test_unwatched_lanes_are_ignored(self):
+        h_states = np.full((11, 2), 0.5)
+        h_states[3, 0] = 0.3
+        h_states[3, 1] = 0.0
+        far, min_h = self._far(h_states, [0.5, 0.5], [0.5, 0.5],
+                               [True, False])
+        assert far
+        assert min_h[0] == 0.3 and min_h[1] == np.inf
 
 
 class TestPolarEvaluators:

@@ -590,6 +590,44 @@ class TestConvergedGate:
         assert not rep.converged
 
 
+def _off_origin_map(c0, q, c2):
+    """The curve lies near y = c0, where beta_y is about q, but the
+    preconditioner takes B = beta_y(0) = q - 2 c2 c0 from the origin."""
+    two_pi = 2.0 * np.pi
+
+    def alpha(omega, eps, x, y):
+        return 1.0 + 0.1 * y
+
+    def beta(omega, eps, x, y):
+        return (c0 + q * (y - c0) + c2 * (y - c0)**2
+                + eps * np.sin(two_pi * x))
+
+    return pm.MapSpec(k1=1, k2=1, r1=1.0, alpha=alpha, beta=beta,
+                      periodic_coord=1, period=1.0)
+
+
+def _fails_with(error, reason):
+    return pytest.mark.xfail(strict=True, raises=error, reason=reason)
+
+
+class TestPreconditionerOvershoot:
+    """Maps with beta(0) != 0 whose curves plain Anderson pushes found in
+    19-54 pushes; B = beta_y(0) overshoots there."""
+
+    @pytest.mark.parametrize("c0, q, c2", [
+        pytest.param(0.3, 0.5, -0.5, marks=_fails_with(
+            pm.ConvergenceError, "the update grows every other push")),
+        pytest.param(0.5, 0.3, -0.5, marks=_fails_with(
+            pm.ConvergenceError, "the update grows every other push")),
+        pytest.param(0.5, 0.7, -0.2, marks=_fails_with(
+            MonotonicityError, "an overshooting push loses the nodes' order")),
+    ])
+    def test_off_origin_curve_is_solved(self, c0, q, c2):
+        _, rep = pm.solve_invariant_curve(_off_origin_map(c0, q, c2), 0.25,
+                                          0.01, pm.CurveConfig(n_nodes=64))
+        assert rep.converged
+
+
 class TestRarePaths:
     def test_anderson_history_restarts(self):
         spec = _restarting_map()

@@ -79,6 +79,6 @@ def test_step_cost_return_counts(monkeypatch):
     spec.loader.exec_module(step_cost)
     # the counts README.md quotes for one polar-hybrid return
     assert step_cost.return_counts(1e-10, 1e-12) == {
-        "steps": 22, "nfev": 332, "event_h_evals": 49}
+        "steps": 22, "dense": 3, "nfev": 275, "event_h_evals": 52}
     assert step_cost.return_counts(1e-12, 1e-14) == {
-        "steps": 37, "nfev": 557, "event_h_evals": 79}
+        "steps": 37, "dense": 5, "nfev": 461, "event_h_evals": 84}
