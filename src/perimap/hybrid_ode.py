@@ -218,10 +218,10 @@ def _far_from_s(h_states, h_prev, h_new, watched, min_h_armed):
     is far, their least |H| lowers ``min_h_armed`` (in place).
     """
     sign = np.sign(h_prev)
-    reach = (h_states * sign).min(axis=0)
+    reach = np.minimum.reduce(h_states * sign, axis=0)
     np.minimum(reach, h_prev * sign, out=reach)
     np.minimum(reach, h_new * sign, out=reach)
-    if not (reach >= FAR_LEVEL).all(where=watched):
+    if not np.logical_and.reduce(reach >= FAR_LEVEL, where=watched):
         return False
     np.minimum(min_h_armed, reach, out=min_h_armed, where=watched)
     return True
@@ -334,12 +334,12 @@ def forced_rhs(sys, taus, eps):
         raise ValueError(f"eps must be a scalar or have shape ({K},), "
                          f"got {eps.shape}")
     forced = bool(np.any(eps != 0.0))
+    X, g = sys.X, sys.g
 
     def rhs(s, y):
-        out = np.asarray(sys.X(y), dtype=float)
+        out = np.asarray(X(y), dtype=float)
         if forced:
-            out = out + weight * np.asarray(sys.g(taus + s, y, eps),
-                                            dtype=float)
+            out = out + weight * np.asarray(g(taus + s, y, eps), dtype=float)
         return out
 
     return rhs
@@ -410,13 +410,14 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
 
     h_prev = h_of(vs)
     armed = np.abs(h_prev) >= ARM_LEVEL
+    all_armed = armed.all()  # then the hook stops updating ``armed``
     min_h_armed = np.where(armed, np.abs(h_prev), np.inf)
     # per-lane bracket of the crossing: t_lo, t_hi, H(t_lo), H(t_hi)
     bracket = np.zeros((4, K))
     pending = np.ones(K, dtype=bool)
 
     def scan(step):
-        nonlocal armed, h_prev
+        nonlocal armed, all_armed, h_prev
         h_new = h_of(step.y_new)
         watched = armed & pending
         if watched.any() and not _far_from_s(h_of(step.states), h_prev,
@@ -424,7 +425,9 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
             _scan_step(h_of, event.direction, step.t_old, step.t_new,
                        step.y_old, step.q, h_prev, h_new, watched,
                        min_h_armed, pending, bracket)
-        armed |= np.abs(h_new) >= ARM_LEVEL
+        if not all_armed:
+            armed |= np.abs(h_new) >= ARM_LEVEL
+            all_armed = armed.all()
         h_prev = h_new
         return not pending.any()
 
@@ -536,14 +539,17 @@ def polar_hybrid(kappa=0.5, T_g=0.8, amp=(1.0, 0.0), r1=0.5):
     amp = np.asarray(amp, dtype=float)
     if amp.shape != (2,):
         raise ConfigError("amp must have two components")
+    rotation = np.array([[0.0, 2.0 * np.pi], [-2.0 * np.pi, 0.0]])
 
     def X(x):
+        # (shrink x1 - 2 pi x2, shrink x2 + 2 pi x1) with shrink = 1 - |x|,
+        # bit for bit on finite x (up to the sign of a zero result): each
+        # product with a zero of the rotation is an exact zero, and a - b
+        # equals a + (-b)
         x = np.asarray(x, dtype=float)
-        x1, x2 = x[..., 0], x[..., 1]
-        shrink = 1.0 - np.sqrt(x1 * x1 + x2 * x2)
-        out = np.empty_like(x)
-        out[..., 0] = shrink * x1 - 2.0 * np.pi * x2
-        out[..., 1] = shrink * x2 + 2.0 * np.pi * x1
+        sq = x * x
+        out = (1.0 - np.sqrt(sq[..., 0] + sq[..., 1]))[..., None] * x
+        out += x @ rotation
         return out
 
     def g(t, x, eps):

@@ -1,15 +1,76 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from perimap.dopri import (A, B, C, D, E3, E5, N_STAGES, Dopri54, dense_value,
-                           integrate)
+from perimap.dopri import (A, B, C, D, E3, E5, MAX_FACTOR, MIN_FACTOR,
+                           N_STAGES, ORDER_EXP, P, SAFETY, Dopri54,
+                           dense_value, integrate)
 from perimap.exceptions import IntegrationError
+from perimap.hybrid_ode import forced_rhs, polar_hybrid
 
 
 def rotation(t, y):
     return np.stack([-2 * np.pi * y[..., 1], 2 * np.pi * y[..., 0]], axis=-1)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_error_norm(h, err):
+    s5, s3 = np.sum(err * err, axis=-1)
+    den = np.maximum(s5 + 0.01 * s3, np.finfo(float).tiny)
+    return h * float(np.max(s5 / np.sqrt(den))) / math.sqrt(err.shape[-1])
+
+
+def reference_step(st):
+    """One accepted step of the `Dopri54` ``st``, written stage by stage:
+    stage i is f(t + C[i] h, y + h (A[i, :i] @ k)).  Advances ``st`` as
+    `Dopri54.step` does and returns (t_new, h, y_new, states, q), with the
+    dense stages and q built at once."""
+    shape = st.y.shape
+    K = np.empty((16,) + shape)
+    Kf = K.reshape(16, -1)
+    states = np.empty((11,) + shape)
+    y = st.y.reshape(-1)
+
+    def stage(i, t, h, yi):
+        np.add(y, h * (A[i, :i] @ Kf[:i]), out=yi)
+        K[i] = st.rhs(t + C[i] * h, yi.reshape(shape))
+
+    while True:
+        remaining = st.t_end - st.t
+        h = min(st.h, st.max_step, remaining)
+        K[0] = st.f
+        for i in range(1, 12):
+            stage(i, st.t, h, states[i - 1].reshape(-1))
+        y_new = y + h * (B @ Kf[:12])
+        scale = np.maximum(np.abs(y), np.abs(y_new))
+        scale *= st.rtol
+        scale += st.atol
+        err = (np.stack([E5[:12], E3[:12]]) @ Kf[:12]) / scale
+        norm = reference_error_norm(h, err.reshape((2,) + shape))
+        if norm <= 1.0:
+            break
+        st.h = h * min(1.0, max(MIN_FACTOR, SAFETY * norm ** ORDER_EXP))
+        st.n_rejected += 1
+    factor = MAX_FACTOR if norm == 0.0 else min(
+        MAX_FACTOR, max(MIN_FACTOR, SAFETY * norm ** ORDER_EXP))
+    y_new = y_new.reshape(shape)
+    K[12] = st.rhs(st.t + h, y_new)
+    t_old = st.t
+    st.t = st.t_end if h == remaining else st.t + h
+    st.y, st.f, st.h = y_new, K[12], h * factor
+    yi = np.empty_like(y)
+    for i in range(13, 16):
+        stage(i, t_old, h, yi)
+    q = Kf.T @ P
+    q[:, -1] += B @ Kf[:12] - q.sum(axis=1)
+    return st.t, h, y_new, states, q.reshape(shape + (7,))
 
 
 class TestTableau:
@@ -200,6 +261,15 @@ class TestDeferredDenseOutput:
             with pytest.raises(ValueError, match="span"):
                 path.eval_grid([0.5, t])
 
+    def test_eval_grid_takes_1d_times_only(self):
+        # a scalar time once raised a bare IndexError, and a (1, 2) array
+        # returned a (1, 2, 2, 1) array
+        path, _ = integrate(lambda t, y: -y, np.array([[1.0]]), 1.0)
+        for times in (0.5, [[0.25, 0.5]]):
+            with pytest.raises(ValueError, match=r"1-D, of shape \(G,\)"):
+                path.eval_grid(times)
+        assert path.eval_grid([0.5]).shape == (1, 1, 1)
+
     def test_eval_grid_on_a_path_without_steps(self):
         # t_end = 0 takes no step; this once raised IndexError
         y0 = np.array([[1.0, 2.0]])
@@ -209,6 +279,29 @@ class TestDeferredDenseOutput:
         assert np.array_equal(path.eval_grid([0.0, 0.0]), np.stack([y0, y0]))
         with pytest.raises(ValueError, match="span"):
             path.eval_grid([1e-3])
+
+
+class TestStageLoop:
+    @pytest.mark.parametrize("lanes", [1, 3, 64])
+    def test_step_equals_reference_bitwise(self, lanes):
+        # the forced polar-hybrid field, lanes near its cycle; a first step
+        # of 0.5 is rejected, so the retry runs too
+        sys_ = polar_hybrid()
+        rhs = forced_rhs(sys_, np.linspace(0.0, sys_.T_g, lanes,
+                                           endpoint=False), 0.01)
+        angle = np.linspace(0.0, 2.0 * np.pi, lanes, endpoint=False)
+        radius = np.linspace(0.9, 1.1, lanes)
+        y0 = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+        fast, ref = (Dopri54(rhs, 0.0, y0, 10.0, rtol=1e-12, atol=1e-14,
+                             first_step=0.5) for _ in range(2))
+        for _ in range(24):
+            step = fast.step()
+            t_new, h, y_new, states, q = reference_step(ref)
+            assert step.t_new == t_new and step.h == h and fast.h == ref.h
+            assert same_bits(step.y_new, y_new)
+            assert same_bits(step.states, states)
+            assert same_bits(step.q, q)
+        assert fast.n_rejected == ref.n_rejected > 0
 
 
 class TestStepping:

@@ -531,6 +531,25 @@ class TestPolarEvaluators:
         assert out.shape == shape
         assert_allclose(out, self.field(x), rtol=0, atol=1e-14)
 
+    # points in all four quadrants, inside and outside the unit circle
+    points = np.array([[-0.4, 0.3], [1.3, -0.9], [-0.2, -0.7], [-1.1, 1.6],
+                       [0.6, 0.5], [-2.0, -0.1], [0.05, -1.2]])
+
+    @pytest.mark.parametrize("x", [
+        points[1],                 # outside the circle
+        points[:1],                # inside
+        points,
+        np.resize(points, (11, 3, 2)) * np.linspace(0.5, 1.5, 3)[:, None],
+    ], ids=["2", "1x2", "7x2", "11x3x2"])
+    def test_field_bitwise_explicit_formula(self, x):
+        x1, x2 = x[..., 0], x[..., 1]
+        shrink = 1.0 - np.sqrt(x1 * x1 + x2 * x2)
+        want = np.stack([shrink * x1 - 2.0 * np.pi * x2,
+                         shrink * x2 + 2.0 * np.pi * x1], axis=-1)
+        out = pm.polar_hybrid().X(x)
+        assert out.shape == x.shape
+        assert out.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 5, 2)])
     def test_forcing_scalar_t(self, shape):
         sys_ = pm.polar_hybrid(amp=tuple(self.amp))
