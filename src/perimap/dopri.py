@@ -35,8 +35,8 @@ Counting: ``nfev`` is 2 (f(t0) and the initial-step probe) + 12 per
 accepted step + 11 per rejected attempt + 3 per step whose dense output has
 been built (``n_dense`` in `Dopri54.stats`).  `integrate` returns a snapshot
 of these counts when its loop ends, so dense stages built later, by
-`DensePath.eval_grid` or `DensePath.q`, call the right-hand side without
-entering those stats.
+`DensePath.eval_grid` or by a first read of a `Step.q` after the loop, call
+the right-hand side without entering those stats.
 """
 from __future__ import annotations
 
@@ -234,7 +234,7 @@ def _error_norm(h, err):
     return h * float((s5 / np.sqrt(den)).max()) / math.sqrt(err.shape[-1])
 
 
-def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):
+def _initial_step(rhs, t0, y0, f0, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     d0 = _rms_norm(y0 / scale)
     d1 = _rms_norm(f0 / scale)
@@ -246,7 +246,7 @@ def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** -ORDER_EXP
-    return min(100 * h0, h1, max_step)
+    return min(100 * h0, h1)
 
 
 def dense_value(y_old, q, h, theta):
@@ -312,19 +312,13 @@ class DensePath:
     def h(self):
         return np.diff(self.t)
 
-    @property
-    def q(self):
-        """All steps' dense coefficients, (m, K, d, p) with p = 7; builds
-        those not built yet."""
-        shape = (len(self.steps),) + self.y.shape[1:] + (P.shape[1],)
-        return np.array([step.q for step in self.steps]).reshape(shape)
-
     def eval_grid(self, times):
         """Evaluate all lanes at times in [t[0], t[-1]]; returns (G, K, d).
 
         ``times`` must be 1-D, of shape (G,); a time outside the path (or
         nan) raises `ValueError`, as does any other shape.  Only the steps
-        holding one of ``times`` build their dense output.
+        holding one of ``times`` build their dense output; no times give a
+        (0, K, d) array.
         """
         times = np.asarray(times, dtype=float)
         if times.ndim != 1:
@@ -334,7 +328,7 @@ class DensePath:
             raise ValueError(
                 f"eval_grid times must lie in the path's span "
                 f"[{self.t[0]!r}, {self.t[-1]!r}]")
-        if not self.steps:
+        if not self.steps or not times.size:
             return np.repeat(self.y[:1], times.size, axis=0)
         seg = np.clip(np.searchsorted(self.t, times, side="right") - 1,
                       0, len(self.steps) - 1)
@@ -349,31 +343,26 @@ class Dopri54:
     """Single-pass adaptive DOP853 stepper over a batch; call `step` to advance.
 
     The class keeps its historical name; the method is Dormand-Prince
-    8(5,3) with its seventh-degree dense output.
+    8(5,3) with its seventh-degree dense output.  The first step length is
+    Hairer's initial-step estimate, capped at the span; ``h`` is the
+    length the next attempt tries.
     """
 
-    def __init__(self, rhs, t0, y0, t_end, rtol=1e-10, atol=1e-12,
-                 max_step=np.inf, first_step=None):
+    def __init__(self, rhs, t0, y0, t_end, rtol, atol):
         self.rhs = rhs
         self.t = float(t0)
         self.t_end = float(t_end)
         self.y = np.atleast_2d(np.asarray(y0, dtype=float)).copy()
         self.rtol = float(rtol)
         self.atol = float(atol)
-        self.max_step = float(max_step)
         self.f = np.asarray(rhs(self.t, self.y), dtype=float)
-        self.nfev = 1
+        self.nfev = 2   # f(t0) and the initial-step probe
         self.n_steps = 0
         self.n_rejected = 0
         self.n_dense = 0
-        if first_step is None:
-            span = max(self.t_end - self.t, 1e-12)
-            self.h = min(_initial_step(rhs, self.t, self.y, self.f,
-                                       self.rtol, self.atol, self.max_step),
-                         span)
-            self.nfev += 1
-        else:
-            self.h = float(first_step)
+        span = max(self.t_end - self.t, 1e-12)
+        self.h = min(_initial_step(rhs, self.t, self.y, self.f, self.rtol,
+                                   self.atol), span)
 
     @property
     def finished(self):
@@ -412,7 +401,7 @@ class Dopri54:
         y = self.y.reshape(-1)
         while True:
             remaining = self.t_end - self.t
-            h = min(self.h, self.max_step, remaining)
+            h = min(self.h, remaining)
             if h <= 1e-14 * max(1.0, abs(self.t)):
                 raise IntegrationError(f"step size underflow at t = {self.t!r}")
             ts = self.t + C * h
@@ -453,8 +442,7 @@ class Dopri54:
                 "nfev": self.nfev, "n_dense": self.n_dense}
 
 
-def integrate(rhs, y0, t_end, rtol=1e-10, atol=1e-12, max_step=np.inf,
-              first_step=None, stop=None):
+def integrate(rhs, y0, t_end, rtol=1e-10, atol=1e-12, stop=None):
     """Integrate a batch from t = 0 to ``t_end``; returns (DensePath, stats).
 
     This is the one loop that drives `Dopri54.step`.  ``stop``, if given, is
@@ -463,8 +451,7 @@ def integrate(rhs, y0, t_end, rtol=1e-10, atol=1e-12, max_step=np.inf,
     so the path then ends before ``t_end``.  ``stats`` counts the work done
     up to that point (see the module docstring).
     """
-    stepper = Dopri54(rhs, 0.0, y0, t_end, rtol=rtol, atol=atol,
-                      max_step=max_step, first_step=first_step)
+    stepper = Dopri54(rhs, 0.0, y0, t_end, rtol, atol)
     ts = [stepper.t]
     ys = [stepper.y.copy()]
     steps = []

@@ -71,10 +71,10 @@ _GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0
 class HybridSystem:
     """Forced hybrid system; all evaluators vectorized over a leading batch axis.
 
-    ``X(x)``: (..., d) -> (..., d); ``g(t, x, eps)`` with t and eps each a
-    scalar or one value per lane (...,); ``Delta``, ``H``, ``D``,
-    ``D_inverse`` likewise batched.  ``D`` maps the chart ball r1*D^{k2}
-    into S.
+    ``X(x)``: (..., d) -> (..., d); ``Delta``, ``H``, ``D`` and
+    ``D_inverse`` likewise batched.  The forcing ``g(t, x, eps)`` is always
+    called per lane: x of shape (K, d), t and eps of shape (K,), and it
+    returns (K, d).  ``D`` maps the chart ball r1*D^{k2} into S.
     """
 
     dim: int
@@ -95,9 +95,18 @@ class HybridSystem:
 
 @dataclass(frozen=True)
 class EventConfig:
-    """Directional surface-crossing detection (thresholds: `H_TOL` etc.)."""
+    """Directional surface-crossing detection (thresholds: `H_TOL` etc.).
 
-    direction: int = 1          # required sign of dH/dt at the crossing; 0 = any
+    ``direction`` is the sign of dH/dt at a crossing, 1 or -1 (else
+    `ValueError`); `poincare.prepare_handle` takes the cycle's.
+    """
+
+    direction: int = 1
+
+    def __post_init__(self):
+        if self.direction not in (1, -1):
+            raise ValueError(f"direction must be 1 or -1, got "
+                             f"{self.direction!r}")
 
 
 @dataclass
@@ -271,7 +280,7 @@ def _scan_step(h_fun, direction, t_old, t_new, y_old, q, h_prev, h_new,
         held = np.take_along_axis(s, held_at, axis=1)
         lead, trail = held[:, :-1], held[:, 1:]
         change = (lead * trail <= 0.0) & (lead != 0.0)
-        ok = change & (lead * direction < 0.0) if direction else change
+        ok = change & (lead * direction < 0.0)
         hit = ok.any(axis=1)
         j = np.argmax(ok[hit], axis=1)
         i_lo = held_at[hit, j]
@@ -304,7 +313,7 @@ def _scan_step(h_fun, direction, t_old, t_new, y_old, q, h_prev, h_new,
     i_lo = np.max(np.where(side & before, _SAMPLE_INDEX, 0), axis=1)
     i_hi = np.min(np.where(side & ~before, _SAMPLE_INDEX, 8), axis=1)
     # the first crossing runs from the sign of h_prev to the other one
-    first = (direction == 0) | (-sign == direction)
+    first = -sign == direction
     t_e = t_old + theta_e * h
     rows = np.arange(lanes.size)
     bracket[:, lanes] = (
@@ -319,21 +328,21 @@ def forced_rhs(sys, taus, eps):
     """Right-hand side (s, y) -> X(y) + eps * g(taus + s, y, eps) in local time.
 
     Lane i of the batch y started at absolute time ``taus[i]``.  ``eps`` is
-    a scalar or one value per lane, shape (K,) with K = len(taus); lane i
-    then follows X + eps[i] * g and ``g`` receives the (K,) array, as it
-    receives the per-lane times.  Any other shape raises `ValueError`.
+    a scalar, spread over the lanes here, or one value per lane, shape (K,)
+    with K = len(taus); any other shape raises `ValueError`.  Lane i follows
+    X + eps[i] * g, and ``g`` receives the (K,) times and eps with the
+    (K, d) states.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     K = taus.size
     eps = np.asarray(eps, dtype=float)
     if eps.ndim == 0:
-        eps = weight = float(eps)
-    elif eps.shape == (K,):
-        weight = eps[:, None]
-    else:
+        eps = np.full(K, eps)
+    elif eps.shape != (K,):
         raise ValueError(f"eps must be a scalar or have shape ({K},), "
                          f"got {eps.shape}")
     forced = bool(np.any(eps != 0.0))
+    weight = eps[:, None]
     X, g = sys.X, sys.g
 
     def rhs(s, y):
@@ -454,14 +463,15 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     return FlowResult(end_times, end_states, ~pending, grazing, stats, path)
 
 
-def simulate_hybrid(sys, tau, v, eps, duration, *, event=EventConfig(),
-                    rtol=1e-10, atol=1e-12):
+def simulate_hybrid(sys, tau, v, eps, duration, *, event, rtol=1e-10,
+                    atol=1e-12):
     """Execute the hybrid dynamics for ``duration``: flow, jump at S, repeat.
 
-    Returns a list of segments, each a pair (absolute times, states) of
-    `SEGMENT_SAMPLES` points, with the jump applied at every admissible
-    crossing of S.  Raises `IntegrationError` if `MAX_SEGMENTS` segments end
-    before ``duration`` is covered.
+    ``event`` is required, as in `flow_batch`; a handle's ``event`` crosses
+    S in the direction of the system's cycle.  Returns the segments, each a
+    pair (absolute times, states) of `SEGMENT_SAMPLES` points, and the
+    jumps, each a pair (time, state before Delta).  Raises `IntegrationError`
+    if `MAX_SEGMENTS` segments end before ``duration`` is covered.
     """
     t = float(tau)
     state = np.asarray(v, dtype=float)
@@ -510,19 +520,20 @@ def check_transversality(sys, u_anchor=None):
 
 def check_forcing_period(sys, n_samples=64, seed=0):
     """Sampled sup of ||g(t + T_g, x, eps) - g(t, x, eps)|| over t in
-    [-T_g, 2 T_g], eps in [-0.1, 0.1] and x in the box [-2, 2]^dim."""
+    [-T_g, 2 T_g], eps in [-0.1, 0.1] and x in the box [-2, 2]^dim.
+
+    Each of the ``n_samples`` (t, eps) pairs meets each sampled x, in one
+    per-lane ``g`` call per side.
+    """
     require_count("n_samples", n_samples)
     rng = np.random.default_rng(seed)
     u = latin_hypercube(rng, n_samples, 2 + sys.dim)
-    ts = scale_to(u[:, 0], -sys.T_g, 2.0 * sys.T_g)
-    epses = scale_to(u[:, 1], -0.1, 0.1)
-    X = scale_to(u[:, 2:], -2.0, 2.0)
-    worst = 0.0
-    for t, e in zip(ts, epses):
-        g0 = np.asarray(sys.g(float(t), X, float(e)), dtype=float)
-        g1 = np.asarray(sys.g(float(t) + sys.T_g, X, float(e)), dtype=float)
-        worst = max(worst, float(np.max(np.linalg.norm(g1 - g0, axis=-1))))
-    return worst
+    ts = np.repeat(scale_to(u[:, 0], -sys.T_g, 2.0 * sys.T_g), n_samples)
+    epses = np.repeat(scale_to(u[:, 1], -0.1, 0.1), n_samples)
+    X = np.tile(scale_to(u[:, 2:], -2.0, 2.0), (n_samples, 1))
+    g0 = np.asarray(sys.g(ts, X, epses), dtype=float)
+    g1 = np.asarray(sys.g(ts + sys.T_g, X, epses), dtype=float)
+    return float(np.max(np.linalg.norm(g1 - g0, axis=-1)))
 
 
 # ----------------------------------------------------------------------------
@@ -553,12 +564,7 @@ def polar_hybrid(kappa=0.5, T_g=0.8, amp=(1.0, 0.0), r1=0.5):
         return out
 
     def g(t, x, eps):
-        t = np.asarray(t, dtype=float)
-        if not t.ndim:
-            return amp * np.cos(2.0 * np.pi * t / T_g)
-        out = np.cos(2.0 * np.pi * t / T_g)[..., None] * amp
-        shape = np.shape(x)
-        return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+        return np.cos(2.0 * np.pi * t / T_g)[:, None] * amp
 
     def Delta(x):
         x = np.asarray(x, dtype=float)

@@ -21,6 +21,13 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def coefficients(path):
+    """All steps' dense coefficients, (m, K, d, 7); builds those not
+    built yet."""
+    shape = (len(path.steps),) + path.y.shape[1:] + (P.shape[1],)
+    return np.array([step.q for step in path.steps]).reshape(shape)
+
+
 def reference_error_norm(h, err):
     s5, s3 = np.sum(err * err, axis=-1)
     den = np.maximum(s5 + 0.01 * s3, np.finfo(float).tiny)
@@ -44,7 +51,7 @@ def reference_step(st):
 
     while True:
         remaining = st.t_end - st.t
-        h = min(st.h, st.max_step, remaining)
+        h = min(st.h, remaining)
         K[0] = st.f
         for i in range(1, 12):
             stage(i, st.t, h, states[i - 1].reshape(-1))
@@ -106,24 +113,26 @@ class TestDenseOutput:
         y0 = np.array([[1.0, 0.0], [0.3, 0.9]])
         path, stats = integrate(rotation, y0, 0.7)
         assert stats["n_steps"] > 3
-        assert path.q.shape[-1] == 7      # seventh degree in theta
+        assert coefficients(path).shape[-1] == 7   # seventh degree in theta
         return path
 
     @staticmethod
-    def _at(path, i, theta):
-        powers = theta ** np.arange(1, path.q.shape[-1] + 1)
-        return path.y[i] + path.h[i] * (path.q[i] @ powers)
+    def _at(path, q, i, theta):
+        powers = theta ** np.arange(1, q.shape[-1] + 1)
+        return path.y[i] + path.h[i] * (q[i] @ powers)
 
     def test_reproduces_step_ends(self, path):
+        q = coefficients(path)
         for i in range(len(path.h)):
-            assert np.array_equal(self._at(path, i, 0.0), path.y[i])
-            assert_allclose(self._at(path, i, 1.0), path.y[i + 1],
+            assert np.array_equal(self._at(path, q, i, 0.0), path.y[i])
+            assert_allclose(self._at(path, q, i, 1.0), path.y[i + 1],
                             rtol=0, atol=5e-15)
 
     def test_start_slope_is_h_f_old(self, path):
         # d/dtheta of y + h sum_p q_p theta**p at theta = 0 is h q_1
+        q = coefficients(path)
         for i in range(len(path.h)):
-            assert_allclose(path.h[i] * path.q[i, ..., 0],
+            assert_allclose(path.h[i] * q[i, ..., 0],
                             path.h[i] * rotation(path.t[i], path.y[i]),
                             rtol=1e-14, atol=1e-15)
 
@@ -138,14 +147,18 @@ class TestAccuracy:
         assert 1 < loose["n_steps"] < stats["n_steps"]
 
     def test_eighth_order_convergence(self):
-        # fixed steps h = 1, 1/2, 1/4 on y' = -y over [0, 4]: the global
-        # error must fall by about 2**8 per halving
+        # fixed steps h = 1, 1/2, 1/4 on y' = -y over [0, 4], set before
+        # each step: the global error must fall by about 2**8 per halving
         errs = []
         for h in (1.0, 0.5, 0.25):
-            path, _ = integrate(lambda t, y: -y, np.array([[1.0]]), 4.0,
-                                rtol=1.0, atol=1.0, max_step=h, first_step=h)
-            assert_allclose(np.diff(path.t), h, rtol=0, atol=1e-15)
-            errs.append(abs(path.y[-1, 0, 0] - np.exp(-4.0)))
+            stepper = Dopri54(lambda t, y: -y, 0.0, np.array([[1.0]]), 4.0,
+                              rtol=1.0, atol=1.0)
+            ts = [stepper.t]
+            while not stepper.finished:
+                stepper.h = h
+                ts.append(stepper.step().t_new)
+            assert_allclose(np.diff(ts), h, rtol=0, atol=1e-15)
+            errs.append(abs(stepper.y[0, 0] - np.exp(-4.0)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all((orders > 7.5) & (orders < 8.7)), orders
 
@@ -197,7 +210,7 @@ class TestAccuracy:
         for lane, t in ((0, 0.33), (1, 0.77)):
             i = np.searchsorted(path.t, t, side="right") - 1
             h = path.t[i + 1] - path.t[i]
-            own = dense_value(path.y[i, lane], path.q[i, lane], h,
+            own = dense_value(path.y[i, lane], path.steps[i].q[lane], h,
                               (t - path.t[i]) / h)
             assert np.array_equal(own, path.eval_grid([t])[0, lane])
 
@@ -238,7 +251,7 @@ class TestDeferredDenseOutput:
         later, later_stats = integrate(rotation, y0, 1.3)
         assert now_stats["n_dense"] == now_stats["n_steps"]
         assert later_stats["n_dense"] == 0
-        assert np.array_equal(now.q, later.q)
+        assert np.array_equal(coefficients(now), coefficients(later))
         assert np.array_equal(now.t, later.t)
 
     def test_stage_states_dropped_after_the_hook(self):
@@ -275,25 +288,36 @@ class TestDeferredDenseOutput:
         y0 = np.array([[1.0, 2.0]])
         path, stats = integrate(rotation, y0, 0.0)
         assert stats["n_steps"] == 0
-        assert path.q.shape == (0, 1, 2, 7)
+        assert coefficients(path).shape == (0, 1, 2, 7)
         assert np.array_equal(path.eval_grid([0.0, 0.0]), np.stack([y0, y0]))
         with pytest.raises(ValueError, match="span"):
             path.eval_grid([1e-3])
+
+    def test_eval_grid_of_no_times(self):
+        # no times once raised an einsum ValueError ("too many subscripts")
+        rhs, calls = self.counted(rotation)
+        y0 = np.array([[1.0, 2.0], [0.5, 0.0], [0.0, 1.0]])
+        path, stats = integrate(rhs, y0, 0.5)
+        assert stats["n_steps"] > 0
+        for times in ([], np.empty(0)):
+            assert path.eval_grid(times).shape == (0, 3, 2)
+        assert calls[0] == stats["nfev"]   # no dense output was built
 
 
 class TestStageLoop:
     @pytest.mark.parametrize("lanes", [1, 3, 64])
     def test_step_equals_reference_bitwise(self, lanes):
         # the forced polar-hybrid field, lanes near its cycle; a first step
-        # of 0.5 is rejected, so the retry runs too
+        # of 0.5, set on both steppers, is rejected, so the retry runs too
         sys_ = polar_hybrid()
         rhs = forced_rhs(sys_, np.linspace(0.0, sys_.T_g, lanes,
                                            endpoint=False), 0.01)
         angle = np.linspace(0.0, 2.0 * np.pi, lanes, endpoint=False)
         radius = np.linspace(0.9, 1.1, lanes)
         y0 = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
-        fast, ref = (Dopri54(rhs, 0.0, y0, 10.0, rtol=1e-12, atol=1e-14,
-                             first_step=0.5) for _ in range(2))
+        fast, ref = (Dopri54(rhs, 0.0, y0, 10.0, rtol=1e-12, atol=1e-14)
+                     for _ in range(2))
+        fast.h = ref.h = 0.5
         for _ in range(24):
             step = fast.step()
             t_new, h, y_new, states, q = reference_step(ref)
@@ -323,11 +347,6 @@ class TestStepping:
         assert_allclose(path.y[-1, 0], [y0[0], y0[1] + t_end], rtol=0,
                         atol=1e-13)
 
-    def test_max_step_respected(self):
-        path, _ = integrate(lambda t, y: -y, np.array([[1.0]]), 1.0,
-                            max_step=0.01)
-        assert np.max(np.diff(path.t)) <= 0.01 + 1e-12
-
     def test_stop_hook_ends_after_step_k(self):
         y0 = np.array([[1.0, 0.0], [0.5, 0.2]])
         full, _ = integrate(rotation, y0, 3.0)
@@ -344,7 +363,7 @@ class TestStepping:
         assert stats["n_steps"] == k
         assert np.array_equal(path.t, full.t[:k + 1])
         assert np.array_equal(path.y, full.y[:k + 1])
-        assert np.array_equal(path.q, full.q[:k])
+        assert np.array_equal(coefficients(path), coefficients(full)[:k])
 
     def test_step_underflow_raises(self):
         def stiff_blowup(t, y):
@@ -355,14 +374,16 @@ class TestStepping:
                       rtol=1e-10, atol=1e-12)
 
     def test_step_after_finish_raises(self):
-        stepper = Dopri54(lambda t, y: -y, 0.0, np.array([[1.0]]), 0.1)
+        stepper = Dopri54(lambda t, y: -y, 0.0, np.array([[1.0]]), 0.1,
+                          rtol=1e-10, atol=1e-12)
         while not stepper.finished:
             stepper.step()
         with pytest.raises(IntegrationError, match="stepping past t_end"):
             stepper.step()
 
     def test_stats_counted(self):
-        stepper = Dopri54(lambda t, y: -y, 0.0, np.array([[1.0]]), 1.0)
+        stepper = Dopri54(lambda t, y: -y, 0.0, np.array([[1.0]]), 1.0,
+                          rtol=1e-10, atol=1e-12)
         steps = []
         while not stepper.finished:
             steps.append(stepper.step())

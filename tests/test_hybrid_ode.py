@@ -196,6 +196,13 @@ class TestFlow:
         with pytest.raises(TypeError):
             pm.flow_batch(e3, [0.0], [[1.0, 0.0]], 0.0, event=False)
 
+    @pytest.mark.parametrize("direction", [0, 2, 0.5])
+    def test_event_direction_must_be_a_sign(self, direction):
+        # 0 once meant either direction, and 2 bracketed the later
+        # crossing of a pair
+        with pytest.raises(ValueError, match="direction"):
+            pm.EventConfig(direction=direction)
+
     @pytest.mark.parametrize("n_taus", [2, 4])
     def test_tau_count_checked_before_integrating(self, e3, monkeypatch,
                                                   n_taus):
@@ -550,21 +557,13 @@ class TestPolarEvaluators:
         assert out.shape == x.shape
         assert out.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 5, 2)])
-    def test_forcing_scalar_t(self, shape):
-        sys_ = pm.polar_hybrid(amp=tuple(self.amp))
-        x = np.random.default_rng(8).uniform(-2.0, 2.0, shape)
-        out = sys_.g(0.37, x, 0.01)
-        assert out.shape == (2,)
-        assert_allclose(out, self.forcing(0.37, (2,)), rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("shape", [(5, 2), (3, 5, 2)])
+    @pytest.mark.parametrize("shape", [(5, 2)])
     def test_forcing_batched_t(self, shape):
         sys_ = pm.polar_hybrid(amp=tuple(self.amp))
         rng = np.random.default_rng(9)
         x = rng.uniform(-2.0, 2.0, shape)
         t = rng.uniform(-1.0, 2.0, 5)
-        out = sys_.g(t, x, 0.01)
+        out = sys_.g(t, x, np.full(5, 0.01))
         assert out.shape == shape
         assert_allclose(out, self.forcing(t, shape), rtol=0, atol=1e-15)
 
@@ -607,6 +606,13 @@ class TestPredicates:
             T_g=0.8, r1=0.5)
         assert pm.check_forcing_period(drift, 32, 0) > 1e-3
 
+    def test_forcing_period_nan_is_no_pass(self, e3):
+        # a forcing that is nan for t > 1.5 once read as a period defect of
+        # 0.0: the running max dropped the nan
+        broken = dataclasses.replace(e3, g=lambda t, x, e: np.zeros_like(x)
+                                     + np.where(t > 1.5, np.nan, 0.0)[:, None])
+        assert not pm.check_forcing_period(broken, 32, 0) <= 1e-14
+
     def test_chart_lies_in_S(self, e3):
         us = np.linspace(-0.5, 0.5, 11)[:, None]
         assert np.max(np.abs(e3.H(e3.D(us)))) == 0.0
@@ -614,27 +620,90 @@ class TestPredicates:
 
 
 class TestSimulateHybrid:
-    def test_jump_applied_and_contracts(self, e3):
-        segments, jumps = pm.simulate_hybrid(e3, 0.0, [1.4, 0.0], 0.0, 2.5)
+    def test_jump_applied_and_contracts(self, e3, handle):
+        segments, jumps = pm.simulate_hybrid(e3, 0.0, [1.4, 0.0], 0.0, 2.5,
+                                             event=handle.event)
         assert len(jumps) == 2
         # after each return the radial deviation shrinks by roughly kappa/e
         r_first = abs(np.linalg.norm(jumps[0][1]) - 1.0)
         r_second = abs(np.linalg.norm(jumps[1][1]) - 1.0)
         assert r_second < r_first
 
-    def test_segments_continuous_in_time(self, e3):
-        segments, _ = pm.simulate_hybrid(e3, 0.2, [1.2, 0.0], 0.01, 2.0)
+    def test_segments_continuous_in_time(self, e3, handle):
+        segments, _ = pm.simulate_hybrid(e3, 0.2, [1.2, 0.0], 0.01, 2.0,
+                                         event=handle.event)
         t_prev = 0.2
         for ts, states in segments:
             assert ts[0] >= t_prev - 1e-9
             t_prev = ts[-1]
         assert abs(t_prev - 2.2) <= 1e-9
 
-
-    def test_segment_budget_raises(self, e3, monkeypatch):
+    def test_segment_budget_raises(self, e3, handle, monkeypatch):
         monkeypatch.setattr(hybrid_ode, "MAX_SEGMENTS", 3)
         with pytest.raises(IntegrationError, match="3 segments"):
-            pm.simulate_hybrid(e3, 0.0, [1.2, 0.0], 0.0, 5 * e3.T_g)
+            pm.simulate_hybrid(e3, 0.0, [1.2, 0.0], 0.0, 5 * e3.T_g,
+                               event=handle.event)
+
+    def test_event_required(self, e3):
+        # the default EventConfig() once jumped on crossings against the
+        # direction of a cycle with dH/dt < 0 at S
+        with pytest.raises(TypeError, match="event"):
+            pm.simulate_hybrid(e3, 0.0, [1.2, 0.0], 0.0, 1.0)
+
+    def test_jumps_in_the_handle_direction(self):
+        # H = -x2: the cycle from (1, 0) crosses S with dH/dt < 0 at t = 1
+        # and 2 (and with dH/dt > 0 at t = 0.5 and 1.5, the far side)
+        sys_ = dataclasses.replace(
+            pm.polar_hybrid(), H=lambda x: -np.asarray(x, float)[..., 1])
+        handle = pm.prepare_handle(sys_)
+        assert handle.event.direction == -1
+        _, jumps = pm.simulate_hybrid(sys_, 0.0, [1.0, 0.0], 0.0, 2.5,
+                                      event=handle.event)
+        assert_allclose([t for t, _ in jumps], [1.0, 2.0], rtol=0,
+                        atol=1e-9)
+
+
+def _forcing_calls(sys_, handle, where):
+    """Run one library path on ``sys_``; returns its lane count K."""
+    taus = np.array([0.0, 0.3, 0.55])
+    vs = np.array([[1.05, 0.0], [0.9, 0.1], [1.2, -0.2]])
+    if where == "flow-scalar-eps":
+        pm.flow_batch(sys_, taus, vs, 0.01, event=handle.event, max_time=1.0)
+    elif where == "flow-lane-eps":
+        pm.flow_batch(sys_, taus, vs, np.array([0.01, -0.02, 0.03]),
+                      event=handle.event, max_time=1.0)
+    elif where == "p_eps_batch":
+        pm.p_eps_batch(dataclasses.replace(handle, sys=sys_), taus,
+                       [[0.05], [-0.1], [0.2]], 0.01)
+    elif where == "simulate_hybrid":
+        pm.simulate_hybrid(sys_, 0.1, [1.2, 0.0], 0.01, 1.2,
+                           event=handle.event)
+        return 1
+    elif where == "forced_rhs":
+        integrate(hybrid_ode.forced_rhs(sys_, taus, 0.01), vs, 0.4)
+    else:
+        pm.check_forcing_period(sys_, 8, 0)
+        return 64
+    return 3
+
+
+class TestForcingShapes:
+    @pytest.mark.parametrize("where", [
+        "flow-scalar-eps", "flow-lane-eps", "p_eps_batch", "simulate_hybrid",
+        "forced_rhs", "check_forcing_period"])
+    def test_forcing_called_per_lane(self, e3, handle, where):
+        # g gets t and eps of shape (K,) and x of shape (K, d) on every
+        # path; a scalar eps, and check_forcing_period's scalar t, once
+        # reached g as floats
+        seen = []
+
+        def g(t, x, eps):
+            seen.append((np.shape(t), np.shape(x), np.shape(eps)))
+            return e3.g(t, x, eps)
+
+        K = _forcing_calls(dataclasses.replace(e3, g=g), handle, where)
+        assert seen
+        assert set(seen) == {((K,), (K, 2), (K,))}
 
 
 class TestJson:
