@@ -16,42 +16,43 @@ config and seed):
 Exit status 0 means every invariant asserted by the selected mode held;
 config errors exit 2, runtime failures exit 1.
 """
-from __future__ import annotations
-
 import argparse
+import inspect
 import json
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass
-from typing import Optional
+from types import SimpleNamespace
 
 from . import cycle_analysis, embedding, hybrid_ode, invariant_graph, map_core, poincare
 from .exceptions import ConfigError, PerimapError
 from .invariant_graph import CurveConfig, curve_table, write_csv, write_json
 
-_TOP_KEYS = {"system", "mode", "omega", "eps", "eps_list", "solver",
-             "sampling", "delta", "tolerances", "n_trajectories"}
-_SOLVER_KEYS = {"n_nodes", "tol", "max_iter"}
-_SAMPLING_KEYS = {"n_samples", "seed"}
-_TOLERANCE_KEYS = {"a2", "periodicity"}
+REQUIRED = object()  # the default of a key that a config must give
 
-
-@dataclass
-class ExperimentConfig:
-    mode: str
-    system: dict
-    omega: float
-    eps: float
-    eps_list: list
-    n_nodes: int
-    tol: float
-    max_iter: int
-    n_samples: int
-    seed: int
-    delta: Optional[float]
-    tolerances: dict
-    n_trajectories: int
+# Every config key, by section ("config" is the top level): its kind and its
+# default.  A kind is "number", "positive" (a number > 0), "numbers" (a list
+# of numbers), or an int n for an integer >= n; every number must be finite.
+# ``system`` (checked by `system_from_json`) and ``mode`` (which must equal
+# the CLI's mode) have no kind.  README's config table lists the same keys.
+SCHEMA = {
+    "config": {
+        "system": (None, REQUIRED),
+        "mode": (None, None),
+        "omega": ("number", 1.0),
+        "eps": ("number", 0.0),
+        "eps_list": ("numbers", []),
+        "delta": ("positive", None),
+        "n_trajectories": (1, 8),
+    },
+    "solver": {
+        "n_nodes": (8, CurveConfig.n_nodes),
+        "tol": ("positive", CurveConfig.tol),
+        "max_iter": (1, CurveConfig.max_iter),
+    },
+    "sampling": {"n_samples": (2, 128), "seed": (0, REQUIRED)},
+    "tolerances": {"a2": ("positive", 1e-8), "periodicity": ("positive", 1e-8)},
+}
 
 
 def _require(cond, msg):
@@ -65,106 +66,86 @@ def _is_number(v):
             and math.isfinite(v))
 
 
-def _number(section, key, default, where="config"):
-    """``section[key]``, else ``default``, required to be a finite number."""
-    val = section.get(key, default)
-    _require(_is_number(val), f"{where} key '{key}' must be a finite number")
+def _value(where, key, kind, val):
+    """``val`` checked against ``kind`` (see `SCHEMA`), as the runners read it."""
+    name = f"{where} key '{key}'"
+    if kind is None:
+        return val
+    if kind == "numbers":
+        _require(isinstance(val, list) and all(map(_is_number, val)),
+                 f"{name} must be a list of finite numbers")
+        return [float(v) for v in val]
+    _require(_is_number(val), f"{name} must be a finite number")
+    if kind == "positive":
+        _require(val > 0, f"{name} must be strictly positive")
+    elif kind != "number":
+        _require(float(val).is_integer(), f"{name} must be an integer")
+        _require(val >= kind, f"{name} must be at least {kind}")
+        return int(val)
     return float(val)
 
 
-def _count(section, key, default, where):
-    """``section[key]``, else ``default``, required to be an integral number."""
-    val = _number(section, key, default, where)
-    _require(val.is_integer(), f"{where} key '{key}' must be an integer")
-    return int(val)
-
-
 def parse_config(obj, mode, seed_override=None):
+    """Check a config object against `SCHEMA`.  Returns a namespace with one
+    attribute per key, defaults filled in (``tolerances`` stays a dict), and
+    ``mode`` the CLI's mode; ``seed_override`` (``--seed``) replaces
+    ``sampling.seed``."""
     _require(isinstance(obj, dict), "config must be a JSON object")
-    unknown = set(obj) - _TOP_KEYS
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    _require("system" in obj, "missing config key: system")
-    if "mode" in obj:
-        _require(obj["mode"] == mode,
-                 f"config mode '{obj['mode']}' does not match CLI mode '{mode}'")
-
-    solver = obj.get("solver", {})
-    _require(isinstance(solver, dict), "solver must be an object")
-    unknown = set(solver) - _SOLVER_KEYS
-    _require(not unknown, f"unknown solver keys: {sorted(unknown)}")
-    sampling = obj.get("sampling", {})
-    _require(isinstance(sampling, dict), "sampling must be an object")
-    unknown = set(sampling) - _SAMPLING_KEYS
-    _require(not unknown, f"unknown sampling keys: {sorted(unknown)}")
-
-    eps_list = obj.get("eps_list", [])
-    _require(isinstance(eps_list, list) and all(map(_is_number, eps_list)),
-             "config key 'eps_list' must be a list of finite numbers")
-    tolerances = obj.get("tolerances", {})
-    _require(isinstance(tolerances, dict)
-             and all(map(_is_number, tolerances.values())),
-             "config key 'tolerances' must be an object of finite numbers")
-    unknown = set(tolerances) - _TOLERANCE_KEYS
-    _require(not unknown, f"unknown tolerances keys: {sorted(unknown)}")
-    _require(seed_override is not None or "seed" in sampling,
-             "sampling key 'seed' is mandatory (or pass --seed)")
-    cfg = ExperimentConfig(
-        mode=mode,
-        system=obj["system"],
-        omega=_number(obj, "omega", 1.0),
-        eps=_number(obj, "eps", 0.0),
-        eps_list=[float(e) for e in eps_list],
-        n_nodes=_count(solver, "n_nodes", CurveConfig.n_nodes, "solver"),
-        tol=_number(solver, "tol", CurveConfig.tol, "solver"),
-        max_iter=_count(solver, "max_iter", CurveConfig.max_iter, "solver"),
-        n_samples=_count(sampling, "n_samples", 128, "sampling"),
-        seed=(seed_override if seed_override is not None
-              else _count(sampling, "seed", None, "sampling")),
-        delta=None if obj.get("delta") is None else _number(obj, "delta", None),
-        tolerances=tolerances,
-        n_trajectories=_count(obj, "n_trajectories", 8, "config"),
-    )
-    _require(cfg.tol > 0, "solver key 'tol' must be strictly positive")
-    _require(cfg.n_nodes >= 8, "solver key 'n_nodes' must be at least 8")
-    _require(cfg.max_iter > 0, "solver key 'max_iter' must be positive")
-    _require(cfg.n_samples >= 2, "sampling key 'n_samples' must be at least 2")
-    _require(cfg.n_trajectories >= 1,
-             "config key 'n_trajectories' must be at least 1")
-    if cfg.delta is not None:
-        _require(cfg.delta > 0, "key 'delta' must be strictly positive")
-    for key, val in cfg.tolerances.items():
-        _require(val > 0, f"tolerance '{key}' must be strictly positive")
+    cfg = SimpleNamespace()
+    for where, keys in SCHEMA.items():
+        section = obj if where == "config" else obj.get(where, {})
+        _require(isinstance(section, dict), f"{where} must be an object")
+        if where == "sampling" and seed_override is not None:
+            section = dict(section, seed=seed_override)
+        unknown = set(section) - set(keys)
+        if where == "config":
+            unknown -= SCHEMA.keys() - {"config"}
+        _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
+        values = {}
+        for key, (kind, default) in keys.items():
+            val = section.get(key, default)
+            _require(val is not REQUIRED, f"{where} key '{key}' is mandatory"
+                     + (" (or pass --seed)" if key == "seed" else ""))
+            # a key whose default is None may be given as null
+            values[key] = (None if val is None and default is None
+                           else _value(where, key, kind, val))
+        if where == "tolerances":
+            cfg.tolerances = values
+        else:
+            vars(cfg).update(values)
+    _require(cfg.mode in (None, mode),
+             f"config mode '{cfg.mode}' does not match CLI mode '{mode}'")
+    cfg.mode = mode
     return cfg
 
 
 def system_from_json(obj):
     """Build the built-in map or hybrid system that a config's ``system`` names.
 
-    ``obj`` is ``{"name": ..., "params": {...}}``; every parameter value is a
-    finite number, and ``amp`` a list of finite numbers.  Map names are built
-    through `map_core.make_system`, hybrid names through the hybrid registry.
+    ``obj`` is ``{"name": ..., "params": {...}}``.  The parameters and their
+    defaults are the builder's: one whose default is a tuple takes a list of
+    numbers, every other one a number.  A value that the builder rejects is
+    a `ConfigError`.  Maps are built through `map_core.make_system`.
     """
     _require(isinstance(obj, dict) and isinstance(obj.get("name"), str),
              "system must be an object with a string 'name'")
     extra = set(obj) - {"name", "params"}
     _require(not extra, f"unknown keys in system: {sorted(extra)}")
     name, params = obj["name"], obj.get("params", {})
-    known = {**map_core._BUILTIN_MAPS, **hybrid_ode._BUILTIN_HYBRID}
-    _require(name in known, f"unknown system '{name}' (have {sorted(known)})")
     _require(isinstance(params, dict), "system key 'params' must be an object")
-    builder, allowed = known[name]
-    unknown = set(params) - allowed
-    _require(not unknown, f"unknown parameters for '{name}': {sorted(unknown)}")
+    builder = map_core.registered_builder(
+        {**map_core._BUILTIN_MAPS, **hybrid_ode._BUILTIN_HYBRID}, name, params)
+    signature = inspect.signature(builder).parameters
     for key, val in params.items():
-        if key == "amp":
-            _require(isinstance(val, list) and all(map(_is_number, val)),
-                     "system parameter 'amp' must be a list of finite numbers")
-        else:
-            _require(_is_number(val),
-                     f"system parameter '{key}' must be a finite number")
-    if name in hybrid_ode._BUILTIN_HYBRID:
-        return builder(**params)
-    return map_core.make_system(name, **params)
+        tuple_default = isinstance(signature[key].default, tuple)
+        _value("system.params", key, "numbers" if tuple_default else "number",
+               val)
+    try:
+        if name in hybrid_ode._BUILTIN_HYBRID:
+            return builder(**params)
+        return map_core.make_system(name, **params)
+    except ValueError as exc:
+        raise ConfigError(f"system '{name}': {exc}") from exc
 
 
 def _curve_problem(cfg, system):
@@ -185,11 +166,10 @@ def _run_check_map(cfg, spec, out):
     report = map_core.check_assumptions(spec, n_samples=cfg.n_samples,
                                         seed=cfg.seed)
     write_json(os.path.join(out, "assumptions.json"), report.to_json_dict())
-    tol = cfg.tolerances
     ok = (report.beta_y0_invertible
           and report.q_estimate < 1.0
-          and report.a2_defect <= float(tol.get("a2", 1e-8))
-          and report.periodicity_defect <= float(tol.get("periodicity", 1e-8)))
+          and report.a2_defect <= cfg.tolerances["a2"]
+          and report.periodicity_defect <= cfg.tolerances["periodicity"])
     return 0 if ok else 1
 
 
@@ -261,13 +241,16 @@ MODES = {
 }
 
 
-def run(config: ExperimentConfig, out_dir="."):
-    os.makedirs(out_dir, exist_ok=True)
+def run(config, out_dir="."):
+    """Run ``config`` (from `parse_config`), writing its artifacts to
+    ``out_dir``, which is made only once the system is built and fits the
+    mode."""
     system = system_from_json(config.system)
     kind = "hybrid" if isinstance(system, hybrid_ode.HybridSystem) else "map"
     runner, need = MODES[config.mode]
     _require(need in (None, kind), f"{config.mode} requires a {need} system, "
              f"and '{config.system['name']}' is a {kind} system")
+    os.makedirs(out_dir, exist_ok=True)
     return runner(config, system, out_dir)
 
 

@@ -39,7 +39,8 @@ import numpy as np
 from .dopri import P, DensePath, dense_value, integrate
 from .exceptions import ConfigError, IntegrationError
 from .numdiff import central_jacobian
-from .sampling import latin_hypercube, require_count, scale_to
+from .sampling import (latin_hypercube, require_count, require_positive,
+                       scale_to)
 
 Array = np.ndarray
 
@@ -74,7 +75,8 @@ class HybridSystem:
     ``X(x)``: (..., d) -> (..., d); ``Delta``, ``H``, ``D`` and
     ``D_inverse`` likewise batched.  The forcing ``g(t, x, eps)`` is always
     called per lane: x of shape (K, d), t and eps of shape (K,), and it
-    returns (K, d).  ``D`` maps the chart ball r1*D^{k2} into S.
+    returns (K, d).  ``D`` maps the chart ball r1*D^{k2} into S.  ``T_g``
+    and ``r1`` must be positive and finite (else `ValueError`).
     """
 
     dim: int
@@ -87,6 +89,10 @@ class HybridSystem:
     T_g: float
     r1: float
     label: str = ""
+
+    def __post_init__(self):
+        require_positive("T_g", self.T_g)
+        require_positive("r1", self.r1)
 
     @property
     def k2(self):
@@ -589,7 +595,5 @@ def polar_hybrid(kappa=0.5, T_g=0.8, amp=(1.0, 0.0), r1=0.5):
                         label="polar-hybrid")
 
 
-_BUILTIN_HYBRID = {
-    "polar-hybrid": (polar_hybrid, {"kappa", "T_g", "amp", "r1"}),
-}
+_BUILTIN_HYBRID = {"polar-hybrid": polar_hybrid}
 

@@ -47,7 +47,7 @@ from scipy.linalg import solveh_banded
 
 from .exceptions import ConvergenceError, DomainError, MonotonicityError
 from .map_core import eval_batch, orbits, origin, require_finite
-from .sampling import ball_points, require_count
+from .sampling import ball_points, require_count, require_positive
 
 Array = np.ndarray
 
@@ -144,7 +144,8 @@ class PeriodicGridFn:
     ``values`` has shape (n_nodes, k2) with node i at x = i*T/n_nodes; it is
     a read-only copy of the array passed in, so the spline cannot go stale.
     Evaluation reduces the argument mod T first, so the representation is
-    exactly periodic by construction.
+    exactly periodic by construction.  T must be positive and finite (else
+    `ValueError`).
     """
 
     period: float
@@ -152,6 +153,7 @@ class PeriodicGridFn:
     _spline: _Spline = field(init=False, repr=False)
 
     def __post_init__(self):
+        require_positive("period", self.period)
         values = np.atleast_2d(np.array(self.values, dtype=float))
         if values.ndim != 2 or values.shape[0] < 2:
             raise ValueError("values must be (n_nodes >= 2, k2)")

@@ -12,6 +12,7 @@ read-only results), so a `MapSpec` can be shared freely across threads.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -20,7 +21,8 @@ import numpy as np
 
 from .exceptions import ConfigError, DomainError, EvaluationError
 from .numdiff import central_jacobian, first_step, second_step
-from .sampling import ball_points, latin_hypercube, stratified_groups
+from .sampling import (ball_points, latin_hypercube, require_positive,
+                       stratified_groups)
 
 Array = np.ndarray
 
@@ -52,13 +54,11 @@ class MapSpec:
     def __post_init__(self):
         if self.k1 < 1 or self.k2 < 1:
             raise ValueError("k1 and k2 must be positive")
-        if not (self.r1 > 0):
-            raise ValueError("r1 must be positive")
+        require_positive("r1", self.r1)
         if self.periodic_coord is not None:
             if not 1 <= self.periodic_coord <= self.k1:
                 raise ValueError("periodic_coord must lie in [1, k1]")
-            if self.period is None or not (self.period > 0):
-                raise ValueError("period must be positive when periodic_coord is set")
+            require_positive("period", self.period)
 
 
 @dataclass
@@ -355,6 +355,7 @@ def check_assumptions(spec, box=None, n_samples=128, seed=0):
 
 def linear_shear(q=0.5, coupling=1.0, period=1.0, r1=1.0):
     """Scalar shear with linear contraction:  beta = q*y + eps*c*sin(2 pi x / T)."""
+    require_positive("period", period)
     two_pi = 2.0 * np.pi / period
 
     def alpha(omega, eps, x, y):
@@ -370,6 +371,7 @@ def linear_shear(q=0.5, coupling=1.0, period=1.0, r1=1.0):
 def nonlinear_toy(q=0.5, coupling=1.0, y2_coupling=0.1, advance_coupling=0.1,
                   period=1.0, r1=1.0):
     """Nonlinear variant: quadratic y-coupling and an eps-dependent advance."""
+    require_positive("period", period)
     two_pi = 2.0 * np.pi / period
 
     def alpha(omega, eps, x, y):
@@ -382,20 +384,22 @@ def nonlinear_toy(q=0.5, coupling=1.0, y2_coupling=0.1, advance_coupling=0.1,
                    periodic_coord=1, period=period, label="nonlinear-toy")
 
 
-_BUILTIN_MAPS = {
-    "linear-shear": (linear_shear, {"q", "coupling", "period", "r1"}),
-    "nonlinear-toy": (nonlinear_toy, {"q", "coupling", "y2_coupling",
-                                      "advance_coupling", "period", "r1"}),
-}
+_BUILTIN_MAPS = {"linear-shear": linear_shear, "nonlinear-toy": nonlinear_toy}
+
+
+def registered_builder(registry, name, params):
+    """The builder that ``registry`` holds under ``name``; `ConfigError` for an
+    unknown name or for a key of ``params`` that is not one of the builder's
+    parameters (its signature is the system's parameter list)."""
+    if name not in registry:
+        raise ConfigError(f"unknown system '{name}' (have {sorted(registry)})")
+    builder = registry[name]
+    unknown = set(params) - set(inspect.signature(builder).parameters)
+    if unknown:
+        raise ConfigError(f"unknown parameters for '{name}': {sorted(unknown)}")
+    return builder
 
 
 def make_system(name, **params):
     """Construct a built-in map by name with parameter overrides."""
-    if name not in _BUILTIN_MAPS:
-        raise ConfigError(f"unknown system '{name}' (have {sorted(_BUILTIN_MAPS)})")
-    builder, allowed = _BUILTIN_MAPS[name]
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigError(f"unknown parameters for '{name}': {sorted(unknown)}")
-    return builder(**params)
-
+    return registered_builder(_BUILTIN_MAPS, name, params)(**params)

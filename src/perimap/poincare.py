@@ -17,7 +17,7 @@ so it is one flow of n lanes; the solver's preconditioner reads the model
 map's constants from `map_core.origin`, one 5-lane flow per wrapped spec.
 
 `cylinder_table` samples forced trajectories started on a solved invariant
-curve: the invariant cylinder written by the CLI and the demo script.
+curve: the invariant cylinder that the CLI's `cylinder-data` writes.
 """
 from __future__ import annotations
 

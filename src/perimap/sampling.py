@@ -1,5 +1,8 @@
 """Deterministic stratified sampling used by the sup-norm and Lipschitz
-estimates, and the check that a count of samples or lanes is at least 1."""
+estimates, the check that a count of samples or lanes is at least 1, and the
+check that a scale (a period or a radius) is positive and finite."""
+import math
+
 import numpy as np
 
 
@@ -7,6 +10,13 @@ def require_count(name, n):
     """Raise `ValueError` naming ``name`` unless the count ``n`` is >= 1."""
     if not n >= 1:
         raise ValueError(f"{name} must be at least 1, got {n}")
+
+
+def require_positive(name, value):
+    """Raise `ValueError` naming ``name`` unless ``value`` is a finite number
+    > 0 (None, nan and inf included)."""
+    if value is None or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def latin_hypercube(rng, n, d):

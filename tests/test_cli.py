@@ -319,3 +319,64 @@ class TestOtherModes:
         # states stay near the unit cycle
         radii = np.linalg.norm(rows[:, 2:], axis=1)
         assert np.all(np.abs(radii - 1.0) < 0.2)
+
+
+class TestSchema:
+    def test_defaults_filled_in(self):
+        cfg = cli.parse_config({"system": {"name": "linear-shear"},
+                                "sampling": {"seed": 0}}, "check-map")
+        assert (cfg.mode, cfg.omega, cfg.eps, cfg.eps_list) == (
+            "check-map", 1.0, 0.0, [])
+        assert (cfg.n_nodes, cfg.tol, cfg.max_iter) == (256, 1e-12, 100)
+        assert (cfg.n_samples, cfg.delta, cfg.n_trajectories) == (128, None, 8)
+        assert cfg.tolerances == {"a2": 1e-8, "periodicity": 1e-8}
+
+    def test_null_delta_is_absent(self):
+        cfg = cli.parse_config({"system": {"name": "linear-shear"},
+                                "delta": None, "sampling": {"seed": 0}},
+                               "certify")
+        assert cfg.delta is None
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        # numpy's default_rng raised ValueError: a traceback with exit 1
+        cfgp = write_config(tmp_path, "c.json",
+                            {"system": {"name": "linear-shear"}})
+        rc = cli.main(["check-map", "--config", cfgp, "--out", str(tmp_path),
+                       "--seed", "-1"])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+
+
+class TestSystemParameterRange:
+    @pytest.mark.parametrize("mode, name, params, key", [
+        ("hybrid-analyze", "polar-hybrid", {"T_g": 0}, "T_g"),
+        ("hybrid-analyze", "polar-hybrid", {"T_g": -0.8}, "T_g"),
+        ("hybrid-analyze", "polar-hybrid", {"r1": 0}, "r1"),
+        ("solve-curve", "linear-shear", {"period": 0}, "period"),
+        ("solve-curve", "linear-shear", {"r1": -1}, "r1"),
+        ("check-map", "linear-shear", {"period": -1}, "period"),
+    ], ids=["T_g-zero", "T_g-negative", "hybrid-r1-zero", "period-zero",
+            "r1-negative", "check-map-period-negative"])
+    def test_out_of_range_parameter_is_config_error(
+            self, tmp_path, capsys, mode, name, params, key):
+        # each ended in a traceback (ValueError or ZeroDivisionError)
+        cfgp = write_config(tmp_path, "c.json", {
+            "system": {"name": name, "params": params},
+            "sampling": {"seed": 1}})
+        rc = cli.main([mode, "--config", cfgp, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key} must be positive" in err
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("mode, name", [
+        ("solve-curve", "no-such-system"),
+        ("hybrid-analyze", "linear-shear"),
+    ], ids=["unknown-system", "kind-mismatch"])
+    def test_not_made_for_a_rejected_system(self, tmp_path, mode, name):
+        cfgp = write_config(tmp_path, "c.json",
+                            {"system": {"name": name}, "sampling": {"seed": 1}})
+        out = tmp_path / "out"
+        assert cli.main([mode, "--config", cfgp, "--out", str(out)]) == 2
+        assert not out.exists()

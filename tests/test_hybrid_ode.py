@@ -715,3 +715,15 @@ class TestJson:
     def test_unknown_param(self):
         with pytest.raises(pm.ConfigError):
             cli.system_from_json({"name": "polar-hybrid", "params": {"x": 1}})
+
+
+class TestScales:
+    @pytest.mark.parametrize("params, key", [
+        ({"T_g": 0.0}, "T_g"),
+        ({"T_g": float("inf")}, "T_g"),
+        ({"r1": 0.0}, "r1"),
+        ({"r1": float("nan")}, "r1"),
+    ], ids=["T_g-zero", "T_g-inf", "r1-zero", "r1-nan"])
+    def test_nonpositive_or_nonfinite_rejected(self, params, key):
+        with pytest.raises(ValueError, match=f"{key} must be positive"):
+            pm.polar_hybrid(**params)

@@ -66,6 +66,14 @@ class TestPeriodicGridFn:
         dense = float(np.max(np.abs(f.eval(np.arange(2**17) / 2**17))))
         assert abs(f.sup_norm() - dense) <= 1e-15 * dense
 
+    @pytest.mark.parametrize("period", [0.0, -1.0, float("nan"),
+                                        float("inf")])
+    def test_period_checked(self, period):
+        # 0 and -1 raised numpy's LinAlgError; nan and inf gave a curve of
+        # nan values
+        with pytest.raises(ValueError, match="period must be positive"):
+            pm.PeriodicGridFn(period, np.zeros((8, 1)))
+
     def test_negative_arguments(self):
         f = pm.PeriodicGridFn(1.0, np.arange(8, dtype=float)[:, None])
         assert_allclose(f.eval(-0.25), f.eval(0.75), atol=1e-14)

@@ -255,6 +255,27 @@ class TestTypedFailures:
         with pytest.raises(ValueError, match=message):
             pm.MapSpec(alpha=None, beta=None, **kw)
 
+    @pytest.mark.parametrize("fields", [
+        {"r1": float("inf")},
+        {"r1": float("nan")},
+        {"periodic_coord": 1, "period": float("inf")},
+        {"periodic_coord": 1, "period": float("nan")},
+        {"periodic_coord": 1, "period": -1.0},
+    ], ids=["r1-inf", "r1-nan", "period-inf", "period-nan", "period-negative"])
+    def test_nonfinite_scale_rejected(self, fields):
+        # a period of inf was accepted, and the curve solver then raised a
+        # MonotonicityError
+        kw = {"k1": 1, "k2": 1, "r1": 1.0, **fields}
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            pm.MapSpec(alpha=None, beta=None, **kw)
+
+    @pytest.mark.parametrize("builder", [pm.linear_shear, pm.nonlinear_toy])
+    @pytest.mark.parametrize("period", [0.0, float("inf")])
+    def test_builder_period_checked(self, builder, period):
+        # period 0 was a ZeroDivisionError in the builder
+        with pytest.raises(ValueError, match="period must be positive"):
+            builder(period=period)
+
     def test_x_of_two_components(self, e1):
         with pytest.raises(EvaluationError, match="x must have 1 components"):
             pm.eval_map(e1, 0.1, 0.0, [0.1, 0.2], [0.1])

@@ -1,7 +1,6 @@
-"""Runs of the demo scripts: they finish, and their artifacts match the CLI's byte
-for byte."""
+"""Runs of README's example commands, as a process and through `cli.main`, and
+of `scripts/step_cost.py`."""
 import importlib.util
-import json
 import os
 import subprocess
 import sys
@@ -12,59 +11,49 @@ from perimap import cli
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_command(mode, config, out):
+    """Run README's ``perimap <mode> --config examples/<config>`` as a process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    subprocess.run([sys.executable, "-m", "perimap.cli", mode, "--config",
+                    str(ROOT / "examples" / config), "--out", str(out)],
                    check=True, env=env, capture_output=True)
+
+
+def run_cli(tmp_path, mode, config):
+    """Run the same command through ``cli.main``; return its artifact directory."""
+    out = tmp_path / mode
+    assert cli.main([mode, "--config", str(ROOT / "examples" / config),
+                     "--out", str(out)]) == 0
+    return out
 
 
 def header(path):
     return path.read_text().splitlines()[0]
 
 
-def run_cli(tmp_path, mode, config):
-    """Run one CLI mode on ``config``; return its artifact directory."""
-    cfgp = tmp_path / f"{mode}.json"
-    cfgp.write_text(json.dumps(config))
-    out = tmp_path / mode
-    assert cli.main([mode, "--config", str(cfgp), "--out", str(out)]) == 0
-    return out
-
-
 def test_shear_curve_demo(tmp_path):
     demo = tmp_path / "demo"
-    run_script("shear_curve_demo.py", "--n-nodes", "32", "--out", str(demo))
+    run_command("solve-curve", "shear-curve.json", demo)
     assert header(demo / "curve.csv") == "x,phi1"
 
-    # solve-curve on the demo's system and solver settings
-    out = run_cli(tmp_path, "solve-curve", {
-        "system": {"name": "linear-shear", "params": {"q": 0.5}},
-        "omega": 0.25, "eps": 0.01,
-        "solver": {"n_nodes": 32, "tol": 1e-12}, "sampling": {"seed": 0}})
-    assert ((demo / "report.json").read_bytes()
-            == (out / "solver_report.json").read_bytes())
-    assert (demo / "curve.csv").read_bytes() == (out / "curve.csv").read_bytes()
+    out = run_cli(tmp_path, "solve-curve", "shear-curve.json")
+    for artifact in ("curve.csv", "solver_report.json"):
+        assert (demo / artifact).read_bytes() == (out / artifact).read_bytes()
 
 
 def test_hybrid_cylinder_demo_matches_cli(tmp_path):
     demo = tmp_path / "demo"
-    run_script("hybrid_cylinder_demo.py", "--n-nodes", "16",
-               "--n-trajectories", "2", "--out", str(demo))
+    run_command("cylinder-data", "polar-hybrid.json", demo)
+    run_command("hybrid-analyze", "polar-hybrid.json", demo)
     assert header(demo / "curve.csv") == "x,phi1"
     assert header(demo / "cylinder.csv") == "trajectory,t,x1,x2"
 
-    # cylinder-data and hybrid-analyze on the demo's system and settings
-    system = {"name": "polar-hybrid", "params": {"kappa": 0.5, "T_g": 0.8}}
-    out = run_cli(tmp_path, "cylinder-data", {
-        "system": system, "eps": 0.01,
-        "solver": {"n_nodes": 16, "tol": 1e-11},
-        "sampling": {"seed": 0}, "n_trajectories": 2})
+    out = run_cli(tmp_path, "cylinder-data", "polar-hybrid.json")
     for artifact in ("curve.csv", "cylinder.csv"):
         assert (demo / artifact).read_bytes() == (out / artifact).read_bytes()
-    out = run_cli(tmp_path, "hybrid-analyze",
-                  {"system": system, "sampling": {"seed": 0}})
+    out = run_cli(tmp_path, "hybrid-analyze", "polar-hybrid.json")
     assert ((demo / "cycle_report.json").read_bytes()
             == (out / "cycle_report.json").read_bytes())
 
