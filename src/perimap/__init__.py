@@ -5,9 +5,8 @@ from .cycle_analysis import (AdaptedNorm, CycleReport, adapted_norm,
                              analyze_cycle, certify_contraction,
                              find_fixed_point, jacobian_and_spectrum)
 from .embedding import (EmbeddingParams, bump_psi, certificate,
-                        conjugacy_residual, estimate_lambda0, eval_F_lambda,
-                        eval_G_lambda, invert_G, spectral_gap, tilde_alpha,
-                        tilde_beta)
+                        conjugacy_residual, eval_F_lambda, eval_G_lambda,
+                        invert_G, spectral_gap, tilde_alpha, tilde_beta)
 from .exceptions import (CertificateError, ChartError, ConfigError,
                          ConvergenceError, DomainError, EvaluationError,
                          IntegrationError, MonotonicityError, NoReturnError,
@@ -24,8 +23,7 @@ from .invariant_graph import (AttractionReport, CurveConfig, PeriodicGridFn,
 from .map_core import (AssumptionReport, MapSpec, SamplingBox, Trajectory,
                        beta_y0, check_assumptions, eval_map, iterate,
                        linear_shear, make_system, nonlinear_toy)
-from .poincare import (P_eps, P_reduced, PoincareHandle, cylinder_table,
-                       extract_alpha_beta, p_eps_batch, prepare_handle,
-                       time_to_return)
+from .poincare import (PoincareHandle, cylinder_table, extract_alpha_beta,
+                       p_eps_batch, prepare_handle, time_to_return)
 
 __version__ = "0.1.0"

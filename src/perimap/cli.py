@@ -8,7 +8,8 @@ config and seed):
     check-map      assumptions.json       sampled assumption predicates
     certify        certificate.json       lambda0, eps0, r0, mu, q
     solve-curve    curve.csv, solver_report.json
-    hybrid-analyze cycle_report.json      fixed point, spectrum, adapted norm
+    hybrid-analyze cycle_report.json      fixed point, spectrum, adapted norm,
+                                           sampled contraction q on the chart
     sweep-eps      sweep.csv              eps-continuity table
     cylinder-data  cylinder.csv, curve.csv  dense forced-flow samples started
                                            on the invariant curve
@@ -197,11 +198,15 @@ def _run_solve_curve(cfg, system, out):
 
 def _run_hybrid_analyze(cfg, system, out):
     handle = poincare.prepare_handle(system)
-    report = cycle_analysis.analyze_cycle(handle)
+    # the whole chart is certified, with no fallback to a smaller radius
+    report = cycle_analysis.analyze_cycle(handle, contraction={
+        "u_range": system.r1, "eps_range": (0.0, cfg.eps),
+        "n_samples": cfg.n_samples, "seed": cfg.seed})
     write_json(os.path.join(out, "cycle_report.json"), report.to_json_dict())
     ok = (report.fixed_point_residual <= cfg.tol * 10
           and report.spectrum_ok
-          and abs(report.transversality) > 1e-8)
+          and abs(report.transversality) > 1e-8
+          and report.q_ok)
     return 0 if ok else 1
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .exceptions import CertificateError, ConvergenceError
 from .hybrid_ode import check_transversality
 from .numdiff import central_jacobian
-from .poincare import RADIUS_FRACTIONS, p_eps_batch
+from .poincare import p_eps_batch
 from .sampling import ball_points, latin_hypercube, require_count, scale_to
 
 Array = np.ndarray
@@ -211,22 +211,6 @@ def certify_contraction(handle, u_range, eps_range, norm, n_samples=64, seed=0):
                           np.vstack([u1, u2]), np.concatenate([epses, epses]))
     q = float(np.max(norm.norm(outs[:n] - outs[n:]) / norm.norm(u1 - u2)))
     return q, bool(q < 1.0)
-
-
-def largest_contracting_radius(handle, eps_range, norm, n_samples=32, seed=0):
-    """Largest sampled chart sub-radius on which the section map contracts.
-
-    Walks the shrinking ladder `RADIUS_FRACTIONS` of the chart radius and
-    returns (radius, q) for the first level with sampled q < 1; raises
-    `CertificateError` when even the smallest level fails.
-    """
-    r1 = handle.sys.r1
-    for frac in RADIUS_FRACTIONS:
-        q, ok = certify_contraction(handle, frac * r1, eps_range, norm,
-                                    n_samples=n_samples, seed=seed)
-        if ok:
-            return frac * r1, q
-    raise CertificateError("no sampled sub-radius of the chart contracts")
 
 
 def analyze_cycle(handle, u_guess=None, contraction=None):

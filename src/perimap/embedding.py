@@ -11,12 +11,11 @@ numerically, together with the smallness scale lam0 and the derived constants
     eps0 = r1 * lam0**2 / 2,      r0 = lam0 * r1,
 
 collected in an `EmbeddingParams` certificate.  Each `certificate` rung is
-`embedding_params` tested by `spectral_gap` and the remainder bound of
-`estimate_lambda0`.
+`embedding_params` tested by `spectral_gap` and by the sampled remainder
+bound of `_tilde_sup`.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -27,8 +26,6 @@ from . import map_core
 from .exceptions import CertificateError, ConvergenceError, DomainError
 from .numdiff import first_step
 from .sampling import require_count, stratified_groups
-
-log = logging.getLogger(__name__)
 
 Array = np.ndarray
 
@@ -239,9 +236,6 @@ def _tilde_sup(spec, lam, eps_range, x_range, n_samples, seed):
     # (argument, column): omega, eps, then every column of X and of Y
     coords = [(0, None), (1, None)] + [(2, c) for c in range(spec.k1)] + [
         (3, c) for c in range(spec.k2)]
-    # derivatives are taken along the sampled family: a degenerate eps range
-    # (the frozen eps-slice {0}) contributes no derivative direction
-    skip_eps = eps_range[0] == eps_range[1]
     sup_a = sup_b = 0.0
     for args in stratified_groups(np.random.default_rng(seed), n_samples, 4,
                                   (-1.0 / lam, 2.0 / lam), eps_range, x_range,
@@ -253,8 +247,6 @@ def _tilde_sup(spec, lam, eps_range, x_range, n_samples, seed):
             y_max * y_max - (sq.sum(axis=1, keepdims=True) - sq), 0.0))
         J = np.zeros(t0.shape + (len(coords),))
         for j, (a, c) in enumerate(coords):
-            if a == 1 and skip_eps:
-                continue
             plus, minus = list(args), list(args)
             if c is None:
                 h = float(first_step(args[a]))
@@ -283,39 +275,6 @@ def _tilde_sup(spec, lam, eps_range, x_range, n_samples, seed):
     return sup_a, sup_b
 
 
-def _remainders_pass(spec, lam, delta, eps_range, n_samples, seed):
-    """Whether both sampled remainder sups at scale lam are <= delta, and
-    the sups (alpha, beta); x ranges over one period, else (-2, 2)."""
-    x_range = ((0.0, spec.period) if spec.periodic_coord is not None
-               else (-2.0, 2.0))
-    sups = _tilde_sup(spec, lam, eps_range, x_range, n_samples, seed)
-    return all(s <= delta for s in sups), sups
-
-
-def estimate_lambda0(spec, delta, eps_range=None, n_samples=64, seed=0):
-    """Largest ladder scale at which both rescaled remainders stay below delta.
-
-    The sup is sampled over omega in [-1/lam, 2/lam], eps in ``eps_range``
-    (default (-r1, r1)), x over one period or a default box, and
-    ||y|| <= r1, with derivatives by central differences.  This is the
-    remainder test of each `certificate` rung.  Returns ``None`` when no
-    probed scale passes; the failure is logged with the offending bound.
-    """
-    if not (delta > 0):
-        return None
-    eps_range = eps_range if eps_range is not None else (-spec.r1, spec.r1)
-    last = None
-    for lam in LADDER:
-        ok, sups = _remainders_pass(spec, lam, delta, eps_range, n_samples,
-                                    seed)
-        if ok:
-            return lam
-        last = (lam, *sups)
-    log.info("no lambda0 found: at lam=%g the bounds were alpha %.3g, beta %.3g "
-             "(delta=%g)", last[0], last[1], last[2], delta)
-    return None
-
-
 def spectral_gap(params):
     """mu = (||B|| + 1)/2 and the gap predicate at the certificate's scale."""
     mu = params.mu
@@ -332,9 +291,11 @@ def certificate(spec, delta=None, n_samples=64, seed=0):
     q is `map_core.pairwise_q` over max(``n_samples``, 32) points of the r1
     ball, raised to ||beta_y(0)|| if it falls below.  lambda0 is the first
     ladder scale whose `embedding_params` pass `spectral_gap` and keep both
-    remainders below ``delta`` (default (1 - q)/3, eps in (-r1, r1)).
-    Raises `CertificateError` when q or ||beta_y(0)|| is not below 1, or
-    when no scale passes.
+    remainders below ``delta`` (default (1 - q)/3).  The remainder sup is
+    sampled over omega in [-1/lam, 2/lam], eps in (-r1, r1), x over one
+    period or the box (-2, 2), and ||y|| <= r1, with derivatives by central
+    differences.  Raises `CertificateError` when q or ||beta_y(0)|| is not
+    below 1, or when no scale passes.
     """
     q = map_core.pairwise_q(spec, np.random.default_rng(seed),
                             max(n_samples, 32), spec.r1)
@@ -348,10 +309,12 @@ def certificate(spec, delta=None, n_samples=64, seed=0):
             raise CertificateError(f"||beta_y(0)|| = {norm_B:.6g} is not < 1")
     if delta is None:
         delta = (1.0 - q) / 3.0
+    x_range = ((0.0, spec.period) if spec.periodic_coord is not None
+               else (-2.0, 2.0))
     for lam in LADDER:
         params = embedding_params(spec, lam, q)
-        if spectral_gap(params)[1] and _remainders_pass(
-                spec, lam, delta, (-spec.r1, spec.r1), n_samples, seed)[0]:
+        if spectral_gap(params)[1] and all(s <= delta for s in _tilde_sup(
+                spec, lam, (-spec.r1, spec.r1), x_range, n_samples, seed)):
             return replace(params, lambda0=lam,
                            eps0=spec.r1 * lam**2 / 2.0, r0=lam * spec.r1)
     raise CertificateError(

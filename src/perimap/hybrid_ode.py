@@ -23,11 +23,11 @@ points theta = i/8 of the step's interpolant, and the first admissible sign
 change among them is bracketed between two samples.  On a step whose
 samples keep one sign but come near S, the extremum of H along the step's
 interpolant is refined by safeguarded successive parabolic interpolation.
-That extremum feeds the grazing flag, and when it lies across S the step
-holds two crossings; the admissible one is bracketed between the extremum
-and a sample.  After the flow each bracket is closed on `dopri.dense_value`
-of its step by Illinois (Anderson-Bjorck) regula falsi, started from the H
-values the scan already holds.
+When that extremum lies across S the step holds two crossings; the
+admissible one is bracketed between the extremum and a sample.  After the
+flow each bracket is closed on `dopri.dense_value` of its step by Illinois
+(Anderson-Bjorck) regula falsi, started from the H values the scan already
+holds.
 """
 from __future__ import annotations
 
@@ -56,10 +56,9 @@ EXTREMUM_TOL = 1e-6      # theta step at which that refinement has converged
 H_TOL = 1e-12            # |H| at a localized crossing
 T_TOL = 1e-12            # time-bracket width of a localization
 ARM_LEVEL = 10.0 * H_TOL  # |H| that arms a lane's crossing detection
-GRAZING_TOL = 1e-6       # |H| proximity that flags a non-crossing touch
 # a crossing pair inside one step must pass S by this much; a smaller pass is
 # within the integration noise of a tangential touch
-PASS_LEVEL = max(ARM_LEVEL, 0.01 * GRAZING_TOL)
+PASS_LEVEL = 1e-8
 # theta at the 9 sample points of a step (both ends included), and the
 # dense-output powers theta**1..p (rows) at the 7 interior ones (columns)
 _THETA_GRID = np.linspace(0.0, 1.0, 9)
@@ -122,7 +121,6 @@ class FlowResult:
     end_times: Array
     end_states: Array
     event_hit: Array
-    grazing: Array
     stats: dict
     path: DensePath = field(repr=False)
 
@@ -224,44 +222,40 @@ def _extremum(h_fun, y_old, q, h, sign, theta, f):
     return x, sign * fx
 
 
-def _far_from_s(h_states, h_prev, h_new, watched, min_h_armed):
+def _far_from_s(h_states, h_prev, h_new, watched):
     """True if no watched lane can reach S inside the step.
 
     ``h_states`` (11, K) is H at the step's interior stage states, and
     ``h_prev`` and ``h_new`` at its ends.  A lane is far if all of them have
-    the sign of ``h_prev`` and |H| >= `FAR_LEVEL`.  When every watched lane
-    is far, their least |H| lowers ``min_h_armed`` (in place).
+    the sign of ``h_prev`` and |H| >= `FAR_LEVEL`.
     """
     sign = np.sign(h_prev)
     reach = np.minimum.reduce(h_states * sign, axis=0)
     np.minimum(reach, h_prev * sign, out=reach)
     np.minimum(reach, h_new * sign, out=reach)
-    if not np.logical_and.reduce(reach >= FAR_LEVEL, where=watched):
-        return False
-    np.minimum(min_h_armed, reach, out=min_h_armed, where=watched)
-    return True
+    return bool(np.logical_and.reduce(reach >= FAR_LEVEL, where=watched))
 
 
 def _scan_step(h_fun, direction, t_old, t_new, y_old, q, h_prev, h_new,
-               watched, min_h_armed, pending, bracket):
+               watched, pending, bracket):
     """Bracket the first admissible crossing inside one accepted step.
 
     ``watched`` lanes are armed and still pending.  H is sampled at the 9
     points theta = i/8 of every lane (the ends are ``h_prev`` and
-    ``h_new``), and the samples lower ``min_h_armed`` (in place).  An
-    interior sample within `PASS_LEVEL` of S counts as a touch: the sample
-    before it is held over it.  The first sign change of the held samples
-    whose new sign is the configured direction is the lane's crossing: the
-    lane stops pending (in place) and its column of ``bracket`` (rows t_lo,
-    t_hi, H(t_lo), H(t_hi); in place) gets the two samples around it.  A
-    zero at a step end counts as the far side of the change into it.
+    ``h_new``).  An interior sample within `PASS_LEVEL` of S counts as a
+    touch: the sample before it is held over it.  The first sign change of
+    the held samples whose new sign is the configured direction is the
+    lane's crossing: the lane stops pending (in place) and its column of
+    ``bracket`` (rows t_lo, t_hi, H(t_lo), H(t_hi); in place) gets the two
+    samples around it.  A zero at a step end counts as the far side of the
+    change into it.
 
     On lanes whose held samples keep the sign of both ends and whose
     sampled |H| drops below `REFINE_LEVEL`, the extremum of H around the
-    smallest sample is refined by `_extremum`, which lowers ``min_h_armed``
-    too.  When it lies across S by at least `PASS_LEVEL` the step holds two
-    crossings, one on each side of it; the admissible one is bracketed
-    between the extremum and the nearest held sample.
+    smallest sample is refined by `_extremum`.  When it lies across S by at
+    least `PASS_LEVEL` the step holds two crossings, one on each side of
+    it; the admissible one is bracketed between the extremum and the
+    nearest held sample.
     """
     h = t_new - t_old
     # sample i of every lane in row i: reductions over the 9 samples then
@@ -271,7 +265,6 @@ def _scan_step(h_fun, direction, t_old, t_new, y_old, q, h_prev, h_new,
     samples[0], samples[-1] = h_prev, h_new
     samples[1:-1] = h_fun(y_old + h * incr.reshape((-1,) + y_old.shape))
     min_s = np.abs(samples).min(axis=0)
-    np.minimum(min_h_armed, min_s, out=min_h_armed, where=watched)
     # only lanes with samples on both sides of S, or on it, can cross here
     touch = watched & (samples.min(axis=0) <= 0.0)
     touch &= samples.max(axis=0) >= 0.0
@@ -307,7 +300,6 @@ def _scan_step(h_fun, direction, t_old, t_new, y_old, q, h_prev, h_new,
     theta_e, h_e = _extremum(
         h_fun, y_old[lanes], q[lanes], h, sign, _THETA_GRID[cols],
         sign[:, None] * np.take_along_axis(s, cols, axis=1))
-    min_h_armed[lanes] = np.minimum(min_h_armed[lanes], np.abs(h_e))
     passed = (h_e * sign < 0.0) & (np.abs(h_e) >= PASS_LEVEL)
     if not passed.any():
         return
@@ -391,10 +383,9 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     ``stats["event_h_evals"]`` counts the flow's batched calls of H: step
     ends, stage states, scan samples, extremum refinements and
     localization.  Detection on a lane is armed once its |H| reaches
-    `ARM_LEVEL`.  Two crossings
-    inside one step are found when H passes S between them by at least
-    `PASS_LEVEL`; a shallower pass counts as a touch, and a lane that never
-    crosses but comes within `GRAZING_TOL` of S is flagged grazing.
+    `ARM_LEVEL`.  Two crossings inside one step are found when H passes S
+    between them by at least `PASS_LEVEL`; a shallower pass counts as a
+    touch, not a crossing.
 
     Batch composition: a lane's result depends on the other lanes of its
     batch only through the shared step sequence (the error norm is the max
@@ -426,7 +417,6 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
     h_prev = h_of(vs)
     armed = np.abs(h_prev) >= ARM_LEVEL
     all_armed = armed.all()  # then the hook stops updating ``armed``
-    min_h_armed = np.where(armed, np.abs(h_prev), np.inf)
     # per-lane bracket of the crossing: t_lo, t_hi, H(t_lo), H(t_hi)
     bracket = np.zeros((4, K))
     pending = np.ones(K, dtype=bool)
@@ -436,10 +426,10 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
         h_new = h_of(step.y_new)
         watched = armed & pending
         if watched.any() and not _far_from_s(h_of(step.states), h_prev,
-                                              h_new, watched, min_h_armed):
+                                              h_new, watched):
             _scan_step(h_of, event.direction, step.t_old, step.t_new,
-                       step.y_old, step.q, h_prev, h_new, watched,
-                       min_h_armed, pending, bracket)
+                       step.y_old, step.q, h_prev, h_new, watched, pending,
+                       bracket)
         if not all_armed:
             armed |= np.abs(h_new) >= ARM_LEVEL
             all_armed = armed.all()
@@ -448,7 +438,6 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
 
     path, stats = integrate(rhs, vs, max_time, rtol=rtol, atol=atol,
                             stop=scan)
-    grazing = pending & (min_h_armed <= GRAZING_TOL)
     end_times = taus + path.t[-1]
     end_states = path.y[-1].copy()
     hit_lanes = np.nonzero(~pending)[0]
@@ -466,7 +455,7 @@ def flow_batch(sys, taus, vs, eps, *, event, max_time=20.0, rtol=1e-10,
         end_states[hit_lanes] = y_star
     stats["event_h_max"] = h_max
     stats["event_h_evals"] = n_h
-    return FlowResult(end_times, end_states, ~pending, grazing, stats, path)
+    return FlowResult(end_times, end_states, ~pending, stats, path)
 
 
 def simulate_hybrid(sys, tau, v, eps, duration, *, event, rtol=1e-10,

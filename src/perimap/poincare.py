@@ -131,18 +131,6 @@ def p_eps_batch(handle, taus, us, eps):
     return times, _pull_back(handle, states)
 
 
-def P_eps(handle, tau, u, eps):
-    """The forced Poincare map at a single point: (new time, new u)."""
-    times, us = p_eps_batch(handle, [float(tau)],
-                            np.asarray(u, float)[None, :], eps)
-    return float(times[0]), us[0]
-
-
-def P_reduced(handle, u):
-    """u-component of the unforced Poincare map; tau-independent at eps = 0."""
-    return P_eps(handle, 0.0, u, 0.0)[1]
-
-
 def certify_returns(handle, eps_range=(0.0, 0.0), n_samples=32, seed=0):
     """Largest sampled chart radius on which every sample returns.
 

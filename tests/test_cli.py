@@ -274,6 +274,36 @@ class TestOtherModes:
         assert abs(rep["jacobian"][0][0] - 0.5 / np.e) <= 1e-6
         assert max(abs(v) for v in rep["u_star"]) <= 1e-10
 
+    def test_hybrid_analyze_reads_the_seed(self, tmp_path):
+        # the contraction q is sampled with the config's seed and samples
+        cfgp = write_config(tmp_path, "c.json", {
+            "system": {"name": "polar-hybrid", "params": {"kappa": 0.5}},
+            "eps": 0.01, "sampling": {"n_samples": 128, "seed": 0}})
+        qs = []
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            assert cli.main(["hybrid-analyze", "--config", cfgp, "--out",
+                             str(out), "--seed", seed]) == 0
+            rep = json.loads((out / "cycle_report.json").read_text())
+            assert rep["q_ok"] is True
+            qs.append(rep["q_certified"])
+        assert qs[0] != qs[1]
+        assert max(qs) < 1.0
+
+    def test_hybrid_analyze_uncertified_chart_exits_nonzero(self, tmp_path):
+        # P'(0) = kappa/e = 0.92 is stable, but on u near -r1 the map
+        # expands: the sampled q over the whole chart is not below 1
+        cfgp = write_config(tmp_path, "c.json", {
+            "system": {"name": "polar-hybrid",
+                       "params": {"kappa": 2.5, "r1": 0.35}},
+            "sampling": {"n_samples": 16, "seed": 3}})
+        out = tmp_path / "out"
+        assert cli.main(["hybrid-analyze", "--config", cfgp,
+                         "--out", str(out)]) == 1
+        rep = json.loads((out / "cycle_report.json").read_text())
+        assert rep["spectrum_ok"] is True
+        assert rep["q_ok"] is False and rep["q_certified"] > 1.0
+
     def test_hybrid_found_by_registry(self, tmp_path, monkeypatch):
         """A second hybrid registry name goes through the wrapped map."""
         from perimap import hybrid_ode, poincare

@@ -33,8 +33,6 @@ PARAMS = pm.EmbeddingParams(lam=1.0, B=np.array([[0.5]]), A_lambda=np.eye(3),
     ("n_samples", lambda: poincare.certify_returns(BOOM_HANDLE, n_samples=0)),
     ("n_samples", lambda: cycle_analysis.certify_contraction(
         BOOM_HANDLE, 0.1, (0.0, 0.0), NORM, n_samples=0)),
-    ("n_samples", lambda: cycle_analysis.largest_contracting_radius(
-        BOOM_HANDLE, (0.0, 0.0), NORM, n_samples=0)),
     ("us", lambda: pm.p_eps_batch(BOOM_HANDLE, [], np.zeros((0, 1)), 0.0)),
     ("vs", lambda: pm.flow_batch(BOOM_HYBRID, [0.0], np.zeros((0, 2)), 0.0,
                                  event=pm.EventConfig())),
@@ -44,9 +42,8 @@ PARAMS = pm.EmbeddingParams(lam=1.0, B=np.array([[0.5]]), A_lambda=np.eye(3),
     ("max_iter", lambda: pm.invert_G(BOOM_MAP, PARAMS, np.zeros(4),
                                      max_iter=0)),
 ], ids=["check_forcing_period", "invariance_residual", "attraction_test",
-        "certify_returns", "certify_contraction", "largest_contracting_radius",
-        "p_eps_batch", "flow_batch", "solve_invariant_curve",
-        "periodicity_defect", "invert_G"])
+        "certify_returns", "certify_contraction", "p_eps_batch", "flow_batch",
+        "solve_invariant_curve", "periodicity_defect", "invert_G"])
 def test_count_below_one_rejected(name, call):
     with pytest.raises(ValueError, match=rf"\b{name}\b.*at least 1, got 0"):
         call()

@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -242,16 +240,8 @@ class TestModelMapTwoDimY:
 
 
 class TestLambda0:
-    def test_linear_shear_frozen_eps_passes_everywhere(self, e1):
-        lam0 = pm.estimate_lambda0(e1, 0.1, eps_range=(0.0, 0.0),
-                                   n_samples=32, seed=1)
-        assert lam0 == 1.0
-
-    def test_delta_zero_fails(self, e1):
-        assert pm.estimate_lambda0(e1, 0.0) is None
-
     def test_nonlinear_toy_monotone_shrinkage(self, e2):
-        lam0 = pm.estimate_lambda0(e2, 0.1, n_samples=32, seed=1)
+        lam0 = pm.certificate(e2, delta=0.1, n_samples=32, seed=1).lambda0
         assert lam0 is not None and lam0 > 0
         sup_at = {}
         for lam in (lam0, lam0 / 2):
@@ -354,11 +344,9 @@ class TestTypedFailures:
         with pytest.raises(ConvergenceError, match="numerically singular"):
             pm.invert_G(spec, params, np.zeros(4))
 
-    def test_no_lambda0_is_logged(self, e1, caplog):
-        with caplog.at_level(logging.INFO, logger="perimap.embedding"):
-            assert pm.estimate_lambda0(e1, 1e-9) is None
-        assert "no lambda0 found" in caplog.text
-        assert "delta=1e-09" in caplog.text
+    def test_no_lambda0_is_logged(self, e1):
+        with pytest.raises(CertificateError, match="delta=1e-09"):
+            pm.certificate(e1, delta=1e-9)
 
 
 def _two_dim_y_map():
@@ -381,9 +369,6 @@ class TestProbesStayInTheDomain:
     def test_certificate_of_a_two_dim_y_map(self, seed, lam0):
         cert = pm.certificate(_two_dim_y_map(), seed=seed)
         assert cert.lambda0 == lam0 and cert.lambda0 in emb.LADDER
-
-    def test_lambda0_of_a_two_dim_y_map(self):
-        assert pm.estimate_lambda0(_two_dim_y_map(), 0.1) == 2.0**-6
 
     def test_unit_scale_sup(self):
         sa, sb = emb._tilde_sup(_two_dim_y_map(), 1.0, (-1.0, 1.0),

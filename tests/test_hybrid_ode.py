@@ -30,7 +30,7 @@ def assert_skip_changes_nothing(monkeypatch, flow):
         m.setattr(hybrid_ode, "FAR_LEVEL", np.inf)
         full = flow()
     assert fast.stats["n_dense"] <= full.stats["n_dense"]
-    for name in ("end_times", "end_states", "event_hit", "grazing"):
+    for name in ("end_times", "end_states", "event_hit"):
         assert np.array_equal(getattr(fast, name), getattr(full, name)), name
     assert fast.stats["event_h_max"] == full.stats["event_h_max"]
     return fast, full
@@ -178,12 +178,11 @@ class TestFlow:
                        (0.85 + 0.8) - (0.3 + 0.8))[0]
         assert np.linalg.norm(a - b) <= 1e-9
 
-    def test_grazing_flagged(self, e3, monkeypatch):
+    def test_touch_is_not_a_crossing(self, e3, monkeypatch):
         res, _ = assert_skip_changes_nothing(monkeypatch, lambda: pm.flow_batch(
             _graze(e3), [0.0], [[1.0, 0.0]], 0.0, event=pm.EventConfig(),
             max_time=2.0))
         assert not res.event_hit[0]
-        assert res.grazing[0]
 
     def test_batch_shifted_times(self, e3):
         taus = np.array([0.0, 0.1, 0.55])
@@ -247,10 +246,9 @@ class TestTwoCrossingsInOneStep:
         assert abs(res.end_times[0] - (0.5 - self.T1)) <= 1e-9
 
     def test_shallow_pass_is_a_touch(self, e3):
-        # H passes S by 1e-9 < PASS_LEVEL = 1e-8: a touch
+        # H passes S by 1e-9 < PASS_LEVEL = 1e-8: a touch, not a crossing
         res = self._flow(e3, 1.0 - 1e-9, 1, max_time=0.9)
         assert not res.event_hit[0]
-        assert res.grazing[0]
 
     @pytest.mark.parametrize("level, direction, kw", [
         (LEVEL, 1, {}), (LEVEL, -1, {}), (1.0 - 1e-9, 1, {"max_time": 0.9})],
@@ -480,20 +478,18 @@ class TestFarStepSkip:
 
     @staticmethod
     def _far(h_states, h_prev, h_new, watched):
-        min_h = np.full(len(h_prev), np.inf)
-        far = hybrid_ode._far_from_s(np.asarray(h_states, float),
-                                     np.asarray(h_prev, float),
-                                     np.asarray(h_new, float),
-                                     np.asarray(watched), min_h)
-        return far, min_h
+        return hybrid_ode._far_from_s(np.asarray(h_states, float),
+                                      np.asarray(h_prev, float),
+                                      np.asarray(h_new, float),
+                                      np.asarray(watched))
 
     def test_stage_states_across_s_are_not_far(self):
         # every value 0.5 from S, but the middle stage states lie across it:
         # two crossings inside the step
         h_states = np.full((11, 1), 0.5)
         h_states[4:7] = -0.5
-        assert not self._far(h_states, [0.5], [0.5], [True])[0]
-        assert not self._far(-h_states, [-0.5], [0.5], [True])[0]
+        assert not self._far(h_states, [0.5], [0.5], [True])
+        assert not self._far(-h_states, [-0.5], [0.5], [True])
 
     def test_values_near_s_are_not_far(self):
         # one sign throughout, but one stage state between REFINE_LEVEL and
@@ -502,20 +498,17 @@ class TestFarStepSkip:
         h_states = np.full((11, 2), -0.5)
         h_states[3, 1] = -level
         assert not self._far(h_states, [-0.5, -0.5], [-0.5, -0.5],
-                             [True, True])[0]
+                             [True, True])
         assert not self._far(-np.abs(h_states), [-0.5, -level],
-                             [-0.5, -0.5], [True, True])[0]
+                             [-0.5, -0.5], [True, True])
         assert not self._far(-np.abs(h_states), [-0.5, -0.5],
-                             [-0.5, -level], [True, True])[0]
+                             [-0.5, -level], [True, True])
 
     def test_unwatched_lanes_are_ignored(self):
         h_states = np.full((11, 2), 0.5)
         h_states[3, 0] = 0.3
         h_states[3, 1] = 0.0
-        far, min_h = self._far(h_states, [0.5, 0.5], [0.5, 0.5],
-                               [True, False])
-        assert far
-        assert min_h[0] == 0.3 and min_h[1] == np.inf
+        assert self._far(h_states, [0.5, 0.5], [0.5, 0.5], [True, False])
 
 
 class TestPolarEvaluators:

@@ -34,21 +34,23 @@ class TestTimeToReturn:
 
 
 class TestPEps:
+    """One-row `p_eps_batch`: the forced Poincare map at a single point."""
+
     def test_cycle_is_fixed(self, handle):
-        tbar, ubar = pm.P_eps(handle, 0.4, [0.0], 0.0)
+        (tbar,), (ubar,) = pm.p_eps_batch(handle, [0.4], [[0.0]], 0.0)
         assert abs(tbar - 1.4) <= 1e-9
         assert np.max(np.abs(ubar)) <= 1e-10
 
     def test_logistic_closed_form(self, handle):
-        tbar, ubar = pm.P_eps(handle, 0.0, [0.2], 0.0)
+        (tbar,), (ubar,) = pm.p_eps_batch(handle, [0.0], [[0.2]], 0.0)
         assert abs(ubar[0] - logistic_P(0.2)) <= 1e-8
         assert abs(tbar - 1.0) <= 1e-9
 
     def test_forced_shift_identity(self, handle):
         # P_eps(tau + T_g, u) advances the time by T_g and repeats u
         for eps in (1e-3, 1e-2):
-            t1, u1 = pm.P_eps(handle, 0.3, [0.1], eps)
-            t2, u2 = pm.P_eps(handle, 0.3 + 0.8, [0.1], eps)
+            (t1,), (u1,) = pm.p_eps_batch(handle, [0.3], [[0.1]], eps)
+            (t2,), (u2,) = pm.p_eps_batch(handle, [0.3 + 0.8], [[0.1]], eps)
             assert abs((t2 - t1) - 0.8) <= 1e-8
             assert np.max(np.abs(u2 - u1)) <= 1e-8
 
@@ -76,20 +78,24 @@ class TestBatchComposition:
 
 
 class TestPReduced:
+    """u-component of one-row `p_eps_batch` at eps = 0: the reduced map."""
+
     def test_fixed_point_zero(self, handle):
-        assert np.max(np.abs(pm.P_reduced(handle, [0.0]))) <= 1e-10
+        _, (ubar,) = pm.p_eps_batch(handle, [0.0], [[0.0]], 0.0)
+        assert np.max(np.abs(ubar)) <= 1e-10
 
     @pytest.mark.parametrize("u", [0.2, -0.2])
     def test_closed_form(self, handle, u):
-        got = pm.P_reduced(handle, [u])[0]
+        _, (ubar,) = pm.p_eps_batch(handle, [0.0], [[u]], 0.0)
+        got = ubar[0]
         want = logistic_P(u)
         assert abs(got - want) <= 1e-8
         assert abs(got) < abs(u)  # contraction toward the cycle
 
     def test_tau_independence(self, handle):
-        base = pm.P_eps(handle, 0.0, [0.15], 0.0)[1]
+        _, (base,) = pm.p_eps_batch(handle, [0.0], [[0.15]], 0.0)
         for tau in (0.25, 0.61, 1.9):
-            other = pm.P_eps(handle, tau, [0.15], 0.0)[1]
+            _, (other,) = pm.p_eps_batch(handle, [tau], [[0.15]], 0.0)
             assert np.max(np.abs(other - base)) <= 1e-9
 
 
@@ -168,7 +174,7 @@ class TestWrappedSpec:
         assert np.ptp(epses[1]) > 0.01
 
     def test_ladder_down_to_its_last_rung(self, handle, monkeypatch):
-        """`certify_returns` walks the ladder of `largest_contracting_radius`,
+        """`certify_returns` walks its chart-radius ladder `RADIUS_FRACTIONS`,
         one flow per rung, down to 0.1 r1."""
         limit = 0.15 * handle.sys.r1
         real = pm.poincare.p_eps_batch
@@ -184,7 +190,6 @@ class TestWrappedSpec:
         r = pm.poincare.certify_returns(handle, n_samples=8, seed=4)
         assert r == 0.1 * handle.sys.r1
         assert calls == [8] * 5
-        assert pm.cycle_analysis.RADIUS_FRACTIONS is pm.poincare.RADIUS_FRACTIONS
 
     def test_dense_samples_on_request(self, e3):
         path, _ = integrate(hybrid_ode.forced_rhs(e3, [0.0], 0.0),
@@ -196,7 +201,7 @@ class TestWrappedSpec:
     def test_csv_log(self, handle, tmp_path):
         rows = []
         for tau, u in [(0.0, 0.1), (0.3, -0.1)]:
-            tbar, ubar = pm.P_eps(handle, tau, [u], 0.001)
+            (tbar,), (ubar,) = pm.p_eps_batch(handle, [tau], [[u]], 0.001)
             rows.append((tau, u, 0.001, tbar, ubar[0], tbar - tau))
         out = tmp_path / "p_eps.csv"
         pm.write_csv(out, ["tau", "u1", "eps", "tau_bar", "u_bar1",
@@ -322,7 +327,7 @@ class TestTypedFailures:
             e3, D_inverse=lambda x: e3.D_inverse(x) + 0.1)
         handle = pm.prepare_handle(shifted)
         with pytest.raises(pm.ChartError, match="off the chart image"):
-            pm.P_eps(handle, 0.0, [0.0], 0.0)
+            pm.p_eps_batch(handle, [0.0], [[0.0]], 0.0)
 
     def test_nan_chart_point(self, e3):
         # a nan distance from the chart image fails the chart check
