@@ -230,40 +230,51 @@ def invert_G(spec, params, target, tol=1e-12, max_iter=100):
 def _tilde_sup(spec, lam, eps_range, x_range, n_samples, seed):
     """Sampled sup of ||tilde|| + ||D tilde|| for both remainders at scale lam,
     with omega in [-1/lam, 2/lam].  One Jacobian holds the centered
-    differences in every coordinate, alpha-tilde rows above beta-tilde rows."""
+    differences in every coordinate, alpha-tilde rows above beta-tilde rows.
+
+    The centre and the +/- probes of every column of X and of Y share the
+    group's (omega, eps), so they go to one `_tilde_batch` call as stacked
+    row blocks; the omega and eps probes take a call each.
+    """
     n_top = spec.k1 + 2
     y_max = spec.r1 / lam
-    # (argument, column): omega, eps, then every column of X and of Y
-    coords = [(0, None), (1, None)] + [(2, c) for c in range(spec.k1)] + [
-        (3, c) for c in range(spec.k2)]
     sup_a = sup_b = 0.0
-    for args in stratified_groups(np.random.default_rng(seed), n_samples, 4,
-                                  (-1.0 / lam, 2.0 / lam), eps_range, x_range,
-                                  spec.r1, spec.k1, spec.k2):
-        t0 = _tilde_batch(spec, lam, *args)
+    for w, e, X, Y in stratified_groups(np.random.default_rng(seed), n_samples,
+                                        4, (-1.0 / lam, 2.0 / lam), eps_range,
+                                        x_range, spec.r1, spec.k1, spec.k2):
         # a y-probe of column c stays in ||lam*y|| <= r1 while |y_c| <= edge
-        sq = args[3]**2
+        sq = Y**2
         edge = np.sqrt(np.maximum(
             y_max * y_max - (sq.sum(axis=1, keepdims=True) - sq), 0.0))
-        J = np.zeros(t0.shape + (len(coords),))
-        for j, (a, c) in enumerate(coords):
-            plus, minus = list(args), list(args)
-            if c is None:
-                h = float(first_step(args[a]))
-                plus[a], minus[a] = args[a] + h, args[a] - h
-                span = 2.0 * h
-            else:
-                col = args[a][:, c]
-                h = float(first_step(np.max(np.abs(col)) if a == 2 else 1.0))
-                up, down, span = col + h, col - h, 2.0 * h
-                if a == 3:
+        # row blocks: the centre, then (plus, minus) of every column of X, Y
+        Xs, Ys, spans = [X], [Y], []
+        for a, V in enumerate((X, Y)):
+            for c in range(V.shape[1]):
+                h = float(first_step(np.max(np.abs(V[:, c])) if a == 0
+                                     else 1.0))
+                up, down, span = V[:, c] + h, V[:, c] - h, 2.0 * h
+                if a == 1:
                     up = np.minimum(up, edge[:, c])
                     down = np.maximum(down, -edge[:, c])
                     span = (up - down)[:, None]
-                plus[a], minus[a] = args[a].copy(), args[a].copy()
-                plus[a][:, c], minus[a][:, c] = up, down
-            J[:, :, j] = (_tilde_batch(spec, lam, *plus)
-                          - _tilde_batch(spec, lam, *minus)) / span
+                for probe in (up, down):
+                    moved = V.copy()
+                    moved[:, c] = probe
+                    Xs.append(moved if a == 0 else X)
+                    Ys.append(Y if a == 0 else moved)
+                spans.append(span)
+        t = _tilde_batch(spec, lam, w, e, np.vstack(Xs), np.vstack(Ys))
+        t = t.reshape(len(Xs), len(X), -1)
+        t0 = t[0]
+        J = np.zeros(t0.shape + (2 + len(spans),))
+        for j, arg in enumerate((w, e)):
+            h = float(first_step(arg))
+            plus, minus = [w, e], [w, e]
+            plus[j], minus[j] = arg + h, arg - h
+            J[:, :, j] = (_tilde_batch(spec, lam, *plus, X, Y)
+                          - _tilde_batch(spec, lam, *minus, X, Y)) / (2.0 * h)
+        for j, span in enumerate(spans):
+            J[:, :, 2 + j] = (t[1 + 2 * j] - t[2 + 2 * j]) / span
 
         map_core.require_finite(t0, J)  # once per group, not per stencil
         na = np.linalg.norm(t0[:, :n_top], axis=1) + np.linalg.svd(

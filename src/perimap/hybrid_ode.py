@@ -340,7 +340,9 @@ def forced_rhs(sys, taus, eps):
         raise ValueError(f"eps must be a scalar or have shape ({K},), "
                          f"got {eps.shape}")
     forced = bool(np.any(eps != 0.0))
-    weight = eps[:, None]
+    # (K, d), not (K, 1): the product with g then runs as one contiguous
+    # loop rather than one short broadcast loop per lane
+    weight = np.repeat(eps[:, None], sys.dim, axis=1)
     X, g = sys.X, sys.g
 
     def rhs(s, y):

@@ -43,7 +43,8 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dptsv
 
 from .exceptions import ConvergenceError, DomainError, MonotonicityError
 from .map_core import eval_batch, orbits, origin, require_finite
@@ -59,23 +60,34 @@ DISTANCE_FLOOR = 1e-9  # least floor of the distances `attraction_test` rates
 RATE_TRANSIENT = 5  # leading rates that `AttractionReport.max_rate` skips
 
 
+def _cyclic(v, k):
+    """``np.roll(v, -k, axis=0)`` from one concatenate: row i of the
+    result is row (i + k) mod len(v) of ``v``."""
+    k %= len(v)
+    return np.concatenate((v[k:], v[:k]))
+
+
 def _cyclic_solve(diag, off, rhs):
     """X with A X = ``rhs`` for the symmetric, diagonally dominant cyclic
     tridiagonal A with A[i, i] = diag_i and A[i, i+1] = A[i+1, i] = off_i,
     indices mod n.
 
     A = B + u v^T, where B is tridiagonal and u v^T carries the two corners
-    (Numerical Recipes, 3rd ed., section 2.7.2): one banded Cholesky solve
-    of B for ``rhs`` and u, then a Sherman-Morrison correction.  For n = 2
-    the corners add to the off-diagonals, as in A.
+    (Numerical Recipes, 3rd ed., section 2.7.2): one LAPACK ``dptsv``
+    (tridiagonal LDL^T) solve of B for ``rhs`` and u, then a
+    Sherman-Morrison correction; `LinAlgError` if B is not positive
+    definite.  For n = 2 the corners add to the off-diagonals, as in A.
     """
     gamma, corner = -diag[0], off[-1]
-    band = np.vstack([np.append(0.0, off[:-1]), diag])
-    band[1, 0] -= gamma
-    band[1, -1] -= corner * corner / gamma
+    d = diag.copy()
+    d[0] -= gamma
+    d[-1] -= corner * corner / gamma
     u = np.zeros(len(diag))
     u[0], u[-1] = gamma, corner
-    sol = solveh_banded(band, np.column_stack([rhs, u]), check_finite=False)
+    _, _, sol, info = dptsv(d, off[:-1], np.column_stack([rhs, u]),
+                            overwrite_d=1, overwrite_b=1)
+    if info > 0:
+        raise LinAlgError(f"{info}th leading minor not positive definite")
     y, z = sol[:, :-1], sol[:, -1]
     vy = y[0] + y[-1] * corner / gamma
     vz = z[0] + z[-1] * corner / gamma
@@ -98,9 +110,9 @@ class _Spline:
         self.window, self.y = window, y
         self.knots = np.append(t, t[0] + window)
         h = np.diff(self.knots)
-        d = (np.roll(y, -1, axis=0) - y) / h[:, None]
-        self.m = _cyclic_solve((np.roll(h, 1) + h) / 3.0, h / 6.0,
-                               d - np.roll(d, 1, axis=0))
+        d = (_cyclic(y, 1) - y) / h[:, None]
+        self.m = _cyclic_solve((_cyclic(h, -1) + h) / 3.0, h / 6.0,
+                               d - _cyclic(d, -1))
 
     def __call__(self, x):
         """The spline at the points ``x`` (k,), any reals: (k, m)."""
@@ -120,8 +132,8 @@ class _Spline:
         columns at the knots: (n, m)."""
         h = np.diff(self.knots)[:, None]
         y, m = self.y, self.m
-        return ((np.roll(y, -1, axis=0) - y) / h
-                - h * (2.0 * m + np.roll(m, -1, axis=0)) / 6.0)
+        return ((_cyclic(y, 1) - y) / h
+                - h * (2.0 * m + _cyclic(m, 1)) / 6.0)
 
     def turning_points(self):
         """The points inside a piece where the first column's slope, the
@@ -129,7 +141,7 @@ class _Spline:
         u in [0, h_i], vanishes."""
         h, m = np.diff(self.knots), self.m[:, 0]
         c = self.slopes()[:, 0]
-        a = (np.roll(m, -1) - m) / (2.0 * h)
+        a = (_cyclic(m, 1) - m) / (2.0 * h)
         with np.errstate(divide="ignore", invalid="ignore"):
             q = -0.5 * (m + np.copysign(np.sqrt(m * m - 4.0 * a * c), m))
             u = np.stack([q / a, c / q])  # nan or inf if none
@@ -357,8 +369,8 @@ def graph_transform(spec, omega, eps, phi):
 def _interp_error_estimate(values):
     """Spline-discretization scale from cyclic 4th differences of the nodes."""
     v = values
-    d4 = (np.roll(v, 2, axis=0) - 4 * np.roll(v, 1, axis=0) + 6 * v
-          - 4 * np.roll(v, -1, axis=0) + np.roll(v, -2, axis=0))
+    d4 = (_cyclic(v, -2) - 4 * _cyclic(v, -1) + 6 * v
+          - 4 * _cyclic(v, 1) + _cyclic(v, 2))
     return (5.0 / 384.0) * float(np.max(np.abs(d4)))
 
 

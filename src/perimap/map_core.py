@@ -196,43 +196,60 @@ def iterate(spec, omega, eps, x0, y0, n):
 # assumption checks
 # ----------------------------------------------------------------------------
 
-def _coordinate_diff_sups(fun, omega, eps, X, Y):
+def _coordinate_diff_sups(fun, omega, eps, X, Y, x_shift):
     """Values and column sups of centered first and second differences over
     all arguments.
 
     ``fun(omega, eps, X, Y)`` returns (n, c) columns; omega/eps are scalars
     here, so differencing in those coordinates shifts the scalar while the
     (x, y) batch is shared.  A column of X or Y shifts as a whole, with steps
-    sized by its largest entry.  Returns (f, sup_d1, sup_d2): f at the
-    stencil's centre, (n, c), and the sups over rows and coordinates, (c,).
+    sized by its largest entry.  The centre and the +/-h1, +/-h2 probes of
+    every column of X and of Y share (omega, eps), so they go to ``fun`` as
+    one call of stacked row blocks, with the rows (X + ``x_shift``, Y)
+    unless ``x_shift`` is None; each omega or eps probe is a call of its
+    own.  Returns (f, sup_d1, sup_d2, f_shift): f at the stencil's centre,
+    (n, c), the sups over rows and coordinates, (c,), and f at the shifted
+    rows (None for no shift).
     """
-    args = (omega, eps, X, Y)
-    f0 = fun(*args)
-    sup_d1 = sup_d2 = np.zeros(f0.shape[1])
+    # row blocks: the centre, then +h1, -h1, +h2, -h2 of every column
+    Xs, Ys, h1s, h2s = [X], [Y], [], []
+    for a, V in enumerate((X, Y)):
+        for j in range(V.shape[1]):
+            scale = max(1.0, float(np.max(np.abs(V[:, j]))))
+            h1, h2 = float(first_step(scale)), float(second_step(scale))
+            for step in (h1, -h1, h2, -h2):
+                moved = V.copy()
+                moved[:, j] += step
+                Xs.append(moved if a == 0 else X)
+                Ys.append(Y if a == 0 else moved)
+            h1s.append(h1)
+            h2s.append(h2**2)
+    if x_shift is not None:
+        Xs.append(X + x_shift)
+        Ys.append(Y)
+    vals = fun(omega, eps, np.vstack(Xs), np.vstack(Ys))
+    vals = vals.reshape(len(Xs), len(X), -1)
+    f0, c = vals[0], vals.shape[2]
 
-    def shifted(a, j, step):
-        moved = list(args)
-        if j is None:
-            moved[a] = args[a] + step
-        else:
-            moved[a] = args[a].copy()
-            moved[a][:, j] += step
-        return fun(*moved)
+    def sups(plus1, minus1, plus2, minus2, h1, h2_sq):
+        d1 = np.abs(plus1 - minus1) / (2.0 * h1)
+        d2 = np.abs(plus2 - 2.0 * f0 + minus2) / h2_sq
+        return d1.reshape(-1, c).max(axis=0), d2.reshape(-1, c).max(axis=0)
 
-    # (argument, column): omega, eps, then every column of X and of Y
-    coords = [(0, None), (1, None)] + [(a, j) for a in (2, 3)
-                                       for j in range(args[a].shape[1])]
-    for a, j in coords:
-        scale = args[a] if j is None else max(
-            1.0, float(np.max(np.abs(args[a][:, j]))))
+    m = len(h1s)
+    probes = vals[1:1 + 4 * m].reshape(m, 4, len(X), c).swapaxes(0, 1)
+    sup_d1, sup_d2 = sups(*probes, np.array(h1s)[:, None, None],
+                          np.array(h2s)[:, None, None])
+    for j, scale in enumerate((omega, eps)):
         h1, h2 = float(first_step(scale)), float(second_step(scale))
-        plus1, minus1, plus2, minus2 = (shifted(a, j, step)
-                                        for step in (h1, -h1, h2, -h2))
-        sup_d1 = np.maximum(sup_d1, np.max(np.abs(plus1 - minus1) / (2.0 * h1),
-                                           axis=0))
-        sup_d2 = np.maximum(sup_d2, np.max(
-            np.abs(plus2 - 2.0 * f0 + minus2) / h2**2, axis=0))
-    return f0, sup_d1, sup_d2
+        shifted = []
+        for step in (h1, -h1, h2, -h2):
+            moved = [omega, eps]
+            moved[j] = scale + step
+            shifted.append(fun(*moved, X, Y))
+        d1_j, d2_j = sups(*shifted, h1, h2**2)
+        sup_d1, sup_d2 = np.maximum(sup_d1, d1_j), np.maximum(sup_d2, d2_j)
+    return f0, sup_d1, sup_d2, (vals[-1] if x_shift is not None else None)
 
 
 def pairwise_q(spec, rng, n_samples, y_radius):
@@ -309,6 +326,7 @@ def check_assumptions(spec, box=None, n_samples=128, seed=0):
     per = 0.0
     sup = d1 = d2 = np.zeros(k1 + spec.k2)
 
+    shift = None
     if spec.periodic_coord is not None:
         shift = np.zeros(k1)
         shift[spec.periodic_coord - 1] = spec.period
@@ -320,10 +338,11 @@ def check_assumptions(spec, box=None, n_samples=128, seed=0):
         # at eps=0 the outputs must not see omega or x
         a2_g = float(np.max(np.abs(both(w, 0.0, X, Y)
                                    - both(0.0, 0.0, np.zeros_like(X), Y))))
-        f, d1_g, d2_g = _coordinate_diff_sups(both, w, e, X, Y)
+        f, d1_g, d2_g, f_shift = _coordinate_diff_sups(both, w, e, X, Y,
+                                                       shift)
         # declared periodicity in the k-th x coordinate; f is at (w, e, X, Y)
-        per_g = (float(np.max(np.abs(both(w, e, X + shift, Y) - f)))
-                 if spec.periodic_coord is not None else 0.0)
+        per_g = (float(np.max(np.abs(f_shift - f)))
+                 if shift is not None else 0.0)
         require_finite(f, d1_g, d2_g, a2_g, per_g)
         a2, per = max(a2, a2_g), max(per, per_g)
         sup = np.maximum(sup, np.max(np.abs(f), axis=0))

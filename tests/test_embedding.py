@@ -305,6 +305,26 @@ class TestCertificate:
         assert d["eps0"] == cert.eps0 and d["lambda0"] == cert.lambda0
 
 
+class TestHybridCertificate:
+    def test_wrapped_polar_hybrid(self, handle, monkeypatch):
+        """The certificate of the wrapped Poincare map: each (omega, eps)
+        group of the remainder stencil is five flows, so the ladder down to
+        lambda0 = 1/8 takes at most 66 flows, `origin` and q included."""
+        flows = []
+        p_eps_batch = pm.poincare.p_eps_batch
+
+        def counted(*args):
+            flows.append(len(args[1]))
+            return p_eps_batch(*args)
+
+        monkeypatch.setattr(pm.poincare, "p_eps_batch", counted)
+        cert = pm.certificate(pm.extract_alpha_beta(handle), n_samples=16,
+                              seed=1)
+        assert cert.lambda0 == 0.125
+        assert cert.q < 1.0 and cert.eps0 == handle.sys.r1 * 0.125**2 / 2.0
+        assert len(flows) <= 66
+
+
 class TestCertificateFailures:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_derivative_above_one_at_zero(self, seed):

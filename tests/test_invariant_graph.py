@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
+from scipy.linalg import LinAlgError
 from scipy.optimize import brentq
 
 import perimap as pm
 from perimap.exceptions import MonotonicityError
-from perimap.invariant_graph import _iterate_to_fixed_point, _Spline, _sweep
+from perimap.invariant_graph import (_cyclic_solve, _iterate_to_fixed_point,
+                                     _Spline, _sweep)
 
 CFG = pm.CurveConfig(n_nodes=256, tol=1e-12)
 
@@ -275,6 +277,13 @@ class TestSpline:
         assert_allclose(own(xs)[:, 0], spline(xs), rtol=0.0, atol=1e-12)
         assert_allclose(own.slopes()[:, 0], spline(t, 1), rtol=0.0,
                         atol=1e-12)
+
+    def test_not_positive_definite_raises(self):
+        # diag[0] = -1 leaves the tridiagonal part's first pivot at -2
+        diag, off = np.array([-1.0, 2.0, 2.0]), np.full(3, 0.1)
+        with pytest.raises(LinAlgError,
+                           match="1th leading minor not positive definite"):
+            _cyclic_solve(diag, off, np.ones((3, 1)))
 
 
 def _sine_advance(xs):
