@@ -6,7 +6,8 @@ Modes and their artifacts (all JSON/CSV, byte-deterministic for a fixed
 config and seed):
 
     check-map      assumptions.json       sampled assumption predicates
-    certify        certificate.json       lambda0, eps0, r0, mu, q
+    certify        certificate.json       lambda0, eps0, r0, mu, q, and the
+                                           delta, n_samples and seed used
     solve-curve    curve.csv, solver_report.json
     hybrid-analyze cycle_report.json      fixed point, spectrum, adapted norm,
                                            sampled contraction q on the chart
@@ -177,7 +178,10 @@ def _run_check_map(cfg, spec, out):
 def _run_certify(cfg, spec, out):
     params = embedding.certificate(spec, delta=cfg.delta,
                                    n_samples=cfg.n_samples, seed=cfg.seed)
-    write_json(os.path.join(out, "certificate.json"), params.to_json_dict())
+    # the sampling that decided the certificate, so that runs tell apart
+    write_json(os.path.join(out, "certificate.json"),
+               {**params.to_json_dict(), "delta": cfg.delta,
+                "n_samples": cfg.n_samples, "seed": cfg.seed})
     _, gap_ok = embedding.spectral_gap(params)
     ok = (params.lambda0 is not None
           and params.eps0 == spec.r1 * params.lambda0**2 / 2.0

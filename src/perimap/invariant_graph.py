@@ -39,14 +39,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dptsv
 
-from .exceptions import ConvergenceError, DomainError, MonotonicityError
+from .exceptions import (ConvergenceError, DomainError, EvaluationError,
+                         MonotonicityError, PerimapError)
 from .map_core import eval_batch, orbits, origin, require_finite
 from .sampling import ball_points, require_count, require_positive
 
@@ -55,82 +56,126 @@ Array = np.ndarray
 ANDERSON_DEPTH = 3  # residual differences in each Anderson least-squares fit
 COARSE_MIN_NODES = 8192  # least n of a cold solve that starts on a coarse grid
 COARSE_FACTOR = 16  # n over the node count of that coarse grid
+# most nodes, summed over its problems, that one stack pushes: a stack saves
+# per-call work, which is small beside the per-node work of larger pushes,
+# whose larger temporaries cost more than it saves
+STACK_NODES = 8192
 RESIDUAL_SAMPLES = 512  # sampled x of a solve's invariance residual
 DISTANCE_FLOOR = 1e-9  # least floor of the distances `attraction_test` rates
 RATE_TRANSIENT = 5  # leading rates that `AttractionReport.max_rate` skips
 
 
 def _cyclic(v, k):
-    """``np.roll(v, -k, axis=0)`` from one concatenate: row i of the
-    result is row (i + k) mod len(v) of ``v``."""
-    k %= len(v)
-    return np.concatenate((v[k:], v[:k]))
+    """``np.roll(v, -k, axis=-2)`` from one concatenate: row i of the
+    result, along the second-to-last axis, is row (i + k) mod n of ``v``."""
+    k %= v.shape[-2]
+    return np.concatenate((v[..., k:, :], v[..., :k, :]), axis=-2)
+
+
+def _nodes(period, n):
+    """The n uniform nodes i period / n of [0, period), the bits of
+    ``np.linspace(0.0, period, n + 1)[:-1]`` from one multiply."""
+    return np.arange(n) * (period / n)
+
+
+def _max_norm(v):
+    """The largest Euclidean norm of the rows (last axis) of ``v`` (..., n,
+    k): (...).  It is the square root of the largest squared norm, bit for
+    bit the max of ``np.linalg.norm(v, axis=-1)``, as the correctly rounded
+    square root is monotone."""
+    return np.sqrt(np.max((v * v).sum(axis=-1), axis=-1))
 
 
 def _cyclic_solve(diag, off, rhs):
-    """X with A X = ``rhs`` for the symmetric, diagonally dominant cyclic
-    tridiagonal A with A[i, i] = diag_i and A[i, i+1] = A[i+1, i] = off_i,
-    indices mod n.
+    """X with A X = ``rhs`` for each of a stack of symmetric, diagonally
+    dominant cyclic tridiagonal A with A[i, i] = diag_i and
+    A[i, i+1] = A[i+1, i] = off_i, indices mod n: ``diag`` and ``off`` are
+    (..., n) and ``rhs`` (..., n, m).
 
     A = B + u v^T, where B is tridiagonal and u v^T carries the two corners
     (Numerical Recipes, 3rd ed., section 2.7.2): one LAPACK ``dptsv``
-    (tridiagonal LDL^T) solve of B for ``rhs`` and u, then a
-    Sherman-Morrison correction; `LinAlgError` if B is not positive
-    definite.  For n = 2 the corners add to the off-diagonals, as in A.
+    (tridiagonal LDL^T) solve for ``rhs`` and u, then a Sherman-Morrison
+    correction per A; `LinAlgError` if a B is not positive definite.  The
+    stack's B are the diagonal blocks of one system whose off-diagonal is 0
+    between blocks, so the recurrence restarts at each block and every
+    block gets the bits of its lone solve.  For n = 2 the corners add to
+    the off-diagonals, as in A.
     """
-    gamma, corner = -diag[0], off[-1]
+    m, axes = rhs.shape[-1], tuple(range(diag.ndim))
+    gamma, corner = -diag[..., 0], off[..., -1]
     d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= corner * corner / gamma
-    u = np.zeros(len(diag))
-    u[0], u[-1] = gamma, corner
-    _, _, sol, info = dptsv(d, off[:-1], np.column_stack([rhs, u]),
-                            overwrite_d=1, overwrite_b=1)
+    d[..., 0] -= gamma
+    d[..., -1] -= corner * corner / gamma
+    e = off.copy()
+    e[..., -1] = 0.0  # uncouples the blocks of a stack
+    # the right-hand sides column by column, (m + 1, ..., n): rhs, then u
+    b = np.zeros((m + 1,) + diag.shape)
+    b[:m] = rhs.transpose((diag.ndim,) + axes)
+    b[m, ..., 0], b[m, ..., -1] = gamma, corner
+    _, _, sol, info = dptsv(d.ravel(), e.ravel()[:-1], b.reshape(m + 1, -1).T,
+                            overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info > 0:
         raise LinAlgError(f"{info}th leading minor not positive definite")
-    y, z = sol[:, :-1], sol[:, -1]
-    vy = y[0] + y[-1] * corner / gamma
-    vz = z[0] + z[-1] * corner / gamma
-    return y - z[:, None] * (vy / (1.0 + vz))[None, :]
+    v = b[..., 0] + b[..., -1] * corner / gamma  # b holds y, then z
+    x = b[:m] - b[m] * (v[:m] / (1.0 + v[m]))[..., None]
+    return x.transpose(axes[1:] + (diag.ndim, 0))
 
 
 class _Spline:
     """The window-periodic cubic spline through the values ``y`` (n, m) at
-    the n increasing knots ``t`` in [t[0], t[0] + window), in moment form.
+    the n increasing knots ``t`` (n,) in [t[0], t[0] + window), in moment
+    form; or a stack of E such splines, one per problem, from ``t`` (E, n)
+    and ``y`` (E, n, m).  A stack of one is held as one spline.
 
     The build solves h_{i-1} M_{i-1} / 6 + (h_{i-1} + h_i) M_i / 3 +
     h_i M_{i+1} / 6 = d_i - d_{i-1}, with h_i = t_{i+1} - t_i and
     d_i = (y_{i+1} - y_i) / h_i (indices mod n), for the knot second
-    derivatives M (`_cyclic_solve`).  It keeps the knots closed by
-    t[0] + window (not offsets from t[0], whose rounding would perturb h),
-    M and ``y``.
+    derivatives M, one `_cyclic_solve` for the whole stack.  It keeps the
+    knots closed by t[0] + window (not offsets from t[0], whose rounding
+    would perturb h), M and ``y``.
     """
 
     def __init__(self, t, window, y):
+        self.one_of_stack = t.ndim == 2 and len(t) == 1
+        if self.one_of_stack:
+            t, y = t[0], y[0]
         self.window, self.y = window, y
-        self.knots = np.append(t, t[0] + window)
-        h = np.diff(self.knots)
-        d = (_cyclic(y, 1) - y) / h[:, None]
-        self.m = _cyclic_solve((_cyclic(h, -1) + h) / 3.0, h / 6.0,
-                               d - _cyclic(d, -1))
+        self.knots = np.concatenate((t, t[..., :1] + window), axis=-1)
+        h = np.diff(self.knots, axis=-1)[..., None]
+        d = (_cyclic(y, 1) - y) / h
+        self.m = _cyclic_solve(((_cyclic(h, -1) + h) / 3.0)[..., 0],
+                               (h / 6.0)[..., 0], d - _cyclic(d, -1))
 
     def __call__(self, x):
-        """The spline at the points ``x`` (k,), any reals: (k, m)."""
-        knots, y, m, t0 = self.knots, self.y, self.m, self.knots[0]
-        u = np.fmod(x - t0, self.window)  # exact: x + window reads as x
-        x = t0 + np.where(u < 0, u + self.window, u)
-        i = np.searchsorted(knots[:-1], x, side="right") - 1
-        h = (knots[i + 1] - knots[i])[:, None]
-        u = (x - knots[i])[:, None]
-        i1 = (i + 1) % len(y)
+        """The spline at the points ``x`` (k,), any reals: (k, m); for a
+        stack, every spline at ``x``: (E, k, m), from one search per spline
+        and gathers through flat indices into the stacked arrays."""
+        knots, y, m, window = self.knots, self.y, self.m, self.window
+        t0 = knots[..., :1] if knots.ndim == 2 else knots[0]
+        u = np.fmod(x - t0, window)  # exact: x + window reads as x
+        x = t0 + np.where(u < 0, u + window, u)
+        n = y.shape[-2]
+        if knots.ndim == 1:
+            i = np.searchsorted(knots[:-1], x, side="right") - 1
+            ik, i1 = i, (i + 1) % n
+        else:
+            i = np.stack([np.searchsorted(row[:-1], row_x, side="right")
+                          for row, row_x in zip(knots, x)]) - 1
+            base = np.arange(len(knots))[:, None]
+            ik, i, i1 = i + (n + 1) * base, i + n * base, (i + 1) % n + n * base
+            knots, y, m = knots.ravel(), y.reshape(-1, y.shape[-1]), m.reshape(
+                -1, m.shape[-1])
+        h = (knots[ik + 1] - knots[ik])[..., None]
+        u = (x - knots[ik])[..., None]
         w = h - u
-        return (w * y[i] + u * y[i1] + w * (w * w - h * h) / 6.0 * m[i]
-                + u * (u * u - h * h) / 6.0 * m[i1]) / h
+        out = (w * y[i] + u * y[i1] + w * (w * w - h * h) / 6.0 * m[i]
+               + u * (u * u - h * h) / 6.0 * m[i1]) / h
+        return out[None] if self.one_of_stack else out
 
     def slopes(self):
         """Slopes s'(t_i) = d_i - h_i (2 M_i + M_{i+1}) / 6 of the value
-        columns at the knots: (n, m)."""
-        h = np.diff(self.knots)[:, None]
+        columns at the knots: (..., n, m)."""
+        h = np.diff(self.knots, axis=-1)[..., None]
         y, m = self.y, self.m
         return ((_cyclic(y, 1) - y) / h
                 - h * (2.0 * m + _cyclic(m, 1)) / 6.0)
@@ -138,14 +183,14 @@ class _Spline:
     def turning_points(self):
         """The points inside a piece where the first column's slope, the
         quadratic s'(t_i) + M_i u + (M_{i+1} - M_i) u^2 / (2 h_i) in
-        u in [0, h_i], vanishes."""
-        h, m = np.diff(self.knots), self.m[:, 0]
-        c = self.slopes()[:, 0]
+        u in [0, h_i], vanishes; of every spline of a stack, flattened."""
+        h, m = np.diff(self.knots, axis=-1)[..., None], self.m[..., :1]
+        c = self.slopes()[..., :1]
         a = (_cyclic(m, 1) - m) / (2.0 * h)
         with np.errstate(divide="ignore", invalid="ignore"):
             q = -0.5 * (m + np.copysign(np.sqrt(m * m - 4.0 * a * c), m))
             u = np.stack([q / a, c / q])  # nan or inf if none
-        return (self.knots[:-1] + u)[(u >= 0.0) & (u <= h)]
+        return (self.knots[..., :-1, None] + u)[(u >= 0.0) & (u <= h)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +215,7 @@ class PeriodicGridFn:
         if values.ndim != 2 or values.shape[0] < 2:
             raise ValueError("values must be (n_nodes >= 2, k2)")
         values.setflags(write=False)
-        nodes = np.linspace(0.0, self.period, values.shape[0] + 1)[:-1]
+        nodes = _nodes(self.period, values.shape[0])
         spline = _Spline(nodes, self.period, values)
         spline.knots.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -212,8 +257,8 @@ class PeriodicGridFn:
         if self.k2 == 1:
             xs = np.concatenate([self.nodes, self._spline.turning_points()])
             return float(np.max(np.abs(self.eval(xs))))
-        xs = np.linspace(0.0, self.period, 16 * self.n_nodes, endpoint=False)
-        return float(np.max(np.linalg.norm(self.eval(xs), axis=-1)))
+        xs = _nodes(self.period, 16 * self.n_nodes)
+        return float(_max_norm(self.eval(xs)))
 
 
 # an alias kept only because perfbench/tracing.py reads
@@ -282,65 +327,90 @@ def rate_bound_from_q(q):
 # ----------------------------------------------------------------------------
 
 def _sweep(spec, omega, eps, xs, values, window):
-    """One forward push: the graph values ``values`` (n, k2) at the nodes
-    ``xs`` of [0, window), mapped and re-gridded at the same nodes.  Returns
-    the image G(values) and alpha at the nodes, (n,).
+    """One forward push of each problem of a stack: the graph values
+    ``values`` (E, n, k2) at the nodes ``xs`` of [0, window), problem e's
+    taken at the scalar eps[e], mapped and re-gridded at the same nodes.
+    Returns the images G(values) (E, n, k2), alpha at the nodes (E, n), and
+    each problem's failure, None where its push held.
 
-    alpha and beta are evaluated once each, at the nodes; a misshaped or
-    non-finite result raises `EvaluationError`.  The images, shifted by whole
-    windows so that the first lies in [0, window), must keep the nodes'
-    cyclic order (`MonotonicityError`, the solver's only order check); the
-    window-periodic cubic spline through them (`_Spline`) is sampled at xs.
+    alpha and beta are evaluated once per problem, at the nodes; a misshaped
+    or non-finite result is an `EvaluationError`, and any `PerimapError`
+    the evaluators raise fails that problem alone.  The images, shifted by
+    whole windows so that the first lies in [0, window), must keep the
+    nodes' cyclic order (`MonotonicityError`, the solver's only order
+    check); the window-periodic cubic splines through them (`_Spline`, one
+    build for the stack) are sampled at xs.  A failed problem's rows are a
+    push of the zero curve and mean nothing.
     """
-    a, b = eval_batch(spec, omega, eps, xs[:, None], values)
-    require_finite(a, b)
-    if np.max(np.linalg.norm(b, axis=-1)) > spec.r1:
-        raise DomainError("graph transform left the radius-r1 disc")
-    a = a[:, 0]
+    a = np.zeros((len(eps), len(xs)))
+    b = np.zeros(values.shape)
+    failed = [None] * len(eps)
+    for e, eps_e in enumerate(eps):
+        try:
+            a_e, b_e = eval_batch(spec, omega, eps_e, xs[:, None], values[e])
+        except PerimapError as exc:
+            failed[e] = exc
+        else:
+            a[e], b[e] = a_e[:, 0], b_e
+    finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=(1, 2))
+    if not finite.all():  # a failed row holds zeros from here on
+        for e in np.flatnonzero(~finite):
+            failed[e] = EvaluationError("alpha/beta returned non-finite values")
+        a[~finite], b[~finite] = 0.0, 0.0
+    outside = _max_norm(b) > spec.r1
     img = xs + omega * a
-    img -= window * np.floor(img[0] / window)
-    if not np.all(np.diff(np.append(img, img[0] + window)) > 0.0):
-        raise MonotonicityError(
-            "x-advance map is not strictly increasing at the nodes: the "
-            "pushed nodes do not keep their cyclic order; "
-            "the graph transform is undefined at these parameters"
-        )
-    return _Spline(img, window, b)(xs), a
+    img -= window * np.floor(img[:, :1] / window)
+    ordered = np.all(np.diff(np.concatenate((img, img[:, :1] + window),
+                                            axis=1), axis=1) > 0.0, axis=1)
+    for e in np.flatnonzero(outside | ~ordered):
+        failed[e] = (
+            DomainError("graph transform left the radius-r1 disc")
+            if outside[e] else MonotonicityError(
+                "x-advance map is not strictly increasing at the nodes: the "
+                "pushed nodes do not keep their cyclic order; "
+                "the graph transform is undefined at these parameters"))
+        img[e], b[e] = xs, 0.0
+    return _Spline(img, window, b)(xs), a, failed
 
 
 def _linear_part_inverse(spec, omega, xs, window, alpha):
-    """P^-1, as a function of node values r (n, k2) at the uniform nodes
-    ``xs`` of [0, window), for P = I - B (x) S_s: the identity less the
-    push's linear part at (eps, phi) = (0, 0).
+    """The symbols of P = I - B (x) S_s, one per problem of a stack, by which
+    `_precondition` inverts P on node values at the uniform nodes ``xs`` of
+    [0, window): (E, n // 2 + 1, k2, k2).  P is the identity less the push's
+    linear part at (eps, phi) = (0, 0).
 
     The eps = 0 map is autonomous, so that part is the model map's
     v -> B v(. - s), with s = omega alpha(0) and B = beta_y(0) from
     `map_core.origin`.  On the nodes S_s, the spline through the values at
     the shifted nodes sampled at the nodes, is circulant: its symbol is the
-    DFT of one column, `_Spline` through a unit vector.  Solving P x = r mode
-    by mode (a division for k2 = 1, one k2 x k2 solve for k2 > 1) is the
-    constant-coefficient step of the parameterization method (Haro,
-    Canadell, Figueras, Luque & Mondelo, Springer 2016).
+    DFT of one column, `_Spline` through a unit vector, built once for the
+    stack.  Solving P x = r mode by mode (a division for k2 = 1, one
+    k2 x k2 solve for k2 > 1) is the constant-coefficient step of the
+    parameterization method (Haro, Canadell, Figueras, Luque & Mondelo,
+    Springer 2016).
 
     The push shifts node x by omega alpha(x, phi(x)), not by s, so mode k's
     phase is off by up to 2 pi |k| |omega| max|alpha - alpha(0)| / window.
-    P^-1 acts only on the modes where that is at most 1/2, the max read
-    from ``alpha``, the first push's values, and is the identity above them.
+    A problem's P^-1 acts only on the modes where that is at most 1/2, the
+    max read from its row of ``alpha`` (E, n), the values of its first push,
+    and is the identity above them.
     """
     alpha0, _, B = origin(spec)
     n, k2 = len(xs), spec.k2
     column = _Spline(xs + omega * alpha0[0], window, np.eye(n, 1))(xs)
     symbol = np.fft.rfft(column[:, 0])
-    spread = 4.0 * np.pi * abs(omega) * np.max(np.abs(alpha - alpha0[0]))
-    symbol[spread * np.arange(len(symbol)) > window] = 0.0  # P = I there
-    p = np.eye(k2) - symbol[:, None, None] * B
+    spread = 4.0 * np.pi * abs(omega) * np.max(np.abs(alpha - alpha0[0]),
+                                               axis=1)
+    above = spread[:, None] * np.arange(len(symbol)) > window  # P = I there
+    return np.eye(k2) - np.where(above, 0.0, symbol)[..., None, None] * B
 
-    def solve(r):
-        r_hat = np.fft.rfft(r, axis=0)[:, :, None]
-        x_hat = r_hat / p if k2 == 1 else np.linalg.solve(p, r_hat)
-        return np.fft.irfft(x_hat[:, :, 0], n, axis=0)
 
-    return solve
+def _precondition(p, r):
+    """P^-1 r for the symbols ``p`` of `_linear_part_inverse` and the node
+    values ``r`` (E, n, k2): one rfft and one irfft along the node axis."""
+    r_hat = np.fft.rfft(r, axis=1)[..., None]
+    x_hat = r_hat / p if p.shape[-1] == 1 else np.linalg.solve(p, r_hat)
+    return np.fft.irfft(x_hat[..., 0], r.shape[1], axis=1)
 
 
 def _require_scalar_periodic(spec):
@@ -357,9 +427,11 @@ def graph_transform(spec, omega, eps, phi):
     _require_scalar_periodic(spec)
     if phi.sup_norm() > spec.r1:
         raise DomainError("candidate curve exceeds the radius-r1 disc")
-    g, _ = _sweep(spec, float(omega), float(eps), phi.nodes, phi.values,
-                  phi.period)
-    return phi.with_values(g)
+    g, _, [failure] = _sweep(spec, float(omega), [float(eps)], phi.nodes,
+                             phi.values[None], phi.period)
+    if failure is not None:
+        raise failure
+    return phi.with_values(g[0])
 
 
 # ----------------------------------------------------------------------------
@@ -375,97 +447,255 @@ def _interp_error_estimate(values):
 
 
 def _iterate_to_fixed_point(spec, omega, eps, period, values, tol, max_iter):
-    """Preconditioned, Anderson-accelerated push iteration from the node
-    values ``values`` (n, k2) at the n uniform nodes of [0, ``period``).
+    """Preconditioned, Anderson-accelerated push iteration of a nonempty
+    stack of problems: problem e at eps[e], from the node values
+    ``values[e]`` (n, k2) at the n uniform nodes of [0, ``period``).
 
-    Push k maps v_k to its plain image G(v_k).  The iteration solves
-    v = H(v) = v + P^-1 (G(v) - v), with P^-1 from `_linear_part_inverse`,
-    built after the first push; the next input is the type-II Anderson
-    combination (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) of the last
-    ``ANDERSON_DEPTH`` + 1 values of H, whose weights minimize the matching
-    combination of preconditioned residuals.  The plain image is taken
-    instead when that step leaves the r1 disc or the update max|G(v) - v|
-    has grown, which also clears the Anderson history.  Stops once
-    max|G(v) - v| <= ``tol``; returns (G(v) as a curve, the updates
-    max|G(v_k) - v_k|, the secant rates, whether ``tol`` was met).  The
-    secant rate ||G(v_k) - G(v_{k-1})|| / ||v_k - v_{k-1}|| (sup norms) is the
+    For each problem, push k maps v_k to its plain image G(v_k).  The
+    iteration solves v = H(v) = v + P^-1 (G(v) - v), with P^-1 from
+    `_linear_part_inverse`, built after the first push; the next input is
+    the type-II Anderson combination (Walker & Ni, SIAM J. Numer. Anal. 49,
+    2011) of the last ``ANDERSON_DEPTH`` + 1 values of H, whose weights
+    minimize the matching combination of preconditioned residuals.  The
+    plain image is taken instead when that step leaves the r1 disc or the
+    update max|G(v) - v| has grown, which also clears the Anderson history.
+    A problem stops once max|G(v) - v| <= ``tol``.  The secant rate
+    ||G(v_k) - G(v_{k-1})|| / ||v_k - v_{k-1}|| (sup norms) is the
     contraction of the plain transform measured on the iterates.
-    ``max_iter`` below 1 raises `ValueError` before any push.
+
+    Each round is one `_sweep` of the problems still iterating, and a
+    problem leaves the stack once it meets ``tol`` or fails; every
+    problem's arithmetic is that of its lone iteration.  Returns one outcome
+    per problem: (G(v) as a curve, the updates max|G(v_k) - v_k|, the
+    secant rates, whether ``tol`` was met), or the `PerimapError` that
+    stopped it.  ``max_iter`` below 1 raises `ValueError` before any push.
     """
     require_count("max_iter", max_iter)
-    xs, v = np.linspace(0.0, period, len(values) + 1)[:-1], values
-    updates, rates, d_res, d_out, precondition = [], [], [], [], None
+    n_problems, n = values.shape[:2]
+    xs = _nodes(period, n)
+    outcomes = [None] * n_problems
+    live = list(range(n_problems))  # the problem of each row of the stack
+    updates, rates = [[] for _ in live], [[] for _ in live]
+    d_res, d_out = [[] for _ in live], [[] for _ in live]
+    v, p, prev = values, None, None
     for _ in range(int(max_iter)):
-        g, alpha = _sweep(spec, omega, eps, xs, v, period)
-        updates.append(float(np.max(np.abs(g - v))))
-        if updates[-1] <= tol:
-            return PeriodicGridFn(period, g), updates, rates, True
-        if precondition is None:
-            precondition = _linear_part_inverse(spec, omega, xs, period, alpha)
-        res = precondition(g - v)
-        out = v + res
-        grew = len(updates) > 1 and updates[-1] > updates[-2]
-        if len(updates) > 1:
-            step = float(np.max(np.abs(v - v_prev)))
-            if step > 1e-300:
-                rates.append(float(np.max(np.abs(g - g_prev))) / step)
-            if grew:
-                d_res.clear()
-                d_out.clear()
+        g, alpha, failed = _sweep(spec, omega, [eps[i] for i in live], xs, v,
+                                  period)
+        update = g - v
+        change = np.abs(update).max(axis=(1, 2)).tolist()
+        keep = []
+        for row, i in enumerate(live):
+            if failed[row] is not None:
+                outcomes[i] = failed[row]
+                continue
+            updates[i].append(change[row])
+            if change[row] <= tol:
+                outcomes[i] = (PeriodicGridFn(period, g[row]), updates[i],
+                               rates[i], True)
             else:
-                d_res = (d_res + [(res - res_prev).ravel()])[-ANDERSON_DEPTH:]
-                d_out = (d_out + [(out - out_prev).ravel()])[-ANDERSON_DEPTH:]
-        v_prev, g_prev, res_prev, out_prev = v, g, res, out
-        if d_res:
-            gamma = np.linalg.lstsq(np.column_stack(d_res), res.ravel(),
-                                    rcond=None)[0]
-            out = out - (np.column_stack(d_out) @ gamma).reshape(g.shape)
-        v = (g if grew or np.max(np.linalg.norm(out, axis=-1)) > spec.r1
-             else out)
-    return PeriodicGridFn(period, g), updates, rates, False
+                keep.append(row)
+        if len(keep) < len(live):
+            live = [live[row] for row in keep]
+            if not live:
+                return outcomes
+            v, g, update, alpha = v[keep], g[keep], update[keep], alpha[keep]
+            p = None if p is None else p[keep]
+            prev = None if prev is None else [a[keep] for a in prev]
+        if p is None:
+            try:
+                p = _linear_part_inverse(spec, omega, xs, period, alpha)
+            except PerimapError as exc:
+                for i in live:
+                    outcomes[i] = exc
+                return outcomes
+        res = _precondition(p, update)
+        out = v + res
+        grew = np.zeros(len(live), dtype=bool)
+        if prev is not None:
+            v_prev, g_prev, res_prev, out_prev = prev
+            step = np.abs(v - v_prev).max(axis=(1, 2)).tolist()
+            moved = np.abs(g - g_prev).max(axis=(1, 2)).tolist()
+            new_res, new_out = res - res_prev, out - out_prev
+            for row, i in enumerate(live):
+                grew[row] = updates[i][-1] > updates[i][-2]
+                if step[row] > 1e-300:
+                    rates[i].append(moved[row] / step[row])
+                if grew[row]:
+                    d_res[i].clear()
+                    d_out[i].clear()
+                else:
+                    d_res[i] = (d_res[i] + [new_res[row].ravel()]
+                                )[-ANDERSON_DEPTH:]
+                    d_out[i] = (d_out[i] + [new_out[row].ravel()]
+                                )[-ANDERSON_DEPTH:]
+        prev = [v, g, res, out]
+        mixed = out
+        for row, i in enumerate(live):
+            if d_res[i]:
+                gamma = np.linalg.lstsq(np.column_stack(d_res[i]),
+                                        res[row].ravel(), rcond=None)[0]
+                if mixed is out:
+                    mixed = out.copy()
+                mixed[row] = out[row] - (np.column_stack(d_out[i]) @ gamma
+                                         ).reshape(out.shape[1:])
+        plain = grew | (_max_norm(mixed) > spec.r1)
+        v = np.where(plain[:, None, None], g, mixed) if plain.any() else mixed
+    for row, i in enumerate(live):
+        outcomes[i] = (PeriodicGridFn(period, g[row]), updates[i], rates[i],
+                       False)
+    return outcomes
+
+
+def _iterate_stacks(spec, omega, eps, period, values, tol, max_iter):
+    """`_iterate_to_fixed_point` over the problems in stacks of at most
+    `STACK_NODES` nodes in all (one problem at least): its outcomes."""
+    size = max(1, STACK_NODES // values.shape[1])
+    return [got for k in range(0, len(eps), size)
+            for got in _iterate_to_fixed_point(
+                spec, omega, eps[k:k + size], period, values[k:k + size], tol,
+                max_iter)]
 
 
 def _solve_cold(spec, omega, eps, period, n_nodes, tol, max_iter):
-    """`_iterate_to_fixed_point` over ``period`` on ``n_nodes`` nodes when no
-    seed curve is given; returns its (curve, updates, secant rates, whether
-    ``tol`` was met), the updates and rates covering every push the
-    returned curve rests on.
+    """`_iterate_to_fixed_point` over ``period`` on ``n_nodes`` nodes for a
+    nonempty stack of problems given no seed curve; returns its outcomes,
+    each problem's updates and rates covering every push its curve rests on.
 
-    Below `COARSE_MIN_NODES` nodes this iterates from the zero curve (whose
-    build rejects fewer than 2 nodes before any evaluation).  At or above
-    it, the start is nested iteration, the first step of full multigrid
-    (Briggs, Henson & McCormick, A Multigrid Tutorial, 2nd ed., SIAM 2000):
-    a cold solve on n_nodes // `COARSE_FACTOR` nodes over the same period,
-    sampled at the n_nodes nodes.  The samples fix the fine nodes to about
-    the coarse spline's error, so the coarse curve is trusted as a seed only
-    when the coarse grid resolves it: when the interpolation-error scale of
-    its node values (`_interp_error_estimate`, the ``converged`` gate's est)
-    is at most 10 ``tol``.  Then the fine level needs a push or two where a
-    cold one needs about five.  The coarse level is only a seed: if it raises
+    Below `COARSE_MIN_NODES` nodes this iterates from the zero curve, one
+    build for the stack (which rejects fewer than 2 nodes before any
+    evaluation).  At or above it, a problem's start is nested iteration, the
+    first step of full multigrid (Briggs, Henson & McCormick, A Multigrid
+    Tutorial, 2nd ed., SIAM 2000): its cold solve on n_nodes //
+    `COARSE_FACTOR` nodes over the same period, sampled at the n_nodes
+    nodes.  The samples fix the fine nodes to about the coarse spline's
+    error, so the coarse curve is trusted as a seed only when the coarse
+    grid resolves it: when the interpolation-error scale of its node values
+    (`_interp_error_estimate`, the ``converged`` gate's est) is at most
+    10 ``tol``.  Then the fine level needs a push or two where a cold one
+    needs about five.  The coarse level is only a seed: if it fails by
     `DomainError` or `MonotonicityError`, misses ``tol`` in ``max_iter``
-    pushes, fails that check, or a sampled node leaves the r1 disc, or if
-    the fine iteration from the samples raises either error or misses
-    ``tol``, its pushes are dropped and the fine level iterates from zeros.
-    The result is then the cold solve's, report, outcome and all.
+    pushes, fails that check, or a sampled node leaves the r1 disc, the
+    problem's fine level starts from zeros; if the fine iteration from the
+    samples fails by either error or misses ``tol``, its pushes are dropped
+    and it is redone from zeros.  The result is then the cold solve's,
+    report, outcome and all.
+
+    The rules hold per problem, and each level is one stack: the coarse
+    problems, then the fine ones from their seeds or from zeros, then the
+    fine ones redone from zeros.
     """
     if n_nodes < COARSE_MIN_NODES:
         zeros = PeriodicGridFn.zeros(period, n_nodes, spec.k2).values
-        return _iterate_to_fixed_point(spec, omega, eps, period, zeros, tol,
-                                       max_iter)
+        return _iterate_stacks(
+            spec, omega, eps, period, np.repeat(zeros[None], len(eps), axis=0),
+            tol, max_iter)
+    outcomes = _solve_cold(spec, omega, eps, period, n_nodes // COARSE_FACTOR,
+                           tol, max_iter)
+    nodes = _nodes(period, n_nodes)
+    fine, starts, seeded = [], [], set()
+    for i, got in enumerate(outcomes):
+        start = np.zeros((n_nodes, spec.k2))
+        if isinstance(got, tuple):
+            coarse, _, _, hit_tol = got
+            if hit_tol and _interp_error_estimate(coarse.values) <= 10.0 * tol:
+                values = coarse.eval(nodes)
+                if _max_norm(values) <= spec.r1:
+                    start = values
+                    seeded.add(i)
+        elif not isinstance(got, (DomainError, MonotonicityError)):
+            continue  # the coarse level's other failures are the problem's
+        fine.append(i)
+        starts.append(start)
+    redo = []
+    if fine:
+        solved = _iterate_stacks(spec, omega, [eps[i] for i in fine], period,
+                                 np.stack(starts), tol, max_iter)
+        for i, got in zip(fine, solved):
+            if i in seeded:
+                if (isinstance(got, (DomainError, MonotonicityError))
+                        or isinstance(got, tuple) and not got[3]):
+                    redo.append(i)
+                    continue
+                if isinstance(got, tuple):
+                    _, updates, rates, _ = outcomes[i]
+                    got = (got[0], updates + got[1], rates + got[2], True)
+            outcomes[i] = got
+    if redo:
+        solved = _iterate_stacks(
+            spec, omega, [eps[i] for i in redo], period,
+            np.zeros((len(redo), n_nodes, spec.k2)), tol, max_iter)
+        for i, got in zip(redo, solved):
+            outcomes[i] = got
+    return outcomes
+
+
+def _solve_curves(spec, omega, eps, config, seed_curves):
+    """The curves of the problems (spec, omega, eps[e]), solved as one stack
+    (see `solve_invariant_curve`, whose rules each problem keeps): one
+    outcome per problem, (curve, `SolverReport`) or the `PerimapError` that
+    stopped it.  ``seed_curves`` gives each problem its seed curve; with
+    None every problem starts cold.  A seed of the wrong period, node count or
+    k2 raises `ValueError` before any evaluation, as does a ``max_iter``
+    below 1; a seed outside the r1 disc is a `DomainError` of its problem.
+    """
+    _require_scalar_periodic(spec)
+    omega, eps = float(omega), [float(e) for e in eps]
+    if not eps:
+        return []
+    if seed_curves is None:
+        outcomes = _solve_cold(spec, omega, eps, spec.period, config.n_nodes,
+                               config.tol, config.max_iter)
+    else:
+        for seed in seed_curves:
+            for name, got, want in (("period", seed.period, spec.period),
+                                    ("node count", seed.n_nodes,
+                                     config.n_nodes),
+                                    ("k2", seed.k2, spec.k2)):
+                if got != want:
+                    raise ValueError(
+                        f"seed curve {name} {got} differs from {want}")
+        outcomes = [DomainError("seed curve exceeds the radius-r1 disc")
+                    if seed.sup_norm() > spec.r1 else None
+                    for seed in seed_curves]
+        rows = [e for e, got in enumerate(outcomes) if got is None]
+        if rows:
+            solved = _iterate_stacks(
+                spec, omega, [eps[e] for e in rows], spec.period,
+                np.stack([seed_curves[e].values for e in rows]), config.tol,
+                config.max_iter)
+            for e, got in zip(rows, solved):
+                outcomes[e] = got
+    return [got if isinstance(got, PerimapError)
+            else _verified(spec, omega, eps_e, got, config)
+            for eps_e, got in zip(eps, outcomes)]
+
+
+def _verified(spec, omega, eps, outcome, config):
+    """(curve, `SolverReport`) of an iteration's outcome, or the
+    `ConvergenceError` of a missed ``tol`` or the `PerimapError` of the
+    invariance residual."""
+    curve, updates, rates, hit_tol = outcome
+    if not hit_tol:
+        return ConvergenceError(
+            f"no convergence after {config.max_iter} sweeps "
+            f"(last update {updates[-1]:.3g})"
+        )
     try:
-        coarse, updates, rates, hit_tol = _solve_cold(
-            spec, omega, eps, period, n_nodes // COARSE_FACTOR, tol, max_iter)
-        if hit_tol and _interp_error_estimate(coarse.values) <= 10.0 * tol:
-            values = coarse.eval(np.linspace(0.0, period, n_nodes + 1)[:-1])
-            if np.max(np.linalg.norm(values, axis=-1)) <= spec.r1:
-                curve, more, more_rates, hit_tol = _iterate_to_fixed_point(
-                    spec, omega, eps, period, values, tol, max_iter)
-                if hit_tol:
-                    return curve, updates + more, rates + more_rates, True
-    except (DomainError, MonotonicityError):
-        pass
-    return _iterate_to_fixed_point(spec, omega, eps, period,
-                                   np.zeros((n_nodes, spec.k2)), tol, max_iter)
+        residual = invariance_residual(spec, omega, eps, curve,
+                                       seed=config.seed)
+    except PerimapError as exc:
+        return exc
+    gate = 10.0 * (config.tol + _interp_error_estimate(curve.values))
+    report = SolverReport(
+        iterations=len(updates),
+        final_update=updates[-1],
+        invariance_residual=residual,
+        measured_rates=rates,
+        converged=bool(residual <= gate),
+        n_nodes=config.n_nodes,
+        tol=config.tol,
+    )
+    return curve, report
 
 
 def solve_invariant_curve(spec, omega, eps, config=None):
@@ -479,7 +709,8 @@ def solve_invariant_curve(spec, omega, eps, config=None):
     of the plain transform on the iterates.  Once a push misses ``tol``,
     the solve also reads the model map's constants (`map_core.origin`,
     cached per spec), so an alpha that is not finite at the origin raises
-    `EvaluationError`.
+    `EvaluationError`.  The solve is a stack of one problem
+    (`_solve_curves`); `continuity_in_eps` stacks its whole eps list.
 
     With no ``seed_curve`` the solve starts cold (`_solve_cold`): from the
     zero curve, or for n_nodes >= `COARSE_MIN_NODES` from a solve on
@@ -503,43 +734,12 @@ def solve_invariant_curve(spec, omega, eps, config=None):
     demanding sub-discretization residuals.
     """
     config = config or CurveConfig()
-    _require_scalar_periodic(spec)
-    omega, eps = float(omega), float(eps)
     seed = config.seed_curve
-    if seed is None:
-        curve, updates, rates, hit_tol = _solve_cold(
-            spec, omega, eps, spec.period, config.n_nodes, config.tol,
-            config.max_iter)
-    else:
-        for name, got, want in (("period", seed.period, spec.period),
-                                ("node count", seed.n_nodes, config.n_nodes),
-                                ("k2", seed.k2, spec.k2)):
-            if got != want:
-                raise ValueError(
-                    f"seed curve {name} {got} differs from {want}")
-        if seed.sup_norm() > spec.r1:
-            raise DomainError("seed curve exceeds the radius-r1 disc")
-        curve, updates, rates, hit_tol = _iterate_to_fixed_point(
-            spec, omega, eps, spec.period, seed.values, config.tol,
-            config.max_iter)
-    if not hit_tol:
-        raise ConvergenceError(
-            f"no convergence after {config.max_iter} sweeps "
-            f"(last update {updates[-1]:.3g})"
-        )
-
-    residual = invariance_residual(spec, omega, eps, curve, seed=config.seed)
-    gate = 10.0 * (config.tol + _interp_error_estimate(curve.values))
-    report = SolverReport(
-        iterations=len(updates),
-        final_update=updates[-1],
-        invariance_residual=residual,
-        measured_rates=rates,
-        converged=bool(residual <= gate),
-        n_nodes=config.n_nodes,
-        tol=config.tol,
-    )
-    return curve, report
+    [got] = _solve_curves(spec, omega, [eps], config,
+                          None if seed is None else [seed])
+    if isinstance(got, PerimapError):
+        raise got
+    return got
 
 
 def invariance_residual(spec, omega, eps, phi, n_samples=RESIDUAL_SAMPLES,
@@ -558,7 +758,7 @@ def invariance_residual(spec, omega, eps, phi, n_samples=RESIDUAL_SAMPLES,
     a, b = eval_batch(spec, omega, eps, xs[:, None], y)
     require_finite(a, b)
     img = phi.eval(xs + omega * a[:, 0])
-    return float(np.max(np.linalg.norm(b - img, axis=-1)))
+    return float(_max_norm(b - img))
 
 
 def attraction_test(spec, omega, eps, phi, n_trajectories=20, n_steps=50,
@@ -613,30 +813,31 @@ def periodicity_defect(spec, omega, eps, config=None):
     """
     config = config or CurveConfig()
     _require_scalar_periodic(spec)
-    omega, eps = float(omega), float(eps)
     T = spec.period
-    curve, updates, _, hit_tol = _solve_cold(
-        spec, omega, eps, 2.0 * T, 2 * config.n_nodes, config.tol,
-        config.max_iter)
+    [got] = _solve_cold(spec, float(omega), [float(eps)], 2.0 * T,
+                        2 * config.n_nodes, config.tol, config.max_iter)
+    if isinstance(got, PerimapError):
+        raise got
+    curve, updates, _, hit_tol = got
     if not hit_tol:
         raise ConvergenceError(
             f"doubled-window solve did not converge (last update {updates[-1]:.3g})"
         )
-    xs = np.linspace(0.0, T, 4 * config.n_nodes, endpoint=False)
+    xs = _nodes(T, 4 * config.n_nodes)
     gap = curve.eval(xs + T) - curve.eval(xs)
-    return float(np.max(np.linalg.norm(gap, axis=-1)))
+    return float(_max_norm(gap))
 
 
 def uniqueness_test(spec, omega, eps, config, seeds):
-    """Sup-distance between the curves converged from two seed curves."""
-    seed_a, seed_b = seeds
-    curve_a, _ = solve_invariant_curve(spec, omega, eps,
-                                       replace(config, seed_curve=seed_a))
-    curve_b, _ = solve_invariant_curve(spec, omega, eps,
-                                       replace(config, seed_curve=seed_b))
-    xs = np.linspace(0.0, spec.period, 4 * config.n_nodes, endpoint=False)
-    return float(np.max(np.linalg.norm(curve_a.eval(xs) - curve_b.eval(xs),
-                                       axis=-1)))
+    """Sup-distance between the curves converged from two seed curves,
+    solved as one stack; the first seed's failure is raised first."""
+    solved = _solve_curves(spec, omega, [eps, eps], config, list(seeds))
+    for got in solved:
+        if isinstance(got, PerimapError):
+            raise got
+    (curve_a, _), (curve_b, _) = solved
+    xs = _nodes(spec.period, 4 * config.n_nodes)
+    return float(_max_norm(curve_a.eval(xs) - curve_b.eval(xs)))
 
 
 @dataclass
@@ -648,14 +849,26 @@ class EpsContinuityRow:
 
 
 def continuity_in_eps(spec, omega, eps_list, config=None):
-    """Table of (eps, sup||phi_eps||, sup/|eps|) sorted by eps."""
+    """Table of (eps, sup||phi_eps||, sup/|eps|) sorted by eps.
+
+    The sorted list is solved as one stack (`_solve_curves`), each eps to
+    the bits of its lone `solve_invariant_curve`.  If an eps fails, the
+    first failing eps in sorted order raises its error again, of the same
+    type, with the message ``eps=<value>: <original>`` and chained to it.
+    """
     config = config or CurveConfig()
+    seed = config.seed_curve
+    eps_sorted = [float(e) for e in sorted(eps_list)]
+    solved = _solve_curves(spec, omega, eps_sorted, config,
+                           None if seed is None else [seed] * len(eps_sorted))
     rows = []
-    for eps in sorted(eps_list):
-        curve, report = solve_invariant_curve(spec, omega, eps, config)
+    for eps, got in zip(eps_sorted, solved):
+        if isinstance(got, PerimapError):
+            raise type(got)(f"eps={eps}: {got}") from got
+        curve, report = got
         sup = curve.sup_norm()
         rows.append(EpsContinuityRow(
-            eps=float(eps), sup_norm=sup,
+            eps=eps, sup_norm=sup,
             ratio=None if eps == 0 else sup / abs(eps),
             converged=report.converged))
     return rows

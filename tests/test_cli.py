@@ -250,6 +250,42 @@ class TestOtherModes:
         assert cert["r0"] == cert["lambda0"]
         assert cert["mu"] == 0.75
 
+    def test_certificate_records_its_sampling(self, tmp_path):
+        # three runs whose certificates agree on every derived value
+        toy = {"name": "nonlinear-toy"}
+        strong = {"name": "nonlinear-toy",
+                  "params": {"advance_coupling": 3.0, "y2_coupling": 2.0}}
+        configs = [
+            {"system": toy, "sampling": {"n_samples": 64, "seed": 11}},
+            {"system": toy, "delta": 0.1,
+             "sampling": {"n_samples": 32, "seed": 1}},
+            {"system": strong, "sampling": {"seed": 2}},
+        ]
+        certs = []
+        for k, config in enumerate(configs):
+            cfgp = write_config(tmp_path, f"c{k}.json", config)
+            out = tmp_path / f"out{k}"
+            assert cli.main(["certify", "--config", cfgp,
+                             "--out", str(out)]) == 0
+            certs.append((out / "certificate.json").read_text())
+        assert len(set(certs)) == 3
+        recorded = [json.loads(c) for c in certs]
+        assert [(c["delta"], c["n_samples"], c["seed"]) for c in recorded] == [
+            (None, 64, 11), (0.1, 32, 1), (None, 128, 2)]
+        assert all(c["lambda0"] == recorded[0]["lambda0"] for c in recorded)
+
+    def test_failing_sweep_names_its_eps(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, "c.json", {
+            "system": {"name": "linear-shear"},
+            "omega": 0.25,
+            "eps_list": [1e-3, 2.0],
+            "solver": {"n_nodes": 64},
+            "sampling": {"seed": 4}})
+        out = tmp_path / "out"
+        assert cli.main(["sweep-eps", "--config", cfgp, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert ("eps=2.0: graph transform left the radius-r1 disc" in err)
+
     def test_sweep_eps(self, tmp_path):
         cfgp = write_config(tmp_path, "c.json", {
             "system": {"name": "linear-shear"},

@@ -203,8 +203,8 @@ class TestSolver:
         # beta forces mode 1 and the half-frequency mode over the doubled
         # window; both contract at 0.5, and one preconditioned step takes
         # out both
-        curve, updates, _, hit_tol = _iterate_to_fixed_point(
-            _half_frequency_map(), 0.37, 1e-3, 2.0, np.zeros((4096, 1)),
+        [(curve, updates, _, hit_tol)] = _iterate_to_fixed_point(
+            _half_frequency_map(), 0.37, [1e-3], 2.0, np.zeros((1, 4096, 1)),
             1e-12, 100)
         assert hit_tol and len(updates) <= 4
 
@@ -328,7 +328,8 @@ class TestPush:
         xs = np.arange(64) / 64
         v = (0.05 * np.sin(2 * np.pi * xs) + 0.02 * np.cos(6 * np.pi * xs)
              )[:, None]
-        g, a = _sweep(spec, 1.0, self.EPS, xs, v, 1.0)
+        [g], [a], [failure] = _sweep(spec, 1.0, [self.EPS], xs, v[None], 1.0)
+        assert failure is None
         assert np.array_equal(a, spec.alpha(1.0, self.EPS, xs[:, None], v)[:, 0])
         img = xs + a
         assert img[0] > 1.0 and img[-1] - img[0] < 1.0 < img[-1] - 2.0
@@ -348,8 +349,10 @@ class TestPush:
                           beta=lambda w, e, x, y: 0.5 * y,
                           periodic_coord=1, period=1.0)
         xs = np.linspace(0.0, 1.0, 64, endpoint=False)
+        _, _, [failure] = _sweep(spec, 1.0, [0.0], xs, np.zeros((1, 64, 1)),
+                                 1.0)
         with pytest.raises(MonotonicityError):
-            _sweep(spec, 1.0, 0.0, xs, np.zeros((64, 1)), 1.0)
+            raise failure
 
 
 class TestInvarianceResidual:
@@ -472,8 +475,8 @@ class TestPeriodicityDefect:
                                                    / 256)[:, None])
         xs = np.linspace(0.0, 1.0, 1024, endpoint=False)
         assert np.max(np.abs(seed.eval(xs + 1.0) - seed.eval(xs))) > 0.39
-        curve, _, _, hit_tol = _iterate_to_fixed_point(
-            spec, 0.25, 0.01, seed.period, seed.values, 1e-12, 100)
+        [(curve, _, _, hit_tol)] = _iterate_to_fixed_point(
+            spec, 0.25, [0.01], seed.period, seed.values[None], 1e-12, 100)
         assert hit_tol
         assert np.max(np.abs(curve.eval(xs + 1.0) - curve.eval(xs))) <= 1e-9
 
@@ -649,8 +652,8 @@ class TestRarePaths:
     def test_anderson_history_restarts(self):
         spec = _restarting_map()
         seed = pm.PeriodicGridFn.zeros(1.0, 64, 1)
-        _, updates, _, hit_tol = _iterate_to_fixed_point(
-            spec, 0.25, 0.01, seed.period, seed.values, 1e-12, 100)
+        [(_, updates, _, hit_tol)] = _iterate_to_fixed_point(
+            spec, 0.25, [0.01], seed.period, seed.values[None], 1e-12, 100)
         assert hit_tol and len(updates) == 15
         grew = [k for k in range(1, len(updates)) if updates[k] > updates[k - 1]]
         assert grew == [1, 5]  # pushes 2 and 6 clear the history
@@ -767,7 +770,7 @@ class TestCoarseStart:
 
             def seeded_fine_level_fails(spec, omega, eps, period, values, tol,
                                         max_iter):
-                if len(values) == self.N and np.any(values != 0.0):
+                if values.shape[1] == self.N and np.any(values != 0.0):
                     max_iter = 1
                 return iterate(spec, omega, eps, period, values, tol,
                                max_iter)
@@ -788,19 +791,19 @@ class TestCoarseStart:
         iterate = _iterate_to_fixed_point
 
         def coarse_fails(spec, omega, eps, period, values, tol, max_iter):
-            if len(values) == self.N:
+            if values.shape[1] == self.N:
                 return iterate(spec, omega, eps, period, values, tol, max_iter)
             if failure == "order":
-                raise MonotonicityError("coarse pushes lost their order")
+                return [MonotonicityError("coarse pushes lost their order")]
             if failure == "disc":
-                raise pm.DomainError("coarse push left the disc")
+                return [pm.DomainError("coarse push left the disc")]
             if failure == "max_iter":
                 max_iter = 2
-            curve, updates, rates, hit_tol = iterate(
+            [(curve, updates, rates, hit_tol)] = iterate(
                 spec, omega, eps, period, values, tol, max_iter)
             if failure == "sampled_off_disc":
                 curve = curve.with_values(curve.values + 1.5 * spec.r1)
-            return curve, updates, rates, hit_tol
+            return [(curve, updates, rates, hit_tol)]
 
         cfg = pm.CurveConfig(n_nodes=self.N, tol=1e-12)
         ref, ref_rep = cold(pm.solve_invariant_curve, e2, 0.25, 0.01, cfg)
