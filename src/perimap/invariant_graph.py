@@ -46,8 +46,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dptsv
 
-from .exceptions import (ConvergenceError, DomainError, EvaluationError,
-                         MonotonicityError, PerimapError)
+from .exceptions import (ConvergenceError, DomainError, MonotonicityError,
+                         PerimapError)
 from .map_core import eval_batch, orbits, origin, require_finite
 from .sampling import ball_points, require_count, require_positive
 
@@ -334,13 +334,13 @@ def _sweep(spec, omega, eps, xs, values, window):
     each problem's failure, None where its push held.
 
     alpha and beta are evaluated once per problem, at the nodes; a misshaped
-    or non-finite result is an `EvaluationError`, and any `PerimapError`
-    the evaluators raise fails that problem alone.  The images, shifted by
-    whole windows so that the first lies in [0, window), must keep the
-    nodes' cyclic order (`MonotonicityError`, the solver's only order
-    check); the window-periodic cubic splines through them (`_Spline`, one
-    build for the stack) are sampled at xs.  A failed problem's rows are a
-    push of the zero curve and mean nothing.
+    or non-finite result (`require_finite`) is an `EvaluationError`, and any
+    `PerimapError` the evaluators raise fails that problem alone.  The
+    images, shifted by whole windows so that the first lies in [0, window),
+    must keep the nodes' cyclic order (`MonotonicityError`, the solver's
+    only order check); the window-periodic cubic splines through them
+    (`_Spline`, one build for the stack) are sampled at xs.  A failed
+    problem's rows are a push of the zero curve and mean nothing.
     """
     a = np.zeros((len(eps), len(xs)))
     b = np.zeros(values.shape)
@@ -348,15 +348,11 @@ def _sweep(spec, omega, eps, xs, values, window):
     for e, eps_e in enumerate(eps):
         try:
             a_e, b_e = eval_batch(spec, omega, eps_e, xs[:, None], values[e])
+            require_finite(a_e, b_e)
         except PerimapError as exc:
             failed[e] = exc
         else:
             a[e], b[e] = a_e[:, 0], b_e
-    finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=(1, 2))
-    if not finite.all():  # a failed row holds zeros from here on
-        for e in np.flatnonzero(~finite):
-            failed[e] = EvaluationError("alpha/beta returned non-finite values")
-        a[~finite], b[~finite] = 0.0, 0.0
     outside = _max_norm(b) > spec.r1
     img = xs + omega * a
     img -= window * np.floor(img[:, :1] / window)
@@ -467,8 +463,9 @@ def _iterate_to_fixed_point(spec, omega, eps, period, values, tol, max_iter):
     problem leaves the stack once it meets ``tol`` or fails; every
     problem's arithmetic is that of its lone iteration.  Returns one outcome
     per problem: (G(v) as a curve, the updates max|G(v_k) - v_k|, the
-    secant rates, whether ``tol`` was met), or the `PerimapError` that
-    stopped it.  ``max_iter`` below 1 raises `ValueError` before any push.
+    secant rates) once it met ``tol``, or the `PerimapError` that stopped
+    it, a `ConvergenceError` if ``max_iter`` pushes missed ``tol``.
+    ``max_iter`` below 1 raises `ValueError` before any push.
     """
     require_count("max_iter", max_iter)
     n_problems, n = values.shape[:2]
@@ -491,7 +488,7 @@ def _iterate_to_fixed_point(spec, omega, eps, period, values, tol, max_iter):
             updates[i].append(change[row])
             if change[row] <= tol:
                 outcomes[i] = (PeriodicGridFn(period, g[row]), updates[i],
-                               rates[i], True)
+                               rates[i])
             else:
                 keep.append(row)
         if len(keep) < len(live):
@@ -505,9 +502,8 @@ def _iterate_to_fixed_point(spec, omega, eps, period, values, tol, max_iter):
             try:
                 p = _linear_part_inverse(spec, omega, xs, period, alpha)
             except PerimapError as exc:
-                for i in live:
-                    outcomes[i] = exc
-                return outcomes
+                return [exc if i in live else got
+                        for i, got in enumerate(outcomes)]
         res = _precondition(p, update)
         out = v + res
         grew = np.zeros(len(live), dtype=bool)
@@ -540,29 +536,34 @@ def _iterate_to_fixed_point(spec, omega, eps, period, values, tol, max_iter):
                                          ).reshape(out.shape[1:])
         plain = grew | (_max_norm(mixed) > spec.r1)
         v = np.where(plain[:, None, None], g, mixed) if plain.any() else mixed
-    for row, i in enumerate(live):
-        outcomes[i] = (PeriodicGridFn(period, g[row]), updates[i], rates[i],
-                       False)
+    for i in live:
+        outcomes[i] = ConvergenceError(
+            f"no convergence after {max_iter} sweeps "
+            f"(last update {updates[i][-1]:.3g})")
     return outcomes
 
 
-def _iterate_stacks(spec, omega, eps, period, values, tol, max_iter):
-    """`_iterate_to_fixed_point` over the problems in stacks of at most
-    `STACK_NODES` nodes in all (one problem at least): its outcomes."""
-    size = max(1, STACK_NODES // values.shape[1])
-    return [got for k in range(0, len(eps), size)
-            for got in _iterate_to_fixed_point(
-                spec, omega, eps[k:k + size], period, values[k:k + size], tol,
-                max_iter)]
+def _iterate_stacks(spec, omega, eps, period, starts, tol, max_iter):
+    """`_iterate_to_fixed_point` of the problems {i: start values (n, k2)}
+    of ``starts``, problem i at eps[i], in stacks of at most `STACK_NODES`
+    nodes in all (one problem at least): {i: its outcome}."""
+    problems, outcomes = list(starts), {}
+    size = max(1, STACK_NODES // len(starts[problems[0]])) if starts else 1
+    for k in range(0, len(problems), size):
+        stack = problems[k:k + size]
+        outcomes.update(zip(stack, _iterate_to_fixed_point(
+            spec, omega, [eps[i] for i in stack], period,
+            np.stack([starts[i] for i in stack]), tol, max_iter)))
+    return outcomes
 
 
 def _solve_cold(spec, omega, eps, period, n_nodes, tol, max_iter):
-    """`_iterate_to_fixed_point` over ``period`` on ``n_nodes`` nodes for a
-    nonempty stack of problems given no seed curve; returns its outcomes,
-    each problem's updates and rates covering every push its curve rests on.
+    """`_iterate_stacks` over ``period`` on ``n_nodes`` nodes for a nonempty
+    list of problems given no seed curve: {problem index: its outcome}, each
+    curve's updates and rates covering every push it rests on.
 
     Below `COARSE_MIN_NODES` nodes this iterates from the zero curve, one
-    build for the stack (which rejects fewer than 2 nodes before any
+    build for all problems (which rejects fewer than 2 nodes before any
     evaluation).  At or above it, a problem's start is nested iteration, the
     first step of full multigrid (Briggs, Henson & McCormick, A Multigrid
     Tutorial, 2nd ed., SIAM 2000): its cold solve on n_nodes //
@@ -572,60 +573,45 @@ def _solve_cold(spec, omega, eps, period, n_nodes, tol, max_iter):
     grid resolves it: when the interpolation-error scale of its node values
     (`_interp_error_estimate`, the ``converged`` gate's est) is at most
     10 ``tol``.  Then the fine level needs a push or two where a cold one
-    needs about five.  The coarse level is only a seed: if it fails by
-    `DomainError` or `MonotonicityError`, misses ``tol`` in ``max_iter``
-    pushes, fails that check, or a sampled node leaves the r1 disc, the
-    problem's fine level starts from zeros; if the fine iteration from the
-    samples fails by either error or misses ``tol``, its pushes are dropped
-    and it is redone from zeros.  The result is then the cold solve's,
-    report, outcome and all.
+    needs about five.  The coarse level is only a seed: if its outcome is a
+    `DomainError`, `MonotonicityError` or `ConvergenceError`, its curve
+    fails that check, or a sampled node leaves the r1 disc, the problem's
+    fine level starts from zeros; if the fine level from the samples ends in
+    one of those errors, its pushes are dropped and it is redone from zeros.
+    The result is then the cold solve's, report, outcome and all.
 
-    The rules hold per problem, and each level is one stack: the coarse
-    problems, then the fine ones from their seeds or from zeros, then the
-    fine ones redone from zeros.
+    The rules hold per problem, and each level (coarse, fine, redone from
+    zeros) is one `_iterate_stacks` call.
     """
     if n_nodes < COARSE_MIN_NODES:
         zeros = PeriodicGridFn.zeros(period, n_nodes, spec.k2).values
-        return _iterate_stacks(
-            spec, omega, eps, period, np.repeat(zeros[None], len(eps), axis=0),
-            tol, max_iter)
+        return _iterate_stacks(spec, omega, eps, period,
+                               dict.fromkeys(range(len(eps)), zeros), tol,
+                               max_iter)
+    restart = (DomainError, MonotonicityError, ConvergenceError)
     outcomes = _solve_cold(spec, omega, eps, period, n_nodes // COARSE_FACTOR,
                            tol, max_iter)
-    nodes = _nodes(period, n_nodes)
-    fine, starts, seeded = [], [], set()
-    for i, got in enumerate(outcomes):
-        start = np.zeros((n_nodes, spec.k2))
+    nodes, zeros = _nodes(period, n_nodes), np.zeros((n_nodes, spec.k2))
+    starts, seeded = {}, []
+    for i, got in outcomes.items():
         if isinstance(got, tuple):
-            coarse, _, _, hit_tol = got
-            if hit_tol and _interp_error_estimate(coarse.values) <= 10.0 * tol:
-                values = coarse.eval(nodes)
+            starts[i] = zeros
+            if _interp_error_estimate(got[0].values) <= 10.0 * tol:
+                values = got[0].eval(nodes)
                 if _max_norm(values) <= spec.r1:
-                    start = values
-                    seeded.add(i)
-        elif not isinstance(got, (DomainError, MonotonicityError)):
-            continue  # the coarse level's other failures are the problem's
-        fine.append(i)
-        starts.append(start)
-    redo = []
-    if fine:
-        solved = _iterate_stacks(spec, omega, [eps[i] for i in fine], period,
-                                 np.stack(starts), tol, max_iter)
-        for i, got in zip(fine, solved):
-            if i in seeded:
-                if (isinstance(got, (DomainError, MonotonicityError))
-                        or isinstance(got, tuple) and not got[3]):
-                    redo.append(i)
-                    continue
-                if isinstance(got, tuple):
-                    _, updates, rates, _ = outcomes[i]
-                    got = (got[0], updates + got[1], rates + got[2], True)
-            outcomes[i] = got
-    if redo:
-        solved = _iterate_stacks(
-            spec, omega, [eps[i] for i in redo], period,
-            np.zeros((len(redo), n_nodes, spec.k2)), tol, max_iter)
-        for i, got in zip(redo, solved):
-            outcomes[i] = got
+                    starts[i] = values
+                    seeded.append(i)
+        elif isinstance(got, restart):
+            starts[i] = zeros
+    fine = _iterate_stacks(spec, omega, eps, period, starts, tol, max_iter)
+    redo = {i: zeros for i in seeded if isinstance(fine[i], restart)}
+    for i in seeded:
+        if isinstance(fine[i], tuple):  # the coarse pushes come first
+            curve, updates, rates = fine[i]
+            fine[i] = (curve, outcomes[i][1] + updates, outcomes[i][2] + rates)
+    outcomes.update(fine)
+    outcomes.update(_iterate_stacks(spec, omega, eps, period, redo, tol,
+                                    max_iter))
     return outcomes
 
 
@@ -634,12 +620,15 @@ def _solve_curves(spec, omega, eps, config, seed_curves):
     (see `solve_invariant_curve`, whose rules each problem keeps): one
     outcome per problem, (curve, `SolverReport`) or the `PerimapError` that
     stopped it.  ``seed_curves`` gives each problem its seed curve; with
-    None every problem starts cold.  A seed of the wrong period, node count or
-    k2 raises `ValueError` before any evaluation, as does a ``max_iter``
-    below 1; a seed outside the r1 disc is a `DomainError` of its problem.
+    None every problem starts cold.  A seed count other than the eps count,
+    or a seed of the wrong period, node count or k2, raises `ValueError`
+    before any evaluation, as does a ``max_iter`` below 1; a seed outside
+    the r1 disc is a `DomainError` of its problem.
     """
     _require_scalar_periodic(spec)
     omega, eps = float(omega), [float(e) for e in eps]
+    if seed_curves is not None and len(seed_curves) != len(eps):
+        raise ValueError(f"{len(seed_curves)} seed curves for {len(eps)} eps")
     if not eps:
         return []
     if seed_curves is None:
@@ -654,32 +643,22 @@ def _solve_curves(spec, omega, eps, config, seed_curves):
                 if got != want:
                     raise ValueError(
                         f"seed curve {name} {got} differs from {want}")
-        outcomes = [DomainError("seed curve exceeds the radius-r1 disc")
-                    if seed.sup_norm() > spec.r1 else None
-                    for seed in seed_curves]
-        rows = [e for e, got in enumerate(outcomes) if got is None]
-        if rows:
-            solved = _iterate_stacks(
-                spec, omega, [eps[e] for e in rows], spec.period,
-                np.stack([seed_curves[e].values for e in rows]), config.tol,
-                config.max_iter)
-            for e, got in zip(rows, solved):
-                outcomes[e] = got
-    return [got if isinstance(got, PerimapError)
-            else _verified(spec, omega, eps_e, got, config)
-            for eps_e, got in zip(eps, outcomes)]
+        outcomes = {e: DomainError("seed curve exceeds the radius-r1 disc")
+                    for e, seed in enumerate(seed_curves)
+                    if seed.sup_norm() > spec.r1}
+        outcomes.update(_iterate_stacks(
+            spec, omega, eps, spec.period,
+            {e: seed.values for e, seed in enumerate(seed_curves)
+             if e not in outcomes}, config.tol, config.max_iter))
+    return [outcomes[e] if isinstance(outcomes[e], PerimapError)
+            else _verified(spec, omega, eps_e, outcomes[e], config)
+            for e, eps_e in enumerate(eps)]
 
 
 def _verified(spec, omega, eps, outcome, config):
-    """(curve, `SolverReport`) of an iteration's outcome, or the
-    `ConvergenceError` of a missed ``tol`` or the `PerimapError` of the
-    invariance residual."""
-    curve, updates, rates, hit_tol = outcome
-    if not hit_tol:
-        return ConvergenceError(
-            f"no convergence after {config.max_iter} sweeps "
-            f"(last update {updates[-1]:.3g})"
-        )
+    """(curve, `SolverReport`) of a curve, its updates and its rates that
+    met tol, or the `PerimapError` that its invariance residual raised."""
+    curve, updates, rates = outcome
     try:
         residual = invariance_residual(spec, omega, eps, curve,
                                        seed=config.seed)
@@ -809,28 +788,28 @@ def periodicity_defect(spec, omega, eps, config=None):
     map would keep T-periodic.  ``max_iter`` bounds each level (below 1,
     `ValueError` before any evaluation), and the iterations and rates span
     both.  Returns sup over x in [0, T) of ||phi(x + T) - phi(x)|| for the
-    converged doubled curve.
+    converged doubled curve; a `ConvergenceError` outcome is raised as
+    ``doubled-window solve did not converge: <its message>``, chained to it.
     """
     config = config or CurveConfig()
     _require_scalar_periodic(spec)
     T = spec.period
-    [got] = _solve_cold(spec, float(omega), [float(eps)], 2.0 * T,
-                        2 * config.n_nodes, config.tol, config.max_iter)
+    got = _solve_cold(spec, float(omega), [float(eps)], 2.0 * T,
+                      2 * config.n_nodes, config.tol, config.max_iter)[0]
+    if isinstance(got, ConvergenceError):
+        raise ConvergenceError(
+            f"doubled-window solve did not converge: {got}") from got
     if isinstance(got, PerimapError):
         raise got
-    curve, updates, _, hit_tol = got
-    if not hit_tol:
-        raise ConvergenceError(
-            f"doubled-window solve did not converge (last update {updates[-1]:.3g})"
-        )
     xs = _nodes(T, 4 * config.n_nodes)
-    gap = curve.eval(xs + T) - curve.eval(xs)
+    gap = got[0].eval(xs + T) - got[0].eval(xs)
     return float(_max_norm(gap))
 
 
 def uniqueness_test(spec, omega, eps, config, seeds):
     """Sup-distance between the curves converged from two seed curves,
-    solved as one stack; the first seed's failure is raised first."""
+    solved as one stack; the first seed's failure is raised first, and a
+    seed count other than two is a `ValueError` before any evaluation."""
     solved = _solve_curves(spec, omega, [eps, eps], config, list(seeds))
     for got in solved:
         if isinstance(got, PerimapError):

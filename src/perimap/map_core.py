@@ -136,7 +136,7 @@ def eval_batch(spec, omega, eps, X, Y):
 
 def require_finite(*values):
     """`EvaluationError` unless every entry of ``values`` is finite."""
-    if not all(np.all(np.isfinite(v)) for v in values):
+    if not all(np.isfinite(v).all() for v in values):
         raise EvaluationError("alpha/beta returned non-finite values")
 
 

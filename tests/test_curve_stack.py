@@ -254,3 +254,20 @@ class TestPushRounds:
         assert iterations == [
             pm.solve_invariant_curve(spec, 0.25, eps, cfg)[1].iterations
             for eps in eps_list]
+
+
+class TestOutcomes:
+    def test_a_missed_tol_is_a_convergence_error(self):
+        # eps 0 meets tol at its first push; eps 0.01 needs more than 3,
+        # so its outcome is the error that names max_iter and its last update
+        spec = pm.nonlinear_toy()
+        zeros = np.zeros((2, 64, 1))
+        met, missed = pm.invariant_graph._iterate_to_fixed_point(
+            spec, 0.25, [0.0, 0.01], spec.period, zeros, 1e-12, 3)
+        curve, updates, rates = met
+        assert isinstance(curve, pm.PeriodicGridFn) and updates == [0.0]
+        [(_, lone_updates, _)] = pm.invariant_graph._iterate_to_fixed_point(
+            spec, 0.25, [0.01], spec.period, zeros[1:], 1e-12, 100)
+        assert isinstance(missed, pm.ConvergenceError)
+        assert str(missed) == ("no convergence after 3 sweeps (last update "
+                               f"{lone_updates[2]:.3g})")

@@ -203,10 +203,10 @@ class TestSolver:
         # beta forces mode 1 and the half-frequency mode over the doubled
         # window; both contract at 0.5, and one preconditioned step takes
         # out both
-        [(curve, updates, _, hit_tol)] = _iterate_to_fixed_point(
+        [got] = _iterate_to_fixed_point(
             _half_frequency_map(), 0.37, [1e-3], 2.0, np.zeros((1, 4096, 1)),
             1e-12, 100)
-        assert hit_tol and len(updates) <= 4
+        assert isinstance(got, tuple) and len(got[1]) <= 4  # tol met
 
     def test_coupled_k2_map(self):
         # k2 = 2: one 2 x 2 solve per mode; Anderson alone needs 30 pushes
@@ -475,9 +475,10 @@ class TestPeriodicityDefect:
                                                    / 256)[:, None])
         xs = np.linspace(0.0, 1.0, 1024, endpoint=False)
         assert np.max(np.abs(seed.eval(xs + 1.0) - seed.eval(xs))) > 0.39
-        [(curve, _, _, hit_tol)] = _iterate_to_fixed_point(
+        [got] = _iterate_to_fixed_point(
             spec, 0.25, [0.01], seed.period, seed.values[None], 1e-12, 100)
-        assert hit_tol
+        assert isinstance(got, tuple)  # tol met
+        curve = got[0]
         assert np.max(np.abs(curve.eval(xs + 1.0) - curve.eval(xs))) <= 1e-9
 
     def test_defect_at_rounding_level(self, e1, wrapped):
@@ -504,6 +505,16 @@ class TestUniquenessAndContinuity:
         seeds = (pm.PeriodicGridFn.constant(1.0, 128, [0.05]),
                  pm.PeriodicGridFn(1.0, smooth[:, None]))
         assert pm.uniqueness_test(e2, 0.25, 0.01, cfg, seeds) <= 1e-9
+
+    @pytest.mark.parametrize("n_seeds", [1, 3])
+    def test_needs_two_seeds(self, e2, n_seeds):
+        # rejected before any evaluation, naming both counts
+        spec, rows = _counted(e2)
+        seeds = [pm.PeriodicGridFn.zeros(1.0, 128)] * n_seeds
+        with pytest.raises(ValueError, match=f"{n_seeds} seed curves for 2"):
+            pm.uniqueness_test(spec, 0.25, 0.01,
+                               pm.CurveConfig(n_nodes=128), seeds)
+        assert rows == []
 
     def test_linear_scaling_ratio_constant(self, e1):
         rows = pm.continuity_in_eps(e1, 0.25, [0.0, 1e-3, 1e-2], CFG)
@@ -652,9 +663,10 @@ class TestRarePaths:
     def test_anderson_history_restarts(self):
         spec = _restarting_map()
         seed = pm.PeriodicGridFn.zeros(1.0, 64, 1)
-        [(_, updates, _, hit_tol)] = _iterate_to_fixed_point(
+        [got] = _iterate_to_fixed_point(
             spec, 0.25, [0.01], seed.period, seed.values[None], 1e-12, 100)
-        assert hit_tol and len(updates) == 15
+        assert isinstance(got, tuple) and len(got[1]) == 15  # tol met
+        updates = got[1]
         grew = [k for k in range(1, len(updates)) if updates[k] > updates[k - 1]]
         assert grew == [1, 5]  # pushes 2 and 6 clear the history
         _, report = pm.solve_invariant_curve(
@@ -799,11 +811,12 @@ class TestCoarseStart:
                 return [pm.DomainError("coarse push left the disc")]
             if failure == "max_iter":
                 max_iter = 2
-            [(curve, updates, rates, hit_tol)] = iterate(
-                spec, omega, eps, period, values, tol, max_iter)
+            [got] = iterate(spec, omega, eps, period, values, tol, max_iter)
             if failure == "sampled_off_disc":
-                curve = curve.with_values(curve.values + 1.5 * spec.r1)
-            return [(curve, updates, rates, hit_tol)]
+                curve, updates, rates = got
+                got = (curve.with_values(curve.values + 1.5 * spec.r1),
+                       updates, rates)
+            return [got]
 
         cfg = pm.CurveConfig(n_nodes=self.N, tol=1e-12)
         ref, ref_rep = cold(pm.solve_invariant_curve, e2, 0.25, 0.01, cfg)
