@@ -282,12 +282,8 @@ def main(argv=None):
         print(f"error: cannot read config: {exc}", file=_sys.stderr)
         return 2
     try:
-        cfg = parse_config(raw, args.mode, seed_override=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 2
-    try:
-        return run(cfg, args.out)
+        return run(parse_config(raw, args.mode, seed_override=args.seed),
+                   args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

@@ -18,7 +18,8 @@ from .exceptions import CertificateError, ConvergenceError
 from .hybrid_ode import check_transversality
 from .numdiff import central_jacobian
 from .poincare import p_eps_batch
-from .sampling import ball_points, latin_hypercube, require_count, scale_to
+from .sampling import (ball_points, latin_hypercube, require_count,
+                       require_positive, scale_to)
 
 Array = np.ndarray
 
@@ -193,9 +194,11 @@ def certify_contraction(handle, u_range, eps_range, norm, n_samples=64, seed=0):
     Pairs are drawn in the ``u_range`` ball with tau over one forcing period
     and eps over ``eps_range``; this is the q fed to the curve solver's rate
     bound.  Both points of every pair, each lane with its own tau and eps,
-    go through one batched flow.  Returns (q, q < 1).
+    go through one batched flow.  Returns (q, q < 1).  A ``u_range`` that
+    is not positive and finite raises `ValueError` before any flow.
     """
     require_count("n_samples", n_samples)
+    require_positive("u_range", u_range)
     rng = np.random.default_rng(seed)
     sys = handle.sys
     k2 = sys.k2

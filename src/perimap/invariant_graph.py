@@ -20,14 +20,15 @@ method), and type-II Anderson acceleration of depth `ANDERSON_DEPTH` mixes
 the preconditioned steps.  A step that leaves the r1 disc falls back on the
 plain image.
 
-A solve given no seed curve starts from the zero curve, except on
-n >= `COARSE_MIN_NODES` nodes.  There it first solves on n // `COARSE_FACTOR`
-nodes and, if that grid resolves the curve to the tolerance scale, samples
-the coarse curve at the n nodes, so one or two fine pushes replace about
-five (nested iteration, `_solve_cold`).  The reported ``iterations`` and
-``measured_rates`` then span both levels, and ``max_iter`` bounds each
-level; a coarse seed that is not trusted, or from which the fine level
-fails, leaves the cold solve's result.
+A solve starts cold, from the zero curve (seed curves enter only through
+`uniqueness_test`), except on n >= `COARSE_MIN_NODES` nodes.  There it
+first solves on n // `COARSE_FACTOR` nodes and, if that grid resolves the
+curve to the tolerance scale, samples the coarse curve at the n nodes, so
+one or two fine pushes replace about five (nested iteration,
+`_solve_cold`).  The reported ``iterations`` and ``measured_rates`` then
+span both levels, and ``max_iter`` bounds each level; a coarse seed that is
+not trusted, or from which the fine level fails, leaves the cold solve's
+result.
 
 Curves, pushes and the preconditioner's symbol share one periodic cubic
 spline in moment form, `_Spline`, built once per curve or push.  The
@@ -313,7 +314,6 @@ class CurveConfig:
     n_nodes: int = 256
     tol: float = 1e-12
     max_iter: int = 100
-    seed_curve: Optional[PeriodicGridFn] = None
     seed: int = 0
     preimage_tol: float = 1e-14
 
@@ -442,10 +442,10 @@ def _interp_error_estimate(values):
     return (5.0 / 384.0) * float(np.max(np.abs(d4)))
 
 
-def _iterate_to_fixed_point(spec, omega, eps, period, values, tol, max_iter):
-    """Preconditioned, Anderson-accelerated push iteration of a nonempty
-    stack of problems: problem e at eps[e], from the node values
-    ``values[e]`` (n, k2) at the n uniform nodes of [0, ``period``).
+def _iterate_to_fixed_point(spec, omega, eps, period, starts, tol, max_iter):
+    """Preconditioned, Anderson-accelerated push iteration of the problems
+    {i: start node values (n, k2)} of ``starts``, problem i at eps[i], all
+    on the n uniform nodes of [0, ``period``): {i: its outcome}.
 
     For each problem, push k maps v_k to its plain image G(v_k).  The
     iteration solves v = H(v) = v + P^-1 (G(v) - v), with P^-1 from
@@ -459,108 +459,101 @@ def _iterate_to_fixed_point(spec, omega, eps, period, values, tol, max_iter):
     ||G(v_k) - G(v_{k-1})|| / ||v_k - v_{k-1}|| (sup norms) is the
     contraction of the plain transform measured on the iterates.
 
-    Each round is one `_sweep` of the problems still iterating, and a
-    problem leaves the stack once it meets ``tol`` or fails; every
-    problem's arithmetic is that of its lone iteration.  Returns one outcome
-    per problem: (G(v) as a curve, the updates max|G(v_k) - v_k|, the
-    secant rates) once it met ``tol``, or the `PerimapError` that stopped
-    it, a `ConvergenceError` if ``max_iter`` pushes missed ``tol``.
-    ``max_iter`` below 1 raises `ValueError` before any push.
+    The problems are iterated in stacks of at most `STACK_NODES` nodes in
+    all (one problem at least).  Each round is one `_sweep` of a stack's
+    problems still iterating, and a problem leaves its stack once it meets
+    ``tol``, fails or has made its ``max_iter``-th push; every problem's
+    arithmetic is that of its lone iteration.  An outcome is (G(v) as a
+    curve, the updates max|G(v_k) - v_k|, the secant rates) once it met
+    ``tol``, or the `PerimapError` that stopped it, a `ConvergenceError` if
+    ``max_iter`` pushes missed ``tol``.  A ``max_iter`` below 1, or a
+    ``tol`` that is not positive and finite, raises `ValueError` before any
+    push.
     """
     require_count("max_iter", max_iter)
-    n_problems, n = values.shape[:2]
-    xs = _nodes(period, n)
-    outcomes = [None] * n_problems
-    live = list(range(n_problems))  # the problem of each row of the stack
-    updates, rates = [[] for _ in live], [[] for _ in live]
-    d_res, d_out = [[] for _ in live], [[] for _ in live]
-    v, p, prev = values, None, None
-    for _ in range(int(max_iter)):
-        g, alpha, failed = _sweep(spec, omega, [eps[i] for i in live], xs, v,
-                                  period)
-        update = g - v
-        change = np.abs(update).max(axis=(1, 2)).tolist()
-        keep = []
-        for row, i in enumerate(live):
-            if failed[row] is not None:
-                outcomes[i] = failed[row]
-                continue
-            updates[i].append(change[row])
-            if change[row] <= tol:
-                outcomes[i] = (PeriodicGridFn(period, g[row]), updates[i],
-                               rates[i])
-            else:
-                keep.append(row)
-        if len(keep) < len(live):
-            live = [live[row] for row in keep]
-            if not live:
-                return outcomes
-            v, g, update, alpha = v[keep], g[keep], update[keep], alpha[keep]
-            p = None if p is None else p[keep]
-            prev = None if prev is None else [a[keep] for a in prev]
-        if p is None:
-            try:
-                p = _linear_part_inverse(spec, omega, xs, period, alpha)
-            except PerimapError as exc:
-                return [exc if i in live else got
-                        for i, got in enumerate(outcomes)]
-        res = _precondition(p, update)
-        out = v + res
-        grew = np.zeros(len(live), dtype=bool)
-        if prev is not None:
-            v_prev, g_prev, res_prev, out_prev = prev
-            step = np.abs(v - v_prev).max(axis=(1, 2)).tolist()
-            moved = np.abs(g - g_prev).max(axis=(1, 2)).tolist()
-            new_res, new_out = res - res_prev, out - out_prev
-            for row, i in enumerate(live):
-                grew[row] = updates[i][-1] > updates[i][-2]
-                if step[row] > 1e-300:
-                    rates[i].append(moved[row] / step[row])
-                if grew[row]:
-                    d_res[i].clear()
-                    d_out[i].clear()
-                else:
-                    d_res[i] = (d_res[i] + [new_res[row].ravel()]
-                                )[-ANDERSON_DEPTH:]
-                    d_out[i] = (d_out[i] + [new_out[row].ravel()]
-                                )[-ANDERSON_DEPTH:]
-        prev = [v, g, res, out]
-        mixed = out
-        for row, i in enumerate(live):
-            if d_res[i]:
-                gamma = np.linalg.lstsq(np.column_stack(d_res[i]),
-                                        res[row].ravel(), rcond=None)[0]
-                if mixed is out:
-                    mixed = out.copy()
-                mixed[row] = out[row] - (np.column_stack(d_out[i]) @ gamma
-                                         ).reshape(out.shape[1:])
-        plain = grew | (_max_norm(mixed) > spec.r1)
-        v = np.where(plain[:, None, None], g, mixed) if plain.any() else mixed
-    for i in live:
-        outcomes[i] = ConvergenceError(
-            f"no convergence after {max_iter} sweeps "
-            f"(last update {updates[i][-1]:.3g})")
-    return outcomes
-
-
-def _iterate_stacks(spec, omega, eps, period, starts, tol, max_iter):
-    """`_iterate_to_fixed_point` of the problems {i: start values (n, k2)}
-    of ``starts``, problem i at eps[i], in stacks of at most `STACK_NODES`
-    nodes in all (one problem at least): {i: its outcome}."""
+    require_positive("tol", tol)
     problems, outcomes = list(starts), {}
     size = max(1, STACK_NODES // len(starts[problems[0]])) if starts else 1
     for k in range(0, len(problems), size):
-        stack = problems[k:k + size]
-        outcomes.update(zip(stack, _iterate_to_fixed_point(
-            spec, omega, [eps[i] for i in stack], period,
-            np.stack([starts[i] for i in stack]), tol, max_iter)))
+        live = problems[k:k + size]  # the problem of each row of the stack
+        updates, rates = {i: [] for i in live}, {i: [] for i in live}
+        d_res, d_out = {i: [] for i in live}, {i: [] for i in live}
+        v, p, prev = np.stack([starts[i] for i in live]), None, None
+        xs = _nodes(period, v.shape[1])
+        for push in range(1, int(max_iter) + 1):
+            g, alpha, failed = _sweep(spec, omega, [eps[i] for i in live], xs,
+                                      v, period)
+            update = g - v
+            change = np.abs(update).max(axis=(1, 2)).tolist()
+            keep = []
+            for row, i in enumerate(live):
+                if failed[row] is not None:
+                    outcomes[i] = failed[row]
+                    continue
+                updates[i].append(change[row])
+                if change[row] <= tol:
+                    outcomes[i] = (PeriodicGridFn(period, g[row]), updates[i],
+                                   rates[i])
+                elif push == int(max_iter):
+                    outcomes[i] = ConvergenceError(
+                        f"no convergence after {max_iter} sweeps "
+                        f"(last update {change[row]:.3g})")
+                else:
+                    keep.append(row)
+            if not keep:
+                break
+            if len(keep) < len(live):
+                live = [live[row] for row in keep]
+                v, g, update, alpha = (a[keep] for a in (v, g, update, alpha))
+                p = None if p is None else p[keep]
+                prev = None if prev is None else [a[keep] for a in prev]
+            if p is None:
+                try:
+                    p = _linear_part_inverse(spec, omega, xs, period, alpha)
+                except PerimapError as exc:
+                    outcomes.update(dict.fromkeys(live, exc))
+                    break
+            res = _precondition(p, update)
+            out = v + res
+            grew = np.zeros(len(live), dtype=bool)
+            if prev is not None:
+                v_prev, g_prev, res_prev, out_prev = prev
+                step = np.abs(v - v_prev).max(axis=(1, 2)).tolist()
+                moved = np.abs(g - g_prev).max(axis=(1, 2)).tolist()
+                new_res, new_out = res - res_prev, out - out_prev
+                for row, i in enumerate(live):
+                    grew[row] = updates[i][-1] > updates[i][-2]
+                    if step[row] > 1e-300:
+                        rates[i].append(moved[row] / step[row])
+                    if grew[row]:
+                        d_res[i].clear()
+                        d_out[i].clear()
+                    else:
+                        d_res[i] = (d_res[i] + [new_res[row].ravel()]
+                                    )[-ANDERSON_DEPTH:]
+                        d_out[i] = (d_out[i] + [new_out[row].ravel()]
+                                    )[-ANDERSON_DEPTH:]
+            prev = [v, g, res, out]
+            mixed = out
+            for row, i in enumerate(live):
+                if d_res[i]:
+                    gamma = np.linalg.lstsq(np.column_stack(d_res[i]),
+                                            res[row].ravel(), rcond=None)[0]
+                    if mixed is out:
+                        mixed = out.copy()
+                    mixed[row] = out[row] - (np.column_stack(d_out[i]) @ gamma
+                                             ).reshape(out.shape[1:])
+            plain = grew | (_max_norm(mixed) > spec.r1)
+            v = (np.where(plain[:, None, None], g, mixed) if plain.any()
+                 else mixed)
     return outcomes
 
 
 def _solve_cold(spec, omega, eps, period, n_nodes, tol, max_iter):
-    """`_iterate_stacks` over ``period`` on ``n_nodes`` nodes for a nonempty
-    list of problems given no seed curve: {problem index: its outcome}, each
-    curve's updates and rates covering every push it rests on.
+    """`_iterate_to_fixed_point` over ``period`` on ``n_nodes`` nodes for a
+    nonempty list of problems given no seed curve: {problem index: its
+    outcome}, each curve's updates and rates covering every push it rests
+    on.
 
     Below `COARSE_MIN_NODES` nodes this iterates from the zero curve, one
     build for all problems (which rejects fewer than 2 nodes before any
@@ -581,13 +574,13 @@ def _solve_cold(spec, omega, eps, period, n_nodes, tol, max_iter):
     The result is then the cold solve's, report, outcome and all.
 
     The rules hold per problem, and each level (coarse, fine, redone from
-    zeros) is one `_iterate_stacks` call.
+    zeros) is one `_iterate_to_fixed_point` call.
     """
     if n_nodes < COARSE_MIN_NODES:
         zeros = PeriodicGridFn.zeros(period, n_nodes, spec.k2).values
-        return _iterate_stacks(spec, omega, eps, period,
-                               dict.fromkeys(range(len(eps)), zeros), tol,
-                               max_iter)
+        return _iterate_to_fixed_point(spec, omega, eps, period,
+                                       dict.fromkeys(range(len(eps)), zeros),
+                                       tol, max_iter)
     restart = (DomainError, MonotonicityError, ConvergenceError)
     outcomes = _solve_cold(spec, omega, eps, period, n_nodes // COARSE_FACTOR,
                            tol, max_iter)
@@ -603,15 +596,16 @@ def _solve_cold(spec, omega, eps, period, n_nodes, tol, max_iter):
                     seeded.append(i)
         elif isinstance(got, restart):
             starts[i] = zeros
-    fine = _iterate_stacks(spec, omega, eps, period, starts, tol, max_iter)
+    fine = _iterate_to_fixed_point(spec, omega, eps, period, starts, tol,
+                                   max_iter)
     redo = {i: zeros for i in seeded if isinstance(fine[i], restart)}
     for i in seeded:
         if isinstance(fine[i], tuple):  # the coarse pushes come first
             curve, updates, rates = fine[i]
             fine[i] = (curve, outcomes[i][1] + updates, outcomes[i][2] + rates)
     outcomes.update(fine)
-    outcomes.update(_iterate_stacks(spec, omega, eps, period, redo, tol,
-                                    max_iter))
+    outcomes.update(_iterate_to_fixed_point(spec, omega, eps, period, redo,
+                                            tol, max_iter))
     return outcomes
 
 
@@ -619,11 +613,13 @@ def _solve_curves(spec, omega, eps, config, seed_curves):
     """The curves of the problems (spec, omega, eps[e]), solved as one stack
     (see `solve_invariant_curve`, whose rules each problem keeps): one
     outcome per problem, (curve, `SolverReport`) or the `PerimapError` that
-    stopped it.  ``seed_curves`` gives each problem its seed curve; with
-    None every problem starts cold.  A seed count other than the eps count,
-    or a seed of the wrong period, node count or k2, raises `ValueError`
-    before any evaluation, as does a ``max_iter`` below 1; a seed outside
-    the r1 disc is a `DomainError` of its problem.
+    stopped it.  ``seed_curves`` gives each problem its seed curve
+    (`uniqueness_test` is the one caller that passes them); with None every
+    problem starts cold.  A seed count other than the eps count, or a seed
+    of the wrong period, node count or k2, raises `ValueError` before any
+    evaluation, as do a ``max_iter`` below 1 and a ``tol`` that is not
+    positive and finite; a seed outside the r1 disc is a `DomainError` of
+    its problem.
     """
     _require_scalar_periodic(spec)
     omega, eps = float(omega), [float(e) for e in eps]
@@ -646,7 +642,7 @@ def _solve_curves(spec, omega, eps, config, seed_curves):
         outcomes = {e: DomainError("seed curve exceeds the radius-r1 disc")
                     for e, seed in enumerate(seed_curves)
                     if seed.sup_norm() > spec.r1}
-        outcomes.update(_iterate_stacks(
+        outcomes.update(_iterate_to_fixed_point(
             spec, omega, eps, spec.period,
             {e: seed.values for e, seed in enumerate(seed_curves)
              if e not in outcomes}, config.tol, config.max_iter))
@@ -678,44 +674,40 @@ def _verified(spec, omega, eps, outcome, config):
 
 
 def solve_invariant_curve(spec, omega, eps, config=None):
-    """Iterate the graph transform from the seed curve until the node update
+    """Iterate the graph transform from a cold start until the node update
     falls below ``tol``; returns the curve and a `SolverReport`.
 
     Every spec is solved by the same preconditioned, Anderson-accelerated
     pushes (`_iterate_to_fixed_point`), which stop on the update of the plain
     transform and return its last image.  ``iterations`` counts pushes, one
     map call each, and ``measured_rates`` holds the secant contraction rates
-    of the plain transform on the iterates.  Once a push misses ``tol``,
-    the solve also reads the model map's constants (`map_core.origin`,
-    cached per spec), so an alpha that is not finite at the origin raises
-    `EvaluationError`.  The solve is a stack of one problem
-    (`_solve_curves`); `continuity_in_eps` stacks its whole eps list.
+    of the plain transform on the iterates.  Once a push misses ``tol``
+    with another push allowed, the solve also reads the model map's
+    constants (`map_core.origin`, cached per spec), so an alpha that is not
+    finite at the origin raises `EvaluationError`.  The solve is a stack of
+    one problem (`_solve_curves`); `continuity_in_eps` stacks its whole eps
+    list.
 
-    With no ``seed_curve`` the solve starts cold (`_solve_cold`): from the
-    zero curve, or for n_nodes >= `COARSE_MIN_NODES` from a solve on
-    n_nodes // `COARSE_FACTOR` nodes when that grid resolves the curve.
-    ``iterations`` and ``measured_rates`` then list the coarse pushes and
-    rates first, then the fine ones; ``final_update`` is the fine level's,
-    and ``max_iter`` bounds each level.  The stopping rule and the returned
-    plain image are the same, so the curve lies within about ``tol`` of the
-    one from the zero curve, and a solve that fails from the coarse seed is
-    redone from zeros, so it fails only as the cold solve does.
+    The solve starts cold (`_solve_cold`): from the zero curve, or for
+    n_nodes >= `COARSE_MIN_NODES` from a solve on n_nodes // `COARSE_FACTOR`
+    nodes when that grid resolves the curve.  ``iterations`` and
+    ``measured_rates`` then list the coarse pushes and rates first, then the
+    fine ones; ``final_update`` is the fine level's, and ``max_iter`` bounds
+    each level.  The stopping rule and the returned plain image are the
+    same, so the curve lies within about ``tol`` of the one from the zero
+    curve, and a solve that fails from the coarse seed is redone from zeros,
+    so it fails only as the cold solve does.
 
-    A ``seed_curve`` whose period, node count or k2 differs from
-    ``spec.period``, ``n_nodes`` or ``spec.k2`` raises `ValueError` before
-    any evaluation, as does a ``max_iter`` below 1, and one whose sup norm
-    exceeds r1 raises `DomainError`; missing ``tol`` in ``max_iter`` sweeps
-    raises `ConvergenceError`.  ``converged`` then requires the off-node
-    invariance residual to be explainable by the spline discretization:
-    residual <= 10 * (tol + est), where est is the standard
-    interpolation-error scale computed from fourth differences of the node
-    values.  This keeps the stall guard of the stopping rule without
-    demanding sub-discretization residuals.
+    A ``max_iter`` below 1, or a ``tol`` that is not positive and finite,
+    raises `ValueError` before any evaluation; missing ``tol`` in
+    ``max_iter`` sweeps raises `ConvergenceError`.  ``converged`` then
+    requires the off-node invariance residual to be explainable by the
+    spline discretization: residual <= 10 * (tol + est), where est is the
+    standard interpolation-error scale computed from fourth differences of
+    the node values.  This keeps the stall guard of the stopping rule
+    without demanding sub-discretization residuals.
     """
-    config = config or CurveConfig()
-    seed = config.seed_curve
-    [got] = _solve_curves(spec, omega, [eps], config,
-                          None if seed is None else [seed])
+    [got] = _solve_curves(spec, omega, [eps], config or CurveConfig(), None)
     if isinstance(got, PerimapError):
         raise got
     return got
@@ -808,8 +800,11 @@ def periodicity_defect(spec, omega, eps, config=None):
 
 def uniqueness_test(spec, omega, eps, config, seeds):
     """Sup-distance between the curves converged from two seed curves,
-    solved as one stack; the first seed's failure is raised first, and a
-    seed count other than two is a `ValueError` before any evaluation."""
+    solved as one stack; the first seed's failure is raised first.  A seed
+    count other than two, or a seed whose period, node count or k2 differs
+    from ``spec.period``, ``n_nodes`` or ``spec.k2``, is a `ValueError`
+    before any evaluation, and a seed whose sup norm exceeds r1 a
+    `DomainError`."""
     solved = _solve_curves(spec, omega, [eps, eps], config, list(seeds))
     for got in solved:
         if isinstance(got, PerimapError):
@@ -836,10 +831,8 @@ def continuity_in_eps(spec, omega, eps_list, config=None):
     type, with the message ``eps=<value>: <original>`` and chained to it.
     """
     config = config or CurveConfig()
-    seed = config.seed_curve
     eps_sorted = [float(e) for e in sorted(eps_list)]
-    solved = _solve_curves(spec, omega, eps_sorted, config,
-                           None if seed is None else [seed] * len(eps_sorted))
+    solved = _solve_curves(spec, omega, eps_sorted, config, None)
     rows = []
     for eps, got in zip(eps_sorted, solved):
         if isinstance(got, PerimapError):

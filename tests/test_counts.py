@@ -1,5 +1,6 @@
-"""Sample, lane and iteration counts below 1, and state rows of the wrong
-width, raise `ValueError` before any evaluation."""
+"""Sample, lane and iteration counts below 1, tolerances and radii that are
+not positive and finite, and state rows of the wrong width, raise
+`ValueError` before any evaluation."""
 import numpy as np
 import pytest
 
@@ -47,6 +48,21 @@ PARAMS = pm.EmbeddingParams(lam=1.0, B=np.array([[0.5]]), A_lambda=np.eye(3),
 def test_count_below_one_rejected(name, call):
     with pytest.raises(ValueError, match=rf"\b{name}\b.*at least 1, got 0"):
         call()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name, call", [
+    ("tol", lambda tol: pm.solve_invariant_curve(
+        BOOM_MAP, 0.25, 0.01, pm.CurveConfig(n_nodes=8, tol=tol))),
+    ("tol", lambda tol: pm.periodicity_defect(
+        BOOM_MAP, 0.25, 0.01, pm.CurveConfig(n_nodes=8, tol=tol))),
+    ("u_range", lambda u_range: cycle_analysis.certify_contraction(
+        BOOM_HANDLE, u_range, (0.0, 0.0), NORM)),
+], ids=["solve_invariant_curve", "periodicity_defect", "certify_contraction"])
+def test_scale_not_positive_rejected(name, call, value):
+    with pytest.raises(ValueError,
+                       match=rf"\b{name} must be positive and finite, got"):
+        call(value)
 
 
 @pytest.mark.parametrize("name, expected, call", [

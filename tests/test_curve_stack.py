@@ -255,19 +255,71 @@ class TestPushRounds:
             pm.solve_invariant_curve(spec, 0.25, eps, cfg)[1].iterations
             for eps in eps_list]
 
+    def test_a_sweep_splits_into_stacks_of_at_most_stack_nodes(
+            self, monkeypatch):
+        # at n 4096 a stack holds STACK_NODES // n = 2 problems, so three
+        # eps make a stack of two, which takes four rounds, and a stack of
+        # one, which takes five; each keeps the bits of its lone solve
+        n, spec = 4096, pm.nonlinear_toy()
+        assert pm.invariant_graph.STACK_NODES // n == 2
+        sweep, rounds = pm.invariant_graph._sweep, []
+
+        def counted_sweep(*args):
+            rounds.append(len(args[2]))
+            return sweep(*args)
+
+        monkeypatch.setattr(pm.invariant_graph, "_sweep", counted_sweep)
+        eps_list = [1e-3, 5e-3, 1e-2]
+        cfg = pm.CurveConfig(n_nodes=n, tol=1e-12, seed=1)
+        rows = pm.continuity_in_eps(spec, 0.25, eps_list, cfg)
+        assert rounds == [2] * 4 + [1] * 5
+        monkeypatch.undo()
+        assert _row_hex(rows) == _row_hex(_loop_rows(spec, 0.25, eps_list,
+                                                     cfg))
+
 
 class TestOutcomes:
     def test_a_missed_tol_is_a_convergence_error(self):
         # eps 0 meets tol at its first push; eps 0.01 needs more than 3,
         # so its outcome is the error that names max_iter and its last update
         spec = pm.nonlinear_toy()
-        zeros = np.zeros((2, 64, 1))
-        met, missed = pm.invariant_graph._iterate_to_fixed_point(
-            spec, 0.25, [0.0, 0.01], spec.period, zeros, 1e-12, 3)
+        zeros = np.zeros((64, 1))
+        got = pm.invariant_graph._iterate_to_fixed_point(
+            spec, 0.25, [0.0, 0.01], spec.period, {0: zeros, 1: zeros}, 1e-12,
+            3)
+        met, missed = got[0], got[1]
         curve, updates, rates = met
         assert isinstance(curve, pm.PeriodicGridFn) and updates == [0.0]
-        [(_, lone_updates, _)] = pm.invariant_graph._iterate_to_fixed_point(
-            spec, 0.25, [0.01], spec.period, zeros[1:], 1e-12, 100)
+        _, lone_updates, _ = pm.invariant_graph._iterate_to_fixed_point(
+            spec, 0.25, [0.01], spec.period, {0: zeros}, 1e-12, 100)[0]
         assert isinstance(missed, pm.ConvergenceError)
         assert str(missed) == ("no convergence after 3 sweeps (last update "
                                f"{lone_updates[2]:.3g})")
+
+    def test_the_last_allowed_push_ends_a_problem(self, monkeypatch):
+        # the third push misses tol and ends the problem: it is neither
+        # preconditioned nor mixed, so 3 pushes make 2 preconditioned steps
+        # and 1 Anderson fit (the second push's)
+        spec = pm.nonlinear_toy()
+        lone = pm.invariant_graph._iterate_to_fixed_point(
+            spec, 0.25, [0.01], spec.period, {0: np.zeros((64, 1))}, 1e-12,
+            100)[0]
+        calls = {"_sweep": 0, "_precondition": 0, "lstsq": 0}
+
+        def counted(name, fun):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fun(*args, **kwargs)
+            return call
+
+        for name in ("_sweep", "_precondition"):
+            monkeypatch.setattr(pm.invariant_graph, name, counted(
+                name, getattr(pm.invariant_graph, name)))
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            counted("lstsq", np.linalg.lstsq))
+        cfg = pm.CurveConfig(n_nodes=64, tol=1e-12, max_iter=3)
+        with pytest.raises(pm.ConvergenceError) as raised:
+            pm.solve_invariant_curve(spec, 0.25, 0.01, cfg)
+        assert calls == {"_sweep": 3, "_precondition": 2, "lstsq": 1}
+        assert str(raised.value) == ("no convergence after 3 sweeps (last "
+                                     f"update {lone[1][2]:.3g})")

@@ -203,9 +203,9 @@ class TestSolver:
         # beta forces mode 1 and the half-frequency mode over the doubled
         # window; both contract at 0.5, and one preconditioned step takes
         # out both
-        [got] = _iterate_to_fixed_point(
-            _half_frequency_map(), 0.37, [1e-3], 2.0, np.zeros((1, 4096, 1)),
-            1e-12, 100)
+        got = _iterate_to_fixed_point(
+            _half_frequency_map(), 0.37, [1e-3], 2.0, {0: np.zeros((4096, 1))},
+            1e-12, 100)[0]
         assert isinstance(got, tuple) and len(got[1]) <= 4  # tol met
 
     def test_coupled_k2_map(self):
@@ -475,8 +475,8 @@ class TestPeriodicityDefect:
                                                    / 256)[:, None])
         xs = np.linspace(0.0, 1.0, 1024, endpoint=False)
         assert np.max(np.abs(seed.eval(xs + 1.0) - seed.eval(xs))) > 0.39
-        [got] = _iterate_to_fixed_point(
-            spec, 0.25, [0.01], seed.period, seed.values[None], 1e-12, 100)
+        got = _iterate_to_fixed_point(
+            spec, 0.25, [0.01], seed.period, {0: seed.values}, 1e-12, 100)[0]
         assert isinstance(got, tuple)  # tol met
         curve = got[0]
         assert np.max(np.abs(curve.eval(xs + 1.0) - curve.eval(xs))) <= 1e-9
@@ -556,16 +556,16 @@ class TestTypedFailures:
 
         spec = replace(e1, alpha=no_eval, beta=no_eval)
         with pytest.raises(ValueError, match=what):
-            pm.solve_invariant_curve(spec, 0.25, 0.01, pm.CurveConfig(
-                n_nodes=64, seed_curve=seed))
+            pm.uniqueness_test(spec, 0.25, 0.01, pm.CurveConfig(n_nodes=64),
+                               (seed, seed))
 
     def test_curve_outside_the_disc(self, e1):
         curve = pm.PeriodicGridFn(1.0, np.full((16, 1), 1.5))
         with pytest.raises(pm.DomainError, match="candidate curve exceeds"):
             pm.graph_transform(e1, 0.25, 0.0, curve)
         with pytest.raises(pm.DomainError, match="seed curve exceeds"):
-            pm.solve_invariant_curve(e1, 0.25, 0.0, pm.CurveConfig(
-                n_nodes=16, seed_curve=curve))
+            pm.uniqueness_test(e1, 0.25, 0.0, pm.CurveConfig(n_nodes=16),
+                               (curve, curve))
 
 
 def _restarting_map():
@@ -663,8 +663,8 @@ class TestRarePaths:
     def test_anderson_history_restarts(self):
         spec = _restarting_map()
         seed = pm.PeriodicGridFn.zeros(1.0, 64, 1)
-        [got] = _iterate_to_fixed_point(
-            spec, 0.25, [0.01], seed.period, seed.values[None], 1e-12, 100)
+        got = _iterate_to_fixed_point(
+            spec, 0.25, [0.01], seed.period, {0: seed.values}, 1e-12, 100)[0]
         assert isinstance(got, tuple) and len(got[1]) == 15  # tol met
         updates = got[1]
         grew = [k for k in range(1, len(updates)) if updates[k] > updates[k - 1]]
@@ -780,11 +780,12 @@ class TestCoarseStart:
             estimate = pm.invariant_graph._interp_error_estimate
             iterate = _iterate_to_fixed_point
 
-            def seeded_fine_level_fails(spec, omega, eps, period, values, tol,
+            def seeded_fine_level_fails(spec, omega, eps, period, starts, tol,
                                         max_iter):
-                if values.shape[1] == self.N and np.any(values != 0.0):
+                if any(len(values) == self.N and np.any(values != 0.0)
+                       for values in starts.values()):
                     max_iter = 1
-                return iterate(spec, omega, eps, period, values, tol,
+                return iterate(spec, omega, eps, period, starts, tol,
                                max_iter)
 
             monkeypatch.setattr(
@@ -802,21 +803,21 @@ class TestCoarseStart:
                                                         cold, monkeypatch):
         iterate = _iterate_to_fixed_point
 
-        def coarse_fails(spec, omega, eps, period, values, tol, max_iter):
-            if values.shape[1] == self.N:
-                return iterate(spec, omega, eps, period, values, tol, max_iter)
+        def coarse_fails(spec, omega, eps, period, starts, tol, max_iter):
+            if all(len(values) == self.N for values in starts.values()):
+                return iterate(spec, omega, eps, period, starts, tol, max_iter)
             if failure == "order":
-                return [MonotonicityError("coarse pushes lost their order")]
+                return {0: MonotonicityError("coarse pushes lost their order")}
             if failure == "disc":
-                return [pm.DomainError("coarse push left the disc")]
+                return {0: pm.DomainError("coarse push left the disc")}
             if failure == "max_iter":
                 max_iter = 2
-            [got] = iterate(spec, omega, eps, period, values, tol, max_iter)
+            got = iterate(spec, omega, eps, period, starts, tol, max_iter)
             if failure == "sampled_off_disc":
-                curve, updates, rates = got
-                got = (curve.with_values(curve.values + 1.5 * spec.r1),
-                       updates, rates)
-            return [got]
+                curve, updates, rates = got[0]
+                got[0] = (curve.with_values(curve.values + 1.5 * spec.r1),
+                          updates, rates)
+            return got
 
         cfg = pm.CurveConfig(n_nodes=self.N, tol=1e-12)
         ref, ref_rep = cold(pm.solve_invariant_curve, e2, 0.25, 0.01, cfg)

@@ -353,11 +353,11 @@ def _nan_at_origin(fun):
 
 _ALPHA_NAN_AT_ORIGIN = replace(_SHEAR, alpha=_nan_at_origin(_SHEAR.alpha))
 _ORIGIN_ENTRY_POINTS = {
-    # the seed curve keeps every push off y = 0, so only the preconditioner's
+    # the seed curves keep every push off y = 0, so only the preconditioner's
     # read of the origin meets the nan
-    "solve": lambda spec: pm.solve_invariant_curve(
-        spec, 0.25, 0.01, pm.CurveConfig(
-            n_nodes=64, seed_curve=pm.PeriodicGridFn.constant(1.0, 64, [0.1]))),
+    "solve": lambda spec: pm.uniqueness_test(
+        spec, 0.25, 0.01, pm.CurveConfig(n_nodes=64),
+        [pm.PeriodicGridFn.constant(1.0, 64, [0.1])] * 2),
     "certificate": _ENTRY_POINTS["certificate"],
     "embedding-params": lambda spec: pm.embedding.embedding_params(
         spec, 0.5, 0.5),
