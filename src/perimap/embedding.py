@@ -24,7 +24,7 @@ import scipy.linalg
 
 from . import map_core
 from .exceptions import CertificateError, ConvergenceError, DomainError
-from .numdiff import first_step
+from .numdiff import coordinate_probes, first_step
 from .sampling import require_count, stratified_groups
 
 Array = np.ndarray
@@ -100,8 +100,9 @@ def _check_lam(lam):
 
 
 def _tilde_batch(spec, lam, omega, eps, X, Y):
-    """(alpha-tilde, beta-tilde) as one (n, k1+2+k2) array at scalar
-    (omega, eps); a misshaped evaluation raises `EvaluationError`."""
+    """(alpha-tilde, beta-tilde) as one (n, k1+2+k2) array; ``omega`` and
+    ``eps`` are each a float or an (n, 1) column, one value per row, as for
+    the evaluators.  A misshaped evaluation raises `EvaluationError`."""
     _check_lam(lam)
     if np.max(np.linalg.norm(lam * Y, axis=-1)) > spec.r1 * (1 + 1e-12):
         raise DomainError("||lam * y|| exceeds r1")
@@ -229,61 +230,45 @@ def invert_G(spec, params, target, tol=1e-12, max_iter=100):
 
 def _tilde_sup(spec, lam, eps_range, x_range, n_samples, seed):
     """Sampled sup of ||tilde|| + ||D tilde|| for both remainders at scale lam,
-    with omega in [-1/lam, 2/lam].  One Jacobian holds the centered
+    with omega in [-1/lam, 2/lam].  One Jacobian holds the centred
     differences in every coordinate, alpha-tilde rows above beta-tilde rows.
 
-    The centre and the +/- probes of every column of X and of Y share the
-    group's (omega, eps), so they go to one `_tilde_batch` call as stacked
-    row blocks; the omega and eps probes take a call each.
+    A coordinate moves by +/-h, `first_step` of its largest |entry| within
+    the group for omega, eps and x and of 1 for y.  The centre and the
+    probes of every coordinate of every group, each row with its own
+    (omega, eps), go to one `_tilde_batch` call.
     """
     n_top = spec.k1 + 2
     y_max = spec.r1 / lam
-    sup_a = sup_b = 0.0
-    for w, e, X, Y in stratified_groups(np.random.default_rng(seed), n_samples,
-                                        4, (-1.0 / lam, 2.0 / lam), eps_range,
-                                        x_range, spec.r1, spec.k1, spec.k2):
-        # a y-probe of column c stays in ||lam*y|| <= r1 while |y_c| <= edge
-        sq = Y**2
-        edge = np.sqrt(np.maximum(
-            y_max * y_max - (sq.sum(axis=1, keepdims=True) - sq), 0.0))
-        # row blocks: the centre, then (plus, minus) of every column of X, Y
-        Xs, Ys, spans = [X], [Y], []
-        for a, V in enumerate((X, Y)):
-            for c in range(V.shape[1]):
-                h = float(first_step(np.max(np.abs(V[:, c])) if a == 0
-                                     else 1.0))
-                up, down, span = V[:, c] + h, V[:, c] - h, 2.0 * h
-                if a == 1:
-                    up = np.minimum(up, edge[:, c])
-                    down = np.maximum(down, -edge[:, c])
-                    span = (up - down)[:, None]
-                for probe in (up, down):
-                    moved = V.copy()
-                    moved[:, c] = probe
-                    Xs.append(moved if a == 0 else X)
-                    Ys.append(Y if a == 0 else moved)
-                spans.append(span)
-        t = _tilde_batch(spec, lam, w, e, np.vstack(Xs), np.vstack(Ys))
-        t = t.reshape(len(Xs), len(X), -1)
-        t0 = t[0]
-        J = np.zeros(t0.shape + (2 + len(spans),))
-        for j, arg in enumerate((w, e)):
-            h = float(first_step(arg))
-            plus, minus = [w, e], [w, e]
-            plus[j], minus[j] = arg + h, arg - h
-            J[:, :, j] = (_tilde_batch(spec, lam, *plus, X, Y)
-                          - _tilde_batch(spec, lam, *minus, X, Y)) / (2.0 * h)
-        for j, span in enumerate(spans):
-            J[:, :, 2 + j] = (t[1 + 2 * j] - t[2 + 2 * j]) / span
-
-        map_core.require_finite(t0, J)  # once per group, not per stencil
-        na = np.linalg.norm(t0[:, :n_top], axis=1) + np.linalg.svd(
-            J[:, :n_top], compute_uv=False)[:, 0]
-        nb = np.linalg.norm(t0[:, n_top:], axis=1) + np.linalg.svd(
-            J[:, n_top:], compute_uv=False)[:, 0]
-        sup_a = max(sup_a, float(np.max(na)))
-        sup_b = max(sup_b, float(np.max(nb)))
-    return sup_a, sup_b
+    Z = stratified_groups(np.random.default_rng(seed), n_samples, 4,
+                          (-1.0 / lam, 2.0 / lam), eps_range, x_range,
+                          spec.r1, spec.k1, spec.k2)
+    G, m, d = Z.shape
+    h = first_step(np.max(np.abs(Z), axis=1, keepdims=True))  # (G, 1, d)
+    h[..., n_top:] = first_step(1.0)
+    up, down, span = Z + h, Z - h, np.broadcast_to(2.0 * h, Z.shape).copy()
+    # a y-probe of column c stays in ||lam*y|| <= r1 while |y_c| <= edge
+    sq = Z[..., n_top:]**2
+    edge = np.sqrt(np.maximum(
+        y_max * y_max - (sq.sum(axis=-1, keepdims=True) - sq), 0.0))
+    up[..., n_top:] = np.minimum(up[..., n_top:], edge)
+    down[..., n_top:] = np.maximum(down[..., n_top:], -edge)
+    span[..., n_top:] = up[..., n_top:] - down[..., n_top:]
+    # row blocks: the centre, then (plus, minus) of every coordinate
+    blocks = coordinate_probes(Z, (up, down))
+    rows = np.concatenate(blocks).reshape(-1, d)
+    t = _tilde_batch(spec, lam, rows[:, :1], rows[:, 1:2], rows[:, 2:n_top],
+                     rows[:, n_top:]).reshape(len(blocks), G * m, -1)
+    t0 = t[0]
+    # J[row, output, coordinate]
+    J = np.moveaxis((t[1::2] - t[2::2])
+                    / span.reshape(G * m, d).T[:, :, None], 0, -1)
+    map_core.require_finite(t0, J)
+    na = np.linalg.norm(t0[:, :n_top], axis=1) + np.linalg.svd(
+        J[:, :n_top], compute_uv=False)[:, 0]
+    nb = np.linalg.norm(t0[:, n_top:], axis=1) + np.linalg.svd(
+        J[:, n_top:], compute_uv=False)[:, 0]
+    return float(np.max(na)), float(np.max(nb))
 
 
 def spectral_gap(params):

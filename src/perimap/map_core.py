@@ -6,9 +6,11 @@ The map class handled throughout the package sends (x, y) in R^k1 x r1*D^k2 to
 
 ``alpha`` and ``beta`` are user evaluators that must be vectorized over a
 leading batch axis: for inputs x of shape (n, k1) and y of shape (n, k2) they
-return (n, k1) and (n, k2).  ``omega`` and ``eps`` are always scalars.  All
-operations here are pure functions of their inputs (`origin` keeps its
-read-only results), so a `MapSpec` can be shared freely across threads.
+return (n, k1) and (n, k2).  ``omega`` and ``eps`` are each a float or an
+(n, 1) column, one value per row, so a column-safe evaluator slices x and y
+into columns (``x[:, :1]``, not ``x[:, 0]``).  All operations here are pure
+functions of their inputs (`origin` keeps its read-only results), so a
+`MapSpec` can be shared freely across threads.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, EvaluationError
-from .numdiff import central_jacobian, first_step, second_step
+from .numdiff import (central_jacobian, coordinate_probes, first_step,
+                      second_step)
 from .sampling import (ball_points, latin_hypercube, require_positive,
                        stratified_groups)
 
@@ -37,9 +40,13 @@ class MapSpec:
     alpha and beta are declared ``period``-periodic; ``None`` means no
     periodicity is claimed (and the invariant-curve solver is unavailable).
 
-    The curve solver treats every spec alike, closed-form or a wrapped
-    Poincare map whose call is one batched flow: each push is one call of
-    alpha, then of beta, at the nodes (see `invariant_graph`).
+    alpha and beta take (omega, eps, x, y) with x (n, k1), y (n, k2) and
+    omega and eps each a float or an (n, 1) column, one value per row, and
+    return (n, k1) and (n, k2).  The curve solver treats every spec alike,
+    closed-form or a wrapped Poincare map whose call is one batched flow:
+    each push is one call of alpha, then of beta, at the nodes (see
+    `invariant_graph`); the sampled checks put all of their rows, each
+    with its own (omega, eps), in one call.
     """
 
     k1: int
@@ -196,66 +203,44 @@ def iterate(spec, omega, eps, x0, y0, n):
 # assumption checks
 # ----------------------------------------------------------------------------
 
-def _coordinate_diff_sups(fun, omega, eps, X, Y, x_shift):
-    """Values and column sups of centered first and second differences over
-    all arguments.
+def _coordinate_diff_sups(fun, Z, extra):
+    """Values and column sups of centred first and second differences in
+    every coordinate of the stacked groups ``Z``, (G, m, d) rows (omega,
+    eps, x, y).
 
-    ``fun(omega, eps, X, Y)`` returns (n, c) columns; omega/eps are scalars
-    here, so differencing in those coordinates shifts the scalar while the
-    (x, y) batch is shared.  A column of X or Y shifts as a whole, with steps
-    sized by its largest entry.  The centre and the +/-h1, +/-h2 probes of
-    every column of X and of Y share (omega, eps), so they go to ``fun`` as
-    one call of stacked row blocks, with the rows (X + ``x_shift``, Y)
-    unless ``x_shift`` is None; each omega or eps probe is a call of its
-    own.  Returns (f, sup_d1, sup_d2, f_shift): f at the stencil's centre,
-    (n, c), the sups over rows and coordinates, (c,), and f at the shifted
-    rows (None for no shift).
+    ``fun`` sends (n, d) rows to (n, c) columns.  A coordinate moves by
+    +/-h1 and +/-h2, `first_step` and `second_step` of its largest |entry|
+    within the group, so a group's constant omega or eps column shifts as
+    one scalar.  The centre, those probes and the caller's ``extra`` blocks,
+    each shaped like Z, go to ``fun`` as one call of stacked row blocks.
+    Returns (f, sup_d1, sup_d2, f_extra): f at the centre, (G * m, c), the
+    sups over rows and coordinates, (c,), and f at each extra block.
     """
-    # row blocks: the centre, then +h1, -h1, +h2, -h2 of every column
-    Xs, Ys, h1s, h2s = [X], [Y], [], []
-    for a, V in enumerate((X, Y)):
-        for j in range(V.shape[1]):
-            scale = max(1.0, float(np.max(np.abs(V[:, j]))))
-            h1, h2 = float(first_step(scale)), float(second_step(scale))
-            for step in (h1, -h1, h2, -h2):
-                moved = V.copy()
-                moved[:, j] += step
-                Xs.append(moved if a == 0 else X)
-                Ys.append(Y if a == 0 else moved)
-            h1s.append(h1)
-            h2s.append(h2**2)
-    if x_shift is not None:
-        Xs.append(X + x_shift)
-        Ys.append(Y)
-    vals = fun(omega, eps, np.vstack(Xs), np.vstack(Ys))
-    vals = vals.reshape(len(Xs), len(X), -1)
-    f0, c = vals[0], vals.shape[2]
-
-    def sups(plus1, minus1, plus2, minus2, h1, h2_sq):
-        d1 = np.abs(plus1 - minus1) / (2.0 * h1)
-        d2 = np.abs(plus2 - 2.0 * f0 + minus2) / h2_sq
-        return d1.reshape(-1, c).max(axis=0), d2.reshape(-1, c).max(axis=0)
-
-    m = len(h1s)
-    probes = vals[1:1 + 4 * m].reshape(m, 4, len(X), c).swapaxes(0, 1)
-    sup_d1, sup_d2 = sups(*probes, np.array(h1s)[:, None, None],
-                          np.array(h2s)[:, None, None])
-    for j, scale in enumerate((omega, eps)):
-        h1, h2 = float(first_step(scale)), float(second_step(scale))
-        shifted = []
-        for step in (h1, -h1, h2, -h2):
-            moved = [omega, eps]
-            moved[j] = scale + step
-            shifted.append(fun(*moved, X, Y))
-        d1_j, d2_j = sups(*shifted, h1, h2**2)
-        sup_d1, sup_d2 = np.maximum(sup_d1, d1_j), np.maximum(sup_d2, d2_j)
-    return f0, sup_d1, sup_d2, (vals[-1] if x_shift is not None else None)
+    G, m, d = Z.shape
+    scale = np.max(np.abs(Z), axis=1)  # (G, d)
+    h1, h2 = first_step(scale), second_step(scale)
+    # row blocks: the centre, then +h1, -h1, +h2, -h2 of every coordinate
+    blocks = coordinate_probes(Z, [Z + step[:, None]
+                                   for step in (h1, -h1, h2, -h2)]) + extra
+    vals = fun(np.concatenate(blocks).reshape(-1, d))
+    vals = vals.reshape(len(blocks), G, m, -1)
+    f0, c = vals[0], vals.shape[-1]
+    plus1, minus1, plus2, minus2 = vals[1:1 + 4 * d].reshape(
+        d, 4, G, m, c).swapaxes(0, 1)
+    h1, h2 = (h.T[:, :, None, None] for h in (h1, h2))  # (d, G, 1, 1)
+    d1 = np.abs(plus1 - minus1) / (2.0 * h1)
+    d2 = np.abs(plus2 - 2.0 * f0 + minus2) / h2**2
+    return (f0.reshape(-1, c), d1.reshape(-1, c).max(axis=0),
+            d2.reshape(-1, c).max(axis=0),
+            [v.reshape(-1, c) for v in vals[1 + 4 * d:]])
 
 
 def pairwise_q(spec, rng, n_samples, y_radius):
     """Lipschitz constant of y -> beta(0,0,0,y) over all pairs of
     max(8, ``n_samples``) points of the ``y_radius`` ball, the first draw of
-    ``rng``."""
+    ``rng``; a radius above r1 raises `DomainError` before any evaluation."""
+    if not y_radius <= spec.r1:
+        raise DomainError(f"y_radius = {y_radius:.3g} exceeds r1 = {spec.r1}")
     n_q = max(8, n_samples)
     ys = ball_points(latin_hypercube(rng, n_q, spec.k2), y_radius)
     a, b = eval_batch(spec, 0.0, 0.0, np.zeros((n_q, spec.k1)), ys)
@@ -302,9 +287,13 @@ def check_assumptions(spec, box=None, n_samples=128, seed=0):
       differences over the box (noisy for integrator-backed evaluators; these
       fields are diagnostics, not certificates).
 
-    Each stencil point evaluates alpha and then beta, so a wrapped Poincare
-    map answers beta from its memo.  A misshaped or non-finite evaluation
-    raises `EvaluationError`.
+    The box's ``y_radius`` may not exceed r1 (`DomainError` from
+    `pairwise_q`, before any evaluation).  After `pairwise_q`'s call, every
+    row of every group goes to one evaluation of alpha and then beta, each
+    row with its own (omega, eps): the stencil's centre and probes, the two
+    a2 blocks and the periodicity rows, so a wrapped Poincare map answers
+    beta from its memo.  A misshaped or non-finite evaluation raises
+    `EvaluationError`.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -314,39 +303,36 @@ def check_assumptions(spec, box=None, n_samples=128, seed=0):
     rng = np.random.default_rng(seed)
     k1 = spec.k1
 
-    def both(w, e, X, Y):  # alpha's columns, then beta's
-        return np.hstack(eval_batch(spec, w, e, X, Y))
+    def both(Z):  # alpha's columns, then beta's, at the rows (omega, eps, x, y)
+        return np.hstack(eval_batch(spec, Z[:, :1], Z[:, 1:2], Z[:, 2:2 + k1],
+                                    Z[:, 2 + k1:]))
 
     q_estimate = pairwise_q(spec, rng, n_samples, y_radius)
     _, beta_0, B = origin(spec)
     sv = np.linalg.svd(B, compute_uv=False)
     invertible = bool(sv[-1] > 1e-12 * max(1.0, float(sv[0])))
 
-    a2 = float(np.linalg.norm(beta_0))
-    per = 0.0
-    sup = d1 = d2 = np.zeros(k1 + spec.k2)
-
-    shift = None
-    if spec.periodic_coord is not None:
-        shift = np.zeros(k1)
-        shift[spec.periodic_coord - 1] = spec.period
-
     # stratified (omega, eps) groups with (x, y) sub-batches
-    for w, e, X, Y in stratified_groups(rng, n_samples, 2, box.omega,
-                                        eps_range, box.x, y_radius,
-                                        k1, spec.k2):
-        # at eps=0 the outputs must not see omega or x
-        a2_g = float(np.max(np.abs(both(w, 0.0, X, Y)
-                                   - both(0.0, 0.0, np.zeros_like(X), Y))))
-        f, d1_g, d2_g, f_shift = _coordinate_diff_sups(both, w, e, X, Y,
-                                                       shift)
-        # declared periodicity in the k-th x coordinate; f is at (w, e, X, Y)
-        per_g = (float(np.max(np.abs(f_shift - f)))
-                 if shift is not None else 0.0)
-        require_finite(f, d1_g, d2_g, a2_g, per_g)
-        a2, per = max(a2, a2_g), max(per, per_g)
-        sup = np.maximum(sup, np.max(np.abs(f), axis=0))
-        d1, d2 = np.maximum(d1, d1_g), np.maximum(d2, d2_g)
+    Z = stratified_groups(rng, n_samples, 2, box.omega, eps_range, box.x,
+                          y_radius, k1, spec.k2)
+    # at eps=0 the outputs must not see omega or x
+    at_eps0 = Z.copy()
+    at_eps0[..., 1] = 0.0
+    at_origin = at_eps0.copy()
+    at_origin[..., :2 + k1] = 0.0
+    extra = [at_eps0, at_origin]
+    if spec.periodic_coord is not None:
+        # declared periodicity in the k-th x coordinate
+        shifted = Z.copy()
+        shifted[..., 1 + spec.periodic_coord] += spec.period
+        extra.append(shifted)
+    f, d1, d2, f_extra = _coordinate_diff_sups(both, Z, extra)
+    a2 = float(np.max(np.abs(f_extra[0] - f_extra[1])))
+    per = (float(np.max(np.abs(f_extra[2] - f)))
+           if spec.periodic_coord is not None else 0.0)
+    require_finite(f, d1, d2, a2, per)
+    a2 = max(float(np.linalg.norm(beta_0)), a2)
+    sup = np.max(np.abs(f), axis=0)
 
     bounds = {
         "sup_alpha": float(np.max(sup[:k1])),

@@ -1,4 +1,5 @@
-"""Finite-difference steps and the package's one central-difference stencil."""
+"""Finite-difference steps, the package's one central-difference stencil
+and the row blocks of the sampled stencils."""
 import numpy as np
 
 EPS = float(np.finfo(float).eps)
@@ -14,6 +15,19 @@ def first_step(x):
 
 def second_step(x):
     return STEP_SECOND * np.maximum(1.0, np.abs(x))
+
+
+def coordinate_probes(Z, probes):
+    """Row blocks of a stencil on the rows ``Z``: Z itself, then for every
+    coordinate j (the last axis) and each array P of ``probes``, shaped
+    like Z, a copy of Z whose coordinate j is P's."""
+    blocks = [Z]
+    for j in range(Z.shape[-1]):
+        for P in probes:
+            moved = Z.copy()
+            moved[..., j] = P[..., j]
+            blocks.append(moved)
+    return blocks
 
 
 def central_jacobian(fun, x0):

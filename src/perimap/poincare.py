@@ -160,11 +160,12 @@ class _WrappedPoincare:
     """alpha/beta evaluators backed by the Poincare map, with a one-request memo.
 
     One return flow yields both the lag (alpha) and the new chart point
-    (beta).  The memo holds the last request, its eps and copies of its
-    taus and us, with the lags and chart points it returned.  A request
-    equal to it, such as the beta evaluation that follows alpha at a
-    sweep's nodes, is answered without a flow; any other request flows all
-    of its rows through one `p_eps_batch` and becomes the memo.  Answers
+    (beta).  A float eps serves every row and an (n, 1) column gives one
+    eps per row, flowed as per-lane eps.  The memo holds copies of the last
+    request's eps, taus and us, with the lags and chart points it returned.
+    A request equal to it, such as the beta evaluation that follows alpha
+    at a sweep's nodes, is answered without a flow; any other request flows
+    all of its rows through one `p_eps_batch` and becomes the memo.  Answers
     are fresh arrays, so a caller cannot alter the memo.
     """
 
@@ -172,26 +173,25 @@ class _WrappedPoincare:
         self.handle = handle
         self._last = None  # (eps, taus, us, lags, outs) of the last request
 
-    def _lookup(self, eps, taus, us):
+    def _lookup(self, eps, x, y):
+        taus = np.atleast_2d(np.asarray(x, dtype=float))[:, 0]
+        us = np.atleast_2d(np.asarray(y, dtype=float))
+        eps = np.asarray(eps, dtype=float)
+        eps = eps.reshape(len(us)) if eps.ndim else float(eps)
         last = self._last
-        if (last is None or last[0] != eps or not np.array_equal(last[1], taus)
+        if (last is None or not np.array_equal(last[0], eps)
+                or not np.array_equal(last[1], taus)
                 or not np.array_equal(last[2], us)):
             times, outs = p_eps_batch(self.handle, taus, us, eps)
-            last = self._last = (eps, taus.copy(), us.copy(), times - taus,
-                                 outs)
+            last = self._last = (np.copy(eps), taus.copy(), us.copy(),
+                                 times - taus, outs)
         return last[3].copy(), last[4].copy()
 
     def alpha(self, omega, eps, x, y):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        lags, _ = self._lookup(float(eps), x[:, 0], y)
-        return lags[:, None]
+        return self._lookup(eps, x, y)[0][:, None]
 
     def beta(self, omega, eps, x, y):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        _, outs = self._lookup(float(eps), x[:, 0], y)
-        return outs
+        return self._lookup(eps, x, y)[1]
 
 
 def extract_alpha_beta(handle):

@@ -44,14 +44,19 @@ def ball_points(u, radius):
 
 def stratified_groups(rng, n_samples, min_groups, omega, eps, x, y_radius,
                       k1, k2):
-    """Yield max(``min_groups``, min(8, n_samples // 4)) groups (omega, eps,
-    X, Y): a Latin hypercube over the ``omega`` x ``eps`` box, then per group
-    one of about n_samples / n_groups rows, X in the ``x`` range and Y in the
-    ``y_radius`` ball."""
+    """max(``min_groups``, min(8, n_samples // 4)) groups of about
+    n_samples / n_groups rows (omega, eps, x, y), stacked as one (G, m,
+    2 + k1 + k2) array: a Latin hypercube over the ``omega`` x ``eps`` box
+    gives each group its constant omega and eps columns, then one per group
+    draws X in the ``x`` range and Y in the ``y_radius`` ball."""
     n_groups = max(min_groups, min(8, n_samples // 4))
     m = max(2, int(np.ceil(n_samples / n_groups)))
+    rows = np.empty((n_groups, m, 2 + k1 + k2))
     oe = latin_hypercube(rng, n_groups, 2)
-    for w, e in zip(scale_to(oe[:, 0], *omega), scale_to(oe[:, 1], *eps)):
+    rows[:, :, 0] = scale_to(oe[:, :1], *omega)
+    rows[:, :, 1] = scale_to(oe[:, 1:], *eps)
+    for group in rows:
         u = latin_hypercube(rng, m, k1 + k2)
-        yield (float(w), float(e), scale_to(u[:, :k1], *x),
-               ball_points(u[:, k1:], y_radius))
+        group[:, 2:2 + k1] = scale_to(u[:, :k1], *x)
+        group[:, 2 + k1:] = ball_points(u[:, k1:], y_radius)
+    return rows

@@ -184,9 +184,9 @@ class TestInvertG:
 def _nonlinear_two_dim_y_map():
     """k2 = 2 map nonlinear in y, so the y-rescaling of h_lambda matters."""
     def beta(omega, eps, x, y):
-        y1, y2 = y[:, 0], y[:, 1]
-        return np.column_stack([
-            0.5 * y1 + eps * np.sin(2 * np.pi * x[:, 0]) + 0.2 * eps * y2**2,
+        y1, y2 = y[:, :1], y[:, 1:]
+        return np.hstack([
+            0.5 * y1 + eps * np.sin(2 * np.pi * x) + 0.2 * eps * y2**2,
             0.4 * y2 + 0.1 * y1 * y2])
 
     return pm.MapSpec(k1=1, k2=2, r1=1.0,
@@ -307,9 +307,9 @@ class TestCertificate:
 
 class TestHybridCertificate:
     def test_wrapped_polar_hybrid(self, handle, monkeypatch):
-        """The certificate of the wrapped Poincare map: each (omega, eps)
-        group of the remainder stencil is five flows, so the ladder down to
-        lambda0 = 1/8 takes at most 66 flows, `origin` and q included."""
+        """The certificate of the wrapped Poincare map: each rung's
+        remainder stencil is one flow, so the ladder down to lambda0 = 1/8
+        takes at most 6 flows, `origin` and q included."""
         flows = []
         p_eps_batch = pm.poincare.p_eps_batch
 
@@ -322,7 +322,7 @@ class TestHybridCertificate:
                               seed=1)
         assert cert.lambda0 == 0.125
         assert cert.q < 1.0 and cert.eps0 == handle.sys.r1 * 0.125**2 / 2.0
-        assert len(flows) <= 66
+        assert len(flows) <= 6
 
 
 class TestCertificateFailures:
@@ -372,8 +372,8 @@ class TestTypedFailures:
 def _two_dim_y_map():
     """k2 = 2 map whose spectral gap holds at lambda = 1 (small alpha(0))."""
     def beta(omega, eps, x, y):
-        return np.column_stack([0.5 * y[:, 0] + eps * np.sin(2 * np.pi * x[:, 0]),
-                                0.4 * y[:, 1]])
+        return np.hstack([0.5 * y[:, :1] + eps * np.sin(2 * np.pi * x[:, :1]),
+                          0.4 * y[:, 1:]])
 
     return pm.MapSpec(k1=1, k2=2, r1=1.0,
                       alpha=lambda omega, eps, x, y: np.full_like(x, 0.1),

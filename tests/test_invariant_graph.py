@@ -247,10 +247,10 @@ def _coupled_map():
                 - 0.05 * y[:, 1:])
 
     def beta(omega, eps, x, y):
-        y1, y2 = y[:, 0], y[:, 1]
-        return np.column_stack([
-            0.5 * y1 + 0.2 * y2 + 0.1 * y1 * y2 + eps * np.sin(two_pi * x[:, 0]),
-            -0.1 * y1 + 0.4 * y2 + 0.2 * y1**2 + eps * np.cos(two_pi * x[:, 0])])
+        y1, y2 = y[:, :1], y[:, 1:]
+        return np.hstack([
+            0.5 * y1 + 0.2 * y2 + 0.1 * y1 * y2 + eps * np.sin(two_pi * x),
+            -0.1 * y1 + 0.4 * y2 + 0.2 * y1**2 + eps * np.cos(two_pi * x)])
 
     return pm.MapSpec(k1=1, k2=2, r1=1.0, alpha=alpha, beta=beta,
                       periodic_coord=1, period=1.0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import perimap as pm
-from perimap import cli
+from perimap import cli, map_core
 from perimap.exceptions import ConfigError, DomainError, EvaluationError
 
 
@@ -174,15 +174,15 @@ def torus_shear_2d():
 
     def alpha(w, e, x, y):
         out = np.ones_like(x)
-        out[..., 0] = 1.0 + 0.1 * e * np.sin(2 * np.pi * x[..., 1])
+        out[:, :1] = 1.0 + 0.1 * e * np.sin(2 * np.pi * x[:, 1:])
         return out
 
     def beta(w, e, x, y):
         b = np.empty_like(y)
-        b[..., 0] = 0.3 * y[..., 0] + 0.2 * y[..., 1] \
-            + e * np.sin(2 * np.pi * x[..., 1])
-        b[..., 1] = -0.2 * y[..., 0] + 0.3 * y[..., 1] \
-            + e * np.cos(2 * np.pi * x[..., 1])
+        b[:, :1] = 0.3 * y[:, :1] + 0.2 * y[:, 1:] \
+            + e * np.sin(2 * np.pi * x[:, 1:])
+        b[:, 1:] = -0.2 * y[:, :1] + 0.3 * y[:, 1:] \
+            + e * np.cos(2 * np.pi * x[:, 1:])
         return b
 
     return pm.MapSpec(k1=2, k2=2, r1=1.0, alpha=alpha, beta=beta,
@@ -297,6 +297,73 @@ class TestTypedFailures:
     def test_single_sample_rejected(self, e1):
         with pytest.raises(ValueError, match="n_samples must be at least 2"):
             pm.check_assumptions(e1, n_samples=1)
+
+    def test_box_radius_above_r1(self, e1):
+        # the box's y ball reached ||y|| = 2.88 for r1 = 1 and a report was
+        # returned; attraction_test refuses the same radius
+        calls = []
+
+        def counted(fn):
+            def evaluator(*args):
+                calls.append(fn)
+                return fn(*args)
+            return evaluator
+
+        spec = replace(e1, alpha=counted(e1.alpha), beta=counted(e1.beta))
+        with pytest.raises(DomainError, match="y_radius = 3 exceeds r1 = 1"):
+            pm.check_assumptions(spec, pm.SamplingBox(y_radius=3.0),
+                                 n_samples=16)
+        assert calls == []
+
+
+def _strong_toy():
+    return pm.nonlinear_toy(advance_coupling=3.0, y2_coupling=2.0)
+
+
+def _broadcasting_shear():
+    """linear-shear written with 1-D slices: right for a float eps, but a
+    column eps broadcasts beta to (n, n)."""
+    def beta(w, e, x, y):
+        return np.column_stack([0.5 * y[:, 0] + e * np.sin(2 * np.pi * x[:, 0])])
+
+    return replace(pm.linear_shear(), beta=beta)
+
+
+class TestPerRowOmegaEps:
+    """omega and eps reach an evaluator as floats or as (n, 1) columns, one
+    value per row."""
+
+    @staticmethod
+    def _rows(n=16):
+        rng = np.random.default_rng(11)
+        return (rng.uniform(-1.0, 2.0, (n, 1)), rng.uniform(-1.0, 1.0, (n, 1)),
+                rng.uniform(-2.0, 2.0, (n, 1)), rng.uniform(-1.0, 1.0, (n, 1)))
+
+    @pytest.mark.parametrize("builder", [pm.linear_shear, pm.nonlinear_toy,
+                                         _strong_toy])
+    def test_columns_equal_scalar_rows(self, builder):
+        spec = builder()
+        W, E, X, Y = self._rows()
+        a, b = map_core.eval_batch(spec, W, E, X, Y)
+        for i in range(len(X)):
+            a_i, b_i = map_core.eval_batch(spec, float(W[i, 0]), float(E[i, 0]),
+                                           X[i:i + 1], Y[i:i + 1])
+            assert a[i].tobytes() == a_i[0].tobytes()
+            assert b[i].tobytes() == b_i[0].tobytes()
+
+    def test_broadcasting_evaluator_is_a_typed_error(self):
+        spec = _broadcasting_shear()
+        W, E, X, Y = self._rows()
+        map_core.eval_batch(spec, 0.5, 0.1, X, Y)  # floats are fine
+        with pytest.raises(EvaluationError,
+                           match=r"beta \(16, 16\), expected .* \(16, 1\)"):
+            map_core.eval_batch(spec, W, E, X, Y)
+
+    @pytest.mark.parametrize("entry", ["certificate", "check-assumptions"])
+    def test_broadcasting_evaluator_fails_the_sampled_checks(self, entry):
+        with pytest.raises(EvaluationError,
+                           match=r"beta \((\d+), \1\), expected"):
+            _ENTRY_POINTS[entry](_broadcasting_shear())
 
 
 def _nan_beyond(fun):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import perimap as pm
-from perimap import hybrid_ode
+from perimap import hybrid_ode, map_core
 from perimap.dopri import integrate
 
 
@@ -221,6 +221,36 @@ class _LaneCounter:
     def __call__(self, handle, taus, us, eps):
         self.rows.append(np.column_stack([taus, us]))
         return self.fn(handle, taus, us, eps)
+
+
+class TestWrappedColumns:
+    """A wrapped map takes omega and eps as (n, 1) columns, one per row, and
+    flows them as per-lane eps."""
+
+    def test_columns_match_scalar_rows(self, handle):
+        spec = pm.extract_alpha_beta(handle)
+        rng = np.random.default_rng(4)
+        n = 5
+        W, E = np.ones((n, 1)), rng.uniform(-0.01, 0.015, (n, 1))
+        X, Y = rng.uniform(0.0, 0.8, (n, 1)), rng.uniform(-0.3, 0.3, (n, 1))
+        a, b = map_core.eval_batch(spec, W, E, X, Y)
+        tol = 10.0 * pm.poincare.CURVE_RTOL
+        for i in range(n):
+            a_i, b_i = map_core.eval_batch(spec, 1.0, float(E[i, 0]),
+                                           X[i:i + 1], Y[i:i + 1])
+            assert np.max(np.abs(a[i] - a_i[0])) <= tol
+            assert np.max(np.abs(b[i] - b_i[0])) <= tol
+
+    def test_memo_compares_the_eps_column(self, handle, monkeypatch):
+        counter = _LaneCounter(pm.poincare.p_eps_batch)
+        monkeypatch.setattr(pm.poincare, "p_eps_batch", counter)
+        spec = pm.extract_alpha_beta(handle)
+        xs, us = np.array([[0.1], [0.3]]), np.array([[0.05], [-0.1]])
+        eps = np.array([[0.01], [0.02]])
+        spec.alpha(1.0, eps, xs, us)
+        spec.beta(1.0, eps.copy(), xs, us)  # an equal column: no flow
+        spec.beta(1.0, np.array([[0.01], [0.03]]), xs, us)
+        assert [len(r) for r in counter.rows] == [2, 2]
 
 
 class TestWrappedMemo:

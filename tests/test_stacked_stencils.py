@@ -1,9 +1,10 @@
 """The stacked difference stencils of `embedding._tilde_sup` and
 `map_core.check_assumptions` against per-probe references.
 
-Each probe that shares the group's (omega, eps) with the centre rides in
-one evaluator call as a stacked row block.  The references below evaluate
-every probe in a call of its own, as the stencils used to; for evaluators
+Every row of every (omega, eps) group, the centre and all probes, the
+omega and eps probes included, rides in one evaluator call, each row with
+its own (omega, eps) columns.  The references below evaluate every probe
+of every group in a call of its own at scalar (omega, eps); for evaluators
 that treat rows independently both must give the same bits.
 """
 import json
@@ -48,6 +49,14 @@ MAPS = {
 # per-probe references
 # ----------------------------------------------------------------------------
 
+def _groups(spec, *args):
+    """The groups of `stratified_groups` as (omega, eps, X, Y), the group's
+    omega and eps as scalars."""
+    for Z in stratified_groups(*args, spec.k1, spec.k2):
+        yield (float(Z[0, 0]), float(Z[0, 1]), Z[:, 2:2 + spec.k1],
+               Z[:, 2 + spec.k1:])
+
+
 def _tilde_sup_per_probe(spec, lam, eps_range, x_range, n_samples, seed):
     """`embedding._tilde_sup` with one `_tilde_batch` call per probe."""
     n_top = spec.k1 + 2
@@ -55,9 +64,9 @@ def _tilde_sup_per_probe(spec, lam, eps_range, x_range, n_samples, seed):
     coords = [(0, None), (1, None)] + [(2, c) for c in range(spec.k1)] + [
         (3, c) for c in range(spec.k2)]
     sup_a = sup_b = 0.0
-    for args in stratified_groups(np.random.default_rng(seed), n_samples, 4,
-                                  (-1.0 / lam, 2.0 / lam), eps_range, x_range,
-                                  spec.r1, spec.k1, spec.k2):
+    for args in _groups(spec, np.random.default_rng(seed), n_samples, 4,
+                        (-1.0 / lam, 2.0 / lam), eps_range, x_range,
+                        spec.r1):
         t0 = emb._tilde_batch(spec, lam, *args)
         sq = args[3]**2
         edge = np.sqrt(np.maximum(
@@ -140,9 +149,8 @@ def _check_assumptions_per_probe(spec, n_samples, seed):
     sup = d1 = d2 = np.zeros(k1 + spec.k2)
     shift = np.zeros(k1)
     shift[spec.periodic_coord - 1] = spec.period
-    for w, e, X, Y in stratified_groups(rng, n_samples, 2, box.omega,
-                                        (-spec.r1, spec.r1), box.x, spec.r1,
-                                        k1, spec.k2):
+    for w, e, X, Y in _groups(spec, rng, n_samples, 2, box.omega,
+                              (-spec.r1, spec.r1), box.x, spec.r1):
         a2_g = float(np.max(np.abs(both(w, 0.0, X, Y)
                                    - both(0.0, 0.0, np.zeros_like(X), Y))))
         f, d1_g, d2_g = _diff_sups_per_probe(both, w, e, X, Y)
@@ -194,7 +202,7 @@ def test_check_assumptions_matches_per_probe(name, seed):
 
 
 # ----------------------------------------------------------------------------
-# evaluator calls per (omega, eps) group
+# evaluator calls of a whole stencil
 # ----------------------------------------------------------------------------
 
 class _Counted:
@@ -219,13 +227,13 @@ class _Counted:
 
 @pytest.mark.parametrize("name", ["nonlinear-toy", "plane"])
 def test_tilde_sup_calls_per_group(name):
-    """The centre and every x- and y-probe in one call, then the omega and
-    eps pairs: 5 calls per group, whatever k1 and k2."""
+    """The centre and the +/- probes of every coordinate of all groups in
+    one call per rung, whatever k1 and k2."""
     counted = _Counted(MAPS[name]())
     spec = counted.spec
     emb._tilde_sup(spec, 0.25, (-1.0, 1.0), (0.0, 1.0), 64, 0)
     n_groups = 8  # max(4, min(8, 64 // 4))
-    assert counted.calls == 5 * n_groups
+    assert counted.calls == 1
     # the rows are those of one call per probe: centre, then +/- each column
     m = 64 // n_groups
     assert counted.rows == n_groups * m * (1 + 2 * (2 + spec.k1 + spec.k2))
@@ -233,14 +241,14 @@ def test_tilde_sup_calls_per_group(name):
 
 @pytest.mark.parametrize("name", ["nonlinear-toy", "plane"])
 def test_check_assumptions_calls_per_group(name):
-    """One call for the centre, the +/-h1 and +/-h2 probes of every column
-    and the periodicity rows, two for the a2 defect and eight for the omega
-    and eps probes: 11 calls per group after the one of `pairwise_q`."""
+    """One call after the one of `pairwise_q` for the centre, the +/-h1
+    and +/-h2 probes of every coordinate, the two a2 blocks and the
+    periodicity rows of all groups."""
     counted = _Counted(MAPS[name]())
     spec = counted.spec
     pm.check_assumptions(spec, n_samples=64, seed=0)
     n_groups = 8  # max(2, min(8, 64 // 4))
-    assert counted.calls == 1 + 11 * n_groups
+    assert counted.calls == 1 + 1
     m = 64 // n_groups
     per_probe_rows = 2 + 1 + 4 * (2 + spec.k1 + spec.k2) + 1
     assert counted.rows == 64 + n_groups * m * per_probe_rows

@@ -42,7 +42,7 @@ RUNS = _runs(_workflow())
 def test_every_run_and_config_is_found():
     text = _workflow()
     configs = _inline_configs(text)
-    assert len(RUNS) == 11
+    assert len(RUNS) == 13
     assert len(configs) == text.count("> \"$RUNNER_TEMP/") > 0
     used = {os.path.basename(path) for _, path in RUNS
             if path.startswith("$RUNNER_TEMP/")}
