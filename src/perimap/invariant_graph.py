@@ -3,11 +3,12 @@
 A candidate curve phi, held by its values at uniform nodes, is pushed
 forward through the map: alpha and beta are evaluated once per push at the
 nodes (x_i, phi(x_i)), which go to the images x_i + omega * alpha_i with new
-values beta_i.  If the images keep the nodes' cyclic order (else
-`MonotonicityError`), the window-periodic cubic spline through them is
-sampled back at the nodes.  For a wrapped Poincare map a push is one
-batched flow, whose cost hardly depends on the number of lanes: beta reads
-the returns that alpha flowed from the memo.
+values beta_i; the pushes of a stack of problems share that call.  If the
+images keep the nodes' cyclic order (else `MonotonicityError`), the
+window-periodic cubic spline through them is sampled back at the nodes.
+For a wrapped Poincare map a push round is one batched flow, whose cost
+hardly depends on the number of lanes: beta reads the returns that alpha
+flowed from the memo.
 
 The invariant curve is the fixed point of this transform, which contracts
 at a rate of about q, the y-Lipschitz constant of beta: slowly for a weakly
@@ -49,7 +50,8 @@ from scipy.linalg.lapack import dptsv
 
 from .exceptions import (ConvergenceError, DomainError, MonotonicityError,
                          PerimapError)
-from .map_core import eval_batch, orbits, origin, require_finite
+from .map_core import (eval_batch, orbits, origin_constants, origin_rows,
+                       require_finite)
 from .sampling import ball_points, require_count, require_positive
 
 Array = np.ndarray
@@ -326,33 +328,88 @@ def rate_bound_from_q(q):
 # the transform
 # ----------------------------------------------------------------------------
 
-def _sweep(spec, omega, eps, xs, values, window):
-    """One forward push of each problem of a stack: the graph values
-    ``values`` (E, n, k2) at the nodes ``xs`` of [0, window), problem e's
-    taken at the scalar eps[e], mapped and re-gridded at the same nodes.
-    Returns the images G(values) (E, n, k2), alpha at the nodes (E, n), and
-    each problem's failure, None where its push held.
+def _eval_stack(spec, omega, eps, xs, values, stencil):
+    """alpha (E, n) and beta (E, n, k2) at the nodes ``xs`` of every problem
+    of a stack, with the values ``values`` (E, n, k2), problem e at eps[e];
+    each problem's failure, None where it held, its rows then 0; and the
+    values (a, b) at the rows (X, Y) of ``stencil`` at omega = eps = 0, or
+    the `PerimapError` that they raised (None for no stencil).
 
-    alpha and beta are evaluated once per problem, at the nodes; a misshaped
-    or non-finite result (`require_finite`) is an `EvaluationError`, and any
-    `PerimapError` the evaluators raise fails that problem alone.  The
-    images, shifted by whole windows so that the first lies in [0, window),
-    must keep the nodes' cyclic order (`MonotonicityError`, the solver's
-    only order check); the window-periodic cubic splines through them
-    (`_Spline`, one build for the stack) are sampled at xs.  A failed
-    problem's rows are a push of the zero curve and mean nothing.
+    All the rows go to one `eval_batch` call, eps and, with a stencil,
+    omega as (N, 1) columns.  If that call raises a `PerimapError`, or it
+    would hold one problem alone, each problem and the stencil are
+    evaluated alone at their scalar (omega, eps), so a failure keeps its
+    problem.  A problem's misshaped or non-finite (`require_finite`) result
+    is its `EvaluationError`; the stencil's values are left unchecked.
     """
-    a = np.zeros((len(eps), len(xs)))
-    b = np.zeros(values.shape)
-    failed = [None] * len(eps)
-    for e, eps_e in enumerate(eps):
+    E, n, k2 = values.shape
+    failed, at_stencil, a = [None] * E, None, None
+    if E > 1 or stencil is not None:
+        X, Y = np.tile(xs, E)[:, None], values.reshape(E * n, k2)
+        P, W = np.repeat(eps, n)[:, None], omega
+        if stencil is not None:
+            zeros = np.zeros((len(stencil[0]), 1))
+            X = np.concatenate((X, stencil[0]))
+            Y = np.concatenate((Y, stencil[1]))
+            P = np.concatenate((P, zeros))
+            W = np.concatenate((np.full((E * n, 1), omega), zeros))
         try:
-            a_e, b_e = eval_batch(spec, omega, eps_e, xs[:, None], values[e])
-            require_finite(a_e, b_e)
+            a_all, b_all = eval_batch(spec, W, P, X, Y)
+        except PerimapError:
+            pass
+        else:
+            a = a_all[:E * n, 0].reshape(E, n)
+            b = b_all[:E * n].reshape(E, n, k2)
+            if stencil is not None:
+                at_stencil = a_all[E * n:], b_all[E * n:]
+    if a is None:
+        a, b = np.zeros((E, n)), np.zeros(values.shape)
+        for e, eps_e in enumerate(eps):
+            try:
+                a_e, b_e = eval_batch(spec, omega, eps_e, xs[:, None],
+                                      values[e])
+            except PerimapError as exc:
+                failed[e] = exc
+            else:
+                a[e], b[e] = a_e[:, 0], b_e
+        if stencil is not None:
+            try:
+                at_stencil = eval_batch(spec, 0.0, 0.0, *stencil)
+            except PerimapError as exc:
+                at_stencil = exc
+    finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=(1, 2))
+    for e in np.flatnonzero(~finite):
+        try:
+            require_finite(a[e], b[e])
         except PerimapError as exc:
             failed[e] = exc
-        else:
-            a[e], b[e] = a_e[:, 0], b_e
+    for e, exc in enumerate(failed):
+        if exc is not None:
+            a[e], b[e] = 0.0, 0.0
+    return a, b, failed, at_stencil
+
+
+def _sweep(spec, omega, eps, xs, values, window, stencil):
+    """One forward push of each problem of a stack: the graph values
+    ``values`` (E, n, k2) at the nodes ``xs`` of [0, window), problem e's
+    taken at eps[e], mapped and re-gridded at the same nodes.  Returns the
+    images G(values) (E, n, k2), alpha at the nodes (E, n), each problem's
+    failure, None where its push held, and the values at the rows of
+    ``stencil``, or the `PerimapError` they raised (None for no stencil).
+
+    alpha and beta are evaluated once for the whole stack (`_eval_stack`):
+    the E n node rows, each with its problem's (omega, eps), and the rows
+    (X, Y) of ``stencil`` at omega = eps = 0.  A misshaped or non-finite
+    result of a problem (`require_finite`) is an `EvaluationError`, and any
+    `PerimapError` the evaluators raise for it fails that problem alone.
+    The images, shifted by whole windows so that the first lies in
+    [0, window), must keep the nodes' cyclic order (`MonotonicityError`,
+    the solver's only order check); the window-periodic cubic splines
+    through them (`_Spline`, one build for the stack) are sampled at xs.  A
+    failed problem's rows are a push of the zero curve and mean nothing.
+    """
+    a, b, failed, at_stencil = _eval_stack(spec, omega, eps, xs, values,
+                                           stencil)
     outside = _max_norm(b) > spec.r1
     img = xs + omega * a
     img -= window * np.floor(img[:, :1] / window)
@@ -366,24 +423,27 @@ def _sweep(spec, omega, eps, xs, values, window):
                 "pushed nodes do not keep their cyclic order; "
                 "the graph transform is undefined at these parameters"))
         img[e], b[e] = xs, 0.0
-    return _Spline(img, window, b)(xs), a, failed
+    return _Spline(img, window, b)(xs), a, failed, at_stencil
 
 
-def _linear_part_inverse(spec, omega, xs, window, alpha):
+def _linear_part_inverse(spec, omega, xs, window, alpha, at_origin):
     """The symbols of P = I - B (x) S_s, one per problem of a stack, by which
     `_precondition` inverts P on node values at the uniform nodes ``xs`` of
     [0, window): (E, n // 2 + 1, k2, k2).  P is the identity less the push's
     linear part at (eps, phi) = (0, 0).
 
     The eps = 0 map is autonomous, so that part is the model map's
-    v -> B v(. - s), with s = omega alpha(0) and B = beta_y(0) from
-    `map_core.origin`.  On the nodes S_s, the spline through the values at
-    the shifted nodes sampled at the nodes, is circulant: its symbol is the
-    DFT of one column, `_Spline` through a unit vector, built once for the
-    stack.  Solving P x = r mode by mode (a division for k2 = 1, one
-    k2 x k2 solve for k2 > 1) is the constant-coefficient step of the
-    parameterization method (Haro, Canadell, Figueras, Luque & Mondelo,
-    Springer 2016).
+    v -> B v(. - s), with s = omega alpha(0) and B = beta_y(0), which
+    `map_core.origin_constants` reads from ``at_origin``: alpha's and
+    beta's values at `map_core.origin_rows`, or the `PerimapError` that
+    their evaluation raised, which is raised here, as is the
+    `EvaluationError` of a non-finite value.  On the nodes S_s, the spline
+    through the values at the shifted nodes sampled at the nodes, is
+    circulant: its symbol is the DFT of one column, `_Spline` through a
+    unit vector, built once for the stack.  Solving P x = r mode by mode (a
+    division for k2 = 1, one k2 x k2 solve for k2 > 1) is the
+    constant-coefficient step of the parameterization method (Haro,
+    Canadell, Figueras, Luque & Mondelo, Springer 2016).
 
     The push shifts node x by omega alpha(x, phi(x)), not by s, so mode k's
     phase is off by up to 2 pi |k| |omega| max|alpha - alpha(0)| / window.
@@ -391,7 +451,9 @@ def _linear_part_inverse(spec, omega, xs, window, alpha):
     max read from its row of ``alpha`` (E, n), the values of its first push,
     and is the identity above them.
     """
-    alpha0, _, B = origin(spec)
+    if isinstance(at_origin, PerimapError):
+        raise at_origin
+    alpha0, _, B = origin_constants(spec, *at_origin)
     n, k2 = len(xs), spec.k2
     column = _Spline(xs + omega * alpha0[0], window, np.eye(n, 1))(xs)
     symbol = np.fft.rfft(column[:, 0])
@@ -423,8 +485,8 @@ def graph_transform(spec, omega, eps, phi):
     _require_scalar_periodic(spec)
     if phi.sup_norm() > spec.r1:
         raise DomainError("candidate curve exceeds the radius-r1 disc")
-    g, _, [failure] = _sweep(spec, float(omega), [float(eps)], phi.nodes,
-                             phi.values[None], phi.period)
+    g, _, [failure], _ = _sweep(spec, float(omega), [float(eps)], phi.nodes,
+                                phi.values[None], phi.period, None)
     if failure is not None:
         raise failure
     return phi.with_values(g[0])
@@ -461,14 +523,21 @@ def _iterate_to_fixed_point(spec, omega, eps, period, starts, tol, max_iter):
 
     The problems are iterated in stacks of at most `STACK_NODES` nodes in
     all (one problem at least).  Each round is one `_sweep` of a stack's
-    problems still iterating, and a problem leaves its stack once it meets
-    ``tol``, fails or has made its ``max_iter``-th push; every problem's
-    arithmetic is that of its lone iteration.  An outcome is (G(v) as a
-    curve, the updates max|G(v_k) - v_k|, the secant rates) once it met
-    ``tol``, or the `PerimapError` that stopped it, a `ConvergenceError` if
-    ``max_iter`` pushes missed ``tol``.  A ``max_iter`` below 1, or a
-    ``tol`` that is not positive and finite, raises `ValueError` before any
-    push.
+    problems still iterating, one evaluator call for all of them, and a
+    problem leaves its stack once it meets ``tol``, fails or has made its
+    ``max_iter``-th push; every problem's arithmetic is that of its lone
+    iteration, and so are its values on a closed-form map (on a wrapped
+    map the lanes of a call share one step sequence).  A stack's first
+    round also evaluates the rows of the origin stencil
+    (`map_core.origin_rows`) in that call, and P^-1 takes alpha(0) and B
+    from their values, so a value there that is not finite, or an error of
+    their evaluation, fails the stack's problems only when P^-1 is built: a
+    problem that meets ``tol`` at its first push never reads them.  An
+    outcome is (G(v) as a curve, the updates max|G(v_k) - v_k|, the secant
+    rates) once it met ``tol``, or the `PerimapError` that stopped it, a
+    `ConvergenceError` if ``max_iter`` pushes missed ``tol``.  A
+    ``max_iter`` below 1, or a ``tol`` that is not positive and finite,
+    raises `ValueError` before any push.
     """
     require_count("max_iter", max_iter)
     require_positive("tol", tol)
@@ -481,8 +550,11 @@ def _iterate_to_fixed_point(spec, omega, eps, period, starts, tol, max_iter):
         v, p, prev = np.stack([starts[i] for i in live]), None, None
         xs = _nodes(period, v.shape[1])
         for push in range(1, int(max_iter) + 1):
-            g, alpha, failed = _sweep(spec, omega, [eps[i] for i in live], xs,
-                                      v, period)
+            g, alpha, failed, got = _sweep(
+                spec, omega, [eps[i] for i in live], xs, v, period,
+                origin_rows(spec) if push == 1 else None)
+            if push == 1:
+                at_origin = got
             update = g - v
             change = np.abs(update).max(axis=(1, 2)).tolist()
             keep = []
@@ -509,7 +581,8 @@ def _iterate_to_fixed_point(spec, omega, eps, period, starts, tol, max_iter):
                 prev = None if prev is None else [a[keep] for a in prev]
             if p is None:
                 try:
-                    p = _linear_part_inverse(spec, omega, xs, period, alpha)
+                    p = _linear_part_inverse(spec, omega, xs, period, alpha,
+                                             at_origin)
                 except PerimapError as exc:
                     outcomes.update(dict.fromkeys(live, exc))
                     break
@@ -681,12 +754,13 @@ def solve_invariant_curve(spec, omega, eps, config=None):
     pushes (`_iterate_to_fixed_point`), which stop on the update of the plain
     transform and return its last image.  ``iterations`` counts pushes, one
     map call each, and ``measured_rates`` holds the secant contraction rates
-    of the plain transform on the iterates.  Once a push misses ``tol``
-    with another push allowed, the solve also reads the model map's
-    constants (`map_core.origin`, cached per spec), so an alpha that is not
-    finite at the origin raises `EvaluationError`.  The solve is a stack of
-    one problem (`_solve_curves`); `continuity_in_eps` stacks its whole eps
-    list.
+    of the plain transform on the iterates.  The first push's call also
+    evaluates the origin stencil, whose values give the model map's
+    constants (`map_core.origin_constants`, with no call of the cached
+    `map_core.origin`); once a push misses ``tol`` with another push
+    allowed the solve reads them, so an alpha that is not finite at the
+    origin raises `EvaluationError`.  The solve is a stack of one problem
+    (`_solve_curves`); `continuity_in_eps` stacks its whole eps list.
 
     The solve starts cold (`_solve_cold`): from the zero curve, or for
     n_nodes >= `COARSE_MIN_NODES` from a solve on n_nodes // `COARSE_FACTOR`
@@ -738,7 +812,8 @@ def attraction_test(spec, omega, eps, phi, n_trajectories=20, n_steps=50,
 
     Initial conditions are drawn from x in [-1, T + 1], with T the period
     of ``phi``, and y in the ``y_radius`` ball (default r1 / 2); a radius
-    above r1 raises `DomainError` before any evaluation.  Only the
+    that is not positive and finite raises `ValueError`, and one above r1
+    `DomainError`, before any evaluation.  Only the
     trajectories still inside the r1 disc are evaluated, and d is nan from
     a trajectory's exit point on.  Per-step rates take the max of
     d_{j+1}/d_j over trajectories whose distance is still at least the
@@ -749,6 +824,7 @@ def attraction_test(spec, omega, eps, phi, n_trajectories=20, n_steps=50,
     """
     require_count("n_trajectories", n_trajectories)
     y_radius = y_radius if y_radius is not None else 0.5 * spec.r1
+    require_positive("y_radius", y_radius)
     if y_radius > spec.r1:
         raise DomainError(f"y_radius = {y_radius:.3g} exceeds r1 = {spec.r1}")
     rng = np.random.default_rng(seed)
@@ -825,8 +901,10 @@ class EpsContinuityRow:
 def continuity_in_eps(spec, omega, eps_list, config=None):
     """Table of (eps, sup||phi_eps||, sup/|eps|) sorted by eps.
 
-    The sorted list is solved as one stack (`_solve_curves`), each eps to
-    the bits of its lone `solve_invariant_curve`.  If an eps fails, the
+    The sorted list is solved as one stack (`_solve_curves`), each eps of a
+    closed-form map to the bits of its lone `solve_invariant_curve`; a
+    wrapped map flows the stack's lanes together, so its values agree with
+    the lone solves to integration accuracy.  If an eps fails, the
     first failing eps in sorted order raises its error again, of the same
     type, with the message ``eps=<value>: <original>`` and chained to it.
     """

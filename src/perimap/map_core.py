@@ -22,8 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, EvaluationError
-from .numdiff import (central_jacobian, coordinate_probes, first_step,
-                      second_step)
+from .numdiff import (central_difference, central_rows, coordinate_probes,
+                      first_step, second_step)
 from .sampling import (ball_points, latin_hypercube, require_positive,
                        stratified_groups)
 
@@ -44,9 +44,11 @@ class MapSpec:
     omega and eps each a float or an (n, 1) column, one value per row, and
     return (n, k1) and (n, k2).  The curve solver treats every spec alike,
     closed-form or a wrapped Poincare map whose call is one batched flow:
-    each push is one call of alpha, then of beta, at the nodes (see
-    `invariant_graph`); the sampled checks put all of their rows, each
-    with its own (omega, eps), in one call.
+    each push round is one call of alpha, then of beta, at the nodes of
+    every problem of a stack, each row with its problem's (omega, eps), and
+    the first round also holds the `origin_rows` (see `invariant_graph`);
+    the sampled checks put all of their rows, each with its own (omega,
+    eps), in one call.
     """
 
     k1: int
@@ -238,8 +240,10 @@ def _coordinate_diff_sups(fun, Z, extra):
 def pairwise_q(spec, rng, n_samples, y_radius):
     """Lipschitz constant of y -> beta(0,0,0,y) over all pairs of
     max(8, ``n_samples``) points of the ``y_radius`` ball, the first draw of
-    ``rng``; a radius above r1 raises `DomainError` before any evaluation."""
-    if not y_radius <= spec.r1:
+    ``rng``.  A radius that is not positive and finite raises `ValueError`,
+    and one above r1 `DomainError`, before any evaluation."""
+    require_positive("y_radius", y_radius)
+    if y_radius > spec.r1:
         raise DomainError(f"y_radius = {y_radius:.3g} exceeds r1 = {spec.r1}")
     n_q = max(8, n_samples)
     ys = ball_points(latin_hypercube(rng, n_q, spec.k2), y_radius)
@@ -251,18 +255,30 @@ def pairwise_q(spec, rng, n_samples, y_radius):
     return float(np.max(db[mask] / dy[mask])) if np.any(mask) else 0.0
 
 
+def origin_rows(spec):
+    """The rows (X, Y) of the origin's stencil, to be evaluated at
+    omega = eps = 0: x = 0 and the `central_rows` of y at 0, (1 + 4 k2, k1)
+    and (1 + 4 k2, k2)."""
+    Y = central_rows(np.zeros(spec.k2))
+    return np.zeros((len(Y), spec.k1)), Y
+
+
+def origin_constants(spec, a, b):
+    """(alpha(0), beta(0), beta_y(0)) from alpha's and beta's values ``a``
+    and ``b`` at the `origin_rows`, by `central_difference`;
+    `EvaluationError` unless they are finite."""
+    require_finite(a, b)
+    f0, J, _ = central_difference(np.hstack((a, b)), np.zeros(spec.k2))
+    return f0[:spec.k1], f0[spec.k1:], J[spec.k1:]
+
+
 @lru_cache(maxsize=ORIGIN_CACHE_SIZE)
 def origin(spec):
-    """(alpha(0), beta(0), beta_y(0)), read-only, from one `central_jacobian`
-    stencil of y -> (alpha, beta)(0,0,0,y); by the eps = 0 independence
+    """(alpha(0), beta(0), beta_y(0)), read-only, from one evaluation of the
+    `origin_rows` (`origin_constants`); by the eps = 0 independence
     alpha(0) and B = beta_y(0) are the linear part of the model map."""
-    def both(Y):
-        a, b = eval_batch(spec, 0.0, 0.0, np.zeros((len(Y), spec.k1)), Y)
-        require_finite(a, b)
-        return np.hstack((a, b))
-
-    f0, J, _ = central_jacobian(both, np.zeros(spec.k2))
-    constants = (f0[:spec.k1], f0[spec.k1:], J[spec.k1:])
+    constants = origin_constants(
+        spec, *eval_batch(spec, 0.0, 0.0, *origin_rows(spec)))
     for c in constants:
         c.setflags(write=False)
     return constants
@@ -287,13 +303,13 @@ def check_assumptions(spec, box=None, n_samples=128, seed=0):
       differences over the box (noisy for integrator-backed evaluators; these
       fields are diagnostics, not certificates).
 
-    The box's ``y_radius`` may not exceed r1 (`DomainError` from
-    `pairwise_q`, before any evaluation).  After `pairwise_q`'s call, every
-    row of every group goes to one evaluation of alpha and then beta, each
-    row with its own (omega, eps): the stencil's centre and probes, the two
-    a2 blocks and the periodicity rows, so a wrapped Poincare map answers
-    beta from its memo.  A misshaped or non-finite evaluation raises
-    `EvaluationError`.
+    The box's ``y_radius`` must be positive and finite (`ValueError`) and
+    may not exceed r1 (`DomainError`), both from `pairwise_q` before any
+    evaluation.  After `pairwise_q`'s call, every row of every group goes
+    to one evaluation of alpha and then beta, each row with its own
+    (omega, eps): the stencil's centre and probes, the two a2 blocks and
+    the periodicity rows, so a wrapped Poincare map answers beta from its
+    memo.  A misshaped or non-finite evaluation raises `EvaluationError`.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")

@@ -1,5 +1,6 @@
 """Finite-difference steps, the package's one central-difference stencil
-and the row blocks of the sampled stencils."""
+(its rows, and the step from their values to f(x0) and J) and the row
+blocks of the sampled stencils."""
 import numpy as np
 
 EPS = float(np.finfo(float).eps)
@@ -30,22 +31,40 @@ def coordinate_probes(Z, probes):
     return blocks
 
 
-def central_jacobian(fun, x0):
-    """f(x0), the central-difference Jacobian J and its Richardson defect,
-    from one batched call of ``fun`` ((n, d) rows to (n, m)).
-
-    The call takes x0, x0 +/- h_i e_i and x0 +/- (h_i / 2) e_i with
-    h = ``first_step(x0)``: for evaluators backed by adaptive integrators the
-    step-size sequence is then shared and evaluation errors cancel in the
-    differences.  J comes from the step-h pairs; the defect is
-    max|J - J_half| / max(1, max|J|), J_half from the step-h/2 pairs.
-    """
+def central_rows(x0):
+    """The rows of the central-difference stencil at ``x0`` (d,): x0, then
+    x0 + h_i e_i, x0 - h_i e_i, x0 + (h_i / 2) e_i and x0 - (h_i / 2) e_i
+    for every i, with h = ``first_step(x0)``: (1 + 4 d, d)."""
     x0 = np.asarray(x0, dtype=float).ravel()
     h = first_step(x0)
     steps = [sign * np.diag(s) for s in (h, h / 2.0) for sign in (1.0, -1.0)]
-    vals = np.asarray(fun(np.vstack([x0] + [x0 + s for s in steps])), float)
+    return np.vstack([x0] + [x0 + s for s in steps])
+
+
+def central_difference(vals, x0):
+    """f(x0), the central-difference Jacobian J and its Richardson defect
+    from ``vals`` (1 + 4 d, m), the values of f at the `central_rows` of
+    ``x0``.
+
+    J comes from the step-h pairs; the defect is max|J - J_half| /
+    max(1, max|J|), J_half from the step-h/2 pairs.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    h = first_step(x0)
+    vals = np.asarray(vals, float)
     plus, minus, plus_half, minus_half = vals[1:].reshape(4, x0.size, -1)
     J = (plus - minus).T / (2.0 * h)
     J_half = (plus_half - minus_half).T / h
     scale = max(1.0, float(np.max(np.abs(J))))
     return vals[0], J, float(np.max(np.abs(J - J_half))) / scale
+
+
+def central_jacobian(fun, x0):
+    """`central_difference` of one batched call of ``fun`` ((n, d) rows to
+    (n, m)) on the `central_rows` of ``x0``: f(x0), J and the defect.
+
+    In one call, evaluators backed by adaptive integrators share one
+    step-size sequence, so their evaluation errors cancel in the
+    differences.
+    """
+    return central_difference(fun(central_rows(x0)), x0)

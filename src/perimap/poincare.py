@@ -12,9 +12,11 @@ eps = 0 its u-component is autonomous and defines the reduced map P(u).
 and beta evaluators of a `MapSpec` with x := tau, k1 = 1 and period T_g; the
 technical omega input is fixed to 1 and ignored.  Both evaluators read a
 memo of one request, the last: alpha and beta asked at the same points
-share one flow.  A curve-solver push asks alpha, then beta, at the nodes,
-so it is one flow of n lanes; the solver's preconditioner reads the model
-map's constants from `map_core.origin`, one 5-lane flow per wrapped spec.
+share one flow.  A curve-solver push round asks alpha, then beta, at the
+nodes of every problem of a stack, so it is one flow of E n lanes, each
+lane at its problem's eps; the first round's flow also carries the 5 lanes
+of the origin stencil at eps 0, from which the solver's preconditioner
+reads the model map's constants, so a solve makes no flow for them alone.
 
 `cylinder_table` samples forced trajectories started on a solved invariant
 curve: the invariant cylinder that the CLI's `cylinder-data` writes.

@@ -36,10 +36,9 @@ def _row_hex(rows):
 
 
 def _nan_beyond(spec, eps_max):
-    """``spec`` whose beta is nan for eps above ``eps_max``."""
+    """``spec`` whose beta is nan for eps above ``eps_max``, row by row."""
     def beta(w, e, x, y):
-        out = spec.beta(w, e, x, y)
-        return np.full_like(out, np.nan) if e > eps_max else out
+        return np.where(e > eps_max, np.nan, spec.beta(w, e, x, y))
 
     return replace(spec, beta=beta)
 
@@ -172,7 +171,10 @@ class TestStackEqualsTheLoop:
         rows = []
 
         def alpha(w, e, x, y):
-            rows.append((e, len(x)))
+            # the rows of each eps in the call
+            found, count = np.unique(np.broadcast_to(e, (len(x), 1)),
+                                     return_counts=True)
+            rows.append(dict(zip(found.tolist(), count.tolist())))
             return spec.alpha(w, e, x, y)
 
         counted = replace(spec, alpha=alpha)
@@ -182,7 +184,8 @@ class TestStackEqualsTheLoop:
         # four solves of each eps ran (lone, stacked, table, loop): the
         # seeded one's report spans both levels, the other one's only the
         # fine level from zeros
-        pushes = {e: [n for eps, n in rows if eps == e] for e in (1e-14, 1e-2)}
+        pushes = {e: [call[e] for call in rows if e in call]
+                  for e in (1e-14, 1e-2)}
         seeded = pushes[1e-14]
         assert 4 * reports[0].iterations == (seeded.count(16384)
                                              + seeded.count(coarse))
@@ -222,8 +225,9 @@ class TestStackedSpline:
 
 class TestPushRounds:
     def test_one_round_pushes_every_eps(self, monkeypatch):
-        # an 8-eps sweep makes max(iterations) rounds of `_sweep` and one
-        # n-node alpha call per push of each eps
+        # an 8-eps sweep makes max(iterations) rounds of `_sweep`, each one
+        # alpha call of E n rows for the E eps still iterating, the first
+        # with the origin stencil's rows too
         n = 256
         spec = pm.nonlinear_toy()
         calls = []
@@ -248,12 +252,21 @@ class TestPushRounds:
         iterations = [report.iterations for _, report in solved]
         assert len(rounds) == max(iterations)
         assert rounds[0] == len(eps_list)
-        assert calls.count(n) == sum(iterations)
-        # each eps keeps its lone push count
+        live = [sum(k > r for k in iterations) for r in range(len(rounds))]
+        assert rounds == live
+        stencil = len(pm.map_core.origin_rows(spec)[0])
+        assert stencil == 5
+        assert calls[:len(rounds)] == ([live[0] * n + stencil]
+                                       + [e * n for e in live[1:]])
+        assert sum(calls[:len(rounds)]) == n * sum(iterations) + stencil
+        # so a round is one evaluator call, and each eps keeps the bits of
+        # its lone solve
         monkeypatch.undo()
-        assert iterations == [
-            pm.solve_invariant_curve(spec, 0.25, eps, cfg)[1].iterations
-            for eps in eps_list]
+        for eps, (curve, report) in zip(eps_list, solved):
+            lone_curve, lone_report = pm.solve_invariant_curve(spec, 0.25,
+                                                               eps, cfg)
+            assert _curve_hex(curve) == _curve_hex(lone_curve)
+            assert report.to_json_dict() == lone_report.to_json_dict()
 
     def test_a_sweep_splits_into_stacks_of_at_most_stack_nodes(
             self, monkeypatch):
@@ -323,3 +336,142 @@ class TestOutcomes:
         assert calls == {"_sweep": 3, "_precondition": 2, "lstsq": 1}
         assert str(raised.value) == ("no convergence after 3 sweeps (last "
                                      f"update {lone[1][2]:.3g})")
+
+
+def _riding_constants(monkeypatch, spec, omega, eps_list, n):
+    """The constants (alpha(0), beta(0), B) that the runner reads from the
+    stencil rows riding in a stack's first push, one entry per stack,
+    with the count of `map_core.origin` calls the solve made."""
+    read, constants = pm.map_core.origin_constants, []
+
+    def recorded(*args):
+        got = read(*args)
+        constants.append(got)
+        return got
+
+    monkeypatch.setattr(pm.invariant_graph, "origin_constants", recorded)
+    misses = pm.map_core.origin.cache_info()
+    pm.invariant_graph._solve_curves(spec, omega, eps_list,
+                                     pm.CurveConfig(n_nodes=n), None)
+    monkeypatch.undo()
+    calls = pm.map_core.origin.cache_info()
+    return constants, (calls.hits + calls.misses) - (misses.hits
+                                                     + misses.misses)
+
+
+class TestRidingStencil:
+    """A stack's first push carries the origin stencil's rows, from which
+    the preconditioner reads alpha(0) and B; `map_core.origin` is not
+    called."""
+
+    @pytest.mark.parametrize("make", [
+        pm.linear_shear, pm.nonlinear_toy,
+        lambda: pm.nonlinear_toy(advance_coupling=3.0, y2_coupling=2.0)],
+        ids=["shear", "toy", "strong-toy"])
+    def test_closed_form_constants_equal_origin(self, make, monkeypatch):
+        spec = make()
+        constants, origin_calls = _riding_constants(
+            monkeypatch, spec, 0.37, [0.02, 0.01], 64)
+        assert origin_calls == 0
+        assert len(constants) == 1  # one stack
+        want = pm.map_core.origin(spec)
+        for got, ref in zip(constants[0], want):
+            assert got.shape == ref.shape
+            assert ([v.hex() for v in got.ravel().tolist()]
+                    == [v.hex() for v in ref.ravel().tolist()])
+
+    def test_wrapped_constants_agree_with_origin(self, handle, monkeypatch):
+        # the stencil's lanes share the step sequence of the first push's
+        # 64 node lanes, so the constants agree to integration accuracy
+        spec = pm.extract_alpha_beta(handle)
+        [(alpha0, _, B)], origin_calls = _riding_constants(
+            monkeypatch, spec, 1.0, [1e-2], 64)
+        assert origin_calls == 0
+        ref_alpha0, _, ref_B = pm.map_core.origin(spec)
+        bound = 10.0 * pm.poincare.CURVE_RTOL
+        assert np.all(np.abs(alpha0 - ref_alpha0)
+                      <= bound * np.abs(ref_alpha0))
+        assert np.all(np.abs(B - ref_B) <= bound * np.abs(ref_B))
+
+
+def _faulty_map(raise_at, nan_at):
+    """The toy map, raising `NoReturnError` on a call that holds a row at
+    eps ``raise_at`` and nan on the rows at eps ``nan_at``."""
+    spec = pm.nonlinear_toy()
+
+    def alpha(w, e, x, y):
+        if np.any(np.asarray(e) == raise_at):
+            raise pm.NoReturnError(f"a lane at eps {raise_at} missed S")
+        return np.where(e == nan_at, np.nan, spec.alpha(w, e, x, y))
+
+    return replace(spec, alpha=alpha)
+
+
+def _offset_map():
+    """beta = 0.5 (y - 0.1) + 0.1 + eps sin(2 pi x), nan at x = y = 0: the
+    constant 0.1 is its eps = 0 curve, and the rows of the origin stencil
+    (x = 0, y = 0 and y = +-h, +-h / 2) hold its only nan."""
+    def alpha(w, e, x, y):
+        at_origin = np.all(x == 0, axis=1) & np.all(y == 0, axis=1)
+        return np.where(at_origin[:, None], np.nan, np.ones_like(x))
+
+    def beta(w, e, x, y):
+        return 0.5 * (y - 0.1) + 0.1 + e * np.sin(2 * np.pi * x)
+
+    return pm.MapSpec(k1=1, k2=1, r1=1.0, alpha=alpha, beta=beta,
+                      periodic_coord=1, period=1.0)
+
+
+class TestFailureAttribution:
+    """A stacked call that raises is redone problem by problem, so every
+    failure keeps its problem, and the others keep the bits of their lone
+    solves."""
+
+    def test_a_failing_problem_fails_alone(self, monkeypatch):
+        spec = _faulty_map(raise_at=0.02, nan_at=0.03)
+        zeros = np.zeros((64, 1))
+        eps = [0.01, 0.02, 0.03, 0.005]
+        evaluate, calls = pm.invariant_graph.eval_batch, []
+
+        def counted_eval(*args):
+            calls.append(len(args[3]))
+            return evaluate(*args)
+
+        monkeypatch.setattr(pm.invariant_graph, "eval_batch", counted_eval)
+        got = _iterate(spec, eps, dict.fromkeys(range(4), zeros))
+        monkeypatch.undo()
+        assert type(got[1]) is pm.NoReturnError
+        assert str(got[1]) == "a lane at eps 0.02 missed S"
+        assert type(got[2]) is pm.EvaluationError
+        assert str(got[2]) == "alpha/beta returned non-finite values"
+        for i in (0, 3):
+            lone = _iterate(spec, [eps[i]], {0: zeros})[0]
+            assert _curve_hex(got[i][0]) == _curve_hex(lone[0])
+            assert got[i][1:] == lone[1:]
+        # the first round fails as one call, then evaluates its four
+        # problems and the stencil alone; the later rounds hold no failing
+        # problem and make one call each
+        assert calls[:6] == [4 * 64 + 5, 64, 64, 64, 64, 5]
+        short, long = sorted(len(got[i][1]) for i in (0, 3))
+        assert calls[6:] == [2 * 64] * (short - 1) + [64] * (long - short)
+
+    def test_nan_at_the_origin_fails_when_a_preconditioner_is_built(self):
+        # the curve 0.1 meets tol at its first push with no preconditioner;
+        # the start 0.3 needs one, so its outcome is the stencil's error
+        spec = _offset_map()
+        got = _iterate(spec, [0.0, 0.0], {0: np.full((64, 1), 0.1),
+                                          1: np.full((64, 1), 0.3)})
+        curve, updates, rates = got[0]
+        assert len(updates) == 1 and updates[0] <= 1e-12 and rates == []
+        assert np.max(np.abs(curve.values - 0.1)) <= 1e-12
+        assert type(got[1]) is pm.EvaluationError
+        assert str(got[1]) == "alpha/beta returned non-finite values"
+        with pytest.raises(pm.EvaluationError, match="non-finite"):
+            pm.uniqueness_test(
+                spec, 0.25, 0.01, pm.CurveConfig(n_nodes=64),
+                [pm.PeriodicGridFn.constant(1.0, 64, [0.3])] * 2)
+
+
+def _iterate(spec, eps, starts):
+    return pm.invariant_graph._iterate_to_fixed_point(
+        spec, 0.25, eps, 1.0, starts, 1e-12, 100)

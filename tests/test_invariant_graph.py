@@ -328,7 +328,8 @@ class TestPush:
         xs = np.arange(64) / 64
         v = (0.05 * np.sin(2 * np.pi * xs) + 0.02 * np.cos(6 * np.pi * xs)
              )[:, None]
-        [g], [a], [failure] = _sweep(spec, 1.0, [self.EPS], xs, v[None], 1.0)
+        [g], [a], [failure], _ = _sweep(spec, 1.0, [self.EPS], xs, v[None],
+                                        1.0, None)
         assert failure is None
         assert np.array_equal(a, spec.alpha(1.0, self.EPS, xs[:, None], v)[:, 0])
         img = xs + a
@@ -349,8 +350,8 @@ class TestPush:
                           beta=lambda w, e, x, y: 0.5 * y,
                           periodic_coord=1, period=1.0)
         xs = np.linspace(0.0, 1.0, 64, endpoint=False)
-        _, _, [failure] = _sweep(spec, 1.0, [0.0], xs, np.zeros((1, 64, 1)),
-                                 1.0)
+        _, _, [failure], _ = _sweep(spec, 1.0, [0.0], xs,
+                                    np.zeros((1, 64, 1)), 1.0, None)
         with pytest.raises(MonotonicityError):
             raise failure
 
@@ -397,6 +398,17 @@ class TestAttraction:
             pm.attraction_test(spec, 0.25, 0.0,
                                pm.PeriodicGridFn.zeros(1.0, 8), y_radius=0.3)
         assert seen == []
+
+    @pytest.mark.parametrize("radius", [-0.5, 0.0, np.nan, np.inf])
+    def test_start_radius_not_positive_and_finite(self, radius):
+        def no_call(*args):
+            raise AssertionError("an evaluator was called")
+
+        spec = replace(pm.linear_shear(), alpha=no_call, beta=no_call)
+        with pytest.raises(ValueError, match="y_radius must be positive"):
+            pm.attraction_test(spec, 0.25, 0.0,
+                               pm.PeriodicGridFn.zeros(1.0, 8),
+                               y_radius=radius)
 
     def test_on_graph_stays(self, e2):
         cfg = pm.CurveConfig(n_nodes=256, tol=1e-12, seed=2)
@@ -710,6 +722,12 @@ def _counted(spec):
     return replace(spec, alpha=alpha), rows
 
 
+def _pushes(rows, n):
+    """The pushes of n nodes among the recorded calls: a level's first push
+    also carries the origin stencil's 5 rows."""
+    return rows.count(n) + rows.count(n + 5)
+
+
 @pytest.fixture
 def cold(monkeypatch):
     """Runs a call with no grid large enough for a coarse start."""
@@ -733,7 +751,7 @@ class TestCoarseStart:
         spec, rows = _counted(request.getfixturevalue(system))
         cfg = pm.CurveConfig(n_nodes=self.N, tol=1e-12)
         curve, rep = pm.solve_invariant_curve(spec, omega, eps, cfg)
-        fine = rows.count(self.N)
+        fine = _pushes(rows, self.N)
         ref, ref_rep = cold(pm.solve_invariant_curve, spec, omega, eps, cfg)
         assert 1 <= fine <= 2 and fine < rep.iterations
         assert rep.converged and ref_rep.converged
@@ -744,8 +762,8 @@ class TestCoarseStart:
         spec, rows = _counted(e2)
         _, rep = pm.solve_invariant_curve(spec, 0.25, 1e-2,
                                           pm.CurveConfig(n_nodes=n, tol=1e-12))
-        coarse = rows.count(n // pm.invariant_graph.COARSE_FACTOR)
-        fine = rows.count(n)
+        coarse = _pushes(rows, n // pm.invariant_graph.COARSE_FACTOR)
+        fine = _pushes(rows, n)
         assert coarse >= 5 and 1 <= fine <= 2
         assert rep.iterations == coarse + fine
         # a level of k >= 2 pushes measures k - 2 rates, none on its first or
@@ -759,10 +777,10 @@ class TestCoarseStart:
         spec, rows = _counted(_unresolved_map())
         cfg = pm.CurveConfig(n_nodes=self.N, tol=1e-12)
         curve, _ = pm.solve_invariant_curve(spec, 0.37, 0.01, cfg)
-        fine = rows.count(self.N)
+        fine = _pushes(rows, self.N)
         rows.clear()
         ref, _ = cold(pm.solve_invariant_curve, spec, 0.37, 0.01, cfg)
-        assert 1 <= fine <= rows.count(self.N)
+        assert 1 <= fine <= _pushes(rows, self.N)
         assert np.max(np.abs(curve.values - ref.values)) <= 1e-12
 
     @pytest.mark.parametrize("trust", ["checked", "forced"])
@@ -846,9 +864,9 @@ class TestCoarseStart:
         spec, rows = _counted(e2)
         _, rep = pm.solve_invariant_curve(spec, 0.25, 0.01,
                                           pm.CurveConfig(n_nodes=n, tol=1e-12))
-        # every call is a push of the n nodes, but the 5-row origin stencil
-        # of this fresh spec after the first and the 512-row residual last
-        assert rows == ([n, 5] + [n] * (rep.iterations - 1)
+        # every call is a push of the n nodes, the first with the 5 rows of
+        # the origin stencil, but the 512-row residual last
+        assert rows == ([n + 5] + [n] * (rep.iterations - 1)
                         + [pm.invariant_graph.RESIDUAL_SAMPLES])
 
     def test_cold_seeds_cost_no_fine_curve(self, e2, monkeypatch):
@@ -881,7 +899,10 @@ class TestCoarseStart:
         pushes = []
 
         def alpha(w, e, x, y):
-            pushes.append((len(x), float(np.max(x)), float(np.max(np.abs(y)))))
+            # the node rows: the origin stencil's rows ride at omega 0
+            node = np.broadcast_to(w, x.shape)[:, 0] != 0.0
+            pushes.append((int(node.sum()), float(np.max(x[node])),
+                           float(np.max(np.abs(y[node])))))
             return bad.alpha(w, e, x, y)
 
         spec = replace(bad, alpha=alpha)

@@ -315,6 +315,19 @@ class TestTypedFailures:
                                  n_samples=16)
         assert calls == []
 
+    @pytest.mark.parametrize("radius", [-0.5, 0.0, np.nan, np.inf])
+    def test_box_radius_not_positive_and_finite(self, e1, radius):
+        # a radius of -0.5 sampled only the sphere ||y|| = 0.5
+        def no_call(*args):
+            raise AssertionError("an evaluator was called")
+
+        spec = replace(e1, alpha=no_call, beta=no_call)
+        with pytest.raises(ValueError, match="y_radius must be positive"):
+            map_core.pairwise_q(spec, np.random.default_rng(0), 16, radius)
+        with pytest.raises(ValueError, match="y_radius must be positive"):
+            pm.check_assumptions(spec, pm.SamplingBox(y_radius=radius),
+                                 n_samples=16)
+
 
 def _strong_toy():
     return pm.nonlinear_toy(advance_coupling=3.0, y2_coupling=2.0)

@@ -296,9 +296,9 @@ class TestCurveSolveFlows:
         """Flows of a small wrapped-Poincare solve (n=64, eps=1e-2).
 
         Each push is one flow of the 64 nodes, which beta reads from the
-        memo.  The preconditioner's constants cost one flow of the 5-lane
-        `origin` stencil of this fresh spec, and the invariance residual one
-        more flow.
+        memo.  The preconditioner's constants ride in the first push's
+        flow, as the 5 lanes of the origin stencil after the nodes, and the
+        invariance residual costs one more flow.
         """
         counter = _LaneCounter(pm.poincare.p_eps_batch)
         monkeypatch.setattr(pm.poincare, "p_eps_batch", counter)
@@ -322,14 +322,18 @@ class TestCurveSolveFlows:
         # the secant rate of the plain transform: beta_y = kappa / e
         assert abs(rep.measured_rates[0] - 0.5 / np.e) <= 1e-3
 
-        for i in sweep_of_call:
+        X, Y = pm.map_core.origin_rows(spec)
+        for i, k in sweep_of_call.items():
             rows = counter.rows[i]
-            assert len(rows) == 64
-            assert len(np.unique(rows, axis=0)) == len(rows)
+            assert len(rows) == (64 + 5 if k == 1 else 64)
+            nodes = rows[:64]
+            assert len(np.unique(nodes, axis=0)) == len(nodes)
+            if k == 1:
+                assert np.array_equal(rows[64:], np.hstack((X, Y)))
         assert sorted(sweep_of_call.values()) == list(range(1, len(sweeps) + 1))
         others = [len(rows) for i, rows in enumerate(counter.rows)
                   if i not in sweep_of_call]
-        assert others == [5, pm.invariant_graph.RESIDUAL_SAMPLES]
+        assert others == [pm.invariant_graph.RESIDUAL_SAMPLES]
 
 
 class TestCylinderTable:

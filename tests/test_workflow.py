@@ -37,21 +37,23 @@ def _runs(text):
 
 
 RUNS = _runs(_workflow())
+# a run repeated for a byte-for-byte check reads one config, checked once
+DISTINCT_RUNS = list(dict.fromkeys(RUNS))
 
 
 def test_every_run_and_config_is_found():
     text = _workflow()
     configs = _inline_configs(text)
-    assert len(RUNS) == 13
+    assert len(RUNS) == 14
     assert len(configs) == text.count("> \"$RUNNER_TEMP/") > 0
     used = {os.path.basename(path) for _, path in RUNS
             if path.startswith("$RUNNER_TEMP/")}
     assert used == set(configs)  # no config left unused or unwritten
 
 
-@pytest.mark.parametrize("mode, path", RUNS,
+@pytest.mark.parametrize("mode, path", DISTINCT_RUNS,
                          ids=[f"{mode}:{os.path.basename(path)}"
-                              for mode, path in RUNS])
+                              for mode, path in DISTINCT_RUNS])
 def test_run_config_is_valid(mode, path):
     if path.startswith("$RUNNER_TEMP/"):
         obj = _inline_configs(_workflow())[os.path.basename(path)]
