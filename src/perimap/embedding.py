@@ -25,7 +25,7 @@ import scipy.linalg
 from . import map_core
 from .exceptions import CertificateError, ConvergenceError, DomainError
 from .numdiff import coordinate_probes, first_step
-from .sampling import require_count, stratified_groups
+from .sampling import require_count, scale_to, stratified_groups
 
 Array = np.ndarray
 
@@ -228,10 +228,21 @@ def invert_G(spec, params, target, tol=1e-12, max_iter=100):
     )
 
 
-def _tilde_sup(spec, lam, eps_range, x_range, n_samples, seed):
-    """Sampled sup of ||tilde|| + ||D tilde|| for both remainders at scale lam,
-    with omega in [-1/lam, 2/lam].  One Jacobian holds the centred
-    differences in every coordinate, alpha-tilde rows above beta-tilde rows.
+def _remainder_groups(spec, eps_range, x_range, n_samples, seed):
+    """The `stratified_groups` draw of `_tilde_sup` from ``seed``, with its
+    omega column over [0, 1): one draw serves every scale of a ladder."""
+    return stratified_groups(np.random.default_rng(seed), n_samples, 4,
+                             (0.0, 1.0), eps_range, x_range, spec.r1,
+                             spec.k1, spec.k2)
+
+
+def _tilde_sup(spec, lam, groups):
+    """Sampled sup of ||tilde|| + ||D tilde|| for both remainders at scale lam
+    over ``groups``, a `_remainder_groups` draw, with omega in [-1/lam,
+    2/lam]: a copy's omega column is rescaled from the draw's exact u, so
+    the rows are those of a fresh draw over that range, bit for bit.  One
+    Jacobian holds the centred differences in every coordinate, alpha-tilde
+    rows above beta-tilde rows.
 
     A coordinate moves by +/-h, `first_step` of its largest |entry| within
     the group for omega, eps and x and of 1 for y.  The centre and the
@@ -240,9 +251,8 @@ def _tilde_sup(spec, lam, eps_range, x_range, n_samples, seed):
     """
     n_top = spec.k1 + 2
     y_max = spec.r1 / lam
-    Z = stratified_groups(np.random.default_rng(seed), n_samples, 4,
-                          (-1.0 / lam, 2.0 / lam), eps_range, x_range,
-                          spec.r1, spec.k1, spec.k2)
+    Z = groups.copy()
+    Z[..., 0] = scale_to(groups[..., 0], -1.0 / lam, 2.0 / lam)
     G, m, d = Z.shape
     h = first_step(np.max(np.abs(Z), axis=1, keepdims=True))  # (G, 1, d)
     h[..., n_top:] = first_step(1.0)
@@ -290,9 +300,13 @@ def certificate(spec, delta=None, n_samples=64, seed=0):
     remainders below ``delta`` (default (1 - q)/3).  The remainder sup is
     sampled over omega in [-1/lam, 2/lam], eps in (-r1, r1), x over one
     period or the box (-2, 2), and ||y|| <= r1, with derivatives by central
-    differences.  Raises `CertificateError` when q or ||beta_y(0)|| is not
-    below 1, or when no scale passes.
+    differences; its groups are drawn once per ladder walk
+    (`_remainder_groups`) and each rung rescales their omega column.  An
+    ``n_samples`` below 1 (nan included) raises `ValueError` before any
+    evaluation; `CertificateError` when q or ||beta_y(0)|| is not below 1,
+    or when no scale passes.
     """
+    require_count("n_samples", n_samples)
     q = map_core.pairwise_q(spec, np.random.default_rng(seed),
                             max(n_samples, 32), spec.r1)
     if not q < 1.0:
@@ -307,10 +321,12 @@ def certificate(spec, delta=None, n_samples=64, seed=0):
         delta = (1.0 - q) / 3.0
     x_range = ((0.0, spec.period) if spec.periodic_coord is not None
                else (-2.0, 2.0))
+    groups = _remainder_groups(spec, (-spec.r1, spec.r1), x_range, n_samples,
+                               seed)
     for lam in LADDER:
         params = embedding_params(spec, lam, q)
-        if spectral_gap(params)[1] and all(s <= delta for s in _tilde_sup(
-                spec, lam, (-spec.r1, spec.r1), x_range, n_samples, seed)):
+        if spectral_gap(params)[1] and all(
+                s <= delta for s in _tilde_sup(spec, lam, groups)):
             return replace(params, lambda0=lam,
                            eps0=spec.r1 * lam**2 / 2.0, r0=lam * spec.r1)
     raise CertificateError(

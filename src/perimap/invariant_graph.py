@@ -254,12 +254,18 @@ class PeriodicGridFn:
     def sup_norm(self):
         """Sup of ||phi|| over one period.
 
-        Exact up to rounding for k2 = 1: the spline's turning points join
-        the nodes as candidates.  A dense-sampling estimate for k2 > 1.
+        Exact up to rounding for k2 = 1: the candidates are the nodes and
+        the spline's turning points, and only the turning points are
+        evaluated.  At node i the spline's formula reduces to
+        (h_i y_i) / h_i, which can differ from y_i in the last bit, so the
+        node candidates are that product and quotient of ``values``: the
+        bits of an evaluation there.  A dense-sampling estimate for k2 > 1.
         """
         if self.k2 == 1:
-            xs = np.concatenate([self.nodes, self._spline.turning_points()])
-            return float(np.max(np.abs(self.eval(xs))))
+            h = np.diff(self._spline.knots)[:, None]
+            return float(np.max(np.abs(np.concatenate(
+                [h * self.values / h,
+                 self.eval(self._spline.turning_points())]))))
         xs = _nodes(self.period, 16 * self.n_nodes)
         return float(_max_norm(self.eval(xs)))
 
@@ -937,16 +943,24 @@ def ratio_band(rows):
 # ----------------------------------------------------------------------------
 
 def write_csv(path, header, rows):
-    """A header line of column names, then every value of ``rows`` as %.16e."""
-    np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.16e",
-               delimiter=",", header=",".join(header), comments="")
+    """A header line of column names, then every value of ``rows`` as %.16e,
+    comma-separated, one line per row (a flat ``rows`` is one column): the
+    bytes of ``np.savetxt(fmt="%.16e", delimiter=",", comments="")``,
+    written in one call."""
+    table = np.asarray(rows, dtype=float)
+    if table.ndim == 1:
+        table = table[:, None]
+    fmt = ",".join(["%.16e"] * table.shape[1])
+    lines = [",".join(header)] + [fmt % tuple(row) for row in table.tolist()]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_json(path, obj):
-    """``obj`` as JSON with sorted keys and a 2-space indent, then a newline."""
+    """``obj`` as JSON with sorted keys and a 2-space indent, then a newline,
+    written in one call (the bytes of ``json.dump`` plus that newline)."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def curve_table(curve):

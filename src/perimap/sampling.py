@@ -48,7 +48,10 @@ def stratified_groups(rng, n_samples, min_groups, omega, eps, x, y_radius,
     n_samples / n_groups rows (omega, eps, x, y), stacked as one (G, m,
     2 + k1 + k2) array: a Latin hypercube over the ``omega`` x ``eps`` box
     gives each group its constant omega and eps columns, then one per group
-    draws X in the ``x`` range and Y in the ``y_radius`` ball."""
+    draws X in the ``x`` range and Y in the ``y_radius`` ball.  An ``omega``
+    range of (0, 1) leaves each omega as its hypercube coordinate u, exactly,
+    so `embedding.certificate` draws once and rescales that column per
+    ladder rung to the bits of a draw over the rung's range."""
     n_groups = max(min_groups, min(8, n_samples // 4))
     m = max(2, int(np.ceil(n_samples / n_groups)))
     rows = np.empty((n_groups, m, 2 + k1 + k2))

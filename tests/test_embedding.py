@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 import perimap as pm
 from perimap import embedding as emb
 from perimap.exceptions import CertificateError, ConvergenceError, DomainError
+from perimap.sampling import stratified_groups
 
 
 class TestBetaY0:
@@ -245,7 +246,8 @@ class TestLambda0:
         assert lam0 is not None and lam0 > 0
         sup_at = {}
         for lam in (lam0, lam0 / 2):
-            sa, sb = emb._tilde_sup(e2, lam, (-1.0, 1.0), (0.0, 1.0), 32, 1)
+            sa, sb = emb._tilde_sup(e2, lam, emb._remainder_groups(
+                e2, (-1.0, 1.0), (0.0, 1.0), 32, 1))
             sup_at[lam] = max(sa, sb)
         assert sup_at[lam0 / 2] <= sup_at[lam0]
         assert sup_at[lam0] <= 0.1
@@ -391,6 +393,65 @@ class TestProbesStayInTheDomain:
         assert cert.lambda0 == lam0 and cert.lambda0 in emb.LADDER
 
     def test_unit_scale_sup(self):
-        sa, sb = emb._tilde_sup(_two_dim_y_map(), 1.0, (-1.0, 1.0),
-                                (0.0, 1.0), 64, 0)
+        spec = _two_dim_y_map()
+        sa, sb = emb._tilde_sup(spec, 1.0, emb._remainder_groups(
+            spec, (-1.0, 1.0), (0.0, 1.0), 64, 0))
         assert np.isfinite(sa) and np.isfinite(sb)
+
+
+LADDER_RUNGS = [1.0, 0.25, 2.0**-5]
+DRAW_MAPS = {
+    "linear-shear": pm.linear_shear,
+    "nonlinear-toy": pm.nonlinear_toy,
+    "strong-toy": lambda: pm.nonlinear_toy(advance_coupling=3.0,
+                                           y2_coupling=2.0),
+    "two-dim-y": _two_dim_y_map,
+}
+
+
+class TestOneDrawPerLadder:
+    """`certificate` draws its remainder groups once per ladder walk; each
+    rung rescales their omega column to the bits of a fresh draw."""
+
+    def test_one_draw_per_certificate(self, e2, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return stratified_groups(*args)
+
+        monkeypatch.setattr(emb, "stratified_groups", counted)
+        cert = pm.certificate(e2, n_samples=64, seed=1)
+        assert cert.lambda0 <= 2.0**-5  # six or more rungs walked
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", DRAW_MAPS)
+    def test_shared_draw_matches_fresh_draws(self, name, monkeypatch):
+        spec = DRAW_MAPS[name]()
+        ranges = ((-spec.r1, spec.r1), (0.0, spec.period))
+        groups = emb._remainder_groups(spec, *ranges, 64, 1)
+        drawn = groups.copy()
+        got = {lam: emb._tilde_sup(spec, lam, groups) for lam in LADDER_RUNGS}
+        assert np.array_equal(groups, drawn)
+        # the reference: a draw per rung over its own omega range, as drawn
+        monkeypatch.setattr(emb, "scale_to", lambda u, lo, hi: u)
+        for lam in LADDER_RUNGS:
+            fresh = stratified_groups(np.random.default_rng(1), 64, 4,
+                                      (-1.0 / lam, 2.0 / lam), *ranges,
+                                      spec.r1, spec.k1, spec.k2)
+            want = emb._tilde_sup(spec, lam, fresh)
+            assert [v.hex() for v in got[lam]] == [v.hex() for v in want]
+
+
+class TestCertificateSampleCount:
+    @pytest.mark.parametrize("n_samples", [0, -5, float("nan")])
+    def test_checked_before_any_evaluation(self, n_samples):
+        # 0 and -5 certified from max(n, 32) pairs and 8 remainder samples;
+        # nan failed inside numpy
+        def never(omega, eps, x, y):
+            raise AssertionError("evaluated")
+
+        spec = pm.MapSpec(k1=1, k2=1, r1=1.0, alpha=never, beta=never,
+                          periodic_coord=1, period=1.0)
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            pm.certificate(spec, n_samples=n_samples)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -94,6 +95,37 @@ class TestPeriodicGridFn:
         vals[1, 0] = 0.0  # the caller's array is copied, not aliased
         assert float(f.eval(1 / 32)[0]) == fresh == pytest.approx(0.19508,
                                                                   abs=1e-5)
+
+    @pytest.mark.parametrize("period", [1.0, 0.8])
+    def test_sup_norm_evaluates_only_turning_points(self, period,
+                                                    monkeypatch):
+        """The node candidates come from ``values``, with the bits of the
+        spline evaluated there: a constant and a cosine (maxima on nodes),
+        a shifted sine and noise (maxima between nodes)."""
+        call = _Spline.__call__
+        seen = []
+
+        def spy(spline, x):
+            seen.append(np.array(x))
+            return call(spline, x)
+
+        monkeypatch.setattr(_Spline, "__call__", spy)
+        rng = np.random.default_rng(5)
+        for n in list(range(2, 65)) + [100, 255, 256, 1000, 1024, 4095, 4096]:
+            x = np.arange(n) * (period / n)
+            for values in (np.full(n, -1.3e-3),
+                           1e-4 * np.cos(2 * np.pi * x / period),
+                           0.01 * np.sin(2 * np.pi * x / period + 0.7),
+                           rng.standard_normal(n)):
+                f = pm.PeriodicGridFn(period, values[:, None])
+                seen.clear()
+                got = f.sup_norm()
+                turning = f._spline.turning_points()
+                [evaluated] = seen
+                assert np.array_equal(evaluated, turning)
+                old = float(np.max(np.abs(call(
+                    f._spline, np.concatenate([f.nodes, turning])))))
+                assert got.hex() == old.hex(), (n, values[:3])
 
 
 class TestGraphTransform:
@@ -917,3 +949,43 @@ class TestCoarseStart:
         assert defect > 1e-3
         ref = cold(pm.periodicity_defect, spec, 0.25, eps, cfg)
         assert abs(defect - ref) <= 1e-12
+
+
+class TestWriters:
+    """`write_csv` and `write_json` write, in one call each, the bytes of
+    ``np.savetxt`` and ``json.dump``."""
+
+    _x = np.arange(256) / 256
+    TABLES = {
+        "curve-256": pm.curve_table(pm.PeriodicGridFn(1.0, np.column_stack(
+            [np.sin(2 * np.pi * _x), -1e-300 * np.cos(2 * np.pi * _x)]))),
+        "sweep-nan-ratio": (("eps", "sup_norm", "ratio"),
+                            [(0.0, 0.0, float("nan")),
+                             (1e-3, 2.5e-4, 0.25)]),
+        "one-row": (("eps", "sup_norm", "ratio"), [(1 / 3, -2e-17, 1e300)]),
+        "zero-rows": (("eps", "sup_norm", "ratio"), []),
+    }
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_csv_bytes(self, tmp_path, name):
+        header, rows = self.TABLES[name]
+        pm.write_csv(tmp_path / "new.csv", header, rows)
+        np.savetxt(tmp_path / "old.csv", np.asarray(rows, dtype=float),
+                   fmt="%.16e", delimiter=",", header=",".join(header),
+                   comments="")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
+    def test_json_bytes(self, tmp_path):
+        obj = {"report": pm.SolverReport(
+                   iterations=7, final_update=3.1e-13,
+                   invariance_residual=float("nan"),
+                   measured_rates=[0.5, 1 / 3, float("inf")], converged=True,
+                   n_nodes=256, tol=1e-12).to_json_dict(),
+               "B": [[0.5, -0.0]], "label": None, "name": "nonlinear-toy"}
+        pm.write_json(tmp_path / "new.json", obj)
+        with open(tmp_path / "old.json", "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert ((tmp_path / "new.json").read_bytes()
+                == (tmp_path / "old.json").read_bytes())

@@ -187,7 +187,7 @@ def _hex(values):
 def test_tilde_sup_matches_per_probe(name, lam):
     spec = MAPS[name]()
     args = (spec, lam, (-spec.r1, spec.r1), (0.0, spec.period), 32, 1)
-    got = emb._tilde_sup(*args)
+    got = emb._tilde_sup(spec, lam, emb._remainder_groups(spec, *args[2:]))
     assert [v.hex() for v in got] == [
         v.hex() for v in _tilde_sup_per_probe(*args)]
 
@@ -231,7 +231,8 @@ def test_tilde_sup_calls_per_group(name):
     one call per rung, whatever k1 and k2."""
     counted = _Counted(MAPS[name]())
     spec = counted.spec
-    emb._tilde_sup(spec, 0.25, (-1.0, 1.0), (0.0, 1.0), 64, 0)
+    emb._tilde_sup(spec, 0.25, emb._remainder_groups(
+        spec, (-1.0, 1.0), (0.0, 1.0), 64, 0))
     n_groups = 8  # max(4, min(8, 64 // 4))
     assert counted.calls == 1
     # the rows are those of one call per probe: centre, then +/- each column

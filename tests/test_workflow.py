@@ -44,7 +44,7 @@ DISTINCT_RUNS = list(dict.fromkeys(RUNS))
 def test_every_run_and_config_is_found():
     text = _workflow()
     configs = _inline_configs(text)
-    assert len(RUNS) == 14
+    assert len(RUNS) == 15
     assert len(configs) == text.count("> \"$RUNNER_TEMP/") > 0
     used = {os.path.basename(path) for _, path in RUNS
             if path.startswith("$RUNNER_TEMP/")}
